@@ -158,7 +158,7 @@ def _validate_training(d) -> TrainConfig:
     kwargs = dict(d)
     if "score_variant" in kwargs:
         token = kwargs["score_variant"]
-        if token not in _VARIANT_FROM_TOKEN:
+        if not isinstance(token, str) or token not in _VARIANT_FROM_TOKEN:
             raise ConfigError(
                 f"training.score_variant: expected one of "
                 f"{sorted(_VARIANT_FROM_TOKEN)}, got {token!r}"
@@ -583,26 +583,34 @@ def cmd_ood_bench(args) -> int:
     run, rc = load_run(run_dir)
     classes = {t: run.stream.task(t).classes for t in run.task_ids()}
     # Score kinds are compared uncalibrated on a shared model so each row
-    # differs only in the task-id score.
+    # differs only in the task-id score.  The variants share one context's
+    # KNN indexes, and the score bundle depends on neither the score kind nor
+    # the variant, so one bundle over the pooled test rows serves every row.
+    canonical = scoring.build_context(
+        run.net, run.stats, run.buffer,
+        clone_config(rc.training, score_variant="canonical"),
+        classes, calibration=None,
+    )
     ctx_by_variant = {
-        variant: scoring.build_context(
-            run.net, run.stats, run.buffer,
-            clone_config(rc.training, score_variant=variant),
-            classes, calibration=None,
-        )
-        for variant in ("canonical", "softmin")
+        "canonical": canonical,
+        "softmin": dataclasses.replace(canonical, variant="softmin"),
     }
+    bundle = scoring.compute_bundle(
+        canonical, np.concatenate([d.test_x for d in run.stream.tasks])
+    )
     single = len(run.stream) == 1
     scores: dict[str, dict] = {}
     pairs: list[tuple[float, float]] = []
     for label, kind in _BENCH_ROWS:
         variant = "softmin" if label == "TPL-algorithm1" else "canonical"
         ctx = ctx_by_variant[variant]
-        acc = evaluation.cil_accuracy(ctx, run.stream.tasks, kind)
+        acc = evaluation.cil_accuracy(ctx, run.stream.tasks, kind, bundle=bundle)
         if single:
             per_task, mean_auc = {}, None
         else:
-            aucs, mean_auc = evaluation.task_ood_aucs(ctx, run.stream, kind)
+            aucs, mean_auc = evaluation.task_ood_aucs(
+                ctx, run.stream, kind, bundle=bundle
+            )
             per_task = {str(t): v for t, v in sorted(aucs.items())}
             pairs.append((mean_auc, acc))
         scores[label] = {

@@ -258,8 +258,11 @@ def generate_gaussian_stream(
 
 
 def _read_feature_file(path: Path, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a ``label,f0,f1,...`` CSV; blank lines are skipped.  Malformed
+    or non-finite rows raise ``ParseError`` naming their 1-based line."""
     xs: list[list[float]] = []
     ys: list[int] = []
+    linenos: list[int] = []
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -281,9 +284,15 @@ def _read_feature_file(path: Path, dim: int | None) -> tuple[np.ndarray, np.ndar
                 )
             xs.append(feats)
             ys.append(label)
+            linenos.append(lineno)
     if not xs:
         raise ParseError(f"{path}: no samples")
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64)
+    x = np.asarray(xs, dtype=np.float64)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        bad = linenos[int(np.argmin(finite))]
+        raise ParseError(f"{path}:{bad}: non-finite feature value (nan or inf)")
+    return x, np.asarray(ys, dtype=np.int64)
 
 
 def load_feature_stream(manifest_path: str | Path) -> TaskStream:

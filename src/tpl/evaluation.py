@@ -42,17 +42,19 @@ def cil_accuracy(
     ctx: scoring.ScoringContext,
     datasets: list[TaskDataset],
     score_kind: str = "tpl",
+    bundle: scoring.ScoreBundle | None = None,
 ) -> float:
     """Fraction of pooled test samples classified to the right global class,
-    with no task-id given."""
+    with no task-id given.  ``bundle``, when given, must hold the scores of
+    the datasets' test rows pooled in order; it is computed otherwise."""
     xs = [d.test_x for d in datasets if d.test_x.shape[0] > 0]
     ys = [d.test_y for d in datasets if d.test_y.shape[0] > 0]
     if not xs:
         raise EmptyTestSet("no test samples in any supplied dataset")
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    pred = scoring.predict(ctx, x, score_kind=score_kind)
-    return float(np.mean(pred.global_class == y))
+    if bundle is None:
+        bundle = scoring.compute_bundle(ctx, np.concatenate(xs))
+    pred = scoring.predict_from_bundle(ctx, bundle, score_kind)
+    return float(np.mean(pred.global_class == np.concatenate(ys)))
 
 
 def til_accuracy(
@@ -258,18 +260,23 @@ def task_ood_aucs(
     ctx: scoring.ScoringContext,
     stream: TaskStream,
     score_kind: str = "tpl",
+    bundle: scoring.ScoreBundle | None = None,
 ) -> tuple[dict[int, float], float]:
     """Per-task detection AUC: each task's own test samples are the
-    in-distribution side, every other task's the out side."""
-    x = np.concatenate([d.test_x for d in stream.tasks])
+    in-distribution side, every other task's the out side.  ``bundle``, when
+    given, must hold the scores of the stream's test rows pooled in task
+    order; it is computed otherwise."""
     sizes = [d.test_x.shape[0] for d in stream.tasks]
     bounds = np.cumsum([0] + sizes)
-    bundle = scoring.compute_bundle(ctx, x)
+    if bundle is None:
+        bundle = scoring.compute_bundle(
+            ctx, np.concatenate([d.test_x for d in stream.tasks])
+        )
     matrix = scoring.task_score_matrix(ctx, bundle, score_kind)
     aucs: dict[int, float] = {}
     for j, d in enumerate(stream.tasks):
         col = matrix[:, j]
-        mask = np.zeros(x.shape[0], dtype=bool)
+        mask = np.zeros(matrix.shape[0], dtype=bool)
         mask[bounds[j] : bounds[j + 1]] = True
         aucs[d.task_id] = ood_auc(col[mask], col[~mask])
     return aucs, stable_mean(list(aucs.values()))

@@ -1,4 +1,5 @@
-"""Shared numeric kernels: SPD inversion, stable reductions, seeded RNG streams.
+"""Shared numeric kernels: SPD inversion, the whitened Mahalanobis distance,
+stable reductions, seeded RNG streams.
 
 Conventions used throughout the package:
 
@@ -75,6 +76,28 @@ def spd_inverse(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     half = np.linalg.solve(chol, eye)
     inv = np.linalg.solve(chol.T, half)
     return (inv + inv.T) / 2.0
+
+
+def mahalanobis_sq(x: np.ndarray, means: np.ndarray, precision: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of every row of ``x`` to every mean: [n, c].
+
+    The precision is factored once per call, ``precision = L Lᵀ``, and each
+    class's *differences* are whitened, ``sum(((x - μ) L)²)``: one matrix
+    product per class.  The expanded form ``‖xL‖² − 2 xL·μL + ‖μL‖²`` must not
+    be used instead; it cancels catastrophically for rows near a centroid,
+    exactly where the inverse distance ``1/d²`` is most sensitive.  Raises
+    ``NotPositiveDefinite`` when the precision has no Cholesky factor.
+    """
+    x = np.atleast_2d(x)
+    try:
+        chol = np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("precision matrix is not positive definite") from None
+    out = np.empty((x.shape[0], means.shape[0]))
+    for j, mu in enumerate(means):
+        w = (x - mu) @ chol
+        out[:, j] = np.sum(w * w, axis=1)
+    return out
 
 
 def log_sum_exp(v: np.ndarray | Sequence[float]) -> float:

@@ -28,11 +28,11 @@ import numpy as np
 
 from . import hat_mlp
 from .errors import DimensionMismatch, EmptyBufferView, UnknownTask
-from .trainer import ReplayBuffer, RunArtifacts, TaskStats, TrainConfig
+from .numerics import mahalanobis_sq
+from .trainer import MD_FLOOR, ReplayBuffer, RunArtifacts, TaskStats, TrainConfig
 
 logger = logging.getLogger(__name__)
 
-_MD_FLOOR = 1e-12
 _NORM_FLOOR = 1e-12
 
 #: Task-affinity score kinds usable for the posterior.
@@ -61,15 +61,19 @@ def ebo_score(logits: np.ndarray, n_classes: int) -> np.ndarray:
 
 def md_score(feats: np.ndarray, stats: TaskStats) -> np.ndarray:
     """Inverse squared Mahalanobis distance to the nearest class mean,
-    floored at 1e-12 before inversion."""
+    floored at ``MD_FLOOR`` before inversion.
+
+    Distances come from ``numerics.mahalanobis_sq``, which whitens the
+    differences to each mean; the expanded quadratic form is never used, as it
+    cancels catastrophically for rows near a centroid.
+    """
     feats = np.atleast_2d(feats)
     if feats.shape[1] != stats.class_means.shape[1]:
         raise DimensionMismatch(
             f"feature dim {feats.shape[1]} vs stats dim {stats.class_means.shape[1]}"
         )
-    diffs = feats[:, None, :] - stats.class_means[None, :, :]
-    quad = np.einsum("ncd,de,nce->nc", diffs, stats.precision, diffs)
-    d2 = np.maximum(np.min(quad, axis=1), _MD_FLOOR)
+    quad = mahalanobis_sq(feats, stats.class_means, stats.precision)
+    d2 = np.maximum(np.min(quad, axis=1), MD_FLOOR)
     return 1.0 / d2
 
 
@@ -93,9 +97,8 @@ def knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarr
     b = normalize_rows(index)
     # on the unit sphere: ||q - b||^2 = 2 - 2 q.b
     d2 = np.maximum(2.0 - 2.0 * (q @ b.T), 0.0)
-    d2.sort(axis=1)
     kth = min(k, index.shape[0]) - 1
-    return np.sqrt(d2[:, kth])
+    return np.sqrt(np.partition(d2, kth, axis=1)[:, kth])
 
 
 def tpl_score(
@@ -325,14 +328,21 @@ class Predictions:
 
 
 def predict(ctx: ScoringContext, x: np.ndarray, score_kind: str = "tpl") -> Predictions:
-    """Classify a batch across all tasks.
+    """Classify a batch across all tasks (see ``predict_from_bundle``)."""
+    return predict_from_bundle(ctx, compute_bundle(ctx, x), score_kind)
+
+
+def predict_from_bundle(
+    ctx: ScoringContext, bundle: ScoreBundle, score_kind: str = "tpl"
+) -> Predictions:
+    """Classify the rows of a precomputed score bundle across all tasks.
 
     Within-task probabilities are multiplied by the task posterior (from the
     chosen score kind), passed through the per-task affine calibration, and
     the best (task, class) wins; exact ties resolve to the earlier task and
-    the earlier class in declaration order.
+    the earlier class in declaration order.  The bundle depends on neither
+    the score kind nor the variant, so one bundle serves every composition.
     """
-    bundle = compute_bundle(ctx, x)
     scores = task_score_matrix(ctx, bundle, score_kind)
     post = task_posterior(scores, ctx.temperature)
     n = post.shape[0]

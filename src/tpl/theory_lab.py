@@ -28,7 +28,7 @@ from .errors import (
     NoVariance,
 )
 from .evaluation import ood_auc
-from .numerics import RngState, log_sum_exp
+from .numerics import RngState, log_sum_exp, mahalanobis_sq
 
 #: Recognized scoring statistics, each a quadratic in x for 1-D pairs:
 #: the log likelihood ratio, the two single-density baselines it dominates,
@@ -394,9 +394,12 @@ def density_estimator_check(
     Mahalanobis score is compared against the largest per-class log-density
     under the *fitted* model: with one shared covariance both are monotone in
     the same minimal distance, so their rank correlation is exactly 1 (floor-
-    saturated probes excluded).  The negated k-th-neighbor distance over the
-    task's own training vectors is compared against the *true* mixture
-    log-density; its agreement is limited by the training-sample size.
+    saturated probes excluded).  Both read their distances from the shared
+    whitened-difference kernel ``numerics.mahalanobis_sq`` (never the
+    expanded quadratic form, which cancels near a centroid).  The negated
+    k-th-neighbor distance over the task's own training vectors is compared
+    against the *true* mixture log-density; its agreement is limited by the
+    training-sample size.
 
     The neighbor distance here is the raw Euclidean one — the plain fixed-k
     density estimator.  The unit-sphere normalization the detector applies is
@@ -428,17 +431,15 @@ def density_estimator_check(
         [log_sum_exp(row) for row in per_class]
     ) - math.log(len(order))
 
-    md = scoring.md_score(probes, stats)
-    diffs = probes[:, None, :] - stats.class_means[None, :, :]
-    quad = np.einsum("ncd,de,nce->nc", diffs, stats.precision, diffs)
-    d2_min = np.min(quad, axis=1)
     sign, logdet_precision = np.linalg.slogdet(stats.precision)
     if sign <= 0:
         raise NoVariance("fitted precision matrix is not positive definite")
+    md = scoring.md_score(probes, stats)
+    d2_min = np.min(mahalanobis_sq(probes, stats.class_means, stats.precision), axis=1)
     fitted_logpdf = -0.5 * (
         d2_min + dataset.dim * math.log(2.0 * math.pi) - logdet_precision
     )
-    keep = md < 1.0 / scoring._MD_FLOOR
+    keep = md < 1.0 / trainer.MD_FLOOR
     if int(np.sum(keep)) < 3:
         raise NoVariance("all probes saturated the distance floor")
     md_rho = float(spearmanr(md[keep], fitted_logpdf[keep])[0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,14 +20,36 @@ import numpy as np
 from . import hat_mlp
 from .data import TaskDataset, TaskStream
 from .errors import DegenerateCovariance, EmptyTrainingSet, UnknownTask
-from .numerics import RngState, spd_inverse
+from .numerics import RngState, mahalanobis_sq, spd_inverse
 
 logger = logging.getLogger(__name__)
 
 _BETA_MEAN_FLOOR = 1e-6
-_MD_DIST_FLOOR = 1e-12
+
+#: Squared Mahalanobis distances are floored here before the MD score inverts them.
+MD_FLOOR = 1e-12
 
 SCORE_VARIANTS = ("canonical", "softmin")
+
+#: Integer fields of ``TrainConfig`` and the least value each accepts.
+_INT_FIELD_MINIMUMS = {
+    "epochs": 0, "batch_size": 1, "buffer_capacity": 0, "knn_k": 1,
+    "calibration_epochs": 0, "calibration_batch": 1,
+}
+
+#: Real-valued fields of ``TrainConfig`` (ranges checked in ``validate``).
+_REAL_FIELDS = (
+    "learning_rate", "momentum", "hat_reg_weight", "s_max",
+    "posterior_temperature", "ridge", "calibration_lr",
+)
+
+
+def _check_int(name: str, v, least: int) -> None:
+    """Require an integer (not a bool, not a float) of at least ``least``."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"{name} must be >= {least}, got {v}")
 
 
 @dataclass
@@ -51,22 +74,31 @@ class TrainConfig:
     calibration_lr: float = 0.01
 
     def validate(self) -> None:
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("bad epochs/batch_size")
+        """Check every field's type and range; errors name the field."""
+        for name, least in _INT_FIELD_MINIMUMS.items():
+            _check_int(name, getattr(self, name), least)
+        for name in _REAL_FIELDS:
+            v = getattr(self, name)
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            if not (real and math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
-        if self.learning_rate <= 0 or self.s_max <= 1:
-            raise ValueError("bad learning_rate/s_max")
-        if self.buffer_capacity < 0 or self.knn_k < 1:
-            raise ValueError("bad buffer_capacity/knn_k")
+        if self.learning_rate <= 0 or self.calibration_lr <= 0:
+            raise ValueError("learning_rate and calibration_lr must be positive")
+        if self.s_max <= 1:
+            raise ValueError("s_max must be > 1")
         if self.posterior_temperature <= 0:
             raise ValueError("posterior temperature must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
+        if self.ridge < 0 or self.hat_reg_weight < 0:
+            raise ValueError("ridge and hat_reg_weight must be non-negative")
         if self.score_variant not in SCORE_VARIANTS:
             raise ValueError(f"score_variant must be one of {SCORE_VARIANTS}")
-        if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
-            raise ValueError("hidden_widths must be positive")
+        if not isinstance(self.hidden_widths, (tuple, list)) or not self.hidden_widths:
+            raise ValueError("hidden_widths must be a non-empty list")
+        for i, w in enumerate(self.hidden_widths):
+            _check_int(f"hidden_widths[{i}]", w, 1)
+
 
 
 @dataclass
@@ -245,7 +277,10 @@ def compute_task_stats(
 
     Shared covariance = within-class scatter averaged over all samples (one
     matrix for the whole task), inverted with the configured ridge.  The MLS
-    and MD normalization rates are reciprocals of the mean training scores.
+    and MD normalization rates are reciprocals of the mean training scores;
+    the MD rate reads its distances from ``numerics.mahalanobis_sq``, the one
+    whitened-difference kernel every MD score goes through (never the
+    expanded quadratic form, which cancels near a centroid).
     """
     feats, logits = hat_mlp.forward(net, dataset.train_x, dataset.task_id)
     y_within = np.array([dataset.class_index(v) for v in dataset.train_y], dtype=np.int64)
@@ -254,9 +289,7 @@ def compute_task_stats(
     mls = np.max(logits[:, : dataset.n_classes], axis=1)
     beta_mls = _rate_from_mean(float(np.mean(mls)), "MLS", dataset.task_id)
 
-    diffs = feats[:, None, :] - means[None, :, :]
-    quad = np.einsum("ncd,de,nce->nc", diffs, precision, diffs)
-    d2 = np.maximum(np.min(quad, axis=1), _MD_DIST_FLOOR)
+    d2 = np.maximum(np.min(mahalanobis_sq(feats, means, precision), axis=1), MD_FLOOR)
     beta_md = _rate_from_mean(float(np.mean(1.0 / d2)), "MD", dataset.task_id)
 
     return TaskStats(

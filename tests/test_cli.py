@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpl import cli, scoring, theory_lab
-from tpl.errors import ConfigError
+from tpl import cli, evaluation, scoring, theory_lab
+from tpl.errors import ConfigError, DegenerateVariance
+from tpl.trainer import clone_config
 
 SEED = 3
 
@@ -181,6 +182,40 @@ class TestExitCodes:
                                "--output", str(tmp_path / "p.csv"))
         assert code == 3
         assert "dim" in err
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("training.epochs", 2.5, "epochs"),
+        ("training.hidden_widths", [8.5], "hidden_widths"),
+        ("training.knn_k", 1.5, "knn_k"),
+        ("training.batch_size", True, "batch_size"),
+        ("training.calibration_batch", "64", "calibration_batch"),
+        ("training.learning_rate", True, "learning_rate"),
+        ("training.momentum", "0.9", "momentum"),
+        ("training.ridge", float("nan"), "ridge"),
+        ("training.score_variant", ["canonical"], "score_variant"),
+    ])
+    def test_mistyped_training_value_exits_2(self, tmp_path, key, value, field):
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run", **{key: value})
+        code, _, err = run_cli("train", "--config", str(cfg))
+        assert code == 2
+        assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_input_row_exits_3_with_line(self, run_dir, tmp_path, bad):
+        rows = ["0," + ",".join(["0.5"] * 6)] * 3
+        rows[1] = rows[1].replace("0.5", bad, 1)
+        rows.insert(1, "")  # blank lines are skipped but still counted
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out.csv"
+        for argv in (["predict", "--output", str(out)],
+                     ["dump-features", "--task-id", "1", "--out", str(out)]):
+            code, _, err = run_cli(*argv, "--run", str(run_dir), "--input", str(path))
+            assert code == 3
+            assert f"{path}:3: non-finite" in err
+            assert not out.exists()
 
     def test_bad_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -424,6 +459,47 @@ BENCH_ROWS = ["MSP", "MLS", "EBO", "MD", "KNN",
 
 
 @pytest.fixture(scope="module")
+def single_task_run_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-single")
+    cfg = write_config(root / "c.json", root / "run",
+                       **{"dataset.n_tasks": 1, "training.epochs": 8})
+    code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+    assert code == 0, err
+    return root / "run"
+
+
+def per_row_bench_report(run_dir) -> dict:
+    """The ood-bench report rebuilt row by row: every row scores the pooled
+    test rows afresh through ``cil_accuracy`` and ``task_ood_aucs``."""
+    run, rc = cli.load_run(run_dir)
+    classes = {t: run.stream.task(t).classes for t in run.task_ids()}
+    single = len(run.stream) == 1
+    scores, pairs = {}, []
+    for label, kind in cli._BENCH_ROWS:
+        variant = "softmin" if label == "TPL-algorithm1" else "canonical"
+        ctx = scoring.build_context(
+            run.net, run.stats, run.buffer,
+            clone_config(rc.training, score_variant=variant), classes,
+        )
+        acc = evaluation.cil_accuracy(ctx, run.stream.tasks, kind)
+        per_task, mean_auc = {}, None
+        if not single:
+            aucs, mean_auc = evaluation.task_ood_aucs(ctx, run.stream, kind)
+            per_task = {str(t): v for t, v in sorted(aucs.items())}
+            pairs.append((mean_auc, acc))
+        scores[label] = {"auc_per_task": per_task, "auc_mean": mean_auc,
+                         "cil_last_acc": acc}
+    r = slope = None
+    if not single:
+        try:
+            r, slope = evaluation.auc_acc_correlation(pairs)
+        except DegenerateVariance:
+            pass
+    return {"calibration": "off", "auc_applicable": not single,
+            "scores": scores, "pearson_r": r, "slope": slope}
+
+
+@pytest.fixture(scope="module")
 def report(run_dir):
     code, _, err = run_cli("ood-bench", "--run", str(run_dir), "--quiet")
     assert code == 0, err
@@ -466,14 +542,31 @@ class TestOodBench:
         assert code == 0
         assert (run_dir / "ood_bench.json").read_bytes() == before
 
-    def test_single_task_run_marks_auc_not_applicable(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
-                           **{"dataset.n_tasks": 1, "training.epochs": 8})
-        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+    @pytest.mark.parametrize("which", ["run_dir", "single_task_run_dir"])
+    def test_one_bundle_matches_per_row_scoring(self, request, which, tmp_path,
+                                                monkeypatch):
+        target = request.getfixturevalue(which)
+        expected = per_row_bench_report(target)
+        rows_scored = []
+        real = scoring.compute_bundle
+
+        def spy(ctx, x):
+            rows_scored.append(x.shape[0])
+            return real(ctx, x)
+
+        monkeypatch.setattr(scoring, "compute_bundle", spy)
+        out = tmp_path / "bench.json"
+        code, _, err = run_cli("ood-bench", "--run", str(target), "--quiet",
+                               "--out", str(out),
+                               "--scatter", str(tmp_path / "scatter.csv"))
         assert code == 0, err
-        code, out, err = run_cli("ood-bench", "--run", str(tmp_path / "run"))
+        assert len(rows_scored) == 1
+        assert json.loads(out.read_text()) == expected
+
+    def test_single_task_run_marks_auc_not_applicable(self, single_task_run_dir):
+        code, out, err = run_cli("ood-bench", "--run", str(single_task_run_dir))
         assert code == 0, err
-        report = json.loads((tmp_path / "run" / "ood_bench.json").read_text())
+        report = json.loads((single_task_run_dir / "ood_bench.json").read_text())
         assert report["auc_applicable"] is False
         assert report["pearson_r"] is None
         for entry in report["scores"].values():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import spearmanr
 
 from tpl import data, scoring, trainer
-from tpl.errors import EmptyBufferView
-from tpl.numerics import RngState
+from tpl.errors import EmptyBufferView, NotPositiveDefinite
+from tpl.numerics import RngState, mahalanobis_sq
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,38 @@ def test_md_rank_matches_max_class_log_density():
     assert rho == 1.0
 
 
+def test_mahalanobis_sq_accurate_next_to_centroids():
+    # Probes 1e-7 from a class mean under a precision with condition number
+    # 1e8 (d=96): whitening the differences keeps the error at rounding level
+    # relative to ||P|| ||x - mu||^2, where the expanded form
+    # ||xL||^2 - 2 xL.muL + ||muL||^2 loses every digit to cancellation.
+    rng = RngState(11).stream("md-kernel")
+    d, n_classes, n_probes = 96, 3, 24
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eig = np.logspace(0.0, 8.0, d)
+    prec = (q * eig) @ q.T
+    prec = (prec + prec.T) / 2.0
+    means = 3.0 * rng.standard_normal((n_classes, d))
+    u = rng.standard_normal((n_probes, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    x = means[np.arange(n_probes) % n_classes] + 1e-7 * u
+
+    got = mahalanobis_sq(x, means, prec)
+
+    diffs = x.astype(np.longdouble)[:, None, :] - means.astype(np.longdouble)[None]
+    oracle = np.einsum("ncd,de,nce->nc", diffs, prec.astype(np.longdouble), diffs)
+    norm_p = float(np.max(eig))
+    dist2 = np.sum(diffs.astype(np.float64) ** 2, axis=2)
+    err = np.abs(got.astype(np.longdouble) - oracle).astype(np.float64)
+    assert got.shape == (n_probes, n_classes)
+    assert np.all(err <= 1e-12 * norm_p * dist2)
+
+
+def test_mahalanobis_sq_rejects_indefinite_precision():
+    with pytest.raises(NotPositiveDefinite):
+        mahalanobis_sq(np.zeros((2, 2)), np.zeros((1, 2)), np.diag([1.0, -1.0]))
+
+
 # --- KNN distance -----------------------------------------------------------
 
 def test_knn_distance_hand_geometry():
@@ -173,6 +208,41 @@ def test_knn_distance_matches_bruteforce():
             dists = sorted(float(np.linalg.norm(qn[i] - bn[j])) for j in range(m))
             expect = dists[min(k, m) - 1]
             assert math.isclose(got[i], expect, rel_tol=0, abs_tol=1e-9)
+
+
+def sorted_kth_distance(queries, index, k):
+    """The full-sort k-th distance, kept as the reference for the partition."""
+    q = scoring.normalize_rows(queries)
+    b = scoring.normalize_rows(index)
+    d2 = np.maximum(2.0 - 2.0 * (q @ b.T), 0.0)
+    d2.sort(axis=1)
+    return np.sqrt(d2[:, min(k, index.shape[0]) - 1])
+
+
+def grid_rows(n, d):
+    """Rows on a coarse grid of coordinates, so tied and repeated distances
+    are common."""
+    return hnp.arrays(
+        np.float64, (n, d), elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+    )
+
+
+@pytest.mark.parametrize("k_vs_n", ["below", "equal", "above"])
+@settings(max_examples=60, deadline=None)
+@given(draws=st.data())
+def test_knn_partition_matches_full_sort_bitwise(k_vs_n, draws):
+    d = draws.draw(st.integers(1, 4))
+    n = draws.draw(st.integers(2 if k_vs_n == "below" else 1, 12))
+    if k_vs_n == "below":
+        k = draws.draw(st.integers(1, n - 1))
+    elif k_vs_n == "equal":
+        k = n
+    else:
+        k = n + draws.draw(st.integers(1, 5))
+    queries = draws.draw(grid_rows(draws.draw(st.integers(1, 6)), d))
+    index = draws.draw(grid_rows(n, d))
+    got = scoring.knn_kth_distance(queries, index, k)
+    assert np.array_equal(got, sorted_kth_distance(queries, index, k))
 
 
 # --- composed score ---------------------------------------------------------
