@@ -36,9 +36,11 @@ from .errors import (
     ParseError,
     TplError,
 )
-from .evaluation import MetricsReport, NclReference
-from .numerics import RngState, stable_mean
-from .trainer import ReplayBuffer, RunArtifacts, TaskStats, TrainConfig, clone_config
+from .evaluation import NclReference
+from .numerics import RngState
+from .trainer import (
+    ReplayBuffer, RunArtifacts, TaskStats, TrainConfig, check_int, check_real,
+)
 
 SCHEMA_VERSION = 1
 
@@ -105,6 +107,12 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _check_positive(name: str, v) -> None:
+    check_real(name, v)
+    if v <= 0:
+        raise ValueError(f"{name} must be > 0, got {v!r}")
+
+
 def _validate_dataset(d, base_dir: Path) -> dict:
     if not isinstance(d, dict):
         raise ConfigError("dataset: must be an object")
@@ -112,29 +120,25 @@ def _validate_dataset(d, base_dir: Path) -> dict:
     if kind == "synthetic":
         _check_keys(d, _SYNTHETIC_KEYS, "dataset")
         out = {"kind": "synthetic"}
-        for key in ("n_tasks", "classes_per_task", "dim", "train_per_class"):
-            v = _require(d, key, "dataset")
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"dataset.{key}: need a positive integer")
-            out[key] = v
-        test = d.get("test_per_class", 0)
-        if not isinstance(test, int) or isinstance(test, bool) or test < 0:
-            raise ConfigError("dataset.test_per_class: need a non-negative integer")
-        out["test_per_class"] = test
-        sep = _require(d, "separation", "dataset")
-        if not isinstance(sep, (int, float)) or isinstance(sep, bool) or sep <= 0:
-            raise ConfigError("dataset.separation: need a positive number")
-        out["separation"] = float(sep)
-        cov = d.get("covariance_diag")
-        if cov is not None:
-            if (not isinstance(cov, list) or len(cov) != out["dim"]
-                    or not all(isinstance(v, (int, float)) and v > 0 for v in cov)):
-                raise ConfigError(
-                    "dataset.covariance_diag: need a list of dim positive numbers"
-                )
-            out["covariance_diag"] = [float(v) for v in cov]
-        else:
-            out["covariance_diag"] = None
+        try:
+            for key in ("n_tasks", "classes_per_task", "dim", "train_per_class"):
+                out[key] = _require(d, key, "dataset")
+                check_int(key, out[key], 1)
+            out["test_per_class"] = d.get("test_per_class", 0)
+            check_int("test_per_class", out["test_per_class"], 0)
+            sep = _require(d, "separation", "dataset")
+            _check_positive("separation", sep)
+            out["separation"] = float(sep)
+            cov = d.get("covariance_diag")
+            if cov is not None:
+                if not isinstance(cov, list) or len(cov) != out["dim"]:
+                    raise ValueError(f"covariance_diag must be a list of {out['dim']} numbers")
+                for i, v in enumerate(cov):
+                    _check_positive(f"covariance_diag[{i}]", v)
+                cov = [float(v) for v in cov]
+            out["covariance_diag"] = cov
+        except ValueError as exc:
+            raise ConfigError(f"dataset: {exc}") from exc
         return out
     if kind == "manifest":
         _check_keys(d, _MANIFEST_KEYS, "dataset")
@@ -341,27 +345,20 @@ def _write_buffer_csv(path: Path, buffer: ReplayBuffer | None) -> None:
 
 
 def _read_buffer_csv(path: Path, capacity: int) -> ReplayBuffer:
+    values, labels, linenos = data._read_rows(path, None)
     buffer = ReplayBuffer(capacity)
-    rows: dict[int, list[np.ndarray]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) < 3:
-            raise ParseError(f"{path}:{lineno}: need label, features, task")
-        try:
-            label = int(cells[0])
-            feats = np.array([float(v) for v in cells[1:-1]], dtype=np.float64)
-            task = int(cells[-1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if label not in rows:
-            rows[label] = []
-            buffer.order.append(label)
-            buffer.task_of[label] = task
-        rows[label].append(feats)
-    for label in buffer.order:
-        buffer.store[label] = np.stack(rows[label])
+    if values.shape[0] == 0:
+        return buffer
+    feats, tasks = values[:, :-1], values[:, -1]
+    bad = np.flatnonzero(tasks != np.floor(tasks))
+    if feats.shape[1] == 0 or bad.size:
+        line = linenos[bad[0] if bad.size else 0]
+        raise ParseError(f"{path}:{line}: need label, features and an integer task")
+    for label in dict.fromkeys(labels.tolist()):
+        rows = labels == label
+        buffer.order.append(label)
+        buffer.task_of[label] = int(tasks[rows][0])
+        buffer.store[label] = feats[rows]
     return buffer
 
 
@@ -434,15 +431,14 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
     return run, rc
 
 
-def _load_trajectory(run_dir: Path) -> dict:
+def _load_trajectory(run_dir: Path) -> tuple[list[float], dict[int, dict[int, float]]]:
+    """The (trajectory, per-task matrix) pair stored at train time."""
     payload = json.loads((run_dir / "trajectory.json").read_text(encoding="utf-8"))
-    payload["per_task"] = {
+    per_task = {
         int(t): {int(i): float(v) for i, v in row.items()}
         for t, row in payload.get("per_task", {}).items()
     }
-    payload["til"] = {int(t): float(v) for t, v in payload.get("til", {}).items()}
-    payload["trajectory"] = [float(v) for v in payload.get("trajectory", [])]
-    return payload
+    return [float(v) for v in payload.get("trajectory", [])], per_task
 
 
 # --- subcommands -------------------------------------------------------------
@@ -514,44 +510,23 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
-    payload = _load_trajectory(run_dir)
-    trajectory = payload["trajectory"]
-    if not trajectory:
+    stored = _load_trajectory(run_dir)
+    if not stored[0]:
         raise EmptyTestSet("run has no stored trajectory (trained without tests)")
-    ctx = scoring.context_from_run(run, calibrated=rc.calibrate)
-    til = {
-        d.task_id: evaluation.til_accuracy(ctx, d.task_id, d)
-        for d in run.stream.tasks
-    }
-    if len(run.stream) > 1:
-        ood, ood_mean = evaluation.task_ood_aucs(ctx, run.stream, "tpl")
-    else:
-        ood, ood_mean = {}, None
-    f_last = f_aia = None
     ncl_dir = getattr(args, "ncl", None)
-    if ncl_dir is not None:
-        ncl = _ncl_reference(Path(ncl_dir), run.stream, rc)
-        f_last, f_aia = evaluation.forgetting_rates(payload["per_task"], ncl)
-    report = MetricsReport(
-        trajectory=trajectory,
-        a_last=trajectory[-1],
-        a_aia=stable_mean(trajectory),
-        til=til,
-        ood=ood,
-        ood_mean=ood_mean,
-        per_task=payload["per_task"],
-        f_cil_last=f_last,
-        f_cil_aia=f_aia,
+    ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), run.stream, rc)
+    report = evaluation.compute_report(
+        run, ncl, calibrated=rc.calibrate, trajectory=stored
     )
-    report.validate()
     out = Path(getattr(args, "out", None) or run_dir / "metrics.json")
     out.write_text(_dump_json(report.as_dict()), encoding="utf-8")
     _say(args, f"A_last {report.a_last:.6f}")
     _say(args, f"AIA    {report.a_aia:.6f}")
-    if ood_mean is not None:
-        _say(args, f"detection AUC mean {ood_mean:.6f}")
-    if f_last is not None:
-        _say(args, f"forgetting last {f_last:.6f}  trajectory {f_aia:.6f}")
+    if report.ood_mean is not None:
+        _say(args, f"detection AUC mean {report.ood_mean:.6f}")
+    if report.f_cil_last is not None:
+        _say(args, f"forgetting last {report.f_cil_last:.6f}  "
+                   f"trajectory {report.f_cil_aia:.6f}")
     _say(args, f"metrics written to {out}")
     return 0
 
@@ -580,30 +555,21 @@ def cmd_predict(args) -> int:
 
 def cmd_ood_bench(args) -> int:
     run_dir = Path(args.run)
-    run, rc = load_run(run_dir)
-    classes = {t: run.stream.task(t).classes for t in run.task_ids()}
+    run, _rc = load_run(run_dir)
     # Score kinds are compared uncalibrated on a shared model so each row
     # differs only in the task-id score.  The variants share one context's
     # KNN indexes, and the score bundle depends on neither the score kind nor
     # the variant, so one bundle over the pooled test rows serves every row.
-    canonical = scoring.build_context(
-        run.net, run.stats, run.buffer,
-        clone_config(rc.training, score_variant="canonical"),
-        classes, calibration=None,
-    )
-    ctx_by_variant = {
-        "canonical": canonical,
-        "softmin": dataclasses.replace(canonical, variant="softmin"),
-    }
+    shared = scoring.context_from_run(run, calibrated=False)
     bundle = scoring.compute_bundle(
-        canonical, np.concatenate([d.test_x for d in run.stream.tasks])
+        shared, np.concatenate([d.test_x for d in run.stream.tasks])
     )
     single = len(run.stream) == 1
     scores: dict[str, dict] = {}
     pairs: list[tuple[float, float]] = []
     for label, kind in _BENCH_ROWS:
         variant = "softmin" if label == "TPL-algorithm1" else "canonical"
-        ctx = ctx_by_variant[variant]
+        ctx = dataclasses.replace(shared, variant=variant)
         acc = evaluation.cil_accuracy(ctx, run.stream.tasks, kind, bundle=bundle)
         if single:
             per_task, mean_auc = {}, None

@@ -257,9 +257,12 @@ def generate_gaussian_stream(
     return TaskStream(tasks=tasks)
 
 
-def _read_feature_file(path: Path, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a ``label,f0,f1,...`` CSV; blank lines are skipped.  Malformed
-    or non-finite rows raise ``ParseError`` naming their 1-based line."""
+def _read_rows(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Parse ``label,v0,v1,...`` CSV rows into (values, labels, 1-based line
+    numbers); blank lines are skipped and an empty file gives zero rows.
+    Malformed or non-finite rows raise ``ParseError`` naming their line; a
+    row with other than ``width`` values (default: the first row's count)
+    raises ``DimensionMismatch``."""
     xs: list[list[float]] = []
     ys: list[int] = []
     linenos: list[int] = []
@@ -276,23 +279,29 @@ def _read_feature_file(path: Path, dim: int | None) -> tuple[np.ndarray, np.ndar
                 feats = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if dim is None:
-                dim = len(feats)
-            if len(feats) != dim:
+            if width is None:
+                width = len(feats)
+            if len(feats) != width:
                 raise DimensionMismatch(
-                    f"{path}:{lineno}: expected {dim} features, got {len(feats)}"
+                    f"{path}:{lineno}: expected {width} features, got {len(feats)}"
                 )
             xs.append(feats)
             ys.append(label)
             linenos.append(lineno)
-    if not xs:
-        raise ParseError(f"{path}: no samples")
-    x = np.asarray(xs, dtype=np.float64)
+    x = np.asarray(xs, dtype=np.float64).reshape(len(xs), width or 0)
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         bad = linenos[int(np.argmin(finite))]
         raise ParseError(f"{path}:{bad}: non-finite feature value (nan or inf)")
-    return x, np.asarray(ys, dtype=np.int64)
+    return x, np.asarray(ys, dtype=np.int64), linenos
+
+
+def _read_feature_file(path: Path, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a non-empty ``label,f0,f1,...`` feature CSV (see ``_read_rows``)."""
+    x, y, _ = _read_rows(path, dim)
+    if x.shape[0] == 0:
+        raise ParseError(f"{path}: no samples")
+    return x, y
 
 
 def load_feature_stream(manifest_path: str | Path) -> TaskStream:

@@ -224,24 +224,6 @@ def forgetting_rates(
     return last_rates[final], f_aia
 
 
-def deprecated_forgetting(per_task: dict[int, dict[int, float]]) -> float:
-    """Classic forgetting average (task-aware tradition), display only.
-
-    Compares each task's final accuracy with its accuracy right after
-    training.  Under class-incremental evaluation this conflates forgetting
-    with the natural accuracy drop from having more classes, so it is
-    reported for context, never used in any criterion.
-    """
-    prefixes = sorted(per_task)
-    final = prefixes[-1]
-    earlier = prefixes[:-1]
-    if not earlier:
-        return 0.0
-    return stable_mean(
-        [per_task[i][i] - per_task[final][i] for i in earlier]
-    )
-
-
 # --- OOD detection ----------------------------------------------------------
 
 def ood_auc(ind_scores: np.ndarray, ood_scores: np.ndarray) -> float:
@@ -309,7 +291,7 @@ class MetricsReport:
     a_aia: float
     til: dict[int, float]
     ood: dict[int, float]
-    ood_mean: float
+    ood_mean: float | None
     per_task: dict[int, dict[int, float]]
     f_cil_last: float | None = None
     f_cil_aia: float | None = None
@@ -345,22 +327,30 @@ def compute_report(
     ncl: NclReference | None = None,
     score_kind: str = "tpl",
     calibrated: bool = True,
+    trajectory: tuple[list[float], dict[int, dict[int, float]]] | None = None,
 ) -> MetricsReport:
     """All metrics for a finished run (forgetting only when a reference is
-    supplied)."""
-    trajectory, per_task = accuracy_trajectory(run, score_kind, calibrated)
+    supplied; detection AUC only when the run has more than one task).
+
+    ``trajectory`` is ``accuracy_trajectory``'s result stored at train time;
+    without it the trajectory is recomputed from the run's checkpoints."""
+    if trajectory is None:
+        trajectory = accuracy_trajectory(run, score_kind, calibrated)
+    accs, per_task = trajectory
     ctx = scoring.context_from_run(run, calibrated=calibrated)
     til = {
         d.task_id: til_accuracy(ctx, d.task_id, d) for d in run.stream.tasks
     }
-    ood, ood_mean = task_ood_aucs(ctx, run.stream, score_kind)
+    ood, ood_mean = {}, None
+    if len(run.stream) > 1:
+        ood, ood_mean = task_ood_aucs(ctx, run.stream, score_kind)
     f_last = f_aia = None
     if ncl is not None:
         f_last, f_aia = forgetting_rates(per_task, ncl)
     report = MetricsReport(
-        trajectory=trajectory,
-        a_last=trajectory[-1],
-        a_aia=stable_mean(trajectory),
+        trajectory=accs,
+        a_last=accs[-1],
+        a_aia=stable_mean(accs),
         til=til,
         ood=ood,
         ood_mean=ood_mean,

@@ -100,34 +100,44 @@ def mahalanobis_sq(x: np.ndarray, means: np.ndarray, precision: np.ndarray) -> n
     return out
 
 
-def log_sum_exp(v: np.ndarray | Sequence[float]) -> float:
-    """Numerically stable log(sum(exp(v))) for a non-empty 1-D array."""
+def log_sum_exp(v: np.ndarray | Sequence[float]) -> float | np.ndarray:
+    """Numerically stable ``log(sum(exp(v)))`` over the last axis.
+
+    A 1-D input gives a float, an ``[..., k]`` input one value per row.  A
+    row of all -inf gives -inf and a +inf or nan entry propagates as is.
+    Raises ``EmptyInput`` when the last axis is empty.
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
+    if v.ndim == 0 or v.shape[-1] == 0:
         raise EmptyInput("log_sum_exp of an empty vector")
-    hi = float(np.max(v))
-    if not np.isfinite(hi):
-        # All -inf -> -inf; any +inf/nan propagates as is.
-        return hi
-    return hi + math.log(float(np.sum(np.exp(v - hi))))
+    hi = np.max(v, axis=-1, keepdims=True)
+    # A row whose max is not finite is its own result: shift it by 0 and
+    # replace it at the end.  A row with a finite max sums to >= 1 (its max
+    # term is exp(0)), so the floor at 1 only spares an all -inf row log(0).
+    finite = np.isfinite(hi)
+    shift = np.where(finite, hi, 0.0)
+    total = np.maximum(np.sum(np.exp(v - shift), axis=-1, keepdims=True), 1.0)
+    out = np.where(finite, shift + np.log(total), hi)[..., 0]
+    return float(out) if v.ndim == 1 else out
 
 
 def softmax(v: np.ndarray | Sequence[float], temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax: ``exp(v/T) / sum(exp(v/T))``, computed shift-free.
+    """Temperature softmax over the last axis: ``exp(v/T) / sum(exp(v/T))``,
+    computed shift-free.
 
-    Raises ``NonPositiveTemperature`` for T <= 0 and ``EmptyInput`` for an
-    empty vector.  The output sums to 1 up to float rounding and is invariant
-    to adding a constant to ``v``.
+    Raises ``NonPositiveTemperature`` for T <= 0 and ``EmptyInput`` when the
+    last axis is empty.  Each row sums to 1 up to float rounding and is
+    invariant to adding a constant to it.
     """
     if temperature <= 0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
     v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
+    if v.ndim == 0 or v.shape[-1] == 0:
         raise EmptyInput("softmax of an empty vector")
     scaled = v / float(temperature)
-    scaled = scaled - np.max(scaled)
+    scaled = scaled - np.max(scaled, axis=-1, keepdims=True)
     e = np.exp(scaled)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def stable_sum(values: Sequence[float] | np.ndarray) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import hat_mlp
 from .errors import DimensionMismatch, EmptyBufferView, UnknownTask
-from .numerics import mahalanobis_sq
+from .numerics import log_sum_exp, mahalanobis_sq, softmax
 from .trainer import MD_FLOOR, ReplayBuffer, RunArtifacts, TaskStats, TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -46,17 +46,12 @@ def mls_score(logits: np.ndarray, n_classes: int) -> np.ndarray:
 
 def msp_score(logits: np.ndarray, n_classes: int) -> np.ndarray:
     """Max softmax probability over the task's real classes."""
-    sub = logits[..., :n_classes]
-    shifted = sub - np.max(sub, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return np.max(e, axis=-1) / np.sum(e, axis=-1)
+    return np.max(softmax(logits[..., :n_classes]), axis=-1)
 
 
 def ebo_score(logits: np.ndarray, n_classes: int) -> np.ndarray:
     """Energy score: log-sum-exp of the task's real-class logits."""
-    sub = logits[..., :n_classes]
-    hi = np.max(sub, axis=-1)
-    return hi + np.log(np.sum(np.exp(sub - hi[..., None]), axis=-1))
+    return log_sum_exp(logits[..., :n_classes])
 
 
 def md_score(feats: np.ndarray, stats: TaskStats) -> np.ndarray:
@@ -105,31 +100,26 @@ def tpl_score(
     s_mls: np.ndarray,
     s_md: np.ndarray,
     d_knn: np.ndarray,
-    beta_mls: float,
-    beta_md: float,
+    beta_mls: float | np.ndarray,
+    beta_md: float | np.ndarray,
     variant: str = "canonical",
 ) -> np.ndarray:
-    """Compose the in-task and likelihood-ratio routes into one task score."""
+    """Compose the in-task and likelihood-ratio routes into one task score:
+    the log-sum-exp OR-gate of the two routes, or (``softmin``) its
+    negation on the negated routes.  The rates broadcast against the scores,
+    so one call can score every task column of an [n, T] matrix."""
     a = beta_mls * np.asarray(s_mls, dtype=np.float64)
     b = beta_md * np.asarray(s_md, dtype=np.float64) + np.asarray(d_knn, dtype=np.float64)
     if variant == "canonical":
-        hi = np.maximum(a, b)
-        return hi + np.log(np.exp(a - hi) + np.exp(b - hi))
+        return log_sum_exp(np.stack([a, b], -1))
     if variant == "softmin":
-        hi = np.maximum(-a, -b)
-        return -(hi + np.log(np.exp(-a - hi) + np.exp(-b - hi)))
+        return -log_sum_exp(np.stack([-a, -b], -1))
     raise ValueError(f"unknown score variant {variant!r}")
 
 
 def task_posterior(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature softmax over per-task scores (rows are samples)."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    if scores.shape[1] == 1:
-        return np.ones_like(scores)
-    scaled = scores / float(temperature)
-    scaled = scaled - np.max(scaled, axis=1, keepdims=True)
-    e = np.exp(scaled)
-    return e / np.sum(e, axis=1, keepdims=True)
+    return softmax(np.atleast_2d(scores), temperature)
 
 
 @dataclass
@@ -275,10 +265,7 @@ def compute_bundle(ctx: ScoringContext, x: np.ndarray) -> ScoreBundle:
             knn[:, j] = knn_kth_distance(feats, ctx.knn_index[t], ctx.k)
         if ctx.own_index[t].shape[0] > 0:
             knn_own[:, j] = knn_kth_distance(feats, ctx.own_index[t], ctx.k)
-        sub = logits[:, :c]
-        shifted = sub - np.max(sub, axis=1, keepdims=True)
-        e = np.exp(shifted)
-        wp.append(e / np.sum(e, axis=1, keepdims=True))
+        wp.append(softmax(logits[:, :c]))
     return ScoreBundle(
         task_ids=list(ctx.task_ids), mls=mls, msp=msp, ebo=ebo, md=md,
         knn_dist=knn, knn_own=knn_own, wp=wp,
@@ -303,17 +290,11 @@ def task_score_matrix(
     if kind == "knn":
         # standalone detector: negated distance to the task's OWN samples
         return -bundle.knn_own.copy()
-    out = np.zeros_like(bundle.mls)
-    for j, t in enumerate(bundle.task_ids):
-        st = ctx.stats[t]
-        if kind == "lr":
-            out[:, j] = st.beta_md * bundle.md[:, j] + bundle.knn_dist[:, j]
-        else:  # tpl
-            out[:, j] = tpl_score(
-                bundle.mls[:, j], bundle.md[:, j], bundle.knn_dist[:, j],
-                st.beta_mls, st.beta_md, ctx.variant,
-            )
-    return out
+    beta_mls = np.array([ctx.stats[t].beta_mls for t in bundle.task_ids])
+    beta_md = np.array([ctx.stats[t].beta_md for t in bundle.task_ids])
+    if kind == "lr":
+        return beta_md * bundle.md + bundle.knn_dist
+    return tpl_score(bundle.mls, bundle.md, bundle.knn_dist, beta_mls, beta_md, ctx.variant)
 
 
 @dataclass

@@ -427,9 +427,7 @@ def density_estimator_check(
         [_diag_normal_logpdf(probes, means[i], covs[i]) for i in range(len(order))],
         axis=1,
     )
-    mixture_logpdf = np.array(
-        [log_sum_exp(row) for row in per_class]
-    ) - math.log(len(order))
+    mixture_logpdf = log_sum_exp(per_class) - math.log(len(order))
 
     sign, logdet_precision = np.linalg.slogdet(stats.precision)
     if sign <= 0:

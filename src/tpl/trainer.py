@@ -44,12 +44,22 @@ _REAL_FIELDS = (
 )
 
 
-def _check_int(name: str, v, least: int) -> None:
+def check_int(name: str, v, least: int) -> None:
     """Require an integer (not a bool, not a float) of at least ``least``."""
     if not isinstance(v, numbers.Integral) or isinstance(v, bool):
         raise ValueError(f"{name} must be an integer, got {v!r}")
     if v < least:
         raise ValueError(f"{name} must be >= {least}, got {v}")
+
+
+def check_real(name: str, v) -> None:
+    """Require a real number (not a bool) that is finite as a float."""
+    try:
+        ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
 @dataclass
@@ -76,12 +86,9 @@ class TrainConfig:
     def validate(self) -> None:
         """Check every field's type and range; errors name the field."""
         for name, least in _INT_FIELD_MINIMUMS.items():
-            _check_int(name, getattr(self, name), least)
+            check_int(name, getattr(self, name), least)
         for name in _REAL_FIELDS:
-            v = getattr(self, name)
-            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-            if not (real and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
+            check_real(name, getattr(self, name))
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
         if self.learning_rate <= 0 or self.calibration_lr <= 0:
@@ -97,7 +104,7 @@ class TrainConfig:
         if not isinstance(self.hidden_widths, (tuple, list)) or not self.hidden_widths:
             raise ValueError("hidden_widths must be a non-empty list")
         for i, w in enumerate(self.hidden_widths):
-            _check_int(f"hidden_widths[{i}]", w, 1)
+            check_int(f"hidden_widths[{i}]", w, 1)
 
 
 

@@ -5,12 +5,13 @@ in-process through ``main``."""
 import contextlib
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tpl import cli, evaluation, scoring, theory_lab
+from tpl import cli, evaluation, scoring, theory_lab, trainer
 from tpl.errors import ConfigError, DegenerateVariance
 from tpl.trainer import clone_config
 
@@ -193,6 +194,14 @@ class TestExitCodes:
         ("training.momentum", "0.9", "momentum"),
         ("training.ridge", float("nan"), "ridge"),
         ("training.score_variant", ["canonical"], "score_variant"),
+        ("dataset.separation", float("nan"), "separation"),
+        ("dataset.separation", float("inf"), "separation"),
+        ("dataset.separation", 10**400, "separation"),
+        ("training.ridge", 10**400, "ridge"),
+        ("dataset.n_tasks", 2.0, "n_tasks"),
+        ("dataset.test_per_class", True, "test_per_class"),
+        ("dataset.covariance_diag", [True, 1, 1, 1, 1, 1], "covariance_diag[0]"),
+        ("dataset.covariance_diag", [1, 1, 1, float("inf"), 1, 1], "covariance_diag[3]"),
     ])
     def test_mistyped_training_value_exits_2(self, tmp_path, key, value, field):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run", **{key: value})
@@ -216,6 +225,24 @@ class TestExitCodes:
             assert code == 3
             assert f"{path}:3: non-finite" in err
             assert not out.exists()
+
+    def test_non_finite_buffer_cell_exits_3_with_line(self, run_dir, tmp_path):
+        bad_run = tmp_path / "run"
+        shutil.copytree(run_dir, bad_run)
+        lines = (bad_run / "buffer.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[2] = "nan"
+        lines[4] = ",".join(cells)
+        (bad_run / "buffer.csv").write_text("\n".join(lines) + "\n")
+        probe = tmp_path / "in.csv"
+        probe.write_text("0," + ",".join(["0.5"] * 6) + "\n")
+        for argv in (["predict", "--input", str(probe), "--output", str(tmp_path / "p.csv")],
+                     ["ood-bench", "--out", str(tmp_path / "b.json"),
+                      "--scatter", str(tmp_path / "s.csv")]):
+            code, _, err = run_cli(*argv, "--run", str(bad_run))
+            assert code == 3
+            assert "buffer.csv:5: non-finite" in err
+        assert not any((tmp_path / name).exists() for name in ("p.csv", "b.json", "s.csv"))
 
     def test_bad_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -352,6 +379,21 @@ class TestPersistence:
         np.testing.assert_allclose(covariance @ precision,
                                    np.eye(precision.shape[0]), atol=1e-8)
 
+    def test_empty_buffer_round_trips(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           **{"dataset.n_tasks": 1, "training.epochs": 8,
+                              "training.buffer_capacity": 0})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        assert (tmp_path / "run" / "buffer.csv").read_text() == ""
+        run, _ = cli.load_run(tmp_path / "run")
+        assert len(run.buffer) == 0
+        probe = tmp_path / "in.csv"
+        probe.write_text("0," + ",".join(["0.5"] * 6) + "\n")
+        code, _, err = run_cli("predict", "--run", str(tmp_path / "run"), "--input",
+                               str(probe), "--output", str(tmp_path / "p.csv"))
+        assert code == 0, err
+
     def test_second_save_is_byte_identical(self, run_dir, tmp_path):
         run, rc = cli.load_run(run_dir)
         payload = json.loads((run_dir / "trajectory.json").read_text())
@@ -395,6 +437,31 @@ class TestEval:
         assert code == 0
         assert (run_dir / "metrics.json").read_bytes() == before
         assert list(ncl_dir.glob("ncl-*.json")) == caches
+
+    def test_metrics_equal_the_in_memory_report(self, run_dir, tmp_path):
+        # eval reads the stored trajectory; compute_report on the same run
+        # trained in memory recomputes it from the checkpoints
+        rc = cli.load_run_config(run_dir / "config.json")
+        stream = cli.build_stream(rc)
+        run = trainer.run_sequence(stream, rc.training, rc.seed, calibrate=rc.calibrate)
+        ncl = evaluation.build_ncl_reference(stream, rc.training, rc.seed)
+        for ncl_argv, ref in (([], None), (["--ncl", str(tmp_path / "ncl")], ncl)):
+            out = tmp_path / "metrics.json"
+            code, _, err = run_cli("eval", "--run", str(run_dir), "--out", str(out),
+                                   "--quiet", *ncl_argv)
+            assert code == 0, err
+            expected = evaluation.compute_report(run, ref, calibrated=rc.calibrate)
+            assert json.loads(out.read_text()) == expected.as_dict()
+
+    def test_single_task_metrics_have_no_detection_auc(self, single_task_run_dir,
+                                                        tmp_path):
+        out = tmp_path / "metrics.json"
+        code, _, err = run_cli("eval", "--run", str(single_task_run_dir),
+                               "--out", str(out), "--quiet")
+        assert code == 0, err
+        report = json.loads(out.read_text())
+        assert report["ood"] == {}
+        assert report["ood_mean"] is None
 
     def test_train_then_eval_reproduces_metrics_bitwise(self, tmp_path):
         blobs = []

@@ -156,12 +156,6 @@ def test_forgetting_missing_prefix():
         evaluation.forgetting_rates(per_task, incomplete)
 
 
-def test_deprecated_forgetting_hand_check():
-    per_task, _ = hand_reference()
-    assert math.isclose(evaluation.deprecated_forgetting(per_task), 0.2, abs_tol=1e-12)
-    assert evaluation.deprecated_forgetting({1: {1: 0.9}}) == 0.0
-
-
 # --- accuracies on a real run -----------------------------------------------
 
 def test_cil_and_til_accuracy_high_on_separable_run(run):
@@ -242,6 +236,32 @@ def test_compute_report_consistent(run, ncl):
     assert report.ood_mean >= 0.8
     assert report.f_cil_last is not None
     json.dumps(report.as_dict())  # must be serializable as-is
+
+
+def test_compute_report_single_task_skips_detection_auc():
+    stream = data.generate_gaussian_stream(
+        n_tasks=1, classes_per_task=2, dim=6, separation=6.0,
+        samples_per_class_train=40, samples_per_class_test=20, rng=RngState(2),
+    )
+    cfg = trainer.TrainConfig(
+        epochs=8, batch_size=32, hidden_widths=(24,), buffer_capacity=40,
+        calibration_epochs=10,
+    )
+    report = evaluation.compute_report(trainer.run_sequence(stream, cfg, seed=11))
+    assert report.ood == {}
+    assert report.ood_mean is None
+    assert len(report.trajectory) == 1
+
+
+def test_compute_report_uses_a_stored_trajectory(run):
+    stored = evaluation.accuracy_trajectory(run)
+    fresh = evaluation.compute_report(run)
+    assert evaluation.compute_report(run, trajectory=stored) == fresh
+    fake = ([0.5, 0.25], {1: {1: 0.5}, 2: {1: 0.0, 2: 0.5}})
+    report = evaluation.compute_report(run, trajectory=fake)
+    assert report.trajectory == [0.5, 0.25]
+    assert report.per_task == fake[1]
+    assert report.til == fresh.til
 
 
 def test_forgetting_identity_with_equal_test_sizes(run, ncl):

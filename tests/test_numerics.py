@@ -94,6 +94,30 @@ def test_log_sum_exp_bounds(vals):
     assert out <= np.max(v) + math.log(len(vals)) + 1e-12
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 130])
+def test_log_sum_exp_rows_match_vectors_bitwise(k):
+    m = np.random.default_rng(k).uniform(-50, 50, size=(6, k))
+    m[1] = -np.inf                      # all -inf row
+    m[2, 0] = -np.inf
+    m[3] += 1000.0
+    out = numerics.log_sum_exp(m)
+    assert out.shape == (6,)
+    assert bits(out) == bits([numerics.log_sum_exp(row) for row in m])
+    assert out[1] == -np.inf
+    # any leading shape: the reduction is over the last axis only
+    assert bits(numerics.log_sum_exp(m.reshape(2, 3, k))) == bits(out)
+
+
+def test_log_sum_exp_last_axis_shapes():
+    assert numerics.log_sum_exp(np.empty((0, 4))).shape == (0,)
+    with pytest.raises(EmptyInput):
+        numerics.log_sum_exp(np.empty((3, 0)))
+
+
 # --- softmax ----------------------------------------------------------------
 
 def test_softmax_uniform():
@@ -128,6 +152,23 @@ def test_softmax_simplex(vals, temp):
     out = numerics.softmax(np.array(vals), temperature=temp)
     assert np.all(out >= 0)
     assert math.isclose(float(np.sum(out)), 1.0, rel_tol=0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 130])
+def test_softmax_rows_match_vectors_bitwise(k):
+    m = np.random.default_rng(k).uniform(-50, 50, size=(6, k))
+    m[2, 0] = -np.inf if k > 1 else 0.0   # an all -inf row has no softmax
+    m[3] += 1000.0
+    out = numerics.softmax(m, temperature=0.3)
+    assert out.shape == m.shape
+    assert bits(out) == bits([numerics.softmax(row, temperature=0.3) for row in m])
+    assert bits(numerics.softmax(m.reshape(2, 3, k), temperature=0.3)) == bits(out)
+
+
+def test_softmax_last_axis_shapes():
+    assert numerics.softmax(np.empty((0, 4))).shape == (0, 4)
+    with pytest.raises(EmptyInput):
+        numerics.softmax(np.empty((3, 0)))
 
 
 # --- stable reductions ------------------------------------------------------
