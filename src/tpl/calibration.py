@@ -5,8 +5,9 @@ Task models are trained separately, so the combined class values
 pair per task, ``p = sigma1 * WP_j * P(t|x) + sigma2``, is fitted by plain
 SGD on the buffer cross-entropy; the final prediction takes an argmax over
 the raw calibrated values.  The combined value does not depend on the
-parameters being fitted, so it is computed once per buffer sample and the
-descent itself is cheap vector arithmetic.
+parameters being fitted, so it is read once per buffer sample from an
+uncalibrated ``scoring.predict`` and the descent itself is cheap vector
+arithmetic.
 
 The fit keeps the best parameters seen against the full-buffer objective
 (identity included), so it can never end worse than no calibration.
@@ -22,7 +23,7 @@ import numpy as np
 from . import scoring
 from .errors import UnknownTask
 from .numerics import RngState, stable_mean
-from .trainer import ReplayBuffer, RunArtifacts
+from .trainer import RunArtifacts
 
 logger = logging.getLogger(__name__)
 
@@ -62,30 +63,22 @@ class CalibrationParams:
         )
 
 
-def _combined_values(run: RunArtifacts, buffer: ReplayBuffer):
+def _combined_values(run: RunArtifacts):
     """Per-sample combined value WP_y * P(t_y|x) and task position.
 
     Returns ``(base, tpos, task_ids)`` where ``base[i]`` is the combined
-    value of sample i's true class and ``tpos[i]`` indexes its task within
-    ``task_ids``.
+    value of buffer sample i's true class, read from an uncalibrated
+    ``scoring.predict`` (identity calibration leaves it exact), and
+    ``tpos[i]`` indexes the sample's task within ``task_ids``.
     """
-    x, y, sample_task = buffer.all_samples()
-    classes = {t: run.stream.task(t).classes for t in run.task_ids()}
-    ctx = scoring.build_context(run.net, run.stats, buffer, run.config, classes)
-    bundle = scoring.compute_bundle(ctx, x)
-    scores = scoring.task_score_matrix(ctx, bundle, "tpl")
-    post = scoring.task_posterior(scores, ctx.temperature)
-
-    pos = {t: j for j, t in enumerate(bundle.task_ids)}
-    n = x.shape[0]
-    base = np.zeros(n)
-    tpos = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        t = int(sample_task[i])
-        j = classes[t].index(int(y[i]))
-        tpos[i] = pos[t]
-        base[i] = bundle.wp[pos[t]][i, j] * post[i, pos[t]]
-    return base, tpos, list(bundle.task_ids)
+    x, y, sample_task = run.buffer.all_samples()
+    ctx = scoring.context_from_run(run, calibrated=False)
+    preds = scoring.predict(ctx, x)
+    col_class = np.concatenate([ctx.task_classes[t] for t in ctx.task_ids])
+    col = np.argmax(y[:, None] == col_class[None, :], axis=1)
+    base = preds.calibrated[np.arange(y.shape[0]), col]
+    tpos = np.searchsorted(ctx.task_ids, sample_task)
+    return base, tpos, list(ctx.task_ids)
 
 
 def _objective(base: np.ndarray, tpos: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> float:
@@ -137,13 +130,12 @@ def _sgd_fit(
 
 def fit_calibration(
     run: RunArtifacts,
-    buffer: ReplayBuffer,
     epochs: int,
     batch: int,
     lr: float,
     rng: RngState,
 ) -> CalibrationParams:
-    """Fit per-task scale/shift parameters on the replay buffer.
+    """Fit per-task scale/shift parameters on the run's replay buffer.
 
     A single-task run (or an empty buffer) yields identity parameters; the
     network, stats, and buffer are never modified.
@@ -157,10 +149,10 @@ def fit_calibration(
     task_ids = run.task_ids()
     if len(task_ids) < 2:
         return CalibrationParams.identity(task_ids)
-    if len(buffer) == 0:
+    if len(run.buffer) == 0:
         logger.warning("calibration: empty replay buffer; keeping identity")
         return CalibrationParams.identity(task_ids)
-    base, tpos, ordered = _combined_values(run, buffer)
+    base, tpos, ordered = _combined_values(run)
     s1, s2, _ = _sgd_fit(base, tpos, len(ordered), epochs, batch, lr, rng)
     return CalibrationParams(
         sigma={t: (float(s1[j]), float(s2[j])) for j, t in enumerate(ordered)}
@@ -168,11 +160,11 @@ def fit_calibration(
 
 
 def buffer_cross_entropy(
-    run: RunArtifacts, buffer: ReplayBuffer, params: CalibrationParams | None = None
+    run: RunArtifacts, params: CalibrationParams | None = None
 ) -> float:
-    """Monitored fitting objective: mean −log p(y|x) over buffer samples
-    under the given (default identity) parameters."""
-    base, tpos, ordered = _combined_values(run, buffer)
+    """Monitored fitting objective: mean −log p(y|x) over the run's buffer
+    samples under the given (default identity) parameters."""
+    base, tpos, ordered = _combined_values(run)
     if params is None:
         params = CalibrationParams.identity(ordered)
     s1 = np.array([params.pair(t)[0] for t in ordered])

@@ -7,7 +7,7 @@ reproduce every downstream command without retraining.
 
     config.json       resolved run configuration (schema-versioned)
     model.bin         network weights/embeddings/masks, versioned binary
-    stats/task_T.json per-task centroids, covariance, score rates
+    stats/task_T.json per-task centroids, precision, score rates
     buffer.csv        replay samples: label, features..., source task
     trajectory.json   accuracy trajectory captured during training
     calibration.json  per-task affine output calibration
@@ -90,6 +90,19 @@ def _dump_json(obj) -> str:
 def _say(args, message: str) -> None:
     if not getattr(args, "quiet", False):
         print(message)
+
+
+def _int_flag(args, flag: str, default: int, least: int) -> int:
+    """An integer flag's value, or ``default`` when the flag is absent; a
+    value below ``least`` is a configuration error naming the flag."""
+    value = getattr(args, flag.lstrip("-"), None)
+    if value is None:
+        return default
+    try:
+        check_int(flag, value, least)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return value
 
 
 # --- configuration -----------------------------------------------------------
@@ -198,8 +211,10 @@ def parse_run_config(text: str, base_dir: Path, source: str = "config") -> RunCo
             f"(this build reads {SCHEMA_VERSION})"
         )
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"{source}: seed must be a non-negative integer")
+    try:
+        check_int("seed", seed, 0)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     calibrate = raw.get("calibrate", True)
     if not isinstance(calibrate, bool):
         raise ConfigError(f"{source}: calibrate must be true or false")
@@ -363,12 +378,10 @@ def _read_buffer_csv(path: Path, capacity: int) -> ReplayBuffer:
 
 
 def _stats_payload(stats: TaskStats) -> dict:
-    covariance = np.linalg.inv(stats.precision)
     return {
         "task_id": stats.task_id,
         "class_means": stats.class_means.tolist(),
         "precision": stats.precision.tolist(),
-        "covariance": covariance.tolist(),
         "beta_mls": stats.beta_mls,
         "beta_md": stats.beta_md,
     }
@@ -434,10 +447,7 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
 def _load_trajectory(run_dir: Path) -> tuple[list[float], dict[int, dict[int, float]]]:
     """The (trajectory, per-task matrix) pair stored at train time."""
     payload = json.loads((run_dir / "trajectory.json").read_text(encoding="utf-8"))
-    per_task = {
-        int(t): {int(i): float(v) for i, v in row.items()}
-        for t, row in payload.get("per_task", {}).items()
-    }
+    per_task = evaluation.decode_task_matrix(payload.get("per_task", {}))
     return [float(v) for v in payload.get("trajectory", [])], per_task
 
 
@@ -446,9 +456,7 @@ def _load_trajectory(run_dir: Path) -> tuple[list[float], dict[int, dict[int, fl
 
 def cmd_train(args) -> int:
     rc = load_run_config(args.config)
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        rc.seed = seed
+    rc.seed = _int_flag(args, "--seed", rc.seed, 0)
     out = getattr(args, "out", None) or rc.out_dir
     if out is None:
         raise ConfigError("no output directory: set out_dir in the config or --out")
@@ -465,10 +473,7 @@ def cmd_train(args) -> int:
         )
         ctx = scoring.context_from_run(run, calibrated=rc.calibrate)
         payload["trajectory"] = trajectory
-        payload["per_task"] = {
-            str(t): {str(i): v for i, v in sorted(row.items())}
-            for t, row in sorted(per_task.items())
-        }
+        payload["per_task"] = evaluation.encode_task_matrix(per_task)
         payload["til"] = {
             str(d.task_id): evaluation.til_accuracy(ctx, d.task_id, d)
             for d in stream.tasks
@@ -494,14 +499,12 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
     if cache.exists():
         payload = json.loads(cache.read_text(encoding="utf-8"))
         return NclReference(
-            per_task={int(t): {int(i): float(v) for i, v in row.items()}
-                      for t, row in payload["per_task"].items()},
+            per_task=evaluation.decode_task_matrix(payload["per_task"]),
             pooled={int(t): float(v) for t, v in payload["pooled"].items()},
         )
     ncl = evaluation.build_ncl_reference(stream, rc.training, rc.seed)
     cache.write_text(_dump_json({
-        "per_task": {str(t): {str(i): v for i, v in sorted(row.items())}
-                     for t, row in sorted(ncl.per_task.items())},
+        "per_task": evaluation.encode_task_matrix(ncl.per_task),
         "pooled": {str(t): v for t, v in sorted(ncl.pooled.items())},
     }), encoding="utf-8")
     return ncl
@@ -622,11 +625,10 @@ def cmd_ood_bench(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
-    seed = getattr(args, "seed", None)
-    seed = 0 if seed is None else seed
+    seed = _int_flag(args, "--seed", 0, 0)
     case = args.case
     if case == "sec41":
-        n = args.samples or 100_000
+        n = _int_flag(args, "--samples", 100_000, theory_lab.MIN_EMPIRICAL_N)
         pair = theory_lab.narrow_impostor_pair(n_samples=n, seed=seed)
         lam = theory_lab.lr_threshold_for_type1(pair, 0.05)
         report = {
@@ -651,7 +653,7 @@ def cmd_theory_check(args) -> int:
             },
         }
     elif case == "dominance":
-        n = args.samples or 100_000
+        n = _int_flag(args, "--samples", 100_000, theory_lab.MIN_EMPIRICAL_N)
         pair_reports = {}
         margins = []
         for name, base_pair in theory_lab.FIXTURE_PAIRS.items():
@@ -675,7 +677,7 @@ def cmd_theory_check(args) -> int:
             "dominance_holds": bool(min(margins) >= -1e-4),
         }
     else:  # density
-        n = args.samples or 500
+        n = _int_flag(args, "--samples", 500, theory_lab.MIN_PROBES)
         stream = data.generate_gaussian_stream(
             n_tasks=1, classes_per_task=3, dim=6, separation=6.0,
             samples_per_class_train=667, samples_per_class_test=0,

@@ -282,6 +282,22 @@ def auc_acc_correlation(pairs: list[tuple[float, float]]) -> tuple[float, float]
 
 # --- report -----------------------------------------------------------------
 
+def encode_task_matrix(matrix: dict[int, dict[int, float]]) -> dict[str, dict[str, float]]:
+    """JSON form of a ``{task: {task: accuracy}}`` map (string keys, sorted)."""
+    return {
+        str(t): {str(i): v for i, v in sorted(row.items())}
+        for t, row in sorted(matrix.items())
+    }
+
+
+def decode_task_matrix(payload: dict) -> dict[int, dict[int, float]]:
+    """Inverse of ``encode_task_matrix``."""
+    return {
+        int(t): {int(i): float(v) for i, v in row.items()}
+        for t, row in payload.items()
+    }
+
+
 @dataclass
 class MetricsReport:
     """Complete metric bundle for one finished run."""
@@ -312,10 +328,7 @@ class MetricsReport:
             "til": {str(t): v for t, v in sorted(self.til.items())},
             "ood": {str(t): v for t, v in sorted(self.ood.items())},
             "ood_mean": self.ood_mean,
-            "per_task": {
-                str(t): {str(i): v for i, v in sorted(row.items())}
-                for t, row in sorted(self.per_task.items())
-            },
+            "per_task": encode_task_matrix(self.per_task),
             "f_cil_last": self.f_cil_last,
             "f_cil_aia": self.f_cil_aia,
             "pearson_r": self.pearson_r,

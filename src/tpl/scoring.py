@@ -44,11 +44,6 @@ def mls_score(logits: np.ndarray, n_classes: int) -> np.ndarray:
     return np.max(logits[..., :n_classes], axis=-1)
 
 
-def msp_score(logits: np.ndarray, n_classes: int) -> np.ndarray:
-    """Max softmax probability over the task's real classes."""
-    return np.max(softmax(logits[..., :n_classes]), axis=-1)
-
-
 def ebo_score(logits: np.ndarray, n_classes: int) -> np.ndarray:
     """Energy score: log-sum-exp of the task's real-class logits."""
     return log_sum_exp(logits[..., :n_classes])
@@ -170,28 +165,23 @@ def build_context(
     Each task gets two KNN indexes, both through its own extractor and
     L2-normalized, computed once here: the replay features of every OTHER
     task (for the likelihood-ratio route) and of its own classes (for the
-    standalone nearest-neighbor detector).
+    standalone nearest-neighbor detector).  The whole buffer goes through
+    each task's extractor once; the two indexes are its rows split by
+    source task, in class order.
     """
     task_ids = sorted(task_classes)
-    index: dict[int, np.ndarray] = {}
-    own: dict[int, np.ndarray] = {}
-    feat_dim = net.feature_dim
-
-    def task_feats(x: np.ndarray, t: int) -> np.ndarray:
-        if x.shape[0] == 0:
-            return np.empty((0, feat_dim))
-        feats, _ = hat_mlp.forward(net, x, t)
-        return normalize_rows(feats)
-
     for t in task_ids:
         if t not in stats:
             raise UnknownTask(f"no stats for task {t}")
-        if buffer is None or len(buffer) == 0:
-            index[t] = np.empty((0, feat_dim))
-            own[t] = np.empty((0, feat_dim))
-            continue
-        index[t] = task_feats(buffer.complement_view(t)[0], t)
-        own[t] = task_feats(buffer.task_view(t)[0], t)
+    feat_dim = net.feature_dim
+    index = {t: np.empty((0, feat_dim)) for t in task_ids}
+    own = {t: np.empty((0, feat_dim)) for t in task_ids}
+    if buffer is not None and len(buffer) > 0:
+        x, _, source = buffer.all_samples()
+        for t in task_ids:
+            feats = normalize_rows(hat_mlp.forward(net, x, t)[0])
+            index[t] = feats[source != t]
+            own[t] = feats[source == t]
     if len(task_ids) > 1 and any(index[t].shape[0] == 0 for t in task_ids):
         logger.warning(
             "scoring: empty cross-task replay view for some task; "
@@ -257,15 +247,15 @@ def compute_bundle(ctx: ScoringContext, x: np.ndarray) -> ScoreBundle:
     for j, t in enumerate(ctx.task_ids):
         feats, logits = hat_mlp.forward(ctx.net, x, t)
         c = len(ctx.task_classes[t])
+        wp.append(softmax(logits[:, :c]))
         mls[:, j] = mls_score(logits, c)
-        msp[:, j] = msp_score(logits, c)
+        msp[:, j] = np.max(wp[-1], axis=-1)
         ebo[:, j] = ebo_score(logits, c)
         md[:, j] = md_score(feats, ctx.stats[t])
         if ctx.knn_index[t].shape[0] > 0:
             knn[:, j] = knn_kth_distance(feats, ctx.knn_index[t], ctx.k)
         if ctx.own_index[t].shape[0] > 0:
             knn_own[:, j] = knn_kth_distance(feats, ctx.own_index[t], ctx.k)
-        wp.append(softmax(logits[:, :c]))
     return ScoreBundle(
         task_ids=list(ctx.task_ids), mls=mls, msp=msp, ebo=ebo, md=md,
         knn_dist=knn, knn_own=knn_own, wp=wp,

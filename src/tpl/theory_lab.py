@@ -39,7 +39,12 @@ _SCORER_ALIASES = {"likelihood_ratio": "lr", "mean_distance": "mean_difference"}
 
 _ORACLE_ERROR_BUDGET = 1e-4
 _TAIL_SIGMAS = 12.0  # quadrature window half-width; mass beyond is < 4e-33
-_MIN_EMPIRICAL_N = 1000
+
+#: Fewest draws per side the empirical AUC and type-I estimates accept.
+MIN_EMPIRICAL_N = 1000
+
+#: Fewest probe points ``density_estimator_check`` accepts.
+MIN_PROBES = 3
 
 
 def canonical_scorer(name: str) -> str:
@@ -289,8 +294,8 @@ def empirical_auc(
     """
     n = pair.n_samples if n is None else int(n)
     seed = pair.seed if seed is None else int(seed)
-    if n < _MIN_EMPIRICAL_N:
-        raise ValueError(f"need at least {_MIN_EMPIRICAL_N} draws per side, got {n}")
+    if n < MIN_EMPIRICAL_N:
+        raise ValueError(f"need at least {MIN_EMPIRICAL_N} draws per side, got {n}")
     root = RngState(seed)
     xs = pair.sample_t(n, root.stream("in-task-draws"))
     ys = pair.sample_c(n, root.stream("out-task-draws"))
@@ -345,8 +350,8 @@ def empirical_type1_rate(
     """Fraction of P_tc draws whose log-LR exceeds ``threshold``."""
     n = pair.n_samples if n is None else int(n)
     seed = pair.seed if seed is None else int(seed)
-    if n < _MIN_EMPIRICAL_N:
-        raise ValueError(f"need at least {_MIN_EMPIRICAL_N} draws, got {n}")
+    if n < MIN_EMPIRICAL_N:
+        raise ValueError(f"need at least {MIN_EMPIRICAL_N} draws, got {n}")
     ys = pair.sample_c(n, RngState(seed).stream("null-draws"))
     return float(np.mean(score_samples(pair, "lr", ys) > threshold))
 
@@ -412,8 +417,8 @@ def density_estimator_check(
         )
     if dataset.train_x.shape[0] < 2:
         raise NoVariance("density comparison needs at least two training samples")
-    if n_probes < 3:
-        raise ValueError("need at least three probe points")
+    if n_probes < MIN_PROBES:
+        raise ValueError(f"need at least {MIN_PROBES} probe points")
 
     order = sorted(dataset.gaussians)
     means = np.stack([dataset.gaussians[c].mean for c in order])

@@ -192,18 +192,6 @@ class ReplayBuffer:
             ts.append(np.full(arr.shape[0], self.task_of[c], dtype=np.int64))
         return np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
 
-    def complement_view(self, task_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All stored samples except those from ``task_id``'s classes."""
-        x, y, t = self.all_samples()
-        keep = t != task_id
-        return x[keep], y[keep], t[keep]
-
-    def task_view(self, task_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Only the stored samples from ``task_id``'s classes."""
-        x, y, t = self.all_samples()
-        keep = t == task_id
-        return x[keep], y[keep], t[keep]
-
     def snapshot(self) -> "ReplayBuffer":
         return copy.deepcopy(self)
 
@@ -408,7 +396,7 @@ def run_sequence(
         from . import calibration as _calibration  # deferred: breaks the import cycle
 
         params = _calibration.fit_calibration(
-            run, buffer, cfg.calibration_epochs, cfg.calibration_batch,
+            run, cfg.calibration_epochs, cfg.calibration_batch,
             cfg.calibration_lr, root.stream("calibration"),
         )
         run.calibration = params.sigma

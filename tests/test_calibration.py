@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tpl import calibration, data, trainer
+from tpl import calibration, data, scoring, trainer
 from tpl.errors import UnknownTask
 from tpl.numerics import RngState
 
@@ -33,7 +33,7 @@ def net_bytes(net):
 
 def fit(run, epochs=40, lr=0.01, seed=5):
     return calibration.fit_calibration(
-        run, run.buffer, epochs, run.config.calibration_batch, lr, RngState(seed)
+        run, epochs, run.config.calibration_batch, lr, RngState(seed)
     )
 
 
@@ -56,11 +56,35 @@ def test_empty_buffer_returns_identity():
 
 def test_fitted_objective_never_regresses(two_task_run):
     params = fit(two_task_run)
-    before = calibration.buffer_cross_entropy(two_task_run, two_task_run.buffer)
-    after = calibration.buffer_cross_entropy(two_task_run, two_task_run.buffer, params)
+    before = calibration.buffer_cross_entropy(two_task_run)
+    after = calibration.buffer_cross_entropy(two_task_run, params)
     assert after <= before + 1e-9
     for s1, s2 in params.sigma.values():
         assert math.isfinite(s1) and math.isfinite(s2)
+
+
+def test_base_values_equal_the_per_sample_formula():
+    # reference: WP_y * P(t_y|x) per buffer sample, from the bundle and the
+    # posterior directly; calibration reads it from an uncalibrated predict
+    run = make_run(3)
+    base, tpos, ordered = calibration._combined_values(run)
+    x, y, sample_task = run.buffer.all_samples()
+    ctx = scoring.context_from_run(run, calibrated=False)
+    bundle = scoring.compute_bundle(ctx, x)
+    post = scoring.task_posterior(
+        scoring.task_score_matrix(ctx, bundle, "tpl"), ctx.temperature
+    )
+    pos = {t: j for j, t in enumerate(bundle.task_ids)}
+    expect_base = np.zeros(x.shape[0])
+    expect_tpos = np.zeros(x.shape[0], dtype=np.int64)
+    for i in range(x.shape[0]):
+        t = int(sample_task[i])
+        j = ctx.task_classes[t].index(int(y[i]))
+        expect_tpos[i] = pos[t]
+        expect_base[i] = bundle.wp[pos[t]][i, j] * post[i, pos[t]]
+    assert ordered == bundle.task_ids == [1, 2, 3]
+    assert np.array_equal(tpos, expect_tpos)
+    assert np.array_equal(base, expect_base)
 
 
 def test_network_untouched_by_fitting(two_task_run):
@@ -115,13 +139,12 @@ def test_clamped_samples_contribute_no_gradient():
 
 
 def test_fit_argument_validation(two_task_run):
-    buf = two_task_run.buffer
     with pytest.raises(ValueError):
-        calibration.fit_calibration(two_task_run, buf, -1, 64, 0.01, RngState(0))
+        calibration.fit_calibration(two_task_run, -1, 64, 0.01, RngState(0))
     with pytest.raises(ValueError):
-        calibration.fit_calibration(two_task_run, buf, 1, 0, 0.01, RngState(0))
+        calibration.fit_calibration(two_task_run, 1, 0, 0.01, RngState(0))
     with pytest.raises(ValueError):
-        calibration.fit_calibration(two_task_run, buf, 1, 64, 0.0, RngState(0))
+        calibration.fit_calibration(two_task_run, 1, 64, 0.0, RngState(0))
 
 
 def test_run_sequence_invokes_calibration():

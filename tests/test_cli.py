@@ -244,6 +244,30 @@ class TestExitCodes:
             assert "buffer.csv:5: non-finite" in err
         assert not any((tmp_path / name).exists() for name in ("p.csv", "b.json", "s.csv"))
 
+    @pytest.mark.parametrize("argv,flag,value,least", [
+        (("train",), "--seed", -1, 0),
+        (("theory-check", "--case", "sec41"), "--seed", -1, 0),
+        (("theory-check", "--case", "density"), "--seed", -1, 0),
+        # 0 must not fall back to the default
+        (("theory-check", "--case", "sec41"), "--samples", 0, theory_lab.MIN_EMPIRICAL_N),
+        (("theory-check", "--case", "sec41"), "--samples",
+         theory_lab.MIN_EMPIRICAL_N - 1, theory_lab.MIN_EMPIRICAL_N),
+        (("theory-check", "--case", "dominance"), "--samples",
+         theory_lab.MIN_EMPIRICAL_N - 1, theory_lab.MIN_EMPIRICAL_N),
+        (("theory-check", "--case", "density"), "--samples", 0, theory_lab.MIN_PROBES),
+        (("theory-check", "--case", "density"), "--samples",
+         theory_lab.MIN_PROBES - 1, theory_lab.MIN_PROBES),
+    ])
+    def test_flag_below_its_minimum_exits_2(self, tmp_path, argv, flag, value, least):
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            argv += ("--config", str(write_config(tmp_path / "c.json", out)))
+        code, _, err = run_cli(*argv, flag, str(value), "--out", str(out), "--quiet")
+        assert code == 2, err
+        assert f"{flag} must be >= {least}, got {value}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             with contextlib.redirect_stderr(io.StringIO()):
@@ -372,12 +396,16 @@ class TestPersistence:
         preds = scoring.predict(ctx, ds.test_x)
         assert np.mean(preds.global_class == ds.test_y) >= 0.9
 
-    def test_saved_stats_carry_covariance_and_precision(self, run_dir):
-        payload = json.loads((run_dir / "stats" / "task_1.json").read_text())
-        precision = np.array(payload["precision"])
-        covariance = np.array(payload["covariance"])
-        np.testing.assert_allclose(covariance @ precision,
-                                   np.eye(precision.shape[0]), atol=1e-8)
+    def test_saved_stats_hold_only_what_load_run_reads(self, run_dir):
+        rc = cli.load_run_config(run_dir / "config.json")
+        trained = trainer.run_sequence(cli.build_stream(rc), rc.training, rc.seed,
+                                       calibrate=rc.calibrate)
+        loaded, _ = cli.load_run(run_dir)
+        for t in (1, 2):
+            payload = json.loads((run_dir / "stats" / f"task_{t}.json").read_text())
+            assert set(payload) == {"task_id", "class_means", "precision",
+                                    "beta_mls", "beta_md"}
+            assert loaded.stats[t].precision.tobytes() == trained.stats[t].precision.tobytes()
 
     def test_empty_buffer_round_trips(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import spearmanr
 
-from tpl import data, scoring, trainer
+from tpl import data, hat_mlp, scoring, trainer
 from tpl.errors import EmptyBufferView, NotPositiveDefinite
-from tpl.numerics import RngState, mahalanobis_sq
+from tpl.numerics import RngState, mahalanobis_sq, softmax
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +31,14 @@ def small_run():
 def test_logit_scores_basics():
     logits = np.array([[2.0, -1.0, 0.5]])  # 2 real classes + spare unit
     assert scoring.mls_score(logits, 2)[0] == 2.0
-    msp = scoring.msp_score(logits, 2)[0]
+    msp = softmax(logits[:, :2]).max(-1)[0]
     assert math.isclose(msp, math.exp(2) / (math.exp(2) + math.exp(-1)), rel_tol=1e-12)
     ebo = scoring.ebo_score(logits, 2)[0]
     assert math.isclose(ebo, math.log(math.exp(2) + math.exp(-1)), rel_tol=1e-12)
-    # spare-unit logit must not leak into any of them
+    # spare-unit logit must not leak into either (MSP: see the bundle test)
     bumped = logits.copy()
     bumped[0, 2] = 1e6
     assert scoring.mls_score(bumped, 2)[0] == 2.0
-    assert math.isclose(scoring.msp_score(bumped, 2)[0], msp, rel_tol=1e-12)
     assert math.isclose(scoring.ebo_score(bumped, 2)[0], ebo, rel_tol=1e-12)
 
 
@@ -46,7 +47,7 @@ def test_logit_score_relations():
     logits = rng.standard_normal((50, 4))
     mls = scoring.mls_score(logits, 3)
     ebo = scoring.ebo_score(logits, 3)
-    msp = scoring.msp_score(logits, 3)
+    msp = softmax(logits[:, :3]).max(-1)
     assert np.all(ebo >= mls - 1e-12)
     assert np.all(ebo <= mls + math.log(3) + 1e-12)
     assert np.all((msp > 1 / 3 - 1e-12) & (msp <= 1.0))
@@ -54,7 +55,7 @@ def test_logit_score_relations():
 
 def test_logit_scores_stable_for_huge_logits():
     logits = np.array([[1e6, 1e6 - 1.0, 0.0]])
-    assert np.isfinite(scoring.msp_score(logits, 2)[0])
+    assert np.isfinite(softmax(logits[:, :2]).max(-1)[0])
     assert np.isfinite(scoring.ebo_score(logits, 2)[0])
 
 
@@ -391,3 +392,82 @@ def test_knn_indexes_point_in_opposite_directions(small_run):
         bundle = scoring.compute_bundle(ctx, d.test_x)
         closer = np.mean(bundle.knn_own[:, j] < bundle.knn_dist[:, j])
         assert closer >= 0.9
+
+
+def test_bundle_msp_is_the_row_max_of_the_real_class_softmax(small_run):
+    ctx = scoring.context_from_run(small_run)
+    x = small_run.stream.tasks[0].test_x[:10]
+    bundle = scoring.compute_bundle(ctx, x)
+    # the spare unit's logit must not leak into MSP
+    net = copy.deepcopy(ctx.net)
+    for t in bundle.task_ids:
+        net.heads[t].bias[len(ctx.task_classes[t])] += 1e6
+    bumped = scoring.compute_bundle(dataclasses.replace(ctx, net=net), x)
+    for j, t in enumerate(bundle.task_ids):
+        c = len(ctx.task_classes[t])
+        _, logits = hat_mlp.forward(ctx.net, x, t)
+        assert logits.shape[1] == c + 1
+        msp = bundle.msp[:, j]
+        assert np.array_equal(msp, softmax(logits[:, :c]).max(-1))
+        assert np.array_equal(msp, bundle.wp[j].max(-1))
+        assert np.array_equal(bumped.msp[:, j], msp)
+        assert np.all((msp > 1 / c - 1e-12) & (msp <= 1.0))
+
+
+# --- one replay pass and one softmax per task -------------------------------
+
+@pytest.fixture(scope="module")
+def three_task_run():
+    stream = data.generate_gaussian_stream(
+        n_tasks=3, classes_per_task=2, dim=6, separation=6.0,
+        samples_per_class_train=40, samples_per_class_test=10, rng=RngState(4),
+    )
+    cfg = trainer.TrainConfig(
+        epochs=4, batch_size=32, hidden_widths=(16, 16), buffer_capacity=60
+    )
+    return trainer.run_sequence(stream, cfg, seed=5, calibrate=False)
+
+
+def test_build_context_splits_the_buffer_by_source_task(three_task_run):
+    run = three_task_run
+    ctx = scoring.context_from_run(run)
+    counts = run.buffer.class_counts()
+    for t in ctx.task_ids:
+        own_classes = [c for c in run.buffer.order if run.buffer.task_of[c] == t]
+        other = [c for c in run.buffer.order if run.buffer.task_of[c] != t]
+        assert own_classes == list(ctx.task_classes[t])
+        for classes, index in ((own_classes, ctx.own_index[t]),
+                               (other, ctx.knn_index[t])):
+            # each subset forwarded on its own, in class order
+            x = np.concatenate([run.buffer.store[c] for c in classes])
+            expect = scoring.normalize_rows(hat_mlp.forward(run.net, x, t)[0])
+            assert index.shape == (sum(counts[c] for c in classes), run.net.feature_dim)
+            np.testing.assert_allclose(index, expect, rtol=0, atol=1e-12)
+
+
+def test_build_context_forwards_the_buffer_once_per_task(three_task_run, monkeypatch):
+    calls = []
+    forward = hat_mlp.forward
+
+    def counting(net, x, task_id, s=None):
+        calls.append(task_id)
+        return forward(net, x, task_id, s)
+
+    monkeypatch.setattr(hat_mlp, "forward", counting)
+    ctx = scoring.context_from_run(three_task_run)
+    assert sorted(calls) == ctx.task_ids == [1, 2, 3]
+
+
+def test_predict_runs_one_softmax_per_task_plus_the_posterior(three_task_run,
+                                                              monkeypatch):
+    ctx = scoring.context_from_run(three_task_run)
+    x = three_task_run.stream.tasks[0].test_x
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return softmax(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, "softmax", counting)
+    scoring.predict(ctx, x)
+    assert len(calls) == ctx.n_tasks() + 1 == 4

@@ -86,18 +86,6 @@ def test_buffer_truncation_keeps_stored_subset():
         assert all(tuple(r) in rows_before for r in after)
 
 
-def test_buffer_views():
-    buf = trainer.ReplayBuffer(8)
-    buf.update(buffer_dataset([0, 1], task_id=1), RngState(5))
-    buf.update(buffer_dataset([2, 3], task_id=2, seed=6), RngState(6))
-    x, y, t = buf.all_samples()
-    assert x.shape[0] == len(buf) == 8
-    assert set(np.unique(t)) == {1, 2}
-    cx, cy, ct = buf.complement_view(1)
-    assert np.all(ct == 2)
-    assert set(np.unique(cy)) == {2, 3}
-
-
 def test_buffer_deterministic():
     a = trainer.ReplayBuffer(6)
     b = trainer.ReplayBuffer(6)
