@@ -16,51 +16,17 @@ The fit keeps the best parameters seen against the full-buffer objective
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import scoring
-from .errors import UnknownTask
 from .numerics import RngState, stable_mean
-from .trainer import RunArtifacts
+from .trainer import RunArtifacts, identity_calibration
 
 logger = logging.getLogger(__name__)
 
 #: Combined class values are clamped to this floor inside the log.
 PROB_FLOOR = 1e-12
-
-
-@dataclass
-class CalibrationParams:
-    """Per-task affine output adjustment: ``value -> sigma1 * value + sigma2``."""
-
-    sigma: dict[int, tuple[float, float]]
-
-    @classmethod
-    def identity(cls, task_ids) -> "CalibrationParams":
-        return cls(sigma={int(t): (1.0, 0.0) for t in task_ids})
-
-    def pair(self, task_id: int) -> tuple[float, float]:
-        try:
-            return self.sigma[task_id]
-        except KeyError:
-            raise UnknownTask(f"no calibration for task {task_id}") from None
-
-    def as_records(self) -> list[dict]:
-        return [
-            {"task_id": t, "sigma1": s1, "sigma2": s2}
-            for t, (s1, s2) in sorted(self.sigma.items())
-        ]
-
-    @classmethod
-    def from_records(cls, records) -> "CalibrationParams":
-        return cls(
-            sigma={
-                int(r["task_id"]): (float(r["sigma1"]), float(r["sigma2"]))
-                for r in records
-            }
-        )
 
 
 def _combined_values(run: RunArtifacts):
@@ -134,11 +100,12 @@ def fit_calibration(
     batch: int,
     lr: float,
     rng: RngState,
-) -> CalibrationParams:
-    """Fit per-task scale/shift parameters on the run's replay buffer.
+) -> dict[int, tuple[float, float]]:
+    """Fit per-task scale/shift pairs ``{task: (sigma1, sigma2)}`` on the
+    run's replay buffer.
 
-    A single-task run (or an empty buffer) yields identity parameters; the
-    network, stats, and buffer are never modified.
+    A single-task run (or an empty buffer) yields the identity; the network,
+    stats, and buffer are never modified.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -148,25 +115,23 @@ def fit_calibration(
         raise ValueError("learning rate must be positive")
     task_ids = run.task_ids()
     if len(task_ids) < 2:
-        return CalibrationParams.identity(task_ids)
+        return identity_calibration(task_ids)
     if len(run.buffer) == 0:
         logger.warning("calibration: empty replay buffer; keeping identity")
-        return CalibrationParams.identity(task_ids)
+        return identity_calibration(task_ids)
     base, tpos, ordered = _combined_values(run)
     s1, s2, _ = _sgd_fit(base, tpos, len(ordered), epochs, batch, lr, rng)
-    return CalibrationParams(
-        sigma={t: (float(s1[j]), float(s2[j])) for j, t in enumerate(ordered)}
-    )
+    return {t: (float(s1[j]), float(s2[j])) for j, t in enumerate(ordered)}
 
 
 def buffer_cross_entropy(
-    run: RunArtifacts, params: CalibrationParams | None = None
+    run: RunArtifacts, calibration: dict[int, tuple[float, float]] | None = None
 ) -> float:
     """Monitored fitting objective: mean −log p(y|x) over the run's buffer
-    samples under the given (default identity) parameters."""
+    samples under the given (default identity) calibration."""
     base, tpos, ordered = _combined_values(run)
-    if params is None:
-        params = CalibrationParams.identity(ordered)
-    s1 = np.array([params.pair(t)[0] for t in ordered])
-    s2 = np.array([params.pair(t)[1] for t in ordered])
+    if calibration is None:
+        calibration = identity_calibration(ordered)
+    s1 = np.array([calibration[t][0] for t in ordered])
+    s2 = np.array([calibration[t][1] for t in ordered])
     return _objective(base, tpos, s1, s2)

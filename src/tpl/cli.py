@@ -10,13 +10,17 @@ reproduce every downstream command without retraining.
     stats/task_T.json per-task centroids, precision, score rates
     buffer.csv        replay samples: label, features..., source task
     trajectory.json   accuracy trajectory captured during training
-    calibration.json  per-task affine output calibration
+    calibration.json  per-task affine output calibration, always written (the
+                      identity when ``calibrate`` is false); eval and predict
+                      apply it, ood-bench compares scores without it
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Exit codes: 0 success, 2 configuration error, 3 runtime failure (a malformed
+run-directory artifact included: the error names the file).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -27,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import data, evaluation, hat_mlp, scoring, theory_lab, trainer
-from .calibration import CalibrationParams
 from .errors import (
     ConfigError,
     DegenerateVariance,
@@ -270,6 +273,16 @@ def build_stream(rc: RunConfig) -> data.TaskStream:
 # --- model serialization -----------------------------------------------------
 
 
+@contextlib.contextmanager
+def _reading(path: Path):
+    """Report a malformed run-directory artifact as a ``ParseError`` naming it."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError,
+            struct.error) as exc:
+        raise ParseError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
+
+
 def _model_arrays(net: hat_mlp.HatMlp) -> list[tuple[str, np.ndarray]]:
     out: list[tuple[str, np.ndarray]] = []
     for l, w in enumerate(net.weights):
@@ -308,41 +321,42 @@ def save_model(path: Path, net: hat_mlp.HatMlp) -> None:
 
 def load_model(path: Path) -> hat_mlp.HatMlp:
     raw = path.read_bytes()
-    if raw[:4] != _MODEL_MAGIC:
-        raise ParseError(f"{path}: not a model file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _MODEL_VERSION:
-        raise ParseError(f"{path}: unsupported model version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-    offset = 16 + header_len
-    loaded: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        loaded[entry["name"]] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-    widths = tuple(header["hidden_widths"])
-    n_layers = len(widths)
-    net = hat_mlp.HatMlp(
-        input_dim=header["input_dim"],
-        hidden_widths=widths,
-        s_max=header["s_max"],
-        weights=[loaded[f"weights.{l}"] for l in range(n_layers)],
-        biases=[loaded[f"biases.{l}"] for l in range(n_layers)],
-        past_masks=[loaded[f"past_masks.{l}"]
-                    for l in range(header["n_past_masks"])],
-    )
-    for key, n_classes in sorted(header["tasks"].items(), key=lambda kv: int(kv[0])):
-        t = int(key)
-        net.embeddings[t] = [loaded[f"embeddings.{t}.{l}"] for l in range(n_layers)]
-        net.heads[t] = hat_mlp.TaskHead(
-            n_classes=int(n_classes),
-            weight=loaded[f"head_weight.{t}"],
-            bias=loaded[f"head_bias.{t}"],
+    with _reading(path):
+        if raw[:4] != _MODEL_MAGIC:
+            raise ParseError(f"{path}: not a model file (bad magic)")
+        (version,) = struct.unpack_from("<I", raw, 4)
+        if version != _MODEL_VERSION:
+            raise ParseError(f"{path}: unsupported model version {version}")
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+        offset = 16 + header_len
+        loaded: dict[str, np.ndarray] = {}
+        for entry in header["arrays"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+            loaded[entry["name"]] = arr.reshape(shape).astype(np.float64)
+            offset += count * 8
+        widths = tuple(header["hidden_widths"])
+        n_layers = len(widths)
+        net = hat_mlp.HatMlp(
+            input_dim=header["input_dim"],
+            hidden_widths=widths,
+            s_max=header["s_max"],
+            weights=[loaded[f"weights.{l}"] for l in range(n_layers)],
+            biases=[loaded[f"biases.{l}"] for l in range(n_layers)],
+            past_masks=[loaded[f"past_masks.{l}"]
+                        for l in range(header["n_past_masks"])],
         )
-    return net
+        for key, n_classes in sorted(header["tasks"].items(), key=lambda kv: int(kv[0])):
+            t = int(key)
+            net.embeddings[t] = [loaded[f"embeddings.{t}.{l}"] for l in range(n_layers)]
+            net.heads[t] = hat_mlp.TaskHead(
+                n_classes=int(n_classes),
+                weight=loaded[f"head_weight.{t}"],
+                bias=loaded[f"head_bias.{t}"],
+            )
+        return net
 
 
 # --- run-directory persistence ----------------------------------------------
@@ -409,13 +423,9 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> N
         )
     _write_buffer_csv(out / "buffer.csv", run.buffer)
     (out / "trajectory.json").write_text(_dump_json(trajectory), encoding="utf-8")
-    if run.calibration:
-        params = CalibrationParams(sigma=dict(run.calibration))
-    else:
-        params = CalibrationParams.identity(run.task_ids())
-    (out / "calibration.json").write_text(
-        _dump_json(params.as_records()), encoding="utf-8"
-    )
+    records = [{"task_id": t, "sigma1": s1, "sigma2": s2}
+               for t, (s1, s2) in sorted(run.calibration.items())]
+    (out / "calibration.json").write_text(_dump_json(records), encoding="utf-8")
 
 
 def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
@@ -427,11 +437,20 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
     net = load_model(run_dir / "model.bin")
     stats: dict[int, TaskStats] = {}
     for path in sorted((run_dir / "stats").glob("task_*.json")):
-        st = _stats_from_payload(json.loads(path.read_text(encoding="utf-8")))
+        with _reading(path):
+            st = _stats_from_payload(json.loads(path.read_text(encoding="utf-8")))
         stats[st.task_id] = st
     buffer = _read_buffer_csv(run_dir / "buffer.csv", rc.training.buffer_capacity)
-    records = json.loads((run_dir / "calibration.json").read_text(encoding="utf-8"))
-    calibration = CalibrationParams.from_records(records).sigma
+    path = run_dir / "calibration.json"
+    with _reading(path):
+        calibration = {
+            int(r["task_id"]): (float(r["sigma1"]), float(r["sigma2"]))
+            for r in json.loads(path.read_text(encoding="utf-8"))
+        }
+    task_ids = [d.task_id for d in stream.tasks]
+    if sorted(calibration) != task_ids:
+        raise ParseError(f"{path}: calibrates tasks {sorted(calibration)}, "
+                         f"the run has tasks {task_ids}")
     run = RunArtifacts(
         config=rc.training,
         stream=stream,
@@ -446,9 +465,11 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
 
 def _load_trajectory(run_dir: Path) -> tuple[list[float], dict[int, dict[int, float]]]:
     """The (trajectory, per-task matrix) pair stored at train time."""
-    payload = json.loads((run_dir / "trajectory.json").read_text(encoding="utf-8"))
-    per_task = evaluation.decode_task_matrix(payload.get("per_task", {}))
-    return [float(v) for v in payload.get("trajectory", [])], per_task
+    path = run_dir / "trajectory.json"
+    with _reading(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        per_task = evaluation.decode_task_matrix(payload.get("per_task", {}))
+        return [float(v) for v in payload.get("trajectory", [])], per_task
 
 
 # --- subcommands -------------------------------------------------------------
@@ -468,15 +489,12 @@ def cmd_train(args) -> int:
     payload: dict = {"score_kind": "tpl", "calibrated": rc.calibrate,
                      "trajectory": [], "per_task": {}, "til": {}}
     if has_tests:
-        trajectory, per_task = evaluation.accuracy_trajectory(
-            run, "tpl", calibrated=rc.calibrate
-        )
-        ctx = scoring.context_from_run(run, calibrated=rc.calibrate)
+        trajectory, per_task = evaluation.accuracy_trajectory(run, "tpl")
         payload["trajectory"] = trajectory
         payload["per_task"] = evaluation.encode_task_matrix(per_task)
         payload["til"] = {
-            str(d.task_id): evaluation.til_accuracy(ctx, d.task_id, d)
-            for d in stream.tasks
+            str(t): acc
+            for t, acc in evaluation.til_accuracies(run.net, stream.tasks).items()
         }
     save_run(run, rc, Path(out), payload)
     if has_tests:
@@ -497,11 +515,12 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
     ncl_dir.mkdir(parents=True, exist_ok=True)
     cache = ncl_dir / f"ncl-{fingerprint}.json"
     if cache.exists():
-        payload = json.loads(cache.read_text(encoding="utf-8"))
-        return NclReference(
-            per_task=evaluation.decode_task_matrix(payload["per_task"]),
-            pooled={int(t): float(v) for t, v in payload["pooled"].items()},
-        )
+        with _reading(cache):
+            payload = json.loads(cache.read_text(encoding="utf-8"))
+            return NclReference(
+                per_task=evaluation.decode_task_matrix(payload["per_task"]),
+                pooled={int(t): float(v) for t, v in payload["pooled"].items()},
+            )
     ncl = evaluation.build_ncl_reference(stream, rc.training, rc.seed)
     cache.write_text(_dump_json({
         "per_task": evaluation.encode_task_matrix(ncl.per_task),
@@ -518,9 +537,7 @@ def cmd_eval(args) -> int:
         raise EmptyTestSet("run has no stored trajectory (trained without tests)")
     ncl_dir = getattr(args, "ncl", None)
     ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), run.stream, rc)
-    report = evaluation.compute_report(
-        run, ncl, calibrated=rc.calibrate, trajectory=stored
-    )
+    report = evaluation.compute_report(run, ncl, trajectory=stored)
     out = Path(getattr(args, "out", None) or run_dir / "metrics.json")
     out.write_text(_dump_json(report.as_dict()), encoding="utf-8")
     _say(args, f"A_last {report.a_last:.6f}")
@@ -541,8 +558,7 @@ def cmd_predict(args) -> int:
         raise DimensionMismatch(
             f"input features have dim {x.shape[1]}, model expects {run.net.input_dim}"
         )
-    ctx = scoring.context_from_run(run, calibrated=rc.calibrate)
-    preds = scoring.predict(ctx, x, score_kind="tpl")
+    preds = scoring.predict(scoring.context_from_run(run), x, score_kind="tpl")
     token = _VARIANT_TO_TOKEN[rc.training.score_variant]
     lines = ["row,predicted_class,predicted_task,p_task,score_variant"]
     for i in range(x.shape[0]):

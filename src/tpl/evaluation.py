@@ -60,35 +60,50 @@ def cil_accuracy(
 def til_accuracy(
     ctx: scoring.ScoringContext, task_id: int, dataset: TaskDataset
 ) -> float:
-    """Accuracy with the task-id given: argmax over the task's own classes
-    only (its spare unit excluded)."""
-    if dataset.test_x.shape[0] == 0:
-        raise EmptyTestSet(f"task {task_id} has no test samples")
-    classes = np.asarray(ctx.task_classes[task_id], dtype=np.int64)
-    _, logits = hat_mlp.forward(ctx.net, dataset.test_x, task_id)
-    picked = classes[np.argmax(logits[:, : classes.shape[0]], axis=1)]
-    return float(np.mean(picked == dataset.test_y))
+    """Accuracy with the task-id given, through the context's network."""
+    return til_accuracies(ctx.net, [dataset])[task_id]
+
+
+def til_accuracies(net: hat_mlp.HatMlp, datasets: list[TaskDataset]) -> dict[int, float]:
+    """Accuracy with the task-id given, per dataset's task: argmax over the
+    task's own classes only (its spare unit excluded).  It needs only the
+    network, so no scoring context is built."""
+    accs: dict[int, float] = {}
+    for d in datasets:
+        if d.test_x.shape[0] == 0:
+            raise EmptyTestSet(f"task {d.task_id} has no test samples")
+        classes = np.asarray(d.classes, dtype=np.int64)
+        _, logits = hat_mlp.forward(net, d.test_x, d.task_id)
+        picked = classes[np.argmax(logits[:, : classes.shape[0]], axis=1)]
+        accs[d.task_id] = float(np.mean(picked == d.test_y))
+    return accs
 
 
 # --- trajectory -------------------------------------------------------------
 
 def accuracy_trajectory(
-    run: RunArtifacts, score_kind: str = "tpl", calibrated: bool = True
+    run: RunArtifacts, score_kind: str = "tpl"
 ) -> tuple[list[float], dict[int, dict[int, float]]]:
     """Pooled accuracy after each task, plus the full per-task matrix.
 
     Returns ``(trajectory, per_task)``: ``trajectory[k]`` is the pooled
     accuracy over tasks 1..t_k evaluated at checkpoint t_k, and
-    ``per_task[t][i]`` is task i's test accuracy at checkpoint t.  Output
-    calibration only exists for the finished run, so intermediate
-    checkpoints are evaluated uncalibrated.
+    ``per_task[t][i]`` is task i's test accuracy at checkpoint t.  Each
+    checkpoint is scored with its own network, stats and buffer.  Output
+    calibration is fitted once, after the last task, so only the final
+    checkpoint applies ``run.calibration``; earlier ones use the identity.
     """
     task_ids = run.task_ids()
     trajectory: list[float] = []
     per_task: dict[int, dict[int, float]] = {}
     for t in task_ids:
-        ctx = scoring.context_from_run(run, calibrated=calibrated, task_limit=t)
+        cp = run.checkpoint_for(t)
         seen = [d for d in run.stream.tasks if d.task_id <= t]
+        ctx = scoring.build_context(
+            cp.net, cp.stats, cp.buffer, run.config,
+            {d.task_id: d.classes for d in seen},
+            run.calibration if t == task_ids[-1] else None,
+        )
         x = np.concatenate([d.test_x for d in seen])
         y = np.concatenate([d.test_y for d in seen])
         pred = scoring.predict(ctx, x, score_kind=score_kind)
@@ -339,7 +354,6 @@ def compute_report(
     run: RunArtifacts,
     ncl: NclReference | None = None,
     score_kind: str = "tpl",
-    calibrated: bool = True,
     trajectory: tuple[list[float], dict[int, dict[int, float]]] | None = None,
 ) -> MetricsReport:
     """All metrics for a finished run (forgetting only when a reference is
@@ -348,15 +362,12 @@ def compute_report(
     ``trajectory`` is ``accuracy_trajectory``'s result stored at train time;
     without it the trajectory is recomputed from the run's checkpoints."""
     if trajectory is None:
-        trajectory = accuracy_trajectory(run, score_kind, calibrated)
+        trajectory = accuracy_trajectory(run, score_kind)
     accs, per_task = trajectory
-    ctx = scoring.context_from_run(run, calibrated=calibrated)
-    til = {
-        d.task_id: til_accuracy(ctx, d.task_id, d) for d in run.stream.tasks
-    }
+    til = til_accuracies(run.net, run.stream.tasks)
     ood, ood_mean = {}, None
     if len(run.stream) > 1:
-        ood, ood_mean = task_ood_aucs(ctx, run.stream, score_kind)
+        ood, ood_mean = task_ood_aucs(scoring.context_from_run(run), run.stream, score_kind)
     f_last = f_aia = None
     if ncl is not None:
         f_last, f_aia = forgetting_rates(per_task, ncl)

@@ -29,7 +29,9 @@ import numpy as np
 from . import hat_mlp
 from .errors import DimensionMismatch, EmptyBufferView, UnknownTask
 from .numerics import log_sum_exp, mahalanobis_sq, softmax
-from .trainer import MD_FLOOR, ReplayBuffer, RunArtifacts, TaskStats, TrainConfig
+from .trainer import (
+    MD_FLOOR, ReplayBuffer, RunArtifacts, TaskStats, TrainConfig, identity_calibration,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -167,7 +169,8 @@ def build_context(
     task (for the likelihood-ratio route) and of its own classes (for the
     standalone nearest-neighbor detector).  The whole buffer goes through
     each task's extractor once; the two indexes are its rows split by
-    source task, in class order.
+    source task, in class order.  ``calibration`` must cover every task; it
+    defaults to the identity.
     """
     task_ids = sorted(task_classes)
     for t in task_ids:
@@ -192,9 +195,6 @@ def build_context(
             "scoring: empty own-class replay view for some task; "
             "standalone KNN score falls back to 0 there"
         )
-    calib = dict(calibration) if calibration else {}
-    for t in task_ids:
-        calib.setdefault(t, (1.0, 0.0))
     return ScoringContext(
         net=net,
         stats=stats,
@@ -205,31 +205,17 @@ def build_context(
         k=cfg.knn_k,
         temperature=cfg.posterior_temperature,
         variant=cfg.score_variant,
-        calibration=calib,
+        calibration=identity_calibration(task_ids) if calibration is None else dict(calibration),
     )
 
 
-def context_from_run(
-    run: RunArtifacts, calibrated: bool = True, task_limit: int | None = None
-) -> ScoringContext:
-    """Context for a finished run (optionally only its first tasks, matching
-    an intermediate checkpoint).
-
-    Calibration is fitted once, after the last task, so it only applies when
-    the context covers the whole run; truncated contexts stay uncalibrated.
-    """
-    all_ids = run.task_ids()
-    task_ids = all_ids
-    if task_limit is not None:
-        task_ids = [t for t in all_ids if t <= task_limit]
-        cp = run.checkpoint_for(task_ids[-1])
-        net, stats, buffer = cp.net, cp.stats, cp.buffer
-    else:
-        net, stats, buffer = run.net, run.stats, run.buffer
-    classes = {t: run.stream.task(t).classes for t in task_ids}
-    full = task_ids[-1] == all_ids[-1]
-    calib = run.calibration if (calibrated and full and run.calibration) else None
-    return build_context(net, stats, buffer, run.config, classes, calib)
+def context_from_run(run: RunArtifacts, calibrated: bool = True) -> ScoringContext:
+    """Context for a finished run, with its output calibration unless
+    ``calibrated`` is off (score-kind comparisons and the calibration fit
+    itself read the raw class values)."""
+    classes = {t: run.stream.task(t).classes for t in run.task_ids()}
+    calibration = run.calibration if calibrated else None
+    return build_context(run.net, run.stats, run.buffer, run.config, classes, calibration)
 
 
 def compute_bundle(ctx: ScoringContext, x: np.ndarray) -> ScoreBundle:

@@ -340,11 +340,13 @@ class RunArtifacts:
     stream: TaskStream
     seed: int
     net: hat_mlp.HatMlp
+    #: Per-task affine output calibration ``{task: (sigma1, sigma2)}`` covering
+    #: every task; the identity unless it was fitted.
+    calibration: dict[int, tuple[float, float]]
     stats: dict[int, TaskStats] = field(default_factory=dict)
     buffer: ReplayBuffer | None = None
     loss_history: dict[int, list[float]] = field(default_factory=dict)
     checkpoints: list[TaskCheckpoint] = field(default_factory=list)
-    calibration: dict[int, tuple[float, float]] | None = None
 
     def task_ids(self) -> list[int]:
         return [t.task_id for t in self.stream.tasks]
@@ -363,7 +365,8 @@ def run_sequence(
 
     Deterministic: all randomness (init, shuffling, buffer sampling) flows
     from ``seed`` through named streams.  After the last task the per-task
-    output calibration is fitted on the buffer unless ``calibrate`` is off.
+    output calibration is fitted on the buffer; with ``calibrate`` off it
+    stays the identity.
     """
     cfg.validate()
     if len(stream) == 0:
@@ -373,7 +376,10 @@ def run_sequence(
         stream.dim, tuple(cfg.hidden_widths), cfg.s_max, root.stream("net-init")
     )
     buffer = ReplayBuffer(cfg.buffer_capacity)
-    run = RunArtifacts(config=cfg, stream=stream, seed=seed, net=net, buffer=buffer)
+    run = RunArtifacts(
+        config=cfg, stream=stream, seed=seed, net=net, buffer=buffer,
+        calibration=identity_calibration(d.task_id for d in stream.tasks),
+    )
 
     for dataset in stream.tasks:
         t = dataset.task_id
@@ -388,19 +394,23 @@ def run_sequence(
             TaskCheckpoint(
                 task_id=t,
                 net=copy.deepcopy(net),
-                stats={k: copy.deepcopy(v) for k, v in run.stats.items()},
+                stats=dict(run.stats),  # TaskStats are never mutated once fitted
                 buffer=buffer.snapshot(),
             )
         )
     if calibrate:
         from . import calibration as _calibration  # deferred: breaks the import cycle
 
-        params = _calibration.fit_calibration(
+        run.calibration = _calibration.fit_calibration(
             run, cfg.calibration_epochs, cfg.calibration_batch,
             cfg.calibration_lr, root.stream("calibration"),
         )
-        run.calibration = params.sigma
     return run
+
+
+def identity_calibration(task_ids) -> dict[int, tuple[float, float]]:
+    """The calibration that leaves every class value unchanged."""
+    return {int(t): (1.0, 0.0) for t in task_ids}
 
 
 def clone_config(cfg: TrainConfig, **overrides) -> TrainConfig:

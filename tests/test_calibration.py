@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tpl import calibration, data, scoring, trainer
-from tpl.errors import UnknownTask
 from tpl.numerics import RngState
 
 
@@ -39,27 +38,28 @@ def fit(run, epochs=40, lr=0.01, seed=5):
 
 def test_single_task_returns_identity():
     run = make_run(1)
-    params = fit(run)
-    assert params.sigma == {1: (1.0, 0.0)}
+    assert fit(run) == {1: (1.0, 0.0)}
+
+
+def test_uncalibrated_run_holds_the_identity(two_task_run):
+    assert two_task_run.calibration == {1: (1.0, 0.0), 2: (1.0, 0.0)}
 
 
 def test_zero_epochs_returns_identity(two_task_run):
-    params = fit(two_task_run, epochs=0)
-    assert params.sigma == {1: (1.0, 0.0), 2: (1.0, 0.0)}
+    assert fit(two_task_run, epochs=0) == {1: (1.0, 0.0), 2: (1.0, 0.0)}
 
 
 def test_empty_buffer_returns_identity():
     run = make_run(2, capacity=0)
-    params = fit(run)
-    assert params.sigma == {1: (1.0, 0.0), 2: (1.0, 0.0)}
+    assert fit(run) == {1: (1.0, 0.0), 2: (1.0, 0.0)}
 
 
 def test_fitted_objective_never_regresses(two_task_run):
-    params = fit(two_task_run)
+    fitted = fit(two_task_run)
     before = calibration.buffer_cross_entropy(two_task_run)
-    after = calibration.buffer_cross_entropy(two_task_run, params)
+    after = calibration.buffer_cross_entropy(two_task_run, fitted)
     assert after <= before + 1e-9
-    for s1, s2 in params.sigma.values():
+    for s1, s2 in fitted.values():
         assert math.isfinite(s1) and math.isfinite(s2)
 
 
@@ -96,7 +96,7 @@ def test_network_untouched_by_fitting(two_task_run):
 def test_fit_deterministic(two_task_run):
     a = fit(two_task_run, seed=9)
     b = fit(two_task_run, seed=9)
-    assert a.sigma == b.sigma
+    assert a == b
 
 
 def test_sgd_single_step_hand_check():
@@ -153,12 +153,3 @@ def test_run_sequence_invokes_calibration():
     assert sorted(run.calibration) == [1, 2]
     for s1, s2 in run.calibration.values():
         assert math.isfinite(s1) and math.isfinite(s2)
-
-
-def test_params_records_roundtrip():
-    params = calibration.CalibrationParams({1: (1.5, -0.25), 2: (0.5, 0.1)})
-    back = calibration.CalibrationParams.from_records(params.as_records())
-    assert back.sigma == params.sigma
-    assert params.pair(2) == (0.5, 0.1)
-    with pytest.raises(UnknownTask):
-        params.pair(7)

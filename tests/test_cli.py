@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,28 @@ def write_config(path: Path, out_dir: Path, **overrides) -> Path:
             cfg[section] = value
     path.write_text(json.dumps(cfg, indent=2))
     return path
+
+
+def cut_to_ten_bytes(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:10])
+
+
+def drop_s_max_from_model_header(path: Path) -> None:
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + n])
+    del header["s_max"]
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+
+
+def drop_json_key(key: str):
+    """Corrupter deleting ``key`` from a JSON object, or from a list's first one."""
+    def corrupt(path: Path) -> None:
+        payload = json.loads(path.read_text())
+        del (payload[0] if isinstance(payload, list) else payload)[key]
+        path.write_text(json.dumps(payload))
+    return corrupt
 
 
 def run_cli(*argv) -> tuple[int, str, str]:
@@ -244,6 +267,36 @@ class TestExitCodes:
             assert "buffer.csv:5: non-finite" in err
         assert not any((tmp_path / name).exists() for name in ("p.csv", "b.json", "s.csv"))
 
+    @pytest.mark.parametrize("artifact,corrupt", [
+        ("model.bin", cut_to_ten_bytes),
+        ("model.bin", drop_s_max_from_model_header),
+        ("calibration.json", drop_json_key("sigma1")),
+        ("stats/task_2.json", drop_json_key("beta_md")),
+        ("calibration.json",
+         lambda path: path.write_text(json.dumps(json.loads(path.read_text())[:-1]))),
+        ("ncl cache", lambda path: path.write_text("{}")),
+    ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
+            "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty"])
+    def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
+                                                        tmp_path, artifact, corrupt):
+        bad_run = tmp_path / "run"
+        shutil.copytree(run_dir, bad_run)
+        if artifact == "ncl cache":
+            ncl_dir = tmp_path / "ncl"
+            argv = ["eval", "--ncl", str(ncl_dir), "--out", str(tmp_path / "m.json")]
+            code, _, err = run_cli(*argv, "--run", str(bad_run), "--quiet")
+            assert code == 0, err
+            (path,) = ncl_dir.glob("ncl-*.json")
+        else:
+            path = bad_run / artifact
+            argv = ["predict", "--input", str(probe_file[0]),
+                    "--output", str(tmp_path / "p.csv")]
+        corrupt(path)
+        code, _, err = run_cli(*argv, "--run", str(bad_run))
+        assert code == 3, err
+        assert str(path) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv,flag,value,least", [
         (("train",), "--seed", -1, 0),
         (("theory-check", "--case", "sec41"), "--seed", -1, 0),
@@ -292,6 +345,22 @@ class TestTrain:
         assert set(payload["til"]) == {"1", "2"}
         assert set(payload["per_task"]["2"]) == {"1", "2"}
         assert all(0.0 <= v <= 1.0 for v in payload["trajectory"])
+
+    def test_builds_one_context_per_task_plus_the_calibration_fit(self, tmp_path,
+                                                                  monkeypatch):
+        calls = []
+        build = scoring.build_context
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "build_context", counting)
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           **{"dataset.n_tasks": 3, "training.epochs": 4})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        assert len(calls) == 3 + 1
 
     def test_stdout_reports_trajectory(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",
@@ -396,6 +465,20 @@ class TestPersistence:
         preds = scoring.predict(ctx, ds.test_x)
         assert np.mean(preds.global_class == ds.test_y) >= 0.9
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"calibrate": False}, {"dataset.n_tasks": 1},
+    ], ids=["calibrated", "uncalibrated", "single-task"])
+    def test_calibration_round_trips_exactly(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           **{"training.epochs": 4, **overrides})
+        rc = cli.load_run_config(cfg)
+        run = trainer.run_sequence(cli.build_stream(rc), rc.training, rc.seed,
+                                   calibrate=rc.calibrate)
+        assert sorted(run.calibration) == run.task_ids()
+        cli.save_run(run, rc, tmp_path / "run", {})
+        loaded, _ = cli.load_run(tmp_path / "run")
+        assert loaded.calibration == run.calibration
+
     def test_saved_stats_hold_only_what_load_run_reads(self, run_dir):
         rc = cli.load_run_config(run_dir / "config.json")
         trained = trainer.run_sequence(cli.build_stream(rc), rc.training, rc.seed,
@@ -478,7 +561,7 @@ class TestEval:
             code, _, err = run_cli("eval", "--run", str(run_dir), "--out", str(out),
                                    "--quiet", *ncl_argv)
             assert code == 0, err
-            expected = evaluation.compute_report(run, ref, calibrated=rc.calibrate)
+            expected = evaluation.compute_report(run, ref)
             assert json.loads(out.read_text()) == expected.as_dict()
 
     def test_single_task_metrics_have_no_detection_auc(self, single_task_run_dir,
