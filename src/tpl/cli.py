@@ -7,15 +7,19 @@ reproduce every downstream command without retraining.
 
     config.json       resolved run configuration (schema-versioned)
     model.bin         network weights/embeddings/masks, versioned binary
-    stats/task_T.json per-task centroids, precision, score rates
+    stats/task_T.json per-task score rates (task_id, beta_mls, beta_md)
+    stats/task_T.bin  per-task class means and shared precision, in the
+                      container model.bin uses (header + little-endian f8)
     buffer.csv        replay samples: label, features..., source task
     trajectory.json   accuracy trajectory captured during training
     calibration.json  per-task affine output calibration, always written (the
                       identity when ``calibrate`` is false); eval and predict
                       apply it, ood-bench compares scores without it
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure (a malformed
-run-directory artifact included: the error names the file).
+``load_run`` checks the artifacts against the model (task sets, array shapes,
+exact container sizes).  Exit codes: 0 success, 2 configuration error, 3
+runtime failure (a malformed or mismatched run-directory artifact included:
+the error names the file).
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import sys
 from pathlib import Path
@@ -48,7 +53,8 @@ from .trainer import (
 SCHEMA_VERSION = 1
 
 _MODEL_MAGIC = b"TPLM"
-_MODEL_VERSION = 1
+_STATS_MAGIC = b"TPLS"
+_CONTAINER_VERSION = 1
 
 # Config files and reports speak the published variant tokens; internally the
 # soft-min composition keeps its descriptive name.
@@ -270,7 +276,7 @@ def build_stream(rc: RunConfig) -> data.TaskStream:
     return data.load_feature_stream(d["path"])
 
 
-# --- model serialization -----------------------------------------------------
+# --- binary containers -------------------------------------------------------
 
 
 @contextlib.contextmanager
@@ -283,60 +289,85 @@ def _reading(path: Path):
         raise ParseError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
 
-def _model_arrays(net: hat_mlp.HatMlp) -> list[tuple[str, np.ndarray]]:
-    out: list[tuple[str, np.ndarray]] = []
+def _write_container(path: Path, magic: bytes, header: dict,
+                     arrays: dict[str, np.ndarray]) -> None:
+    """Write ``magic``, the format version, a sorted-key JSON header listing
+    every array's name and shape, then each array as little-endian f8."""
+    blob = json.dumps(
+        {**header, "arrays": [{"name": name, "shape": list(a.shape)}
+                              for name, a in arrays.items()]},
+        sort_keys=True,
+    ).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", _CONTAINER_VERSION))
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for a in arrays.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """The (header, arrays) pair ``_write_container`` wrote, bit for bit; a
+    file whose size differs from what its header declares is malformed."""
+    raw = path.read_bytes()
+    with _reading(path):
+        if raw[:4] != magic:
+            raise ParseError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+        (version,) = struct.unpack_from("<I", raw, 4)
+        if version != _CONTAINER_VERSION:
+            raise ParseError(f"{path}: unsupported format version {version}")
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+        entries = header.pop("arrays")
+        shapes = [tuple(entry["shape"]) for entry in entries]
+        if not all(isinstance(n, int) and n >= 0 for shape in shapes for n in shape):
+            raise ValueError(f"array shapes must be non-negative integers: {shapes}")
+        offset = 16 + header_len
+        size = offset + 8 * sum(math.prod(shape) for shape in shapes)
+        if len(raw) != size:
+            raise ParseError(f"{path}: {len(raw)} bytes, its header declares {size}")
+        arrays: dict[str, np.ndarray] = {}
+        for entry, shape in zip(entries, shapes):
+            count = math.prod(shape)
+            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+            arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+            offset += count * 8
+        return header, arrays
+
+
+# --- model serialization -----------------------------------------------------
+
+
+def _model_arrays(net: hat_mlp.HatMlp) -> dict[str, np.ndarray]:
+    out: dict[str, np.ndarray] = {}
     for l, w in enumerate(net.weights):
-        out.append((f"weights.{l}", w))
+        out[f"weights.{l}"] = w
     for l, b in enumerate(net.biases):
-        out.append((f"biases.{l}", b))
+        out[f"biases.{l}"] = b
     for l, m in enumerate(net.past_masks):
-        out.append((f"past_masks.{l}", m))
+        out[f"past_masks.{l}"] = m
     for t in net.task_ids():
         for l, e in enumerate(net.embeddings[t]):
-            out.append((f"embeddings.{t}.{l}", e))
-        out.append((f"head_weight.{t}", net.heads[t].weight))
-        out.append((f"head_bias.{t}", net.heads[t].bias))
+            out[f"embeddings.{t}.{l}"] = e
+        out[f"head_weight.{t}"] = net.heads[t].weight
+        out[f"head_bias.{t}"] = net.heads[t].bias
     return out
 
 
 def save_model(path: Path, net: hat_mlp.HatMlp) -> None:
-    arrays = _model_arrays(net)
-    header = {
+    _write_container(path, _MODEL_MAGIC, {
         "input_dim": net.input_dim,
         "hidden_widths": list(net.hidden_widths),
         "s_max": net.s_max,
         "n_past_masks": len(net.past_masks),
         "tasks": {str(t): net.heads[t].n_classes for t in net.task_ids()},
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<I", _MODEL_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    }, _model_arrays(net))
 
 
 def load_model(path: Path) -> hat_mlp.HatMlp:
-    raw = path.read_bytes()
+    header, loaded = _read_container(path, _MODEL_MAGIC)
     with _reading(path):
-        if raw[:4] != _MODEL_MAGIC:
-            raise ParseError(f"{path}: not a model file (bad magic)")
-        (version,) = struct.unpack_from("<I", raw, 4)
-        if version != _MODEL_VERSION:
-            raise ParseError(f"{path}: unsupported model version {version}")
-        (header_len,) = struct.unpack_from("<Q", raw, 8)
-        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-        offset = 16 + header_len
-        loaded: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            loaded[entry["name"]] = arr.reshape(shape).astype(np.float64)
-            offset += count * 8
         widths = tuple(header["hidden_widths"])
         n_layers = len(widths)
         net = hat_mlp.HatMlp(
@@ -391,24 +422,39 @@ def _read_buffer_csv(path: Path, capacity: int) -> ReplayBuffer:
     return buffer
 
 
-def _stats_payload(stats: TaskStats) -> dict:
-    return {
-        "task_id": stats.task_id,
-        "class_means": stats.class_means.tolist(),
-        "precision": stats.precision.tolist(),
-        "beta_mls": stats.beta_mls,
-        "beta_md": stats.beta_md,
-    }
+def _save_stats(stats_dir: Path, st: TaskStats) -> None:
+    t = st.task_id
+    (stats_dir / f"task_{t}.json").write_text(_dump_json(
+        {"task_id": t, "beta_mls": st.beta_mls, "beta_md": st.beta_md}
+    ), encoding="utf-8")
+    _write_container(stats_dir / f"task_{t}.bin", _STATS_MAGIC, {"task_id": t},
+                     {"class_means": st.class_means, "precision": st.precision})
 
 
-def _stats_from_payload(payload: dict) -> TaskStats:
-    return TaskStats(
-        task_id=int(payload["task_id"]),
-        class_means=np.array(payload["class_means"], dtype=np.float64),
-        precision=np.array(payload["precision"], dtype=np.float64),
-        beta_mls=float(payload["beta_mls"]),
-        beta_md=float(payload["beta_md"]),
-    )
+def _load_stats(stats_dir: Path, t: int, net: hat_mlp.HatMlp) -> TaskStats:
+    """Task ``t``'s statistics, checked against the model's head and width."""
+    path = stats_dir / f"task_{t}.json"
+    with _reading(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if payload["task_id"] != t:
+            raise ValueError(f"task_id {payload['task_id']!r}, expected {t}")
+        beta_mls, beta_md = float(payload["beta_mls"]), float(payload["beta_md"])
+    path = stats_dir / f"task_{t}.bin"
+    if not path.is_file():
+        raise ParseError(f"{path}: missing (run directories written before task "
+                         "statistics moved to binary files lack it); retrain the run")
+    header, arrays = _read_container(path, _STATS_MAGIC)
+    with _reading(path):
+        if header["task_id"] != t:
+            raise ValueError(f"task_id {header['task_id']!r}, expected {t}")
+        d = net.feature_dim
+        for name, shape in (("class_means", (net.heads[t].n_classes, d)),
+                            ("precision", (d, d))):
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} has shape {list(arrays[name].shape)}, "
+                                 f"the model needs {list(shape)}")
+    return TaskStats(task_id=t, class_means=arrays["class_means"],
+                     precision=arrays["precision"], beta_mls=beta_mls, beta_md=beta_md)
 
 
 def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> None:
@@ -418,9 +464,7 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> N
                                      encoding="utf-8")
     save_model(out / "model.bin", run.net)
     for t in sorted(run.stats):
-        (out / "stats" / f"task_{t}.json").write_text(
-            _dump_json(_stats_payload(run.stats[t])), encoding="utf-8"
-        )
+        _save_stats(out / "stats", run.stats[t])
     _write_buffer_csv(out / "buffer.csv", run.buffer)
     (out / "trajectory.json").write_text(_dump_json(trajectory), encoding="utf-8")
     records = [{"task_id": t, "sigma1": s1, "sigma2": s2}
@@ -434,12 +478,18 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
         raise ConfigError(f"run directory {run_dir} does not exist")
     rc = load_run_config(run_dir / "config.json")
     stream = build_stream(rc)
-    net = load_model(run_dir / "model.bin")
-    stats: dict[int, TaskStats] = {}
-    for path in sorted((run_dir / "stats").glob("task_*.json")):
-        with _reading(path):
-            st = _stats_from_payload(json.loads(path.read_text(encoding="utf-8")))
-        stats[st.task_id] = st
+    task_ids = [d.task_id for d in stream.tasks]
+    path = run_dir / "model.bin"
+    net = load_model(path)
+    if net.task_ids() != task_ids:
+        raise ParseError(f"{path}: holds tasks {net.task_ids()}, "
+                         f"the run has tasks {task_ids}")
+    stats_dir = run_dir / "stats"
+    known = {f"task_{t}{ext}" for t in task_ids for ext in (".json", ".bin")}
+    for path in sorted(stats_dir.glob("task_*")):
+        if path.suffix in (".json", ".bin") and path.name not in known:
+            raise ParseError(f"{path}: not a task of this run (tasks {task_ids})")
+    stats = {t: _load_stats(stats_dir, t, net) for t in task_ids}
     buffer = _read_buffer_csv(run_dir / "buffer.csv", rc.training.buffer_capacity)
     path = run_dir / "calibration.json"
     with _reading(path):
@@ -447,7 +497,6 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
             int(r["task_id"]): (float(r["sigma1"]), float(r["sigma2"]))
             for r in json.loads(path.read_text(encoding="utf-8"))
         }
-    task_ids = [d.task_id for d in stream.tasks]
     if sorted(calibration) != task_ids:
         raise ParseError(f"{path}: calibrates tasks {sorted(calibration)}, "
                          f"the run has tasks {task_ids}")

@@ -5,15 +5,19 @@ in-process through ``main``."""
 import contextlib
 import io
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tpl import cli, evaluation, scoring, theory_lab, trainer
-from tpl.errors import ConfigError, DegenerateVariance
+from tpl.errors import ConfigError, DegenerateVariance, ParseError
 from tpl.trainer import clone_config
 
 SEED = 3
@@ -67,6 +71,25 @@ def drop_s_max_from_model_header(path: Path) -> None:
     del header["s_max"]
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+
+
+def append_one_byte(path: Path) -> None:
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+def rewrite_stats_bin(change):
+    """Corrupter rewriting a well-framed stats container whose arrays
+    ``change`` edits in place."""
+    def corrupt(path: Path) -> None:
+        header, arrays = cli._read_container(path, cli._STATS_MAGIC)
+        change(arrays)
+        cli._write_container(path, cli._STATS_MAGIC, header, arrays)
+    return corrupt
+
+
+def copy_sibling(name: str):
+    """Corrupter creating the probed file as a copy of ``name`` beside it."""
+    return lambda path: shutil.copy(path.with_name(name), path)
 
 
 def drop_json_key(key: str):
@@ -275,8 +298,20 @@ class TestExitCodes:
         ("calibration.json",
          lambda path: path.write_text(json.dumps(json.loads(path.read_text())[:-1]))),
         ("ncl cache", lambda path: path.write_text("{}")),
+        ("model.bin", append_one_byte),
+        ("stats/task_1.bin", cut_to_ten_bytes),
+        ("stats/task_1.bin", append_one_byte),
+        ("stats/task_1.bin", rewrite_stats_bin(
+            lambda a: a.update(class_means=a["class_means"].reshape(4, -1)))),
+        ("stats/task_1.bin", rewrite_stats_bin(
+            lambda a: a.update(class_means=a["class_means"][:-1]))),
+        ("stats/task_1.bin", Path.unlink),
+        ("stats/task_9.bin", copy_sibling("task_2.bin")),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
-            "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty"])
+            "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
+            "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
+            "stats-bin-wrong-header-shape", "stats-bin-class-missing",
+            "stats-bin-missing", "stats-task-not-in-model"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -296,6 +331,17 @@ class TestExitCodes:
         assert code == 3, err
         assert str(path) in err
         assert "Traceback" not in err
+
+    def test_model_tasks_must_match_the_config(self, run_dir, probe_file, tmp_path):
+        bad_run = tmp_path / "run"
+        shutil.copytree(run_dir, bad_run)
+        cfg = json.loads((bad_run / "config.json").read_text())
+        cfg["dataset"]["n_tasks"] = 3
+        (bad_run / "config.json").write_text(json.dumps(cfg))
+        code, _, err = run_cli("predict", "--run", str(bad_run), "--input",
+                               str(probe_file[0]), "--output", str(tmp_path / "p.csv"))
+        assert code == 3, err
+        assert f"{bad_run / 'model.bin'}: holds tasks [1, 2], the run has tasks [1, 2, 3]" in err
 
     @pytest.mark.parametrize("argv,flag,value,least", [
         (("train",), "--seed", -1, 0),
@@ -334,8 +380,8 @@ class TestTrain:
     def test_run_directory_layout(self, run_dir):
         for name in RUN_FILES:
             assert (run_dir / name).is_file(), name
-        stats = sorted(p.name for p in (run_dir / "stats").glob("task_*.json"))
-        assert stats == ["task_1.json", "task_2.json"]
+        stats = sorted(p.name for p in (run_dir / "stats").iterdir())
+        assert stats == ["task_1.bin", "task_1.json", "task_2.bin", "task_2.json"]
 
     def test_trajectory_payload(self, run_dir):
         payload = json.loads((run_dir / "trajectory.json").read_text())
@@ -486,9 +532,17 @@ class TestPersistence:
         loaded, _ = cli.load_run(run_dir)
         for t in (1, 2):
             payload = json.loads((run_dir / "stats" / f"task_{t}.json").read_text())
-            assert set(payload) == {"task_id", "class_means", "precision",
-                                    "beta_mls", "beta_md"}
-            assert loaded.stats[t].precision.tobytes() == trained.stats[t].precision.tobytes()
+            assert set(payload) == {"task_id", "beta_mls", "beta_md"}
+            got, want = loaded.stats[t], trained.stats[t]
+            for name in ("class_means", "precision"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert (got.beta_mls, got.beta_md) == (want.beta_mls, want.beta_md)
+
+    def test_model_bin_keeps_the_v1_framing(self, run_dir, tmp_path):
+        net = cli.load_model(run_dir / "model.bin")
+        cli.save_model(tmp_path / "model.bin", net)
+        assert (tmp_path / "model.bin").read_bytes() == v1_model_bytes(net)
 
     def test_empty_buffer_round_trips(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",
@@ -514,6 +568,84 @@ class TestPersistence:
             if name == "config.json":
                 continue  # out_dir field differs by design
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def v1_model_bytes(net) -> bytes:
+    """``model.bin`` as the v1 writer framed it before the container was
+    shared: magic, version, header length, sorted-key header, arrays."""
+    arrays = ([(f"weights.{l}", w) for l, w in enumerate(net.weights)]
+              + [(f"biases.{l}", b) for l, b in enumerate(net.biases)]
+              + [(f"past_masks.{l}", m) for l, m in enumerate(net.past_masks)])
+    for t in net.task_ids():
+        arrays += [(f"embeddings.{t}.{l}", e) for l, e in enumerate(net.embeddings[t])]
+        arrays += [(f"head_weight.{t}", net.heads[t].weight),
+                   (f"head_bias.{t}", net.heads[t].bias)]
+    header = {
+        "input_dim": net.input_dim,
+        "hidden_widths": list(net.hidden_widths),
+        "s_max": net.s_max,
+        "n_past_masks": len(net.past_masks),
+        "tasks": {str(t): net.heads[t].n_classes for t in net.task_ids()},
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (b"TPLM" + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob
+            + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays))
+
+
+def float_bits(*bits: int) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# Any float64 bit pattern: -0.0, subnormals, infinities and NaN payloads.
+ANY_FLOAT64_ARRAY = hnp.arrays(
+    np.uint64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+).map(lambda a: a.view(np.float64))
+
+
+class TestContainer:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(task_id=st.integers(-2**40, 2**40),
+           arrays=st.dictionaries(st.text(min_size=1, max_size=6), ANY_FLOAT64_ARRAY,
+                                  max_size=4))
+    @example(task_id=0, arrays={
+        "specials": float_bits(0x8000000000000000,   # -0.0
+                               0x0000000000000001,   # smallest subnormal
+                               0x000FFFFFFFFFFFFF,   # largest subnormal
+                               0x7FF0000000000001,   # signalling NaN, payload 1
+                               0xFFF8000000000ABC,   # negative quiet NaN, payload
+                               0xFFF0000000000000),  # -inf
+        "empty": np.zeros((0, 3)),
+        "empty-inner": np.zeros((2, 0, 5)),
+        "scalar": np.array(-0.0),
+    })
+    def test_round_trips_bit_for_bit(self, tmp_path, task_id, arrays):
+        path = tmp_path / "c.bin"
+        cli._write_container(path, cli._STATS_MAGIC, {"task_id": task_id}, arrays)
+        header, loaded = cli._read_container(path, cli._STATS_MAGIC)
+        assert header == {"task_id": task_id}
+        assert list(loaded) == list(arrays)
+        for name, a in arrays.items():
+            assert loaded[name].dtype == np.float64
+            assert loaded[name].shape == a.shape
+            assert loaded[name].tobytes() == a.tobytes(), name
+
+    def test_every_prefix_and_one_extra_byte_are_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        cli._write_container(path, cli._STATS_MAGIC, {"task_id": 1}, {
+            "a": np.arange(6.0).reshape(2, 3), "none": np.zeros((0, 2)),
+            "b": np.array([-0.0]),
+        })
+        raw = path.read_bytes()
+        for blob in [raw[:k] for k in range(len(raw))] + [raw + b"\0"]:
+            path.write_bytes(blob)
+            with pytest.raises(ParseError, match=re.escape(str(path))):
+                cli._read_container(path, cli._STATS_MAGIC)
+
+    def test_wrong_magic_is_rejected(self, run_dir):
+        with pytest.raises(ParseError, match="magic"):
+            cli._read_container(run_dir / "model.bin", cli._STATS_MAGIC)
 
 
 # --- eval --------------------------------------------------------------------
