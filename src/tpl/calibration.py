@@ -20,6 +20,7 @@ import logging
 import numpy as np
 
 from . import scoring
+from .data import label_positions
 from .numerics import RngState, stable_mean
 from .trainer import RunArtifacts, identity_calibration
 
@@ -40,8 +41,7 @@ def _combined_values(run: RunArtifacts):
     x, y, sample_task = run.buffer.all_samples()
     ctx = scoring.context_from_run(run, calibrated=False)
     preds = scoring.predict(ctx, x)
-    col_class = np.concatenate([ctx.task_classes[t] for t in ctx.task_ids])
-    col = np.argmax(y[:, None] == col_class[None, :], axis=1)
+    col = label_positions(y, [c for t in ctx.task_ids for c in ctx.task_classes[t]])
     base = preds.calibrated[np.arange(y.shape[0]), col]
     tpos = np.searchsorted(ctx.task_ids, sample_task)
     return base, tpos, list(ctx.task_ids)

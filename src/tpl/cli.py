@@ -17,9 +17,13 @@ reproduce every downstream command without retraining.
                       apply it, ood-bench compares scores without it
 
 ``load_run`` checks the artifacts against the model (task sets, array shapes,
-exact container sizes).  Exit codes: 0 success, 2 configuration error, 3
-runtime failure (a malformed or mismatched run-directory artifact included:
-the error names the file).
+exact container sizes) and checks their values (finite arrays, rates and
+calibration pairs; stored accuracies in [0, 1]).  The JSON artifacts besides
+``config.json`` are read through ``_read_json``.  The config's ``score_variant`` is the published name
+(``canonical`` or ``algorithm1``) everywhere: config files, the package and
+the reports.  Exit codes: 0 success, 2 configuration error, 3 runtime failure
+(a malformed or mismatched run-directory artifact included: the error names
+the file).
 """
 from __future__ import annotations
 
@@ -55,12 +59,6 @@ SCHEMA_VERSION = 1
 _MODEL_MAGIC = b"TPLM"
 _STATS_MAGIC = b"TPLS"
 _CONTAINER_VERSION = 1
-
-# Config files and reports speak the published variant tokens; internally the
-# soft-min composition keeps its descriptive name.
-_VARIANT_FROM_TOKEN = {"canonical": "canonical", "algorithm1": "softmin",
-                       "softmin": "softmin"}
-_VARIANT_TO_TOKEN = {"canonical": "canonical", "softmin": "algorithm1"}
 
 _TOP_KEYS = {"schema_version", "seed", "out_dir", "calibrate", "dataset", "training"}
 _SYNTHETIC_KEYS = {"kind", "n_tasks", "classes_per_task", "dim", "separation",
@@ -182,14 +180,6 @@ def _validate_training(d) -> TrainConfig:
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     _check_keys(d, fields, "training")
     kwargs = dict(d)
-    if "score_variant" in kwargs:
-        token = kwargs["score_variant"]
-        if not isinstance(token, str) or token not in _VARIANT_FROM_TOKEN:
-            raise ConfigError(
-                f"training.score_variant: expected one of "
-                f"{sorted(_VARIANT_FROM_TOKEN)}, got {token!r}"
-            )
-        kwargs["score_variant"] = _VARIANT_FROM_TOKEN[token]
     if "hidden_widths" in kwargs:
         widths = kwargs["hidden_widths"]
         if not isinstance(widths, list) or not widths:
@@ -247,7 +237,6 @@ def load_run_config(path) -> RunConfig:
 
 def run_config_payload(rc: RunConfig) -> dict:
     training = dataclasses.asdict(rc.training)
-    training["score_variant"] = _VARIANT_TO_TOKEN[rc.training.score_variant]
     training["hidden_widths"] = list(rc.training.hidden_widths)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -289,6 +278,13 @@ def _reading(path: Path):
         raise ParseError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
 
+def _read_json(path: Path, decode):
+    """``decode`` applied to a run-directory JSON file's content; malformed
+    JSON or content ``decode`` rejects is a ``ParseError`` naming the file."""
+    with _reading(path):
+        return decode(json.loads(path.read_text(encoding="utf-8")))
+
+
 def _write_container(path: Path, magic: bytes, header: dict,
                      arrays: dict[str, np.ndarray]) -> None:
     """Write ``magic``, the format version, a sorted-key JSON header listing
@@ -309,7 +305,8 @@ def _write_container(path: Path, magic: bytes, header: dict,
 
 def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """The (header, arrays) pair ``_write_container`` wrote, bit for bit; a
-    file whose size differs from what its header declares is malformed."""
+    file whose size differs from what its header declares, or an array
+    holding a nan or inf, is malformed."""
     raw = path.read_bytes()
     with _reading(path):
         if raw[:4] != magic:
@@ -327,12 +324,14 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
         size = offset + 8 * sum(math.prod(shape) for shape in shapes)
         if len(raw) != size:
             raise ParseError(f"{path}: {len(raw)} bytes, its header declares {size}")
+        values = np.frombuffer(raw, dtype="<f8", offset=offset)
+        if not np.isfinite(values).all():
+            raise ValueError("an array holds a non-finite value")
         arrays: dict[str, np.ndarray] = {}
         for entry, shape in zip(entries, shapes):
             count = math.prod(shape)
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
-            offset += count * 8
+            arrays[entry["name"]] = values[:count].reshape(shape).astype(np.float64)
+            values = values[count:]
         return header, arrays
 
 
@@ -393,33 +392,22 @@ def load_model(path: Path) -> hat_mlp.HatMlp:
 # --- run-directory persistence ----------------------------------------------
 
 
-def _write_buffer_csv(path: Path, buffer: ReplayBuffer | None) -> None:
-    lines = []
-    if buffer is not None:
-        for c in buffer.order:
-            task = buffer.task_of[c]
-            for row in buffer.store[c]:
-                cells = [str(int(c))] + [_fmt(v) for v in row] + [str(int(task))]
-                lines.append(",".join(cells))
+def _write_buffer_csv(path: Path, buffer: ReplayBuffer) -> None:
+    lines = [",".join([str(int(c))] + [_fmt(v) for v in row] + [str(int(t))])
+             for row, c, t in zip(*buffer.all_samples())]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def _read_buffer_csv(path: Path, capacity: int) -> ReplayBuffer:
     values, labels, linenos = data._read_rows(path, None)
-    buffer = ReplayBuffer(capacity)
     if values.shape[0] == 0:
-        return buffer
+        return ReplayBuffer(capacity)
     feats, tasks = values[:, :-1], values[:, -1]
     bad = np.flatnonzero(tasks != np.floor(tasks))
     if feats.shape[1] == 0 or bad.size:
         line = linenos[bad[0] if bad.size else 0]
         raise ParseError(f"{path}:{line}: need label, features and an integer task")
-    for label in dict.fromkeys(labels.tolist()):
-        rows = labels == label
-        buffer.order.append(label)
-        buffer.task_of[label] = int(tasks[rows][0])
-        buffer.store[label] = feats[rows]
-    return buffer
+    return ReplayBuffer.from_samples(capacity, feats, labels, tasks)
 
 
 def _save_stats(stats_dir: Path, st: TaskStats) -> None:
@@ -433,12 +421,13 @@ def _save_stats(stats_dir: Path, st: TaskStats) -> None:
 
 def _load_stats(stats_dir: Path, t: int, net: hat_mlp.HatMlp) -> TaskStats:
     """Task ``t``'s statistics, checked against the model's head and width."""
-    path = stats_dir / f"task_{t}.json"
-    with _reading(path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
+    def decode(payload) -> tuple[float, float]:
         if payload["task_id"] != t:
             raise ValueError(f"task_id {payload['task_id']!r}, expected {t}")
-        beta_mls, beta_md = float(payload["beta_mls"]), float(payload["beta_md"])
+        return (check_real("beta_mls", payload["beta_mls"]),
+                check_real("beta_md", payload["beta_md"]))
+
+    beta_mls, beta_md = _read_json(stats_dir / f"task_{t}.json", decode)
     path = stats_dir / f"task_{t}.bin"
     if not path.is_file():
         raise ParseError(f"{path}: missing (run directories written before task "
@@ -492,18 +481,17 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
     stats = {t: _load_stats(stats_dir, t, net) for t in task_ids}
     buffer = _read_buffer_csv(run_dir / "buffer.csv", rc.training.buffer_capacity)
     path = run_dir / "calibration.json"
-    with _reading(path):
-        calibration = {
-            int(r["task_id"]): (float(r["sigma1"]), float(r["sigma2"]))
-            for r in json.loads(path.read_text(encoding="utf-8"))
-        }
+    calibration = _read_json(path, lambda records: {
+        int(r["task_id"]): (check_real("sigma1", r["sigma1"]),
+                            check_real("sigma2", r["sigma2"]))
+        for r in records
+    })
     if sorted(calibration) != task_ids:
         raise ParseError(f"{path}: calibrates tasks {sorted(calibration)}, "
                          f"the run has tasks {task_ids}")
     run = RunArtifacts(
         config=rc.training,
         stream=stream,
-        seed=rc.seed,
         net=net,
         stats=stats,
         buffer=buffer,
@@ -514,11 +502,10 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
 
 def _load_trajectory(run_dir: Path) -> tuple[list[float], dict[int, dict[int, float]]]:
     """The (trajectory, per-task matrix) pair stored at train time."""
-    path = run_dir / "trajectory.json"
-    with _reading(path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        per_task = evaluation.decode_task_matrix(payload.get("per_task", {}))
-        return [float(v) for v in payload.get("trajectory", [])], per_task
+    return _read_json(run_dir / "trajectory.json", lambda payload: (
+        [evaluation.check_accuracy("trajectory", v) for v in payload.get("trajectory", [])],
+        evaluation.decode_task_matrix(payload.get("per_task", {})),
+    ))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -564,12 +551,11 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
     ncl_dir.mkdir(parents=True, exist_ok=True)
     cache = ncl_dir / f"ncl-{fingerprint}.json"
     if cache.exists():
-        with _reading(cache):
-            payload = json.loads(cache.read_text(encoding="utf-8"))
-            return NclReference(
-                per_task=evaluation.decode_task_matrix(payload["per_task"]),
-                pooled={int(t): float(v) for t, v in payload["pooled"].items()},
-            )
+        return _read_json(cache, lambda payload: NclReference(
+            per_task=evaluation.decode_task_matrix(payload["per_task"]),
+            pooled={int(t): evaluation.check_accuracy(f"pooled [{t}]", v)
+                    for t, v in payload["pooled"].items()},
+        ))
     ncl = evaluation.build_ncl_reference(stream, rc.training, rc.seed)
     cache.write_text(_dump_json({
         "per_task": evaluation.encode_task_matrix(ncl.per_task),
@@ -608,12 +594,11 @@ def cmd_predict(args) -> int:
             f"input features have dim {x.shape[1]}, model expects {run.net.input_dim}"
         )
     preds = scoring.predict(scoring.context_from_run(run), x, score_kind="tpl")
-    token = _VARIANT_TO_TOKEN[rc.training.score_variant]
     lines = ["row,predicted_class,predicted_task,p_task,score_variant"]
     for i in range(x.shape[0]):
         lines.append(
             f"{i},{int(preds.global_class[i])},{int(preds.task_id[i])},"
-            f"{_fmt(preds.p_task[i])},{token}"
+            f"{_fmt(preds.p_task[i])},{rc.training.score_variant}"
         )
     out = Path(args.output)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -629,14 +614,12 @@ def cmd_ood_bench(args) -> int:
     # KNN indexes, and the score bundle depends on neither the score kind nor
     # the variant, so one bundle over the pooled test rows serves every row.
     shared = scoring.context_from_run(run, calibrated=False)
-    bundle = scoring.compute_bundle(
-        shared, np.concatenate([d.test_x for d in run.stream.tasks])
-    )
+    bundle = scoring.compute_bundle(shared, data.pooled_test_rows(run.stream.tasks)[0])
     single = len(run.stream) == 1
     scores: dict[str, dict] = {}
     pairs: list[tuple[float, float]] = []
     for label, kind in _BENCH_ROWS:
-        variant = "softmin" if label == "TPL-algorithm1" else "canonical"
+        variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
         ctx = dataclasses.replace(shared, variant=variant)
         acc = evaluation.cil_accuracy(ctx, run.stream.tasks, kind, bundle=bundle)
         if single:

@@ -22,12 +22,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyTestSet,
     NoDensityAvailable,
     OverlappingLabelSets,
     ParseError,
     UnknownTask,
 )
-from .numerics import RngState, log_sum_exp
+from .numerics import RngState, diag_gaussian_logpdf, log_sum_exp
 
 _MAX_RADIUS_ESCALATIONS = 40
 
@@ -38,17 +39,6 @@ class ClassGaussian:
 
     mean: np.ndarray
     cov_diag: np.ndarray
-
-    def log_density(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.mean.shape:
-            raise DimensionMismatch(
-                f"point has dim {x.shape}, class has dim {self.mean.shape}"
-            )
-        diff = x - self.mean
-        quad = float(np.sum(diff * diff / self.cov_diag))
-        log_norm = float(np.sum(np.log(2.0 * math.pi * self.cov_diag)))
-        return -0.5 * (quad + log_norm)
 
 
 @dataclass
@@ -96,14 +86,30 @@ class TaskDataset:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def class_index(self, global_label: int) -> int:
-        """Within-task index of a global class id."""
-        try:
-            return self.classes.index(int(global_label))
-        except ValueError:
-            raise UnknownTask(
-                f"label {global_label} does not belong to task {self.task_id}"
-            ) from None
+
+def label_positions(labels, classes) -> np.ndarray:
+    """Position of each label in the class list ``classes``, as int64; a label
+    not in the list raises ``UnknownTask``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    classes = np.asarray(classes, dtype=np.int64)
+    hit = labels[:, None] == classes[None, :]
+    missing = ~hit.any(axis=1)
+    if missing.any():
+        raise UnknownTask(
+            f"label {int(labels[missing][0])} is not one of the classes {classes.tolist()}"
+        )
+    return np.argmax(hit, axis=1).astype(np.int64)
+
+
+def pooled_test_rows(datasets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The datasets' test rows stacked in order, ``(x, y, bounds)``: dataset
+    j's rows are ``bounds[j]:bounds[j + 1]``.  Raises ``EmptyTestSet`` when
+    there are no rows at all."""
+    bounds = np.cumsum([0] + [d.test_x.shape[0] for d in datasets])
+    if bounds[-1] == 0:
+        raise EmptyTestSet("no test samples in any supplied dataset")
+    x = np.concatenate([d.test_x for d in datasets])
+    return x, np.concatenate([d.test_y for d in datasets]), bounds
 
 
 @dataclass
@@ -358,5 +364,9 @@ def true_log_density(stream: TaskStream, task_id: int, x: np.ndarray) -> float:
         raise NoDensityAvailable(
             f"task {task_id} has no generative description (loaded data?)"
         )
-    logs = [g.log_density(x) for g in task.gaussians.values()]
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (task.dim,):
+        raise DimensionMismatch(f"point has shape {x.shape}, task has dim {task.dim}")
+    logs = [diag_gaussian_logpdf(x[None], g.mean, g.cov_diag)[0]
+            for g in task.gaussians.values()]
     return log_sum_exp(logs) - math.log(len(logs))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import hat_mlp, scoring
-from .data import TaskDataset, TaskStream
+from .data import TaskDataset, TaskStream, label_positions, pooled_test_rows
 from .errors import (
     DegenerateVariance,
     EmptyClassList,
@@ -30,7 +30,7 @@ from .errors import (
     MissingNclPrefix,
 )
 from .numerics import RngState, stable_mean
-from .trainer import RunArtifacts, TrainConfig
+from .trainer import RunArtifacts, TrainConfig, check_real
 
 #: Tolerance for the AIA-equals-trajectory-mean consistency invariant.
 AIA_CONSISTENCY_TOL = 1e-12
@@ -47,14 +47,11 @@ def cil_accuracy(
     """Fraction of pooled test samples classified to the right global class,
     with no task-id given.  ``bundle``, when given, must hold the scores of
     the datasets' test rows pooled in order; it is computed otherwise."""
-    xs = [d.test_x for d in datasets if d.test_x.shape[0] > 0]
-    ys = [d.test_y for d in datasets if d.test_y.shape[0] > 0]
-    if not xs:
-        raise EmptyTestSet("no test samples in any supplied dataset")
+    x, y, _ = pooled_test_rows(datasets)
     if bundle is None:
-        bundle = scoring.compute_bundle(ctx, np.concatenate(xs))
+        bundle = scoring.compute_bundle(ctx, x)
     pred = scoring.predict_from_bundle(ctx, bundle, score_kind)
-    return float(np.mean(pred.global_class == np.concatenate(ys)))
+    return float(np.mean(pred.global_class == y))
 
 
 def til_accuracy(
@@ -68,15 +65,18 @@ def til_accuracies(net: hat_mlp.HatMlp, datasets: list[TaskDataset]) -> dict[int
     """Accuracy with the task-id given, per dataset's task: argmax over the
     task's own classes only (its spare unit excluded).  It needs only the
     network, so no scoring context is built."""
-    accs: dict[int, float] = {}
-    for d in datasets:
-        if d.test_x.shape[0] == 0:
-            raise EmptyTestSet(f"task {d.task_id} has no test samples")
-        classes = np.asarray(d.classes, dtype=np.int64)
-        _, logits = hat_mlp.forward(net, d.test_x, d.task_id)
-        picked = classes[np.argmax(logits[:, : classes.shape[0]], axis=1)]
-        accs[d.task_id] = float(np.mean(picked == d.test_y))
-    return accs
+    return {d.task_id: float(np.mean(_head_hits(net, d.task_id, d.classes, d)))
+            for d in datasets}
+
+
+def _head_hits(net: hat_mlp.HatMlp, head: int, classes, dataset: TaskDataset):
+    """Per test row of ``dataset``: whether the argmax of ``head``'s logits
+    over ``classes`` (its spare unit excluded) names the row's label."""
+    if dataset.test_x.shape[0] == 0:
+        raise EmptyTestSet(f"task {dataset.task_id} has no test samples")
+    classes = np.asarray(classes, dtype=np.int64)
+    _, logits = hat_mlp.forward(net, dataset.test_x, head)
+    return classes[np.argmax(logits[:, : classes.shape[0]], axis=1)] == dataset.test_y
 
 
 # --- trajectory -------------------------------------------------------------
@@ -104,13 +104,9 @@ def accuracy_trajectory(
             {d.task_id: d.classes for d in seen},
             run.calibration if t == task_ids[-1] else None,
         )
-        x = np.concatenate([d.test_x for d in seen])
-        y = np.concatenate([d.test_y for d in seen])
-        pred = scoring.predict(ctx, x, score_kind=score_kind)
-        correct = pred.global_class == y
+        x, y, bounds = pooled_test_rows(seen)
+        correct = scoring.predict(ctx, x, score_kind=score_kind).global_class == y
         trajectory.append(float(np.mean(correct)))
-        sizes = [d.test_x.shape[0] for d in seen]
-        bounds = np.cumsum([0] + sizes)
         per_task[t] = {
             d.task_id: float(np.mean(correct[bounds[j] : bounds[j + 1]]))
             for j, d in enumerate(seen)
@@ -156,11 +152,8 @@ def train_ncl_reference(
     if not tasks:
         raise MissingNclPrefix(f"stream has no tasks at or below {prefix}")
     pooled_classes = [c for d in tasks for c in d.classes]
-    class_pos = {c: j for j, c in enumerate(pooled_classes)}
     x = np.concatenate([d.train_x for d in tasks])
-    y = np.asarray(
-        [class_pos[int(c)] for d in tasks for c in d.train_y], dtype=np.int64
-    )
+    y = label_positions(np.concatenate([d.train_y for d in tasks]), pooled_classes)
 
     root = RngState(seed).stream(f"ncl-{prefix}")
     net = hat_mlp.new_hat_mlp(
@@ -184,18 +177,9 @@ def train_ncl_reference(
                 net, grads, _POOLED_HEAD_KEY, cfg.learning_rate, cfg.momentum, state
             )
 
-    accs: dict[int, float] = {}
-    n_correct = 0
-    n_total = 0
-    arr = np.asarray(pooled_classes, dtype=np.int64)
-    for d in tasks:
-        _, logits = hat_mlp.forward(net, d.test_x, _POOLED_HEAD_KEY)
-        picked = arr[np.argmax(logits[:, : arr.shape[0]], axis=1)]
-        correct = int(np.sum(picked == d.test_y))
-        accs[d.task_id] = correct / d.test_y.shape[0]
-        n_correct += correct
-        n_total += d.test_y.shape[0]
-    return accs, n_correct / n_total
+    hits = [_head_hits(net, _POOLED_HEAD_KEY, pooled_classes, d) for d in tasks]
+    accs = {d.task_id: float(np.mean(h)) for d, h in zip(tasks, hits)}
+    return accs, float(np.mean(np.concatenate(hits)))
 
 
 def build_ncl_reference(stream: TaskStream, cfg: TrainConfig, seed: int) -> NclReference:
@@ -263,12 +247,9 @@ def task_ood_aucs(
     in-distribution side, every other task's the out side.  ``bundle``, when
     given, must hold the scores of the stream's test rows pooled in task
     order; it is computed otherwise."""
-    sizes = [d.test_x.shape[0] for d in stream.tasks]
-    bounds = np.cumsum([0] + sizes)
+    x, _, bounds = pooled_test_rows(stream.tasks)
     if bundle is None:
-        bundle = scoring.compute_bundle(
-            ctx, np.concatenate([d.test_x for d in stream.tasks])
-        )
+        bundle = scoring.compute_bundle(ctx, x)
     matrix = scoring.task_score_matrix(ctx, bundle, score_kind)
     aucs: dict[int, float] = {}
     for j, d in enumerate(stream.tasks):
@@ -306,11 +287,19 @@ def encode_task_matrix(matrix: dict[int, dict[int, float]]) -> dict[str, dict[st
 
 
 def decode_task_matrix(payload: dict) -> dict[int, dict[int, float]]:
-    """Inverse of ``encode_task_matrix``."""
+    """Inverse of ``encode_task_matrix``; every value must be an accuracy."""
     return {
-        int(t): {int(i): float(v) for i, v in row.items()}
+        int(t): {int(i): check_accuracy(f"accuracy [{t}][{i}]", v) for i, v in row.items()}
         for t, row in payload.items()
     }
+
+
+def check_accuracy(name: str, v) -> float:
+    """Require a real number in [0, 1]; return it as a float."""
+    v = check_real(name, v)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+    return v
 
 
 @dataclass

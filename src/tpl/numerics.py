@@ -1,5 +1,6 @@
 """Shared numeric kernels: SPD inversion, the whitened Mahalanobis distance,
-stable reductions, seeded RNG streams.
+the diagonal-Gaussian log-density, the k-th-distance order statistic, stable
+reductions, seeded RNG streams.
 
 Conventions used throughout the package:
 
@@ -98,6 +99,25 @@ def mahalanobis_sq(x: np.ndarray, means: np.ndarray, precision: np.ndarray) -> n
         w = (x - mu) @ chol
         out[:, j] = np.sum(w * w, axis=1)
     return out
+
+
+def diag_gaussian_logpdf(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Log-density of each row of ``x`` [n, d] under N(mean, diag(var)): [n]."""
+    diff = x - mean
+    quad = np.sum(diff * diff / var, axis=1)
+    log_norm = float(np.sum(np.log(2.0 * math.pi * var)))
+    return -0.5 * (quad + log_norm)
+
+
+def kth_distance(d2: np.ndarray, k: int) -> np.ndarray:
+    """Square root of each row's k-th smallest squared distance in ``d2``
+    [n, m], clamped at 0 (the largest one when a row has fewer than k).
+
+    The clamp is applied after the selection: ``max(·, 0)`` is monotone, so
+    the result is bit-identical to selecting on clamped values, without an
+    [n, m] temporary."""
+    kth = min(k, d2.shape[1]) - 1
+    return np.sqrt(np.maximum(np.partition(d2, kth, axis=1)[:, kth], 0.0))
 
 
 def log_sum_exp(v: np.ndarray | Sequence[float]) -> float | np.ndarray:

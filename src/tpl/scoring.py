@@ -12,7 +12,7 @@ in-task route (scaled MLS) with the likelihood-ratio route (scaled MD plus
 the out-of-task KNN distance):
 
 * ``canonical`` variant: log(exp(b1*MLS) + exp(b2*MD + dKNN))
-* ``softmin`` variant:  -log(exp(-b1*MLS) + exp(-b2*MD - dKNN))
+* ``algorithm1`` variant: -log(exp(-b1*MLS) + exp(-b2*MD - dKNN))
 
 The task posterior is a temperature softmax over the per-task scores; final
 class probabilities multiply within-task probability by task posterior, then
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import hat_mlp
 from .errors import DimensionMismatch, EmptyBufferView, UnknownTask
-from .numerics import log_sum_exp, mahalanobis_sq, softmax
+from .numerics import kth_distance, log_sum_exp, mahalanobis_sq, softmax
 from .trainer import (
     MD_FLOOR, ReplayBuffer, RunArtifacts, TaskStats, TrainConfig, identity_calibration,
 )
@@ -88,9 +88,7 @@ def knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarr
     q = normalize_rows(queries)
     b = normalize_rows(index)
     # on the unit sphere: ||q - b||^2 = 2 - 2 q.b
-    d2 = np.maximum(2.0 - 2.0 * (q @ b.T), 0.0)
-    kth = min(k, index.shape[0]) - 1
-    return np.sqrt(np.partition(d2, kth, axis=1)[:, kth])
+    return kth_distance(2.0 - 2.0 * (q @ b.T), k)
 
 
 def tpl_score(
@@ -102,14 +100,14 @@ def tpl_score(
     variant: str = "canonical",
 ) -> np.ndarray:
     """Compose the in-task and likelihood-ratio routes into one task score:
-    the log-sum-exp OR-gate of the two routes, or (``softmin``) its
+    the log-sum-exp OR-gate of the two routes, or (``algorithm1``) its
     negation on the negated routes.  The rates broadcast against the scores,
     so one call can score every task column of an [n, T] matrix."""
     a = beta_mls * np.asarray(s_mls, dtype=np.float64)
     b = beta_md * np.asarray(s_md, dtype=np.float64) + np.asarray(d_knn, dtype=np.float64)
     if variant == "canonical":
         return log_sum_exp(np.stack([a, b], -1))
-    if variant == "softmin":
+    if variant == "algorithm1":
         return -log_sum_exp(np.stack([-a, -b], -1))
     raise ValueError(f"unknown score variant {variant!r}")
 
@@ -157,7 +155,7 @@ class ScoringContext:
 def build_context(
     net: hat_mlp.HatMlp,
     stats: dict[int, TaskStats],
-    buffer: ReplayBuffer | None,
+    buffer: ReplayBuffer,
     cfg: TrainConfig,
     task_classes: dict[int, tuple[int, ...]],
     calibration: dict[int, tuple[float, float]] | None = None,
@@ -179,7 +177,7 @@ def build_context(
     feat_dim = net.feature_dim
     index = {t: np.empty((0, feat_dim)) for t in task_ids}
     own = {t: np.empty((0, feat_dim)) for t in task_ids}
-    if buffer is not None and len(buffer) > 0:
+    if len(buffer) > 0:
         x, _, source = buffer.all_samples()
         for t in task_ids:
             feats = normalize_rows(hat_mlp.forward(net, x, t)[0])
@@ -306,23 +304,20 @@ def predict_from_bundle(
 
     columns = []
     col_class: list[int] = []
-    col_task: list[int] = []
+    col_pos: list[int] = []  # each column's task position in bundle.task_ids
     for j, t in enumerate(bundle.task_ids):
         sig1, sig2 = ctx.calibration[t]
         combined = bundle.wp[j] * post[:, j : j + 1]
         columns.append(sig1 * combined + sig2)
-        for c in ctx.task_classes[t]:
-            col_class.append(c)
-            col_task.append(t)
+        col_class.extend(ctx.task_classes[t])
+        col_pos.extend([j] * len(ctx.task_classes[t]))
     flat = np.concatenate(columns, axis=1)
     best = np.argmax(flat, axis=1)  # first max wins: lexicographic tie-break
-    task_arr = np.asarray(col_task, dtype=np.int64)[best]
-    task_pos = {t: j for j, t in enumerate(bundle.task_ids)}
-    p_task = post[np.arange(n), [task_pos[t] for t in task_arr]]
+    pos = np.asarray(col_pos, dtype=np.int64)[best]
     return Predictions(
         global_class=np.asarray(col_class, dtype=np.int64)[best],
-        task_id=task_arr,
-        p_task=p_task,
+        task_id=np.asarray(bundle.task_ids, dtype=np.int64)[pos],
+        p_task=post[np.arange(n), pos],
         posterior=post,
         calibrated=flat,
     )

@@ -20,7 +20,7 @@ from scipy.special import ndtr
 from scipy.stats import spearmanr
 
 from . import scoring, trainer
-from .data import TaskDataset
+from .data import TaskDataset, label_positions
 from .errors import (
     DimensionMismatch,
     IntegrationFailure,
@@ -28,14 +28,14 @@ from .errors import (
     NoVariance,
 )
 from .evaluation import ood_auc
-from .numerics import RngState, log_sum_exp, mahalanobis_sq
+from .numerics import (
+    RngState, diag_gaussian_logpdf, kth_distance, log_sum_exp, mahalanobis_sq,
+)
 
 #: Recognized scoring statistics, each a quadratic in x for 1-D pairs:
 #: the log likelihood ratio, the two single-density baselines it dominates,
 #: and the projection onto the difference of means.
 SCORER_NAMES = ("lr", "p_t_only", "p_tc_only_negated", "mean_difference")
-
-_SCORER_ALIASES = {"likelihood_ratio": "lr", "mean_distance": "mean_difference"}
 
 _ORACLE_ERROR_BUDGET = 1e-4
 _TAIL_SIGMAS = 12.0  # quadrature window half-width; mass beyond is < 4e-33
@@ -47,15 +47,9 @@ MIN_EMPIRICAL_N = 1000
 MIN_PROBES = 3
 
 
-def canonical_scorer(name: str) -> str:
-    """Resolve a scorer name (or alias) to its canonical spelling."""
-    resolved = _SCORER_ALIASES.get(name, name)
-    if resolved not in SCORER_NAMES:
-        raise ValueError(
-            f"unknown scorer {name!r}; expected one of {SCORER_NAMES} "
-            f"or aliases {tuple(_SCORER_ALIASES)}"
-        )
-    return resolved
+def _check_scorer(name: str) -> None:
+    if name not in SCORER_NAMES:
+        raise ValueError(f"unknown scorer {name!r}; expected one of {SCORER_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -155,34 +149,23 @@ def _as_points(pair: GaussianPair, x) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _diag_normal_logpdf(pts: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    diff = pts - mean
-    quad = np.sum(diff * diff / var, axis=1)
-    log_norm = float(np.sum(np.log(2.0 * math.pi * var)))
-    return -0.5 * (quad + log_norm)
-
-
 def log_likelihood_ratio(pair: GaussianPair, x):
     """log p_t(x) - log p_tc(x), exact; scalar in, scalar out."""
-    pts, single = _as_points(pair, x)
-    out = _diag_normal_logpdf(pts, pair.mean_t, pair.var_t) - _diag_normal_logpdf(
-        pts, pair.mean_c, pair.var_c
-    )
-    return float(out[0]) if single else out
+    return score_samples(pair, "lr", x)
 
 
 def score_samples(pair: GaussianPair, scorer: str, x):
     """Evaluate one of the family's statistics at ``x`` (any dimension)."""
-    name = canonical_scorer(scorer)
+    _check_scorer(scorer)
     pts, single = _as_points(pair, x)
-    if name == "lr":
-        out = _diag_normal_logpdf(pts, pair.mean_t, pair.var_t) - _diag_normal_logpdf(
+    if scorer == "lr":
+        out = diag_gaussian_logpdf(pts, pair.mean_t, pair.var_t) - diag_gaussian_logpdf(
             pts, pair.mean_c, pair.var_c
         )
-    elif name == "p_t_only":
-        out = _diag_normal_logpdf(pts, pair.mean_t, pair.var_t)
-    elif name == "p_tc_only_negated":
-        out = -_diag_normal_logpdf(pts, pair.mean_c, pair.var_c)
+    elif scorer == "p_t_only":
+        out = diag_gaussian_logpdf(pts, pair.mean_t, pair.var_t)
+    elif scorer == "p_tc_only_negated":
+        out = -diag_gaussian_logpdf(pts, pair.mean_c, pair.var_c)
     else:  # mean_difference
         out = pts @ (pair.mean_t - pair.mean_c)
     return float(out[0]) if single else out
@@ -192,18 +175,18 @@ def quadratic_coefficients(pair: GaussianPair, scorer: str) -> tuple[float, floa
     """The (a, b, c) of scorer(x) = a x^2 + b x + c for a one-dimensional pair."""
     if pair.dim != 1:
         raise DimensionMismatch("quadratic form exists only for 1-D pairs")
-    name = canonical_scorer(scorer)
+    _check_scorer(scorer)
     mt, vt = float(pair.mean_t[0]), float(pair.var_t[0])
     mc, vc = float(pair.mean_c[0]), float(pair.var_c[0])
-    if name == "lr":
+    if scorer == "lr":
         a = 0.5 / vc - 0.5 / vt
         b = mt / vt - mc / vc
         c = 0.5 * math.log(vc / vt) + mc * mc / (2.0 * vc) - mt * mt / (2.0 * vt)
-    elif name == "p_t_only":
+    elif scorer == "p_t_only":
         a = -0.5 / vt
         b = mt / vt
         c = -0.5 * math.log(2.0 * math.pi * vt) - mt * mt / (2.0 * vt)
-    elif name == "p_tc_only_negated":
+    elif scorer == "p_tc_only_negated":
         a = 0.5 / vc
         b = -mc / vc
         c = 0.5 * math.log(2.0 * math.pi * vc) + mc * mc / (2.0 * vc)
@@ -371,11 +354,9 @@ class DensityCheck:
 
 def fit_raw_feature_stats(dataset: TaskDataset, ridge: float = 1e-6) -> trainer.TaskStats:
     """Task statistics fitted directly on raw feature vectors (no network)."""
-    y_within = np.array(
-        [dataset.class_index(v) for v in dataset.train_y], dtype=np.int64
-    )
     means, precision = trainer.fit_gaussian_stats(
-        dataset.train_x, y_within, dataset.n_classes, ridge
+        dataset.train_x, label_positions(dataset.train_y, dataset.classes),
+        dataset.n_classes, ridge,
     )
     return trainer.TaskStats(
         task_id=dataset.task_id,
@@ -429,7 +410,7 @@ def density_estimator_check(
     probes = means[which] + np.sqrt(covs[which]) * noise
 
     per_class = np.stack(
-        [_diag_normal_logpdf(probes, means[i], covs[i]) for i in range(len(order))],
+        [diag_gaussian_logpdf(probes, means[i], covs[i]) for i in range(len(order))],
         axis=1,
     )
     mixture_logpdf = log_sum_exp(per_class) - math.log(len(order))
@@ -454,9 +435,7 @@ def density_estimator_check(
         - 2.0 * probes @ dataset.train_x.T
         + np.sum(dataset.train_x**2, axis=1)[None, :]
     )
-    kth = min(knn_k, dataset.train_x.shape[0]) - 1
-    gram.partition(kth, axis=1)
-    knn_dist = np.sqrt(np.maximum(gram[:, kth], 0.0))
+    knn_dist = kth_distance(gram, knn_k)
     knn_rho = float(spearmanr(-knn_dist, mixture_logpdf)[0])
     if not (np.isfinite(md_rho) and np.isfinite(knn_rho)):
         raise NoVariance("rank correlation undefined: a score column is constant")

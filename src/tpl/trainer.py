@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import hat_mlp
-from .data import TaskDataset, TaskStream
+from .data import TaskDataset, TaskStream, label_positions
 from .errors import DegenerateCovariance, EmptyTrainingSet, UnknownTask
 from .numerics import RngState, mahalanobis_sq, spd_inverse
 
@@ -29,7 +29,7 @@ _BETA_MEAN_FLOOR = 1e-6
 #: Squared Mahalanobis distances are floored here before the MD score inverts them.
 MD_FLOOR = 1e-12
 
-SCORE_VARIANTS = ("canonical", "softmin")
+SCORE_VARIANTS = ("canonical", "algorithm1")
 
 #: Integer fields of ``TrainConfig`` and the least value each accepts.
 _INT_FIELD_MINIMUMS = {
@@ -52,14 +52,16 @@ def check_int(name: str, v, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {v}")
 
 
-def check_real(name: str, v) -> None:
-    """Require a real number (not a bool) that is finite as a float."""
+def check_real(name: str, v) -> float:
+    """Require a real number (not a bool) that is finite as a float; return it
+    as a float."""
     try:
         ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         ok = False
     if not ok:
         raise ValueError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
 
 
 @dataclass
@@ -100,7 +102,8 @@ class TrainConfig:
         if self.ridge < 0 or self.hat_reg_weight < 0:
             raise ValueError("ridge and hat_reg_weight must be non-negative")
         if self.score_variant not in SCORE_VARIANTS:
-            raise ValueError(f"score_variant must be one of {SCORE_VARIANTS}")
+            raise ValueError(f"score_variant must be one of {SCORE_VARIANTS}, "
+                             f"got {self.score_variant!r}")
         if not isinstance(self.hidden_widths, (tuple, list)) or not self.hidden_widths:
             raise ValueError("hidden_widths must be a non-empty list")
         for i, w in enumerate(self.hidden_widths):
@@ -192,6 +195,20 @@ class ReplayBuffer:
             ts.append(np.full(arr.shape[0], self.task_of[c], dtype=np.int64))
         return np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
 
+    @classmethod
+    def from_samples(cls, capacity: int, x: np.ndarray, y: np.ndarray,
+                     task: np.ndarray) -> "ReplayBuffer":
+        """The buffer holding rows ``x`` of labels ``y`` from source tasks
+        ``task``, the inverse of ``all_samples``: classes in order of first
+        appearance, each class's source task read from its first row."""
+        buffer = cls(capacity)
+        for c in dict.fromkeys(y.tolist()):
+            rows = y == c
+            buffer.order.append(c)
+            buffer.task_of[c] = int(task[rows][0])
+            buffer.store[c] = x[rows]
+        return buffer
+
     def snapshot(self) -> "ReplayBuffer":
         return copy.deepcopy(self)
 
@@ -214,7 +231,7 @@ def train_task(
     if dataset.train_x.shape[0] == 0:
         raise EmptyTrainingSet(f"task {dataset.task_id} has no training samples")
     n_classes = dataset.n_classes
-    y_task = np.array([dataset.class_index(v) for v in dataset.train_y], dtype=np.int64)
+    y_task = label_positions(dataset.train_y, dataset.classes)
 
     buf_x, _, _ = buffer.all_samples()
     mask_others = buf_x.shape[0] == 0
@@ -278,7 +295,7 @@ def compute_task_stats(
     expanded quadratic form, which cancels near a centroid).
     """
     feats, logits = hat_mlp.forward(net, dataset.train_x, dataset.task_id)
-    y_within = np.array([dataset.class_index(v) for v in dataset.train_y], dtype=np.int64)
+    y_within = label_positions(dataset.train_y, dataset.classes)
     means, precision = fit_gaussian_stats(feats, y_within, dataset.n_classes, cfg.ridge)
 
     mls = np.max(logits[:, : dataset.n_classes], axis=1)
@@ -338,13 +355,12 @@ class RunArtifacts:
 
     config: TrainConfig
     stream: TaskStream
-    seed: int
     net: hat_mlp.HatMlp
     #: Per-task affine output calibration ``{task: (sigma1, sigma2)}`` covering
     #: every task; the identity unless it was fitted.
     calibration: dict[int, tuple[float, float]]
+    buffer: ReplayBuffer
     stats: dict[int, TaskStats] = field(default_factory=dict)
-    buffer: ReplayBuffer | None = None
     loss_history: dict[int, list[float]] = field(default_factory=dict)
     checkpoints: list[TaskCheckpoint] = field(default_factory=list)
 
@@ -377,7 +393,7 @@ def run_sequence(
     )
     buffer = ReplayBuffer(cfg.buffer_capacity)
     run = RunArtifacts(
-        config=cfg, stream=stream, seed=seed, net=net, buffer=buffer,
+        config=cfg, stream=stream, net=net, buffer=buffer,
         calibration=identity_calibration(d.task_id for d in stream.tasks),
     )
 

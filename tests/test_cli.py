@@ -77,14 +77,25 @@ def append_one_byte(path: Path) -> None:
     path.write_bytes(path.read_bytes() + b"\0")
 
 
-def rewrite_stats_bin(change):
-    """Corrupter rewriting a well-framed stats container whose arrays
-    ``change`` edits in place."""
+def rewrite_container(magic: bytes, change):
+    """Corrupter rewriting a well-framed container whose arrays ``change``
+    edits in place."""
     def corrupt(path: Path) -> None:
-        header, arrays = cli._read_container(path, cli._STATS_MAGIC)
+        header, arrays = cli._read_container(path, magic)
         change(arrays)
-        cli._write_container(path, cli._STATS_MAGIC, header, arrays)
+        cli._write_container(path, magic, header, arrays)
     return corrupt
+
+
+def rewrite_stats_bin(change):
+    return rewrite_container(cli._STATS_MAGIC, change)
+
+
+def set_first(array_name: str, value: float):
+    """Array edit setting the first entry of ``array_name`` to ``value``."""
+    def change(arrays) -> None:
+        arrays[array_name].flat[0] = value
+    return change
 
 
 def copy_sibling(name: str):
@@ -97,6 +108,20 @@ def drop_json_key(key: str):
     def corrupt(path: Path) -> None:
         payload = json.loads(path.read_text())
         del (payload[0] if isinstance(payload, list) else payload)[key]
+        path.write_text(json.dumps(payload))
+    return corrupt
+
+
+def set_json_value(key: str, value):
+    """Corrupter setting ``key`` of a JSON object, or of a list's first one;
+    a list value at ``key`` gets its first entry set instead."""
+    def corrupt(path: Path) -> None:
+        payload = json.loads(path.read_text())
+        target = payload[0] if isinstance(payload, list) else payload
+        if isinstance(target[key], list):
+            target[key][0] = value
+        else:
+            target[key] = value
         path.write_text(json.dumps(payload))
     return corrupt
 
@@ -135,8 +160,8 @@ class TestConfigParsing:
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",
                            **{"training.score_variant": "algorithm1"})
         rc = cli.load_run_config(cfg)
-        assert rc.training.score_variant == "softmin"
-        # and the resolved payload presents the public token again
+        # the published token is the internal name too
+        assert rc.training.score_variant == "algorithm1"
         assert cli.run_config_payload(rc)["training"]["score_variant"] == "algorithm1"
 
     def test_canonical_token_passes_through(self, tmp_path):
@@ -248,6 +273,7 @@ class TestExitCodes:
         ("dataset.test_per_class", True, "test_per_class"),
         ("dataset.covariance_diag", [True, 1, 1, 1, 1, 1], "covariance_diag[0]"),
         ("dataset.covariance_diag", [1, 1, 1, float("inf"), 1, 1], "covariance_diag[3]"),
+        ("training.score_variant", "softmin", "score_variant"),
     ])
     def test_mistyped_training_value_exits_2(self, tmp_path, key, value, field):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run", **{key: value})
@@ -307,11 +333,24 @@ class TestExitCodes:
             lambda a: a.update(class_means=a["class_means"][:-1]))),
         ("stats/task_1.bin", Path.unlink),
         ("stats/task_9.bin", copy_sibling("task_2.bin")),
+        ("calibration.json", set_json_value("sigma1", float("nan"))),
+        ("calibration.json", set_json_value("sigma2", True)),
+        ("stats/task_2.json", set_json_value("beta_md", float("nan"))),
+        ("stats/task_2.json", set_json_value("beta_md", "1e3")),
+        ("stats/task_1.bin", rewrite_stats_bin(set_first("class_means", float("nan")))),
+        ("model.bin", rewrite_container(cli._MODEL_MAGIC,
+                                        set_first("head_bias.2", float("inf")))),
+        ("trajectory.json", set_json_value("trajectory", float("nan"))),
+        ("trajectory.json", set_json_value("trajectory", 1.5)),
+        ("ncl cache", set_json_value("pooled", {"1": 1.5, "2": 0.5})),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
             "stats-bin-wrong-header-shape", "stats-bin-class-missing",
-            "stats-bin-missing", "stats-task-not-in-model"])
+            "stats-bin-missing", "stats-task-not-in-model",
+            "calibration-sigma1-nan", "calibration-sigma2-bool", "stats-beta_md-nan",
+            "stats-beta_md-string", "stats-bin-nan-mean", "model-inf-head-bias",
+            "trajectory-nan", "trajectory-above-one", "ncl-cache-above-one"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -322,6 +361,9 @@ class TestExitCodes:
             code, _, err = run_cli(*argv, "--run", str(bad_run), "--quiet")
             assert code == 0, err
             (path,) = ncl_dir.glob("ncl-*.json")
+        elif artifact == "trajectory.json":
+            path = bad_run / artifact
+            argv = ["eval", "--out", str(tmp_path / "m.json")]
         else:
             path = bad_run / artifact
             argv = ["predict", "--input", str(probe_file[0]),
@@ -597,25 +639,24 @@ def float_bits(*bits: int) -> np.ndarray:
     return np.array(bits, dtype=np.uint64).view(np.float64)
 
 
-# Any float64 bit pattern: -0.0, subnormals, infinities and NaN payloads.
-ANY_FLOAT64_ARRAY = hnp.arrays(
-    np.uint64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
-).map(lambda a: a.view(np.float64))
+# Any finite float64 bit pattern: -0.0, subnormals, the largest magnitudes.
+ANY_FINITE_FLOAT64_ARRAY = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestContainer:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(task_id=st.integers(-2**40, 2**40),
-           arrays=st.dictionaries(st.text(min_size=1, max_size=6), ANY_FLOAT64_ARRAY,
-                                  max_size=4))
+           arrays=st.dictionaries(st.text(min_size=1, max_size=6),
+                                  ANY_FINITE_FLOAT64_ARRAY, max_size=4))
     @example(task_id=0, arrays={
         "specials": float_bits(0x8000000000000000,   # -0.0
                                0x0000000000000001,   # smallest subnormal
                                0x000FFFFFFFFFFFFF,   # largest subnormal
-                               0x7FF0000000000001,   # signalling NaN, payload 1
-                               0xFFF8000000000ABC,   # negative quiet NaN, payload
-                               0xFFF0000000000000),  # -inf
+                               0xFFEFFFFFFFFFFFFF),  # most negative finite
         "empty": np.zeros((0, 3)),
         "empty-inner": np.zeros((2, 0, 5)),
         "scalar": np.array(-0.0),
@@ -642,6 +683,16 @@ class TestContainer:
             path.write_bytes(blob)
             with pytest.raises(ParseError, match=re.escape(str(path))):
                 cli._read_container(path, cli._STATS_MAGIC)
+
+    @pytest.mark.parametrize("bits", [0x7FF0000000000001, 0xFFF8000000000ABC,
+                                      0x7FF0000000000000, 0xFFF0000000000000],
+                             ids=["signalling-nan", "negative-nan-payload", "inf", "-inf"])
+    def test_non_finite_array_is_rejected(self, tmp_path, bits):
+        path = tmp_path / "c.bin"
+        values = np.concatenate([np.arange(3.0), float_bits(bits)])
+        cli._write_container(path, cli._STATS_MAGIC, {"task_id": 1}, {"a": values})
+        with pytest.raises(ParseError, match=re.escape(str(path)) + ".*non-finite"):
+            cli._read_container(path, cli._STATS_MAGIC)
 
     def test_wrong_magic_is_rejected(self, run_dir):
         with pytest.raises(ParseError, match="magic"):
@@ -786,7 +837,7 @@ def per_row_bench_report(run_dir) -> dict:
     single = len(run.stream) == 1
     scores, pairs = {}, []
     for label, kind in cli._BENCH_ROWS:
-        variant = "softmin" if label == "TPL-algorithm1" else "canonical"
+        variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
         ctx = scoring.build_context(
             run.net, run.stats, run.buffer,
             clone_config(rc.training, score_variant=variant), classes,

@@ -95,14 +95,16 @@ def test_generate_crowded_low_dim_escalates_radius():
             assert np.linalg.norm(means[i] - means[j]) >= 6.0 - 1e-9
 
 
-def test_class_index_mapping():
+def test_label_positions_mapping():
     s = small_stream()
     t2 = s.task(2)
     assert t2.classes == (2, 3)
-    assert t2.class_index(2) == 0
-    assert t2.class_index(3) == 1
-    with pytest.raises(UnknownTask):
-        t2.class_index(0)
+    pos = data.label_positions([3, 2, 3], t2.classes)
+    assert pos.dtype == np.int64
+    assert pos.tolist() == [1, 0, 1]
+    assert data.label_positions(np.empty(0, dtype=np.int64), t2.classes).tolist() == []
+    with pytest.raises(UnknownTask, match="label 0"):
+        data.label_positions([2, 0], t2.classes)
     with pytest.raises(UnknownTask):
         s.task(99)
 

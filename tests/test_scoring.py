@@ -11,7 +11,7 @@ from scipy.stats import spearmanr
 
 from tpl import data, hat_mlp, scoring, trainer
 from tpl.errors import EmptyBufferView, NotPositiveDefinite
-from tpl.numerics import RngState, mahalanobis_sq, softmax
+from tpl.numerics import RngState, kth_distance, mahalanobis_sq, softmax
 
 
 @pytest.fixture(scope="module")
@@ -211,13 +211,16 @@ def test_knn_distance_matches_bruteforce():
             assert math.isclose(got[i], expect, rel_tol=0, abs_tol=1e-9)
 
 
-def sorted_kth_distance(queries, index, k):
-    """The full-sort k-th distance, kept as the reference for the partition."""
+def unit_sphere_d2(queries, index):
     q = scoring.normalize_rows(queries)
     b = scoring.normalize_rows(index)
-    d2 = np.maximum(2.0 - 2.0 * (q @ b.T), 0.0)
-    d2.sort(axis=1)
-    return np.sqrt(d2[:, min(k, index.shape[0]) - 1])
+    return 2.0 - 2.0 * (q @ b.T)
+
+
+def sorted_kth_distance(d2, k):
+    """The full-sort k-th distance, kept as the reference for the partition."""
+    d2 = np.sort(np.maximum(d2, 0.0), axis=1)
+    return np.sqrt(d2[:, min(k, d2.shape[1]) - 1])
 
 
 def grid_rows(n, d):
@@ -242,8 +245,10 @@ def test_knn_partition_matches_full_sort_bitwise(k_vs_n, draws):
         k = n + draws.draw(st.integers(1, 5))
     queries = draws.draw(grid_rows(draws.draw(st.integers(1, 6)), d))
     index = draws.draw(grid_rows(n, d))
-    got = scoring.knn_kth_distance(queries, index, k)
-    assert np.array_equal(got, sorted_kth_distance(queries, index, k))
+    d2 = unit_sphere_d2(queries, index)
+    expected = sorted_kth_distance(d2, k)
+    assert np.array_equal(scoring.knn_kth_distance(queries, index, k), expected)
+    assert np.array_equal(kth_distance(d2, k), expected)
 
 
 # --- composed score ---------------------------------------------------------
@@ -252,7 +257,7 @@ def test_tpl_score_equal_routes():
     out = scoring.tpl_score(np.array([2.0]), np.array([2.0]), np.array([0.0]), 1.0, 1.0)
     assert math.isclose(out[0], 2.0 + math.log(2.0), rel_tol=1e-12)
     out_min = scoring.tpl_score(
-        np.array([2.0]), np.array([2.0]), np.array([0.0]), 1.0, 1.0, "softmin"
+        np.array([2.0]), np.array([2.0]), np.array([0.0]), 1.0, 1.0, "algorithm1"
     )
     assert math.isclose(out_min[0], 2.0 - math.log(2.0), rel_tol=1e-12)
 
@@ -267,7 +272,7 @@ def test_tpl_score_bounds_both_variants():
     hi = np.max(routes, axis=0)
     lo = np.min(routes, axis=0)
     canon = scoring.tpl_score(mls, md, knn, b1, b2, "canonical")
-    soft = scoring.tpl_score(mls, md, knn, b1, b2, "softmin")
+    soft = scoring.tpl_score(mls, md, knn, b1, b2, "algorithm1")
     assert np.all(canon >= hi - 1e-12)
     assert np.all(canon <= hi + math.log(2) + 1e-12)
     assert np.all(soft <= lo + 1e-12)

@@ -23,7 +23,7 @@ def two_task_stream(seed=1, dim=8, per_class=60):
 def til_accuracy(net, dataset):
     _, logits = hat_mlp.forward(net, dataset.test_x, dataset.task_id)
     pred = np.argmax(logits[:, : dataset.n_classes], axis=1)
-    truth = np.array([dataset.class_index(v) for v in dataset.test_y])
+    truth = data.label_positions(dataset.test_y, dataset.classes)
     return float(np.mean(pred == truth))
 
 
