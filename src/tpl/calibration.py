@@ -3,26 +3,33 @@
 Task models are trained separately, so the combined class values
 ``WP_j(x) * P(t|x)`` can sit on different scales per task.  A scale/shift
 pair per task, ``p = sigma1 * WP_j * P(t|x) + sigma2``, is fitted by plain
-SGD on the buffer cross-entropy; the final prediction takes an argmax over
-the raw calibrated values.  The combined value does not depend on the
-parameters being fitted, so it is read once per buffer sample from an
-uncalibrated ``scoring.predict`` and the descent itself is cheap vector
-arithmetic.
+SGD on the mean −log of each buffer sample's true-class value; the final
+prediction takes an argmax over the raw calibrated values.  The combined
+value does not depend on the parameters being fitted, so it is read once
+per buffer sample from an uncalibrated ``scoring.predict`` and the descent
+itself is cheap vector arithmetic.
 
 The fit keeps the best parameters seen against the full-buffer objective
-(identity included), so it can never end worse than no calibration.
+(identity included), so the fitted objective never ends worse than the
+identity's.  That holds for the objective, not for accuracy: the objective
+reads the true class's value alone and is not normalized over the classes,
+so it falls without bound as a task's sigma2 grows.  A runaway sigma2 makes
+that task win nearly every argmax, and the fit accepts it.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import scoring
 from .data import label_positions
 from .numerics import RngState, stable_mean
-from .trainer import RunArtifacts, identity_calibration
+
+if TYPE_CHECKING:
+    from .trainer import RunArtifacts
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +112,10 @@ def fit_calibration(
     run's replay buffer.
 
     A single-task run (or an empty buffer) yields the identity; the network,
-    stats, and buffer are never modified.
+    stats, and buffer are never modified.  The result never has a higher
+    objective than the identity, but it can have a lower accuracy: the
+    objective is not normalized over the classes and falls without bound as
+    a task's sigma2 grows (see the module docstring).
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -115,10 +125,10 @@ def fit_calibration(
         raise ValueError("learning rate must be positive")
     task_ids = run.task_ids()
     if len(task_ids) < 2:
-        return identity_calibration(task_ids)
+        return scoring.identity_calibration(task_ids)
     if len(run.buffer) == 0:
         logger.warning("calibration: empty replay buffer; keeping identity")
-        return identity_calibration(task_ids)
+        return scoring.identity_calibration(task_ids)
     base, tpos, ordered = _combined_values(run)
     s1, s2, _ = _sgd_fit(base, tpos, len(ordered), epochs, batch, lr, rng)
     return {t: (float(s1[j]), float(s2[j])) for j, t in enumerate(ordered)}
@@ -131,7 +141,7 @@ def buffer_cross_entropy(
     samples under the given (default identity) calibration."""
     base, tpos, ordered = _combined_values(run)
     if calibration is None:
-        calibration = identity_calibration(ordered)
+        calibration = scoring.identity_calibration(ordered)
     s1 = np.array([calibration[t][0] for t in ordered])
     s2 = np.array([calibration[t][1] for t in ordered])
     return _objective(base, tpos, s1, s2)

@@ -17,7 +17,8 @@ reproduce every downstream command without retraining.
                       apply it, ood-bench compares scores without it
 
 ``load_run`` checks the artifacts against the model (task sets, array shapes,
-exact container sizes) and checks their values (finite arrays, rates and
+exact container sizes), ``buffer.csv`` against the run (row count, each
+row's task and label) and checks their values (finite arrays, rates and
 calibration pairs; stored accuracies in [0, 1]).  The JSON artifacts besides
 ``config.json`` are read through ``_read_json``.  The config's ``score_variant`` is the published name
 (``canonical`` or ``algorithm1``) everywhere: config files, the package and
@@ -50,9 +51,8 @@ from .errors import (
 )
 from .evaluation import NclReference
 from .numerics import RngState
-from .trainer import (
-    ReplayBuffer, RunArtifacts, TaskStats, TrainConfig, check_int, check_real,
-)
+from .scoring import TaskStats
+from .trainer import ReplayBuffer, RunArtifacts, TrainConfig, check_int, check_real
 
 SCHEMA_VERSION = 1
 
@@ -398,8 +398,15 @@ def _write_buffer_csv(path: Path, buffer: ReplayBuffer) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _read_buffer_csv(path: Path, capacity: int) -> ReplayBuffer:
+def _read_buffer_csv(path: Path, capacity: int,
+                     task_classes: dict[int, tuple[int, ...]]) -> ReplayBuffer:
+    """The replay buffer stored in ``path``, checked against the run: at most
+    ``capacity`` rows, each from a task of ``task_classes`` with a label among
+    that task's classes."""
     values, labels, linenos = data._read_rows(path, None)
+    if values.shape[0] > capacity:
+        raise ParseError(f"{path}:{linenos[capacity]}: {values.shape[0]} rows, "
+                         f"more than buffer_capacity {capacity}")
     if values.shape[0] == 0:
         return ReplayBuffer(capacity)
     feats, tasks = values[:, :-1], values[:, -1]
@@ -407,6 +414,13 @@ def _read_buffer_csv(path: Path, capacity: int) -> ReplayBuffer:
     if feats.shape[1] == 0 or bad.size:
         line = linenos[bad[0] if bad.size else 0]
         raise ParseError(f"{path}:{line}: need label, features and an integer task")
+    for line, c, t in zip(linenos, labels.tolist(), tasks.tolist()):
+        if t not in task_classes:
+            raise ParseError(f"{path}:{line}: task {t:g} is not a task of this run "
+                             f"(tasks {sorted(task_classes)})")
+        if c not in task_classes[t]:
+            raise ParseError(f"{path}:{line}: label {c} is not a class of task {t:g} "
+                             f"(classes {list(task_classes[t])})")
     return ReplayBuffer.from_samples(capacity, feats, labels, tasks)
 
 
@@ -479,7 +493,8 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
         if path.suffix in (".json", ".bin") and path.name not in known:
             raise ParseError(f"{path}: not a task of this run (tasks {task_ids})")
     stats = {t: _load_stats(stats_dir, t, net) for t in task_ids}
-    buffer = _read_buffer_csv(run_dir / "buffer.csv", rc.training.buffer_capacity)
+    buffer = _read_buffer_csv(run_dir / "buffer.csv", rc.training.buffer_capacity,
+                              {d.task_id: d.classes for d in stream.tasks})
     path = run_dir / "calibration.json"
     calibration = _read_json(path, lambda records: {
         int(r["task_id"]): (check_real("sigma1", r["sigma1"]),

@@ -17,28 +17,52 @@ the out-of-task KNN distance):
 The task posterior is a temperature softmax over the per-task scores; final
 class probabilities multiply within-task probability by task posterior, then
 pass through the per-task affine calibration.
+
+``TaskStats``, the MD floor and the identity calibration are defined here,
+below ``calibration`` and ``trainer``, which fit through these definitions.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import hat_mlp
 from .errors import DimensionMismatch, EmptyBufferView, UnknownTask
 from .numerics import kth_distance, log_sum_exp, mahalanobis_sq, softmax
-from .trainer import (
-    MD_FLOOR, ReplayBuffer, RunArtifacts, TaskStats, TrainConfig, identity_calibration,
-)
+
+if TYPE_CHECKING:
+    from .trainer import ReplayBuffer, RunArtifacts, TrainConfig
 
 logger = logging.getLogger(__name__)
 
 _NORM_FLOOR = 1e-12
 
+#: Squared Mahalanobis distances are floored here before the MD score inverts them.
+MD_FLOOR = 1e-12
+
 #: Task-affinity score kinds usable for the posterior.
 SCORE_KINDS = ("tpl", "lr", "mls", "msp", "ebo", "md", "knn")
+
+
+@dataclass
+class TaskStats:
+    """Gaussian feature description of one task: per-class means, one shared
+    precision matrix, and the two score-normalization rates."""
+
+    task_id: int
+    class_means: np.ndarray      # [n_classes, feat_dim]
+    precision: np.ndarray        # [feat_dim, feat_dim]
+    beta_mls: float
+    beta_md: float
+
+
+def identity_calibration(task_ids) -> dict[int, tuple[float, float]]:
+    """The calibration that leaves every class value unchanged."""
+    return {int(t): (1.0, 0.0) for t in task_ids}
 
 
 def mls_score(logits: np.ndarray, n_classes: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from scipy.special import ndtr
 from scipy.stats import spearmanr
 
 from . import scoring, trainer
-from .data import TaskDataset, label_positions
+from .data import TaskDataset
 from .errors import (
     DimensionMismatch,
     IntegrationFailure,
@@ -352,24 +352,14 @@ class DensityCheck:
     n_used_md: int  # probes kept after dropping distance-floor saturation
 
 
-def fit_raw_feature_stats(dataset: TaskDataset, ridge: float = 1e-6) -> trainer.TaskStats:
+def fit_raw_feature_stats(dataset: TaskDataset, ridge: float = 1e-6) -> scoring.TaskStats:
     """Task statistics fitted directly on raw feature vectors (no network)."""
-    means, precision = trainer.fit_gaussian_stats(
-        dataset.train_x, label_positions(dataset.train_y, dataset.classes),
-        dataset.n_classes, ridge,
-    )
-    return trainer.TaskStats(
-        task_id=dataset.task_id,
-        class_means=means,
-        precision=precision,
-        beta_mls=1.0,
-        beta_md=1.0,
-    )
+    return trainer.fit_task_gaussian(dataset.train_x, dataset, ridge)
 
 
 def density_estimator_check(
     dataset: TaskDataset,
-    stats: trainer.TaskStats,
+    stats: scoring.TaskStats,
     n_probes: int,
     knn_k: int = 5,
     seed: int = 0,
@@ -423,7 +413,7 @@ def density_estimator_check(
     fitted_logpdf = -0.5 * (
         d2_min + dataset.dim * math.log(2.0 * math.pi) - logdet_precision
     )
-    keep = md < 1.0 / trainer.MD_FLOOR
+    keep = md < 1.0 / scoring.MD_FLOOR
     if int(np.sum(keep)) < 3:
         raise NoVariance("all probes saturated the distance floor")
     md_rho = float(spearmanr(md[keep], fitted_logpdf[keep])[0])

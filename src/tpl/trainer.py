@@ -17,17 +17,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import hat_mlp
+from . import calibration, hat_mlp
 from .data import TaskDataset, TaskStream, label_positions
 from .errors import DegenerateCovariance, EmptyTrainingSet, UnknownTask
-from .numerics import RngState, mahalanobis_sq, spd_inverse
+from .numerics import RngState, spd_inverse
+from .scoring import TaskStats, identity_calibration, md_score, mls_score
 
 logger = logging.getLogger(__name__)
 
 _BETA_MEAN_FLOOR = 1e-6
-
-#: Squared Mahalanobis distances are floored here before the MD score inverts them.
-MD_FLOOR = 1e-12
 
 SCORE_VARIANTS = ("canonical", "algorithm1")
 
@@ -108,19 +106,6 @@ class TrainConfig:
             raise ValueError("hidden_widths must be a non-empty list")
         for i, w in enumerate(self.hidden_widths):
             check_int(f"hidden_widths[{i}]", w, 1)
-
-
-
-@dataclass
-class TaskStats:
-    """Gaussian feature description of one task: per-class means, one shared
-    precision matrix, and the two score-normalization rates."""
-
-    task_id: int
-    class_means: np.ndarray      # [n_classes, feat_dim]
-    precision: np.ndarray        # [feat_dim, feat_dim]
-    beta_mls: float
-    beta_md: float
 
 
 class ReplayBuffer:
@@ -285,32 +270,33 @@ def _rate_from_mean(mean: float, label: str, task_id: int) -> float:
 def compute_task_stats(
     net: hat_mlp.HatMlp, dataset: TaskDataset, cfg: TrainConfig
 ) -> TaskStats:
-    """Fit the task's Gaussian feature description on its training data.
-
-    Shared covariance = within-class scatter averaged over all samples (one
-    matrix for the whole task), inverted with the configured ridge.  The MLS
-    and MD normalization rates are reciprocals of the mean training scores;
-    the MD rate reads its distances from ``numerics.mahalanobis_sq``, the one
-    whitened-difference kernel every MD score goes through (never the
-    expanded quadratic form, which cancels near a centroid).
+    """Fit the task's Gaussian feature description on the features of its
+    training data (``fit_task_gaussian``).  The MLS and MD normalization rates
+    are reciprocals of the mean training ``scoring.mls_score`` and
+    ``scoring.md_score``.
     """
     feats, logits = hat_mlp.forward(net, dataset.train_x, dataset.task_id)
-    y_within = label_positions(dataset.train_y, dataset.classes)
-    means, precision = fit_gaussian_stats(feats, y_within, dataset.n_classes, cfg.ridge)
-
-    mls = np.max(logits[:, : dataset.n_classes], axis=1)
-    beta_mls = _rate_from_mean(float(np.mean(mls)), "MLS", dataset.task_id)
-
-    d2 = np.maximum(np.min(mahalanobis_sq(feats, means, precision), axis=1), MD_FLOOR)
-    beta_md = _rate_from_mean(float(np.mean(1.0 / d2)), "MD", dataset.task_id)
-
-    return TaskStats(
-        task_id=dataset.task_id,
-        class_means=means,
-        precision=precision,
-        beta_mls=beta_mls,
-        beta_md=beta_md,
+    stats = fit_task_gaussian(feats, dataset, cfg.ridge)
+    mls = mls_score(logits, dataset.n_classes)
+    md = md_score(feats, stats)
+    return replace(
+        stats,
+        beta_mls=_rate_from_mean(float(np.mean(mls)), "MLS", dataset.task_id),
+        beta_md=_rate_from_mean(float(np.mean(md)), "MD", dataset.task_id),
     )
+
+
+def fit_task_gaussian(feats: np.ndarray, dataset: TaskDataset, ridge: float) -> TaskStats:
+    """Task statistics of ``dataset`` fitted on ``feats`` (one row per training
+    sample), with unit score rates.
+
+    Shared covariance = within-class scatter averaged over all samples (one
+    matrix for the whole task), inverted with ``ridge``.
+    """
+    means, precision = fit_gaussian_stats(
+        feats, label_positions(dataset.train_y, dataset.classes), dataset.n_classes, ridge
+    )
+    return TaskStats(dataset.task_id, means, precision, beta_mls=1.0, beta_md=1.0)
 
 
 def fit_gaussian_stats(
@@ -415,18 +401,11 @@ def run_sequence(
             )
         )
     if calibrate:
-        from . import calibration as _calibration  # deferred: breaks the import cycle
-
-        run.calibration = _calibration.fit_calibration(
+        run.calibration = calibration.fit_calibration(
             run, cfg.calibration_epochs, cfg.calibration_batch,
             cfg.calibration_lr, root.stream("calibration"),
         )
     return run
-
-
-def identity_calibration(task_ids) -> dict[int, tuple[float, float]]:
-    """The calibration that leaves every class value unchanged."""
-    return {int(t): (1.0, 0.0) for t in task_ids}
 
 
 def clone_config(cfg: TrainConfig, **overrides) -> TrainConfig:

@@ -126,6 +126,22 @@ def set_json_value(key: str, value):
     return corrupt
 
 
+def set_buffer_cell(row: int, col: int, value: str):
+    """Corrupter setting one cell of one row of a ``buffer.csv``."""
+    def corrupt(path: Path) -> None:
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
+
+
+def repeat_first_row(path: Path) -> None:
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines[:1]) + "\n")
+
+
 def run_cli(*argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -301,11 +317,7 @@ class TestExitCodes:
     def test_non_finite_buffer_cell_exits_3_with_line(self, run_dir, tmp_path):
         bad_run = tmp_path / "run"
         shutil.copytree(run_dir, bad_run)
-        lines = (bad_run / "buffer.csv").read_text().splitlines()
-        cells = lines[4].split(",")
-        cells[2] = "nan"
-        lines[4] = ",".join(cells)
-        (bad_run / "buffer.csv").write_text("\n".join(lines) + "\n")
+        set_buffer_cell(4, 2, "nan")(bad_run / "buffer.csv")
         probe = tmp_path / "in.csv"
         probe.write_text("0," + ",".join(["0.5"] * 6) + "\n")
         for argv in (["predict", "--input", str(probe), "--output", str(tmp_path / "p.csv")],
@@ -343,6 +355,9 @@ class TestExitCodes:
         ("trajectory.json", set_json_value("trajectory", float("nan"))),
         ("trajectory.json", set_json_value("trajectory", 1.5)),
         ("ncl cache", set_json_value("pooled", {"1": 1.5, "2": 0.5})),
+        ("buffer.csv", set_buffer_cell(0, -1, "3")),
+        ("buffer.csv", set_buffer_cell(-1, 0, "99")),
+        ("buffer.csv", repeat_first_row),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -350,7 +365,8 @@ class TestExitCodes:
             "stats-bin-missing", "stats-task-not-in-model",
             "calibration-sigma1-nan", "calibration-sigma2-bool", "stats-beta_md-nan",
             "stats-beta_md-string", "stats-bin-nan-mean", "model-inf-head-bias",
-            "trajectory-nan", "trajectory-above-one", "ncl-cache-above-one"])
+            "trajectory-nan", "trajectory-above-one", "ncl-cache-above-one",
+            "buffer-task-not-in-run", "buffer-label-not-in-task", "buffer-over-capacity"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -373,6 +389,21 @@ class TestExitCodes:
         assert code == 3, err
         assert str(path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("corrupt,where", [
+        (set_buffer_cell(0, -1, "3"), "buffer.csv:1: task 3 is not a task"),
+        (set_buffer_cell(-1, 0, "99"), "buffer.csv:60: label 99 is not a class of task 2"),
+        (repeat_first_row, "buffer.csv:61: 61 rows, more than buffer_capacity 60"),
+    ], ids=["task", "label", "capacity"])
+    def test_bad_buffer_row_exits_3_with_its_line(self, run_dir, probe_file, tmp_path,
+                                                 corrupt, where):
+        bad_run = tmp_path / "run"
+        shutil.copytree(run_dir, bad_run)
+        corrupt(bad_run / "buffer.csv")
+        code, _, err = run_cli("predict", "--run", str(bad_run), "--input",
+                               str(probe_file[0]), "--output", str(tmp_path / "p.csv"))
+        assert code == 3
+        assert where in err
 
     def test_model_tasks_must_match_the_config(self, run_dir, probe_file, tmp_path):
         bad_run = tmp_path / "run"

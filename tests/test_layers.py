@@ -1,0 +1,106 @@
+"""Package layering: each ``tpl`` module imports only the modules below it.
+
+Every intra-package import is read from the source with ``ast``, at module
+level and inside functions alike; imports under ``if TYPE_CHECKING:`` are
+for annotations only and are skipped.  The task-score definitions live in
+``scoring`` alone, so ``trainer`` fits its score rates through them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tpl
+
+#: The package's modules from the bottom layer up.
+LAYERS = ("errors", "numerics", "data", "hat_mlp", "scoring", "calibration",
+          "trainer", "evaluation", "theory_lab", "cli")
+
+SRC = Path(tpl.__file__).parent
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def is_type_checking_block(node: ast.AST) -> bool:
+    test = getattr(node, "test", None)
+    return isinstance(node, ast.If) and (
+        (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+        or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+    )
+
+
+def package_imports(node: ast.AST) -> set[str]:
+    """``tpl`` modules imported anywhere under ``node``, outside
+    ``if TYPE_CHECKING:`` blocks."""
+    found: set[str] = set()
+    for child in ast.iter_child_nodes(node):
+        if is_type_checking_block(child):
+            found |= set().union(*(package_imports(n) for n in child.orelse))
+            continue
+        if isinstance(child, ast.ImportFrom):
+            module = child.module or ""
+            if child.level == 0:
+                if module != "tpl" and not module.startswith("tpl."):
+                    continue
+                module = module[len("tpl."):]
+            if module:
+                found.add(module.split(".")[0])
+            else:  # ``from . import a, b``
+                found |= {alias.name for alias in child.names}
+        elif isinstance(child, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in child.names
+                      if alias.name.startswith("tpl.")}
+        found |= package_imports(child)
+    return found
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+    assert package_imports(ast.parse((SRC / "__init__.py").read_text())) == set()
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_module_imports_only_lower_layers(module):
+    below = set(LAYERS[: LAYERS.index(module)])
+    above = package_imports(parse(module)) - below
+    assert not above, f"tpl.{module} imports {sorted(above)}, which are not below it"
+
+
+def test_type_checking_imports_are_skipped():
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from .trainer import RunArtifacts\n"
+        "def f():\n    from . import calibration, cli\n"
+        "    import tpl.data\n"
+    )
+    assert package_imports(tree) == {"calibration", "cli", "data"}
+
+
+@pytest.mark.parametrize("name", ["MD_FLOOR", "TaskStats", "identity_calibration"])
+def test_score_definitions_live_in_scoring_alone(name):
+    homes = [m for m in LAYERS if name in top_level_names(parse(m))]
+    assert homes == ["scoring"]
+
+
+def test_trainer_fits_rates_through_the_scoring_kernels():
+    """No inline max-logit or floored inverse-distance expression in trainer."""
+    tree = parse("trainer")
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not {"MD_FLOOR", "mahalanobis_sq"} & (names | attrs)
+    assert "max" not in attrs  # np.max over logits is scoring.mls_score
+    assert {"mls_score", "md_score"} <= names
