@@ -7,20 +7,26 @@ reproduce every downstream command without retraining.
 
     config.json       resolved run configuration (schema-versioned)
     model.bin         network weights/embeddings/masks, versioned binary
-    stats/task_T.json per-task score rates (task_id, beta_mls, beta_md)
+    stats/task_T.json per-task class ids and score rates (task_id, classes,
+                      beta_mls, beta_md)
     stats/task_T.bin  per-task class means and shared precision, in the
                       container model.bin uses (header + little-endian f8)
-    buffer.csv        replay samples: label, features..., source task
+    buffer.bin        replay samples (x, labels, source tasks) in that container
+    buffer.csv        the same samples as text (label, features..., source
+                      task), an export that is never read back
     trajectory.json   accuracy trajectory captured during training
     calibration.json  per-task affine output calibration, always written (the
                       identity when ``calibrate`` is false); eval and predict
                       apply it, ood-bench compares scores without it
 
-``load_run`` checks the artifacts against the model (task sets, array shapes,
-exact container sizes), ``buffer.csv`` against the run (row count, each
-row's task and label) and checks their values (finite arrays, rates and
-calibration pairs; stored accuracies in [0, 1]).  The JSON artifacts besides
-``config.json`` are read through ``_read_json``.  The config's ``score_variant`` is the published name
+``load_run`` reads only the run directory, never the dataset: ``predict`` and
+``dump-features --input`` need no data, and the commands that score test
+rows rebuild the stream with ``_test_stream``.  It checks the artifacts
+against the model (task sets, class ids, array shapes, exact container
+sizes), ``buffer.bin`` against the run (row count, each row's task and
+label) and checks their values (finite arrays, rates and calibration pairs;
+stored accuracies in [0, 1]).  The JSON artifacts besides ``config.json``
+are read through ``_read_json``.  The config's ``score_variant`` is the published name
 (``canonical`` or ``algorithm1``) everywhere: config files, the package and
 the reports.  Exit codes: 0 success, 2 configuration error, 3 runtime failure
 (a malformed or mismatched run-directory artifact included: the error names
@@ -58,6 +64,7 @@ SCHEMA_VERSION = 1
 
 _MODEL_MAGIC = b"TPLM"
 _STATS_MAGIC = b"TPLS"
+_BUFFER_MAGIC = b"TPLB"
 _CONTAINER_VERSION = 1
 
 _TOP_KEYS = {"schema_version", "seed", "out_dir", "calibrate", "dataset", "training"}
@@ -306,7 +313,8 @@ def _write_container(path: Path, magic: bytes, header: dict,
 def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """The (header, arrays) pair ``_write_container`` wrote, bit for bit; a
     file whose size differs from what its header declares, or an array
-    holding a nan or inf, is malformed."""
+    holding a nan or inf, is malformed (the error names the first such
+    entry, e.g. ``x[3, 0]``)."""
     raw = path.read_bytes()
     with _reading(path):
         if raw[:4] != magic:
@@ -325,13 +333,16 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
         if len(raw) != size:
             raise ParseError(f"{path}: {len(raw)} bytes, its header declares {size}")
         values = np.frombuffer(raw, dtype="<f8", offset=offset)
-        if not np.isfinite(values).all():
-            raise ValueError("an array holds a non-finite value")
+        finite = bool(np.isfinite(values).all())
         arrays: dict[str, np.ndarray] = {}
         for entry, shape in zip(entries, shapes):
             count = math.prod(shape)
             arrays[entry["name"]] = values[:count].reshape(shape).astype(np.float64)
             values = values[count:]
+        if not finite:
+            name, a = next((n, a) for n, a in arrays.items() if not np.isfinite(a).all())
+            index = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
+            raise ValueError(f"{name}{[int(i) for i in index]} holds a non-finite value")
         return header, arrays
 
 
@@ -398,50 +409,82 @@ def _write_buffer_csv(path: Path, buffer: ReplayBuffer) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _read_buffer_csv(path: Path, capacity: int,
-                     task_classes: dict[int, tuple[int, ...]]) -> ReplayBuffer:
+def _save_buffer(path: Path, buffer: ReplayBuffer) -> None:
+    x, labels, tasks = buffer.all_samples()
+    _write_container(path, _BUFFER_MAGIC, {}, {"x": x, "labels": labels, "tasks": tasks})
+
+
+def _load_buffer(path: Path, capacity: int, input_dim: int,
+                 task_classes: dict[int, tuple[int, ...]]) -> ReplayBuffer:
     """The replay buffer stored in ``path``, checked against the run: at most
-    ``capacity`` rows, each from a task of ``task_classes`` with a label among
-    that task's classes."""
-    values, labels, linenos = data._read_rows(path, None)
-    if values.shape[0] > capacity:
-        raise ParseError(f"{path}:{linenos[capacity]}: {values.shape[0]} rows, "
+    ``capacity`` rows of ``input_dim`` features, each from a task of
+    ``task_classes`` with an integer label among that task's classes.  An
+    error names the first bad row, counting from 0."""
+    if not path.is_file():
+        raise ParseError(f"{path}: missing (run directories written before the "
+                         "replay buffer moved to a binary file lack it); retrain the run")
+    _, arrays = _read_container(path, _BUFFER_MAGIC)
+    with _reading(path):
+        x, labels, tasks = arrays["x"], arrays["labels"], arrays["tasks"]
+        n = labels.shape[0] if labels.ndim == 1 else -1
+        if (x.ndim != 2 or x.shape[0] != n or tasks.shape != (n,)
+                or (n > 0 and x.shape[1] != input_dim)):
+            raise ValueError(f"x {list(x.shape)}, labels {list(labels.shape)} and tasks "
+                             f"{list(tasks.shape)}; need [n, {input_dim}], [n] and [n]")
+    if n > capacity:
+        raise ParseError(f"{path}: row {capacity}: {n} rows, "
                          f"more than buffer_capacity {capacity}")
-    if values.shape[0] == 0:
-        return ReplayBuffer(capacity)
-    feats, tasks = values[:, :-1], values[:, -1]
-    bad = np.flatnonzero(tasks != np.floor(tasks))
-    if feats.shape[1] == 0 or bad.size:
-        line = linenos[bad[0] if bad.size else 0]
-        raise ParseError(f"{path}:{line}: need label, features and an integer task")
-    for line, c, t in zip(linenos, labels.tolist(), tasks.tolist()):
-        if t not in task_classes:
-            raise ParseError(f"{path}:{line}: task {t:g} is not a task of this run "
-                             f"(tasks {sorted(task_classes)})")
-        if c not in task_classes[t]:
-            raise ParseError(f"{path}:{line}: label {c} is not a class of task {t:g} "
-                             f"(classes {list(task_classes[t])})")
-    return ReplayBuffer.from_samples(capacity, feats, labels, tasks)
+    classes = np.array([c for t in task_classes for c in task_classes[t]], dtype=np.float64)
+    owners = np.array([t for t in task_classes for _ in task_classes[t]], dtype=np.float64)
+    for ok, problem in (
+        ((labels == np.floor(labels)) & (tasks == np.floor(tasks)),
+         "label {c!r} and task {t!r} must be integers"),
+        (np.isin(tasks, list(task_classes)), "task {t:g} is not a task of this run "
+                                             "(tasks {tasks})"),
+        (((labels[:, None] == classes) & (tasks[:, None] == owners)).any(axis=1),
+         "label {c:g} is not a class of task {t:g} (classes {classes})"),
+    ):
+        if not ok.all():
+            row = int(np.argmin(ok))
+            c, t = float(labels[row]), float(tasks[row])
+            raise ParseError(f"{path}: row {row}: " + problem.format(
+                c=c, t=t, tasks=list(task_classes),
+                classes=list(task_classes.get(int(t), ()))))
+    return ReplayBuffer.from_samples(capacity, x, labels.astype(np.int64),
+                                     tasks.astype(np.int64))
 
 
-def _save_stats(stats_dir: Path, st: TaskStats) -> None:
+def _save_stats(stats_dir: Path, st: TaskStats, classes: tuple[int, ...]) -> None:
     t = st.task_id
     (stats_dir / f"task_{t}.json").write_text(_dump_json(
-        {"task_id": t, "beta_mls": st.beta_mls, "beta_md": st.beta_md}
+        {"task_id": t, "classes": list(classes),
+         "beta_mls": st.beta_mls, "beta_md": st.beta_md}
     ), encoding="utf-8")
     _write_container(stats_dir / f"task_{t}.bin", _STATS_MAGIC, {"task_id": t},
                      {"class_means": st.class_means, "precision": st.precision})
 
 
-def _load_stats(stats_dir: Path, t: int, net: hat_mlp.HatMlp) -> TaskStats:
-    """Task ``t``'s statistics, checked against the model's head and width."""
-    def decode(payload) -> tuple[float, float]:
+def _load_stats(stats_dir: Path, t: int,
+                net: hat_mlp.HatMlp) -> tuple[TaskStats, tuple[int, ...]]:
+    """Task ``t``'s statistics and class ids, checked against the model's
+    head and width."""
+    n_classes = net.heads[t].n_classes
+
+    def decode(payload) -> tuple[float, float, tuple[int, ...]]:
         if payload["task_id"] != t:
             raise ValueError(f"task_id {payload['task_id']!r}, expected {t}")
+        if "classes" not in payload:
+            raise ValueError("no 'classes' key (run directories written before class "
+                             "ids were stored lack it); retrain the run")
+        classes = payload["classes"]
+        if (not isinstance(classes, list) or len(classes) != n_classes
+                or not all(type(c) is int for c in classes)):
+            raise ValueError(f"classes {classes!r}; the model's head needs "
+                             f"{n_classes} integer class ids")
         return (check_real("beta_mls", payload["beta_mls"]),
-                check_real("beta_md", payload["beta_md"]))
+                check_real("beta_md", payload["beta_md"]), tuple(classes))
 
-    beta_mls, beta_md = _read_json(stats_dir / f"task_{t}.json", decode)
+    beta_mls, beta_md, classes = _read_json(stats_dir / f"task_{t}.json", decode)
     path = stats_dir / f"task_{t}.bin"
     if not path.is_file():
         raise ParseError(f"{path}: missing (run directories written before task "
@@ -456,8 +499,9 @@ def _load_stats(stats_dir: Path, t: int, net: hat_mlp.HatMlp) -> TaskStats:
             if arrays[name].shape != shape:
                 raise ValueError(f"{name} has shape {list(arrays[name].shape)}, "
                                  f"the model needs {list(shape)}")
-    return TaskStats(task_id=t, class_means=arrays["class_means"],
-                     precision=arrays["precision"], beta_mls=beta_mls, beta_md=beta_md)
+    stats = TaskStats(task_id=t, class_means=arrays["class_means"],
+                      precision=arrays["precision"], beta_mls=beta_mls, beta_md=beta_md)
+    return stats, classes
 
 
 def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> None:
@@ -467,8 +511,9 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> N
                                      encoding="utf-8")
     save_model(out / "model.bin", run.net)
     for t in sorted(run.stats):
-        _save_stats(out / "stats", run.stats[t])
-    _write_buffer_csv(out / "buffer.csv", run.buffer)
+        _save_stats(out / "stats", run.stats[t], run.task_classes[t])
+    _save_buffer(out / "buffer.bin", run.buffer)
+    _write_buffer_csv(out / "buffer.csv", run.buffer)  # export only; never read back
     (out / "trajectory.json").write_text(_dump_json(trajectory), encoding="utf-8")
     records = [{"task_id": t, "sigma1": s1, "sigma2": s2}
                for t, (s1, s2) in sorted(run.calibration.items())]
@@ -480,21 +525,31 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
     if not run_dir.is_dir():
         raise ConfigError(f"run directory {run_dir} does not exist")
     rc = load_run_config(run_dir / "config.json")
-    stream = build_stream(rc)
-    task_ids = [d.task_id for d in stream.tasks]
     path = run_dir / "model.bin"
     net = load_model(path)
-    if net.task_ids() != task_ids:
-        raise ParseError(f"{path}: holds tasks {net.task_ids()}, "
-                         f"the run has tasks {task_ids}")
+    task_ids = net.task_ids()
+    if rc.dataset["kind"] == "synthetic":
+        expected = list(range(1, rc.dataset["n_tasks"] + 1))
+        if task_ids != expected:
+            raise ParseError(f"{path}: holds tasks {task_ids}, "
+                             f"the run has tasks {expected}")
     stats_dir = run_dir / "stats"
     known = {f"task_{t}{ext}" for t in task_ids for ext in (".json", ".bin")}
     for path in sorted(stats_dir.glob("task_*")):
         if path.suffix in (".json", ".bin") and path.name not in known:
             raise ParseError(f"{path}: not a task of this run (tasks {task_ids})")
-    stats = {t: _load_stats(stats_dir, t, net) for t in task_ids}
-    buffer = _read_buffer_csv(run_dir / "buffer.csv", rc.training.buffer_capacity,
-                              {d.task_id: d.classes for d in stream.tasks})
+    stats: dict[int, TaskStats] = {}
+    task_classes: dict[int, tuple[int, ...]] = {}
+    owner: dict[int, int] = {}
+    for t in task_ids:
+        stats[t], task_classes[t] = _load_stats(stats_dir, t, net)
+        for c in task_classes[t]:
+            if c in owner:
+                raise ParseError(f"{stats_dir / f'task_{t}.json'}: class {c} is "
+                                 f"already listed under task {owner[c]}")
+            owner[c] = t
+    buffer = _load_buffer(run_dir / "buffer.bin", rc.training.buffer_capacity,
+                          net.input_dim, task_classes)
     path = run_dir / "calibration.json"
     calibration = _read_json(path, lambda records: {
         int(r["task_id"]): (check_real("sigma1", r["sigma1"]),
@@ -506,13 +561,24 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
                          f"the run has tasks {task_ids}")
     run = RunArtifacts(
         config=rc.training,
-        stream=stream,
+        task_classes=task_classes,
         net=net,
         stats=stats,
         buffer=buffer,
         calibration=calibration,
     )
     return run, rc
+
+
+def _test_stream(run: RunArtifacts, rc: RunConfig) -> data.TaskStream:
+    """The run's data stream, rebuilt from its config for the commands that
+    score test rows; its tasks and classes must be the ones the run stored."""
+    stream = build_stream(rc)
+    classes = {d.task_id: d.classes for d in stream.tasks}
+    if classes != run.task_classes:
+        raise ParseError(f"the dataset's tasks and classes {classes} differ from "
+                         f"the run's {run.task_classes}")
+    return stream
 
 
 def _load_trajectory(run_dir: Path) -> tuple[list[float], dict[int, dict[int, float]]]:
@@ -540,7 +606,7 @@ def cmd_train(args) -> int:
     payload: dict = {"score_kind": "tpl", "calibrated": rc.calibrate,
                      "trajectory": [], "per_task": {}, "til": {}}
     if has_tests:
-        trajectory, per_task = evaluation.accuracy_trajectory(run, "tpl")
+        trajectory, per_task = evaluation.accuracy_trajectory(run, stream, "tpl")
         payload["trajectory"] = trajectory
         payload["per_task"] = evaluation.encode_task_matrix(per_task)
         payload["til"] = {
@@ -585,9 +651,10 @@ def cmd_eval(args) -> int:
     stored = _load_trajectory(run_dir)
     if not stored[0]:
         raise EmptyTestSet("run has no stored trajectory (trained without tests)")
+    stream = _test_stream(run, rc)
     ncl_dir = getattr(args, "ncl", None)
-    ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), run.stream, rc)
-    report = evaluation.compute_report(run, ncl, trajectory=stored)
+    ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), stream, rc)
+    report = evaluation.compute_report(run, stream, ncl, trajectory=stored)
     out = Path(getattr(args, "out", None) or run_dir / "metrics.json")
     out.write_text(_dump_json(report.as_dict()), encoding="utf-8")
     _say(args, f"A_last {report.a_last:.6f}")
@@ -623,26 +690,25 @@ def cmd_predict(args) -> int:
 
 def cmd_ood_bench(args) -> int:
     run_dir = Path(args.run)
-    run, _rc = load_run(run_dir)
+    run, rc = load_run(run_dir)
+    stream = _test_stream(run, rc)
     # Score kinds are compared uncalibrated on a shared model so each row
     # differs only in the task-id score.  The variants share one context's
     # KNN indexes, and the score bundle depends on neither the score kind nor
     # the variant, so one bundle over the pooled test rows serves every row.
     shared = scoring.context_from_run(run, calibrated=False)
-    bundle = scoring.compute_bundle(shared, data.pooled_test_rows(run.stream.tasks)[0])
-    single = len(run.stream) == 1
+    bundle = scoring.compute_bundle(shared, data.pooled_test_rows(stream.tasks)[0])
+    single = len(stream) == 1
     scores: dict[str, dict] = {}
     pairs: list[tuple[float, float]] = []
     for label, kind in _BENCH_ROWS:
         variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
         ctx = dataclasses.replace(shared, variant=variant)
-        acc = evaluation.cil_accuracy(ctx, run.stream.tasks, kind, bundle=bundle)
+        acc = evaluation.cil_accuracy(ctx, stream.tasks, kind, bundle=bundle)
         if single:
             per_task, mean_auc = {}, None
         else:
-            aucs, mean_auc = evaluation.task_ood_aucs(
-                ctx, run.stream, kind, bundle=bundle
-            )
+            aucs, mean_auc = evaluation.task_ood_aucs(ctx, stream, kind, bundle=bundle)
             per_task = {str(t): v for t, v in sorted(aucs.items())}
             pairs.append((mean_auc, acc))
         scores[label] = {
@@ -769,7 +835,7 @@ def cmd_theory_check(args) -> int:
 
 def cmd_dump_features(args) -> int:
     run_dir = Path(args.run)
-    run, _rc = load_run(run_dir)
+    run, rc = load_run(run_dir)
     t = args.task_id
     run.net.require_task(t)
     if getattr(args, "input", None):
@@ -780,7 +846,7 @@ def cmd_dump_features(args) -> int:
                 f"model expects {run.net.input_dim}"
             )
     else:
-        dataset = run.stream.task(t)
+        dataset = _test_stream(run, rc).task(t)
         x, labels = dataset.test_x, dataset.test_y
         if x.shape[0] == 0:
             raise EmptyTestSet(f"task {t} has no test samples to dump")

@@ -263,12 +263,11 @@ def generate_gaussian_stream(
     return TaskStream(tasks=tasks)
 
 
-def _read_rows(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Parse ``label,v0,v1,...`` CSV rows into (values, labels, 1-based line
-    numbers); blank lines are skipped and an empty file gives zero rows.
-    Malformed or non-finite rows raise ``ParseError`` naming their line; a
-    row with other than ``width`` values (default: the first row's count)
-    raises ``DimensionMismatch``."""
+def _read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a non-empty ``label,f0,f1,...`` feature CSV into (features,
+    labels); blank lines are skipped.  Malformed or non-finite rows raise
+    ``ParseError`` naming their 1-based line; a row with other than ``width``
+    features (default: the first row's count) raises ``DimensionMismatch``."""
     xs: list[list[float]] = []
     ys: list[int] = []
     linenos: list[int] = []
@@ -294,20 +293,14 @@ def _read_rows(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray, l
             xs.append(feats)
             ys.append(label)
             linenos.append(lineno)
-    x = np.asarray(xs, dtype=np.float64).reshape(len(xs), width or 0)
+    if not xs:
+        raise ParseError(f"{path}: no samples")
+    x = np.asarray(xs, dtype=np.float64)
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         bad = linenos[int(np.argmin(finite))]
         raise ParseError(f"{path}:{bad}: non-finite feature value (nan or inf)")
-    return x, np.asarray(ys, dtype=np.int64), linenos
-
-
-def _read_feature_file(path: Path, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a non-empty ``label,f0,f1,...`` feature CSV (see ``_read_rows``)."""
-    x, y, _ = _read_rows(path, dim)
-    if x.shape[0] == 0:
-        raise ParseError(f"{path}: no samples")
-    return x, y
+    return x, np.asarray(ys, dtype=np.int64)
 
 
 def load_feature_stream(manifest_path: str | Path) -> TaskStream:

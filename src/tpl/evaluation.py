@@ -82,23 +82,24 @@ def _head_hits(net: hat_mlp.HatMlp, head: int, classes, dataset: TaskDataset):
 # --- trajectory -------------------------------------------------------------
 
 def accuracy_trajectory(
-    run: RunArtifacts, score_kind: str = "tpl"
+    run: RunArtifacts, stream: TaskStream, score_kind: str = "tpl"
 ) -> tuple[list[float], dict[int, dict[int, float]]]:
     """Pooled accuracy after each task, plus the full per-task matrix.
 
     Returns ``(trajectory, per_task)``: ``trajectory[k]`` is the pooled
-    accuracy over tasks 1..t_k evaluated at checkpoint t_k, and
-    ``per_task[t][i]`` is task i's test accuracy at checkpoint t.  Each
-    checkpoint is scored with its own network, stats and buffer.  Output
-    calibration is fitted once, after the last task, so only the final
-    checkpoint applies ``run.calibration``; earlier ones use the identity.
+    accuracy over tasks 1..t_k evaluated at checkpoint t_k on ``stream``'s
+    test rows, and ``per_task[t][i]`` is task i's test accuracy at
+    checkpoint t.  Each checkpoint is scored with its own network, stats and
+    buffer.  Output calibration is fitted once, after the last task, so only
+    the final checkpoint applies ``run.calibration``; earlier ones use the
+    identity.
     """
     task_ids = run.task_ids()
     trajectory: list[float] = []
     per_task: dict[int, dict[int, float]] = {}
     for t in task_ids:
         cp = run.checkpoint_for(t)
-        seen = [d for d in run.stream.tasks if d.task_id <= t]
+        seen = [d for d in stream.tasks if d.task_id <= t]
         ctx = scoring.build_context(
             cp.net, cp.stats, cp.buffer, run.config,
             {d.task_id: d.classes for d in seen},
@@ -341,22 +342,24 @@ class MetricsReport:
 
 def compute_report(
     run: RunArtifacts,
+    stream: TaskStream,
     ncl: NclReference | None = None,
     score_kind: str = "tpl",
     trajectory: tuple[list[float], dict[int, dict[int, float]]] | None = None,
 ) -> MetricsReport:
-    """All metrics for a finished run (forgetting only when a reference is
-    supplied; detection AUC only when the run has more than one task).
+    """All metrics for a finished run on ``stream``'s test rows (forgetting
+    only when a reference is supplied; detection AUC only when the run has
+    more than one task).
 
     ``trajectory`` is ``accuracy_trajectory``'s result stored at train time;
     without it the trajectory is recomputed from the run's checkpoints."""
     if trajectory is None:
-        trajectory = accuracy_trajectory(run, score_kind)
+        trajectory = accuracy_trajectory(run, stream, score_kind)
     accs, per_task = trajectory
-    til = til_accuracies(run.net, run.stream.tasks)
+    til = til_accuracies(run.net, stream.tasks)
     ood, ood_mean = {}, None
-    if len(run.stream) > 1:
-        ood, ood_mean = task_ood_aucs(scoring.context_from_run(run), run.stream, score_kind)
+    if len(stream) > 1:
+        ood, ood_mean = task_ood_aucs(scoring.context_from_run(run), stream, score_kind)
     f_last = f_aia = None
     if ncl is not None:
         f_last, f_aia = forgetting_rates(per_task, ncl)

@@ -235,9 +235,9 @@ def context_from_run(run: RunArtifacts, calibrated: bool = True) -> ScoringConte
     """Context for a finished run, with its output calibration unless
     ``calibrated`` is off (score-kind comparisons and the calibration fit
     itself read the raw class values)."""
-    classes = {t: run.stream.task(t).classes for t in run.task_ids()}
     calibration = run.calibration if calibrated else None
-    return build_context(run.net, run.stats, run.buffer, run.config, classes, calibration)
+    return build_context(run.net, run.stats, run.buffer, run.config,
+                         run.task_classes, calibration)
 
 
 def compute_bundle(ctx: ScoringContext, x: np.ndarray) -> ScoreBundle:

@@ -340,7 +340,10 @@ class RunArtifacts:
     """Everything a finished continual run produced."""
 
     config: TrainConfig
-    stream: TaskStream
+    #: Each task's global class ids ``{task: classes}``, in training order.
+    #: The test data stays with the ``TaskStream``; commands that score test
+    #: rows pass it alongside the run.
+    task_classes: dict[int, tuple[int, ...]]
     net: hat_mlp.HatMlp
     #: Per-task affine output calibration ``{task: (sigma1, sigma2)}`` covering
     #: every task; the identity unless it was fitted.
@@ -351,7 +354,7 @@ class RunArtifacts:
     checkpoints: list[TaskCheckpoint] = field(default_factory=list)
 
     def task_ids(self) -> list[int]:
-        return [t.task_id for t in self.stream.tasks]
+        return list(self.task_classes)
 
     def checkpoint_for(self, task_id: int) -> TaskCheckpoint:
         for cp in self.checkpoints:
@@ -379,7 +382,8 @@ def run_sequence(
     )
     buffer = ReplayBuffer(cfg.buffer_capacity)
     run = RunArtifacts(
-        config=cfg, stream=stream, net=net, buffer=buffer,
+        config=cfg, task_classes={d.task_id: d.classes for d in stream.tasks},
+        net=net, buffer=buffer,
         calibration=identity_calibration(d.task_id for d in stream.tasks),
     )
 

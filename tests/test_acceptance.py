@@ -54,12 +54,12 @@ def bench_stream(seed: int) -> data.TaskStream:
     )
 
 
-def last_cil(run: trainer.RunArtifacts, kind: str) -> float:
+def last_cil(run: trainer.RunArtifacts, stream: data.TaskStream, kind: str) -> float:
     """Final-checkpoint class-incremental accuracy, uncalibrated context."""
-    classes = {t: run.stream.task(t).classes for t in run.task_ids()}
+    classes = run.task_classes
     ctx = scoring.build_context(run.net, run.stats, run.buffer, run.config,
                                 classes, calibration=None)
-    return evaluation.cil_accuracy(ctx, run.stream.tasks, kind)
+    return evaluation.cil_accuracy(ctx, stream.tasks, kind)
 
 
 @pytest.fixture(scope="session")
@@ -156,7 +156,7 @@ def test_criterion_03_operating_point():
 
 def test_criterion_04_interference_freedom(bench_run, bench_cfg):
     start = time.perf_counter()
-    stream = bench_run.stream
+    stream = bench_stream(BENCH_SEED)
     max_til_drift = 0.0
     max_logit_drift = 0.0
     classes_final = {t: stream.task(t).classes for t in bench_run.task_ids()}
@@ -189,7 +189,7 @@ def test_criterion_05_ablation_ordering(seed_runs):
     accs = {kind: [] for kind in ("tpl", "lr", "mls")}
     for seed in SEEDS:
         for kind in accs:
-            accs[kind].append(last_cil(seed_runs[seed], kind))
+            accs[kind].append(last_cil(seed_runs[seed], bench_stream(seed), kind))
     means = {kind: stable_mean(v) for kind, v in accs.items()}
     worst_inversion = 0.0
     for seed_idx in range(len(SEEDS)):
@@ -207,7 +207,7 @@ def test_criterion_05_ablation_ordering(seed_runs):
 
 
 def test_criterion_06_forgetting_identity(bench_run, ncl_ref):
-    trajectory, per_task = evaluation.accuracy_trajectory(bench_run, "tpl")
+    trajectory, per_task = evaluation.accuracy_trajectory(bench_run, bench_stream(BENCH_SEED), "tpl")
     f_last, _ = evaluation.forgetting_rates(per_task, ncl_ref)
     final = bench_run.task_ids()[-1]
     gap = abs(f_last - (ncl_ref.pooled[final] - trajectory[-1]))
@@ -218,7 +218,7 @@ def test_criterion_06_forgetting_identity(bench_run, ncl_ref):
 
 def test_criterion_07_trajectory_mean_consistency(bench_run, ncl_ref):
     run = bench_run
-    report = evaluation.compute_report(run, ncl_ref)
+    report = evaluation.compute_report(run, bench_stream(BENCH_SEED), ncl_ref)
     gap = abs(report.a_aia - stable_mean(report.trajectory))
     ok = gap <= 1e-12
     record(7, "average incremental accuracy is the trajectory mean", ok,
@@ -334,8 +334,8 @@ def test_criterion_10_bitwise_determinism(tmp_path_factory):
 
 
 def test_criterion_11_replay_size_robustness(seed_runs, half_buffer_runs):
-    tpl_half = stable_mean([last_cil(half_buffer_runs[s], "tpl") for s in SEEDS])
-    mls_full = stable_mean([last_cil(seed_runs[s], "mls") for s in SEEDS])
+    tpl_half = stable_mean([last_cil(half_buffer_runs[s], bench_stream(s), "tpl") for s in SEEDS])
+    mls_full = stable_mean([last_cil(seed_runs[s], bench_stream(s), "mls") for s in SEEDS])
     ok = tpl_half >= mls_full
     record(11, "half-buffer composite still beats full-buffer logit-only", ok,
            f"composite@half {tpl_half:.4f} >= logit-only@full {mls_full:.4f} "

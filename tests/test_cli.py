@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tpl import cli, evaluation, scoring, theory_lab, trainer
+from tpl import cli, data, evaluation, scoring, theory_lab, trainer
 from tpl.errors import ConfigError, DegenerateVariance, ParseError
 from tpl.trainer import clone_config
 
@@ -43,7 +43,7 @@ BASE_CONFIG = {
     },
 }
 
-RUN_FILES = ("config.json", "model.bin", "buffer.csv", "trajectory.json",
+RUN_FILES = ("config.json", "model.bin", "buffer.bin", "buffer.csv", "trajectory.json",
              "calibration.json")
 
 
@@ -126,20 +126,54 @@ def set_json_value(key: str, value):
     return corrupt
 
 
-def set_buffer_cell(row: int, col: int, value: str):
-    """Corrupter setting one cell of one row of a ``buffer.csv``."""
-    def corrupt(path: Path) -> None:
-        lines = path.read_text().splitlines()
-        cells = lines[row].split(",")
-        cells[col] = value
-        lines[row] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-    return corrupt
+def rewrite_buffer_bin(change):
+    return rewrite_container(cli._BUFFER_MAGIC, change)
 
 
-def repeat_first_row(path: Path) -> None:
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines + lines[:1]) + "\n")
+def set_buffer_entry(array_name: str, index, value: float):
+    """``buffer.bin`` corrupter setting one entry of one of its arrays."""
+    def change(arrays) -> None:
+        arrays[array_name][index] = value
+    return rewrite_buffer_bin(change)
+
+
+def _append_first_row(arrays) -> None:
+    for name, a in arrays.items():
+        arrays[name] = np.concatenate([a, a[:1]])
+
+
+repeat_first_row = rewrite_buffer_bin(_append_first_row)
+
+
+def write_manifest_dataset(root: Path) -> Path:
+    """A 2-task dataset of 3-feature CSVs under ``root`` (classes 0, 1 and
+    2, 3; 30 train and 15 test rows per class); returns its manifest."""
+    root.mkdir(parents=True)
+    rng = np.random.default_rng(0)
+    centers = {0: np.array([4.0, 0.0, 0.0]), 1: np.array([0.0, 4.0, 0.0]),
+               2: np.array([0.0, 0.0, 4.0]), 3: np.array([-4.0, 0.0, 0.0])}
+
+    def write_split(name, classes, per_class):
+        lines = []
+        for c in classes:
+            for _ in range(per_class):
+                row = centers[c] + rng.normal(size=3)
+                lines.append(",".join([str(c)] + [repr(float(v)) for v in row]))
+        (root / name).write_text("\n".join(lines) + "\n")
+
+    for t, classes in ((1, (0, 1)), (2, (2, 3))):
+        write_split(f"t{t}_train.csv", classes, 30)
+        write_split(f"t{t}_test.csv", classes, 15)
+    (root / "manifest.json").write_text(json.dumps({
+        "dim": 3,
+        "tasks": [
+            {"task_id": 1, "classes": [0, 1],
+             "train": "t1_train.csv", "test": "t1_test.csv"},
+            {"task_id": 2, "classes": [2, 3],
+             "train": "t2_train.csv", "test": "t2_test.csv"},
+        ],
+    }))
+    return root / "manifest.json"
 
 
 def run_cli(*argv) -> tuple[int, str, str]:
@@ -317,7 +351,7 @@ class TestExitCodes:
     def test_non_finite_buffer_cell_exits_3_with_line(self, run_dir, tmp_path):
         bad_run = tmp_path / "run"
         shutil.copytree(run_dir, bad_run)
-        set_buffer_cell(4, 2, "nan")(bad_run / "buffer.csv")
+        set_buffer_entry("x", (4, 1), float("nan"))(bad_run / "buffer.bin")
         probe = tmp_path / "in.csv"
         probe.write_text("0," + ",".join(["0.5"] * 6) + "\n")
         for argv in (["predict", "--input", str(probe), "--output", str(tmp_path / "p.csv")],
@@ -325,7 +359,8 @@ class TestExitCodes:
                       "--scatter", str(tmp_path / "s.csv")]):
             code, _, err = run_cli(*argv, "--run", str(bad_run))
             assert code == 3
-            assert "buffer.csv:5: non-finite" in err
+            assert f"{bad_run / 'buffer.bin'}: malformed" in err
+            assert "x[4, 1] holds a non-finite value" in err
         assert not any((tmp_path / name).exists() for name in ("p.csv", "b.json", "s.csv"))
 
     @pytest.mark.parametrize("artifact,corrupt", [
@@ -355,9 +390,16 @@ class TestExitCodes:
         ("trajectory.json", set_json_value("trajectory", float("nan"))),
         ("trajectory.json", set_json_value("trajectory", 1.5)),
         ("ncl cache", set_json_value("pooled", {"1": 1.5, "2": 0.5})),
-        ("buffer.csv", set_buffer_cell(0, -1, "3")),
-        ("buffer.csv", set_buffer_cell(-1, 0, "99")),
-        ("buffer.csv", repeat_first_row),
+        ("buffer.bin", set_buffer_entry("tasks", 0, 3.0)),
+        ("buffer.bin", set_buffer_entry("labels", -1, 99.0)),
+        ("buffer.bin", repeat_first_row),
+        ("buffer.bin", Path.unlink),
+        ("buffer.bin", lambda path: path.write_bytes(cli._STATS_MAGIC + path.read_bytes()[4:])),
+        ("buffer.bin", rewrite_buffer_bin(lambda a: a.update(x=a["x"][:, :-1]))),
+        ("stats/task_2.json", drop_json_key("classes")),
+        ("stats/task_2.json", set_json_value("classes", 2.0)),
+        ("stats/task_2.json", lambda path: path.write_text(
+            json.dumps({**json.loads(path.read_text()), "classes": [2, 3, 4]}))),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -366,7 +408,10 @@ class TestExitCodes:
             "calibration-sigma1-nan", "calibration-sigma2-bool", "stats-beta_md-nan",
             "stats-beta_md-string", "stats-bin-nan-mean", "model-inf-head-bias",
             "trajectory-nan", "trajectory-above-one", "ncl-cache-above-one",
-            "buffer-task-not-in-run", "buffer-label-not-in-task", "buffer-over-capacity"])
+            "buffer-task-not-in-run", "buffer-label-not-in-task", "buffer-over-capacity",
+            "buffer-bin-missing", "buffer-bin-wrong-magic", "buffer-bin-wrong-width",
+            "stats-no-classes", "stats-class-not-integer",
+            "stats-classes-more-than-the-head"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -391,19 +436,62 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt,where", [
-        (set_buffer_cell(0, -1, "3"), "buffer.csv:1: task 3 is not a task"),
-        (set_buffer_cell(-1, 0, "99"), "buffer.csv:60: label 99 is not a class of task 2"),
-        (repeat_first_row, "buffer.csv:61: 61 rows, more than buffer_capacity 60"),
-    ], ids=["task", "label", "capacity"])
+        (set_buffer_entry("tasks", 0, 3.0), "row 0: task 3 is not a task of this run"),
+        (set_buffer_entry("labels", -1, 99.0),
+         "row 59: label 99 is not a class of task 2 (classes [2, 3])"),
+        (repeat_first_row, "row 60: 61 rows, more than buffer_capacity 60"),
+        (set_buffer_entry("labels", 7, 0.5), "row 7: label 0.5 and task 1.0 must be integers"),
+        (set_buffer_entry("tasks", 59, 1.0), "row 59: label 3 is not a class of task 1"),
+    ], ids=["task", "label", "capacity", "fractional-label", "label-of-another-task"])
     def test_bad_buffer_row_exits_3_with_its_line(self, run_dir, probe_file, tmp_path,
                                                  corrupt, where):
         bad_run = tmp_path / "run"
         shutil.copytree(run_dir, bad_run)
-        corrupt(bad_run / "buffer.csv")
+        corrupt(bad_run / "buffer.bin")
         code, _, err = run_cli("predict", "--run", str(bad_run), "--input",
                                str(probe_file[0]), "--output", str(tmp_path / "p.csv"))
         assert code == 3
-        assert where in err
+        assert f"{bad_run / 'buffer.bin'}: {where}" in err
+
+    def test_class_listed_under_two_tasks_exits_3(self, run_dir, probe_file, tmp_path):
+        bad_run = tmp_path / "run"
+        shutil.copytree(run_dir, bad_run)
+        set_json_value("classes", 1)(bad_run / "stats" / "task_2.json")
+        code, _, err = run_cli("predict", "--run", str(bad_run), "--input",
+                               str(probe_file[0]), "--output", str(tmp_path / "p.csv"))
+        assert code == 3
+        path = bad_run / "stats" / "task_2.json"
+        assert f"{path}: class 1 is already listed under task 1" in err
+
+    def test_run_directory_without_stored_classes_or_buffer_bin_asks_to_retrain(
+            self, run_dir, probe_file, tmp_path):
+        # the layout before class ids and the binary buffer were stored
+        old_run = tmp_path / "run"
+        shutil.copytree(run_dir, old_run)
+        (old_run / "buffer.bin").unlink()
+        argv = ["predict", "--run", str(old_run), "--input", str(probe_file[0]),
+                "--output", str(tmp_path / "p.csv")]
+        code, _, err = run_cli(*argv)
+        assert code == 3
+        assert f"{old_run / 'buffer.bin'}: missing" in err and "retrain the run" in err
+        for t in (1, 2):
+            drop_json_key("classes")(old_run / "stats" / f"task_{t}.json")
+        code, _, err = run_cli(*argv)
+        assert code == 3
+        assert f"{old_run / 'stats' / 'task_1.json'}: malformed" in err
+        assert "retrain the run" in err
+
+    def test_eval_rejects_a_dataset_whose_classes_differ_from_the_run(self, run_dir,
+                                                                      tmp_path):
+        bad_run = tmp_path / "run"
+        shutil.copytree(run_dir, bad_run)
+        # both classes stay in task 2, so the buffer still loads
+        stats = bad_run / "stats" / "task_2.json"
+        stats.write_text(json.dumps({**json.loads(stats.read_text()), "classes": [3, 2]}))
+        code, _, err = run_cli("eval", "--run", str(bad_run), "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert "differ from the run's" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_model_tasks_must_match_the_config(self, run_dir, probe_file, tmp_path):
         bad_run = tmp_path / "run"
@@ -520,32 +608,9 @@ class TestTrain:
         assert "out" in err
 
     def test_manifest_dataset_trains_and_evals(self, tmp_path):
-        rng = np.random.default_rng(0)
-        centers = {0: np.array([4.0, 0.0, 0.0]), 1: np.array([0.0, 4.0, 0.0]),
-                   2: np.array([0.0, 0.0, 4.0]), 3: np.array([-4.0, 0.0, 0.0])}
-
-        def write_split(name, classes, per_class):
-            lines = []
-            for c in classes:
-                for _ in range(per_class):
-                    row = centers[c] + rng.normal(size=3)
-                    lines.append(",".join([str(c)] + [repr(float(v)) for v in row]))
-            (tmp_path / name).write_text("\n".join(lines) + "\n")
-
-        for t, classes in ((1, (0, 1)), (2, (2, 3))):
-            write_split(f"t{t}_train.csv", classes, 30)
-            write_split(f"t{t}_test.csv", classes, 15)
-        (tmp_path / "manifest.json").write_text(json.dumps({
-            "dim": 3,
-            "tasks": [
-                {"task_id": 1, "classes": [0, 1],
-                 "train": "t1_train.csv", "test": "t1_test.csv"},
-                {"task_id": 2, "classes": [2, 3],
-                 "train": "t2_train.csv", "test": "t2_test.csv"},
-            ],
-        }))
+        write_manifest_dataset(tmp_path / "data")
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",
-                           dataset={"kind": "manifest", "path": "manifest.json"},
+                           dataset={"kind": "manifest", "path": "data/manifest.json"},
                            **{"training.epochs": 15, "training.buffer_capacity": 40})
         code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
         assert code == 0, err
@@ -580,7 +645,8 @@ class TestPersistence:
         assert sorted(run.buffer.task_of.values()) == [1, 1, 2, 2]
         assert set(run.calibration) == {1, 2}
         ctx = scoring.context_from_run(run, calibrated=rc.calibrate)
-        ds = run.stream.tasks[0]
+        assert run.task_classes == {1: (0, 1), 2: (2, 3)}
+        ds = cli.build_stream(rc).tasks[0]
         preds = scoring.predict(ctx, ds.test_x)
         assert np.mean(preds.global_class == ds.test_y) >= 0.9
 
@@ -605,7 +671,9 @@ class TestPersistence:
         loaded, _ = cli.load_run(run_dir)
         for t in (1, 2):
             payload = json.loads((run_dir / "stats" / f"task_{t}.json").read_text())
-            assert set(payload) == {"task_id", "beta_mls", "beta_md"}
+            assert set(payload) == {"task_id", "classes", "beta_mls", "beta_md"}
+            assert tuple(payload["classes"]) == trained.task_classes[t]
+            assert loaded.task_classes[t] == trained.task_classes[t]
             got, want = loaded.stats[t], trained.stats[t]
             for name in ("class_means", "precision"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -631,6 +699,45 @@ class TestPersistence:
         code, _, err = run_cli("predict", "--run", str(tmp_path / "run"), "--input",
                                str(probe), "--output", str(tmp_path / "p.csv"))
         assert code == 0, err
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(x=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(6)),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)),
+           picks=st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    def test_buffer_round_trips_bit_for_bit(self, run_dir, tmp_path, x, picks):
+        run, rc = cli.load_run(run_dir)
+        owner = {c: t for t, classes in run.task_classes.items() for c in classes}
+        labels = np.array(sorted(owner), dtype=np.int64)[picks[: x.shape[0]]]
+        tasks = np.array([owner[c] for c in labels.tolist()], dtype=np.int64)
+        run.buffer = trainer.ReplayBuffer.from_samples(
+            rc.training.buffer_capacity, x, labels, tasks)
+        cli.save_run(run, rc, tmp_path / "run", {})
+        loaded, _ = cli.load_run(tmp_path / "run")
+        assert loaded.buffer.capacity == run.buffer.capacity
+        assert loaded.buffer.task_of == run.buffer.task_of
+        for got, want in zip(loaded.buffer.all_samples(), run.buffer.all_samples()):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_every_buffer_bin_prefix_and_one_extra_byte_exit_3(self, run_dir, probe_file,
+                                                               tmp_path):
+        run, rc = cli.load_run(run_dir)
+        x, labels, tasks = run.buffer.all_samples()
+        run.buffer = trainer.ReplayBuffer.from_samples(
+            rc.training.buffer_capacity, x[:2], labels[:2], tasks[:2])
+        out = tmp_path / "run"
+        cli.save_run(run, rc, out, {})
+        path = out / "buffer.bin"
+        raw = path.read_bytes()
+        argv = ["predict", "--run", str(out), "--input", str(probe_file[0]),
+                "--output", str(tmp_path / "p.csv")]
+        assert run_cli(*argv)[0] == 0
+        for blob in [raw[:k] for k in range(len(raw))] + [raw + b"\0"]:
+            path.write_bytes(blob)
+            code, _, err = run_cli(*argv)
+            assert code == 3, len(blob)
+            assert str(path) in err
 
     def test_second_save_is_byte_identical(self, run_dir, tmp_path):
         run, rc = cli.load_run(run_dir)
@@ -775,7 +882,7 @@ class TestEval:
             code, _, err = run_cli("eval", "--run", str(run_dir), "--out", str(out),
                                    "--quiet", *ncl_argv)
             assert code == 0, err
-            expected = evaluation.compute_report(run, ref)
+            expected = evaluation.compute_report(run, stream, ref)
             assert json.loads(out.read_text()) == expected.as_dict()
 
     def test_single_task_metrics_have_no_detection_auc(self, single_task_run_dir,
@@ -804,8 +911,7 @@ class TestEval:
 
 @pytest.fixture(scope="module")
 def probe_file(run_dir, tmp_path_factory):
-    run, _ = cli.load_run(run_dir)
-    ds = run.stream.tasks[1]
+    ds = cli.build_stream(cli.load_run_config(run_dir / "config.json")).tasks[1]
     path = tmp_path_factory.mktemp("probe") / "probe.csv"
     lines = [
         ",".join([str(int(y))] + [repr(float(v)) for v in row])
@@ -831,6 +937,50 @@ class TestPredict:
         assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
         predicted = np.array([int(r[1]) for r in rows])
         assert np.mean(predicted == labels) >= 0.9
+
+    def test_predict_builds_no_stream(self, run_dir, probe_file, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((cli, "build_stream"), (data, "generate_gaussian_stream")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        code, _, err = run_cli("predict", "--run", str(run_dir), "--input",
+                               str(probe_file[0]), "--output", str(tmp_path / "p.csv"))
+        assert code == 0, err
+        assert calls == []
+
+    def test_predict_and_dump_features_need_no_dataset(self, tmp_path):
+        manifest = write_manifest_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           dataset={"kind": "manifest", "path": str(manifest)},
+                           **{"training.epochs": 4, "training.buffer_capacity": 40})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        probe = tmp_path / "probe.csv"
+        shutil.copy(tmp_path / "data" / "t2_test.csv", probe)
+        commands = {
+            "pred.csv": ["predict", "--output"],
+            "feat.csv": ["dump-features", "--task-id", "2", "--quiet", "--out"],
+        }
+
+        def outputs() -> dict[str, bytes]:
+            got = {}
+            for name, argv in commands.items():
+                out = tmp_path / name
+                code, _, err = run_cli(*argv, str(out), "--run", str(tmp_path / "run"),
+                                       "--input", str(probe))
+                assert code == 0, err
+                got[name] = out.read_bytes()
+            return got
+
+        before = outputs()
+        shutil.rmtree(tmp_path / "data")
+        assert outputs() == before
+        # eval scores the test rows, so it still needs the dataset
+        code, _, err = run_cli("eval", "--run", str(tmp_path / "run"), "--quiet")
+        assert code == 3
+        assert str(manifest) in err
 
     def test_predictions_deterministic(self, run_dir, probe_file, tmp_path):
         path, _ = probe_file
@@ -864,8 +1014,9 @@ def per_row_bench_report(run_dir) -> dict:
     """The ood-bench report rebuilt row by row: every row scores the pooled
     test rows afresh through ``cil_accuracy`` and ``task_ood_aucs``."""
     run, rc = cli.load_run(run_dir)
-    classes = {t: run.stream.task(t).classes for t in run.task_ids()}
-    single = len(run.stream) == 1
+    stream = cli.build_stream(rc)
+    classes = {d.task_id: d.classes for d in stream.tasks}
+    single = len(stream) == 1
     scores, pairs = {}, []
     for label, kind in cli._BENCH_ROWS:
         variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
@@ -873,10 +1024,10 @@ def per_row_bench_report(run_dir) -> dict:
             run.net, run.stats, run.buffer,
             clone_config(rc.training, score_variant=variant), classes,
         )
-        acc = evaluation.cil_accuracy(ctx, run.stream.tasks, kind)
+        acc = evaluation.cil_accuracy(ctx, stream.tasks, kind)
         per_task, mean_auc = {}, None
         if not single:
-            aucs, mean_auc = evaluation.task_ood_aucs(ctx, run.stream, kind)
+            aucs, mean_auc = evaluation.task_ood_aucs(ctx, stream, kind)
             per_task = {str(t): v for t, v in sorted(aucs.items())}
             pairs.append((mean_auc, acc))
         scores[label] = {"auc_per_task": per_task, "auc_mean": mean_auc,
@@ -1048,8 +1199,7 @@ class TestDumpFeatures:
         assert (run_dir / "features_task_1.csv").is_file()
 
     def test_explicit_input_is_projected(self, run_dir, tmp_path):
-        run, _ = cli.load_run(run_dir)
-        ds = run.stream.tasks[0]
+        ds = cli.build_stream(cli.load_run_config(run_dir / "config.json")).tasks[0]
         probe = tmp_path / "probe.csv"
         lines = [
             ",".join([str(int(y))] + [repr(float(v)) for v in row])

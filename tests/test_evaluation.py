@@ -17,11 +17,15 @@ from tpl.numerics import RngState
 
 
 @pytest.fixture(scope="module")
-def run():
-    stream = data.generate_gaussian_stream(
+def stream():
+    return data.generate_gaussian_stream(
         n_tasks=2, classes_per_task=2, dim=6, separation=6.0,
         samples_per_class_train=40, samples_per_class_test=20, rng=RngState(2),
     )
+
+
+@pytest.fixture(scope="module")
+def run(stream):
     cfg = trainer.TrainConfig(
         epochs=20, batch_size=32, hidden_widths=(24, 24), buffer_capacity=80,
         calibration_epochs=30,
@@ -30,8 +34,8 @@ def run():
 
 
 @pytest.fixture(scope="module")
-def ncl(run):
-    return evaluation.build_ncl_reference(run.stream, run.config, seed=11)
+def ncl(run, stream):
+    return evaluation.build_ncl_reference(stream, run.config, seed=11)
 
 
 # --- AUC --------------------------------------------------------------------
@@ -158,19 +162,19 @@ def test_forgetting_missing_prefix():
 
 # --- accuracies on a real run -----------------------------------------------
 
-def test_cil_and_til_accuracy_high_on_separable_run(run):
+def test_cil_and_til_accuracy_high_on_separable_run(run, stream):
     ctx = scoring.context_from_run(run)
-    acc = evaluation.cil_accuracy(ctx, list(run.stream.tasks))
+    acc = evaluation.cil_accuracy(ctx, list(stream.tasks))
     assert acc >= 0.9
-    for d in run.stream.tasks:
+    for d in stream.tasks:
         assert evaluation.til_accuracy(ctx, d.task_id, d) >= 0.95
 
 
-def test_cil_accuracy_empty_inputs(run):
+def test_cil_accuracy_empty_inputs(run, stream):
     ctx = scoring.context_from_run(run)
     with pytest.raises(EmptyTestSet):
         evaluation.cil_accuracy(ctx, [])
-    d = run.stream.tasks[0]
+    d = stream.tasks[0]
     empty = dataclasses.replace(
         d, test_x=np.empty((0, d.dim)), test_y=np.empty(0, dtype=np.int64)
     )
@@ -178,11 +182,11 @@ def test_cil_accuracy_empty_inputs(run):
         evaluation.til_accuracy(ctx, d.task_id, empty)
 
 
-def test_random_relabeling_drops_to_chance(run):
+def test_random_relabeling_drops_to_chance(run, stream):
     # scrambling task-1 test labels uniformly over its 2 classes should pull
     # accuracy to ~0.5 (3-sigma binomial margin for n=40)
     ctx = scoring.context_from_run(run)
-    d = run.stream.task(1)
+    d = stream.task(1)
     gen = RngState(9).stream("relabel")
     scrambled = np.asarray(d.classes)[gen.integers(0, 2, d.test_y.shape[0])]
     fake = dataclasses.replace(d, test_y=scrambled)
@@ -190,10 +194,10 @@ def test_random_relabeling_drops_to_chance(run):
     assert abs(acc - 0.5) <= 3 * math.sqrt(0.25 / d.test_y.shape[0])
 
 
-def test_trajectory_matches_per_task_breakdown(run):
-    trajectory, per_task = evaluation.accuracy_trajectory(run)
+def test_trajectory_matches_per_task_breakdown(run, stream):
+    trajectory, per_task = evaluation.accuracy_trajectory(run, stream)
     for k, t in enumerate(run.task_ids()):
-        seen = [d for d in run.stream.tasks if d.task_id <= t]
+        seen = [d for d in stream.tasks if d.task_id <= t]
         sizes = [d.test_y.shape[0] for d in seen]
         pooled = sum(
             per_task[t][d.task_id] * n for d, n in zip(seen, sizes)
@@ -203,14 +207,14 @@ def test_trajectory_matches_per_task_breakdown(run):
 
 # --- reference model --------------------------------------------------------
 
-def test_ncl_reference_deterministic(run):
-    a = evaluation.train_ncl_reference(run.stream, 2, run.config, seed=11)
-    b = evaluation.train_ncl_reference(run.stream, 2, run.config, seed=11)
+def test_ncl_reference_deterministic(run, stream):
+    a = evaluation.train_ncl_reference(stream, 2, run.config, seed=11)
+    b = evaluation.train_ncl_reference(stream, 2, run.config, seed=11)
     assert a == b
 
 
-def test_ncl_reference_accurate_and_gates_inert(run):
-    accs, pooled = evaluation.train_ncl_reference(run.stream, 1, run.config, seed=11)
+def test_ncl_reference_accurate_and_gates_inert(run, stream):
+    accs, pooled = evaluation.train_ncl_reference(stream, 1, run.config, seed=11)
     assert accs[1] >= 0.95
     assert pooled == accs[1]
 
@@ -221,15 +225,15 @@ def test_ncl_reference_all_prefixes(ncl, run):
     assert ncl.pooled[2] >= 0.9
 
 
-def test_ncl_missing_prefix_raises(run):
+def test_ncl_missing_prefix_raises(run, stream):
     with pytest.raises(MissingNclPrefix):
-        evaluation.train_ncl_reference(run.stream, 0, run.config, seed=1)
+        evaluation.train_ncl_reference(stream, 0, run.config, seed=1)
 
 
 # --- report -----------------------------------------------------------------
 
-def test_compute_report_consistent(run, ncl):
-    report = evaluation.compute_report(run, ncl)
+def test_compute_report_consistent(run, stream, ncl):
+    report = evaluation.compute_report(run, stream, ncl)
     assert len(report.trajectory) == 2
     assert report.a_last == report.trajectory[-1]
     assert abs(report.a_aia - (report.trajectory[0] + report.trajectory[1]) / 2) < 1e-12
@@ -247,26 +251,26 @@ def test_compute_report_single_task_skips_detection_auc():
         epochs=8, batch_size=32, hidden_widths=(24,), buffer_capacity=40,
         calibration_epochs=10,
     )
-    report = evaluation.compute_report(trainer.run_sequence(stream, cfg, seed=11))
+    report = evaluation.compute_report(trainer.run_sequence(stream, cfg, seed=11), stream)
     assert report.ood == {}
     assert report.ood_mean is None
     assert len(report.trajectory) == 1
 
 
-def test_compute_report_uses_a_stored_trajectory(run):
-    stored = evaluation.accuracy_trajectory(run)
-    fresh = evaluation.compute_report(run)
-    assert evaluation.compute_report(run, trajectory=stored) == fresh
+def test_compute_report_uses_a_stored_trajectory(run, stream):
+    stored = evaluation.accuracy_trajectory(run, stream)
+    fresh = evaluation.compute_report(run, stream)
+    assert evaluation.compute_report(run, stream, trajectory=stored) == fresh
     fake = ([0.5, 0.25], {1: {1: 0.5}, 2: {1: 0.0, 2: 0.5}})
-    report = evaluation.compute_report(run, trajectory=fake)
+    report = evaluation.compute_report(run, stream, trajectory=fake)
     assert report.trajectory == [0.5, 0.25]
     assert report.per_task == fake[1]
     assert report.til == fresh.til
 
 
-def test_forgetting_identity_with_equal_test_sizes(run, ncl):
+def test_forgetting_identity_with_equal_test_sizes(run, stream, ncl):
     # every task has 40 test samples, so the Last-style rate must equal the
     # pooled-accuracy gap exactly
-    report = evaluation.compute_report(run, ncl)
+    report = evaluation.compute_report(run, stream, ncl)
     gap = ncl.pooled[2] - report.a_last
     assert abs(report.f_cil_last - gap) <= 1e-12

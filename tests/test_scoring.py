@@ -15,15 +15,19 @@ from tpl.numerics import RngState, kth_distance, mahalanobis_sq, softmax
 
 
 @pytest.fixture(scope="module")
-def small_run():
-    stream = data.generate_gaussian_stream(
+def small_stream():
+    return data.generate_gaussian_stream(
         n_tasks=2, classes_per_task=2, dim=8, separation=6.0,
         samples_per_class_train=60, samples_per_class_test=30, rng=RngState(1),
     )
+
+
+@pytest.fixture(scope="module")
+def small_run(small_stream):
     cfg = trainer.TrainConfig(
         epochs=8, batch_size=32, hidden_widths=(24, 24), buffer_capacity=40
     )
-    return trainer.run_sequence(stream, cfg, seed=3)
+    return trainer.run_sequence(small_stream, cfg, seed=3)
 
 
 # --- logit-derived scores ---------------------------------------------------
@@ -320,9 +324,9 @@ def test_task_posterior_low_temperature_sharpens():
 
 # --- end-to-end prediction --------------------------------------------------
 
-def test_bundle_shapes_and_determinism(small_run):
+def test_bundle_shapes_and_determinism(small_run, small_stream):
     ctx = scoring.context_from_run(small_run)
-    x = small_run.stream.tasks[0].test_x[:10]
+    x = small_stream.tasks[0].test_x[:10]
     b1 = scoring.compute_bundle(ctx, x)
     b2 = scoring.compute_bundle(ctx, x)
     assert b1.mls.shape == (10, 2)
@@ -332,20 +336,20 @@ def test_bundle_shapes_and_determinism(small_run):
         assert np.allclose(np.sum(w, axis=1), 1.0, atol=1e-12)
 
 
-def test_predict_accuracy_on_easy_stream(small_run):
+def test_predict_accuracy_on_easy_stream(small_run, small_stream):
     ctx = scoring.context_from_run(small_run)
     correct = 0
     total = 0
-    for task in small_run.stream.tasks:
+    for task in small_stream.tasks:
         pred = scoring.predict(ctx, task.test_x)
         correct += int(np.sum(pred.global_class == task.test_y))
         total += task.test_y.shape[0]
     assert correct / total >= 0.9
 
 
-def test_predict_outputs_consistent(small_run):
+def test_predict_outputs_consistent(small_run, small_stream):
     ctx = scoring.context_from_run(small_run)
-    x = small_run.stream.tasks[1].test_x[:7]
+    x = small_stream.tasks[1].test_x[:7]
     pred = scoring.predict(ctx, x)
     assert pred.global_class.shape == (7,)
     assert set(pred.task_id.tolist()) <= {1, 2}
@@ -353,30 +357,30 @@ def test_predict_outputs_consistent(small_run):
     assert np.allclose(np.sum(pred.posterior, axis=1), 1.0, atol=1e-12)
     # the predicted class must belong to the predicted task
     for g, t in zip(pred.global_class, pred.task_id):
-        assert g in small_run.stream.task(int(t)).classes
+        assert g in small_stream.task(int(t)).classes
 
 
-def test_predict_score_kind_variants_agree_on_shape(small_run):
+def test_predict_score_kind_variants_agree_on_shape(small_run, small_stream):
     ctx = scoring.context_from_run(small_run)
-    x = small_run.stream.tasks[0].test_x[:5]
+    x = small_stream.tasks[0].test_x[:5]
     for kind in scoring.SCORE_KINDS:
         pred = scoring.predict(ctx, x, score_kind=kind)
         assert pred.global_class.shape == (5,)
 
 
-def test_predict_tie_breaks_lexicographically(small_run):
+def test_predict_tie_breaks_lexicographically(small_run, small_stream):
     # calibration (0, 0.5) collapses every class value to 0.5: the earliest
     # task and class in declaration order must win
     ctx = scoring.context_from_run(small_run)
     ctx.calibration = {1: (0.0, 0.5), 2: (0.0, 0.5)}
-    pred = scoring.predict(ctx, small_run.stream.tasks[1].test_x[:4])
+    pred = scoring.predict(ctx, small_stream.tasks[1].test_x[:4])
     assert np.all(pred.task_id == 1)
-    assert np.all(pred.global_class == small_run.stream.task(1).classes[0])
+    assert np.all(pred.global_class == small_stream.task(1).classes[0])
 
 
-def test_score_matrix_kind_selection(small_run):
+def test_score_matrix_kind_selection(small_run, small_stream):
     ctx = scoring.context_from_run(small_run)
-    x = small_run.stream.tasks[0].test_x[:6]
+    x = small_stream.tasks[0].test_x[:6]
     bundle = scoring.compute_bundle(ctx, x)
     lr = scoring.task_score_matrix(ctx, bundle, "lr")
     for j, t in enumerate(bundle.task_ids):
@@ -389,19 +393,19 @@ def test_score_matrix_kind_selection(small_run):
         scoring.task_score_matrix(ctx, bundle, "bogus")
 
 
-def test_knn_indexes_point_in_opposite_directions(small_run):
+def test_knn_indexes_point_in_opposite_directions(small_run, small_stream):
     # an in-task sample sits close to its own task's replay features and far
     # from the other task's, so d_own < d_cross for most test points
     ctx = scoring.context_from_run(small_run)
-    for j, d in enumerate(small_run.stream.tasks):
+    for j, d in enumerate(small_stream.tasks):
         bundle = scoring.compute_bundle(ctx, d.test_x)
         closer = np.mean(bundle.knn_own[:, j] < bundle.knn_dist[:, j])
         assert closer >= 0.9
 
 
-def test_bundle_msp_is_the_row_max_of_the_real_class_softmax(small_run):
+def test_bundle_msp_is_the_row_max_of_the_real_class_softmax(small_run, small_stream):
     ctx = scoring.context_from_run(small_run)
-    x = small_run.stream.tasks[0].test_x[:10]
+    x = small_stream.tasks[0].test_x[:10]
     bundle = scoring.compute_bundle(ctx, x)
     # the spare unit's logit must not leak into MSP
     net = copy.deepcopy(ctx.net)
@@ -422,15 +426,19 @@ def test_bundle_msp_is_the_row_max_of_the_real_class_softmax(small_run):
 # --- one replay pass and one softmax per task -------------------------------
 
 @pytest.fixture(scope="module")
-def three_task_run():
-    stream = data.generate_gaussian_stream(
+def three_task_stream():
+    return data.generate_gaussian_stream(
         n_tasks=3, classes_per_task=2, dim=6, separation=6.0,
         samples_per_class_train=40, samples_per_class_test=10, rng=RngState(4),
     )
+
+
+@pytest.fixture(scope="module")
+def three_task_run(three_task_stream):
     cfg = trainer.TrainConfig(
         epochs=4, batch_size=32, hidden_widths=(16, 16), buffer_capacity=60
     )
-    return trainer.run_sequence(stream, cfg, seed=5, calibrate=False)
+    return trainer.run_sequence(three_task_stream, cfg, seed=5, calibrate=False)
 
 
 def test_build_context_splits_the_buffer_by_source_task(three_task_run):
@@ -464,9 +472,10 @@ def test_build_context_forwards_the_buffer_once_per_task(three_task_run, monkeyp
 
 
 def test_predict_runs_one_softmax_per_task_plus_the_posterior(three_task_run,
+                                                              three_task_stream,
                                                               monkeypatch):
     ctx = scoring.context_from_run(three_task_run)
-    x = three_task_run.stream.tasks[0].test_x
+    x = three_task_stream.tasks[0].test_x
     calls = []
 
     def counting(*args, **kwargs):
