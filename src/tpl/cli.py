@@ -14,6 +14,8 @@ reproduce every downstream command without retraining.
     buffer.bin        replay samples (x, labels, source tasks) in that container
     buffer.csv        the same samples as text (label, features..., source
                       task), an export that is never read back
+    index.bin         each task's two KNN indexes in that container (knn.T
+                      [n - n_T, d], own.T [n_T, d]), built once after training
     trajectory.json   accuracy trajectory captured during training
     calibration.json  per-task affine output calibration, always written (the
                       identity when ``calibrate`` is false); eval and predict
@@ -24,8 +26,11 @@ reproduce every downstream command without retraining.
 rows rebuild the stream with ``_test_stream``.  It checks the artifacts
 against the model (task sets, class ids, array shapes, exact container
 sizes), ``buffer.bin`` against the run (row count, each row's task and
-label) and checks their values (finite arrays, rates and calibration pairs;
-stored accuracies in [0, 1]).  The JSON artifacts besides ``config.json``
+label), ``index.bin`` against the buffer and the model (per-task row counts,
+width, and the first row of each source task forwarded again within 1e-9),
+and checks their values (finite arrays, rates and calibration pairs; stored
+accuracies in [0, 1]).  No command forwards the replay buffer: the KNN
+indexes come from ``index.bin``.  The JSON artifacts besides ``config.json``
 are read through ``_read_json``.  The config's ``score_variant`` is the published name
 (``canonical`` or ``algorithm1``) everywhere: config files, the package and
 the reports.  Exit codes: 0 success, 2 configuration error, 3 runtime failure
@@ -40,6 +45,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import re
 import struct
 import sys
 from pathlib import Path
@@ -65,7 +72,11 @@ SCHEMA_VERSION = 1
 _MODEL_MAGIC = b"TPLM"
 _STATS_MAGIC = b"TPLS"
 _BUFFER_MAGIC = b"TPLB"
+_INDEX_MAGIC = b"TPLI"
 _CONTAINER_VERSION = 1
+#: Largest gap allowed between a stored index row and the same buffer row
+#: forwarded on load (one row and a whole batch round differently in BLAS).
+_INDEX_TOL = 1e-9
 
 _TOP_KEYS = {"schema_version", "seed", "out_dir", "calibrate", "dataset", "training"}
 _SYNTHETIC_KEYS = {"kind", "n_tasks", "classes_per_task", "dim", "separation",
@@ -314,30 +325,36 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
     """The (header, arrays) pair ``_write_container`` wrote, bit for bit; a
     file whose size differs from what its header declares, or an array
     holding a nan or inf, is malformed (the error names the first such
-    entry, e.g. ``x[3, 0]``)."""
-    raw = path.read_bytes()
-    with _reading(path):
-        if raw[:4] != magic:
-            raise ParseError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
-        (version,) = struct.unpack_from("<I", raw, 4)
+    entry, e.g. ``x[3, 0]``).
+
+    Each byte is read once: the arrays are writable views into one aligned
+    buffer that the data section is read into, not copies."""
+    with open(path, "rb") as fh, _reading(path):
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if head[:4] != magic:
+            raise ParseError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+        (version,) = struct.unpack_from("<I", head, 4)
         if version != _CONTAINER_VERSION:
             raise ParseError(f"{path}: unsupported format version {version}")
-        (header_len,) = struct.unpack_from("<Q", raw, 8)
-        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+        (header_len,) = struct.unpack_from("<Q", head, 8)
+        header = json.loads(fh.read(min(header_len, size - 16)).decode("utf-8"))
         entries = header.pop("arrays")
         shapes = [tuple(entry["shape"]) for entry in entries]
         if not all(isinstance(n, int) and n >= 0 for shape in shapes for n in shape):
             raise ValueError(f"array shapes must be non-negative integers: {shapes}")
-        offset = 16 + header_len
-        size = offset + 8 * sum(math.prod(shape) for shape in shapes)
-        if len(raw) != size:
-            raise ParseError(f"{path}: {len(raw)} bytes, its header declares {size}")
-        values = np.frombuffer(raw, dtype="<f8", offset=offset)
+        total = sum(math.prod(shape) for shape in shapes)
+        declared = 16 + header_len + 8 * total
+        if size != declared:
+            raise ParseError(f"{path}: {size} bytes, its header declares {declared}")
+        values = np.empty(total, dtype="<f8")
+        fh.readinto(memoryview(values).cast("B"))
         finite = bool(np.isfinite(values).all())
         arrays: dict[str, np.ndarray] = {}
         for entry, shape in zip(entries, shapes):
             count = math.prod(shape)
-            arrays[entry["name"]] = values[:count].reshape(shape).astype(np.float64)
+            # a view: "<f8" is float64 on a little-endian host
+            arrays[entry["name"]] = values[:count].reshape(shape).astype(np.float64, copy=False)
             values = values[count:]
         if not finite:
             name, a = next((n, a) for n, a in arrays.items() if not np.isfinite(a).all())
@@ -454,6 +471,71 @@ def _load_buffer(path: Path, capacity: int, input_dim: int,
                                      tasks.astype(np.int64))
 
 
+def _index_shapes(source: np.ndarray, task_ids, feat_dim: int) -> dict[str, tuple[int, int]]:
+    """The shape of each array of ``index.bin`` for a buffer whose rows come
+    from the tasks ``source``: ``knn.T`` holds the rows of the other tasks and
+    ``own.T`` those of task T."""
+    shapes = {}
+    for t in sorted(task_ids):
+        n_own = int(np.count_nonzero(source == t))
+        shapes[f"knn.{t}"] = (source.shape[0] - n_own, feat_dim)
+        shapes[f"own.{t}"] = (n_own, feat_dim)
+    return shapes
+
+
+def _save_index(path: Path, run: RunArtifacts) -> None:
+    """Write ``run.replay_index``, refusing an index whose row counts or
+    width disagree with ``run.buffer`` and the model (a stale index)."""
+    knn, own = run.replay_index
+    arrays = {f"{name}.{t}": index[t] for t in sorted(knn)
+              for name, index in (("knn", knn), ("own", own))}
+    want = _index_shapes(run.buffer.all_samples()[2], run.task_ids(), run.net.feature_dim)
+    got = {name: a.shape for name, a in arrays.items()}
+    if got != want:
+        raise ValueError(f"{path}: not written: the KNN index has shapes {got}, the "
+                         f"buffer needs {want}; rebuild it with scoring.replay_index")
+    _write_container(path, _INDEX_MAGIC, {}, arrays)
+
+
+def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
+                task_ids: list[int]) -> scoring.ReplayIndex:
+    """The KNN replay index stored in ``path``, checked against the run: its
+    arrays must have the shapes ``_index_shapes`` gives for the buffer and
+    the model's feature width, and the first buffer row of each source task,
+    forwarded through every task's extractor, must match its stored row
+    within ``_INDEX_TOL``.  Any failure asks to retrain the run."""
+    try:
+        if not path.is_file():
+            raise ParseError(f"{path}: missing (run directories written before the "
+                             "KNN replay index was stored lack it)")
+        _, arrays = _read_container(path, _INDEX_MAGIC)
+        x, _, source = buffer.all_samples()
+        with _reading(path):
+            want = _index_shapes(source, task_ids, net.feature_dim)
+            if sorted(arrays) != sorted(want):
+                raise ValueError(f"holds arrays {sorted(arrays)}, the run needs {sorted(want)}")
+            for name, shape in want.items():
+                if arrays[name].shape != shape:
+                    raise ValueError(f"{name} has shape {list(arrays[name].shape)}, "
+                                     f"the run needs {list(shape)}")
+        firsts = np.unique(source, return_index=True)[1]  # each source task's first row
+        for t in task_ids if len(buffer) else ():
+            feats = scoring.normalize_rows(hat_mlp.features(net, x[firsts], t, net.s_max))
+            own_rows = np.flatnonzero(source == t)
+            for i, f in zip(firsts.tolist(), feats):
+                before = int(np.searchsorted(own_rows, i))  # rows of task t before row i
+                name, row = (f"own.{t}", before) if source[i] == t else (f"knn.{t}", i - before)
+                gap = float(np.max(np.abs(arrays[name][row] - f)))
+                if not gap <= _INDEX_TOL:
+                    raise ParseError(f"{path}: {name}[{row}] is {gap:.3g} away from buffer "
+                                     f"row {i} through task {t}'s extractor, so it was not "
+                                     "built from this model and buffer")
+    except ParseError as exc:
+        raise ParseError(f"{exc}; retrain the run") from None
+    return ({t: arrays[f"knn.{t}"] for t in task_ids},
+            {t: arrays[f"own.{t}"] for t in task_ids})
+
+
 def _save_stats(stats_dir: Path, st: TaskStats, classes: tuple[int, ...]) -> None:
     t = st.task_id
     (stats_dir / f"task_{t}.json").write_text(_dump_json(
@@ -505,14 +587,21 @@ def _load_stats(stats_dir: Path, t: int,
 
 
 def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> None:
+    """Write the run directory.  Stats files of tasks that are not tasks of
+    this run (left by an earlier run in ``out``) are deleted."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "stats").mkdir(exist_ok=True)
+    for path in (out / "stats").glob("task_*"):
+        match = re.fullmatch(r"task_(-?[0-9]+)\.(json|bin)", path.name)
+        if match and int(match[1]) not in run.stats:
+            path.unlink()
     (out / "config.json").write_text(_dump_json(run_config_payload(rc)),
                                      encoding="utf-8")
     save_model(out / "model.bin", run.net)
     for t in sorted(run.stats):
         _save_stats(out / "stats", run.stats[t], run.task_classes[t])
     _save_buffer(out / "buffer.bin", run.buffer)
+    _save_index(out / "index.bin", run)
     _write_buffer_csv(out / "buffer.csv", run.buffer)  # export only; never read back
     (out / "trajectory.json").write_text(_dump_json(trajectory), encoding="utf-8")
     records = [{"task_id": t, "sigma1": s1, "sigma2": s2}
@@ -550,6 +639,7 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
             owner[c] = t
     buffer = _load_buffer(run_dir / "buffer.bin", rc.training.buffer_capacity,
                           net.input_dim, task_classes)
+    index = _load_index(run_dir / "index.bin", net, buffer, task_ids)
     path = run_dir / "calibration.json"
     calibration = _read_json(path, lambda records: {
         int(r["task_id"]): (check_real("sigma1", r["sigma1"]),
@@ -566,6 +656,7 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
         stats=stats,
         buffer=buffer,
         calibration=calibration,
+        replay_index=index,
     )
     return run, rc
 

@@ -90,7 +90,8 @@ def accuracy_trajectory(
     accuracy over tasks 1..t_k evaluated at checkpoint t_k on ``stream``'s
     test rows, and ``per_task[t][i]`` is task i's test accuracy at
     checkpoint t.  Each checkpoint is scored with its own network, stats and
-    buffer.  Output calibration is fitted once, after the last task, so only
+    buffer; the last one is a copy of the finished run and reuses its
+    ``replay_index``.  Output calibration is fitted once, after the last task, so only
     the final checkpoint applies ``run.calibration``; earlier ones use the
     identity.
     """
@@ -100,11 +101,12 @@ def accuracy_trajectory(
     for t in task_ids:
         cp = run.checkpoint_for(t)
         seen = [d for d in stream.tasks if d.task_id <= t]
-        ctx = scoring.build_context(
-            cp.net, cp.stats, cp.buffer, run.config,
-            {d.task_id: d.classes for d in seen},
-            run.calibration if t == task_ids[-1] else None,
-        )
+        classes = {d.task_id: d.classes for d in seen}
+        if t == task_ids[-1]:
+            ctx = scoring.indexed_context(cp.net, cp.stats, run.replay_index,
+                                          run.config, classes, run.calibration)
+        else:
+            ctx = scoring.build_context(cp.net, cp.stats, cp.buffer, run.config, classes)
         x, y, bounds = pooled_test_rows(seen)
         correct = scoring.predict(ctx, x, score_kind=score_kind).global_class == y
         trajectory.append(float(np.mean(correct)))

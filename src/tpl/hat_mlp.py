@@ -161,6 +161,15 @@ def attention(net: HatMlp, task_id: int, s: float) -> list[np.ndarray]:
     return [_sigmoid(s * e) for e in net.embeddings[task_id]]
 
 
+def features(net: HatMlp, x: np.ndarray, task_id: int, s: float) -> np.ndarray:
+    """Masked trunk features [B, feature_dim] of a [B, input_dim] batch, the
+    part of ``forward`` before the task head."""
+    h = x
+    for w, b, a in zip(net.weights, net.biases, attention(net, task_id, s)):
+        h = np.maximum(h @ w.T + b, 0.0) * a
+    return h
+
+
 def forward(
     net: HatMlp, x: np.ndarray, task_id: int, s: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -180,10 +189,7 @@ def forward(
         raise DimensionMismatch(
             f"input has shape {x.shape}, expected [B, {net.input_dim}]"
         )
-    gates = attention(net, task_id, s)
-    h = x
-    for w, b, a in zip(net.weights, net.biases, gates):
-        h = np.maximum(h @ w.T + b, 0.0) * a
+    h = features(net, x, task_id, s)
     head = net.heads[task_id]
     logits = h @ head.weight.T + head.bias
     if single:

@@ -14,6 +14,10 @@ the out-of-task KNN distance):
 * ``canonical`` variant: log(exp(b1*MLS) + exp(b2*MD + dKNN))
 * ``algorithm1`` variant: -log(exp(-b1*MLS) + exp(-b2*MD - dKNN))
 
+Both KNN indexes are the replay buffer through each task's extractor
+(``replay_index``), fixed once training ends; a finished run keeps them, so
+``context_from_run`` forwards nothing.
+
 The task posterior is a temperature softmax over the per-task scores; final
 class probabilities multiply within-task probability by task posterior, then
 pass through the per-task affine calibration.
@@ -176,6 +180,28 @@ class ScoringContext:
         return len(self.task_ids)
 
 
+#: Every task's two KNN indexes ``(knn, own)``: ``knn[t]`` holds the other
+#: tasks' replay rows and ``own[t]`` task t's own rows, each through task t's
+#: extractor, L2-normalized, in buffer order.
+ReplayIndex = tuple[dict[int, np.ndarray], dict[int, np.ndarray]]
+
+
+def replay_index(net: hat_mlp.HatMlp, buffer: ReplayBuffer, task_ids) -> ReplayIndex:
+    """Both KNN indexes of every task in ``task_ids``.  The whole buffer goes
+    through each task's extractor once; the two indexes are its rows split by
+    source task, in class order.  An empty buffer gives empty [0, d] views."""
+    feat_dim = net.feature_dim
+    knn = {t: np.empty((0, feat_dim)) for t in task_ids}
+    own = {t: np.empty((0, feat_dim)) for t in task_ids}
+    if len(buffer) > 0:
+        x, _, source = buffer.all_samples()
+        for t in task_ids:
+            feats = normalize_rows(hat_mlp.forward(net, x, t)[0])
+            knn[t] = feats[source != t]
+            own[t] = feats[source == t]
+    return knn, own
+
+
 def build_context(
     net: hat_mlp.HatMlp,
     stats: dict[int, TaskStats],
@@ -184,30 +210,31 @@ def build_context(
     task_classes: dict[int, tuple[int, ...]],
     calibration: dict[int, tuple[float, float]] | None = None,
 ) -> ScoringContext:
-    """Build the read-many inference state from a trained model.
+    """Build the read-many inference state from a trained model, forwarding
+    ``buffer`` for its KNN indexes (``replay_index``); see ``indexed_context``."""
+    index = replay_index(net, buffer, sorted(task_classes))
+    return indexed_context(net, stats, index, cfg, task_classes, calibration)
 
-    Each task gets two KNN indexes, both through its own extractor and
-    L2-normalized, computed once here: the replay features of every OTHER
-    task (for the likelihood-ratio route) and of its own classes (for the
-    standalone nearest-neighbor detector).  The whole buffer goes through
-    each task's extractor once; the two indexes are its rows split by
-    source task, in class order.  ``calibration`` must cover every task; it
-    defaults to the identity.
-    """
+
+def indexed_context(
+    net: hat_mlp.HatMlp,
+    stats: dict[int, TaskStats],
+    index: ReplayIndex,
+    cfg: TrainConfig,
+    task_classes: dict[int, tuple[int, ...]],
+    calibration: dict[int, tuple[float, float]] | None = None,
+) -> ScoringContext:
+    """The read-many inference state over a prebuilt ``replay_index``: the
+    replay features of every OTHER task feed the likelihood-ratio route, and
+    those of the task's own classes the standalone nearest-neighbor
+    detector.  ``calibration`` must cover every task; it defaults to the
+    identity."""
     task_ids = sorted(task_classes)
     for t in task_ids:
         if t not in stats:
             raise UnknownTask(f"no stats for task {t}")
-    feat_dim = net.feature_dim
-    index = {t: np.empty((0, feat_dim)) for t in task_ids}
-    own = {t: np.empty((0, feat_dim)) for t in task_ids}
-    if len(buffer) > 0:
-        x, _, source = buffer.all_samples()
-        for t in task_ids:
-            feats = normalize_rows(hat_mlp.forward(net, x, t)[0])
-            index[t] = feats[source != t]
-            own[t] = feats[source == t]
-    if len(task_ids) > 1 and any(index[t].shape[0] == 0 for t in task_ids):
+    knn, own = index
+    if len(task_ids) > 1 and any(knn[t].shape[0] == 0 for t in task_ids):
         logger.warning(
             "scoring: empty cross-task replay view for some task; "
             "KNN term falls back to 0 there"
@@ -222,7 +249,7 @@ def build_context(
         stats=stats,
         task_ids=task_ids,
         task_classes=dict(task_classes),
-        knn_index=index,
+        knn_index=knn,
         own_index=own,
         k=cfg.knn_k,
         temperature=cfg.posterior_temperature,
@@ -232,12 +259,13 @@ def build_context(
 
 
 def context_from_run(run: RunArtifacts, calibrated: bool = True) -> ScoringContext:
-    """Context for a finished run, with its output calibration unless
-    ``calibrated`` is off (score-kind comparisons and the calibration fit
-    itself read the raw class values)."""
+    """Context for a finished run over its stored ``replay_index`` (no
+    forward pass), with its output calibration unless ``calibrated`` is off
+    (score-kind comparisons and the calibration fit itself read the raw
+    class values)."""
     calibration = run.calibration if calibrated else None
-    return build_context(run.net, run.stats, run.buffer, run.config,
-                         run.task_classes, calibration)
+    return indexed_context(run.net, run.stats, run.replay_index, run.config,
+                           run.task_classes, calibration)
 
 
 def compute_bundle(ctx: ScoringContext, x: np.ndarray) -> ScoreBundle:

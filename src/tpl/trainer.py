@@ -17,11 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import calibration, hat_mlp
+from . import calibration, hat_mlp, scoring
 from .data import TaskDataset, TaskStream, label_positions
 from .errors import DegenerateCovariance, EmptyTrainingSet, UnknownTask
 from .numerics import RngState, spd_inverse
-from .scoring import TaskStats, identity_calibration, md_score, mls_score
+from .scoring import ReplayIndex, TaskStats, identity_calibration, md_score, mls_score
 
 logger = logging.getLogger(__name__)
 
@@ -350,6 +350,9 @@ class RunArtifacts:
     calibration: dict[int, tuple[float, float]]
     buffer: ReplayBuffer
     stats: dict[int, TaskStats] = field(default_factory=dict)
+    #: The finished model's KNN indexes over ``buffer`` (``scoring.replay_index``),
+    #: built once after the last task; None until then.
+    replay_index: ReplayIndex | None = None
     loss_history: dict[int, list[float]] = field(default_factory=dict)
     checkpoints: list[TaskCheckpoint] = field(default_factory=list)
 
@@ -369,9 +372,9 @@ def run_sequence(
     """Train every task in order; snapshot state after each one.
 
     Deterministic: all randomness (init, shuffling, buffer sampling) flows
-    from ``seed`` through named streams.  After the last task the per-task
-    output calibration is fitted on the buffer; with ``calibrate`` off it
-    stays the identity.
+    from ``seed`` through named streams.  After the last task the replay
+    buffer's KNN indexes are built once, and the per-task output calibration
+    is fitted on the buffer; with ``calibrate`` off it stays the identity.
     """
     cfg.validate()
     if len(stream) == 0:
@@ -404,6 +407,7 @@ def run_sequence(
                 buffer=buffer.snapshot(),
             )
         )
+    run.replay_index = scoring.replay_index(net, buffer, run.task_ids())
     if calibrate:
         run.calibration = calibration.fit_calibration(
             run, cfg.calibration_epochs, cfg.calibration_batch,

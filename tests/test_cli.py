@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tpl import cli, data, evaluation, scoring, theory_lab, trainer
+from tpl import cli, data, evaluation, hat_mlp, scoring, theory_lab, trainer
 from tpl.errors import ConfigError, DegenerateVariance, ParseError
 from tpl.trainer import clone_config
 
@@ -43,8 +43,8 @@ BASE_CONFIG = {
     },
 }
 
-RUN_FILES = ("config.json", "model.bin", "buffer.bin", "buffer.csv", "trajectory.json",
-             "calibration.json")
+RUN_FILES = ("config.json", "model.bin", "buffer.bin", "buffer.csv", "index.bin",
+             "trajectory.json", "calibration.json")
 
 
 def write_config(path: Path, out_dir: Path, **overrides) -> Path:
@@ -145,6 +145,19 @@ def _append_first_row(arrays) -> None:
 repeat_first_row = rewrite_buffer_bin(_append_first_row)
 
 
+def rewrite_index_bin(change):
+    return rewrite_container(cli._INDEX_MAGIC, change)
+
+
+def index_of_another_seed(path: Path) -> None:
+    """Corrupter replacing ``index.bin`` by the index the run's config
+    trains at another seed: same shapes, other features."""
+    rc = cli.load_run_config(path.parent / "config.json")
+    run = trainer.run_sequence(cli.build_stream(rc), rc.training, rc.seed + 1,
+                               calibrate=False)
+    cli._save_index(path, run)
+
+
 def write_manifest_dataset(root: Path) -> Path:
     """A 2-task dataset of 3-feature CSVs under ``root`` (classes 0, 1 and
     2, 3; 30 train and 15 test rows per class); returns its manifest."""
@@ -191,6 +204,17 @@ def run_dir(tmp_path_factory):
     code, out, err = run_cli("train", "--config", str(cfg))
     assert code == 0, err
     assert "run written to" in out
+    return root / "run"
+
+
+@pytest.fixture(scope="module")
+def empty_buffer_run_dir(tmp_path_factory):
+    """A trained 2-task run whose replay buffer holds nothing."""
+    root = tmp_path_factory.mktemp("cli-empty-buffer")
+    cfg = write_config(root / "c.json", root / "run",
+                       **{"training.epochs": 8, "training.buffer_capacity": 0})
+    code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+    assert code == 0, err
     return root / "run"
 
 
@@ -400,6 +424,14 @@ class TestExitCodes:
         ("stats/task_2.json", set_json_value("classes", 2.0)),
         ("stats/task_2.json", lambda path: path.write_text(
             json.dumps({**json.loads(path.read_text()), "classes": [2, 3, 4]}))),
+        ("index.bin", Path.unlink),
+        ("index.bin", lambda path: path.write_bytes(cli._BUFFER_MAGIC + path.read_bytes()[4:])),
+        ("index.bin", rewrite_index_bin(lambda a: a.update({"own.1": a["own.1"][:-1]}))),
+        ("index.bin", rewrite_index_bin(
+            lambda a: a.update({name: v[:, :-1] for name, v in a.items()}))),
+        ("index.bin", cut_to_ten_bytes),
+        ("index.bin", append_one_byte),
+        ("index.bin", index_of_another_seed),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -411,7 +443,9 @@ class TestExitCodes:
             "buffer-task-not-in-run", "buffer-label-not-in-task", "buffer-over-capacity",
             "buffer-bin-missing", "buffer-bin-wrong-magic", "buffer-bin-wrong-width",
             "stats-no-classes", "stats-class-not-integer",
-            "stats-classes-more-than-the-head"])
+            "stats-classes-more-than-the-head", "index-bin-missing",
+            "index-bin-wrong-magic", "index-bin-own-row-missing", "index-bin-wrong-width",
+            "index-bin-cut", "index-bin-trailing-byte", "index-bin-of-another-seed"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -480,6 +514,25 @@ class TestExitCodes:
         assert code == 3
         assert f"{old_run / 'stats' / 'task_1.json'}: malformed" in err
         assert "retrain the run" in err
+
+    @pytest.mark.parametrize("corrupt,why", [
+        (Path.unlink, "missing"),
+        (index_of_another_seed, "not built from this model and buffer"),
+    ], ids=["missing", "another-seed"])
+    def test_bad_index_bin_asks_to_retrain(self, run_dir, probe_file, tmp_path,
+                                           corrupt, why):
+        bad_run = tmp_path / "run"
+        shutil.copytree(run_dir, bad_run)
+        corrupt(bad_run / "index.bin")
+        for argv in (["predict", "--input", str(probe_file[0]),
+                      "--output", str(tmp_path / "p.csv")],
+                     ["eval", "--out", str(tmp_path / "m.json")],
+                     ["ood-bench", "--out", str(tmp_path / "b.json"),
+                      "--scatter", str(tmp_path / "s.csv")]):
+            code, _, err = run_cli(*argv, "--run", str(bad_run))
+            assert code == 3, err
+            assert f"{bad_run / 'index.bin'}: " in err and why in err
+            assert err.rstrip().endswith("retrain the run")
 
     def test_eval_rejects_a_dataset_whose_classes_differ_from_the_run(self, run_dir,
                                                                       tmp_path):
@@ -555,19 +608,36 @@ class TestTrain:
 
     def test_builds_one_context_per_task_plus_the_calibration_fit(self, tmp_path,
                                                                   monkeypatch):
-        calls = []
-        build = scoring.build_context
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(scoring, "build_context", counting)
+        calls = {"indexed_context": 0, "replay_index": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(scoring, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(scoring, name, counting)
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",
                            **{"dataset.n_tasks": 3, "training.epochs": 4})
         code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
         assert code == 0, err
-        assert len(calls) == 3 + 1
+        assert calls["indexed_context"] == 3 + 1
+        # one replay forward per checkpoint: the calibration fit and the last
+        # checkpoint share the finished run's index
+        assert calls["replay_index"] == 3
+
+    def test_retraining_fewer_tasks_deletes_only_the_old_task_files(self, tmp_path,
+                                                                     probe_file):
+        out = tmp_path / "run"
+        for n_tasks in (5, 3):
+            cfg = write_config(tmp_path / f"c{n_tasks}.json", out,
+                               **{"dataset.n_tasks": n_tasks, "training.epochs": 4})
+            code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+            assert code == 0, err
+            (out / "stats" / "notes.txt").write_text("kept")
+        stats = sorted(p.name for p in (out / "stats").iterdir())
+        assert stats == ["notes.txt"] + [f"task_{t}{ext}" for t in (1, 2, 3)
+                                         for ext in (".bin", ".json")]
+        code, _, err = run_cli("predict", "--run", str(out), "--input", str(probe_file[0]),
+                               "--output", str(tmp_path / "p.csv"))
+        assert code == 0, err
 
     def test_stdout_reports_trajectory(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",
@@ -712,8 +782,17 @@ class TestPersistence:
         tasks = np.array([owner[c] for c in labels.tolist()], dtype=np.int64)
         run.buffer = trainer.ReplayBuffer.from_samples(
             rc.training.buffer_capacity, x, labels, tasks)
-        cli.save_run(run, rc, tmp_path / "run", {})
-        loaded, _ = cli.load_run(tmp_path / "run")
+        # rows near the float64 limit overflow the features of the KNN index
+        with np.errstate(all="ignore"):
+            run.replay_index = scoring.replay_index(run.net, run.buffer, run.task_ids())
+            cli.save_run(run, rc, tmp_path / "run", {})
+            if not all(np.isfinite(a).all() for index in run.replay_index
+                       for a in index.values()):
+                with pytest.raises(ParseError, match=re.escape(
+                        f"{tmp_path / 'run' / 'index.bin'}: malformed")):
+                    cli.load_run(tmp_path / "run")
+                return
+            loaded, _ = cli.load_run(tmp_path / "run")
         assert loaded.buffer.capacity == run.buffer.capacity
         assert loaded.buffer.task_of == run.buffer.task_of
         for got, want in zip(loaded.buffer.all_samples(), run.buffer.all_samples()):
@@ -726,9 +805,70 @@ class TestPersistence:
         x, labels, tasks = run.buffer.all_samples()
         run.buffer = trainer.ReplayBuffer.from_samples(
             rc.training.buffer_capacity, x[:2], labels[:2], tasks[:2])
+        run.replay_index = scoring.replay_index(run.net, run.buffer, run.task_ids())
         out = tmp_path / "run"
         cli.save_run(run, rc, out, {})
         path = out / "buffer.bin"
+        raw = path.read_bytes()
+        argv = ["predict", "--run", str(out), "--input", str(probe_file[0]),
+                "--output", str(tmp_path / "p.csv")]
+        assert run_cli(*argv)[0] == 0
+        for blob in [raw[:k] for k in range(len(raw))] + [raw + b"\0"]:
+            path.write_bytes(blob)
+            code, _, err = run_cli(*argv)
+            assert code == 3, len(blob)
+            assert str(path) in err
+
+    @pytest.mark.parametrize("which", ["run_dir", "single_task_run_dir",
+                                       "empty_buffer_run_dir"])
+    def test_loaded_index_equals_a_forward_built_one(self, request, which):
+        run, _ = cli.load_run(request.getfixturevalue(which))
+        loaded = scoring.context_from_run(run)
+        fresh = scoring.build_context(run.net, run.stats, run.buffer, run.config,
+                                      run.task_classes, run.calibration)
+        x, _, source = run.buffer.all_samples()
+        for t in run.task_ids():
+            for got, want, rows in ((loaded.knn_index[t], fresh.knn_index[t], source != t),
+                                    (loaded.own_index[t], fresh.own_index[t], source == t)):
+                assert got.shape == want.shape == (np.count_nonzero(rows),
+                                                   run.net.feature_dim)
+                assert got.tobytes() == want.tobytes()
+        if which == "single_task_run_dir":
+            assert loaded.knn_index[1].shape[0] == 0 < loaded.own_index[1].shape[0]
+
+    def test_both_context_paths_warn_about_empty_views(self, empty_buffer_run_dir, caplog):
+        run, _ = cli.load_run(empty_buffer_run_dir)
+        for build in (lambda: scoring.context_from_run(run),
+                      lambda: scoring.build_context(run.net, run.stats, run.buffer,
+                                                    run.config, run.task_classes)):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                build()
+            messages = [r.getMessage() for r in caplog.records]
+            assert any("empty cross-task replay view" in m for m in messages)
+            assert any("empty own-class replay view" in m for m in messages)
+
+    def test_save_run_refuses_a_stale_index(self, run_dir, tmp_path):
+        run, rc = cli.load_run(run_dir)
+        x, labels, tasks = run.buffer.all_samples()
+        run.buffer = trainer.ReplayBuffer.from_samples(
+            rc.training.buffer_capacity, x[:2], labels[:2], tasks[:2])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'run' / 'index.bin'}: not written")):
+            cli.save_run(run, rc, tmp_path / "run", {})
+        assert not (tmp_path / "run" / "index.bin").exists()
+
+    def test_every_index_bin_prefix_and_one_extra_byte_exit_3(self, run_dir, probe_file,
+                                                              tmp_path):
+        run, rc = cli.load_run(run_dir)
+        x, labels, tasks = run.buffer.all_samples()
+        keep = [0, -1]  # one row of each task keeps the index small
+        run.buffer = trainer.ReplayBuffer.from_samples(
+            rc.training.buffer_capacity, x[keep], labels[keep], tasks[keep])
+        run.replay_index = scoring.replay_index(run.net, run.buffer, run.task_ids())
+        out = tmp_path / "run"
+        cli.save_run(run, rc, out, {})
+        path = out / "index.bin"
         raw = path.read_bytes()
         argv = ["predict", "--run", str(out), "--input", str(probe_file[0]),
                 "--output", str(tmp_path / "p.csv")]
@@ -809,6 +949,7 @@ class TestContainer:
             assert loaded[name].dtype == np.float64
             assert loaded[name].shape == a.shape
             assert loaded[name].tobytes() == a.tobytes(), name
+            assert loaded[name].flags.writeable, name
 
     def test_every_prefix_and_one_extra_byte_are_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -937,6 +1078,40 @@ class TestPredict:
         assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
         predicted = np.array([int(r[1]) for r in rows])
         assert np.mean(predicted == labels) >= 0.9
+
+    def test_predict_forwards_only_its_input(self, run_dir, probe_file, tmp_path,
+                                             monkeypatch):
+        rows = []
+        forward = hat_mlp.forward
+
+        def counting(net, x, task_id, s=None):
+            rows.append(np.asarray(x).shape[0])
+            return forward(net, x, task_id, s)
+
+        monkeypatch.setattr(hat_mlp, "forward", counting)
+        code, _, err = run_cli("predict", "--run", str(run_dir), "--input",
+                               str(probe_file[0]), "--output", str(tmp_path / "p.csv"))
+        assert code == 0, err
+        # one forward per task, of the input rows; the KNN index is read
+        assert rows == [probe_file[1].shape[0]] * 2
+
+    @pytest.mark.parametrize("command", ["eval", "ood-bench"])
+    def test_reports_never_forward_the_buffer(self, run_dir, tmp_path, monkeypatch,
+                                              command):
+        buffer_rows = {row.tobytes() for row in cli.load_run(run_dir)[0].buffer.all_samples()[0]}
+        seen = set()
+        forward = hat_mlp.forward
+
+        def recording(net, x, task_id, s=None):
+            seen.update(row.tobytes() for row in np.atleast_2d(x))
+            return forward(net, x, task_id, s)
+
+        monkeypatch.setattr(hat_mlp, "forward", recording)
+        extra = ["--scatter", str(tmp_path / "s.csv")] if command == "ood-bench" else []
+        code, _, err = run_cli(command, "--run", str(run_dir), "--out",
+                               str(tmp_path / "out.json"), *extra)
+        assert code == 0, err
+        assert seen and not seen & buffer_rows
 
     def test_predict_builds_no_stream(self, run_dir, probe_file, tmp_path, monkeypatch):
         calls = []

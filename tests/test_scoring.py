@@ -467,8 +467,13 @@ def test_build_context_forwards_the_buffer_once_per_task(three_task_run, monkeyp
         return forward(net, x, task_id, s)
 
     monkeypatch.setattr(hat_mlp, "forward", counting)
-    ctx = scoring.context_from_run(three_task_run)
+    run = three_task_run
+    ctx = scoring.build_context(run.net, run.stats, run.buffer, run.config, run.task_classes)
     assert sorted(calls) == ctx.task_ids == [1, 2, 3]
+    # a finished run's context reads the index built once after the last task
+    calls.clear()
+    scoring.context_from_run(run)
+    assert calls == []
 
 
 def test_predict_runs_one_softmax_per_task_plus_the_posterior(three_task_run,
