@@ -483,9 +483,11 @@ def _index_shapes(source: np.ndarray, task_ids, feat_dim: int) -> dict[str, tupl
     return shapes
 
 
-def _save_index(path: Path, run: RunArtifacts) -> None:
-    """Write ``run.replay_index``, refusing an index whose row counts or
-    width disagree with ``run.buffer`` and the model (a stale index)."""
+def _index_arrays(path: Path, run: RunArtifacts) -> dict[str, np.ndarray]:
+    """The arrays of ``run.replay_index`` as ``index.bin`` stores them,
+    refusing (a ValueError naming ``path``) an index whose row counts or
+    width disagree with ``run.buffer`` and the model (a stale index), or one
+    holding a nan or inf (a buffer row that overflows an extractor)."""
     knn, own = run.replay_index
     arrays = {f"{name}.{t}": index[t] for t in sorted(knn)
               for name, index in (("knn", knn), ("own", own))}
@@ -494,7 +496,12 @@ def _save_index(path: Path, run: RunArtifacts) -> None:
     if got != want:
         raise ValueError(f"{path}: not written: the KNN index has shapes {got}, the "
                          f"buffer needs {want}; rebuild it with scoring.replay_index")
-    _write_container(path, _INDEX_MAGIC, {}, arrays)
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            row = int(np.argmin(np.isfinite(a).all(axis=1)))
+            raise ValueError(f"{path}: not written: {name}[{row}] holds a non-finite "
+                             "value (a replay row overflows the extractor)")
+    return arrays
 
 
 def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
@@ -521,15 +528,21 @@ def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
         firsts = np.unique(source, return_index=True)[1]  # each source task's first row
         for t in task_ids if len(buffer) else ():
             feats = scoring.normalize_rows(hat_mlp.features(net, x[firsts], t, net.s_max))
-            own_rows = np.flatnonzero(source == t)
-            for i, f in zip(firsts.tolist(), feats):
-                before = int(np.searchsorted(own_rows, i))  # rows of task t before row i
-                name, row = (f"own.{t}", before) if source[i] == t else (f"knn.{t}", i - before)
-                gap = float(np.max(np.abs(arrays[name][row] - f)))
-                if not gap <= _INDEX_TOL:
-                    raise ParseError(f"{path}: {name}[{row}] is {gap:.3g} away from buffer "
-                                     f"row {i} through task {t}'s extractor, so it was not "
-                                     "built from this model and buffer")
+            mine = source[firsts] == t
+            # own.t holds task t's rows and knn.t the others, in buffer order: task t's
+            # first row is own.t[0] and row i of another task is knn.t[i - (task t
+            # rows before i)]
+            rows = np.where(mine, 0, firsts - np.cumsum(source == t)[firsts])
+            stored = np.empty_like(feats)
+            stored[mine] = arrays[f"own.{t}"][rows[mine]]
+            stored[~mine] = arrays[f"knn.{t}"][rows[~mine]]
+            gaps = np.abs(stored - feats).max(axis=1)
+            if not (gaps <= _INDEX_TOL).all():
+                j = int(np.argmin(gaps <= _INDEX_TOL))
+                name = f"own.{t}" if mine[j] else f"knn.{t}"
+                raise ParseError(f"{path}: {name}[{rows[j]}] is {gaps[j]:.3g} away from "
+                                 f"buffer row {firsts[j]} through task {t}'s extractor, so "
+                                 "it was not built from this model and buffer")
     except ParseError as exc:
         raise ParseError(f"{exc}; retrain the run") from None
     return ({t: arrays[f"knn.{t}"] for t in task_ids},
@@ -588,7 +601,9 @@ def _load_stats(stats_dir: Path, t: int,
 
 def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> None:
     """Write the run directory.  Stats files of tasks that are not tasks of
-    this run (left by an earlier run in ``out``) are deleted."""
+    this run (left by an earlier run in ``out``) are deleted.  A stale or
+    non-finite KNN index is refused before anything in ``out`` changes."""
+    index = _index_arrays(out / "index.bin", run)
     out.mkdir(parents=True, exist_ok=True)
     (out / "stats").mkdir(exist_ok=True)
     for path in (out / "stats").glob("task_*"):
@@ -601,7 +616,7 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> N
     for t in sorted(run.stats):
         _save_stats(out / "stats", run.stats[t], run.task_classes[t])
     _save_buffer(out / "buffer.bin", run.buffer)
-    _save_index(out / "index.bin", run)
+    _write_container(out / "index.bin", _INDEX_MAGIC, {}, index)
     _write_buffer_csv(out / "buffer.csv", run.buffer)  # export only; never read back
     (out / "trajectory.json").write_text(_dump_json(trajectory), encoding="utf-8")
     records = [{"task_id": t, "sigma1": s1, "sigma2": s2}

@@ -196,7 +196,7 @@ def replay_index(net: hat_mlp.HatMlp, buffer: ReplayBuffer, task_ids) -> ReplayI
     if len(buffer) > 0:
         x, _, source = buffer.all_samples()
         for t in task_ids:
-            feats = normalize_rows(hat_mlp.forward(net, x, t)[0])
+            feats = normalize_rows(hat_mlp.features(net, x, t, net.s_max))
             knn[t] = feats[source != t]
             own[t] = feats[source == t]
     return knn, own

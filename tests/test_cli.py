@@ -155,7 +155,7 @@ def index_of_another_seed(path: Path) -> None:
     rc = cli.load_run_config(path.parent / "config.json")
     run = trainer.run_sequence(cli.build_stream(rc), rc.training, rc.seed + 1,
                                calibrate=False)
-    cli._save_index(path, run)
+    cli._write_container(path, cli._INDEX_MAGIC, {}, cli._index_arrays(path, run))
 
 
 def write_manifest_dataset(root: Path) -> Path:
@@ -432,6 +432,8 @@ class TestExitCodes:
         ("index.bin", cut_to_ten_bytes),
         ("index.bin", append_one_byte),
         ("index.bin", index_of_another_seed),
+        ("index.bin", rewrite_index_bin(set_first("own.2", 0.5))),
+        ("index.bin", rewrite_index_bin(set_first("knn.1", 0.5))),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -445,7 +447,8 @@ class TestExitCodes:
             "stats-no-classes", "stats-class-not-integer",
             "stats-classes-more-than-the-head", "index-bin-missing",
             "index-bin-wrong-magic", "index-bin-own-row-missing", "index-bin-wrong-width",
-            "index-bin-cut", "index-bin-trailing-byte", "index-bin-of-another-seed"])
+            "index-bin-cut", "index-bin-trailing-byte", "index-bin-of-another-seed",
+            "index-bin-own-row-off", "index-bin-knn-row-off"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -464,10 +467,18 @@ class TestExitCodes:
             argv = ["predict", "--input", str(probe_file[0]),
                     "--output", str(tmp_path / "p.csv")]
         corrupt(path)
-        code, _, err = run_cli(*argv, "--run", str(bad_run))
-        assert code == 3, err
-        assert str(path) in err
-        assert "Traceback" not in err
+        commands = [argv]
+        if artifact == "index.bin":  # every reader of the index asks to retrain
+            commands += [["eval", "--out", str(tmp_path / "m.json")],
+                         ["ood-bench", "--out", str(tmp_path / "b.json"),
+                          "--scatter", str(tmp_path / "s.csv")]]
+        for argv in commands:
+            code, _, err = run_cli(*argv, "--run", str(bad_run))
+            assert code == 3, err
+            assert str(path) in err
+            assert "Traceback" not in err
+            if artifact == "index.bin":
+                assert err.rstrip().endswith("retrain the run")
 
     @pytest.mark.parametrize("corrupt,where", [
         (set_buffer_entry("tasks", 0, 3.0), "row 0: task 3 is not a task of this run"),
@@ -514,25 +525,6 @@ class TestExitCodes:
         assert code == 3
         assert f"{old_run / 'stats' / 'task_1.json'}: malformed" in err
         assert "retrain the run" in err
-
-    @pytest.mark.parametrize("corrupt,why", [
-        (Path.unlink, "missing"),
-        (index_of_another_seed, "not built from this model and buffer"),
-    ], ids=["missing", "another-seed"])
-    def test_bad_index_bin_asks_to_retrain(self, run_dir, probe_file, tmp_path,
-                                           corrupt, why):
-        bad_run = tmp_path / "run"
-        shutil.copytree(run_dir, bad_run)
-        corrupt(bad_run / "index.bin")
-        for argv in (["predict", "--input", str(probe_file[0]),
-                      "--output", str(tmp_path / "p.csv")],
-                     ["eval", "--out", str(tmp_path / "m.json")],
-                     ["ood-bench", "--out", str(tmp_path / "b.json"),
-                      "--scatter", str(tmp_path / "s.csv")]):
-            code, _, err = run_cli(*argv, "--run", str(bad_run))
-            assert code == 3, err
-            assert f"{bad_run / 'index.bin'}: " in err and why in err
-            assert err.rstrip().endswith("retrain the run")
 
     def test_eval_rejects_a_dataset_whose_classes_differ_from_the_run(self, run_dir,
                                                                       tmp_path):
@@ -775,6 +767,7 @@ class TestPersistence:
     @given(x=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(6)),
                         elements=st.floats(allow_nan=False, allow_infinity=False)),
            picks=st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    @example(x=np.full((2, 6), -1.7e308), picks=[0] * 12)  # overflows the extractor
     def test_buffer_round_trips_bit_for_bit(self, run_dir, tmp_path, x, picks):
         run, rc = cli.load_run(run_dir)
         owner = {c: t for t, classes in run.task_classes.items() for c in classes}
@@ -782,20 +775,24 @@ class TestPersistence:
         tasks = np.array([owner[c] for c in labels.tolist()], dtype=np.int64)
         run.buffer = trainer.ReplayBuffer.from_samples(
             rc.training.buffer_capacity, x, labels, tasks)
+        out = tmp_path / "run"
         # rows near the float64 limit overflow the features of the KNN index
         with np.errstate(all="ignore"):
             run.replay_index = scoring.replay_index(run.net, run.buffer, run.task_ids())
-            cli.save_run(run, rc, tmp_path / "run", {})
-            if not all(np.isfinite(a).all() for index in run.replay_index
-                       for a in index.values()):
-                with pytest.raises(ParseError, match=re.escape(
-                        f"{tmp_path / 'run' / 'index.bin'}: malformed")):
-                    cli.load_run(tmp_path / "run")
-                return
-            loaded, _ = cli.load_run(tmp_path / "run")
-        assert loaded.buffer.capacity == run.buffer.capacity
-        assert loaded.buffer.task_of == run.buffer.task_of
-        for got, want in zip(loaded.buffer.all_samples(), run.buffer.all_samples()):
+            if all(np.isfinite(a).all() for index in run.replay_index for a in index.values()):
+                cli.save_run(run, rc, out, {})
+                loaded = cli.load_run(out)[0].buffer
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{out / 'index.bin'}: not written: ") + r".* holds a non-finite"):
+                    cli.save_run(run, rc, out, {})
+                out.mkdir(exist_ok=True)
+                cli._save_buffer(out / "buffer.bin", run.buffer)
+                loaded = cli._load_buffer(out / "buffer.bin", rc.training.buffer_capacity,
+                                          run.net.input_dim, run.task_classes)
+        assert loaded.capacity == run.buffer.capacity
+        assert loaded.task_of == run.buffer.task_of
+        for got, want in zip(loaded.all_samples(), run.buffer.all_samples()):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -856,7 +853,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(
                 f"{tmp_path / 'run' / 'index.bin'}: not written")):
             cli.save_run(run, rc, tmp_path / "run", {})
-        assert not (tmp_path / "run" / "index.bin").exists()
+        assert not (tmp_path / "run").exists()
+        # refused before anything changes: an earlier run in the directory stays whole
+        old = tmp_path / "old"
+        shutil.copytree(run_dir, old)
+        before = {p: p.read_bytes() for p in old.rglob("*") if p.is_file()}
+        with pytest.raises(ValueError, match="not written"):
+            cli.save_run(run, rc, old, {})
+        assert {p: p.read_bytes() for p in old.rglob("*") if p.is_file()} == before
 
     def test_every_index_bin_prefix_and_one_extra_byte_exit_3(self, run_dir, probe_file,
                                                               tmp_path):
@@ -1098,20 +1102,22 @@ class TestPredict:
     @pytest.mark.parametrize("command", ["eval", "ood-bench"])
     def test_reports_never_forward_the_buffer(self, run_dir, tmp_path, monkeypatch,
                                               command):
-        buffer_rows = {row.tobytes() for row in cli.load_run(run_dir)[0].buffer.all_samples()[0]}
+        x, _, source = cli.load_run(run_dir)[0].buffer.all_samples()
+        spot_checked = {x[i].tobytes() for i in np.unique(source, return_index=True)[1]}
         seen = set()
-        forward = hat_mlp.forward
+        features = hat_mlp.features  # forward's trunk, so this sees forward's rows too
 
-        def recording(net, x, task_id, s=None):
-            seen.update(row.tobytes() for row in np.atleast_2d(x))
-            return forward(net, x, task_id, s)
+        def recording(net, x, task_id, s):
+            seen.update(row.tobytes() for row in x)
+            return features(net, x, task_id, s)
 
-        monkeypatch.setattr(hat_mlp, "forward", recording)
+        monkeypatch.setattr(hat_mlp, "features", recording)
         extra = ["--scatter", str(tmp_path / "s.csv")] if command == "ood-bench" else []
         code, _, err = run_cli(command, "--run", str(run_dir), "--out",
                                str(tmp_path / "out.json"), *extra)
         assert code == 0, err
-        assert seen and not seen & buffer_rows
+        # only the load's spot check sees buffer rows: its first row of each task
+        assert seen & {row.tobytes() for row in x} == spot_checked
 
     def test_predict_builds_no_stream(self, run_dir, probe_file, tmp_path, monkeypatch):
         calls = []

@@ -460,13 +460,13 @@ def test_build_context_splits_the_buffer_by_source_task(three_task_run):
 
 def test_build_context_forwards_the_buffer_once_per_task(three_task_run, monkeypatch):
     calls = []
-    forward = hat_mlp.forward
+    features = hat_mlp.features
 
-    def counting(net, x, task_id, s=None):
+    def counting(net, x, task_id, s):
         calls.append(task_id)
-        return forward(net, x, task_id, s)
+        return features(net, x, task_id, s)
 
-    monkeypatch.setattr(hat_mlp, "forward", counting)
+    monkeypatch.setattr(hat_mlp, "features", counting)
     run = three_task_run
     ctx = scoring.build_context(run.net, run.stats, run.buffer, run.config, run.task_classes)
     assert sorted(calls) == ctx.task_ids == [1, 2, 3]
