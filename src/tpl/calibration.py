@@ -45,12 +45,12 @@ def _combined_values(run: RunArtifacts):
     ``scoring.predict`` (identity calibration leaves it exact), and
     ``tpos[i]`` indexes the sample's task within ``task_ids``.
     """
-    x, y, sample_task = run.buffer.all_samples()
+    buf = run.buffer
     ctx = scoring.context_from_run(run, calibrated=False)
-    preds = scoring.predict(ctx, x)
-    col = label_positions(y, [c for t in ctx.task_ids for c in ctx.task_classes[t]])
-    base = preds.calibrated[np.arange(y.shape[0]), col]
-    tpos = np.searchsorted(ctx.task_ids, sample_task)
+    preds = scoring.predict(ctx, buf.x)
+    col = label_positions(buf.labels, [c for t in ctx.task_ids for c in ctx.task_classes[t]])
+    base = preds.calibrated[np.arange(len(buf)), col]
+    tpos = np.searchsorted(ctx.task_ids, buf.tasks)
     return base, tpos, list(ctx.task_ids)
 
 
@@ -133,15 +133,3 @@ def fit_calibration(
     s1, s2, _ = _sgd_fit(base, tpos, len(ordered), epochs, batch, lr, rng)
     return {t: (float(s1[j]), float(s2[j])) for j, t in enumerate(ordered)}
 
-
-def buffer_cross_entropy(
-    run: RunArtifacts, calibration: dict[int, tuple[float, float]] | None = None
-) -> float:
-    """Monitored fitting objective: mean −log p(y|x) over the run's buffer
-    samples under the given (default identity) calibration."""
-    base, tpos, ordered = _combined_values(run)
-    if calibration is None:
-        calibration = scoring.identity_calibration(ordered)
-    s1 = np.array([calibration[t][0] for t in ordered])
-    s2 = np.array([calibration[t][1] for t in ordered])
-    return _objective(base, tpos, s1, s2)

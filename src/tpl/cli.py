@@ -181,8 +181,8 @@ def _validate_dataset(d, base_dir: Path) -> dict:
     if kind == "manifest":
         _check_keys(d, _MANIFEST_KEYS, "dataset")
         path = _require(d, "path", "dataset")
-        if not isinstance(path, str):
-            raise ConfigError("dataset.path: need a string")
+        if not isinstance(path, str) or "\0" in path:
+            raise ConfigError("dataset.path: need a string without NUL characters")
         resolved = Path(path)
         if not resolved.is_absolute():
             resolved = (base_dir / resolved).resolve()
@@ -236,8 +236,8 @@ def parse_run_config(text: str, base_dir: Path, source: str = "config") -> RunCo
     if not isinstance(calibrate, bool):
         raise ConfigError(f"{source}: calibrate must be true or false")
     out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"{source}: out_dir must be a string")
+    if out_dir is not None and (not isinstance(out_dir, str) or "\0" in out_dir):
+        raise ConfigError(f"{source}: out_dir must be a string without NUL characters")
     dataset = _validate_dataset(_require(raw, "dataset", source), base_dir)
     training = _validate_training(raw.get("training"))
     return RunConfig(training=training, dataset=dataset, seed=seed,
@@ -363,6 +363,18 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
         return header, arrays
 
 
+def _check_shapes(arrays: dict[str, np.ndarray], want: dict[str, tuple[int, ...]],
+                  needer: str) -> None:
+    """Raise a ValueError naming the first array of a container that is
+    missing, extra or shaped other than ``want`` says ``needer`` needs."""
+    if sorted(arrays) != sorted(want):
+        raise ValueError(f"holds arrays {sorted(arrays)}, {needer} needs {sorted(want)}")
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{name} has shape {list(arrays[name].shape)}, "
+                             f"{needer} needs {list(shape)}")
+
+
 # --- model serialization -----------------------------------------------------
 
 
@@ -392,15 +404,43 @@ def save_model(path: Path, net: hat_mlp.HatMlp) -> None:
     }, _model_arrays(net))
 
 
+def _model_shapes(header: dict) -> dict[str, tuple[int, ...]]:
+    """The shape of every array ``model.bin`` holds, derived from its header."""
+    d, widths = header["input_dim"], header["hidden_widths"]
+    tasks = {int(t): n for t, n in header["tasks"].items()}
+    if (not isinstance(widths, list) or not widths
+            or not all(type(n) is int and n >= 1 for n in (d, *widths, *tasks.values()))):
+        raise ValueError(f"input_dim {d!r}, hidden_widths {widths!r} and task class "
+                         f"counts {list(tasks.values())} must be positive integers")
+    if header["n_past_masks"] != len(widths):
+        raise ValueError(f"n_past_masks {header['n_past_masks']!r}, the model has "
+                         f"{len(widths)} layers")
+    fan_in = [d, *widths[:-1]]
+    shapes = {f"weights.{l}": (w, fan_in[l]) for l, w in enumerate(widths)}
+    shapes.update({f"{name}.{l}": (w,) for name in ("biases", "past_masks")
+                   for l, w in enumerate(widths)})
+    for t, n_classes in tasks.items():
+        shapes.update({f"embeddings.{t}.{l}": (w,) for l, w in enumerate(widths)})
+        shapes[f"head_weight.{t}"] = (n_classes + 1, widths[-1])
+        shapes[f"head_bias.{t}"] = (n_classes + 1,)
+    return shapes
+
+
 def load_model(path: Path) -> hat_mlp.HatMlp:
+    """The network stored in ``path``; every array must have the shape its
+    header implies (``_model_shapes``), and ``s_max`` must exceed 1."""
     header, loaded = _read_container(path, _MODEL_MAGIC)
     with _reading(path):
+        _check_shapes(loaded, _model_shapes(header), "the header")
+        s_max = check_real("s_max", header["s_max"])
+        if s_max <= 1:
+            raise ValueError(f"s_max must be > 1, got {s_max!r}")
         widths = tuple(header["hidden_widths"])
         n_layers = len(widths)
         net = hat_mlp.HatMlp(
             input_dim=header["input_dim"],
             hidden_widths=widths,
-            s_max=header["s_max"],
+            s_max=s_max,
             weights=[loaded[f"weights.{l}"] for l in range(n_layers)],
             biases=[loaded[f"biases.{l}"] for l in range(n_layers)],
             past_masks=[loaded[f"past_masks.{l}"]
@@ -422,13 +462,13 @@ def load_model(path: Path) -> hat_mlp.HatMlp:
 
 def _write_buffer_csv(path: Path, buffer: ReplayBuffer) -> None:
     lines = [",".join([str(int(c))] + [_fmt(v) for v in row] + [str(int(t))])
-             for row, c, t in zip(*buffer.all_samples())]
+             for row, c, t in zip(buffer.x, buffer.labels, buffer.tasks)]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def _save_buffer(path: Path, buffer: ReplayBuffer) -> None:
-    x, labels, tasks = buffer.all_samples()
-    _write_container(path, _BUFFER_MAGIC, {}, {"x": x, "labels": labels, "tasks": tasks})
+    _write_container(path, _BUFFER_MAGIC, {},
+                     {"x": buffer.x, "labels": buffer.labels, "tasks": buffer.tasks})
 
 
 def _load_buffer(path: Path, capacity: int, input_dim: int,
@@ -436,7 +476,8 @@ def _load_buffer(path: Path, capacity: int, input_dim: int,
     """The replay buffer stored in ``path``, checked against the run: at most
     ``capacity`` rows of ``input_dim`` features, each from a task of
     ``task_classes`` with an integer label among that task's classes.  An
-    error names the first bad row, counting from 0."""
+    error names the first bad row, counting from 0.  The rows keep the
+    file's order, the order ``index.bin`` was built in."""
     if not path.is_file():
         raise ParseError(f"{path}: missing (run directories written before the "
                          "replay buffer moved to a binary file lack it); retrain the run")
@@ -467,8 +508,7 @@ def _load_buffer(path: Path, capacity: int, input_dim: int,
             raise ParseError(f"{path}: row {row}: " + problem.format(
                 c=c, t=t, tasks=list(task_classes),
                 classes=list(task_classes.get(int(t), ()))))
-    return ReplayBuffer.from_samples(capacity, x, labels.astype(np.int64),
-                                     tasks.astype(np.int64))
+    return ReplayBuffer(capacity, x, labels.astype(np.int64), tasks.astype(np.int64))
 
 
 def _index_shapes(source: np.ndarray, task_ids, feat_dim: int) -> dict[str, tuple[int, int]]:
@@ -491,7 +531,7 @@ def _index_arrays(path: Path, run: RunArtifacts) -> dict[str, np.ndarray]:
     knn, own = run.replay_index
     arrays = {f"{name}.{t}": index[t] for t in sorted(knn)
               for name, index in (("knn", knn), ("own", own))}
-    want = _index_shapes(run.buffer.all_samples()[2], run.task_ids(), run.net.feature_dim)
+    want = _index_shapes(run.buffer.tasks, run.task_ids(), run.net.feature_dim)
     got = {name: a.shape for name, a in arrays.items()}
     if got != want:
         raise ValueError(f"{path}: not written: the KNN index has shapes {got}, the "
@@ -516,15 +556,10 @@ def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
             raise ParseError(f"{path}: missing (run directories written before the "
                              "KNN replay index was stored lack it)")
         _, arrays = _read_container(path, _INDEX_MAGIC)
-        x, _, source = buffer.all_samples()
+        x, source = buffer.x, buffer.tasks
         with _reading(path):
-            want = _index_shapes(source, task_ids, net.feature_dim)
-            if sorted(arrays) != sorted(want):
-                raise ValueError(f"holds arrays {sorted(arrays)}, the run needs {sorted(want)}")
-            for name, shape in want.items():
-                if arrays[name].shape != shape:
-                    raise ValueError(f"{name} has shape {list(arrays[name].shape)}, "
-                                     f"the run needs {list(shape)}")
+            _check_shapes(arrays, _index_shapes(source, task_ids, net.feature_dim),
+                          "the run")
         firsts = np.unique(source, return_index=True)[1]  # each source task's first row
         for t in task_ids if len(buffer) else ():
             feats = scoring.normalize_rows(hat_mlp.features(net, x[firsts], t, net.s_max))
@@ -589,11 +624,8 @@ def _load_stats(stats_dir: Path, t: int,
         if header["task_id"] != t:
             raise ValueError(f"task_id {header['task_id']!r}, expected {t}")
         d = net.feature_dim
-        for name, shape in (("class_means", (net.heads[t].n_classes, d)),
-                            ("precision", (d, d))):
-            if arrays[name].shape != shape:
-                raise ValueError(f"{name} has shape {list(arrays[name].shape)}, "
-                                 f"the model needs {list(shape)}")
+        _check_shapes(arrays, {"class_means": (net.heads[t].n_classes, d),
+                               "precision": (d, d)}, "the model")
     stats = TaskStats(task_id=t, class_means=arrays["class_means"],
                       precision=arrays["precision"], beta_mls=beta_mls, beta_md=beta_md)
     return stats, classes

@@ -189,16 +189,15 @@ ReplayIndex = tuple[dict[int, np.ndarray], dict[int, np.ndarray]]
 def replay_index(net: hat_mlp.HatMlp, buffer: ReplayBuffer, task_ids) -> ReplayIndex:
     """Both KNN indexes of every task in ``task_ids``.  The whole buffer goes
     through each task's extractor once; the two indexes are its rows split by
-    source task, in class order.  An empty buffer gives empty [0, d] views."""
+    source task, in buffer order.  An empty buffer gives empty [0, d] views."""
     feat_dim = net.feature_dim
     knn = {t: np.empty((0, feat_dim)) for t in task_ids}
     own = {t: np.empty((0, feat_dim)) for t in task_ids}
     if len(buffer) > 0:
-        x, _, source = buffer.all_samples()
         for t in task_ids:
-            feats = normalize_rows(hat_mlp.features(net, x, t, net.s_max))
-            knn[t] = feats[source != t]
-            own[t] = feats[source == t]
+            feats = normalize_rows(hat_mlp.features(net, buffer.x, t, net.s_max))
+            knn[t] = feats[buffer.tasks != t]
+            own[t] = feats[buffer.tasks == t]
     return knn, own
 
 

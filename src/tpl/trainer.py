@@ -4,7 +4,9 @@ The continual loop for each task t is: train the shared trunk + task head on
 the union of the task's data and the replay buffer (buffer samples all map to
 the task's extra "everything else" class), consolidate the task's capacity
 claim, fit the task's Gaussian feature statistics, then fold a class-balanced
-sample of the task's data into the buffer.
+sample of the task's data into the buffer.  The buffer is three row-aligned
+arrays (features, labels, source tasks) that each update replaces, so a task's
+checkpoint shares them rather than copying them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import copy
 import logging
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -109,53 +112,56 @@ class TrainConfig:
 
 
 class ReplayBuffer:
-    """Class-balanced reservoir over all classes seen so far.
+    """Class-balanced reservoir over all classes seen so far, held as the
+    three row-aligned arrays every reader uses: features ``x [n, d]``, global
+    ``labels [n]`` and source ``tasks [n]``, rows grouped by class in arrival
+    order (the layout ``buffer.bin`` stores).
 
     Every class gets ``capacity // n_classes`` slots (the remainder goes to
     the earliest-seen classes, so per-class counts never differ by more than
     one).  When new classes arrive, existing classes are truncated to the new
     quota by random subsampling; new classes are filled by sampling their
-    task's training data without replacement.
+    task's training data without replacement.  ``update`` replaces the three
+    arrays and never writes into them, so a shallow copy keeps its rows.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, x: np.ndarray | None = None,
+                 labels: np.ndarray | None = None, tasks: np.ndarray | None = None):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
-        self.store: dict[int, np.ndarray] = {}
-        self.task_of: dict[int, int] = {}
-        self.order: list[int] = []
+        self.x = np.empty((0, 0)) if x is None else x
+        self.labels = np.empty(0, dtype=np.int64) if labels is None else labels
+        self.tasks = np.empty(0, dtype=np.int64) if tasks is None else tasks
 
     def __len__(self) -> int:
-        return sum(arr.shape[0] for arr in self.store.values())
+        return self.labels.shape[0]
 
     def class_counts(self) -> dict[int, int]:
-        return {c: self.store[c].shape[0] for c in self.order}
-
-    def _quotas(self) -> dict[int, int]:
-        n = len(self.order)
-        if n == 0:
-            return {}
-        base, rem = divmod(self.capacity, n)
-        return {c: base + (1 if i < rem else 0) for i, c in enumerate(self.order)}
+        """Rows per buffered class, classes in arrival order."""
+        return dict(Counter(self.labels.tolist()))
 
     def update(self, dataset: TaskDataset, rng: RngState) -> None:
-        """Admit a finished task's classes and rebalance to the new quotas."""
+        """Admit a finished task's classes and rebalance to the new quotas.
+
+        A class whose quota fell to 0 holds no rows and leaves the order; it
+        sat after every class that holds rows, so no other quota moves."""
+        stored = self.class_counts()
         for c in dataset.classes:
-            if c in self.store:
+            if c in stored:
                 raise ValueError(f"class {c} already buffered")
-            self.order.append(c)
-            self.task_of[c] = dataset.task_id
-        quotas = self._quotas()
+        order = [*stored, *dataset.classes]
+        base, rem = divmod(self.capacity, max(len(order), 1))
+        quotas = {c: base + (1 if i < rem else 0) for i, c in enumerate(order)}
+        pieces = []
         # shrink previously stored classes
-        for c in self.order:
-            if self.task_of[c] == dataset.task_id:
-                continue
-            have = self.store[c].shape[0]
-            want = quotas[c]
-            if have > want:
-                keep = rng.stream(f"shrink-{c}").sample_without_replacement(have, want)
-                self.store[c] = self.store[c][np.sort(keep)]
+        for c in stored:
+            rows = np.flatnonzero(self.labels == c)
+            if rows.shape[0] > quotas[c]:
+                keep = rng.stream(f"shrink-{c}").sample_without_replacement(
+                    rows.shape[0], quotas[c])
+                rows = rows[np.sort(keep)]
+            pieces.append((self.x[rows], self.labels[rows], self.tasks[rows]))
         # admit the new classes
         for c in dataset.classes:
             pool = dataset.train_x[dataset.train_y == c]
@@ -166,36 +172,10 @@ class ReplayBuffer:
                     c, pool.shape[0], quotas[c],
                 )
             idx = rng.stream(f"admit-{c}").sample_without_replacement(pool.shape[0], want)
-            self.store[c] = pool[np.sort(idx)].copy()
-
-    def all_samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(features, global labels, source task ids), class-ordered."""
-        if not self.order:
-            return np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        xs, ys, ts = [], [], []
-        for c in self.order:
-            arr = self.store[c]
-            xs.append(arr)
-            ys.append(np.full(arr.shape[0], c, dtype=np.int64))
-            ts.append(np.full(arr.shape[0], self.task_of[c], dtype=np.int64))
-        return np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
-
-    @classmethod
-    def from_samples(cls, capacity: int, x: np.ndarray, y: np.ndarray,
-                     task: np.ndarray) -> "ReplayBuffer":
-        """The buffer holding rows ``x`` of labels ``y`` from source tasks
-        ``task``, the inverse of ``all_samples``: classes in order of first
-        appearance, each class's source task read from its first row."""
-        buffer = cls(capacity)
-        for c in dict.fromkeys(y.tolist()):
-            rows = y == c
-            buffer.order.append(c)
-            buffer.task_of[c] = int(task[rows][0])
-            buffer.store[c] = x[rows]
-        return buffer
-
-    def snapshot(self) -> "ReplayBuffer":
-        return copy.deepcopy(self)
+            pieces.append((pool[np.sort(idx)], np.full(want, c, dtype=np.int64),
+                           np.full(want, dataset.task_id, dtype=np.int64)))
+        if pieces:
+            self.x, self.labels, self.tasks = (np.concatenate(p) for p in zip(*pieces))
 
 
 def train_task(
@@ -218,15 +198,14 @@ def train_task(
     n_classes = dataset.n_classes
     y_task = label_positions(dataset.train_y, dataset.classes)
 
-    buf_x, _, _ = buffer.all_samples()
-    mask_others = buf_x.shape[0] == 0
+    mask_others = len(buffer) == 0
     if mask_others:
         x_all = dataset.train_x
         y_all = y_task
     else:
-        x_all = np.concatenate([dataset.train_x, buf_x])
+        x_all = np.concatenate([dataset.train_x, buffer.x])
         y_all = np.concatenate(
-            [y_task, np.full(buf_x.shape[0], n_classes, dtype=np.int64)]
+            [y_task, np.full(len(buffer), n_classes, dtype=np.int64)]
         )
 
     n = x_all.shape[0]
@@ -404,7 +383,7 @@ def run_sequence(
                 task_id=t,
                 net=copy.deepcopy(net),
                 stats=dict(run.stats),  # TaskStats are never mutated once fitted
-                buffer=buffer.snapshot(),
+                buffer=copy.copy(buffer),  # update replaces its arrays
             )
         )
     run.replay_index = scoring.replay_index(net, buffer, run.task_ids())

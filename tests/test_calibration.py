@@ -56,9 +56,11 @@ def test_empty_buffer_returns_identity():
 
 def test_fitted_objective_never_regresses(two_task_run):
     fitted = fit(two_task_run)
-    before = calibration.buffer_cross_entropy(two_task_run)
-    after = calibration.buffer_cross_entropy(two_task_run, fitted)
-    assert after <= before + 1e-9
+    # the monitored objective over the whole buffer, fitted vs identity
+    base, tpos, ordered = calibration._combined_values(two_task_run)
+    s1, s2 = (np.array([fitted[t][i] for t in ordered]) for i in (0, 1))
+    identity = calibration._objective(base, tpos, np.ones_like(s1), np.zeros_like(s2))
+    assert calibration._objective(base, tpos, s1, s2) <= identity + 1e-9
     for s1, s2 in fitted.values():
         assert math.isfinite(s1) and math.isfinite(s2)
 
@@ -68,7 +70,7 @@ def test_base_values_equal_the_per_sample_formula():
     # posterior directly; calibration reads it from an uncalibrated predict
     run = make_run(3)
     base, tpos, ordered = calibration._combined_values(run)
-    x, y, sample_task = run.buffer.all_samples()
+    x, y, sample_task = run.buffer.x, run.buffer.labels, run.buffer.tasks
     ctx = scoring.context_from_run(run, calibrated=False)
     bundle = scoring.compute_bundle(ctx, x)
     post = scoring.task_posterior(

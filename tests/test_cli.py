@@ -3,6 +3,7 @@ exit codes, run-directory persistence, and every subcommand driven
 in-process through ``main``."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -47,6 +48,49 @@ RUN_FILES = ("config.json", "model.bin", "buffer.bin", "buffer.csv", "index.bin"
              "trajectory.json", "calibration.json")
 
 
+#: Any JSON scalar (nan and infinities included: ``json`` reads them back);
+#: short strings over path characters, NUL among them, come up often.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=8) | st.text("/.~a\0", max_size=4))
+#: Any JSON value, a scalar about half the time.
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def edited(draw, base: dict, optional=()):
+    """``base`` with one entry, of its keys, the ``optional`` ones or an
+    unknown key, set to any JSON value or removed."""
+    key = draw(st.sampled_from(sorted({*base, *optional, "surprise"})))
+    out = dict(base)
+    if draw(st.booleans()):
+        out[key] = draw(JSON_VALUES)
+    else:
+        out.pop(key, None)
+    return out
+
+
+def run_configs():
+    """Any JSON value, or a valid config, synthetic or manifest, with one
+    entry of its top level, ``dataset`` or ``training`` edited, so the edit
+    reaches the parser's check of that entry."""
+    def config(dataset=BASE_CONFIG["dataset"], training=BASE_CONFIG["training"]):
+        return {**BASE_CONFIG, "dataset": dataset, "training": training}
+
+    fields = [f.name for f in dataclasses.fields(trainer.TrainConfig)]
+    return st.sampled_from([
+        JSON_VALUES,
+        edited(config(), cli._TOP_KEYS),
+        edited(BASE_CONFIG["dataset"], cli._SYNTHETIC_KEYS).map(lambda d: config(dataset=d)),
+        edited({"kind": "manifest", "path": "m.json"}).map(lambda d: config(dataset=d)),
+        edited(BASE_CONFIG["training"], fields).map(lambda t: config(training=t)),
+    ]).flatmap(lambda strategy: strategy)
+
+
 def write_config(path: Path, out_dir: Path, **overrides) -> Path:
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["out_dir"] = str(out_dir)
@@ -64,13 +108,17 @@ def cut_to_ten_bytes(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:10])
 
 
-def drop_s_max_from_model_header(path: Path) -> None:
-    raw = path.read_bytes()
-    (n,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16:16 + n])
-    del header["s_max"]
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+def edit_model_header(change):
+    """Corrupter rewriting ``model.bin``'s JSON header, which ``change``
+    edits in place."""
+    def corrupt(path: Path) -> None:
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16:16 + n])
+        change(header)
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+    return corrupt
 
 
 def append_one_byte(path: Path) -> None:
@@ -288,6 +336,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r":2:11"):
             cli.load_run_config(path)
 
+    @pytest.mark.parametrize("where,edit", [
+        ("out_dir", {"out_dir": "run\0"}),
+        ("dataset.path", {"dataset": {"kind": "manifest", "path": "m\0.json"}}),
+    ], ids=["out_dir", "dataset.path"])
+    def test_nul_in_a_path_exits_2_naming_it(self, tmp_path, where, edit):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, **edit}))
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 2, err
+        assert where in err and "string without NUL characters" in err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=run_configs())
+    @example(raw={"schema_version": 1, "dataset": {"kind": "manifest", "path": "m\0.json"}})
+    def test_parser_returns_or_raises_config_error(self, tmp_path, raw):
+        try:
+            cli.parse_run_config(json.dumps(raw), tmp_path)
+        except ConfigError:
+            pass
+
 
 # --- exit codes --------------------------------------------------------------
 
@@ -389,7 +458,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("artifact,corrupt", [
         ("model.bin", cut_to_ten_bytes),
-        ("model.bin", drop_s_max_from_model_header),
+        ("model.bin", edit_model_header(lambda h: h.pop("s_max"))),
         ("calibration.json", drop_json_key("sigma1")),
         ("stats/task_2.json", drop_json_key("beta_md")),
         ("calibration.json",
@@ -434,6 +503,12 @@ class TestExitCodes:
         ("index.bin", index_of_another_seed),
         ("index.bin", rewrite_index_bin(set_first("own.2", 0.5))),
         ("index.bin", rewrite_index_bin(set_first("knn.1", 0.5))),
+        ("model.bin", rewrite_container(cli._MODEL_MAGIC, lambda a: a.update(
+            {"past_masks.1": a["past_masks.1"][:5]}))),
+        ("model.bin", rewrite_container(cli._MODEL_MAGIC, lambda a: a.update(
+            {"head_weight.2": np.zeros((3, 9))}))),
+        ("model.bin", edit_model_header(lambda h: h.update(s_max="400"))),
+        ("model.bin", edit_model_header(lambda h: h.update(s_max=-5.0))),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -448,7 +523,9 @@ class TestExitCodes:
             "stats-classes-more-than-the-head", "index-bin-missing",
             "index-bin-wrong-magic", "index-bin-own-row-missing", "index-bin-wrong-width",
             "index-bin-cut", "index-bin-trailing-byte", "index-bin-of-another-seed",
-            "index-bin-own-row-off", "index-bin-knn-row-off"])
+            "index-bin-own-row-off", "index-bin-knn-row-off",
+            "model-past-mask-short", "model-head-weight-wrong-width",
+            "model-s_max-string", "model-s_max-negative"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -704,7 +781,8 @@ class TestPersistence:
         assert sorted(run.stats) == [1, 2]
         assert run.net.input_dim == 6
         assert len(run.buffer) == 60
-        assert sorted(run.buffer.task_of.values()) == [1, 1, 2, 2]
+        assert run.buffer.labels.tolist() == [0] * 15 + [1] * 15 + [2] * 15 + [3] * 15
+        assert run.buffer.tasks.tolist() == [1] * 30 + [2] * 30
         assert set(run.calibration) == {1, 2}
         ctx = scoring.context_from_run(run, calibrated=rc.calibrate)
         assert run.task_classes == {1: (0, 1), 2: (2, 3)}
@@ -773,8 +851,7 @@ class TestPersistence:
         owner = {c: t for t, classes in run.task_classes.items() for c in classes}
         labels = np.array(sorted(owner), dtype=np.int64)[picks[: x.shape[0]]]
         tasks = np.array([owner[c] for c in labels.tolist()], dtype=np.int64)
-        run.buffer = trainer.ReplayBuffer.from_samples(
-            rc.training.buffer_capacity, x, labels, tasks)
+        run.buffer = trainer.ReplayBuffer(rc.training.buffer_capacity, x, labels, tasks)
         out = tmp_path / "run"
         # rows near the float64 limit overflow the features of the KNN index
         with np.errstate(all="ignore"):
@@ -791,17 +868,17 @@ class TestPersistence:
                 loaded = cli._load_buffer(out / "buffer.bin", rc.training.buffer_capacity,
                                           run.net.input_dim, run.task_classes)
         assert loaded.capacity == run.buffer.capacity
-        assert loaded.task_of == run.buffer.task_of
-        for got, want in zip(loaded.all_samples(), run.buffer.all_samples()):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        for name in ("x", "labels", "tasks"):
+            got, want = getattr(loaded, name), getattr(run.buffer, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_every_buffer_bin_prefix_and_one_extra_byte_exit_3(self, run_dir, probe_file,
                                                                tmp_path):
         run, rc = cli.load_run(run_dir)
-        x, labels, tasks = run.buffer.all_samples()
-        run.buffer = trainer.ReplayBuffer.from_samples(
-            rc.training.buffer_capacity, x[:2], labels[:2], tasks[:2])
+        buf = run.buffer
+        run.buffer = trainer.ReplayBuffer(buf.capacity, buf.x[:2], buf.labels[:2],
+                                          buf.tasks[:2])
         run.replay_index = scoring.replay_index(run.net, run.buffer, run.task_ids())
         out = tmp_path / "run"
         cli.save_run(run, rc, out, {})
@@ -823,7 +900,7 @@ class TestPersistence:
         loaded = scoring.context_from_run(run)
         fresh = scoring.build_context(run.net, run.stats, run.buffer, run.config,
                                       run.task_classes, run.calibration)
-        x, _, source = run.buffer.all_samples()
+        source = run.buffer.tasks
         for t in run.task_ids():
             for got, want, rows in ((loaded.knn_index[t], fresh.knn_index[t], source != t),
                                     (loaded.own_index[t], fresh.own_index[t], source == t)):
@@ -847,9 +924,9 @@ class TestPersistence:
 
     def test_save_run_refuses_a_stale_index(self, run_dir, tmp_path):
         run, rc = cli.load_run(run_dir)
-        x, labels, tasks = run.buffer.all_samples()
-        run.buffer = trainer.ReplayBuffer.from_samples(
-            rc.training.buffer_capacity, x[:2], labels[:2], tasks[:2])
+        buf = run.buffer
+        run.buffer = trainer.ReplayBuffer(buf.capacity, buf.x[:2], buf.labels[:2],
+                                          buf.tasks[:2])
         with pytest.raises(ValueError, match=re.escape(
                 f"{tmp_path / 'run' / 'index.bin'}: not written")):
             cli.save_run(run, rc, tmp_path / "run", {})
@@ -865,10 +942,10 @@ class TestPersistence:
     def test_every_index_bin_prefix_and_one_extra_byte_exit_3(self, run_dir, probe_file,
                                                               tmp_path):
         run, rc = cli.load_run(run_dir)
-        x, labels, tasks = run.buffer.all_samples()
+        buf = run.buffer
         keep = [0, -1]  # one row of each task keeps the index small
-        run.buffer = trainer.ReplayBuffer.from_samples(
-            rc.training.buffer_capacity, x[keep], labels[keep], tasks[keep])
+        run.buffer = trainer.ReplayBuffer(buf.capacity, buf.x[keep], buf.labels[keep],
+                                          buf.tasks[keep])
         run.replay_index = scoring.replay_index(run.net, run.buffer, run.task_ids())
         out = tmp_path / "run"
         cli.save_run(run, rc, out, {})
@@ -1102,7 +1179,8 @@ class TestPredict:
     @pytest.mark.parametrize("command", ["eval", "ood-bench"])
     def test_reports_never_forward_the_buffer(self, run_dir, tmp_path, monkeypatch,
                                               command):
-        x, _, source = cli.load_run(run_dir)[0].buffer.all_samples()
+        buf = cli.load_run(run_dir)[0].buffer
+        x, source = buf.x, buf.tasks
         spot_checked = {x[i].tobytes() for i in np.unique(source, return_index=True)[1]}
         seen = set()
         features = hat_mlp.features  # forward's trunk, so this sees forward's rows too

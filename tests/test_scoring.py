@@ -444,17 +444,14 @@ def three_task_run(three_task_stream):
 def test_build_context_splits_the_buffer_by_source_task(three_task_run):
     run = three_task_run
     ctx = scoring.context_from_run(run)
-    counts = run.buffer.class_counts()
+    buf = run.buffer
     for t in ctx.task_ids:
-        own_classes = [c for c in run.buffer.order if run.buffer.task_of[c] == t]
-        other = [c for c in run.buffer.order if run.buffer.task_of[c] != t]
-        assert own_classes == list(ctx.task_classes[t])
-        for classes, index in ((own_classes, ctx.own_index[t]),
-                               (other, ctx.knn_index[t])):
-            # each subset forwarded on its own, in class order
-            x = np.concatenate([run.buffer.store[c] for c in classes])
-            expect = scoring.normalize_rows(hat_mlp.forward(run.net, x, t)[0])
-            assert index.shape == (sum(counts[c] for c in classes), run.net.feature_dim)
+        mine = buf.tasks == t
+        assert list(dict.fromkeys(buf.labels[mine].tolist())) == list(ctx.task_classes[t])
+        for rows, index in ((mine, ctx.own_index[t]), (~mine, ctx.knn_index[t])):
+            # each subset forwarded on its own, in buffer order
+            expect = scoring.normalize_rows(hat_mlp.forward(run.net, buf.x[rows], t)[0])
+            assert index.shape == (np.count_nonzero(rows), run.net.feature_dim)
             np.testing.assert_allclose(index, expect, rtol=0, atol=1e-12)
 
 

@@ -60,6 +60,17 @@ def test_buffer_rebalances_on_new_task():
     assert max(counts.values()) - min(counts.values()) <= 1
 
 
+def test_buffer_below_one_row_per_class_keeps_the_earliest_classes():
+    # classes past the capacity get quota 0 and no rows; later tasks change nothing
+    buf = trainer.ReplayBuffer(3)
+    buf.update(buffer_dataset([0, 1], task_id=1), RngState(1))
+    assert buf.class_counts() == {0: 2, 1: 1}
+    for t, classes in ((2, [2, 3]), (3, [4, 5])):
+        buf.update(buffer_dataset(classes, task_id=t, seed=t), RngState(t))
+        assert buf.class_counts() == {0: 1, 1: 1, 2: 1}
+        assert buf.tasks.tolist() == [1, 1, 2]
+
+
 def test_buffer_counts_never_differ_by_more_than_one():
     for cap in [1, 3, 7, 10, 50]:
         buf = trainer.ReplayBuffer(cap)
@@ -78,12 +89,13 @@ def test_buffer_truncation_keeps_stored_subset():
     buf = trainer.ReplayBuffer(8)
     ds1 = buffer_dataset([0, 1], task_id=1)
     buf.update(ds1, RngState(3))
-    before = {c: buf.store[c].copy() for c in (0, 1)}
+    before = {(c, tuple(r)) for c, r in zip(buf.labels.tolist(), buf.x)}
     buf.update(buffer_dataset([2, 3], task_id=2, seed=4), RngState(4))
-    for c in (0, 1):
-        after = buf.store[c]
-        rows_before = {tuple(r) for r in before[c]}
-        assert all(tuple(r) in rows_before for r in after)
+    # rows grouped by class in arrival order, each tagged with its source task
+    assert buf.labels.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert buf.tasks.tolist() == [1, 1, 1, 1, 2, 2, 2, 2]
+    assert buf.x.shape == (8, 3)
+    assert all((c, tuple(r)) in before for c, r in zip(buf.labels[:4].tolist(), buf.x[:4]))
 
 
 def test_buffer_deterministic():
@@ -92,8 +104,8 @@ def test_buffer_deterministic():
     for buf in (a, b):
         buf.update(buffer_dataset([0, 1], task_id=1), RngState(7))
         buf.update(buffer_dataset([2], task_id=2, seed=8), RngState(8))
-    for c in a.store:
-        assert np.array_equal(a.store[c], b.store[c])
+    for name in ("x", "labels", "tasks"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_buffer_zero_capacity_stays_empty():
@@ -212,6 +224,27 @@ def test_run_sequence_produces_checkpoints_and_buffer():
     assert set(counts) == {0, 1, 2, 3}
     # checkpoint 1 buffer only knows task 1's classes
     assert set(run.checkpoint_for(1).buffer.class_counts()) == {0, 1}
+
+
+def test_checkpoint_buffer_keeps_its_bytes_after_later_tasks():
+    # a checkpoint shares the buffer's arrays, so later updates must replace
+    # them, never write into them: each checkpoint's buffer is byte-equal to
+    # the final buffer of a run that stopped at that task
+    stream = data.generate_gaussian_stream(
+        n_tasks=3, classes_per_task=2, dim=6, separation=6.0,
+        samples_per_class_train=30, samples_per_class_test=0, rng=RngState(3),
+    )
+    cfg = quick_cfg(epochs=1, buffer_capacity=20)
+    run = trainer.run_sequence(stream, cfg, seed=4, calibrate=False)
+    for n in (1, 2):
+        prefix = data.TaskStream(tasks=stream.tasks[:n])
+        want = trainer.run_sequence(prefix, cfg, seed=4, calibrate=False).buffer
+        got = run.checkpoint_for(n).buffer
+        assert len(got) == 20 and set(got.labels.tolist()) == set(range(2 * n))
+        for name in ("x", "labels", "tasks"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (n, name)
 
 
 def test_run_sequence_deterministic():
