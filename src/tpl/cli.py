@@ -296,6 +296,13 @@ def _reading(path: Path):
         raise ParseError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
 
+def _task_id(value) -> int:
+    """A stored ``task_id``: a JSON integer, not a float, bool or string."""
+    if type(value) is not int:
+        raise ValueError(f"task_id {value!r} is not an integer")
+    return value
+
+
 def _read_json(path: Path, decode):
     """``decode`` applied to a run-directory JSON file's content; malformed
     JSON or content ``decode`` rejects is a ``ParseError`` naming the file."""
@@ -601,7 +608,7 @@ def _load_stats(stats_dir: Path, t: int,
     n_classes = net.heads[t].n_classes
 
     def decode(payload) -> tuple[float, float, tuple[int, ...]]:
-        if payload["task_id"] != t:
+        if _task_id(payload["task_id"]) != t:
             raise ValueError(f"task_id {payload['task_id']!r}, expected {t}")
         if "classes" not in payload:
             raise ValueError("no 'classes' key (run directories written before class "
@@ -621,7 +628,7 @@ def _load_stats(stats_dir: Path, t: int,
                          "statistics moved to binary files lack it); retrain the run")
     header, arrays = _read_container(path, _STATS_MAGIC)
     with _reading(path):
-        if header["task_id"] != t:
+        if _task_id(header["task_id"]) != t:
             raise ValueError(f"task_id {header['task_id']!r}, expected {t}")
         d = net.feature_dim
         _check_shapes(arrays, {"class_means": (net.heads[t].n_classes, d),
@@ -689,8 +696,8 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
     index = _load_index(run_dir / "index.bin", net, buffer, task_ids)
     path = run_dir / "calibration.json"
     calibration = _read_json(path, lambda records: {
-        int(r["task_id"]): (check_real("sigma1", r["sigma1"]),
-                            check_real("sigma2", r["sigma2"]))
+        _task_id(r["task_id"]): (check_real("sigma1", r["sigma1"]),
+                                 check_real("sigma2", r["sigma2"]))
         for r in records
     })
     if sorted(calibration) != task_ids:
@@ -898,6 +905,8 @@ def cmd_theory_check(args) -> int:
         n = _int_flag(args, "--samples", 100_000, theory_lab.MIN_EMPIRICAL_N)
         pair = theory_lab.narrow_impostor_pair(n_samples=n, seed=seed)
         lam = theory_lab.lr_threshold_for_type1(pair, 0.05)
+        scorers = ("lr", "p_t_only")
+        empirical = theory_lab.empirical_aucs(pair, scorers)
         report = {
             "case": case,
             "samples": n,
@@ -907,11 +916,9 @@ def cmd_theory_check(args) -> int:
                 "at_one": theory_lab.log_likelihood_ratio(pair, 1.0),
             },
             "auc": {
-                scorer: {
-                    "oracle": theory_lab.oracle_auc(pair, scorer),
-                    "empirical": theory_lab.empirical_auc(pair, scorer),
-                }
-                for scorer in ("lr", "p_t_only")
+                scorer: {"oracle": theory_lab.oracle_auc(pair, scorer),
+                         "empirical": empirical[scorer]}
+                for scorer in scorers
             },
             "threshold": {
                 "level": 0.05,
@@ -927,8 +934,7 @@ def cmd_theory_check(args) -> int:
             pair = dataclasses.replace(base_pair, n_samples=n, seed=seed)
             oracle = {s: theory_lab.oracle_auc(pair, s)
                       for s in theory_lab.SCORER_NAMES}
-            empirical = {s: theory_lab.empirical_auc(pair, s)
-                         for s in theory_lab.SCORER_NAMES}
+            empirical = theory_lab.empirical_aucs(pair)
             margin = {s: oracle["lr"] - oracle[s]
                       for s in theory_lab.SCORER_NAMES if s != "lr"}
             margins.extend(margin.values())

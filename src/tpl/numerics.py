@@ -1,6 +1,6 @@
 """Shared numeric kernels: SPD inversion, the whitened Mahalanobis distance,
-the diagonal-Gaussian log-density, the k-th-distance order statistic, stable
-reductions, seeded RNG streams.
+the diagonal-Gaussian log-density, the k-th-distance order statistic, average
+ranks and the rank correlation, stable reductions, seeded RNG streams.
 
 Conventions used throughout the package:
 
@@ -118,6 +118,41 @@ def kth_distance(d2: np.ndarray, k: int) -> np.ndarray:
     [n, m] temporary."""
     kth = min(k, d2.shape[1]) - 1
     return np.sqrt(np.maximum(np.partition(d2, kth, axis=1)[:, kth], 0.0))
+
+
+def average_ranks(values: np.ndarray | Sequence[float]) -> np.ndarray:
+    """1-based ranks of the entries of ``values`` (flattened), each tie group
+    sharing its mean rank: ``scipy.stats.rankdata(values)`` bit for bit.
+
+    Any nan makes every rank nan.  The sort need not be stable: tied entries
+    get the same rank in whatever order it leaves them, and every rank is a
+    half-integer, so the mean ``first + (count - 1) / 2`` is exact.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size and np.isnan(v).any():
+        return np.full(v.size, np.nan)
+    order = np.argsort(v)
+    s = v[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(first, append=v.size)
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2.0, counts)
+    return ranks
+
+
+def spearman(a: np.ndarray | Sequence[float], b: np.ndarray | Sequence[float]) -> float:
+    """Spearman's rank correlation: the Pearson correlation of the average
+    ranks of ``a`` and ``b``, ``scipy.stats.spearmanr(a, b)[0]`` bit for bit.
+
+    nan, without a warning, when either side is constant, holds a nan or has
+    fewer than two entries.  It reads ``corrcoef(...)[1, 0]``, the element
+    scipy returns; ``[0, 1]`` can differ in the last bit.
+    """
+    ra, rb = average_ranks(a), average_ranks(b)
+    if ra.size < 2:
+        return math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(ra, rb)[1, 0])
 
 
 def log_sum_exp(v: np.ndarray | Sequence[float]) -> float | np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
-from scipy.stats import spearmanr
 
 from . import scoring, trainer
 from .data import TaskDataset
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .evaluation import ood_auc
 from .numerics import (
-    RngState, diag_gaussian_logpdf, kth_distance, log_sum_exp, mahalanobis_sq,
+    RngState, diag_gaussian_logpdf, kth_distance, log_sum_exp, mahalanobis_sq, spearman,
 )
 
 #: Recognized scoring statistics, each a quadratic in x for 1-D pairs:
@@ -275,6 +274,20 @@ def empirical_auc(
     ``n`` and ``seed`` default to the pair's own fields.  Requires n >= 1000
     so the +-5/sqrt(n) convergence band is meaningful.
     """
+    return empirical_aucs(pair, (scorer,), n, seed)[scorer]
+
+
+def empirical_aucs(
+    pair: GaussianPair,
+    scorers: tuple[str, ...] = SCORER_NAMES,
+    n: int | None = None,
+    seed: int | None = None,
+) -> dict[str, float]:
+    """`empirical_auc` of each of ``scorers``, all scored on one set of draws.
+
+    The draws depend only on the pair, ``n`` and ``seed``, so each value is
+    the one `empirical_auc` returns for that scorer, bit for bit.
+    """
     n = pair.n_samples if n is None else int(n)
     seed = pair.seed if seed is None else int(seed)
     if n < MIN_EMPIRICAL_N:
@@ -282,7 +295,8 @@ def empirical_auc(
     root = RngState(seed)
     xs = pair.sample_t(n, root.stream("in-task-draws"))
     ys = pair.sample_c(n, root.stream("out-task-draws"))
-    return ood_auc(score_samples(pair, scorer, xs), score_samples(pair, scorer, ys))
+    return {s: ood_auc(score_samples(pair, s, xs), score_samples(pair, s, ys))
+            for s in scorers}
 
 
 def lr_threshold_for_type1(pair: GaussianPair, level: float = 0.05) -> float:
@@ -416,7 +430,7 @@ def density_estimator_check(
     keep = md < 1.0 / scoring.MD_FLOOR
     if int(np.sum(keep)) < 3:
         raise NoVariance("all probes saturated the distance floor")
-    md_rho = float(spearmanr(md[keep], fitted_logpdf[keep])[0])
+    md_rho = spearman(md[keep], fitted_logpdf[keep])
 
     if knn_k < 1:
         raise ValueError("knn_k must be >= 1")
@@ -426,7 +440,7 @@ def density_estimator_check(
         + np.sum(dataset.train_x**2, axis=1)[None, :]
     )
     knn_dist = kth_distance(gram, knn_k)
-    knn_rho = float(spearmanr(-knn_dist, mixture_logpdf)[0])
+    knn_rho = spearman(-knn_dist, mixture_logpdf)
     if not (np.isfinite(md_rho) and np.isfinite(knn_rho)):
         raise NoVariance("rank correlation undefined: a score column is constant")
     return DensityCheck(

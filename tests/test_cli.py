@@ -108,9 +108,9 @@ def cut_to_ten_bytes(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:10])
 
 
-def edit_model_header(change):
-    """Corrupter rewriting ``model.bin``'s JSON header, which ``change``
-    edits in place."""
+def edit_header(change):
+    """Corrupter rewriting a container's JSON header, which ``change`` edits
+    in place."""
     def corrupt(path: Path) -> None:
         raw = path.read_bytes()
         (n,) = struct.unpack_from("<Q", raw, 8)
@@ -458,7 +458,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("artifact,corrupt", [
         ("model.bin", cut_to_ten_bytes),
-        ("model.bin", edit_model_header(lambda h: h.pop("s_max"))),
+        ("model.bin", edit_header(lambda h: h.pop("s_max"))),
         ("calibration.json", drop_json_key("sigma1")),
         ("stats/task_2.json", drop_json_key("beta_md")),
         ("calibration.json",
@@ -507,8 +507,15 @@ class TestExitCodes:
             {"past_masks.1": a["past_masks.1"][:5]}))),
         ("model.bin", rewrite_container(cli._MODEL_MAGIC, lambda a: a.update(
             {"head_weight.2": np.zeros((3, 9))}))),
-        ("model.bin", edit_model_header(lambda h: h.update(s_max="400"))),
-        ("model.bin", edit_model_header(lambda h: h.update(s_max=-5.0))),
+        ("model.bin", edit_header(lambda h: h.update(s_max="400"))),
+        ("model.bin", edit_header(lambda h: h.update(s_max=-5.0))),
+        ("calibration.json", set_json_value("task_id", 1.9)),
+        ("calibration.json", set_json_value("task_id", True)),
+        ("calibration.json", set_json_value("task_id", "1")),
+        ("stats/task_1.json", set_json_value("task_id", 1.0)),
+        ("stats/task_1.json", set_json_value("task_id", True)),
+        ("stats/task_1.bin", edit_header(lambda h: h.update(task_id=1.0))),
+        ("stats/task_1.bin", edit_header(lambda h: h.update(task_id=True))),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -525,7 +532,10 @@ class TestExitCodes:
             "index-bin-cut", "index-bin-trailing-byte", "index-bin-of-another-seed",
             "index-bin-own-row-off", "index-bin-knn-row-off",
             "model-past-mask-short", "model-head-weight-wrong-width",
-            "model-s_max-string", "model-s_max-negative"])
+            "model-s_max-string", "model-s_max-negative",
+            "calibration-task_id-fraction", "calibration-task_id-bool",
+            "calibration-task_id-string", "stats-task_id-float", "stats-task_id-bool",
+            "stats-bin-task_id-float", "stats-bin-task_id-bool"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import pearsonr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import pearsonr, rankdata
 
 from tpl import data, evaluation, scoring, trainer
 from tpl.errors import (
@@ -84,6 +87,41 @@ def test_ood_auc_invariant_under_monotone_transform():
     base = evaluation.ood_auc(a, b)
     assert evaluation.ood_auc(np.exp(a), np.exp(b)) == base
     assert evaluation.ood_auc(a**3, b**3) == base
+
+
+#: Scores that tie often, with both infinities and both zeros among them.
+TIED_SCORES = st.lists(
+    st.one_of(st.sampled_from([-math.inf, -1.5, -0.0, 0.0, 0.25, 1.5, math.inf]),
+              st.floats(allow_nan=False)),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ind=TIED_SCORES, ood=TIED_SCORES)
+def test_ood_auc_is_the_pairwise_definition_exactly(ind, ood):
+    """P(x > y) + P(x = y) / 2 over all n·m pairs, as an exact fraction
+    rounded once: the counting form must return exactly that float."""
+    twice_wins = sum(2 * (a > b) + (a == b) for a in ind for b in ood)
+    assert evaluation.ood_auc(ind, ood) == float(Fraction(twice_wins, 2 * len(ind) * len(ood)))
+
+
+def test_ood_auc_equals_the_rank_sum_bit_for_bit():
+    gen = RngState(8).stream("auc4")
+    for i in range(200):
+        n, m = 1 + i % 17, 1 + (7 * i) % 23
+        a, b = gen.standard_normal(n), gen.standard_normal(m)
+        if i % 2:  # rounding forces ties
+            a, b = np.round(a, 1), np.round(b, 1)
+        ranks = rankdata(np.concatenate([a, b]))
+        rank_sum = float(np.sum(ranks[:n]))
+        assert evaluation.ood_auc(a, b) == (rank_sum - n * (n + 1) / 2.0) / (n * m)
+
+
+@pytest.mark.parametrize("ind,ood", [([math.nan, 1.0], [0.0]), ([1.0], [0.0, math.nan]),
+                                     ([math.nan], [math.nan])])
+def test_ood_auc_with_a_nan_is_nan(ind, ood):
+    assert math.isnan(evaluation.ood_auc(ind, ood))
 
 
 def test_ood_auc_empty_side():

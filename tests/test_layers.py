@@ -3,9 +3,14 @@
 Every intra-package import is read from the source with ``ast``, at module
 level and inside functions alike; imports under ``if TYPE_CHECKING:`` are
 for annotations only and are skipped.  The task-score definitions live in
-``scoring`` alone, so ``trainer`` fits its score rates through them."""
+``scoring`` alone, so ``trainer`` fits its score rates through them.  No
+module imports ``scipy.stats``: ranking is ``numerics.average_ranks``, and
+importing ``scipy.stats`` would add about half a second to every CLI call."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +109,36 @@ def test_trainer_fits_rates_through_the_scoring_kernels():
     assert not {"MD_FLOOR", "mahalanobis_sq"} & (names | attrs)
     assert "max" not in attrs  # np.max over logits is scoring.mls_score
     assert {"mls_score", "md_score"} <= names
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Every absolute module name an ``import`` or ``from ... import`` names,
+    with ``from a import b`` counted as both ``a`` and ``a.b``."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module)
+            found |= {f"{node.module}.{alias.name}" for alias in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_no_module_imports_scipy_stats(module):
+    names = imported_modules(parse(module))
+    assert not {n for n in names if n == "scipy.stats" or n.startswith("scipy.stats.")}
+
+
+def test_imported_modules_sees_every_form_of_the_import():
+    for source in ("import scipy.stats", "from scipy.stats import rankdata",
+                   "from scipy import stats", "def f():\n    import scipy.stats as s\n"):
+        assert "scipy.stats" in imported_modules(ast.parse(source)), source
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = "import sys, tpl.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata, spearmanr
 
 from tpl import numerics
 from tpl.errors import EmptyInput, NonPositiveTemperature, NotPositiveDefinite, NotSymmetric
@@ -233,3 +235,57 @@ def test_rng_sample_without_replacement():
     assert all(0 <= i < 10 for i in idx)
     with pytest.raises(ValueError):
         numerics.RngState(3).sample_without_replacement(3, 4)
+
+
+# --- average_ranks / spearman -------------------------------------------------
+
+#: Values that tie often, with both infinities and both zeros among them.
+TIED_VALUES = st.one_of(st.sampled_from([-math.inf, -2.0, -0.0, 0.0, 0.5, 3.0, math.inf]),
+                        st.floats(allow_nan=False))
+
+
+@settings(max_examples=300)
+@given(st.lists(TIED_VALUES, max_size=40))
+def test_average_ranks_equal_rankdata_bit_for_bit(values):
+    assert numerics.average_ranks(values).tobytes() == rankdata(values).tobytes()
+
+
+def test_average_ranks_tie_groups_share_their_mean_rank():
+    assert numerics.average_ranks([3.0, 1.0, 3.0, -0.0, 0.0]).tolist() == [4.5, 3.0, 4.5,
+                                                                           1.5, 1.5]
+
+
+def test_average_ranks_with_a_nan_are_all_nan():
+    ranks = numerics.average_ranks([1.0, math.nan, 0.0])
+    assert np.isnan(ranks).all() and np.isnan(rankdata([1.0, math.nan, 0.0])).all()
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 40).flatmap(
+    lambda n: st.tuples(st.lists(TIED_VALUES, min_size=n, max_size=n),
+                        st.lists(TIED_VALUES, min_size=n, max_size=n))))
+def test_spearman_equals_spearmanr_bit_for_bit(pair):
+    a, b = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # spearmanr warns on a constant side
+        want = spearmanr(a, b)[0]
+    got = numerics.spearman(a, b)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_spearman_of_random_columns_equals_spearmanr_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for i in range(300):
+        n = int(rng.integers(2, 2000))
+        a = rng.standard_normal(n)
+        b = a + rng.standard_normal(n) if i % 2 else np.round(rng.standard_normal(n), 1)
+        assert numerics.spearman(a, b) == spearmanr(a, b)[0]
+
+
+@pytest.mark.parametrize("a,b", [([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                                 ([1.0, math.nan, 2.0], [1.0, 2.0, 3.0]),
+                                 ([1.0], [2.0])])
+def test_spearman_undefined_is_nan_without_a_warning(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(numerics.spearman(a, b))

@@ -1,5 +1,6 @@
 """Gaussian-pair test-bed: exact ratio values, quadrature oracle, dominance."""
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpl import theory_lab
+from tpl import scoring, theory_lab
 from tpl.data import ClassGaussian, TaskDataset, generate_gaussian_stream
 from tpl.errors import DimensionMismatch, NoDensityAvailable, NoVariance
 from tpl.numerics import RngState
@@ -16,6 +17,7 @@ from tpl.theory_lab import (
     GaussianPair,
     density_estimator_check,
     empirical_auc,
+    empirical_aucs,
     empirical_type1_rate,
     fit_raw_feature_stats,
     log_likelihood_ratio,
@@ -231,6 +233,14 @@ def test_empirical_defaults_come_from_the_pair():
     assert empirical_auc(pair, "lr") == empirical_auc(pair, "lr", n=1500, seed=9)
 
 
+def test_shared_draws_give_each_scorers_own_estimate():
+    for pair in FIXTURE_PAIRS.values():
+        shared = empirical_aucs(pair, n=2000, seed=4)
+        assert list(shared) == list(theory_lab.SCORER_NAMES)
+        for scorer, value in shared.items():
+            assert value == empirical_auc(pair, scorer, n=2000, seed=4)
+
+
 # --- threshold calibration ---------------------------------------------------
 
 def test_threshold_matches_closed_form_on_narrow_impostor():
@@ -330,6 +340,18 @@ def test_single_point_data_has_no_variance():
     )
     with pytest.raises(NoVariance):
         density_estimator_check(lone, stats, 100)
+
+
+@pytest.mark.parametrize("patched", ["md_score", "kth_distance"])
+def test_a_constant_score_column_has_no_variance_and_warns_nothing(gaussian_task,
+                                                                  monkeypatch, patched):
+    dataset, stats = gaussian_task
+    module = scoring if patched == "md_score" else theory_lab
+    monkeypatch.setattr(module, patched, lambda x, *_: np.full(len(x), 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoVariance, match="constant"):
+            density_estimator_check(dataset, stats, 100)
 
 
 def test_density_check_validates_probe_count_and_k(gaussian_task):
