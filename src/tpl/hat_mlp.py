@@ -32,13 +32,10 @@ _REG_DENOM_FLOOR = 1e-12
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-safe logistic: ``1/(1+e)`` for ``x >= 0``, else ``e/(1+e)``,
+    with ``e = exp(-|x|)`` (``minimum(x, -x)`` keeps a nan's sign bit)."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -97,6 +94,15 @@ class Gradients:
 
 @dataclass
 class MomentumState:
+    """Momentum buffers and mask gradient scales, valid for one task: built
+    by ``init_momentum`` once that task's masks are fixed, and refused by
+    ``masked_gradient_update`` for another task or once ``net.past_masks``
+    are not the arrays it was built from (``consolidate_mask`` replaces them)."""
+
+    task_id: int
+    past_masks: list[np.ndarray]      # the very arrays the scales came from
+    weight_scales: list[np.ndarray]   # 1 - min.outer(past_l, past_{l-1})
+    bias_scales: list[np.ndarray]     # 1 - past_l
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     embeddings: list[np.ndarray]
@@ -205,8 +211,8 @@ def _gate_reg_terms(
     den = 0.0
     for a, past in zip(gates, past_masks):
         free = 1.0 - past
-        num += float(np.sum(a * free))
-        den += float(np.sum(free))
+        num += float((a * free).sum())
+        den += float(free.sum())
     return num, max(den, _REG_DENOM_FLOOR)
 
 
@@ -255,74 +261,74 @@ def batch_loss_and_gradients(
         raise ShapeMismatch(f"bad batch shapes x {x.shape}, y {y.shape}")
     head = net.heads[task_id]
     n_out = head.n_classes + 1
-    if np.any(y < 0) or np.any(y >= n_out):
+    y_max = y.max()
+    if y.min() < 0 or y_max >= n_out:
         raise ShapeMismatch(f"labels outside 0..{n_out - 1}")
-    if mask_others and np.any(y == head.n_classes):
+    if mask_others and y_max == head.n_classes:
         raise ShapeMismatch("everything-else label present while masked out")
 
     batch = x.shape[0]
+    rows = np.arange(batch)
     gates = attention(net, task_id, s)
-    embeds = net.embeddings[task_id]
 
     # forward, keeping what backward needs
-    pre_acts: list[np.ndarray] = []   # u_l = W h + b
     inputs: list[np.ndarray] = []     # h_{l-1} feeding layer l
-    relus: list[np.ndarray] = []      # relu(u_l), pre-gate
+    relus: list[np.ndarray] = []      # relu(W h + b), pre-gate
     h = x
     for w, b, a in zip(net.weights, net.biases, gates):
         inputs.append(h)
-        u = h @ w.T + b
-        r = np.maximum(u, 0.0)
-        pre_acts.append(u)
-        relus.append(r)
+        r = h @ w.T
+        r += b
+        relus.append(np.maximum(r, 0.0, out=r))
         h = r * a
-    logits = h @ head.weight.T + head.bias
+    logits = h @ head.weight.T
+    logits += head.bias
 
     active = head.n_classes if mask_others else n_out
-    # The probabilities and the loss share one pass of exponentials: taking
-    # them from ``numerics.softmax`` and ``numerics.log_sum_exp`` would
-    # exponentiate twice, about 8% of this function's time.
+    # The probabilities and the loss share one pass of exponentials and one
+    # row sum: taking them from ``numerics.softmax`` and
+    # ``numerics.log_sum_exp`` would exponentiate twice.
     sub = logits[:, :active]
-    shifted = sub - np.max(sub, axis=1, keepdims=True)
+    shifted = sub - sub.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
-    probs = expv / np.sum(expv, axis=1, keepdims=True)
-    nll = -(shifted[np.arange(batch), y] - np.log(np.sum(expv, axis=1)))
-    ce = float(np.mean(nll))
+    total = expv.sum(axis=1)
+    nll = -(shifted[rows, y] - np.log(total))
+    ce = float(nll.mean())
 
     dlogits = np.zeros_like(logits)
-    dlogits[:, :active] = probs
-    dlogits[np.arange(batch), y] -= 1.0
+    np.divide(expv, total[:, None], out=dlogits[:, :active])
+    dlogits[rows, y] -= 1.0
     dlogits /= batch
 
     g_head_w = dlogits.T @ h
     g_head_b = dlogits.sum(axis=0)
     dh = dlogits @ head.weight
 
-    g_weights = [np.zeros_like(w) for w in net.weights]
-    g_biases = [np.zeros_like(b) for b in net.biases]
-    g_embeds = [np.zeros_like(e) for e in embeds]
-    for l in range(net.n_layers - 1, -1, -1):
-        a = gates[l]
-        da = np.sum(dh * relus[l], axis=0)              # through the gate
-        du = dh * a * (pre_acts[l] > 0.0)
-        g_weights[l] = du.T @ inputs[l]
-        g_biases[l] = du.sum(axis=0)
-        g_embeds[l] = da * s * a * (1.0 - a)
-        if l > 0:
-            dh = du @ net.weights[l]
-
     reg = 0.0
     if reg_weight != 0.0:
         num, den = _gate_reg_terms(gates, net.past_masks)
         reg = num / den
-        for l, (a, past) in enumerate(zip(gates, net.past_masks)):
-            g_embeds[l] += reg_weight * (1.0 - past) / den * s * a * (1.0 - a)
+    g_weights, g_biases, g_embeds = [], [], []
+    for l in range(net.n_layers - 1, -1, -1):
+        a, r = gates[l], relus[l]
+        da = (dh * r).sum(axis=0)                       # through the gate
+        du = dh * a
+        du *= r > 0.0
+        g_weights.append(du.T @ inputs[l])
+        g_biases.append(du.sum(axis=0))
+        one_minus_a = 1.0 - a
+        ge = da * s * a * one_minus_a
+        if reg_weight != 0.0:
+            ge += reg_weight * (1.0 - net.past_masks[l]) / den * s * a * one_minus_a
+        g_embeds.append(ge)
+        if l > 0:
+            dh = du @ net.weights[l]
 
     loss = ce + reg_weight * reg
     return loss, Gradients(
-        weights=g_weights,
-        biases=g_biases,
-        embeddings=g_embeds,
+        weights=g_weights[::-1],
+        biases=g_biases[::-1],
+        embeddings=g_embeds[::-1],
         head_weight=g_head_w,
         head_bias=g_head_b,
         s=float(s),
@@ -330,9 +336,16 @@ def batch_loss_and_gradients(
 
 
 def init_momentum(net: HatMlp, task_id: int) -> MomentumState:
+    """Zero momentum and the mask scales for training ``task_id``; call it
+    after the task's masks are fixed and use it until its ``consolidate_mask``."""
     net.require_task(task_id)
     head = net.heads[task_id]
+    prev = [np.ones(net.input_dim), *net.past_masks[:-1]]
     return MomentumState(
+        task_id=task_id,
+        past_masks=list(net.past_masks),
+        weight_scales=[1.0 - np.minimum.outer(p, q) for p, q in zip(net.past_masks, prev)],
+        bias_scales=[1.0 - p for p in net.past_masks],
         weights=[np.zeros_like(w) for w in net.weights],
         biases=[np.zeros_like(b) for b in net.biases],
         embeddings=[np.zeros_like(e) for e in net.embeddings[task_id]],
@@ -353,48 +366,46 @@ def masked_gradient_update(
 
     Trunk weight gradients are scaled by ``1 - min(past_out, past_in)`` per
     entry (the input layer's "previous" mask is all-ones), biases by
-    ``1 - past_out``.  The head and the task's own embeddings are unscaled;
-    embedding gradients get the annealing compensation
+    ``1 - past_out`` (both held by ``state``).  The head and the task's own
+    embeddings are unscaled; embedding gradients get the annealing compensation
     ``(s_max/s) * (cosh(s e)+1)/(cosh(e)+1)`` and embeddings are clamped to
     ``[-6, 6]`` afterwards.
     """
     net.require_task(task_id)
     head = net.heads[task_id]
-    embeds = net.embeddings[task_id]
-    if (
-        len(grads.weights) != net.n_layers
-        or grads.head_weight.shape != head.weight.shape
-        or any(g.shape != w.shape for g, w in zip(grads.weights, net.weights))
-        or any(g.shape != e.shape for g, e in zip(grads.embeddings, embeds))
+    for name, got, want in (
+        ("weights", grads.weights, net.weights),
+        ("biases", grads.biases, net.biases),
+        ("embeddings", grads.embeddings, net.embeddings[task_id]),
+        ("head_weight", [grads.head_weight], [head.weight]),
+        ("head_bias", [grads.head_bias], [head.bias]),
     ):
-        raise ShapeMismatch("gradient structure does not match the network")
+        if [np.shape(g) for g in got] != [w.shape for w in want]:
+            raise ShapeMismatch(f"gradient {name} does not match the network")
+    if state.task_id != task_id or [*map(id, state.past_masks)] != [*map(id, net.past_masks)]:
+        raise ShapeMismatch("momentum state is for another task or replaced masks; "
+                            "call init_momentum again")
 
-    prev_mask = np.ones(net.input_dim)
-    for l in range(net.n_layers):
-        past = net.past_masks[l]
-        w_scale = 1.0 - np.minimum.outer(past, prev_mask)
-        gw = grads.weights[l] * w_scale
-        gb = grads.biases[l] * (1.0 - past)
-        state.weights[l] = momentum * state.weights[l] + gw
-        state.biases[l] = momentum * state.biases[l] + gb
-        net.weights[l] -= lr * state.weights[l]
-        net.biases[l] -= lr * state.biases[l]
-        prev_mask = past
+    for v, g, scale, param in zip(  # g * 1.0 is g bit for bit: the head is unscaled
+        [*state.weights, *state.biases, state.head_weight, state.head_bias],
+        [*grads.weights, *grads.biases, grads.head_weight, grads.head_bias],
+        [*state.weight_scales, *state.bias_scales, 1.0, 1.0],
+        [*net.weights, *net.biases, head.weight, head.bias],
+    ):
+        v *= momentum
+        v += g * scale
+        param -= lr * v
 
     s = grads.s
-    for l, e in enumerate(embeds):
-        se = np.clip(s * e, -_COSH_CLIP, _COSH_CLIP)
-        ee = np.clip(e, -_COSH_CLIP, _COSH_CLIP)
+    for e, v, g in zip(net.embeddings[task_id], state.embeddings, grads.embeddings):
+        se = np.minimum(np.maximum(s * e, -_COSH_CLIP), _COSH_CLIP)
+        ee = np.minimum(np.maximum(e, -_COSH_CLIP), _COSH_CLIP)
         comp = (net.s_max / s) * (np.cosh(se) + 1.0) / (np.cosh(ee) + 1.0)
-        ge = grads.embeddings[l] * comp
-        state.embeddings[l] = momentum * state.embeddings[l] + ge
-        e -= lr * state.embeddings[l]
-        np.clip(e, -EMBEDDING_CLAMP, EMBEDDING_CLAMP, out=e)
-
-    state.head_weight = momentum * state.head_weight + grads.head_weight
-    state.head_bias = momentum * state.head_bias + grads.head_bias
-    head.weight -= lr * state.head_weight
-    head.bias -= lr * state.head_bias
+        v *= momentum
+        v += g * comp
+        e -= lr * v
+        np.maximum(e, -EMBEDDING_CLAMP, out=e)
+        np.minimum(e, EMBEDDING_CLAMP, out=e)
     return net
 
 

@@ -1,7 +1,11 @@
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpl import hat_mlp
 from tpl.errors import DimensionMismatch, ShapeMismatch, UnknownTask
@@ -290,6 +294,54 @@ def test_masked_update_rejects_bad_structure():
         hat_mlp.masked_gradient_update(net, g, 1, 0.1, 0.9, hat_mlp.init_momentum(net, 1))
 
 
+def _trained_arrays(net, task_id):
+    head = net.heads[task_id]
+    return [*net.weights, *net.biases, *net.embeddings[task_id], head.weight, head.bias]
+
+
+def _short(arrays):
+    return arrays[:-1]
+
+
+def _one_entry(arrays):
+    return [np.ones(1) for _ in arrays]
+
+
+@pytest.mark.parametrize("field, damage", [
+    ("weights", _short),
+    ("weights", lambda ws: [w.T for w in ws]),
+    ("biases", _short),
+    ("biases", _one_entry),        # (1,) would broadcast and move every bias alike
+    ("embeddings", _short),
+    ("embeddings", _one_entry),
+    ("head_weight", lambda w: w[:-1]),
+    ("head_bias", lambda b: b[:1]),
+])
+def test_masked_update_checks_every_gradient_field(field, damage):
+    net = tiny_net(widths=(3, 2), input_dim=2, seed=9)
+    g = make_grads(net, 1)
+    setattr(g, field, damage(getattr(g, field)))
+    before = [a.copy() for a in _trained_arrays(net, 1)]
+    with pytest.raises(ShapeMismatch, match=field):
+        hat_mlp.masked_gradient_update(net, g, 1, 0.1, 0.9, hat_mlp.init_momentum(net, 1))
+    assert all(np.array_equal(a, b) for a, b in zip(before, _trained_arrays(net, 1)))
+
+
+def test_momentum_state_refused_after_consolidation_or_for_another_task():
+    net = tiny_net(widths=(3, 2), input_dim=2, seed=9)
+    hat_mlp.add_task(net, 2, 2, RngState(10))
+    state = hat_mlp.init_momentum(net, 1)
+    hat_mlp.masked_gradient_update(net, make_grads(net, 1), 1, 0.1, 0.9, state)
+    with pytest.raises(ShapeMismatch, match="another task"):
+        hat_mlp.masked_gradient_update(net, make_grads(net, 2), 2, 0.1, 0.9, state)
+    hat_mlp.consolidate_mask(net, 1)
+    with pytest.raises(ShapeMismatch, match="init_momentum"):
+        hat_mlp.masked_gradient_update(net, make_grads(net, 1), 1, 0.1, 0.9, state)
+    fresh = hat_mlp.init_momentum(net, 2)
+    assert all(p is q for p, q in zip(fresh.past_masks, net.past_masks))
+    hat_mlp.masked_gradient_update(net, make_grads(net, 2), 2, 0.1, 0.9, fresh)
+
+
 # --- consolidation ----------------------------------------------------------
 
 def test_consolidate_binarizes_and_accumulates():
@@ -352,3 +404,227 @@ def test_training_still_moves_free_capacity():
         loss, grads = hat_mlp.batch_loss_and_gradients(net, x, y, 1, 10.0, 0.0, mask_others=True)
         hat_mlp.masked_gradient_update(net, grads, 1, 0.1, 0.9, state)
     assert loss < first_loss
+
+
+# --- reference step: the formulas the step functions were first written with --
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_gate_reg_terms(gates, past_masks):
+    num = 0.0
+    den = 0.0
+    for a, past in zip(gates, past_masks):
+        free = 1.0 - past
+        num += float(np.sum(a * free))
+        den += float(np.sum(free))
+    return num, max(den, hat_mlp._REG_DENOM_FLOOR)
+
+
+def _ref_batch_loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others=False):
+    net.require_task(task_id)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise ShapeMismatch(f"bad batch shapes x {x.shape}, y {y.shape}")
+    head = net.heads[task_id]
+    n_out = head.n_classes + 1
+    if np.any(y < 0) or np.any(y >= n_out):
+        raise ShapeMismatch(f"labels outside 0..{n_out - 1}")
+    if mask_others and np.any(y == head.n_classes):
+        raise ShapeMismatch("everything-else label present while masked out")
+
+    batch = x.shape[0]
+    gates = [_ref_sigmoid(s * e) for e in net.embeddings[task_id]]
+    embeds = net.embeddings[task_id]
+
+    pre_acts, inputs, relus = [], [], []
+    h = x
+    for w, b, a in zip(net.weights, net.biases, gates):
+        inputs.append(h)
+        u = h @ w.T + b
+        r = np.maximum(u, 0.0)
+        pre_acts.append(u)
+        relus.append(r)
+        h = r * a
+    logits = h @ head.weight.T + head.bias
+
+    active = head.n_classes if mask_others else n_out
+    sub = logits[:, :active]
+    shifted = sub - np.max(sub, axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    probs = expv / np.sum(expv, axis=1, keepdims=True)
+    nll = -(shifted[np.arange(batch), y] - np.log(np.sum(expv, axis=1)))
+    ce = float(np.mean(nll))
+
+    dlogits = np.zeros_like(logits)
+    dlogits[:, :active] = probs
+    dlogits[np.arange(batch), y] -= 1.0
+    dlogits /= batch
+
+    g_head_w = dlogits.T @ h
+    g_head_b = dlogits.sum(axis=0)
+    dh = dlogits @ head.weight
+
+    g_weights = [np.zeros_like(w) for w in net.weights]
+    g_biases = [np.zeros_like(b) for b in net.biases]
+    g_embeds = [np.zeros_like(e) for e in embeds]
+    for l in range(net.n_layers - 1, -1, -1):
+        a = gates[l]
+        da = np.sum(dh * relus[l], axis=0)
+        du = dh * a * (pre_acts[l] > 0.0)
+        g_weights[l] = du.T @ inputs[l]
+        g_biases[l] = du.sum(axis=0)
+        g_embeds[l] = da * s * a * (1.0 - a)
+        if l > 0:
+            dh = du @ net.weights[l]
+
+    reg = 0.0
+    if reg_weight != 0.0:
+        num, den = _ref_gate_reg_terms(gates, net.past_masks)
+        reg = num / den
+        for l, (a, past) in enumerate(zip(gates, net.past_masks)):
+            g_embeds[l] += reg_weight * (1.0 - past) / den * s * a * (1.0 - a)
+
+    loss = ce + reg_weight * reg
+    return loss, hat_mlp.Gradients(
+        weights=g_weights, biases=g_biases, embeddings=g_embeds,
+        head_weight=g_head_w, head_bias=g_head_b, s=float(s),
+    )
+
+
+def _ref_init_momentum(net, task_id):
+    head = net.heads[task_id]
+    return types.SimpleNamespace(
+        weights=[np.zeros_like(w) for w in net.weights],
+        biases=[np.zeros_like(b) for b in net.biases],
+        embeddings=[np.zeros_like(e) for e in net.embeddings[task_id]],
+        head_weight=np.zeros_like(head.weight),
+        head_bias=np.zeros_like(head.bias),
+    )
+
+
+def _ref_masked_gradient_update(net, grads, task_id, lr, momentum, state):
+    head = net.heads[task_id]
+    embeds = net.embeddings[task_id]
+    prev_mask = np.ones(net.input_dim)
+    for l in range(net.n_layers):
+        past = net.past_masks[l]
+        w_scale = 1.0 - np.minimum.outer(past, prev_mask)
+        gw = grads.weights[l] * w_scale
+        gb = grads.biases[l] * (1.0 - past)
+        state.weights[l] = momentum * state.weights[l] + gw
+        state.biases[l] = momentum * state.biases[l] + gb
+        net.weights[l] -= lr * state.weights[l]
+        net.biases[l] -= lr * state.biases[l]
+        prev_mask = past
+
+    s = grads.s
+    for l, e in enumerate(embeds):
+        se = np.clip(s * e, -hat_mlp._COSH_CLIP, hat_mlp._COSH_CLIP)
+        ee = np.clip(e, -hat_mlp._COSH_CLIP, hat_mlp._COSH_CLIP)
+        comp = (net.s_max / s) * (np.cosh(se) + 1.0) / (np.cosh(ee) + 1.0)
+        ge = grads.embeddings[l] * comp
+        state.embeddings[l] = momentum * state.embeddings[l] + ge
+        e -= lr * state.embeddings[l]
+        np.clip(e, -hat_mlp.EMBEDDING_CLAMP, hat_mlp.EMBEDDING_CLAMP, out=e)
+
+    state.head_weight = momentum * state.head_weight + grads.head_weight
+    state.head_bias = momentum * state.head_bias + grads.head_bias
+    head.weight -= lr * state.head_weight
+    head.bias -= lr * state.head_bias
+
+
+def _bits(*groups):
+    return [np.asarray(a, dtype=np.float64).tobytes() for g in groups for a in g]
+
+
+def _net_bits(net, task_id):
+    head = net.heads[task_id]
+    return _bits(net.weights, net.biases, net.embeddings[task_id],
+                 [head.weight, head.bias], net.past_masks)
+
+
+def _state_bits(state):
+    return _bits(state.weights, state.biases, state.embeddings,
+                 [state.head_weight, state.head_bias])
+
+
+def _grad_bits(loss, g):
+    return _bits([loss], g.weights, g.biases, g.embeddings, [g.head_weight, g.head_bias, g.s])
+
+
+S_MAX = 400.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    input_dim=st.integers(1, 6),
+    widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    n_classes=st.integers(1, 12),
+    batch=st.integers(1, 40),
+    scales=st.lists(st.floats(1.0 / S_MAX, S_MAX), min_size=1, max_size=4),
+    mask_others=st.booleans(),
+    reg_weight=st.sampled_from([0.0, 0.75]) | st.floats(1e-3, 5.0),
+    lr=st.floats(1e-4, 1.0),
+    momentum=st.floats(0.0, 0.99),
+    protect=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_matches_reference_bit_for_bit(input_dim, widths, n_classes, batch, scales,
+                                            mask_others, reg_weight, lr, momentum,
+                                            protect, seed):
+    rng = np.random.default_rng(seed)
+    net = hat_mlp.new_hat_mlp(input_dim, tuple(widths), S_MAX, RngState(seed))
+    hat_mlp.add_task(net, 1, n_classes, RngState(seed).stream("head"))
+    net.past_masks = [(rng.random(w) < protect).astype(np.float64) for w in widths]
+    net.embeddings[1] = [rng.uniform(-8.0, 8.0, w) for w in widths]
+    for b in net.biases:
+        b += 0.1 * rng.standard_normal(b.shape)
+    ref = hat_mlp.HatMlp(
+        input_dim=net.input_dim, hidden_widths=net.hidden_widths, s_max=net.s_max,
+        weights=[w.copy() for w in net.weights], biases=[b.copy() for b in net.biases],
+        embeddings={1: [e.copy() for e in net.embeddings[1]]},
+        heads={1: hat_mlp.TaskHead(n_classes, net.heads[1].weight.copy(),
+                                   net.heads[1].bias.copy())},
+        past_masks=[m.copy() for m in net.past_masks],
+    )
+    state = hat_mlp.init_momentum(net, 1)
+    ref_state = _ref_init_momentum(ref, 1)
+    n_labels = n_classes if mask_others else n_classes + 1
+    for s in scales:
+        x = rng.standard_normal((batch, input_dim)) * 3.0
+        y = rng.integers(0, n_labels, batch)
+        loss, grads = hat_mlp.batch_loss_and_gradients(net, x, y, 1, s, reg_weight,
+                                                       mask_others=mask_others)
+        ref_loss, ref_grads = _ref_batch_loss_and_gradients(ref, x, y, 1, s, reg_weight,
+                                                            mask_others=mask_others)
+        assert _grad_bits(loss, grads) == _grad_bits(ref_loss, ref_grads)
+        hat_mlp.masked_gradient_update(net, grads, 1, lr, momentum, state)
+        _ref_masked_gradient_update(ref, ref_grads, 1, lr, momentum, ref_state)
+        assert _net_bits(net, 1) == _net_bits(ref, 1)
+        assert _state_bits(state) == _state_bits(ref_state)
+
+
+def test_sigmoid_matches_reference_on_special_values():
+    specials = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+        5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308,
+        1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+        36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 1.0, -1.0,
+    ])
+    payload_nans = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64)
+    x = np.concatenate([specials, payload_nans.view(np.float64)])
+    expect = _ref_sigmoid(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hat_mlp._sigmoid(x)
+    assert got.tobytes() == expect.tobytes()
+    wide = np.random.default_rng(3).standard_normal(10_000) * 400.0
+    assert hat_mlp._sigmoid(wide).tobytes() == _ref_sigmoid(wide).tobytes()
