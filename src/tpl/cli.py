@@ -61,6 +61,7 @@ from .errors import (
     EmptyTestSet,
     ParseError,
     TplError,
+    UngatedTask,
 )
 from .evaluation import NclReference
 from .numerics import RngState
@@ -394,6 +395,8 @@ def _model_arrays(net: hat_mlp.HatMlp) -> dict[str, np.ndarray]:
     for l, m in enumerate(net.past_masks):
         out[f"past_masks.{l}"] = m
     for t in net.task_ids():
+        if not net.embeddings[t]:
+            raise UngatedTask(f"task {t} has no gates; model.bin stores gated tasks only")
         for l, e in enumerate(net.embeddings[t]):
             out[f"embeddings.{t}.{l}"] = e
         out[f"head_weight.{t}"] = net.heads[t].weight
@@ -768,10 +771,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+#: Part of the NCL cache key; raised whenever the reference's training
+#: changes what it computes.  2: an ungated trunk (the pinned gates of 1 were
+#: not fully open below s_max of about 6.12).
+_NCL_REFERENCE_VERSION = 2
+
+
 def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
     """Train the joint reference, or reuse a cached result for this config."""
     fingerprint = hashlib.sha256(
-        _dump_json({"dataset": rc.dataset, "seed": rc.seed,
+        _dump_json({"reference": _NCL_REFERENCE_VERSION,
+                    "dataset": rc.dataset, "seed": rc.seed,
                     "training": run_config_payload(rc)["training"]}).encode("utf-8")
     ).hexdigest()[:16]
     ncl_dir.mkdir(parents=True, exist_ok=True)

@@ -55,6 +55,10 @@ class UnknownTask(TplError):
     """Task id not present in the model."""
 
 
+class UngatedTask(TplError):
+    """A gate was asked of a task that has none (an ungated MLP task)."""
+
+
 class ShapeMismatch(TplError):
     """Gradient or parameter structure does not match the network."""
 

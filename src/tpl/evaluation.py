@@ -6,9 +6,9 @@ jointly trained reference model, rank-based OOD detection AUC per task, and
 the AUC-vs-accuracy correlation across score kinds.
 
 The reference ("NCL") model answers: how well would the same architecture do
-on tasks 1..t if it had seen them all at once?  It is the same MLP with the
-gates pinned fully open, a single head over the pooled classes, and no
-replay, trained on the pooled prefix data for the per-task epoch budget.
+on tasks 1..t if it had seen them all at once?  It is an ungated MLP of the
+same widths with a single head over the pooled classes and no replay,
+trained on the pooled prefix data for the per-task epoch budget.
 Forgetting is then the per-task accuracy it keeps over the continual model,
 which charges the continual learner for inter-class confusion as well as for
 literal forgetting.
@@ -146,10 +146,10 @@ def train_ncl_reference(
     """Train the joint reference for tasks 1..prefix; return its per-task
     and pooled test accuracies.
 
-    Same trunk widths and optimizer as the continual run, but one head over
-    all pooled classes, gates pinned fully open (saturated, so they pass
-    activations through exactly and receive zero gradient), no gate
-    regularizer, and no replay relabeling.
+    Same trunk widths and optimizer as the continual run, but no gates (an
+    ungated task: every unit passes its ReLU output as is, at any ``s_max``),
+    one head over all pooled classes, no gate regularizer, and no replay
+    relabeling.
     """
     tasks = [d for d in stream.tasks if d.task_id <= prefix]
     if not tasks:
@@ -162,9 +162,8 @@ def train_ncl_reference(
     net = hat_mlp.new_hat_mlp(
         stream.dim, tuple(cfg.hidden_widths), cfg.s_max, root.stream("init")
     )
-    hat_mlp.add_task(net, _POOLED_HEAD_KEY, len(pooled_classes), root.stream("head"))
-    for e in net.embeddings[_POOLED_HEAD_KEY]:
-        e[:] = hat_mlp.EMBEDDING_CLAMP
+    hat_mlp.add_task(net, _POOLED_HEAD_KEY, len(pooled_classes), root.stream("head"),
+                     gated=False)
 
     state = hat_mlp.init_momentum(net, _POOLED_HEAD_KEY)
     n = x.shape[0]

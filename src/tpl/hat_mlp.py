@@ -6,7 +6,8 @@ recorded in a cumulative binary mask; gradients into their incoming weights
 and biases are scaled to zero so finished tasks cannot be disturbed.  The gate
 scale ``s`` anneals from ``1/s_max`` to ``s_max`` within every epoch;
 inference always runs at ``s_max``, where surviving gates are effectively
-binary.
+binary.  A task registered with ``gated=False`` has no gates at all: its
+trunk is a plain ReLU MLP (the jointly trained reference is one).
 
 Layout conventions: weights are ``[out, in]``; batches are ``[B, dim]`` rows.
 All arrays are float64.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ShapeMismatch, UnknownTask
+from .errors import DimensionMismatch, ShapeMismatch, UngatedTask, UnknownTask
 from .numerics import RngState
 
 #: Embeddings are clamped to this band after every update.
@@ -58,7 +59,7 @@ class HatMlp:
     s_max: float
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    embeddings: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    embeddings: dict[int, list[np.ndarray]] = field(default_factory=dict)  # [] if ungated
     heads: dict[int, TaskHead] = field(default_factory=dict)
     past_masks: list[np.ndarray] = field(default_factory=list)
 
@@ -101,8 +102,9 @@ class MomentumState:
 
     task_id: int
     past_masks: list[np.ndarray]      # the very arrays the scales came from
-    weight_scales: list[np.ndarray]   # 1 - min.outer(past_l, past_{l-1})
-    bias_scales: list[np.ndarray]     # 1 - past_l
+    # None where past_l claims no unit, so the scale is 1 everywhere
+    weight_scales: list[np.ndarray | None]   # 1 - min.outer(past_l, past_{l-1})
+    bias_scales: list[np.ndarray | None]     # 1 - past_l
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     embeddings: list[np.ndarray]
@@ -141,9 +143,14 @@ def new_hat_mlp(
     )
 
 
-def add_task(net: HatMlp, task_id: int, n_classes: int, rng: RngState) -> None:
+def add_task(
+    net: HatMlp, task_id: int, n_classes: int, rng: RngState, gated: bool = True
+) -> None:
     """Register a task: a head with ``n_classes + 1`` outputs and fresh gate
-    embeddings drawn from U[0, 2] (gates start open at low s)."""
+    embeddings drawn from U[0, 2] (gates start open at low s).  With
+    ``gated=False`` the task gets no embeddings (an empty list): its units pass
+    their ReLU outputs through as they are, and it has no gate to train,
+    regularize or consolidate."""
     if task_id in net.heads:
         raise ValueError(f"task {task_id} already registered")
     if n_classes < 1:
@@ -156,23 +163,37 @@ def add_task(net: HatMlp, task_id: int, n_classes: int, rng: RngState) -> None:
         weight=hrng.uniform(-lim, lim, (n_classes + 1, net.feature_dim)),
         bias=np.zeros(n_classes + 1),
     )
-    net.embeddings[task_id] = [erng.uniform(0.0, 2.0, w) for w in net.hidden_widths]
+    net.embeddings[task_id] = (
+        [erng.uniform(0.0, 2.0, w) for w in net.hidden_widths] if gated else []
+    )
 
 
 def attention(net: HatMlp, task_id: int, s: float) -> list[np.ndarray]:
-    """Per-layer gate vectors ``sigmoid(s * e_l)`` for one task."""
+    """Per-layer gate vectors ``sigmoid(s * e_l)`` for one gated task."""
     net.require_task(task_id)
+    if not net.embeddings[task_id]:
+        raise UngatedTask(f"task {task_id} has no gates")
     if s <= 0:
         raise ValueError("gate scale s must be positive")
     return [_sigmoid(s * e) for e in net.embeddings[task_id]]
+
+
+def _layer_gates(net: HatMlp, task_id: int, s: float) -> list[np.ndarray | None]:
+    """``attention``'s gates, or ``None`` for every layer of an ungated task."""
+    net.require_task(task_id)
+    if not net.embeddings[task_id]:
+        return [None] * net.n_layers
+    return attention(net, task_id, s)
 
 
 def features(net: HatMlp, x: np.ndarray, task_id: int, s: float) -> np.ndarray:
     """Masked trunk features [B, feature_dim] of a [B, input_dim] batch, the
     part of ``forward`` before the task head."""
     h = x
-    for w, b, a in zip(net.weights, net.biases, attention(net, task_id, s)):
-        h = np.maximum(h @ w.T + b, 0.0) * a
+    for w, b, a in zip(net.weights, net.biases, _layer_gates(net, task_id, s)):
+        h = np.maximum(h @ w.T + b, 0.0)
+        if a is not None:
+            h *= a
     return h
 
 
@@ -252,7 +273,8 @@ def batch_loss_and_gradients(
     ``y`` holds within-task class indices; index ``n_classes`` is the
     everything-else unit.  With ``mask_others`` the last logit is excluded
     from the softmax entirely (used on the first task, where no replay data
-    exists and that unit must stay untouched).
+    exists and that unit must stay untouched).  An ungated task has no
+    embedding gradients and takes no regularizer (``UngatedTask`` otherwise).
     """
     net.require_task(task_id)
     x = np.asarray(x, dtype=np.float64)
@@ -267,9 +289,12 @@ def batch_loss_and_gradients(
     if mask_others and y_max == head.n_classes:
         raise ShapeMismatch("everything-else label present while masked out")
 
+    gates = _layer_gates(net, task_id, s)
+    if reg_weight != 0.0 and gates[0] is None:
+        raise UngatedTask(f"task {task_id} has no gates to regularize")
+
     batch = x.shape[0]
     rows = np.arange(batch)
-    gates = attention(net, task_id, s)
 
     # forward, keeping what backward needs
     inputs: list[np.ndarray] = []     # h_{l-1} feeding layer l
@@ -280,7 +305,7 @@ def batch_loss_and_gradients(
         r = h @ w.T
         r += b
         relus.append(np.maximum(r, 0.0, out=r))
-        h = r * a
+        h = r if a is None else r * a
     logits = h @ head.weight.T
     logits += head.bias
 
@@ -311,16 +336,16 @@ def batch_loss_and_gradients(
     g_weights, g_biases, g_embeds = [], [], []
     for l in range(net.n_layers - 1, -1, -1):
         a, r = gates[l], relus[l]
-        da = (dh * r).sum(axis=0)                       # through the gate
-        du = dh * a
+        if a is not None:
+            one_minus_a = 1.0 - a
+            ge = (dh * r).sum(axis=0) * s * a * one_minus_a   # through the gate
+            if reg_weight != 0.0:
+                ge += reg_weight * (1.0 - net.past_masks[l]) / den * s * a * one_minus_a
+            g_embeds.append(ge)
+        du = dh if a is None else dh * a   # dh is not read again: scaling it in place is safe
         du *= r > 0.0
         g_weights.append(du.T @ inputs[l])
         g_biases.append(du.sum(axis=0))
-        one_minus_a = 1.0 - a
-        ge = da * s * a * one_minus_a
-        if reg_weight != 0.0:
-            ge += reg_weight * (1.0 - net.past_masks[l]) / den * s * a * one_minus_a
-        g_embeds.append(ge)
         if l > 0:
             dh = du @ net.weights[l]
 
@@ -344,8 +369,9 @@ def init_momentum(net: HatMlp, task_id: int) -> MomentumState:
     return MomentumState(
         task_id=task_id,
         past_masks=list(net.past_masks),
-        weight_scales=[1.0 - np.minimum.outer(p, q) for p, q in zip(net.past_masks, prev)],
-        bias_scales=[1.0 - p for p in net.past_masks],
+        weight_scales=[1.0 - np.minimum.outer(p, q) if p.any() else None
+                       for p, q in zip(net.past_masks, prev)],
+        bias_scales=[1.0 - p if p.any() else None for p in net.past_masks],
         weights=[np.zeros_like(w) for w in net.weights],
         biases=[np.zeros_like(b) for b in net.biases],
         embeddings=[np.zeros_like(e) for e in net.embeddings[task_id]],
@@ -366,10 +392,11 @@ def masked_gradient_update(
 
     Trunk weight gradients are scaled by ``1 - min(past_out, past_in)`` per
     entry (the input layer's "previous" mask is all-ones), biases by
-    ``1 - past_out`` (both held by ``state``).  The head and the task's own
-    embeddings are unscaled; embedding gradients get the annealing compensation
-    ``(s_max/s) * (cosh(s e)+1)/(cosh(e)+1)`` and embeddings are clamped to
-    ``[-6, 6]`` afterwards.
+    ``1 - past_out`` (both held by ``state``, ``None`` where they are 1).  The
+    head and the task's own embeddings are unscaled; embedding gradients get
+    the annealing compensation ``(s_max/s) * (cosh(s e)+1)/(cosh(e)+1)`` and
+    embeddings are clamped to ``[-6, 6]`` afterwards.  An ungated task has no
+    embeddings to update.
     """
     net.require_task(task_id)
     head = net.heads[task_id]
@@ -386,14 +413,14 @@ def masked_gradient_update(
         raise ShapeMismatch("momentum state is for another task or replaced masks; "
                             "call init_momentum again")
 
-    for v, g, scale, param in zip(  # g * 1.0 is g bit for bit: the head is unscaled
+    for v, g, scale, param in zip(
         [*state.weights, *state.biases, state.head_weight, state.head_bias],
         [*grads.weights, *grads.biases, grads.head_weight, grads.head_bias],
-        [*state.weight_scales, *state.bias_scales, 1.0, 1.0],
+        [*state.weight_scales, *state.bias_scales, None, None],
         [*net.weights, *net.biases, head.weight, head.bias],
     ):
         v *= momentum
-        v += g * scale
+        v += g if scale is None else g * scale   # g * 1.0 would be g bit for bit
         param -= lr * v
 
     s = grads.s
@@ -411,7 +438,7 @@ def masked_gradient_update(
 
 def consolidate_mask(net: HatMlp, task_id: int) -> None:
     """Fold the task's binarized gates (threshold 0.5 at ``s_max``) into the
-    cumulative protection masks."""
+    cumulative protection masks (``UngatedTask`` for a task without gates)."""
     gates = attention(net, task_id, net.s_max)
     for l, a in enumerate(gates):
         net.past_masks[l] = np.maximum(net.past_masks[l], (a > 0.5).astype(np.float64))

@@ -4,6 +4,7 @@ in-process through ``main``."""
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -1101,6 +1102,30 @@ class TestEval:
         assert code == 0
         assert (run_dir / "metrics.json").read_bytes() == before
         assert list(ncl_dir.glob("ncl-*.json")) == caches
+
+    def test_ncl_cache_of_an_older_reference_is_not_read(self, run_dir, tmp_path):
+        # the key the cache had before it named the reference's version; a
+        # cache under it may hold a reference trained with leaky gates
+        rc = cli.load_run_config(run_dir / "config.json")
+        old_key = hashlib.sha256(cli._dump_json({
+            "dataset": rc.dataset, "seed": rc.seed,
+            "training": cli.run_config_payload(rc)["training"],
+        }).encode("utf-8")).hexdigest()[:16]
+        planted = tmp_path / "ncl" / f"ncl-{old_key}.json"
+        planted.parent.mkdir()
+        planted.write_text(json.dumps({
+            "per_task": {"1": {"1": 0.125}, "2": {"1": 0.125, "2": 0.125}},
+            "pooled": {"1": 0.125, "2": 0.125},
+        }))
+        sentinel = planted.read_bytes()
+        for ncl_dir in (planted.parent, tmp_path / "fresh"):
+            code, _, err = run_cli("eval", "--run", str(run_dir), "--ncl", str(ncl_dir),
+                                   "--out", str(ncl_dir / "m.json"), "--quiet")
+            assert code == 0, err
+        assert planted.read_bytes() == sentinel
+        assert len(list(planted.parent.glob("ncl-*.json"))) == 2
+        assert ((planted.parent / "m.json").read_bytes()
+                == (tmp_path / "fresh" / "m.json").read_bytes())
 
     def test_metrics_equal_the_in_memory_report(self, run_dir, tmp_path):
         # eval reads the stored trajectory; compute_report on the same run

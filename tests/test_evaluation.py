@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import pearsonr, rankdata
 
-from tpl import data, evaluation, scoring, trainer
+from tpl import data, evaluation, hat_mlp, scoring, trainer
+from tpl.data import label_positions
 from tpl.errors import (
     DegenerateVariance,
     EmptyClassList,
@@ -266,6 +267,123 @@ def test_ncl_reference_all_prefixes(ncl, run):
 def test_ncl_missing_prefix_raises(run, stream):
     with pytest.raises(MissingNclPrefix):
         evaluation.train_ncl_reference(stream, 0, run.config, seed=1)
+
+
+_KEY = evaluation._POOLED_HEAD_KEY
+
+
+def _pinned_train_ncl_reference(stream, prefix, cfg, seed):
+    """The reference as first written: a gated trunk with every embedding
+    pinned at ``EMBEDDING_CLAMP``.  Returns the network as well."""
+    tasks = [d for d in stream.tasks if d.task_id <= prefix]
+    if not tasks:
+        raise MissingNclPrefix(f"stream has no tasks at or below {prefix}")
+    pooled_classes = [c for d in tasks for c in d.classes]
+    x = np.concatenate([d.train_x for d in tasks])
+    y = label_positions(np.concatenate([d.train_y for d in tasks]), pooled_classes)
+
+    root = RngState(seed).stream(f"ncl-{prefix}")
+    net = hat_mlp.new_hat_mlp(
+        stream.dim, tuple(cfg.hidden_widths), cfg.s_max, root.stream("init")
+    )
+    hat_mlp.add_task(net, _KEY, len(pooled_classes), root.stream("head"))
+    for e in net.embeddings[_KEY]:
+        e[:] = hat_mlp.EMBEDDING_CLAMP
+
+    state = hat_mlp.init_momentum(net, _KEY)
+    n = x.shape[0]
+    for epoch in range(cfg.epochs):
+        perm = root.stream(f"shuffle-epoch-{epoch}").permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            _, grads = hat_mlp.batch_loss_and_gradients(
+                net, x[idx], y[idx], _KEY, cfg.s_max,
+                reg_weight=0.0, mask_others=True,
+            )
+            hat_mlp.masked_gradient_update(
+                net, grads, _KEY, cfg.learning_rate, cfg.momentum, state
+            )
+
+    hits = [evaluation._head_hits(net, _KEY, pooled_classes, d) for d in tasks]
+    accs = {d.task_id: float(np.mean(h)) for d, h in zip(tasks, hits)}
+    return net, accs, float(np.mean(np.concatenate(hits)))
+
+
+def _built_nets(fn, *args):
+    """``fn(*args)`` and every network it built through ``hat_mlp.new_hat_mlp``."""
+    nets = []
+    new = hat_mlp.new_hat_mlp
+
+    def record(*a, **k):
+        nets.append(new(*a, **k))
+        return nets[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hat_mlp, "new_hat_mlp", record)
+        return fn(*args), nets
+
+
+def _reference_bits(net, accs, pooled):
+    head = net.heads[_KEY]
+    arrays = [*net.weights, *net.biases, head.weight, head.bias]
+    return ([a.tobytes() for a in arrays], sorted(accs),
+            [np.float64(v).tobytes() for _, v in sorted(accs.items())],
+            np.float64(pooled).tobytes())
+
+
+def _assert_matches_pinned(stream, prefix, cfg, seed, net, accs, pooled):
+    assert net.embeddings[_KEY] == []
+    assert _reference_bits(net, accs, pooled) == _reference_bits(
+        *_pinned_train_ncl_reference(stream, prefix, cfg, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    n_tasks=st.integers(1, 3),
+    classes_per_task=st.integers(1, 3),
+    batch_size=st.integers(1, 40),
+    epochs=st.integers(1, 3),
+    s_max=st.floats(7.0, 1000.0),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.data(),
+)
+def test_ungated_reference_matches_the_pinned_gates_bit_for_bit(
+        dim, widths, n_tasks, classes_per_task, batch_size, epochs, s_max, seed, extra):
+    # above s_max of about 6.12, sigmoid(6 * s_max) rounds to 1.0, so the
+    # pinned gates were exactly open and the ungated trunk computes the same bits
+    stream = data.generate_gaussian_stream(n_tasks, classes_per_task, dim, 3.0,
+                                           extra.draw(st.integers(1, 8)), 2, RngState(seed))
+    prefix = extra.draw(st.integers(1, n_tasks))
+    cfg = trainer.TrainConfig(epochs=epochs, batch_size=batch_size,
+                              hidden_widths=tuple(widths), s_max=s_max)
+    (accs, pooled), (net,) = _built_nets(
+        evaluation.train_ncl_reference, stream, prefix, cfg, seed)
+    _assert_matches_pinned(stream, prefix, cfg, seed, net, accs, pooled)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_desk_reference_matches_the_pinned_gates_bit_for_bit(seed):
+    # the README demo config, as ``eval --ncl`` trains it at every prefix
+    stream = data.generate_gaussian_stream(5, 2, 16, 6.0, 200, 100, RngState(seed))
+    cfg = trainer.TrainConfig()
+    ncl, nets = _built_nets(evaluation.build_ncl_reference, stream, cfg, seed)
+    assert [d.task_id for d in stream.tasks] == sorted(ncl.per_task) == [1, 2, 3, 4, 5]
+    for t, net in zip(sorted(ncl.per_task), nets):
+        _assert_matches_pinned(stream, t, cfg, seed, net, ncl.per_task[t], ncl.pooled[t])
+
+
+def test_reference_is_ungated_at_every_s_max(run, stream):
+    # pinned gates passed activations through exactly only once
+    # sigmoid(6 * s_max) rounded to 1.0; below that they drifted with s_max
+    bits = []
+    for s_max in (2.0, 6.0, 400.0):
+        cfg = dataclasses.replace(run.config, s_max=s_max)
+        (accs, pooled), (net,) = _built_nets(
+            evaluation.train_ncl_reference, stream, 2, cfg, 11)
+        bits.append(_reference_bits(net, accs, pooled))
+    assert bits[0] == bits[1] == bits[2]
 
 
 # --- report -----------------------------------------------------------------

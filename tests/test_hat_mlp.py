@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpl import hat_mlp
-from tpl.errors import DimensionMismatch, ShapeMismatch, UnknownTask
+from tpl import cli, hat_mlp
+from tpl.errors import DimensionMismatch, ShapeMismatch, UngatedTask, UnknownTask
 from tpl.numerics import RngState
 
 
@@ -204,6 +204,16 @@ def test_gradcheck_first_task_masked_softmax():
     _check_gradients(net, x, y, 1, s=2.0, mu=0.5, mask_others=True)
 
 
+def test_gradcheck_ungated_task():
+    net = hat_mlp.new_hat_mlp(2, (3, 2), 4.0, RngState(35))
+    hat_mlp.add_task(net, 1, 2, RngState(36), gated=False)
+    _randomize_biases(net, 1, 38)
+    rng = RngState(37).stream("data")
+    x = rng.standard_normal((5, 2))
+    y = np.array([0, 1, 1, 0, 1])
+    _check_gradients(net, x, y, 1, s=4.0, mu=0.0, mask_others=True)
+
+
 def test_first_task_leaves_others_unit_untouched():
     net = tiny_net(seed=5)
     rng = RngState(6).stream("d")
@@ -358,6 +368,70 @@ def test_consolidate_binarizes_and_accumulates():
 def test_first_task_has_empty_cumulative_mask():
     net = tiny_net(widths=(5, 4), input_dim=3)
     assert all(np.all(m == 0.0) for m in net.past_masks)
+
+
+# --- ungated tasks ----------------------------------------------------------
+
+def _relu_trunk(net, x):
+    h = x
+    for w, b in zip(net.weights, net.biases):
+        h = np.maximum(h @ w.T + b, 0.0)
+    return h
+
+
+UNGATED_ENTRIES = {
+    # readers of the trunk: every layer, no gate
+    "features": lambda net, x, y, path: hat_mlp.features(net, x, 1, net.s_max),
+    "forward": lambda net, x, y, path: hat_mlp.forward(net, x, 1)[0],
+    "batch_loss_and_gradients": lambda net, x, y, path: hat_mlp.batch_loss_and_gradients(
+        net, x, y, 1, net.s_max, 0.0, mask_others=True),
+    # readers of the gates: there are none to read
+    "attention": lambda net, x, y, path: hat_mlp.attention(net, 1, net.s_max),
+    "hat_reg_loss": lambda net, x, y, path: hat_mlp.hat_reg_loss(net, 1, net.s_max),
+    "consolidate_mask": lambda net, x, y, path: hat_mlp.consolidate_mask(net, 1),
+    "regularized batch_loss_and_gradients":
+        lambda net, x, y, path: hat_mlp.batch_loss_and_gradients(net, x, y, 1, 5.0, 0.75),
+    "save_model": lambda net, x, y, path: cli.save_model(path, net),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNGATED_ENTRIES))
+def test_ungated_task_reads_the_whole_trunk_or_raises(entry, tmp_path):
+    # an ungated task has an empty embedding list: a zip over it must never
+    # cut the trunk short
+    net = hat_mlp.new_hat_mlp(5, (3, 4, 2), 400.0, RngState(60))
+    hat_mlp.add_task(net, 1, 3, RngState(61), gated=False)
+    assert net.embeddings[1] == []
+    _randomize_biases(net, 1, 62)
+    x = RngState(63).stream("x").standard_normal((7, 5))
+    y = np.array([0, 1, 2, 0, 1, 2, 0])
+    trunk = _relu_trunk(net, x)
+    path = tmp_path / "model.bin"
+    before = _bits(net.weights, net.biases, net.past_masks)
+    if entry in ("features", "forward"):
+        assert UNGATED_ENTRIES[entry](net, x, y, path).tobytes() == trunk.tobytes()
+    elif entry == "batch_loss_and_gradients":
+        loss, g = UNGATED_ENTRIES[entry](net, x, y, path)
+        logits = (trunk @ net.heads[1].weight.T + net.heads[1].bias)[:, :3]
+        ce = np.mean(np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(7), y])
+        assert math.isclose(loss, ce, rel_tol=1e-12)
+        assert [a.shape for a in g.weights] == [w.shape for w in net.weights]
+        assert [a.shape for a in g.biases] == [b.shape for b in net.biases]
+        assert g.embeddings == []
+    else:
+        with pytest.raises(UngatedTask):
+            UNGATED_ENTRIES[entry](net, x, y, path)
+        assert not path.exists()
+    assert _bits(net.weights, net.biases, net.past_masks) == before
+
+
+def test_mask_scales_are_skipped_only_where_nothing_is_claimed():
+    net = tiny_net(widths=(3, 2), input_dim=2)
+    net.past_masks = [np.array([0.0, 1.0, 0.0]), np.zeros(2)]
+    state = hat_mlp.init_momentum(net, 1)
+    assert state.weight_scales[1] is None and state.bias_scales[1] is None
+    assert state.weight_scales[0].tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+    assert state.bias_scales[0].tolist() == [1.0, 0.0, 1.0]
 
 
 # --- zero interference ------------------------------------------------------
