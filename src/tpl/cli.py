@@ -35,7 +35,7 @@ are read through ``_read_json``.  The config's ``score_variant`` is the publishe
 (``canonical`` or ``algorithm1``) everywhere: config files, the package and
 the reports.  Exit codes: 0 success, 2 configuration error, 3 runtime failure
 (a malformed or mismatched run-directory artifact included: the error names
-the file).
+the file; so is running out of memory).
 """
 from __future__ import annotations
 
@@ -1097,6 +1097,9 @@ def main(argv=None) -> int:
         return 2
     except (TplError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
 
 

@@ -7,16 +7,19 @@ one interval, and ranking probabilities reduce to normal-CDF evaluations under
 adaptive quadrature.  That gives exact oracles (`oracle_auc`,
 `lr_threshold_for_type1`) against which Monte-Carlo estimates and the
 feature-space detectors can be checked.
+
+The numerics need nothing beyond numpy and ``math``: the normal CDF is
+``math.erfc``, the quadrature is an adaptive Gauss–Kronrod rule (QUADPACK's
+21-point pair with global subdivision), and the type-I threshold is found by
+bisection.
 """
 from __future__ import annotations
 
+import heapq
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from . import scoring, trainer
 from .data import TaskDataset
@@ -38,6 +41,7 @@ SCORER_NAMES = ("lr", "p_t_only", "p_tc_only_negated", "mean_difference")
 
 _ORACLE_ERROR_BUDGET = 1e-4
 _TAIL_SIGMAS = 12.0  # quadrature window half-width; mass beyond is < 4e-33
+_QUAD_LIMIT = 300  # most subintervals the oracle's quadrature may use
 
 #: Fewest draws per side the empirical AUC and type-I estimates accept.
 MIN_EMPIRICAL_N = 1000
@@ -194,6 +198,79 @@ def quadratic_coefficients(pair: GaussianPair, scorer: str) -> tuple[float, floa
     return a, b, c
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def ndtr(x: float) -> float:
+    """The standard normal CDF in cephes' form, ``erfc`` of the argument
+    scaled by sqrt(1/2): a few ulp of relative error near the centre, growing
+    like x^2 * 2^-53 in the far left tail, where the rounding of the scaled
+    argument is amplified."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+# QUADPACK's qk21 on [-1, 1]: the 21 Kronrod nodes in ascending order, their
+# weights, and the weights of the embedded 10-point Gauss rule, which uses
+# every other node from the second and gives the centre node weight 0.
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+       0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077208854573224, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+       0.0, 0.295524224714752870173892994651338, 0.0)
+_GK_NODES = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
+_GK_WEIGHTS = np.array(_WK[:-1] + _WK[::-1])
+_G_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _gk21(f, a: float, b: float) -> tuple[float, float]:
+    """QUADPACK's qk21 on [a, b]: the Kronrod estimate of the integral of
+    ``f`` and QUADPACK's error estimate for it."""
+    half = 0.5 * (b - a)
+    fv = np.array([f(x) for x in (0.5 * (a + b) + half * _GK_NODES).tolist()])
+    kronrod = float(fv @ _GK_WEIGHTS)
+    spread = abs(half) * float(np.abs(fv - 0.5 * kronrod) @ _GK_WEIGHTS)
+    err = abs(half * (kronrod - float(fv @ _G_WEIGHTS)))
+    if spread != 0.0 and err != 0.0:
+        err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
+    floor = 50.0 * _EPS * abs(half) * float(np.abs(fv) @ _GK_WEIGHTS)
+    return half * kronrod, max(err, floor)
+
+
+def _adaptive_quad(f, lo: float, hi: float, breaks: list[float], limit: int,
+                   epsabs: float, epsrel: float) -> tuple[float, float]:
+    """Integral of ``f`` over [lo, hi] and its error estimate by global
+    adaptive subdivision: start from the pieces between ``breaks`` and bisect
+    the piece with the largest error until the summed error meets
+    max(epsabs, epsrel |integral|) or there are ``limit`` pieces."""
+    edges = [lo, *breaks, hi]
+    heap = []
+    for a, b in zip(edges, edges[1:]):
+        value, err = _gk21(f, a, b)
+        heap.append((-err, a, b, value))
+    heapq.heapify(heap)
+    while True:
+        value = math.fsum(piece[3] for piece in heap)
+        err = -math.fsum(piece[0] for piece in heap)
+        if err <= max(epsabs, epsrel * abs(value)) or len(heap) >= limit:
+            return value, err
+        _, a, b, _ = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        for pa, pb in ((a, mid), (mid, b)):
+            piece_value, piece_err = _gk21(f, pa, pb)
+            heapq.heappush(heap, (-piece_err, pa, pb, piece_value))
+
+
 def _superlevel_mass(
     a: float, b: float, c: float, threshold: float, mean: float, var: float
 ) -> float:
@@ -206,7 +283,7 @@ def _superlevel_mass(
     sd = math.sqrt(var)
 
     def cdf(x: float) -> float:
-        return float(ndtr((x - mean) / sd))
+        return ndtr((x - mean) / sd)
 
     if a == 0.0 and b == 0.0:
         return 1.0 if c > threshold else 0.0
@@ -252,13 +329,9 @@ def oracle_auc(pair: GaussianPair, scorer: str) -> float:
     # quadratic statistic happens only at its vertex.
     breaks = [-b / (2.0 * a)] if a != 0.0 else []
     breaks = [p for p in breaks if lo < p < hi]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, err = integrate.quad(
-            integrand, lo, hi, points=breaks or None,
-            limit=300, epsabs=1e-10, epsrel=1e-10,
-        )
-    truncation = 2.0 * float(ndtr(-_TAIL_SIGMAS))
+    value, err = _adaptive_quad(integrand, lo, hi, breaks, limit=_QUAD_LIMIT,
+                                epsabs=1e-10, epsrel=1e-10)
+    truncation = 2.0 * ndtr(-_TAIL_SIGMAS)
     if err + truncation > _ORACLE_ERROR_BUDGET:
         raise IntegrationFailure(
             f"quadrature error estimate {err:.3e} exceeds {_ORACLE_ERROR_BUDGET:.0e}"
@@ -306,8 +379,6 @@ def lr_threshold_for_type1(pair: GaussianPair, level: float = 0.05) -> float:
     continuous and non-increasing in lambda.  A constant ratio (identical
     densities) admits no such threshold and raises ``ValueError``.
     """
-    from scipy.optimize import brentq
-
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     if pair.dim != 1:
@@ -338,7 +409,13 @@ def lr_threshold_for_type1(pair: GaussianPair, level: float = 0.05) -> float:
         step *= 2.0
     else:
         raise IntegrationFailure("failed to bracket the threshold from above")
-    return float(brentq(excess, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    while hi - lo > 1e-13 + 8.9e-16 * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def empirical_type1_rate(

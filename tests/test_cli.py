@@ -1460,6 +1460,26 @@ class TestTheoryCheck:
                 cli.main(["theory-check", "--case", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB for an array"),
+        ("", "an allocation failed"),
+    ], ids=["numpy-message", "no-message"])
+    def test_out_of_memory_exits_3_without_traceback(self, tmp_path, monkeypatch,
+                                                     message, shown):
+        # a stand-in for ``--samples 1000000000000``, whose draws cannot be
+        # allocated; a real giant allocation could take real memory
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(theory_lab, "empirical_aucs", exhausted)
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli("theory-check", "--case", "sec41",
+                                    "--out", str(out), "--quiet")
+        assert code == 3
+        assert err == f"error: out of memory: {shown}\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
 # --- dump-features -----------------------------------------------------------
 

@@ -4,8 +4,10 @@ Every intra-package import is read from the source with ``ast``, at module
 level and inside functions alike; imports under ``if TYPE_CHECKING:`` are
 for annotations only and are skipped.  The task-score definitions live in
 ``scoring`` alone, so ``trainer`` fits its score rates through them.  No
-module imports ``scipy.stats``: ranking is ``numerics.average_ranks``, and
-importing ``scipy.stats`` would add about half a second to every CLI call."""
+module imports any part of scipy, at module level or inside a function:
+ranking is ``numerics.average_ranks``, the theory oracles run on ``math`` and
+numpy, and importing scipy would add about a third of a second to every CLI
+call."""
 
 import ast
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import tpl
+from tpl import cli, theory_lab
 
 #: The package's modules from the bottom layer up.
 LAYERS = ("errors", "numerics", "data", "hat_mlp", "scoring", "calibration",
@@ -124,21 +127,66 @@ def imported_modules(tree: ast.Module) -> set[str]:
     return found
 
 
+def is_scipy(name: str) -> bool:
+    return name == "scipy" or name.startswith("scipy.")
+
+
 @pytest.mark.parametrize("module", LAYERS)
 def test_no_module_imports_scipy_stats(module):
-    names = imported_modules(parse(module))
-    assert not {n for n in names if n == "scipy.stats" or n.startswith("scipy.stats.")}
+    """No import of ``scipy`` or any of its modules, ``scipy.stats`` included."""
+    assert not {n for n in imported_modules(parse(module)) if is_scipy(n)}
 
 
 def test_imported_modules_sees_every_form_of_the_import():
     for source in ("import scipy.stats", "from scipy.stats import rankdata",
                    "from scipy import stats", "def f():\n    import scipy.stats as s\n"):
         assert "scipy.stats" in imported_modules(ast.parse(source)), source
+    for source in ("import scipy", "from scipy.special import ndtr",
+                   "def f():\n    from scipy.optimize import brentq\n",
+                   "class C:\n    def f(self):\n        from scipy import integrate\n"):
+        assert any(is_scipy(n) for n in imported_modules(ast.parse(source))), source
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    code = "import sys, tpl.cli; print('scipy.stats' in sys.modules)"
+    """``import tpl.cli`` loads no scipy module at all."""
+    code = ("import sys, tpl.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+#: Runs theory-check cases, given as (case, samples) argument pairs after the
+#: output directory, in a process where every import of scipy fails.
+BLOCKED_CHILD = """
+import sys
+sys.modules["scipy"] = None  # ``import scipy`` and its submodules now raise
+from tpl import cli
+out = sys.argv[1]
+codes = [cli.main(["theory-check", "--case", case, "--samples", samples,
+                   "--out", f"{out}/{case}.json", "--quiet"])
+         for case, samples in zip(sys.argv[2::2], sys.argv[3::2])]
+sys.exit(max(codes))
+"""
+
+#: Each theory-check case at its smallest ``--samples``.
+THEORY_CASES = {"sec41": theory_lab.MIN_EMPIRICAL_N, "dominance": theory_lab.MIN_EMPIRICAL_N,
+                "density": theory_lab.MIN_PROBES}
+
+
+def test_theory_check_runs_with_scipy_blocked(tmp_path):
+    """With ``import scipy`` made to fail, every theory-check case exits 0 and
+    writes the report an unblocked run writes."""
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    args = [str(blocked)] + [str(v) for item in THEORY_CASES.items() for v in item]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", BLOCKED_CHILD, *args], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    for case, samples in THEORY_CASES.items():
+        report = tmp_path / f"{case}.json"
+        assert cli.main(["theory-check", "--case", case, "--samples", str(samples),
+                         "--out", str(report), "--quiet"]) == 0
+        assert (blocked / f"{case}.json").read_bytes() == report.read_bytes(), case

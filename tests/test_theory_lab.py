@@ -5,12 +5,18 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize, special
 
 from tpl import scoring, theory_lab
 from tpl.data import ClassGaussian, TaskDataset, generate_gaussian_stream
-from tpl.errors import DimensionMismatch, NoDensityAvailable, NoVariance
+from tpl.errors import (
+    DimensionMismatch,
+    IntegrationFailure,
+    NoDensityAvailable,
+    NoVariance,
+)
 from tpl.numerics import RngState
 from tpl.theory_lab import (
     FIXTURE_PAIRS,
@@ -277,6 +283,131 @@ def test_threshold_rejects_bad_levels_and_constant_ratio():
 def test_type1_rate_needs_enough_draws():
     with pytest.raises(ValueError):
         empirical_type1_rate(FIXTURE_PAIRS["narrow_impostor"], 0.0, n=10)
+
+
+# --- the oracles' numerics against scipy --------------------------------------
+#
+# The package computes the normal CDF, the quadrature and the threshold root
+# with numpy and ``math`` alone; scipy's cephes ``ndtr``, QUADPACK ``quad`` and
+# ``brentq`` serve here as independent references.
+
+pairs_wide = st.builds(GaussianPair, finite(-4, 4), finite(1e-2, 30),
+                       finite(-4, 4), finite(1e-2, 30))
+
+
+def scipy_superlevel_mass(a, b, c, threshold, mean, var):
+    """P(a X^2 + b X + c > threshold) for X ~ N(mean, var) on scipy's ndtr."""
+    sd = math.sqrt(var)
+
+    def cdf(x):
+        return float(special.ndtr((x - mean) / sd))
+
+    if a == 0.0:
+        q = (threshold - c) / b
+        return 1.0 - cdf(q) if b > 0 else cdf(q)
+    disc = b * b - 4.0 * a * (c - threshold)
+    if disc <= 0.0:
+        return 1.0 if a > 0 else 0.0
+    root = math.sqrt(disc)
+    lo, hi = sorted(((-b - root) / (2.0 * a), (-b + root) / (2.0 * a)))
+    return cdf(lo) + (1.0 - cdf(hi)) if a > 0 else cdf(hi) - cdf(lo)
+
+
+def scipy_oracle(pair, scorer):
+    """The ranking probability under ``integrate.quad`` with the oracle's
+    window, vertex breakpoint, limit and tolerances, and the error estimate
+    (truncation included) that the budget is checked against."""
+    a, b, c = quadratic_coefficients(pair, scorer)
+    mt, vt = float(pair.mean_t[0]), float(pair.var_t[0])
+    mc, vc = float(pair.mean_c[0]), float(pair.var_c[0])
+    sd_c = math.sqrt(vc)
+
+    def integrand(y):
+        pdf = math.exp(-0.5 * ((y - mc) / sd_c) ** 2) / (sd_c * math.sqrt(2.0 * math.pi))
+        return pdf * scipy_superlevel_mass(a, b, c, (a * y + b) * y + c, mt, vt)
+
+    lo, hi = mc - 12.0 * sd_c, mc + 12.0 * sd_c
+    breaks = [p for p in ([-b / (2.0 * a)] if a != 0.0 else []) if lo < p < hi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        value, err = integrate.quad(integrand, lo, hi, points=breaks or None,
+                                    limit=300, epsabs=1e-10, epsrel=1e-10)
+    return min(max(value, 0.0), 1.0), err + 2.0 * float(special.ndtr(-12.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=pairs_wide)
+def test_oracle_agrees_with_quadpack_wherever_quad_succeeds(pair):
+    for scorer in theory_lab.SCORER_NAMES:
+        if quadratic_coefficients(pair, scorer)[:2] == (0.0, 0.0):
+            continue  # constant statistic: exactly 1/2 without quadrature
+        expected, err = scipy_oracle(pair, scorer)
+        try:
+            got = oracle_auc(pair, scorer)
+        except IntegrationFailure:
+            assert err > theory_lab._ORACLE_ERROR_BUDGET, (scorer, expected, err)
+            continue
+        if err <= theory_lab._ORACLE_ERROR_BUDGET:
+            assert abs(got - expected) <= 1e-9, (scorer, got, expected)
+
+
+def test_kronrod_rule_is_qk21():
+    nodes, weights = theory_lab._GK_NODES, theory_lab._GK_WEIGHTS
+    gauss = theory_lab._G_WEIGHTS != 0.0
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(nodes[gauss], x10, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(theory_lab._G_WEIGHTS[gauss], w10, rtol=0, atol=1e-15)
+    for k in range(32):  # 21 Kronrod nodes integrate degree 31 exactly
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert float(nodes**k @ weights) == pytest.approx(exact, abs=1e-14), k
+
+
+def test_ndtr_matches_cephes():
+    xs = np.linspace(-37.0, 8.5, 20_001)
+    expected = special.ndtr(xs)
+    got = np.array([theory_lab.ndtr(x) for x in xs.tolist()])
+    # 1e-14 where |x| <= 3; beyond, both sides round the scaled argument (or
+    # its square) once, an error the CDF's condition number ~x^2 amplifies.
+    bound = np.maximum(1e-14, 10.0 * 2.0**-53 * xs**2)
+    assert np.all(np.abs(got - expected) <= bound * expected)
+
+
+def brentq_threshold(pair, level=0.05):
+    a, b, c = quadratic_coefficients(pair, "lr")
+    mc, vc = float(pair.mean_c[0]), float(pair.var_c[0])
+
+    def excess(lam):
+        return scipy_superlevel_mass(a, b, c, lam, mc, vc) - level
+
+    lo, hi = -1.0, 1.0
+    while excess(lo) < 0.0:
+        lo *= 2.0
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    return optimize.brentq(excess, lo, hi, xtol=1e-13, rtol=8.9e-16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=pairs_wide)
+@example(pair=FIXTURE_PAIRS["narrow_impostor"])
+@example(pair=FIXTURE_PAIRS["mean_shift"])
+@example(pair=FIXTURE_PAIRS["offset_widths"])
+def test_threshold_matches_brentq(pair):
+    a, b, _ = quadratic_coefficients(pair, "lr")
+    if a == 0.0 and b == 0.0:
+        return  # identical densities: no threshold attains the level
+    expected = brentq_threshold(pair)
+    # 1e-12, plus each root finder's relative stopping tolerance (about
+    # 4 ulp) where the threshold is large
+    bound = 1e-12 + 2.0 * 8.9e-16 * abs(expected)
+    assert abs(lr_threshold_for_type1(pair, 0.05) - expected) <= bound
+
+
+def test_budget_check_fires_when_subdivision_is_cut_short(monkeypatch):
+    pair = FIXTURE_PAIRS["narrow_impostor"]
+    monkeypatch.setattr(theory_lab, "_QUAD_LIMIT", 2)  # the two vertex halves only
+    with pytest.raises(IntegrationFailure, match="exceeds"):
+        oracle_auc(pair, "lr")
 
 
 # --- density-estimator rank checks -------------------------------------------
