@@ -57,7 +57,6 @@ from . import data, evaluation, hat_mlp, scoring, theory_lab, trainer
 from .errors import (
     ConfigError,
     DegenerateVariance,
-    DimensionMismatch,
     EmptyTestSet,
     ParseError,
     TplError,
@@ -572,7 +571,7 @@ def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
                           "the run")
         firsts = np.unique(source, return_index=True)[1]  # each source task's first row
         for t in task_ids if len(buffer) else ():
-            feats = scoring.normalize_rows(hat_mlp.features(net, x[firsts], t, net.s_max))
+            feats = scoring.normalize_rows(hat_mlp.features(net, x[firsts], t))
             mine = source[firsts] == t
             # own.t holds task t's rows and knn.t the others, in buffer order: task t's
             # first row is own.t[0] and row i of another task is knn.t[i - (task t
@@ -698,11 +697,18 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
                           net.input_dim, task_classes)
     index = _load_index(run_dir / "index.bin", net, buffer, task_ids)
     path = run_dir / "calibration.json"
-    calibration = _read_json(path, lambda records: {
-        _task_id(r["task_id"]): (check_real("sigma1", r["sigma1"]),
-                                 check_real("sigma2", r["sigma2"]))
-        for r in records
-    })
+
+    def decode_calibration(records) -> dict[int, tuple[float, float]]:
+        calibration = {}
+        for r in records:
+            t = _task_id(r["task_id"])
+            if t in calibration:
+                raise ValueError(f"task_id {t} is calibrated twice")
+            calibration[t] = (check_real("sigma1", r["sigma1"]),
+                              check_real("sigma2", r["sigma2"]))
+        return calibration
+
+    calibration = _read_json(path, decode_calibration)
     if sorted(calibration) != task_ids:
         raise ParseError(f"{path}: calibrates tasks {sorted(calibration)}, "
                          f"the run has tasks {task_ids}")
@@ -729,12 +735,28 @@ def _test_stream(run: RunArtifacts, rc: RunConfig) -> data.TaskStream:
     return stream
 
 
-def _load_trajectory(run_dir: Path) -> tuple[list[float], dict[int, dict[int, float]]]:
-    """The (trajectory, per-task matrix) pair stored at train time."""
-    return _read_json(run_dir / "trajectory.json", lambda payload: (
-        [evaluation.check_accuracy("trajectory", v) for v in payload.get("trajectory", [])],
-        evaluation.decode_task_matrix(payload.get("per_task", {})),
-    ))
+def _load_trajectory(run_dir: Path, task_ids: list[int]
+                     ) -> tuple[list[float], dict[int, dict[int, float]]]:
+    """The (trajectory, per-task matrix) pair stored at train time, checked
+    against the run's ``task_ids``: both empty (a run trained without test
+    rows), or one accuracy per task and, for each task t, the accuracies of
+    exactly the tasks up to t."""
+
+    def decode(payload) -> tuple[list[float], dict[int, dict[int, float]]]:
+        trajectory = [evaluation.check_accuracy("trajectory", v)
+                      for v in payload["trajectory"]]
+        per_task = evaluation.decode_task_matrix(payload["per_task"])
+        if trajectory or per_task:
+            if len(trajectory) != len(task_ids):
+                raise ValueError(f"trajectory has {len(trajectory)} entries, "
+                                 f"the run has {len(task_ids)} tasks")
+            want = {t: [i for i in task_ids if i <= t] for t in task_ids}
+            got = {t: sorted(row) for t, row in per_task.items()}
+            if got != want:
+                raise ValueError(f"per_task holds the tasks {got}, the run needs {want}")
+        return trajectory, per_task
+
+    return _read_json(run_dir / "trajectory.json", decode)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -803,7 +825,7 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
-    stored = _load_trajectory(run_dir)
+    stored = _load_trajectory(run_dir, run.task_ids())
     if not stored[0]:
         raise EmptyTestSet("run has no stored trajectory (trained without tests)")
     stream = _test_stream(run, rc)
@@ -825,11 +847,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     run, rc = load_run(Path(args.run))
-    x, _labels = data._read_feature_file(Path(args.input), None)
-    if x.shape[1] != run.net.input_dim:
-        raise DimensionMismatch(
-            f"input features have dim {x.shape[1]}, model expects {run.net.input_dim}"
-        )
+    x, _labels = data.read_feature_file(Path(args.input), run.net.input_dim)
     preds = scoring.predict(scoring.context_from_run(run), x, score_kind="tpl")
     lines = ["row,predicted_class,predicted_task,p_task,score_variant"]
     for i in range(x.shape[0]):
@@ -968,15 +986,13 @@ def cmd_theory_check(args) -> int:
         )
         dataset = stream.tasks[0]
         stats = theory_lab.fit_raw_feature_stats(dataset)
-        check = theory_lab.density_estimator_check(
-            dataset, stats, n, knn_k=5, seed=seed
-        )
+        check = theory_lab.density_estimator_check(dataset, stats, n, seed=seed)
         report = {
             "case": case,
             "samples": n,
             "seed": seed,
             "buffer_size": int(dataset.train_x.shape[0]),
-            "knn_k": 5,
+            "knn_k": theory_lab.DENSITY_KNN_K,
             "md_spearman": check.md_spearman,
             "knn_spearman": check.knn_spearman,
             "n_used_md": check.n_used_md,
@@ -993,12 +1009,7 @@ def cmd_dump_features(args) -> int:
     t = args.task_id
     run.net.require_task(t)
     if getattr(args, "input", None):
-        x, labels = data._read_feature_file(Path(args.input), None)
-        if x.shape[1] != run.net.input_dim:
-            raise DimensionMismatch(
-                f"input features have dim {x.shape[1]}, "
-                f"model expects {run.net.input_dim}"
-            )
+        x, labels = data.read_feature_file(Path(args.input), run.net.input_dim)
     else:
         dataset = _test_stream(run, rc).task(t)
         x, labels = dataset.test_x, dataset.test_y

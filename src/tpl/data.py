@@ -3,7 +3,7 @@
 A stream is an ordered list of tasks; each task owns a disjoint set of global
 class labels and carries train/test feature arrays.  Synthetic streams keep
 their per-class generative parameters so exact densities stay available to the
-validation tooling; loaded streams do not (``true_log_density`` refuses).
+validation tooling; loaded streams do not (``mixture_log_density`` refuses).
 
 Feature-file format: one sample per line, ``label,f0,f1,...,f{m-1}``, no
 header.  Manifest format: JSON ``{"dim": optional int, "tasks": [{"task_id",
@@ -143,14 +143,6 @@ class TaskStream:
             raise DimensionMismatch("empty stream has no dimension")
         return self.tasks[0].dim
 
-    @property
-    def all_classes(self) -> list[int]:
-        """Global class ids in order of first appearance."""
-        out: list[int] = []
-        for t in self.tasks:
-            out.extend(t.classes)
-        return out
-
     def task(self, task_id: int) -> TaskDataset:
         for t in self.tasks:
             if t.task_id == task_id:
@@ -263,7 +255,7 @@ def generate_gaussian_stream(
     return TaskStream(tasks=tasks)
 
 
-def _read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray]:
+def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Parse a non-empty ``label,f0,f1,...`` feature CSV into (features,
     labels); blank lines are skipped.  Malformed or non-finite rows raise
     ``ParseError`` naming their 1-based line; a row with other than ``width``
@@ -329,9 +321,9 @@ def load_feature_stream(manifest_path: str | Path) -> TaskStream:
         if missing:
             raise ParseError(f"{manifest_path}: task entry missing {sorted(missing)}")
         classes = tuple(int(c) for c in entry["classes"])
-        train_x, train_y = _read_feature_file(base / entry["train"], dim)
+        train_x, train_y = read_feature_file(base / entry["train"], dim)
         file_dim = train_x.shape[1]
-        test_x, test_y = _read_feature_file(base / entry["test"], file_dim)
+        test_x, test_y = read_feature_file(base / entry["test"], file_dim)
         tasks.append(
             TaskDataset(
                 task_id=int(entry["task_id"]),
@@ -346,20 +338,20 @@ def load_feature_stream(manifest_path: str | Path) -> TaskStream:
     return TaskStream(tasks=tasks)
 
 
-def true_log_density(stream: TaskStream, task_id: int, x: np.ndarray) -> float:
-    """Exact log-density of ``x`` under a task's equal-weight Gaussian mixture.
+def mixture_log_density(task: TaskDataset, x: np.ndarray) -> np.ndarray:
+    """Exact log-density of each row of ``x`` [n, dim] under the task's
+    equal-weight Gaussian class mixture: [n].
 
     Only synthetic tasks carry their generative parameters; loaded data raises
     ``NoDensityAvailable``.
     """
-    task = stream.task(task_id)
     if not task.gaussians:
         raise NoDensityAvailable(
-            f"task {task_id} has no generative description (loaded data?)"
+            f"task {task.task_id} has no generative description (loaded data?)"
         )
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (task.dim,):
-        raise DimensionMismatch(f"point has shape {x.shape}, task has dim {task.dim}")
-    logs = [diag_gaussian_logpdf(x[None], g.mean, g.cov_diag)[0]
-            for g in task.gaussians.values()]
-    return log_sum_exp(logs) - math.log(len(logs))
+    if x.ndim != 2 or x.shape[1] != task.dim:
+        raise DimensionMismatch(f"points have shape {x.shape}, task has dim {task.dim}")
+    per_class = np.stack([diag_gaussian_logpdf(x, g.mean, g.cov_diag)
+                          for _, g in sorted(task.gaussians.items())], axis=1)
+    return log_sum_exp(per_class) - math.log(len(task.gaussians))

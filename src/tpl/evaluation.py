@@ -301,10 +301,20 @@ def encode_task_matrix(matrix: dict[int, dict[int, float]]) -> dict[str, dict[st
     }
 
 
+def _task_key(key: str) -> int:
+    """A task id stored as a JSON object key, spelled as ``str`` writes it, so
+    that no two keys of one object ("1" and "01") name the same task."""
+    t = int(key)
+    if str(t) != key:
+        raise ValueError(f"task key {key!r} is not written as {str(t)!r}")
+    return t
+
+
 def decode_task_matrix(payload: dict) -> dict[int, dict[int, float]]:
     """Inverse of ``encode_task_matrix``; every value must be an accuracy."""
     return {
-        int(t): {int(i): check_accuracy(f"accuracy [{t}][{i}]", v) for i, v in row.items()}
+        _task_key(t): {_task_key(i): check_accuracy(f"accuracy [{t}][{i}]", v)
+                       for i, v in row.items()}
         for t, row in payload.items()
     }
 

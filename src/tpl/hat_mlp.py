@@ -4,10 +4,12 @@ Each task owns a sigmoid gate per hidden unit, ``a_l = sigmoid(s * e_l)``,
 applied multiplicatively after the ReLU.  Units claimed by earlier tasks are
 recorded in a cumulative binary mask; gradients into their incoming weights
 and biases are scaled to zero so finished tasks cannot be disturbed.  The gate
-scale ``s`` anneals from ``1/s_max`` to ``s_max`` within every epoch;
-inference always runs at ``s_max``, where surviving gates are effectively
-binary.  A task registered with ``gated=False`` has no gates at all: its
-trunk is a plain ReLU MLP (the jointly trained reference is one).
+scale ``s`` anneals from ``1/s_max`` to ``s_max`` within every epoch of
+training (``batch_loss_and_gradients``).  Inference (``features`` and
+``forward``) has no ``s``: it always runs at ``s_max``, where surviving gates
+are effectively binary, and takes ``[B, input_dim]`` batches only.  A task
+registered with ``gated=False`` has no gates at all: its trunk is a plain
+ReLU MLP (the jointly trained reference is one).
 
 Layout conventions: weights are ``[out, in]``; batches are ``[B, dim]`` rows.
 All arrays are float64.
@@ -186,48 +188,38 @@ def _layer_gates(net: HatMlp, task_id: int, s: float) -> list[np.ndarray | None]
     return attention(net, task_id, s)
 
 
-def features(net: HatMlp, x: np.ndarray, task_id: int, s: float) -> np.ndarray:
+def features(net: HatMlp, x: np.ndarray, task_id: int) -> np.ndarray:
     """Masked trunk features [B, feature_dim] of a [B, input_dim] batch, the
-    part of ``forward`` before the task head."""
+    part of ``forward`` before the task head.  The gates are taken at
+    ``s_max``, the inference setting."""
     h = x
-    for w, b, a in zip(net.weights, net.biases, _layer_gates(net, task_id, s)):
+    for w, b, a in zip(net.weights, net.biases, _layer_gates(net, task_id, net.s_max)):
         h = np.maximum(h @ w.T + b, 0.0)
         if a is not None:
             h *= a
     return h
 
 
-def forward(
-    net: HatMlp, x: np.ndarray, task_id: int, s: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked forward pass; returns (features, logits).
-
-    ``s`` defaults to ``s_max`` (the inference setting).  A 1-D input is
-    treated as a single sample and 1-D outputs are returned for it.
-    """
+def forward(net: HatMlp, x: np.ndarray, task_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masked forward pass of a [B, input_dim] batch at ``s_max``; returns
+    (features, logits)."""
     net.require_task(task_id)
-    if s is None:
-        s = net.s_max
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionMismatch(
             f"input has shape {x.shape}, expected [B, {net.input_dim}]"
         )
-    h = features(net, x, task_id, s)
+    h = features(net, x, task_id)
     head = net.heads[task_id]
-    logits = h @ head.weight.T + head.bias
-    if single:
-        return h[0], logits[0]
-    return h, logits
+    return h, h @ head.weight.T + head.bias
 
 
 def _gate_reg_terms(
     gates: list[np.ndarray], past_masks: list[np.ndarray]
 ) -> tuple[float, float]:
-    """Numerator and floored denominator of the gate regularizer."""
+    """Numerator and floored denominator of the gate regularizer, the
+    sparsity pressure on gates over still-free capacity
+    ``sum_l a_l . (1 - past_l) / max(sum_l sum(1 - past_l), floor)``."""
     num = 0.0
     den = 0.0
     for a, past in zip(gates, past_masks):
@@ -235,13 +227,6 @@ def _gate_reg_terms(
         num += float((a * free).sum())
         den += float(free.sum())
     return num, max(den, _REG_DENOM_FLOOR)
-
-
-def hat_reg_loss(net: HatMlp, task_id: int, s: float) -> float:
-    """Sparsity pressure on gates over still-free capacity:
-    ``sum_l a_l . (1 - past_l) / max(sum_l sum(1 - past_l), floor)``."""
-    num, den = _gate_reg_terms(attention(net, task_id, s), net.past_masks)
-    return num / den
 
 
 def anneal_s(batch_index: int, batches_per_epoch: int, s_max: float) -> float:

@@ -180,6 +180,8 @@ def softmax(v: np.ndarray | Sequence[float], temperature: float = 1.0) -> np.nda
     """Temperature softmax over the last axis: ``exp(v/T) / sum(exp(v/T))``,
     computed shift-free.
 
+    A row whose ``v/T`` overflows (a tiny T) is shifted by its max before the
+    division instead, so it stays finite; the other rows keep their bits.
     Raises ``NonPositiveTemperature`` for T <= 0 and ``EmptyInput`` when the
     last axis is empty.  Each row sums to 1 up to float rounding and is
     invariant to adding a constant to it.
@@ -189,7 +191,12 @@ def softmax(v: np.ndarray | Sequence[float], temperature: float = 1.0) -> np.nda
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise EmptyInput("softmax of an empty vector")
-    scaled = v / float(temperature)
+    with np.errstate(over="ignore"):
+        scaled = v / float(temperature)
+        overflow = ~np.isfinite(scaled).all(axis=-1, keepdims=True)
+        if overflow.any():
+            shifted = (v - np.max(v, axis=-1, keepdims=True)) / float(temperature)
+            scaled = np.where(overflow, shifted, scaled)
     scaled = scaled - np.max(scaled, axis=-1, keepdims=True)
     e = np.exp(scaled)
     return e / np.sum(e, axis=-1, keepdims=True)

@@ -195,7 +195,7 @@ def replay_index(net: hat_mlp.HatMlp, buffer: ReplayBuffer, task_ids) -> ReplayI
     own = {t: np.empty((0, feat_dim)) for t in task_ids}
     if len(buffer) > 0:
         for t in task_ids:
-            feats = normalize_rows(hat_mlp.features(net, buffer.x, t, net.s_max))
+            feats = normalize_rows(hat_mlp.features(net, buffer.x, t))
             knn[t] = feats[buffer.tasks != t]
             own[t] = feats[buffer.tasks == t]
     return knn, own

@@ -1,9 +1,10 @@
 """One-dimensional Gaussian test-bed for the task-membership statistic.
 
-Everything here has a closed form.  For a pair of diagonal Gaussians the log
-likelihood ratio is a quadratic in ``x``, so every statistic in the fixed
-scorer family is a quadratic too, its superlevel sets are at most two rays or
-one interval, and ranking probabilities reduce to normal-CDF evaluations under
+Everything here has a closed form.  A ``GaussianPair`` is two scalar
+Gaussians, four floats (the task's mean and variance, then the impostor's),
+so the log likelihood ratio is a quadratic in ``x``.  So is every statistic
+in the fixed scorer family: its superlevel sets are at most two rays or one
+interval, and ranking probabilities reduce to normal-CDF evaluations under
 adaptive quadrature.  That gives exact oracles (`oracle_auc`,
 `lr_threshold_for_type1`) against which Monte-Carlo estimates and the
 feature-space detectors can be checked.
@@ -22,19 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scoring, trainer
-from .data import TaskDataset
-from .errors import (
-    DimensionMismatch,
-    IntegrationFailure,
-    NoDensityAvailable,
-    NoVariance,
-)
+from .data import TaskDataset, mixture_log_density
+from .errors import IntegrationFailure, NoDensityAvailable, NoVariance
 from .evaluation import ood_auc
-from .numerics import (
-    RngState, diag_gaussian_logpdf, kth_distance, log_sum_exp, mahalanobis_sq, spearman,
-)
+from .numerics import RngState, diag_gaussian_logpdf, kth_distance, mahalanobis_sq, spearman
 
-#: Recognized scoring statistics, each a quadratic in x for 1-D pairs:
+#: Recognized scoring statistics, each a quadratic in x:
 #: the log likelihood ratio, the two single-density baselines it dominates,
 #: and the projection onto the difference of means.
 SCORER_NAMES = ("lr", "p_t_only", "p_tc_only_negated", "mean_difference")
@@ -49,6 +43,12 @@ MIN_EMPIRICAL_N = 1000
 #: Fewest probe points ``density_estimator_check`` accepts.
 MIN_PROBES = 3
 
+#: Neighbor rank of the density check's k-th-distance estimator.
+DENSITY_KNN_K = 5
+
+#: Ridge on the raw-feature covariance before ``fit_raw_feature_stats`` inverts it.
+_RAW_STATS_RIDGE = 1e-6
+
 
 def _check_scorer(name: str) -> None:
     if name not in SCORER_NAMES:
@@ -57,51 +57,30 @@ def _check_scorer(name: str) -> None:
 
 @dataclass(frozen=True)
 class GaussianPair:
-    """A positive density P_t and a negative density P_tc, both diagonal
-    Gaussians of the same dimension, plus default draw count and seed for
+    """A positive density P_t = N(mean_t, var_t) and a negative density
+    P_tc = N(mean_c, var_c) on the real line, plus the draw count and seed of
     the Monte-Carlo estimators."""
 
-    mean_t: np.ndarray
-    var_t: np.ndarray
-    mean_c: np.ndarray
-    var_c: np.ndarray
+    mean_t: float
+    var_t: float
+    mean_c: float
+    var_c: float
     n_samples: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         for name in ("mean_t", "var_t", "mean_c", "var_c"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
-            object.__setattr__(self, name, arr)
-        shapes = {
-            arr.shape for arr in (self.mean_t, self.var_t, self.mean_c, self.var_c)
-        }
-        if len(shapes) != 1 or self.mean_t.ndim != 1:
-            raise DimensionMismatch(f"pair parameters disagree in shape: {shapes}")
-        if np.any(self.var_t <= 0) or np.any(self.var_c <= 0):
+            object.__setattr__(self, name, trainer.check_real(name, getattr(self, name)))
+        if self.var_t <= 0 or self.var_c <= 0:
             raise ValueError("variances must be strictly positive")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
 
-    @property
-    def dim(self) -> int:
-        return int(self.mean_t.shape[0])
-
-    def swapped(self) -> "GaussianPair":
-        """The pair with positive and negative roles exchanged."""
-        return GaussianPair(
-            mean_t=self.mean_c,
-            var_t=self.var_c,
-            mean_c=self.mean_t,
-            var_c=self.var_t,
-            n_samples=self.n_samples,
-            seed=self.seed,
-        )
-
     def sample_t(self, n: int, rng: RngState) -> np.ndarray:
-        return self.mean_t + np.sqrt(self.var_t) * rng.standard_normal((n, self.dim))
+        return self.mean_t + math.sqrt(self.var_t) * rng.standard_normal(n)
 
     def sample_c(self, n: int, rng: RngState) -> np.ndarray:
-        return self.mean_c + np.sqrt(self.var_c) * rng.standard_normal((n, self.dim))
+        return self.mean_c + math.sqrt(self.var_c) * rng.standard_normal(n)
 
 
 def narrow_impostor_pair(n_samples: int = 10_000, seed: int = 0) -> GaussianPair:
@@ -133,34 +112,17 @@ FIXTURE_PAIRS: dict[str, GaussianPair] = {
 }
 
 
-def _as_points(pair: GaussianPair, x) -> tuple[np.ndarray, bool]:
-    """Coerce ``x`` to an [n, dim] array; report whether input was a single point."""
-    arr = np.asarray(x, dtype=np.float64)
-    if pair.dim == 1:
-        single = arr.ndim == 0
-        return arr.reshape(-1, 1), single
-    if arr.ndim == 1:
-        if arr.shape[0] != pair.dim:
-            raise DimensionMismatch(
-                f"point has dim {arr.shape[0]}, pair has dim {pair.dim}"
-            )
-        return arr.reshape(1, -1), True
-    if arr.ndim != 2 or arr.shape[1] != pair.dim:
-        raise DimensionMismatch(
-            f"points have shape {arr.shape}, pair has dim {pair.dim}"
-        )
-    return arr, False
-
-
 def log_likelihood_ratio(pair: GaussianPair, x):
     """log p_t(x) - log p_tc(x), exact; scalar in, scalar out."""
     return score_samples(pair, "lr", x)
 
 
 def score_samples(pair: GaussianPair, scorer: str, x):
-    """Evaluate one of the family's statistics at ``x`` (any dimension)."""
+    """Evaluate one of the family's statistics at every entry of ``x``
+    (flattened); a scalar gives a float."""
     _check_scorer(scorer)
-    pts, single = _as_points(pair, x)
+    x = np.asarray(x, dtype=np.float64)
+    pts = x.reshape(-1, 1)
     if scorer == "lr":
         out = diag_gaussian_logpdf(pts, pair.mean_t, pair.var_t) - diag_gaussian_logpdf(
             pts, pair.mean_c, pair.var_c
@@ -170,17 +132,14 @@ def score_samples(pair: GaussianPair, scorer: str, x):
     elif scorer == "p_tc_only_negated":
         out = -diag_gaussian_logpdf(pts, pair.mean_c, pair.var_c)
     else:  # mean_difference
-        out = pts @ (pair.mean_t - pair.mean_c)
-    return float(out[0]) if single else out
+        out = pts[:, 0] * (pair.mean_t - pair.mean_c)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def quadratic_coefficients(pair: GaussianPair, scorer: str) -> tuple[float, float, float]:
-    """The (a, b, c) of scorer(x) = a x^2 + b x + c for a one-dimensional pair."""
-    if pair.dim != 1:
-        raise DimensionMismatch("quadratic form exists only for 1-D pairs")
+    """The (a, b, c) of scorer(x) = a x^2 + b x + c."""
     _check_scorer(scorer)
-    mt, vt = float(pair.mean_t[0]), float(pair.var_t[0])
-    mc, vc = float(pair.mean_c[0]), float(pair.var_c[0])
+    mt, vt, mc, vc = pair.mean_t, pair.var_t, pair.mean_c, pair.var_c
     if scorer == "lr":
         a = 0.5 / vc - 0.5 / vt
         b = mt / vt - mc / vc
@@ -308,13 +267,10 @@ def oracle_auc(pair: GaussianPair, scorer: str) -> float:
     (e.g. mean_difference with equal means) returns exactly 1/2.  Raises
     ``IntegrationFailure`` if the error estimate exceeds the budget.
     """
-    if pair.dim != 1:
-        raise DimensionMismatch("the quadrature oracle handles 1-D pairs only")
     a, b, c = quadratic_coefficients(pair, scorer)
     if a == 0.0 and b == 0.0:
         return 0.5
-    mt, vt = float(pair.mean_t[0]), float(pair.var_t[0])
-    mc, vc = float(pair.mean_c[0]), float(pair.var_c[0])
+    mt, vt, mc, vc = pair.mean_t, pair.var_t, pair.mean_c, pair.var_c
     sd_c = math.sqrt(vc)
     norm_c = 1.0 / (sd_c * math.sqrt(2.0 * math.pi))
 
@@ -339,33 +295,27 @@ def oracle_auc(pair: GaussianPair, scorer: str) -> float:
     return min(max(float(value), 0.0), 1.0)
 
 
-def empirical_auc(
-    pair: GaussianPair, scorer: str, n: int | None = None, seed: int | None = None
-) -> float:
-    """Monte-Carlo ranking probability: n draws per side, positive side P_t.
+def empirical_auc(pair: GaussianPair, scorer: str) -> float:
+    """Monte-Carlo ranking probability: ``pair.n_samples`` draws per side,
+    positive side P_t, seeded by ``pair.seed``.
 
-    ``n`` and ``seed`` default to the pair's own fields.  Requires n >= 1000
-    so the +-5/sqrt(n) convergence band is meaningful.
+    Requires n >= 1000 so the +-5/sqrt(n) convergence band is meaningful.
     """
-    return empirical_aucs(pair, (scorer,), n, seed)[scorer]
+    return empirical_aucs(pair, (scorer,))[scorer]
 
 
 def empirical_aucs(
-    pair: GaussianPair,
-    scorers: tuple[str, ...] = SCORER_NAMES,
-    n: int | None = None,
-    seed: int | None = None,
+    pair: GaussianPair, scorers: tuple[str, ...] = SCORER_NAMES
 ) -> dict[str, float]:
     """`empirical_auc` of each of ``scorers``, all scored on one set of draws.
 
-    The draws depend only on the pair, ``n`` and ``seed``, so each value is
-    the one `empirical_auc` returns for that scorer, bit for bit.
+    The draws depend only on the pair, so each value is the one
+    `empirical_auc` returns for that scorer, bit for bit.
     """
-    n = pair.n_samples if n is None else int(n)
-    seed = pair.seed if seed is None else int(seed)
+    n = pair.n_samples
     if n < MIN_EMPIRICAL_N:
         raise ValueError(f"need at least {MIN_EMPIRICAL_N} draws per side, got {n}")
-    root = RngState(seed)
+    root = RngState(pair.seed)
     xs = pair.sample_t(n, root.stream("in-task-draws"))
     ys = pair.sample_c(n, root.stream("out-task-draws"))
     return {s: ood_auc(score_samples(pair, s, xs), score_samples(pair, s, ys))
@@ -381,12 +331,10 @@ def lr_threshold_for_type1(pair: GaussianPair, level: float = 0.05) -> float:
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    if pair.dim != 1:
-        raise DimensionMismatch("threshold calibration handles 1-D pairs only")
     a, b, c = quadratic_coefficients(pair, "lr")
     if a == 0.0 and b == 0.0:
         raise ValueError("constant likelihood ratio: no threshold attains the level")
-    mc, vc = float(pair.mean_c[0]), float(pair.var_c[0])
+    mc, vc = pair.mean_c, pair.var_c
 
     def excess(lam: float) -> float:
         return _superlevel_mass(a, b, c, lam, mc, vc) - level
@@ -418,15 +366,13 @@ def lr_threshold_for_type1(pair: GaussianPair, level: float = 0.05) -> float:
     return 0.5 * (lo + hi)
 
 
-def empirical_type1_rate(
-    pair: GaussianPair, threshold: float, n: int | None = None, seed: int | None = None
-) -> float:
-    """Fraction of P_tc draws whose log-LR exceeds ``threshold``."""
-    n = pair.n_samples if n is None else int(n)
-    seed = pair.seed if seed is None else int(seed)
+def empirical_type1_rate(pair: GaussianPair, threshold: float) -> float:
+    """Fraction of ``pair.n_samples`` P_tc draws, seeded by ``pair.seed``,
+    whose log-LR exceeds ``threshold``."""
+    n = pair.n_samples
     if n < MIN_EMPIRICAL_N:
         raise ValueError(f"need at least {MIN_EMPIRICAL_N} draws, got {n}")
-    ys = pair.sample_c(n, RngState(seed).stream("null-draws"))
+    ys = pair.sample_c(n, RngState(pair.seed).stream("null-draws"))
     return float(np.mean(score_samples(pair, "lr", ys) > threshold))
 
 
@@ -443,16 +389,15 @@ class DensityCheck:
     n_used_md: int  # probes kept after dropping distance-floor saturation
 
 
-def fit_raw_feature_stats(dataset: TaskDataset, ridge: float = 1e-6) -> scoring.TaskStats:
+def fit_raw_feature_stats(dataset: TaskDataset) -> scoring.TaskStats:
     """Task statistics fitted directly on raw feature vectors (no network)."""
-    return trainer.fit_task_gaussian(dataset.train_x, dataset, ridge)
+    return trainer.fit_task_gaussian(dataset.train_x, dataset, _RAW_STATS_RIDGE)
 
 
 def density_estimator_check(
     dataset: TaskDataset,
     stats: scoring.TaskStats,
     n_probes: int,
-    knn_k: int = 5,
     seed: int = 0,
 ) -> DensityCheck:
     """How faithfully the two distance scores rank by density.
@@ -464,8 +409,9 @@ def density_estimator_check(
     saturated probes excluded).  Both read their distances from the shared
     whitened-difference kernel ``numerics.mahalanobis_sq`` (never the
     expanded quadratic form, which cancels near a centroid).  The negated
-    k-th-neighbor distance over the task's own training vectors is compared
-    against the *true* mixture log-density; its agreement is limited by the
+    ``DENSITY_KNN_K``-th-neighbor distance over the task's own training
+    vectors is compared against the *true* mixture log-density
+    (``data.mixture_log_density``); its agreement is limited by the
     training-sample size.
 
     The neighbor distance here is the raw Euclidean one — the plain fixed-k
@@ -490,12 +436,6 @@ def density_estimator_check(
     noise = root.stream("probe-noise").standard_normal((n_probes, dataset.dim))
     probes = means[which] + np.sqrt(covs[which]) * noise
 
-    per_class = np.stack(
-        [diag_gaussian_logpdf(probes, means[i], covs[i]) for i in range(len(order))],
-        axis=1,
-    )
-    mixture_logpdf = log_sum_exp(per_class) - math.log(len(order))
-
     sign, logdet_precision = np.linalg.slogdet(stats.precision)
     if sign <= 0:
         raise NoVariance("fitted precision matrix is not positive definite")
@@ -509,15 +449,13 @@ def density_estimator_check(
         raise NoVariance("all probes saturated the distance floor")
     md_rho = spearman(md[keep], fitted_logpdf[keep])
 
-    if knn_k < 1:
-        raise ValueError("knn_k must be >= 1")
     gram = (
         np.sum(probes**2, axis=1)[:, None]
         - 2.0 * probes @ dataset.train_x.T
         + np.sum(dataset.train_x**2, axis=1)[None, :]
     )
-    knn_dist = kth_distance(gram, knn_k)
-    knn_rho = spearman(-knn_dist, mixture_logpdf)
+    knn_dist = kth_distance(gram, DENSITY_KNN_K)
+    knn_rho = spearman(-knn_dist, mixture_log_density(dataset, probes))
     if not (np.isfinite(md_rho) and np.isfinite(knn_rho)):
         raise NoVariance("rank correlation undefined: a score column is constant")
     return DensityCheck(

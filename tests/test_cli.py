@@ -152,6 +152,15 @@ def copy_sibling(name: str):
     return lambda path: shutil.copy(path.with_name(name), path)
 
 
+def edit_json(change):
+    """Corrupter rewriting a JSON file whose content ``change`` edits in place."""
+    def corrupt(path: Path) -> None:
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+    return corrupt
+
+
 def drop_json_key(key: str):
     """Corrupter deleting ``key`` from a JSON object, or from a list's first one."""
     def corrupt(path: Path) -> None:
@@ -517,6 +526,12 @@ class TestExitCodes:
         ("stats/task_1.json", set_json_value("task_id", True)),
         ("stats/task_1.bin", edit_header(lambda h: h.update(task_id=1.0))),
         ("stats/task_1.bin", edit_header(lambda h: h.update(task_id=True))),
+        ("trajectory.json", drop_json_key("per_task")),
+        ("trajectory.json", edit_json(lambda p: p.update(trajectory=p["trajectory"][:1]))),
+        ("trajectory.json", edit_json(lambda p: p["per_task"]["2"].pop("1"))),
+        ("trajectory.json", edit_json(lambda p: p["per_task"]["2"].update({"01": 0.0}))),
+        ("calibration.json", edit_json(lambda records: records.append(
+            {**records[0], "sigma1": 2.0}))),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -536,7 +551,10 @@ class TestExitCodes:
             "model-s_max-string", "model-s_max-negative",
             "calibration-task_id-fraction", "calibration-task_id-bool",
             "calibration-task_id-string", "stats-task_id-float", "stats-task_id-bool",
-            "stats-bin-task_id-float", "stats-bin-task_id-bool"])
+            "stats-bin-task_id-float", "stats-bin-task_id-bool",
+            "trajectory-no-per_task", "trajectory-one-entry-short",
+            "trajectory-per_task-row-short", "trajectory-per_task-task-spelled-twice",
+            "calibration-task-repeated"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -1086,6 +1104,18 @@ class TestEval:
         assert report["f_cil_last"] is None
         assert "A_last" in out
 
+    def test_run_trained_without_tests_has_no_trajectory_to_report(self, tmp_path):
+        # trajectory.json holds an empty trajectory and per_task: a consistent
+        # file, so eval refuses for the missing test rows, not a malformed file
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           **{"dataset.test_per_class": 0, "training.epochs": 4})
+        code, out, err = run_cli("train", "--config", str(cfg))
+        assert code == 0, err
+        assert "trajectory skipped" in out
+        code, _, err = run_cli("eval", "--run", str(tmp_path / "run"))
+        assert code == 3
+        assert "no stored trajectory (trained without tests)" in err
+
     def test_ncl_reference_enables_forgetting(self, run_dir, tmp_path):
         ncl_dir = tmp_path / "ncl"
         code, _, err = run_cli("eval", "--run", str(run_dir),
@@ -1179,6 +1209,27 @@ def probe_file(run_dir, tmp_path_factory):
 
 
 class TestPredict:
+    def test_tiny_posterior_temperature_gives_finite_posteriors(self, probe_file,
+                                                                tmp_path):
+        # scores / T overflows at T = 1e-310 but not at 1e-300; both must pick
+        # the same tasks, with finite posteriors
+        trajectories = {}
+        for temperature in (1e-300, 1e-310):
+            run = tmp_path / f"run-{temperature}"
+            cfg = write_config(tmp_path / f"c-{temperature}.json", run,
+                               **{"training.posterior_temperature": temperature})
+            code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+            assert code == 0, err
+            trajectories[temperature] = json.loads(
+                (run / "trajectory.json").read_text())["trajectory"]
+            out = tmp_path / f"p-{temperature}.csv"
+            code, _, err = run_cli("predict", "--run", str(run), "--input",
+                                   str(probe_file[0]), "--output", str(out))
+            assert code == 0, err
+            p_task = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+            assert all(0.0 <= v <= 1.0 for v in p_task)
+        assert trajectories[1e-310] == trajectories[1e-300]
+
     def test_output_format_and_accuracy(self, run_dir, probe_file, tmp_path):
         path, labels = probe_file
         out = tmp_path / "pred.csv"
@@ -1200,9 +1251,9 @@ class TestPredict:
         rows = []
         forward = hat_mlp.forward
 
-        def counting(net, x, task_id, s=None):
+        def counting(net, x, task_id):
             rows.append(np.asarray(x).shape[0])
-            return forward(net, x, task_id, s)
+            return forward(net, x, task_id)
 
         monkeypatch.setattr(hat_mlp, "forward", counting)
         code, _, err = run_cli("predict", "--run", str(run_dir), "--input",
@@ -1220,9 +1271,9 @@ class TestPredict:
         seen = set()
         features = hat_mlp.features  # forward's trunk, so this sees forward's rows too
 
-        def recording(net, x, task_id, s):
+        def recording(net, x, task_id):
             seen.update(row.tobytes() for row in x)
-            return features(net, x, task_id, s)
+            return features(net, x, task_id)
 
         monkeypatch.setattr(hat_mlp, "features", recording)
         extra = ["--scatter", str(tmp_path / "s.csv")] if command == "ood-bench" else []

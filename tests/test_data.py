@@ -45,7 +45,7 @@ def test_generate_shapes_and_counts():
 
 def test_generate_label_sets_disjoint_and_ordered():
     s = small_stream()
-    assert s.all_classes == [0, 1, 2, 3, 4, 5]
+    assert [c for task in s.tasks for c in task.classes] == [0, 1, 2, 3, 4, 5]
     seen = set()
     for task in s.tasks:
         assert not (seen & set(task.classes))
@@ -218,8 +218,7 @@ def test_density_peaks_at_class_mean():
     s = small_stream()
     t1 = s.tasks[0]
     mean = t1.gaussians[t1.classes[0]].mean
-    at_mean = data.true_log_density(s, 1, mean)
-    away = data.true_log_density(s, 1, mean + 3.0)
+    at_mean, away = data.mixture_log_density(t1, np.stack([mean, mean + 3.0]))
     assert at_mean > away
 
 
@@ -229,7 +228,7 @@ def test_density_mixture_integrates_to_one():
         samples_per_class_train=5, samples_per_class_test=2, rng=RngState(9),
     )
     total, err = integrate.quad(
-        lambda x: math.exp(data.true_log_density(s, 1, np.array([x]))),
+        lambda x: math.exp(data.mixture_log_density(s.tasks[0], np.array([[x]]))[0]),
         -60.0, 60.0, limit=200,
     )
     assert err < 1e-8
@@ -244,7 +243,11 @@ def test_density_matches_hand_formula():
     g = s.tasks[0].gaussians[0]
     x = g.mean + np.array([0.5, -0.25])
     expect = -0.5 * (0.5**2 + 0.25**2) - math.log(2 * math.pi)
-    assert math.isclose(data.true_log_density(s, 1, x), expect, rel_tol=0, abs_tol=1e-12)
+    got = data.mixture_log_density(s.tasks[0], x[None])
+    assert got.shape == (1,)
+    assert math.isclose(got[0], expect, rel_tol=0, abs_tol=1e-12)
+    with pytest.raises(DimensionMismatch):
+        data.mixture_log_density(s.tasks[0], x)
 
 
 def test_density_unavailable_for_loaded(tmp_path):
@@ -255,7 +258,7 @@ def test_density_unavailable_for_loaded(tmp_path):
     )
     s = data.load_feature_stream(man)
     with pytest.raises(NoDensityAvailable):
-        data.true_log_density(s, 1, np.array([0.0]))
+        data.mixture_log_density(s.tasks[0], np.array([[0.0]]))
 
 
 def test_stream_rejects_duplicate_classes_across_tasks():

@@ -57,19 +57,19 @@ def test_attention_unknown_task():
 def test_forward_repeatable_and_batch_consistent():
     net = tiny_net(widths=(4, 3), input_dim=5, seed=3)
     x = RngState(7).stream("x").standard_normal((6, 5))
-    f1, l1 = hat_mlp.forward(net, x, 1, 20.0)
-    f2, l2 = hat_mlp.forward(net, x, 1, 20.0)
+    f1, l1 = hat_mlp.forward(net, x, 1)
+    f2, l2 = hat_mlp.forward(net, x, 1)
     assert np.array_equal(f1, f2) and np.array_equal(l1, l2)
-    f_single, l_single = hat_mlp.forward(net, x[2], 1, 20.0)
-    assert np.allclose(f_single, f1[2], atol=1e-15)
-    assert np.allclose(l_single, l1[2], atol=1e-15)
+    f_row, l_row = hat_mlp.forward(net, x[2:3], 1)
+    assert np.allclose(f_row[0], f1[2], atol=1e-15)
+    assert np.allclose(l_row[0], l1[2], atol=1e-15)
 
 
 def test_forward_fully_gated_off_leaves_only_bias():
     net = tiny_net(widths=(3,), input_dim=2)
     net.embeddings[1] = [np.full(3, -6.0)]
     x = np.array([[1.0, -2.0]])
-    feats, logits = hat_mlp.forward(net, x, 1)  # default s = s_max
+    feats, logits = hat_mlp.forward(net, x, 1)  # gates at s_max
     assert np.all(feats == 0.0)
     assert np.allclose(logits[0], net.heads[1].bias, atol=1e-15)
 
@@ -77,9 +77,11 @@ def test_forward_fully_gated_off_leaves_only_bias():
 def test_forward_rejects_bad_input():
     net = tiny_net()
     with pytest.raises(DimensionMismatch):
-        hat_mlp.forward(net, np.zeros((2, 7)), 1, 1.0)
-    with pytest.raises(UnknownTask):
-        hat_mlp.forward(net, np.zeros((2, 2)), 5, 1.0)
+        hat_mlp.forward(net, np.zeros((2, 7)), 1)
+    with pytest.raises(DimensionMismatch):  # a single row is a [1, input_dim] batch
+        hat_mlp.forward(net, np.zeros(2), 1)
+    with pytest.raises(UnknownTask):  # the task is checked before the shape
+        hat_mlp.forward(net, np.zeros(7), 5)
 
 
 # --- annealing --------------------------------------------------------------
@@ -104,18 +106,26 @@ def test_anneal_rejects_out_of_range():
 
 # --- regularizer ------------------------------------------------------------
 
+def _reg_loss(net, task_id, s):
+    """The gate regularizer: the loss it adds to a batch at weight 1."""
+    x, y = np.zeros((1, net.input_dim)), np.array([0])
+    with_reg, _ = hat_mlp.batch_loss_and_gradients(net, x, y, task_id, s, 1.0)
+    without, _ = hat_mlp.batch_loss_and_gradients(net, x, y, task_id, s, 0.0)
+    return with_reg - without
+
+
 def test_reg_loss_fresh_net_is_mean_gate():
     net = tiny_net(widths=(4, 2), input_dim=3, seed=1)
     hat_mlp.add_task(net, 2, 2, RngState(5))
     gates = hat_mlp.attention(net, 2, 7.0)
     expect = sum(float(np.sum(a)) for a in gates) / 6.0
-    assert math.isclose(hat_mlp.hat_reg_loss(net, 2, 7.0), expect, rel_tol=1e-12)
+    assert math.isclose(_reg_loss(net, 2, 7.0), expect, rel_tol=1e-12)
 
 
 def test_reg_loss_zero_when_capacity_exhausted():
     net = tiny_net()
     net.past_masks = [np.ones(3)]
-    assert hat_mlp.hat_reg_loss(net, 1, 5.0) == 0.0
+    assert _reg_loss(net, 1, 5.0) == 0.0
 
 
 def test_reg_loss_counts_only_free_units():
@@ -123,7 +133,7 @@ def test_reg_loss_counts_only_free_units():
     net.embeddings[1] = [np.array([6.0, 6.0, -6.0])]
     net.past_masks = [np.array([1.0, 0.0, 0.0])]
     # free units: gate values sigmoid(s_max*6)=1 and 0 -> num=1, den=2
-    assert math.isclose(hat_mlp.hat_reg_loss(net, 1, net.s_max), 0.5, rel_tol=1e-12)
+    assert math.isclose(_reg_loss(net, 1, net.s_max), 0.5, rel_tol=1e-12)
 
 
 # --- gradients vs central differences ---------------------------------------
@@ -381,13 +391,12 @@ def _relu_trunk(net, x):
 
 UNGATED_ENTRIES = {
     # readers of the trunk: every layer, no gate
-    "features": lambda net, x, y, path: hat_mlp.features(net, x, 1, net.s_max),
+    "features": lambda net, x, y, path: hat_mlp.features(net, x, 1),
     "forward": lambda net, x, y, path: hat_mlp.forward(net, x, 1)[0],
     "batch_loss_and_gradients": lambda net, x, y, path: hat_mlp.batch_loss_and_gradients(
         net, x, y, 1, net.s_max, 0.0, mask_others=True),
     # readers of the gates: there are none to read
     "attention": lambda net, x, y, path: hat_mlp.attention(net, 1, net.s_max),
-    "hat_reg_loss": lambda net, x, y, path: hat_mlp.hat_reg_loss(net, 1, net.s_max),
     "consolidate_mask": lambda net, x, y, path: hat_mlp.consolidate_mask(net, 1),
     "regularized batch_loss_and_gradients":
         lambda net, x, y, path: hat_mlp.batch_loss_and_gradients(net, x, y, 1, 5.0, 0.75),

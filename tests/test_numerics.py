@@ -140,6 +140,19 @@ def test_softmax_temperature_sharpens():
     assert cold[0] > 0.999999
 
 
+def test_softmax_tiny_temperature_stays_finite():
+    # 1 / 1e-310 overflows: the row is shifted by its max before the division
+    assert numerics.softmax([0.0, 1.0], 1e-310).tolist() == [0.0, 1.0]
+    v = np.array([[0.0, 1.0], [2e-310, 1e-310], [1e-300, -1e-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = numerics.softmax(v, 1e-310)
+    assert out[0].tolist() == [0.0, 1.0]
+    # rows that do not overflow keep the bits of the shift-free formula
+    e = np.exp(v[1:] / 1e-310 - np.max(v[1:] / 1e-310, axis=1, keepdims=True))
+    assert out[1:].tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+
 def test_softmax_rejects_bad_temperature():
     with pytest.raises(NonPositiveTemperature):
         numerics.softmax([1.0], temperature=0.0)

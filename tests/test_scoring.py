@@ -459,9 +459,9 @@ def test_build_context_forwards_the_buffer_once_per_task(three_task_run, monkeyp
     calls = []
     features = hat_mlp.features
 
-    def counting(net, x, task_id, s):
+    def counting(net, x, task_id):
         calls.append(task_id)
-        return features(net, x, task_id, s)
+        return features(net, x, task_id)
 
     monkeypatch.setattr(hat_mlp, "features", counting)
     run = three_task_run
