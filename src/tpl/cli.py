@@ -63,9 +63,9 @@ from .errors import (
     UngatedTask,
 )
 from .evaluation import NclReference
-from .numerics import RngState
+from .numerics import RngState, check_int, check_real
 from .scoring import TaskStats
-from .trainer import ReplayBuffer, RunArtifacts, TrainConfig, check_int, check_real
+from .trainer import ReplayBuffer, RunArtifacts, TrainConfig
 
 SCHEMA_VERSION = 1
 

@@ -1,13 +1,16 @@
 """Task streams: synthetic Gaussian class data and CSV/manifest loading.
 
 A stream is an ordered list of tasks; each task owns a disjoint set of global
-class labels and carries train/test feature arrays.  Synthetic streams keep
-their per-class generative parameters so exact densities stay available to the
-validation tooling; loaded streams do not (``mixture_log_density`` refuses).
+class labels and carries train/test feature arrays.  Synthetic tasks keep their
+generative model, an equal-weight mixture of Gaussian classes with one shared
+diagonal covariance, so exact densities stay available to the validation
+tooling; loaded tasks do not (``mixture_log_density`` refuses).
 
 Feature-file format: one sample per line, ``label,f0,f1,...,f{m-1}``, no
-header.  Manifest format: JSON ``{"dim": optional int, "tasks": [{"task_id",
-"classes", "train", "test"}, ...]}`` with file paths relative to the manifest.
+header.  Manifest format: JSON ``{"dim": optional positive int, "tasks":
+[{"task_id", "classes", "train", "test"}, ...]}``: ``task_id`` and each class
+id are JSON integers, ``train`` and ``test`` are file paths relative to the
+manifest.
 """
 
 from __future__ import annotations
@@ -28,22 +31,19 @@ from .errors import (
     ParseError,
     UnknownTask,
 )
-from .numerics import RngState, diag_gaussian_logpdf, log_sum_exp
+from .numerics import RngState, check_int, diag_gaussian_logpdf, log_sum_exp
 
 _MAX_RADIUS_ESCALATIONS = 40
 
 
-@dataclass(frozen=True)
-class ClassGaussian:
-    """Generative description of one synthetic class: mean + diagonal covariance."""
-
-    mean: np.ndarray
-    cov_diag: np.ndarray
-
-
 @dataclass
 class TaskDataset:
-    """One task's data: global class ids plus train/test feature arrays."""
+    """One task's data: global class ids plus train/test feature arrays.
+
+    A synthetic task also carries its generative model: class k is
+    N(means[k], diag(cov_diag)), ``means`` [n_classes, dim] in ``classes``
+    order and the diagonal [dim] shared by every class.  Loaded data has
+    neither."""
 
     task_id: int
     classes: tuple[int, ...]
@@ -51,7 +51,8 @@ class TaskDataset:
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
-    gaussians: dict[int, ClassGaussian] | None = None
+    means: np.ndarray | None = None
+    cov_diag: np.ndarray | None = None
 
     def __post_init__(self):
         if len(set(self.classes)) != len(self.classes):
@@ -150,6 +151,15 @@ class TaskStream:
         raise UnknownTask(f"no task with id {task_id}")
 
 
+def sample_mixture(means: np.ndarray, cov_diag: np.ndarray, which: np.ndarray,
+                   noise: RngState) -> np.ndarray:
+    """One draw from each class ``which[i]`` of the Gaussian classes
+    N(means[k], diag(cov_diag)): ``means[which] + sqrt(cov_diag) * z`` with z
+    a single [len(which), dim] standard-normal draw from ``noise``."""
+    z = noise.standard_normal((len(which), means.shape[1]))
+    return means[which] + np.sqrt(cov_diag) * z
+
+
 def _place_class_means(
     n_classes: int, dim: int, separation: float, rng: RngState
 ) -> np.ndarray:
@@ -209,50 +219,41 @@ def generate_gaussian_stream(
     if covariance_diag is None:
         cov = np.ones(dim, dtype=np.float64)
     else:
-        cov = np.asarray(covariance_diag, dtype=np.float64)
+        cov = np.array(covariance_diag, dtype=np.float64)
         if cov.shape != (dim,):
             raise DimensionMismatch(f"covariance diagonal must have shape ({dim},)")
         if np.any(cov <= 0):
             raise ValueError("covariance diagonal entries must be positive")
 
-    total = n_tasks * classes_per_task
-    means = _place_class_means(total, dim, separation, rng)
-    scale = np.sqrt(cov)
+    all_means = _place_class_means(n_tasks * classes_per_task, dim, separation, rng)
 
     tasks = []
-    next_class = 0
     for t in range(1, n_tasks + 1):
-        classes = tuple(range(next_class, next_class + classes_per_task))
-        next_class += classes_per_task
-        gaussians = {
-            c: ClassGaussian(mean=means[c].copy(), cov_diag=cov.copy()) for c in classes
-        }
+        first = (t - 1) * classes_per_task
+        means = all_means[first:first + classes_per_task]
 
         def draw_split(stream_name: str, per_class: int):
-            noise = rng.stream(stream_name)
-            xs, ys = [], []
-            for c in classes:
-                pts = means[c] + scale * noise.standard_normal((per_class, dim))
-                xs.append(pts)
-                ys.append(np.full(per_class, c, dtype=np.int64))
-            if per_class == 0:
-                return np.empty((0, dim)), np.empty(0, dtype=np.int64)
-            return np.concatenate(xs), np.concatenate(ys)
+            which = np.repeat(np.arange(classes_per_task, dtype=np.int64), per_class)
+            return sample_mixture(means, cov, which, rng.stream(stream_name)), first + which
 
-        train_x, train_y = draw_split(f"train-noise-{t}", samples_per_class_train)
-        test_x, test_y = draw_split(f"test-noise-{t}", samples_per_class_test)
-        tasks.append(
-            TaskDataset(
-                task_id=t,
-                classes=classes,
-                train_x=train_x,
-                train_y=train_y,
-                test_x=test_x,
-                test_y=test_y,
-                gaussians=gaussians,
-            )
-        )
+        tasks.append(TaskDataset(
+            t, tuple(range(first, first + classes_per_task)),
+            *draw_split(f"train-noise-{t}", samples_per_class_train),
+            *draw_split(f"test-noise-{t}", samples_per_class_test),
+            means=means, cov_diag=cov,
+        ))
     return TaskStream(tasks=tasks)
+
+
+#: The task ids, class ids and labels the package's int64 arrays can hold.
+_INT64 = range(-2**63, 2**63)
+
+
+def _check_id(name: str, v) -> None:
+    """``check_int`` for a task or class id, which must also fit in int64."""
+    check_int(name, v, _INT64.start)
+    if v not in _INT64:
+        raise ValueError(f"{name} {v} does not fit in 64 bits")
 
 
 def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +266,7 @@ def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.nda
     linenos: list[int] = []
     try:
         fh = open(path, newline="")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path
         raise ParseError(f"{path}: {exc}") from None
     with fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -273,6 +274,8 @@ def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.nda
                 continue  # ignore blank lines
             try:
                 label = int(row[0])
+                if label not in _INT64:
+                    raise ValueError(f"label {label} does not fit in 64 bits")
                 feats = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
@@ -295,12 +298,37 @@ def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.nda
     return x, np.asarray(ys, dtype=np.int64)
 
 
+def _check_manifest(doc) -> None:
+    """Raise ``ValueError`` naming the first entry of a decoded manifest that
+    breaks the format in the module docstring."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
+        raise ValueError("manifest must be an object with a 'tasks' list")
+    if doc.get("dim") is not None:
+        check_int("dim", doc["dim"], 1)
+    for i, entry in enumerate(doc["tasks"]):
+        where = f"tasks[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object, got {entry!r}")
+        missing = {"task_id", "classes", "train", "test"} - set(entry)
+        if missing:
+            raise ValueError(f"{where} is missing {sorted(missing)}")
+        _check_id(f"{where}.task_id", entry["task_id"])
+        if not isinstance(entry["classes"], list):
+            raise ValueError(f"{where}.classes must be a list, got {entry['classes']!r}")
+        for j, c in enumerate(entry["classes"]):
+            _check_id(f"{where}.classes[{j}]", c)
+        for split in ("train", "test"):
+            if not isinstance(entry[split], str):
+                raise ValueError(f"{where}.{split} must be a string, got {entry[split]!r}")
+
+
 def load_feature_stream(manifest_path: str | Path) -> TaskStream:
-    """Load a stream from a JSON manifest of per-task CSV feature files."""
+    """Load a stream from a JSON manifest of per-task CSV feature files; a
+    manifest that breaks the format is a ``ParseError`` naming it."""
     manifest_path = Path(manifest_path)
     try:
-        raw = manifest_path.read_text()
-    except OSError as exc:
+        raw = manifest_path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise ParseError(f"{manifest_path}: {exc}") from None
     try:
         doc = json.loads(raw)
@@ -308,33 +336,20 @@ def load_feature_stream(manifest_path: str | Path) -> TaskStream:
         raise ParseError(
             f"{manifest_path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from None
-    if not isinstance(doc, dict) or "tasks" not in doc:
-        raise ParseError(f"{manifest_path}: manifest must be an object with 'tasks'")
+    try:
+        _check_manifest(doc)
+    except ValueError as exc:
+        raise ParseError(f"{manifest_path}: {exc}") from None
     dim = doc.get("dim")
-    if dim is not None and (not isinstance(dim, int) or dim < 1):
-        raise ParseError(f"{manifest_path}: 'dim' must be a positive integer")
     base = manifest_path.parent
 
     tasks = []
     for entry in doc["tasks"]:
-        missing = {"task_id", "classes", "train", "test"} - set(entry)
-        if missing:
-            raise ParseError(f"{manifest_path}: task entry missing {sorted(missing)}")
-        classes = tuple(int(c) for c in entry["classes"])
         train_x, train_y = read_feature_file(base / entry["train"], dim)
         file_dim = train_x.shape[1]
         test_x, test_y = read_feature_file(base / entry["test"], file_dim)
-        tasks.append(
-            TaskDataset(
-                task_id=int(entry["task_id"]),
-                classes=classes,
-                train_x=train_x,
-                train_y=train_y,
-                test_x=test_x,
-                test_y=test_y,
-                gaussians=None,
-            )
-        )
+        tasks.append(TaskDataset(entry["task_id"], tuple(entry["classes"]),
+                                 train_x, train_y, test_x, test_y))
     return TaskStream(tasks=tasks)
 
 
@@ -345,13 +360,13 @@ def mixture_log_density(task: TaskDataset, x: np.ndarray) -> np.ndarray:
     Only synthetic tasks carry their generative parameters; loaded data raises
     ``NoDensityAvailable``.
     """
-    if not task.gaussians:
+    if task.means is None:
         raise NoDensityAvailable(
             f"task {task.task_id} has no generative description (loaded data?)"
         )
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != task.dim:
         raise DimensionMismatch(f"points have shape {x.shape}, task has dim {task.dim}")
-    per_class = np.stack([diag_gaussian_logpdf(x, g.mean, g.cov_diag)
-                          for _, g in sorted(task.gaussians.items())], axis=1)
-    return log_sum_exp(per_class) - math.log(len(task.gaussians))
+    per_class = np.stack([diag_gaussian_logpdf(x, mu, task.cov_diag) for mu in task.means],
+                         axis=1)
+    return log_sum_exp(per_class) - math.log(task.n_classes)

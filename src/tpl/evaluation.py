@@ -29,8 +29,8 @@ from .errors import (
     EmptyTestSet,
     MissingNclPrefix,
 )
-from .numerics import RngState, stable_mean
-from .trainer import RunArtifacts, TrainConfig, check_real
+from .numerics import RngState, check_real, stable_mean
+from .trainer import RunArtifacts, TrainConfig
 
 #: Tolerance for the AIA-equals-trajectory-mean consistency invariant.
 AIA_CONSISTENCY_TOL = 1e-12

@@ -1,6 +1,7 @@
 """Shared numeric kernels: SPD inversion, the whitened Mahalanobis distance,
 the diagonal-Gaussian log-density, the k-th-distance order statistic, average
-ranks and the rank correlation, stable reductions, seeded RNG streams.
+ranks and the rank correlation, stable reductions, seeded RNG streams, and the
+integer and real value checks every input parser uses.
 
 Conventions used throughout the package:
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,26 @@ MAX_RIDGE = 1e-3
 MIN_ESCALATION_RIDGE = 1e-10
 
 SYMMETRY_TOL = 1e-8
+
+
+def check_int(name: str, v, least: int) -> None:
+    """Require an integer (not a bool, not a float) of at least ``least``."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"{name} must be >= {least}, got {v}")
+
+
+def check_real(name: str, v) -> float:
+    """Require a real number (not a bool) that is finite as a float; return it
+    as a float."""
+    try:
+        ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
 
 
 def spd_inverse(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:

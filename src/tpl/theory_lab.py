@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scoring, trainer
-from .data import TaskDataset, mixture_log_density
+from .data import TaskDataset, mixture_log_density, sample_mixture
 from .errors import IntegrationFailure, NoDensityAvailable, NoVariance
 from .evaluation import ood_auc
-from .numerics import RngState, diag_gaussian_logpdf, kth_distance, mahalanobis_sq, spearman
+from .numerics import RngState, check_real, kth_distance, mahalanobis_sq, spearman
 
 #: Recognized scoring statistics, each a quadratic in x:
 #: the log likelihood ratio, the two single-density baselines it dominates,
@@ -70,7 +70,7 @@ class GaussianPair:
 
     def __post_init__(self):
         for name in ("mean_t", "var_t", "mean_c", "var_c"):
-            object.__setattr__(self, name, trainer.check_real(name, getattr(self, name)))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.var_t <= 0 or self.var_c <= 0:
             raise ValueError("variances must be strictly positive")
         if self.n_samples < 1:
@@ -91,24 +91,16 @@ def narrow_impostor_pair(n_samples: int = 10_000, seed: int = 0) -> GaussianPair
     return GaussianPair(0.0, 1.0, 0.0, 0.01, n_samples=n_samples, seed=seed)
 
 
-def mean_shift_pair(n_samples: int = 10_000, seed: int = 0) -> GaussianPair:
-    """N(2, 1) against N(0, 1): equal widths, separated means; the ratio is
-    linear and agrees with the mean-difference projection."""
-    return GaussianPair(2.0, 1.0, 0.0, 1.0, n_samples=n_samples, seed=seed)
-
-
-def offset_widths_pair(n_samples: int = 10_000, seed: int = 0) -> GaussianPair:
-    """N(1, 2.25) against N(0, 0.25): means and widths both differ, so the
-    ratio keeps genuine linear and quadratic terms and no single baseline
-    matches it."""
-    return GaussianPair(1.0, 2.25, 0.0, 0.25, n_samples=n_samples, seed=seed)
-
-
 #: The fixture set used by the dominance checks and the CLI report.
 FIXTURE_PAIRS: dict[str, GaussianPair] = {
     "narrow_impostor": narrow_impostor_pair(),
-    "mean_shift": mean_shift_pair(),
-    "offset_widths": offset_widths_pair(),
+    # N(2, 1) against N(0, 1): equal widths, separated means; the ratio is
+    # linear and agrees with the mean-difference projection.
+    "mean_shift": GaussianPair(2.0, 1.0, 0.0, 1.0),
+    # N(1, 2.25) against N(0, 0.25): means and widths both differ, so the
+    # ratio keeps genuine linear and quadratic terms and no single baseline
+    # matches it.
+    "offset_widths": GaussianPair(1.0, 2.25, 0.0, 0.25),
 }
 
 
@@ -118,26 +110,18 @@ def log_likelihood_ratio(pair: GaussianPair, x):
 
 
 def score_samples(pair: GaussianPair, scorer: str, x):
-    """Evaluate one of the family's statistics at every entry of ``x``
-    (flattened); a scalar gives a float."""
-    _check_scorer(scorer)
+    """Evaluate one of the family's statistics, ``(a x + b) x + c``, at every
+    entry of ``x`` (flattened); a scalar gives a float."""
+    a, b, c = quadratic_coefficients(pair, scorer)
     x = np.asarray(x, dtype=np.float64)
-    pts = x.reshape(-1, 1)
-    if scorer == "lr":
-        out = diag_gaussian_logpdf(pts, pair.mean_t, pair.var_t) - diag_gaussian_logpdf(
-            pts, pair.mean_c, pair.var_c
-        )
-    elif scorer == "p_t_only":
-        out = diag_gaussian_logpdf(pts, pair.mean_t, pair.var_t)
-    elif scorer == "p_tc_only_negated":
-        out = -diag_gaussian_logpdf(pts, pair.mean_c, pair.var_c)
-    else:  # mean_difference
-        out = pts[:, 0] * (pair.mean_t - pair.mean_c)
-    return float(out[0]) if x.ndim == 0 else out
+    out = (a * x + b) * x + c
+    return float(out) if x.ndim == 0 else out.ravel()
 
 
 def quadratic_coefficients(pair: GaussianPair, scorer: str) -> tuple[float, float, float]:
-    """The (a, b, c) of scorer(x) = a x^2 + b x + c."""
+    """The (a, b, c) of scorer(x) = a x^2 + b x + c, the one definition of
+    each statistic: log p_t(x) - log p_tc(x), log p_t(x), -log p_tc(x) and
+    the projection x (mean_t - mean_c)."""
     _check_scorer(scorer)
     mt, vt, mc, vc = pair.mean_t, pair.var_t, pair.mean_c, pair.var_c
     if scorer == "lr":
@@ -419,7 +403,7 @@ def density_estimator_check(
     deliberately skipped: projecting probes onto the sphere discards the
     radial component of the density and caps the attainable rank agreement.
     """
-    if dataset.gaussians is None:
+    if dataset.means is None:
         raise NoDensityAvailable(
             f"task {dataset.task_id} has no generative description"
         )
@@ -428,13 +412,10 @@ def density_estimator_check(
     if n_probes < MIN_PROBES:
         raise ValueError(f"need at least {MIN_PROBES} probe points")
 
-    order = sorted(dataset.gaussians)
-    means = np.stack([dataset.gaussians[c].mean for c in order])
-    covs = np.stack([dataset.gaussians[c].cov_diag for c in order])
     root = RngState(seed)
-    which = root.stream("probe-class").integers(0, len(order), n_probes)
-    noise = root.stream("probe-noise").standard_normal((n_probes, dataset.dim))
-    probes = means[which] + np.sqrt(covs[which]) * noise
+    which = root.stream("probe-class").integers(0, dataset.n_classes, n_probes)
+    probes = sample_mixture(dataset.means, dataset.cov_diag, which,
+                            root.stream("probe-noise"))
 
     sign, logdet_precision = np.linalg.slogdet(stats.precision)
     if sign <= 0:

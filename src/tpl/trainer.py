@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import logging
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import calibration, hat_mlp, scoring
 from .data import TaskDataset, TaskStream, label_positions
 from .errors import DegenerateCovariance, EmptyTrainingSet, UnknownTask
-from .numerics import RngState, spd_inverse
+from .numerics import RngState, check_int, check_real, spd_inverse
 from .scoring import ReplayIndex, TaskStats, identity_calibration, md_score, mls_score
 
 logger = logging.getLogger(__name__)
@@ -43,26 +42,6 @@ _REAL_FIELDS = (
     "learning_rate", "momentum", "hat_reg_weight", "s_max",
     "posterior_temperature", "ridge", "calibration_lr",
 )
-
-
-def check_int(name: str, v, least: int) -> None:
-    """Require an integer (not a bool, not a float) of at least ``least``."""
-    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    if v < least:
-        raise ValueError(f"{name} must be >= {least}, got {v}")
-
-
-def check_real(name: str, v) -> float:
-    """Require a real number (not a bool) that is finite as a float; return it
-    as a float."""
-    try:
-        ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite number, got {v!r}")
-    return float(v)
 
 
 @dataclass

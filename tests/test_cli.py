@@ -393,6 +393,26 @@ class TestExitCodes:
         code, _, _ = run_cli("eval", "--run", "/nonexistent/run")
         assert code == 2
 
+    @pytest.mark.parametrize("edit", [
+        {"tasks": 5}, {"tasks": [5]}, {"classes": 3}, {"train": 7},
+        {"task_id": [1]}, {"task_id": "x"}, {"task_id": 1.7, "classes": [0.5, 1]},
+        {"dim": True},
+    ], ids=["tasks-5", "tasks-[5]", "classes-3", "train-7", "task_id-[1]",
+            "task_id-x", "float-ids", "dim-true"])
+    def test_malformed_manifest_exits_3_naming_it(self, tmp_path, edit):
+        manifest = write_manifest_dataset(tmp_path / "data")
+        doc = json.loads(manifest.read_text())
+        for key, value in edit.items():
+            (doc if key in ("tasks", "dim") else doc["tasks"][0])[key] = value
+        manifest.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           dataset={"kind": "manifest", "path": str(manifest)})
+        code, out, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 3, err
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and str(manifest) in line
+
     def test_unknown_task_exits_3(self, run_dir):
         code, _, err = run_cli("dump-features", "--run", str(run_dir),
                                "--task-id", "9")

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize, special, stats
 
 from tpl import scoring, theory_lab
-from tpl.data import ClassGaussian, TaskDataset, generate_gaussian_stream
+from tpl.data import TaskDataset, generate_gaussian_stream
 from tpl.errors import IntegrationFailure, NoDensityAvailable, NoVariance
 from tpl.numerics import RngState
 from tpl.theory_lab import (
@@ -129,12 +129,21 @@ def test_log_ratio_antisymmetric_under_swap(pair, xs):
 @settings(max_examples=100)
 @given(pairs_1d, st.lists(finite(-8, 8), min_size=1, max_size=12))
 def test_scores_equal_their_quadratic_form(pair, xs):
+    # an independent oracle: scipy's normal log-densities and the projection
+    # written out, against the statistics defined by their quadratics
     xs = np.array(xs)
-    for name in theory_lab.SCORER_NAMES:
-        a, b, c = quadratic_coefficients(pair, name)
-        poly = (a * xs + b) * xs + c
+    log_pt = stats.norm.logpdf(xs, pair.mean_t, math.sqrt(pair.var_t))
+    log_ptc = stats.norm.logpdf(xs, pair.mean_c, math.sqrt(pair.var_c))
+    oracle = {
+        "lr": log_pt - log_ptc,
+        "p_t_only": log_pt,
+        "p_tc_only_negated": -log_ptc,
+        "mean_difference": xs * (pair.mean_t - pair.mean_c),
+    }
+    assert sorted(oracle) == sorted(theory_lab.SCORER_NAMES)
+    for name, expect in oracle.items():
         np.testing.assert_allclose(
-            score_samples(pair, name, xs), poly, rtol=1e-9, atol=1e-9
+            score_samples(pair, name, xs), expect, rtol=1e-9, atol=1e-9
         )
 
 
@@ -449,7 +458,7 @@ def test_density_check_needs_a_generative_description(gaussian_task):
     stripped = TaskDataset(
         task_id=dataset.task_id, classes=dataset.classes,
         train_x=dataset.train_x, train_y=dataset.train_y,
-        test_x=dataset.test_x, test_y=dataset.test_y, gaussians=None,
+        test_x=dataset.test_x, test_y=dataset.test_y,
     )
     with pytest.raises(NoDensityAvailable):
         density_estimator_check(stripped, stats, 100)
@@ -462,7 +471,7 @@ def test_single_point_data_has_no_variance():
         task_id=1, classes=(0,),
         train_x=np.array([[0.5, -0.5]]), train_y=np.array([0]),
         test_x=np.empty((0, 2)), test_y=np.empty(0, dtype=np.int64),
-        gaussians={0: ClassGaussian(mean=np.zeros(2), cov_diag=np.ones(2))},
+        means=np.zeros((1, 2)), cov_diag=np.ones(2),
     )
     stats = TaskStats(
         task_id=1, class_means=np.zeros((1, 2)), precision=np.eye(2),
