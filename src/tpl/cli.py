@@ -218,6 +218,8 @@ def parse_run_config(text: str, base_dir: Path, source: str = "config") -> RunCo
         raise ConfigError(
             f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError(f"{source}: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be an object")
     _check_keys(raw, _TOP_KEYS, source)
@@ -288,11 +290,12 @@ def build_stream(rc: RunConfig) -> data.TaskStream:
 
 @contextlib.contextmanager
 def _reading(path: Path):
-    """Report a malformed run-directory artifact as a ``ParseError`` naming it."""
+    """Report a malformed run-directory artifact as a ``ParseError`` naming it
+    (JSON nested too deeply to decode among them)."""
     try:
         yield
     except (KeyError, IndexError, TypeError, AttributeError, ValueError,
-            struct.error) as exc:
+            struct.error, RecursionError) as exc:
         raise ParseError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
 

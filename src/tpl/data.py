@@ -336,6 +336,8 @@ def load_feature_stream(manifest_path: str | Path) -> TaskStream:
         raise ParseError(
             f"{manifest_path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError(f"{manifest_path}: JSON nested too deeply") from None
     try:
         _check_manifest(doc)
     except ValueError as exc:

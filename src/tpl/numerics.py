@@ -1,5 +1,5 @@
 """Shared numeric kernels: SPD inversion, the whitened Mahalanobis distance,
-the diagonal-Gaussian log-density, the k-th-distance order statistic, average
+the diagonal-Gaussian log-density, the in-place k-th order statistic, average
 ranks and the rank correlation, stable reductions, seeded RNG streams, and the
 integer and real value checks every input parser uses.
 
@@ -106,10 +106,11 @@ def mahalanobis_sq(x: np.ndarray, means: np.ndarray, precision: np.ndarray) -> n
 
     The precision is factored once per call, ``precision = L Lᵀ``, and each
     class's *differences* are whitened, ``sum(((x - μ) L)²)``: one matrix
-    product per class.  The expanded form ``‖xL‖² − 2 xL·μL + ‖μL‖²`` must not
-    be used instead; it cancels catastrophically for rows near a centroid,
-    exactly where the inverse distance ``1/d²`` is most sensitive.  Raises
-    ``NotPositiveDefinite`` when the precision has no Cholesky factor.
+    product per class, into buffers allocated once per call.  The expanded
+    form ``‖xL‖² − 2 xL·μL + ‖μL‖²`` must not be used instead; it cancels
+    catastrophically for rows near a centroid, exactly where the inverse
+    distance ``1/d²`` is most sensitive.  Raises ``NotPositiveDefinite``
+    when the precision has no Cholesky factor.
     """
     x = np.atleast_2d(x)
     try:
@@ -117,9 +118,15 @@ def mahalanobis_sq(x: np.ndarray, means: np.ndarray, precision: np.ndarray) -> n
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("precision matrix is not positive definite") from None
     out = np.empty((x.shape[0], means.shape[0]))
+    # ``diff`` takes x's memory layout, as ``x - mu`` would: the GEMM then
+    # sees the same operands, and each bit matches the one-expression form.
+    diff = np.empty_like(x, dtype=np.float64)
+    w = np.empty((x.shape[0], chol.shape[1]))
     for j, mu in enumerate(means):
-        w = (x - mu) @ chol
-        out[:, j] = np.sum(w * w, axis=1)
+        np.subtract(x, mu, out=diff)
+        np.matmul(diff, chol, out=w)
+        np.multiply(w, w, out=w)
+        np.sum(w, axis=1, out=out[:, j])
     return out
 
 
@@ -131,15 +138,26 @@ def diag_gaussian_logpdf(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np
     return -0.5 * (quad + log_norm)
 
 
+def kth_smallest(a: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest entry of ``a`` [n, m] (its largest when the
+    row has fewer than k; nan sorts last), as a view of one column of ``a``.
+
+    ``a`` is partitioned in place, not copied: pass a temporary that has no
+    further use, and map only the n selected values through any monotone
+    transform instead of the whole matrix."""
+    kth = min(k, a.shape[1]) - 1
+    a.partition(kth, axis=1)
+    return a[:, kth]
+
+
 def kth_distance(d2: np.ndarray, k: int) -> np.ndarray:
     """Square root of each row's k-th smallest squared distance in ``d2``
     [n, m], clamped at 0 (the largest one when a row has fewer than k).
+    ``d2`` is reordered in place (``kth_smallest``).
 
     The clamp is applied after the selection: ``max(·, 0)`` is monotone, so
-    the result is bit-identical to selecting on clamped values, without an
-    [n, m] temporary."""
-    kth = min(k, d2.shape[1]) - 1
-    return np.sqrt(np.maximum(np.partition(d2, kth, axis=1)[:, kth], 0.0))
+    the result is bit-identical to selecting on clamped values."""
+    return np.sqrt(np.maximum(kth_smallest(d2, k), 0.0))
 
 
 def average_ranks(values: np.ndarray | Sequence[float]) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import hat_mlp
 from .errors import DimensionMismatch, EmptyBufferView, UnknownTask
-from .numerics import kth_distance, log_sum_exp, mahalanobis_sq, softmax
+from .numerics import kth_smallest, log_sum_exp, mahalanobis_sq, softmax
 
 if TYPE_CHECKING:
     from .trainer import ReplayBuffer, RunArtifacts, TrainConfig
@@ -113,10 +113,15 @@ def knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarr
     index = np.atleast_2d(index)
     if index.shape[0] == 0:
         raise EmptyBufferView("no reference samples for the KNN distance")
-    q = normalize_rows(queries)
+    neg_q = normalize_rows(queries)
+    np.negative(neg_q, out=neg_q)
     b = normalize_rows(index)
-    # on the unit sphere: ||q - b||^2 = 2 - 2 q.b
-    return kth_distance(2.0 - 2.0 * (q @ b.T), k)
+    # On the unit sphere ||q - b||^2 = 2 - 2 q.b = 2 + 2 (-q).b.  Rounding is
+    # symmetric, so neg_q @ b.T is -(q @ b.T) (a zero's sign aside, which
+    # 2 + 2t does not see), and t -> 2 + 2t stays monotone after rounding: the
+    # k-th nearest row holds each row's k-th smallest (-q).b, nan last as
+    # before, and only those n values are mapped.
+    return np.sqrt(np.maximum(2.0 + 2.0 * kth_smallest(neg_q @ b.T, k), 0.0))
 
 
 def tpl_score(

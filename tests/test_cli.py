@@ -122,6 +122,19 @@ def edit_header(change):
     return corrupt
 
 
+#: A JSON array nested far beyond the interpreter's recursion limit.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+def replace_header(blob: bytes):
+    """Corrupter putting ``blob`` in place of a container's JSON header."""
+    def corrupt(path: Path) -> None:
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+    return corrupt
+
+
 def append_one_byte(path: Path) -> None:
     path.write_bytes(path.read_bytes() + b"\0")
 
@@ -413,6 +426,24 @@ class TestExitCodes:
         [line] = err.splitlines()
         assert line.startswith("error: ") and str(manifest) in line
 
+    def test_deeply_nested_config_exits_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(DEEP_JSON)
+        code, out, err = run_cli("train", "--config", str(path), "--quiet")
+        assert code == 2, err
+        assert out == ""
+        assert err == f"error: {path}: JSON nested too deeply\n"
+
+    def test_deeply_nested_manifest_exits_3_naming_it(self, tmp_path):
+        manifest = tmp_path / "deep.json"
+        manifest.write_bytes(DEEP_JSON)
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           dataset={"kind": "manifest", "path": str(manifest)})
+        code, out, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 3, err
+        assert out == ""
+        assert err == f"error: {manifest}: JSON nested too deeply\n"
+
     def test_unknown_task_exits_3(self, run_dir):
         code, _, err = run_cli("dump-features", "--run", str(run_dir),
                                "--task-id", "9")
@@ -552,6 +583,8 @@ class TestExitCodes:
         ("trajectory.json", edit_json(lambda p: p["per_task"]["2"].update({"01": 0.0}))),
         ("calibration.json", edit_json(lambda records: records.append(
             {**records[0], "sigma1": 2.0}))),
+        ("calibration.json", lambda path: path.write_bytes(DEEP_JSON)),
+        ("model.bin", replace_header(DEEP_JSON)),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -574,7 +607,8 @@ class TestExitCodes:
             "stats-bin-task_id-float", "stats-bin-task_id-bool",
             "trajectory-no-per_task", "trajectory-one-entry-short",
             "trajectory-per_task-row-short", "trajectory-per_task-task-spelled-twice",
-            "calibration-task-repeated"])
+            "calibration-task-repeated", "calibration-nested-too-deeply",
+            "model-header-nested-too-deeply"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"

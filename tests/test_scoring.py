@@ -255,6 +255,68 @@ def test_knn_partition_matches_full_sort_bitwise(k_vs_n, draws):
     assert np.array_equal(kth_distance(d2, k), expected)
 
 
+def real_rows(n, d):
+    """Real-valued rows, a few of them repeats of the first so that ties
+    between distinct index positions occur too."""
+    rows = hnp.arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3, width=64))
+    return st.tuples(rows, st.lists(st.integers(0, n - 1), max_size=4)).map(
+        lambda pair: _repeat_first_row(*pair))
+
+
+def _repeat_first_row(rows, positions):
+    rows[positions] = rows[0]
+    return rows
+
+
+@pytest.mark.parametrize("k_vs_n", ["below", "equal", "above"])
+@settings(max_examples=40, deadline=None)
+@given(draws=st.data())
+def test_knn_selection_on_real_rows_matches_full_sort_bitwise(k_vs_n, draws):
+    d = draws.draw(st.integers(1, 6))
+    m = draws.draw(st.integers(2 if k_vs_n == "below" else 1, 300))
+    k = draws.draw({"below": st.integers(1, m - 1), "equal": st.just(m),
+                    "above": st.integers(m + 1, m + 5)}[k_vs_n])
+    queries = draws.draw(real_rows(draws.draw(st.integers(1, 8)), d))
+    index = draws.draw(real_rows(m, d))
+    kept = queries.tobytes(), index.tobytes()
+    expected = sorted_kth_distance(unit_sphere_d2(queries, index), k)
+    assert scoring.knn_kth_distance(queries, index, k).tobytes() == expected.tobytes()
+    assert (queries.tobytes(), index.tobytes()) == kept
+
+
+def reference_mahalanobis_sq(x, means, precision):
+    """Each class's whitened differences in one expression, as written."""
+    chol = np.linalg.cholesky(precision)
+    return np.stack([np.sum(((x - mu) @ chol) ** 2, axis=1) for mu in means], axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(draws=st.data())
+def test_mahalanobis_sq_matches_the_one_expression_form_bitwise(draws):
+    # Shapes reach the GEMM's blocked kernels, where a difference buffer in
+    # another memory layout than ``x - mu`` can move the last bit.
+    d = draws.draw(st.integers(1, 64))
+    n = draws.draw(st.integers(1, 120))
+    c = draws.draw(st.integers(1, 4))
+    rng = RngState(draws.draw(st.integers(0, 2**32 - 1)))
+    root = rng.uniform(-4.0, 4.0, (d, d))
+    precision = root @ root.T + d * np.eye(d)
+    means = rng.uniform(-4.0, 4.0, (c, d))
+    x = rng.uniform(-4.0, 4.0, (n, d))
+    for row, cls in draws.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                  st.integers(0, c - 1)), max_size=3)):
+        x[row] = means[cls]  # a row exactly on a centroid
+    layout = draws.draw(st.sampled_from(["C", "F", "column-slice"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "column-slice":
+        wide = np.zeros((n, 2 * d))
+        wide[:, ::2] = x
+        x = wide[:, ::2]
+    expected = reference_mahalanobis_sq(x, means, precision)
+    assert mahalanobis_sq(x, means, precision).tobytes() == expected.tobytes()
+
+
 # --- composed score ---------------------------------------------------------
 
 def test_tpl_score_equal_routes():
