@@ -30,12 +30,15 @@ label), ``index.bin`` against the buffer and the model (per-task row counts,
 width, and the first row of each source task forwarded again within 1e-9),
 and checks their values (finite arrays, rates and calibration pairs; stored
 accuracies in [0, 1]).  No command forwards the replay buffer: the KNN
-indexes come from ``index.bin``.  The JSON artifacts besides ``config.json``
-are read through ``_read_json``.  The config's ``score_variant`` is the published name
-(``canonical`` or ``algorithm1``) everywhere: config files, the package and
-the reports.  Exit codes: 0 success, 2 configuration error, 3 runtime failure
-(a malformed or mismatched run-directory artifact included: the error names
-the file; so is running out of memory).
+indexes come from ``index.bin``.  Every file is opened inside ``_reading``,
+and every failure of ``load_run`` follows one rule: an artifact that is
+missing, malformed or does not match the run, ``config.json`` included, is a
+``ParseError`` that names the file and ends with "retrain the run".  The
+config's ``score_variant`` is the published name (``canonical`` or
+``algorithm1``) everywhere: config files, the package and the reports.  Exit
+codes: 0 success, 2 configuration error (a run directory that does not exist
+among them), 3 runtime failure (an unusable run-directory artifact included;
+so is running out of memory).
 """
 from __future__ import annotations
 
@@ -224,7 +227,7 @@ def parse_run_config(text: str, base_dir: Path, source: str = "config") -> RunCo
         raise ConfigError(f"{source}: top level must be an object")
     _check_keys(raw, _TOP_KEYS, source)
     version = _require(raw, "schema_version", source)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"{source}: schema_version {version!r} not supported "
             f"(this build reads {SCHEMA_VERSION})"
@@ -240,8 +243,12 @@ def parse_run_config(text: str, base_dir: Path, source: str = "config") -> RunCo
     out_dir = raw.get("out_dir")
     if out_dir is not None and (not isinstance(out_dir, str) or "\0" in out_dir):
         raise ConfigError(f"{source}: out_dir must be a string without NUL characters")
-    dataset = _validate_dataset(_require(raw, "dataset", source), base_dir)
-    training = _validate_training(raw.get("training"))
+    dataset = _require(raw, "dataset", source)
+    try:
+        dataset = _validate_dataset(dataset, base_dir)
+        training = _validate_training(raw.get("training"))
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     return RunConfig(training=training, dataset=dataset, seed=seed,
                      out_dir=out_dir, calibrate=calibrate)
 
@@ -290,19 +297,22 @@ def build_stream(rc: RunConfig) -> data.TaskStream:
 
 @contextlib.contextmanager
 def _reading(path: Path):
-    """Report a malformed run-directory artifact as a ``ParseError`` naming it
-    (JSON nested too deeply to decode among them)."""
+    """Report a missing or malformed run-directory artifact as a
+    ``ParseError`` naming it (JSON nested too deeply to decode among them)."""
     try:
         yield
+    except FileNotFoundError:
+        raise ParseError(f"{path}: missing") from None
     except (KeyError, IndexError, TypeError, AttributeError, ValueError,
             struct.error, RecursionError) as exc:
         raise ParseError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
 
-def _task_id(value) -> int:
-    """A stored ``task_id``: a JSON integer, not a float, bool or string."""
-    if type(value) is not int:
-        raise ValueError(f"task_id {value!r} is not an integer")
+def _task_id(value, expected: int) -> int:
+    """A stored ``task_id``: a JSON integer (not a float, bool or string)
+    equal to ``expected``."""
+    if type(value) is not int or value != expected:
+        raise ValueError(f"task_id {value!r}, expected {expected}")
     return value
 
 
@@ -339,7 +349,7 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
 
     Each byte is read once: the arrays are writable views into one aligned
     buffer that the data section is read into, not copies."""
-    with open(path, "rb") as fh, _reading(path):
+    with _reading(path), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
         if head[:4] != magic:
@@ -490,17 +500,12 @@ def _load_buffer(path: Path, capacity: int, input_dim: int,
     ``task_classes`` with an integer label among that task's classes.  An
     error names the first bad row, counting from 0.  The rows keep the
     file's order, the order ``index.bin`` was built in."""
-    if not path.is_file():
-        raise ParseError(f"{path}: missing (run directories written before the "
-                         "replay buffer moved to a binary file lack it); retrain the run")
     _, arrays = _read_container(path, _BUFFER_MAGIC)
     with _reading(path):
-        x, labels, tasks = arrays["x"], arrays["labels"], arrays["tasks"]
-        n = labels.shape[0] if labels.ndim == 1 else -1
-        if (x.ndim != 2 or x.shape[0] != n or tasks.shape != (n,)
-                or (n > 0 and x.shape[1] != input_dim)):
-            raise ValueError(f"x {list(x.shape)}, labels {list(labels.shape)} and tasks "
-                             f"{list(tasks.shape)}; need [n, {input_dim}], [n] and [n]")
+        n = len(arrays["labels"])
+        _check_shapes(arrays, {"x": (n, input_dim), "labels": (n,), "tasks": (n,)},
+                      "the run")
+    x, labels, tasks = arrays["x"], arrays["labels"], arrays["tasks"]
     if n > capacity:
         raise ParseError(f"{path}: row {capacity}: {n} rows, "
                          f"more than buffer_capacity {capacity}")
@@ -562,36 +567,29 @@ def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
     arrays must have the shapes ``_index_shapes`` gives for the buffer and
     the model's feature width, and the first buffer row of each source task,
     forwarded through every task's extractor, must match its stored row
-    within ``_INDEX_TOL``.  Any failure asks to retrain the run."""
-    try:
-        if not path.is_file():
-            raise ParseError(f"{path}: missing (run directories written before the "
-                             "KNN replay index was stored lack it)")
-        _, arrays = _read_container(path, _INDEX_MAGIC)
-        x, source = buffer.x, buffer.tasks
-        with _reading(path):
-            _check_shapes(arrays, _index_shapes(source, task_ids, net.feature_dim),
-                          "the run")
-        firsts = np.unique(source, return_index=True)[1]  # each source task's first row
-        for t in task_ids if len(buffer) else ():
-            feats = scoring.normalize_rows(hat_mlp.features(net, x[firsts], t))
-            mine = source[firsts] == t
-            # own.t holds task t's rows and knn.t the others, in buffer order: task t's
-            # first row is own.t[0] and row i of another task is knn.t[i - (task t
-            # rows before i)]
-            rows = np.where(mine, 0, firsts - np.cumsum(source == t)[firsts])
-            stored = np.empty_like(feats)
-            stored[mine] = arrays[f"own.{t}"][rows[mine]]
-            stored[~mine] = arrays[f"knn.{t}"][rows[~mine]]
-            gaps = np.abs(stored - feats).max(axis=1)
-            if not (gaps <= _INDEX_TOL).all():
-                j = int(np.argmin(gaps <= _INDEX_TOL))
-                name = f"own.{t}" if mine[j] else f"knn.{t}"
-                raise ParseError(f"{path}: {name}[{rows[j]}] is {gaps[j]:.3g} away from "
-                                 f"buffer row {firsts[j]} through task {t}'s extractor, so "
-                                 "it was not built from this model and buffer")
-    except ParseError as exc:
-        raise ParseError(f"{exc}; retrain the run") from None
+    within ``_INDEX_TOL``."""
+    _, arrays = _read_container(path, _INDEX_MAGIC)
+    x, source = buffer.x, buffer.tasks
+    with _reading(path):
+        _check_shapes(arrays, _index_shapes(source, task_ids, net.feature_dim), "the run")
+    firsts = np.unique(source, return_index=True)[1]  # each source task's first row
+    for t in task_ids if len(buffer) else ():
+        feats = scoring.normalize_rows(hat_mlp.features(net, x[firsts], t))
+        mine = source[firsts] == t
+        # own.t holds task t's rows and knn.t the others, in buffer order: task t's
+        # first row is own.t[0] and row i of another task is knn.t[i - (task t
+        # rows before i)]
+        rows = np.where(mine, 0, firsts - np.cumsum(source == t)[firsts])
+        stored = np.empty_like(feats)
+        stored[mine] = arrays[f"own.{t}"][rows[mine]]
+        stored[~mine] = arrays[f"knn.{t}"][rows[~mine]]
+        gaps = np.abs(stored - feats).max(axis=1)
+        if not (gaps <= _INDEX_TOL).all():
+            j = int(np.argmin(gaps <= _INDEX_TOL))
+            name = f"own.{t}" if mine[j] else f"knn.{t}"
+            raise ParseError(f"{path}: {name}[{rows[j]}] is {gaps[j]:.3g} away from "
+                             f"buffer row {firsts[j]} through task {t}'s extractor, so "
+                             "it was not built from this model and buffer")
     return ({t: arrays[f"knn.{t}"] for t in task_ids},
             {t: arrays[f"own.{t}"] for t in task_ids})
 
@@ -613,11 +611,7 @@ def _load_stats(stats_dir: Path, t: int,
     n_classes = net.heads[t].n_classes
 
     def decode(payload) -> tuple[float, float, tuple[int, ...]]:
-        if _task_id(payload["task_id"]) != t:
-            raise ValueError(f"task_id {payload['task_id']!r}, expected {t}")
-        if "classes" not in payload:
-            raise ValueError("no 'classes' key (run directories written before class "
-                             "ids were stored lack it); retrain the run")
+        _task_id(payload["task_id"], t)
         classes = payload["classes"]
         if (not isinstance(classes, list) or len(classes) != n_classes
                 or not all(type(c) is int for c in classes)):
@@ -628,16 +622,12 @@ def _load_stats(stats_dir: Path, t: int,
 
     beta_mls, beta_md, classes = _read_json(stats_dir / f"task_{t}.json", decode)
     path = stats_dir / f"task_{t}.bin"
-    if not path.is_file():
-        raise ParseError(f"{path}: missing (run directories written before task "
-                         "statistics moved to binary files lack it); retrain the run")
     header, arrays = _read_container(path, _STATS_MAGIC)
     with _reading(path):
-        if _task_id(header["task_id"]) != t:
-            raise ValueError(f"task_id {header['task_id']!r}, expected {t}")
+        _task_id(header["task_id"], t)
         d = net.feature_dim
-        _check_shapes(arrays, {"class_means": (net.heads[t].n_classes, d),
-                               "precision": (d, d)}, "the model")
+        _check_shapes(arrays, {"class_means": (n_classes, d), "precision": (d, d)},
+                      "the model")
     stats = TaskStats(task_id=t, class_means=arrays["class_means"],
                       precision=arrays["precision"], beta_mls=beta_mls, beta_md=beta_md)
     return stats, classes
@@ -669,10 +659,24 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> N
 
 
 def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
+    """The run stored in ``run_dir``, every artifact checked (see the module
+    docstring).  A run directory that does not exist is a ``ConfigError``;
+    an artifact that cannot be used, the run's own ``config.json`` included,
+    is a ``ParseError`` naming the file and asking to retrain the run."""
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"run directory {run_dir} does not exist")
-    rc = load_run_config(run_dir / "config.json")
+    try:
+        return _read_run(run_dir)
+    except (ConfigError, ParseError) as exc:
+        raise ParseError(f"{exc}; retrain the run") from None
+
+
+def _read_run(run_dir: Path) -> tuple[RunArtifacts, RunConfig]:
+    path = run_dir / "config.json"
+    with _reading(path):
+        text = path.read_text(encoding="utf-8")
+    rc = parse_run_config(text, run_dir.resolve(), source=str(path))
     path = run_dir / "model.bin"
     net = load_model(path)
     task_ids = net.task_ids()
@@ -699,22 +703,16 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
     buffer = _load_buffer(run_dir / "buffer.bin", rc.training.buffer_capacity,
                           net.input_dim, task_classes)
     index = _load_index(run_dir / "index.bin", net, buffer, task_ids)
-    path = run_dir / "calibration.json"
 
     def decode_calibration(records) -> dict[int, tuple[float, float]]:
-        calibration = {}
-        for r in records:
-            t = _task_id(r["task_id"])
-            if t in calibration:
-                raise ValueError(f"task_id {t} is calibrated twice")
-            calibration[t] = (check_real("sigma1", r["sigma1"]),
-                              check_real("sigma2", r["sigma2"]))
-        return calibration
+        """One record per task, in task order, as ``save_run`` writes them."""
+        if len(records) != len(task_ids):
+            raise ValueError(f"{len(records)} records, the run has tasks {task_ids}")
+        return {_task_id(r["task_id"], t): (check_real("sigma1", r["sigma1"]),
+                                            check_real("sigma2", r["sigma2"]))
+                for r, t in zip(records, task_ids)}
 
-    calibration = _read_json(path, decode_calibration)
-    if sorted(calibration) != task_ids:
-        raise ParseError(f"{path}: calibrates tasks {sorted(calibration)}, "
-                         f"the run has tasks {task_ids}")
+    calibration = _read_json(run_dir / "calibration.json", decode_calibration)
     run = RunArtifacts(
         config=rc.training,
         task_classes=task_classes,
@@ -814,7 +812,7 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
     if cache.exists():
         return _read_json(cache, lambda payload: NclReference(
             per_task=evaluation.decode_task_matrix(payload["per_task"]),
-            pooled={int(t): evaluation.check_accuracy(f"pooled [{t}]", v)
+            pooled={evaluation._task_key(t): evaluation.check_accuracy(f"pooled [{t}]", v)
                     for t, v in payload["pooled"].items()},
         ))
     ncl = evaluation.build_ncl_reference(stream, rc.training, rc.seed)

@@ -335,6 +335,8 @@ class TestConfigParsing:
         ("training.epochs", -1),
         ("training.score_variant", "softmax"),
         ("training.hidden_widths", []),
+        ("schema_version", True),
+        ("schema_version", 1.0),
     ])
     def test_bad_values_rejected(self, tmp_path, key, value):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run", **{key: value})
@@ -585,6 +587,9 @@ class TestExitCodes:
             {**records[0], "sigma1": 2.0}))),
         ("calibration.json", lambda path: path.write_bytes(DEEP_JSON)),
         ("model.bin", replace_header(DEEP_JSON)),
+        ("config.json", cut_to_ten_bytes),
+        ("config.json", edit_json(lambda p: p.update(surprise=1))),
+        ("ncl cache", edit_json(lambda p: p["pooled"].update({"01": 0.0}))),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -608,7 +613,8 @@ class TestExitCodes:
             "trajectory-no-per_task", "trajectory-one-entry-short",
             "trajectory-per_task-row-short", "trajectory-per_task-task-spelled-twice",
             "calibration-task-repeated", "calibration-nested-too-deeply",
-            "model-header-nested-too-deeply"])
+            "model-header-nested-too-deeply", "config-cut", "config-unknown-key",
+            "ncl-cache-task-spelled-twice"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -637,7 +643,7 @@ class TestExitCodes:
             assert code == 3, err
             assert str(path) in err
             assert "Traceback" not in err
-            if artifact == "index.bin":
+            if artifact not in ("ncl cache", "trajectory.json"):  # files load_run reads
                 assert err.rstrip().endswith("retrain the run")
 
     @pytest.mark.parametrize("corrupt,where", [
@@ -667,6 +673,21 @@ class TestExitCodes:
         assert code == 3
         path = bad_run / "stats" / "task_2.json"
         assert f"{path}: class 1 is already listed under task 1" in err
+
+    @pytest.mark.parametrize("artifact", [
+        "config.json", "model.bin", "stats/task_1.json", "stats/task_1.bin",
+        "buffer.bin", "index.bin", "calibration.json"])
+    def test_every_artifact_load_run_reads_deleted_exits_3_asking_to_retrain(
+            self, run_dir, probe_file, tmp_path, artifact):
+        bad_run = tmp_path / "run"
+        shutil.copytree(run_dir, bad_run)
+        (bad_run / artifact).unlink()
+        code, out, err = run_cli("predict", "--run", str(bad_run), "--input",
+                                 str(probe_file[0]), "--output", str(tmp_path / "p.csv"))
+        assert code == 3, err
+        assert out == ""
+        assert err == f"error: {bad_run / artifact}: missing; retrain the run\n"
+        assert not (tmp_path / "p.csv").exists()
 
     def test_run_directory_without_stored_classes_or_buffer_bin_asks_to_retrain(
             self, run_dir, probe_file, tmp_path):
