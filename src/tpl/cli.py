@@ -30,15 +30,18 @@ label), ``index.bin`` against the buffer and the model (per-task row counts,
 width, and the first row of each source task forwarded again within 1e-9),
 and checks their values (finite arrays, rates and calibration pairs; stored
 accuracies in [0, 1]).  No command forwards the replay buffer: the KNN
-indexes come from ``index.bin``.  Every file is opened inside ``_reading``,
-and every failure of ``load_run`` follows one rule: an artifact that is
-missing, malformed or does not match the run, ``config.json`` included, is a
-``ParseError`` that names the file and ends with "retrain the run".  The
-config's ``score_variant`` is the published name (``canonical`` or
-``algorithm1``) everywhere: config files, the package and the reports.  Exit
-codes: 0 success, 2 configuration error (a run directory that does not exist
-among them), 3 runtime failure (an unusable run-directory artifact included;
-so is running out of memory).
+indexes come from ``index.bin``.
+
+Every file a command reads is read inside ``data.reading``: a file that is
+missing, cannot be opened, is not UTF-8 or does not decode is one error line
+naming it, a ``ConfigError`` for ``--config`` and a ``ParseError`` for the
+rest.  A run-directory file (``config.json`` and ``trajectory.json``
+included) that is missing, malformed or does not match the run also ends
+with "retrain the run".  The config's ``score_variant`` is the published
+name (``canonical`` or ``algorithm1``) everywhere: config files, the package
+and the reports.  Exit codes: 0 success, 2 configuration error (a run
+directory that does not exist among them), 3 runtime failure (an unusable
+run-directory artifact included; so is running out of memory).
 """
 from __future__ import annotations
 
@@ -65,7 +68,6 @@ from .errors import (
     TplError,
     UngatedTask,
 )
-from .evaluation import NclReference
 from .numerics import RngState, check_int, check_real
 from .scoring import TaskStats
 from .trainer import ReplayBuffer, RunArtifacts, TrainConfig
@@ -214,15 +216,8 @@ def _validate_training(d) -> TrainConfig:
     return cfg
 
 
-def parse_run_config(text: str, base_dir: Path, source: str = "config") -> RunConfig:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError:
-        raise ConfigError(f"{source}: JSON nested too deeply") from None
+def parse_run_config(raw, base_dir: Path, source: str = "config") -> RunConfig:
+    """The run configuration in the decoded JSON ``raw``, or a ``ConfigError``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be an object")
     _check_keys(raw, _TOP_KEYS, source)
@@ -255,11 +250,8 @@ def parse_run_config(text: str, base_dir: Path, source: str = "config") -> RunCo
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_run_config(text, path.parent.resolve(), source=str(path))
+    raw = data.read_json(path, error=ConfigError)
+    return parse_run_config(raw, path.parent.resolve(), source=str(path))
 
 
 def run_config_payload(rc: RunConfig) -> dict:
@@ -295,32 +287,12 @@ def build_stream(rc: RunConfig) -> data.TaskStream:
 # --- binary containers -------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _reading(path: Path):
-    """Report a missing or malformed run-directory artifact as a
-    ``ParseError`` naming it (JSON nested too deeply to decode among them)."""
-    try:
-        yield
-    except FileNotFoundError:
-        raise ParseError(f"{path}: missing") from None
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError,
-            struct.error, RecursionError) as exc:
-        raise ParseError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
-
-
 def _task_id(value, expected: int) -> int:
     """A stored ``task_id``: a JSON integer (not a float, bool or string)
     equal to ``expected``."""
     if type(value) is not int or value != expected:
         raise ValueError(f"task_id {value!r}, expected {expected}")
     return value
-
-
-def _read_json(path: Path, decode):
-    """``decode`` applied to a run-directory JSON file's content; malformed
-    JSON or content ``decode`` rejects is a ``ParseError`` naming the file."""
-    with _reading(path):
-        return decode(json.loads(path.read_text(encoding="utf-8")))
 
 
 def _write_container(path: Path, magic: bytes, header: dict,
@@ -349,7 +321,7 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
 
     Each byte is read once: the arrays are writable views into one aligned
     buffer that the data section is read into, not copies."""
-    with _reading(path), open(path, "rb") as fh:
+    with data.reading(path), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
         if head[:4] != magic:
@@ -452,7 +424,7 @@ def load_model(path: Path) -> hat_mlp.HatMlp:
     """The network stored in ``path``; every array must have the shape its
     header implies (``_model_shapes``), and ``s_max`` must exceed 1."""
     header, loaded = _read_container(path, _MODEL_MAGIC)
-    with _reading(path):
+    with data.reading(path):
         _check_shapes(loaded, _model_shapes(header), "the header")
         s_max = check_real("s_max", header["s_max"])
         if s_max <= 1:
@@ -501,7 +473,7 @@ def _load_buffer(path: Path, capacity: int, input_dim: int,
     error names the first bad row, counting from 0.  The rows keep the
     file's order, the order ``index.bin`` was built in."""
     _, arrays = _read_container(path, _BUFFER_MAGIC)
-    with _reading(path):
+    with data.reading(path):
         n = len(arrays["labels"])
         _check_shapes(arrays, {"x": (n, input_dim), "labels": (n,), "tasks": (n,)},
                       "the run")
@@ -570,7 +542,7 @@ def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
     within ``_INDEX_TOL``."""
     _, arrays = _read_container(path, _INDEX_MAGIC)
     x, source = buffer.x, buffer.tasks
-    with _reading(path):
+    with data.reading(path):
         _check_shapes(arrays, _index_shapes(source, task_ids, net.feature_dim), "the run")
     firsts = np.unique(source, return_index=True)[1]  # each source task's first row
     for t in task_ids if len(buffer) else ():
@@ -620,10 +592,10 @@ def _load_stats(stats_dir: Path, t: int,
         return (check_real("beta_mls", payload["beta_mls"]),
                 check_real("beta_md", payload["beta_md"]), tuple(classes))
 
-    beta_mls, beta_md, classes = _read_json(stats_dir / f"task_{t}.json", decode)
+    beta_mls, beta_md, classes = data.read_json(stats_dir / f"task_{t}.json", decode)
     path = stats_dir / f"task_{t}.bin"
     header, arrays = _read_container(path, _STATS_MAGIC)
-    with _reading(path):
+    with data.reading(path):
         _task_id(header["task_id"], t)
         d = net.feature_dim
         _check_shapes(arrays, {"class_means": (n_classes, d), "precision": (d, d)},
@@ -666,17 +638,22 @@ def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"run directory {run_dir} does not exist")
-    try:
+    with _retraining():
         return _read_run(run_dir)
+
+
+@contextlib.contextmanager
+def _retraining():
+    """End a ``ParseError``, or a ``ConfigError`` from the run's own config,
+    raised reading a run-directory file with "; retrain the run"."""
+    try:
+        yield
     except (ConfigError, ParseError) as exc:
         raise ParseError(f"{exc}; retrain the run") from None
 
 
 def _read_run(run_dir: Path) -> tuple[RunArtifacts, RunConfig]:
-    path = run_dir / "config.json"
-    with _reading(path):
-        text = path.read_text(encoding="utf-8")
-    rc = parse_run_config(text, run_dir.resolve(), source=str(path))
+    rc = load_run_config(run_dir / "config.json")
     path = run_dir / "model.bin"
     net = load_model(path)
     task_ids = net.task_ids()
@@ -712,7 +689,7 @@ def _read_run(run_dir: Path) -> tuple[RunArtifacts, RunConfig]:
                                             check_real("sigma2", r["sigma2"]))
                 for r, t in zip(records, task_ids)}
 
-    calibration = _read_json(run_dir / "calibration.json", decode_calibration)
+    calibration = data.read_json(run_dir / "calibration.json", decode_calibration)
     run = RunArtifacts(
         config=rc.training,
         task_classes=task_classes,
@@ -757,7 +734,8 @@ def _load_trajectory(run_dir: Path, task_ids: list[int]
                 raise ValueError(f"per_task holds the tasks {got}, the run needs {want}")
         return trajectory, per_task
 
-    return _read_json(run_dir / "trajectory.json", decode)
+    with _retraining():
+        return data.read_json(run_dir / "trajectory.json", decode)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -800,7 +778,7 @@ def cmd_train(args) -> int:
 _NCL_REFERENCE_VERSION = 2
 
 
-def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
+def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> evaluation.NclReference:
     """Train the joint reference, or reuse a cached result for this config."""
     fingerprint = hashlib.sha256(
         _dump_json({"reference": _NCL_REFERENCE_VERSION,
@@ -810,16 +788,9 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> NclReference:
     ncl_dir.mkdir(parents=True, exist_ok=True)
     cache = ncl_dir / f"ncl-{fingerprint}.json"
     if cache.exists():
-        return _read_json(cache, lambda payload: NclReference(
-            per_task=evaluation.decode_task_matrix(payload["per_task"]),
-            pooled={evaluation._task_key(t): evaluation.check_accuracy(f"pooled [{t}]", v)
-                    for t, v in payload["pooled"].items()},
-        ))
+        return data.read_json(cache, evaluation.decode_ncl_reference)
     ncl = evaluation.build_ncl_reference(stream, rc.training, rc.seed)
-    cache.write_text(_dump_json({
-        "per_task": evaluation.encode_task_matrix(ncl.per_task),
-        "pooled": {str(t): v for t, v in sorted(ncl.pooled.items())},
-    }), encoding="utf-8")
+    cache.write_text(_dump_json(evaluation.encode_ncl_reference(ncl)), encoding="utf-8")
     return ncl
 
 

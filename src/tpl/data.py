@@ -11,13 +11,19 @@ header.  Manifest format: JSON ``{"dim": optional positive int, "tasks":
 [{"task_id", "classes", "train", "test"}, ...]}``: ``task_id`` and each class
 id are JSON integers, ``train`` and ``test`` are file paths relative to the
 manifest.
+
+Every file the package reads is read inside ``reading``: one rule turns a
+failed read or decode into one error naming the file.  ``read_json`` is the
+one decode of a JSON text file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +35,7 @@ from .errors import (
     NoDensityAvailable,
     OverlappingLabelSets,
     ParseError,
+    TplError,
     UnknownTask,
 )
 from .numerics import RngState, check_int, diag_gaussian_logpdf, log_sum_exp
@@ -256,6 +263,32 @@ def _check_id(name: str, v) -> None:
         raise ValueError(f"{name} {v} does not fit in 64 bits")
 
 
+@contextlib.contextmanager
+def reading(path: Path, error: type[TplError] = ParseError):
+    """Raise a failed read or decode of ``path`` in the block as one ``error``
+    naming the file; errors of the package pass through unchanged."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise error(f"{path}: missing") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deeply") from None
+    except (LookupError, TypeError, AttributeError, ValueError, struct.error, csv.Error) as exc:
+        raise error(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
+
+
+def read_json(path: Path, decode=lambda doc: doc, error: type[TplError] = ParseError):
+    """``decode`` applied to the UTF-8 JSON file ``path``, inside ``reading``."""
+    with reading(path, error):
+        return decode(json.loads(path.read_text(encoding="utf-8")))
+
+
 def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Parse a non-empty ``label,f0,f1,...`` feature CSV into (features,
     labels); blank lines are skipped.  Malformed or non-finite rows raise
@@ -264,11 +297,7 @@ def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.nda
     xs: list[list[float]] = []
     ys: list[int] = []
     linenos: list[int] = []
-    try:
-        fh = open(path, newline="")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path
-        raise ParseError(f"{path}: {exc}") from None
-    with fh:
+    with reading(path), open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # ignore blank lines
@@ -298,9 +327,9 @@ def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.nda
     return x, np.asarray(ys, dtype=np.int64)
 
 
-def _check_manifest(doc) -> None:
-    """Raise ``ValueError`` naming the first entry of a decoded manifest that
-    breaks the format in the module docstring."""
+def _check_manifest(doc) -> dict:
+    """A decoded manifest, returned as it is; raise ``ValueError`` naming its
+    first entry that breaks the format in the module docstring."""
     if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
         raise ValueError("manifest must be an object with a 'tasks' list")
     if doc.get("dim") is not None:
@@ -320,28 +349,14 @@ def _check_manifest(doc) -> None:
         for split in ("train", "test"):
             if not isinstance(entry[split], str):
                 raise ValueError(f"{where}.{split} must be a string, got {entry[split]!r}")
+    return doc
 
 
 def load_feature_stream(manifest_path: str | Path) -> TaskStream:
     """Load a stream from a JSON manifest of per-task CSV feature files; a
     manifest that breaks the format is a ``ParseError`` naming it."""
     manifest_path = Path(manifest_path)
-    try:
-        raw = manifest_path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-        raise ParseError(f"{manifest_path}: {exc}") from None
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{manifest_path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise ParseError(f"{manifest_path}: JSON nested too deeply") from None
-    try:
-        _check_manifest(doc)
-    except ValueError as exc:
-        raise ParseError(f"{manifest_path}: {exc}") from None
+    doc = read_json(manifest_path, _check_manifest)
     dim = doc.get("dim")
     base = manifest_path.parent
 

@@ -319,6 +319,19 @@ def decode_task_matrix(payload: dict) -> dict[int, dict[int, float]]:
     }
 
 
+def encode_ncl_reference(ncl: NclReference) -> dict:
+    """JSON form of a joint reference, as the ``eval --ncl`` cache stores it."""
+    return {"per_task": encode_task_matrix(ncl.per_task),
+            "pooled": {str(t): v for t, v in sorted(ncl.pooled.items())}}
+
+
+def decode_ncl_reference(payload: dict) -> NclReference:
+    """Inverse of ``encode_ncl_reference``; every value must be an accuracy."""
+    return NclReference(decode_task_matrix(payload["per_task"]),
+                        {_task_key(t): check_accuracy(f"pooled [{t}]", v)
+                         for t, v in payload["pooled"].items()})
+
+
 def check_accuracy(name: str, v) -> float:
     """Require a real number in [0, 1]; return it as a float."""
     v = check_real(name, v)

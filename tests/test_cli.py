@@ -267,6 +267,89 @@ def run_cli(*argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _manifest_reader(name: str):
+    """Reader case: ``tpl train`` on a manifest dataset reads its file ``name``."""
+    def case(tmp_path, run_dir, probe):
+        manifest = write_manifest_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path / "c.json", tmp_path / "out-run",
+                           dataset={"kind": "manifest", "path": str(manifest)})
+        return manifest.with_name(name), ["train", "--config", str(cfg), "--quiet"]
+    return case
+
+
+def _input_reader(command: str, *flags: str):
+    """Reader case: ``command --input`` reads a copy of the probe CSV."""
+    def case(tmp_path, run_dir, probe):
+        path = Path(shutil.copy(probe, tmp_path / "in.csv"))
+        return path, [command, "--run", str(run_dir), "--input", str(path), *flags,
+                      str(tmp_path / "out.csv")]
+    return case
+
+
+def _run_file_reader(name: str):
+    """Reader case: a command reads the file ``name`` of a copy of the run
+    (``eval`` for ``trajectory.json``, ``predict`` for the rest)."""
+    def case(tmp_path, run_dir, probe):
+        run = Path(shutil.copytree(run_dir, tmp_path / "run"))
+        if name == "trajectory.json":
+            argv = ["eval", "--out", str(tmp_path / "out.json")]
+        else:
+            argv = ["predict", "--input", str(probe), "--output", str(tmp_path / "out.csv")]
+        return run / name, [*argv, "--run", str(run)]
+    return case
+
+
+def _ncl_cache_reader(tmp_path, run_dir, probe):
+    """Reader case: ``eval --ncl`` reads the cache file a cold run wrote."""
+    argv = ["eval", "--run", str(run_dir), "--ncl", str(tmp_path / "ncl"), "--quiet"]
+    code, _, err = run_cli(*argv, "--out", str(tmp_path / "cold.json"))
+    assert code == 0, err
+    (path,) = (tmp_path / "ncl").glob("ncl-*.json")
+    return path, [*argv, "--out", str(tmp_path / "out.json")]
+
+
+def _config_reader(tmp_path, run_dir, probe):
+    cfg = write_config(tmp_path / "c.json", tmp_path / "out-run")
+    return cfg, ["train", "--config", str(cfg), "--quiet"]
+
+
+#: Every kind of file a command reads: each case returns the file and the
+#: command that reads it; the command writes only paths named ``out*``.
+READERS = {
+    "--config": _config_reader,
+    "manifest": _manifest_reader("manifest.json"),
+    "manifest train CSV": _manifest_reader("t1_train.csv"),
+    "predict --input": _input_reader("predict", "--output"),
+    "dump-features --input": _input_reader("dump-features", "--task-id", "1", "--out"),
+    "config.json": _run_file_reader("config.json"),
+    "stats/task_1.json": _run_file_reader("stats/task_1.json"),
+    "calibration.json": _run_file_reader("calibration.json"),
+    "trajectory.json": _run_file_reader("trajectory.json"),
+    "ncl cache": _ncl_cache_reader,
+}
+
+
+def _directory_in_place(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+def _undecodable(path: Path) -> None:
+    path.write_text("{]" if path.suffix == ".json" else "x,1.0\n")
+
+
+#: Each way a read can fail: how to break the file, and what the error line
+#: says after the path (``None``: the decoder's message for the file's kind).
+READ_FAULTS = {
+    "missing": (Path.unlink, ": missing"),
+    "directory": (_directory_in_place, ": cannot read (Is a directory)"),
+    "not-utf-8": (lambda path: path.write_bytes(b"\xff\xfe"),
+                  ": not UTF-8 ('utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte)"),
+    "undecodable": (_undecodable, None),
+}
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     """One trained run directory shared by the read-only command tests."""
@@ -378,7 +461,7 @@ class TestConfigParsing:
     @example(raw={"schema_version": 1, "dataset": {"kind": "manifest", "path": "m\0.json"}})
     def test_parser_returns_or_raises_config_error(self, tmp_path, raw):
         try:
-            cli.parse_run_config(json.dumps(raw), tmp_path)
+            cli.parse_run_config(raw, tmp_path)
         except ConfigError:
             pass
 
@@ -643,7 +726,7 @@ class TestExitCodes:
             assert code == 3, err
             assert str(path) in err
             assert "Traceback" not in err
-            if artifact not in ("ncl cache", "trajectory.json"):  # files load_run reads
+            if artifact != "ncl cache":  # every run-directory file
                 assert err.rstrip().endswith("retrain the run")
 
     @pytest.mark.parametrize("corrupt,where", [
@@ -706,6 +789,26 @@ class TestExitCodes:
         assert code == 3
         assert f"{old_run / 'stats' / 'task_1.json'}: malformed" in err
         assert "retrain the run" in err
+
+    @pytest.mark.parametrize("reader,fault", [
+        (reader, fault) for reader in READERS for fault in READ_FAULTS
+        if (reader, fault) != ("ncl cache", "missing")  # a missing cache is trained anew
+    ])
+    def test_every_reader_and_read_fault_exits_with_one_line_naming_the_file(
+            self, run_dir, probe_file, tmp_path, reader, fault):
+        path, argv = READERS[reader](tmp_path, run_dir, probe_file[0])
+        break_file, problem = READ_FAULTS[fault]
+        break_file(path)
+        if problem is None:  # content that does not decode
+            problem = (":1:2: Expecting property name enclosed in double quotes"
+                       if path.suffix == ".json"
+                       else ":1: invalid literal for int() with base 10: 'x'")
+        code, out, err = run_cli(*argv)
+        in_run = tmp_path / "run" in path.parents
+        assert code == (2 if reader == "--config" else 3), err
+        assert out == ""
+        assert err == f"error: {path}{problem}{'; retrain the run' if in_run else ''}\n"
+        assert not list(tmp_path.glob("out*"))
 
     def test_eval_rejects_a_dataset_whose_classes_differ_from_the_run(self, run_dir,
                                                                       tmp_path):

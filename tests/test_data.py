@@ -194,6 +194,13 @@ def test_label_beyond_int64_reports_line(tmp_path):
         data.read_feature_file(tmp_path / "a.csv", None)
 
 
+def test_field_beyond_the_csv_field_limit_is_a_parse_error_naming_the_file(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("0," + "1" * 200_000 + "\n")
+    with pytest.raises(ParseError, match=r"a\.csv: malformed \(Error: field larger than"):
+        data.read_feature_file(path, None)
+
+
 def test_load_dimension_mismatch(tmp_path):
     write_csv(tmp_path / "a.csv", [[0, 1.0, 2.0], [0, 1.0]])
     write_csv(tmp_path / "b.csv", [[0, 1.0, 2.0]])
