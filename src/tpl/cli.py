@@ -23,14 +23,15 @@ reproduce every downstream command without retraining.
 
 ``load_run`` reads only the run directory, never the dataset: ``predict`` and
 ``dump-features --input`` need no data, and the commands that score test
-rows rebuild the stream with ``_test_stream``.  It checks the artifacts
-against the model (task sets, class ids, array shapes, exact container
-sizes), ``buffer.bin`` against the run (row count, each row's task and
-label), ``index.bin`` against the buffer and the model (per-task row counts,
-width, and the first row of each source task forwarded again within 1e-9),
-and checks their values (finite arrays, rates and calibration pairs; stored
-accuracies in [0, 1]).  No command forwards the replay buffer: the KNN
-indexes come from ``index.bin``.
+rows rebuild them with ``_test_stream``, which builds the training split only
+for ``eval --ncl`` (so only ``train`` and ``eval --ncl`` read a manifest's
+train CSVs).  It checks the artifacts against the model (task sets, class
+ids, array shapes, exact container sizes), ``buffer.bin`` against the run
+(row count, each row's task and label), ``index.bin`` against the buffer and
+the model (per-task row counts, width, and the first row of each source task
+forwarded again within 1e-9), and checks their values (finite arrays, rates
+and calibration pairs; stored accuracies in [0, 1]).  No command forwards the
+replay buffer: the KNN indexes come from ``index.bin``.
 
 Every file a command reads is read inside ``data.reading``: a file that is
 missing, cannot be opened, is not UTF-8 or does not decode is one error line
@@ -267,7 +268,11 @@ def run_config_payload(rc: RunConfig) -> dict:
     }
 
 
-def build_stream(rc: RunConfig) -> data.TaskStream:
+def build_stream(rc: RunConfig, train: bool = True,
+                 width: int | None = None) -> data.TaskStream:
+    """The run's data stream; with ``train`` off, only its test rows (every
+    train split empty: no train rows are drawn and no train CSV is opened).
+    ``width`` is the feature count a manifest's files must hold."""
     d = rc.dataset
     if d["kind"] == "synthetic":
         cov = d.get("covariance_diag")
@@ -280,8 +285,9 @@ def build_stream(rc: RunConfig) -> data.TaskStream:
             samples_per_class_test=d["test_per_class"],
             rng=RngState(rc.seed),
             covariance_diag=None if cov is None else np.array(cov, dtype=np.float64),
+            train=train,
         )
-    return data.load_feature_stream(d["path"])
+    return data.load_feature_stream(d["path"], train, width)
 
 
 # --- binary containers -------------------------------------------------------
@@ -702,10 +708,13 @@ def _read_run(run_dir: Path) -> tuple[RunArtifacts, RunConfig]:
     return run, rc
 
 
-def _test_stream(run: RunArtifacts, rc: RunConfig) -> data.TaskStream:
-    """The run's data stream, rebuilt from its config for the commands that
-    score test rows; its tasks and classes must be the ones the run stored."""
-    stream = build_stream(rc)
+def _test_stream(run: RunArtifacts, rc: RunConfig, train: bool = False) -> data.TaskStream:
+    """The run's test rows, rebuilt from its config for the commands that
+    score them; its tasks and classes must be the ones the run stored.  The
+    training split is built only with ``train`` on (the joint reference of
+    ``eval --ncl`` trains on it): otherwise no train row is drawn and no
+    train CSV is opened, and each test CSV must hold the run's input width."""
+    stream = build_stream(rc, train, run.net.input_dim)
     classes = {d.task_id: d.classes for d in stream.tasks}
     if classes != run.task_classes:
         raise ParseError(f"the dataset's tasks and classes {classes} differ from "
@@ -800,8 +809,8 @@ def cmd_eval(args) -> int:
     stored = _load_trajectory(run_dir, run.task_ids())
     if not stored[0]:
         raise EmptyTestSet("run has no stored trajectory (trained without tests)")
-    stream = _test_stream(run, rc)
     ncl_dir = getattr(args, "ncl", None)
+    stream = _test_stream(run, rc, train=ncl_dir is not None)
     ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), stream, rc)
     report = evaluation.compute_report(run, stream, ncl, trajectory=stored)
     out = Path(getattr(args, "out", None) or run_dir / "metrics.json")

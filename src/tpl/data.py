@@ -45,7 +45,8 @@ _MAX_RADIUS_ESCALATIONS = 40
 
 @dataclass
 class TaskDataset:
-    """One task's data: global class ids plus train/test feature arrays.
+    """One task's data: global class ids plus train/test feature arrays (a
+    stream built without its training split holds [0, dim] train arrays).
 
     A synthetic task also carries its generative model: class k is
     N(means[k], diag(cov_diag)), ``means`` [n_classes, dim] in ``classes``
@@ -158,6 +159,11 @@ class TaskStream:
         raise UnknownTask(f"no task with id {task_id}")
 
 
+def _no_rows(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """An empty split of ``dim``-feature rows: ``(x [0, dim], y [0])``."""
+    return np.empty((0, dim)), np.empty(0, dtype=np.int64)
+
+
 def sample_mixture(means: np.ndarray, cov_diag: np.ndarray, which: np.ndarray,
                    noise: RngState) -> np.ndarray:
     """One draw from each class ``which[i]`` of the Gaussian classes
@@ -183,20 +189,24 @@ def _place_class_means(
         return offsets.reshape(-1, 1)
     draw = rng.stream("class-means")
     radius = max(float(separation), 1.0)
+    means = np.empty((n_classes, dim))
     for _ in range(_MAX_RADIUS_ESCALATIONS):
-        means: list[np.ndarray] = []
+        placed = 0
         budget = 200 * n_classes
-        while len(means) < n_classes and budget > 0:
+        while placed < n_classes and budget > 0:
             budget -= 1
             v = draw.standard_normal(dim)
             norm = float(np.linalg.norm(v))
             if norm < 1e-12:
                 continue
             cand = v * (radius / norm)
-            if all(float(np.linalg.norm(cand - m)) >= separation for m in means):
-                means.append(cand)
-        if len(means) == n_classes:
-            return np.stack(means)
+            # sqrt(g.g) is np.linalg.norm(g) bit for bit: the same dot
+            # product, then a correctly rounded square root
+            if all(math.sqrt(g.dot(g)) >= separation for g in cand - means[:placed]):
+                means[placed] = cand
+                placed += 1
+        if placed == n_classes:
+            return means
         radius *= 1.5
     raise ValueError(
         f"could not place {n_classes} means at separation {separation} in dim {dim}"
@@ -212,12 +222,15 @@ def generate_gaussian_stream(
     samples_per_class_test: int,
     rng: RngState,
     covariance_diag: np.ndarray | None = None,
+    train: bool = True,
 ) -> TaskStream:
     """Synthetic stream of Gaussian classes.
 
     All class means (across every task) are placed with minimum pairwise
     distance ``separation``.  Covariance is the identity unless a diagonal is
-    given, shared by all classes.  Same rng state in, same stream out.
+    given, shared by all classes.  Same rng state in, same stream out.  With
+    ``train`` off every train split is empty and never drawn; each split has
+    its own named noise stream, so the test rows keep their bits.
     """
     if n_tasks < 1 or classes_per_task < 1:
         raise ValueError("need at least one task and one class per task")
@@ -245,7 +258,8 @@ def generate_gaussian_stream(
 
         tasks.append(TaskDataset(
             t, tuple(range(first, first + classes_per_task)),
-            *draw_split(f"train-noise-{t}", samples_per_class_train),
+            *(draw_split(f"train-noise-{t}", samples_per_class_train) if train
+              else _no_rows(dim)),
             *draw_split(f"test-noise-{t}", samples_per_class_test),
             means=means, cov_diag=cov,
         ))
@@ -352,19 +366,33 @@ def _check_manifest(doc) -> dict:
     return doc
 
 
-def load_feature_stream(manifest_path: str | Path) -> TaskStream:
+def load_feature_stream(
+    manifest_path: str | Path, train: bool = True, width: int | None = None
+) -> TaskStream:
     """Load a stream from a JSON manifest of per-task CSV feature files; a
-    manifest that breaks the format is a ``ParseError`` naming it."""
+    manifest that breaks the format is a ``ParseError`` naming it.
+
+    Every file must hold ``width`` features (default: the manifest's ``dim``,
+    else each task's first file); a manifest ``dim`` other than ``width`` is
+    a ``DimensionMismatch`` naming it.  With ``train`` off the train files
+    are never opened and every train split is empty."""
     manifest_path = Path(manifest_path)
     doc = read_json(manifest_path, _check_manifest)
     dim = doc.get("dim")
+    if width is None:
+        width = dim
+    elif dim is not None and dim != width:
+        raise DimensionMismatch(f"{manifest_path}: dim {dim}, expected {width}")
     base = manifest_path.parent
 
     tasks = []
     for entry in doc["tasks"]:
-        train_x, train_y = read_feature_file(base / entry["train"], dim)
-        file_dim = train_x.shape[1]
-        test_x, test_y = read_feature_file(base / entry["test"], file_dim)
+        if train:
+            train_x, train_y = read_feature_file(base / entry["train"], width)
+            test_x, test_y = read_feature_file(base / entry["test"], train_x.shape[1])
+        else:
+            test_x, test_y = read_feature_file(base / entry["test"], width)
+            train_x, train_y = _no_rows(test_x.shape[1])
         tasks.append(TaskDataset(entry["task_id"], tuple(entry["classes"]),
                                  train_x, train_y, test_x, test_y))
     return TaskStream(tasks=tasks)

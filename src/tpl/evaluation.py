@@ -46,10 +46,11 @@ def cil_accuracy(
 ) -> float:
     """Fraction of pooled test samples classified to the right global class,
     with no task-id given.  ``bundle``, when given, must hold the scores of
-    the datasets' test rows pooled in order; it is computed otherwise."""
+    the datasets' test rows pooled in order; it is computed otherwise, for
+    ``score_kind`` alone."""
     x, y, _ = pooled_test_rows(datasets)
     if bundle is None:
-        bundle = scoring.compute_bundle(ctx, x)
+        bundle = scoring.compute_bundle(ctx, x, (score_kind,))
     pred = scoring.predict_from_bundle(ctx, bundle, score_kind)
     return float(np.mean(pred.global_class == y))
 
@@ -261,10 +262,10 @@ def task_ood_aucs(
     """Per-task detection AUC: each task's own test samples are the
     in-distribution side, every other task's the out side.  ``bundle``, when
     given, must hold the scores of the stream's test rows pooled in task
-    order; it is computed otherwise."""
+    order; it is computed otherwise, for ``score_kind`` alone."""
     x, _, bounds = pooled_test_rows(stream.tasks)
     if bundle is None:
-        bundle = scoring.compute_bundle(ctx, x)
+        bundle = scoring.compute_bundle(ctx, x, (score_kind,))
     matrix = scoring.task_score_matrix(ctx, bundle, score_kind)
     aucs: dict[int, float] = {}
     for j, d in enumerate(stream.tasks):

@@ -16,7 +16,9 @@ the out-of-task KNN distance):
 
 Both KNN indexes are the replay buffer through each task's extractor
 (``replay_index``), fixed once training ends; a finished run keeps them, so
-``context_from_run`` forwards nothing.
+``context_from_run`` forwards nothing.  Only the standalone ``knn`` kind
+reads ``d_own``: a bundle built for other kinds (``predict`` builds one for
+its kind alone) searches one index per task, not two.
 
 The task posterior is a temperature softmax over the per-task scores; final
 class probabilities multiply within-task probability by task posterior, then
@@ -162,7 +164,7 @@ class ScoreBundle:
     ebo: np.ndarray
     md: np.ndarray
     knn_dist: np.ndarray
-    knn_own: np.ndarray
+    knn_own: np.ndarray | None   # None when built without the ``knn`` kind
     wp: list[np.ndarray]
 
 
@@ -272,8 +274,13 @@ def context_from_run(run: RunArtifacts, calibrated: bool = True) -> ScoringConte
                            run.task_classes, calibration)
 
 
-def compute_bundle(ctx: ScoringContext, x: np.ndarray) -> ScoreBundle:
-    """Raw per-task scores and within-task probabilities for a batch."""
+def compute_bundle(
+    ctx: ScoringContext, x: np.ndarray, kinds: tuple[str, ...] = SCORE_KINDS
+) -> ScoreBundle:
+    """Raw per-task scores and within-task probabilities for a batch, for the
+    score ``kinds`` it will serve.  Only the standalone ``knn`` kind reads the
+    distance to each task's own replay rows, so without it that second KNN
+    search per task is skipped and ``knn_own`` is None."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     T = ctx.n_tasks()
@@ -282,7 +289,7 @@ def compute_bundle(ctx: ScoringContext, x: np.ndarray) -> ScoreBundle:
     ebo = np.zeros((n, T))
     md = np.zeros((n, T))
     knn = np.zeros((n, T))
-    knn_own = np.zeros((n, T))
+    knn_own = np.zeros((n, T)) if "knn" in kinds else None
     wp: list[np.ndarray] = []
     for j, t in enumerate(ctx.task_ids):
         feats, logits = hat_mlp.forward(ctx.net, x, t)
@@ -294,7 +301,7 @@ def compute_bundle(ctx: ScoringContext, x: np.ndarray) -> ScoreBundle:
         md[:, j] = md_score(feats, ctx.stats[t])
         if ctx.knn_index[t].shape[0] > 0:
             knn[:, j] = knn_kth_distance(feats, ctx.knn_index[t], ctx.k)
-        if ctx.own_index[t].shape[0] > 0:
+        if knn_own is not None and ctx.own_index[t].shape[0] > 0:
             knn_own[:, j] = knn_kth_distance(feats, ctx.own_index[t], ctx.k)
     return ScoreBundle(
         task_ids=list(ctx.task_ids), mls=mls, msp=msp, ebo=ebo, md=md,
@@ -319,7 +326,9 @@ def task_score_matrix(
         return bundle.md.copy()
     if kind == "knn":
         # standalone detector: negated distance to the task's OWN samples
-        return -bundle.knn_own.copy()
+        if bundle.knn_own is None:
+            raise ValueError("score bundle was built without the 'knn' kind")
+        return -bundle.knn_own
     beta_mls = np.array([ctx.stats[t].beta_mls for t in bundle.task_ids])
     beta_md = np.array([ctx.stats[t].beta_md for t in bundle.task_ids])
     if kind == "lr":
@@ -339,8 +348,9 @@ class Predictions:
 
 
 def predict(ctx: ScoringContext, x: np.ndarray, score_kind: str = "tpl") -> Predictions:
-    """Classify a batch across all tasks (see ``predict_from_bundle``)."""
-    return predict_from_bundle(ctx, compute_bundle(ctx, x), score_kind)
+    """Classify a batch across all tasks (see ``predict_from_bundle``),
+    scoring only what ``score_kind`` reads."""
+    return predict_from_bundle(ctx, compute_bundle(ctx, x, (score_kind,)), score_kind)
 
 
 def predict_from_bundle(
@@ -351,8 +361,9 @@ def predict_from_bundle(
     Within-task probabilities are multiplied by the task posterior (from the
     chosen score kind), passed through the per-task affine calibration, and
     the best (task, class) wins; exact ties resolve to the earlier task and
-    the earlier class in declaration order.  The bundle depends on neither
-    the score kind nor the variant, so one bundle serves every composition.
+    the earlier class in declaration order.  A bundle built for every kind
+    depends on neither the score kind nor the variant, so it serves every
+    composition.
     """
     scores = task_score_matrix(ctx, bundle, score_kind)
     post = task_posterior(scores, ctx.temperature)

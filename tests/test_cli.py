@@ -1371,6 +1371,59 @@ class TestEval:
             blobs.append((tmp_path / name / "metrics.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_reports_need_no_train_csv_but_the_joint_reference_does(self, tmp_path):
+        manifest = write_manifest_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           dataset={"kind": "manifest", "path": str(manifest)},
+                           **{"training.epochs": 4, "training.buffer_capacity": 40})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        run = str(tmp_path / "run")
+        commands = {
+            "metrics.json": ["eval"],
+            "bench.json": ["ood-bench", "--scatter", str(tmp_path / "scatter.csv")],
+        }
+
+        def reports() -> dict[str, str | bytes]:
+            got = {}
+            for name, argv in commands.items():
+                code, got[argv[0]], err = run_cli(*argv, "--run", run,
+                                                  "--out", str(tmp_path / name))
+                assert code == 0, err
+            for name in (*commands, "scatter.csv"):
+                got[name] = (tmp_path / name).read_bytes()
+            return got
+
+        before = reports()
+        for t in (1, 2):
+            (tmp_path / "data" / f"t{t}_train.csv").unlink()
+        assert reports() == before
+        # the joint (NCL) reference trains on the training split
+        code, out, err = run_cli("eval", "--run", run, "--ncl", str(tmp_path / "ncl"))
+        assert code == 3 and out == ""
+        assert err == f"error: {tmp_path / 'data' / 't1_train.csv'}: missing\n"
+
+    def test_test_csv_of_another_width_names_its_line(self, tmp_path):
+        manifest = write_manifest_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           dataset={"kind": "manifest", "path": str(manifest)},
+                           **{"training.epochs": 2, "training.buffer_capacity": 40})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        test_csv = tmp_path / "data" / "t2_test.csv"
+        rows = test_csv.read_text().splitlines()
+        test_csv.write_text("\n".join(row + ",0.5" for row in rows) + "\n")
+        for argv in (["eval"], ["ood-bench"], ["dump-features", "--task-id", "1"]):
+            code, out, err = run_cli(*argv, "--run", str(tmp_path / "run"),
+                                     "--out", str(tmp_path / "out"))
+            assert code == 3 and out == ""
+            assert err == f"error: {test_csv}:1: expected 3 features, got 4\n"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "dim": 4}))
+        code, _, err = run_cli("eval", "--run", str(tmp_path / "run"))
+        assert code == 3
+        assert err == f"error: {manifest}: dim 4, expected 3\n"
+
 
 # --- predict -----------------------------------------------------------------
 

@@ -112,6 +112,36 @@ def test_generate_empty_test_split():
         assert task.means.shape == (2, 1)
 
 
+@pytest.mark.parametrize("seed, kw", [
+    (1, {}),
+    (7, {}),
+    (7, {"covariance_diag": np.array([0.5, 2.0, 1.0, 3.0])}),
+    (1, {"samples_per_class_test": 0}),
+], ids=["seed1", "seed7", "covariance", "no-test-rows"])
+def test_test_only_stream_keeps_the_test_bits(monkeypatch, seed, kw):
+    full = small_stream(seed=seed, **kw)
+    drawn = []
+    stream = RngState.stream
+
+    def recording(self, name):
+        drawn.append(name)
+        return stream(self, name)
+
+    monkeypatch.setattr(RngState, "stream", recording)
+    test_only = small_stream(seed=seed, train=False, **kw)
+    assert not [name for name in drawn if name.startswith("train-noise-")]
+    assert [name for name in drawn if name.startswith("test-noise-")] == [
+        "test-noise-1", "test-noise-2", "test-noise-3"]
+    for a, b in zip(full.tasks, test_only.tasks):
+        assert b.train_x.shape == (0, 4) and b.train_x.dtype == np.float64
+        assert b.train_y.shape == (0,) and b.train_y.dtype == np.int64
+        assert b.test_x.tobytes() == a.test_x.tobytes()
+        assert b.test_y.tobytes() == a.test_y.tobytes()
+        assert b.means.tobytes() == a.means.tobytes()
+        assert b.cov_diag.tobytes() == a.cov_diag.tobytes()
+        assert b.classes == a.classes and b.dim == a.dim
+
+
 def test_generate_crowded_low_dim_escalates_radius():
     # 10 classes at separation 6 cannot sit on a radius-6 circle; escalation
     # must still produce a valid placement
@@ -123,6 +153,47 @@ def test_generate_crowded_low_dim_escalates_radius():
     for i in range(len(means)):
         for j in range(i + 1, len(means)):
             assert np.linalg.norm(means[i] - means[j]) >= 6.0 - 1e-9
+
+
+def reference_class_means(n_classes, dim, separation, rng):
+    """The placement loop as first written, one ``np.linalg.norm`` per pair
+    of means, kept as the bitwise reference for ``_place_class_means``."""
+    draw = rng.stream("class-means")
+    radius = max(float(separation), 1.0)
+    for _ in range(data._MAX_RADIUS_ESCALATIONS):
+        means = []
+        budget = 200 * n_classes
+        while len(means) < n_classes and budget > 0:
+            budget -= 1
+            v = draw.standard_normal(dim)
+            norm = float(np.linalg.norm(v))
+            if norm < 1e-12:
+                continue
+            cand = v * (radius / norm)
+            if all(float(np.linalg.norm(cand - m)) >= separation for m in means):
+                means.append(cand)
+        if len(means) == n_classes:
+            return np.stack(means), radius
+        radius *= 1.5
+    raise AssertionError("reference placement failed")
+
+
+# (classes, dim, separation): the first two crowd a circle and a sphere, so
+# the radius escalates at every seed
+MEAN_SHAPES = [(6, 2, 6.0), (12, 3, 6.0), (10, 16, 6.0), (40, 32, 6.0), (100, 64, 3.0)]
+
+
+@pytest.mark.parametrize("shape", MEAN_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_class_means_match_the_per_pair_norm_loop_bitwise(shape):
+    n_classes, dim, separation = shape
+    escalated = 0
+    for seed in range(25):
+        want, radius = reference_class_means(n_classes, dim, separation, RngState(seed))
+        got = data._place_class_means(n_classes, dim, separation, RngState(seed))
+        assert got.dtype == want.dtype and got.shape == (n_classes, dim)
+        assert got.tobytes() == want.tobytes(), seed
+        escalated += radius > max(separation, 1.0)
+    assert escalated == (25 if dim <= 3 else 0)
 
 
 def test_label_positions_mapping():

@@ -549,3 +549,51 @@ def test_predict_runs_one_softmax_per_task_plus_the_posterior(three_task_run,
     monkeypatch.setattr(scoring, "softmax", counting)
     scoring.predict(ctx, x)
     assert len(calls) == ctx.n_tasks() + 1 == 4
+
+
+# --- a bundle scores only the kinds it is built for -------------------------
+
+@pytest.mark.parametrize("variant", ["canonical", "algorithm1"])
+def test_predict_for_one_kind_matches_the_full_bundle_bitwise(three_task_run,
+                                                              three_task_stream, variant):
+    ctx = dataclasses.replace(scoring.context_from_run(three_task_run), variant=variant)
+    x = np.concatenate([d.test_x for d in three_task_stream.tasks])
+    full = scoring.compute_bundle(ctx, x)
+    for kind in scoring.SCORE_KINDS:
+        got = scoring.predict(ctx, x, kind)
+        want = scoring.predict_from_bundle(ctx, full, kind)
+        for field in dataclasses.fields(scoring.Predictions):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (kind, field.name)
+
+
+def test_bundle_without_the_knn_kind_refuses_it(three_task_run, three_task_stream):
+    ctx = scoring.context_from_run(three_task_run)
+    x = three_task_stream.tasks[1].test_x
+    bundle = scoring.compute_bundle(ctx, x, kinds=("tpl",))
+    assert bundle.knn_own is None
+    with pytest.raises(ValueError, match="without the 'knn' kind"):
+        scoring.task_score_matrix(ctx, bundle, "knn")
+    full = scoring.compute_bundle(ctx, x)
+    for name in ("mls", "msp", "ebo", "md", "knn_dist"):
+        assert getattr(bundle, name).tobytes() == getattr(full, name).tobytes()
+
+
+def test_predict_searches_one_knn_index_per_task(three_task_run, three_task_stream,
+                                                 monkeypatch):
+    ctx = scoring.context_from_run(three_task_run)
+    x = three_task_stream.tasks[0].test_x
+    calls = []
+    kth = scoring.knn_kth_distance
+
+    def counting(queries, index, k):
+        calls.append(index.shape[0])
+        return kth(queries, index, k)
+
+    monkeypatch.setattr(scoring, "knn_kth_distance", counting)
+    scoring.predict(ctx, x)
+    assert calls == [ctx.knn_index[t].shape[0] for t in ctx.task_ids]
+    calls.clear()
+    scoring.predict(ctx, x, "knn")
+    assert len(calls) == 2 * ctx.n_tasks()
