@@ -16,22 +16,40 @@ reproduce every downstream command without retraining.
                       task), an export that is never read back
     index.bin         each task's two KNN indexes in that container (knn.T
                       [n - n_T, d], own.T [n_T, d]), built once after training
-    trajectory.json   accuracy trajectory captured during training
+    trajectory.json   accuracy trajectory and TIL accuracies captured during
+                      training
     calibration.json  per-task affine output calibration, always written (the
                       identity when ``calibrate`` is false); eval and predict
                       apply it, ood-bench compares scores without it
+    scores.bin        the finished run's scores of every kind for the pooled
+                      test rows, in that container (the bundle's [n, T]
+                      arrays, wp.T [n, C_T], labels [n], counts [T] and each
+                      task's first test row spot_x [T, d]); its header holds
+                      the tasks' classes and the dataset fingerprint.  Not
+                      written for a run trained without test rows
 
-``load_run`` reads only the run directory, never the dataset: ``predict`` and
-``dump-features --input`` need no data, and the commands that score test
-rows rebuild them with ``_test_stream``, which builds the training split only
-for ``eval --ncl`` (so only ``train`` and ``eval --ncl`` read a manifest's
-train CSVs).  It checks the artifacts against the model (task sets, class
-ids, array shapes, exact container sizes), ``buffer.bin`` against the run
-(row count, each row's task and label), ``index.bin`` against the buffer and
-the model (per-task row counts, width, and the first row of each source task
-forwarded again within 1e-9), and checks their values (finite arrays, rates
-and calibration pairs; stored accuracies in [0, 1]).  No command forwards the
+``load_run`` reads only the run directory, never the dataset, and not
+``scores.bin``: ``predict`` and ``dump-features --input`` need no data.  It
+checks the artifacts against the model (task sets, class ids, array shapes,
+exact container sizes), ``buffer.bin`` against the run (row count, each
+row's task and label), ``index.bin`` against the buffer and the model
+(per-task row counts, width, and the first row of each source task forwarded
+again within 1e-9), and checks their values (finite arrays, rates and
+calibration pairs; stored accuracies in [0, 1]).  No command forwards the
 replay buffer: the KNN indexes come from ``index.bin``.
+
+Only ``eval`` and ``ood-bench`` read ``scores.bin`` (``_load_scores``), in
+place of the test rows, which they neither rebuild nor score.  It must hold
+the run's tasks and classes, shapes that fit them, at least one row per task
+and each label among its task's classes; the dataset must match the
+fingerprint (a synthetic ``dataset`` block and ``seed``, or the size and
+crc32 of a manifest and its test CSVs, hashed unparsed), and each task's
+first test row, scored again, must match its stored scores within 1e-9
+relative to the larger magnitude and at least 1.  Scores may be nan or inf,
+as computed.  ``_test_stream`` rebuilds the
+test rows for ``dump-features`` without ``--input``, and the full stream for
+the joint reference of ``eval --ncl`` on a cache miss (so only ``train`` and
+that miss read a manifest's train CSVs).
 
 Every file a command reads is read inside ``data.reading``: a file that is
 missing, cannot be opened, is not UTF-8 or does not decode is one error line
@@ -56,6 +74,7 @@ import os
 import re
 import struct
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +98,18 @@ _MODEL_MAGIC = b"TPLM"
 _STATS_MAGIC = b"TPLS"
 _BUFFER_MAGIC = b"TPLB"
 _INDEX_MAGIC = b"TPLI"
+_SCORES_MAGIC = b"TPLT"
 _CONTAINER_VERSION = 1
 #: Largest gap allowed between a stored index row and the same buffer row
 #: forwarded on load (one row and a whole batch round differently in BLAS).
 _INDEX_TOL = 1e-9
+#: Largest gap allowed between a stored score and the same test row scored
+#: on load, relative to the larger magnitude and at least 1.
+_SCORES_TOL = 1e-9
+#: The [n, T] score arrays of a ``ScoreBundle`` that ``scores.bin`` stores.
+_SCORE_ARRAYS = ("mls", "msp", "ebo", "md", "knn_dist", "knn_own")
+#: The ``scores.bin`` arrays that are not scores, so must be finite.
+_SCORED_ROWS = ("labels", "counts", "spot_x")
 
 _TOP_KEYS = {"schema_version", "seed", "out_dir", "calibrate", "dataset", "training"}
 _SYNTHETIC_KEYS = {"kind", "n_tasks", "classes_per_task", "dim", "separation",
@@ -319,11 +346,13 @@ def _write_container(path: Path, magic: bytes, header: dict,
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_container(path: Path, magic: bytes, finite: tuple[str, ...] | None = None
+                    ) -> tuple[dict, dict[str, np.ndarray]]:
     """The (header, arrays) pair ``_write_container`` wrote, bit for bit; a
     file whose size differs from what its header declares, or an array
     holding a nan or inf, is malformed (the error names the first such
-    entry, e.g. ``x[3, 0]``).
+    entry, e.g. ``x[3, 0]``).  With ``finite`` given, only the arrays it
+    names must be finite.
 
     Each byte is read once: the arrays are writable views into one aligned
     buffer that the data section is read into, not copies."""
@@ -347,17 +376,20 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
             raise ParseError(f"{path}: {size} bytes, its header declares {declared}")
         values = np.empty(total, dtype="<f8")
         fh.readinto(memoryview(values).cast("B"))
-        finite = bool(np.isfinite(values).all())
+        all_finite = bool(np.isfinite(values).all())
         arrays: dict[str, np.ndarray] = {}
         for entry, shape in zip(entries, shapes):
             count = math.prod(shape)
             # a view: "<f8" is float64 on a little-endian host
             arrays[entry["name"]] = values[:count].reshape(shape).astype(np.float64, copy=False)
             values = values[count:]
-        if not finite:
-            name, a = next((n, a) for n, a in arrays.items() if not np.isfinite(a).all())
-            index = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
-            raise ValueError(f"{name}{[int(i) for i in index]} holds a non-finite value")
+        if not all_finite:
+            bad = [(n, a) for n, a in arrays.items()
+                   if (finite is None or n in finite) and not np.isfinite(a).all()]
+            if bad:
+                name, a = bad[0]
+                index = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
+                raise ValueError(f"{name}{[int(i) for i in index]} holds a non-finite value")
         return header, arrays
 
 
@@ -611,11 +643,147 @@ def _load_stats(stats_dir: Path, t: int,
     return stats, classes
 
 
-def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> None:
-    """Write the run directory.  Stats files of tasks that are not tasks of
-    this run (left by an earlier run in ``out``) are deleted.  A stale or
-    non-finite KNN index is refused before anything in ``out`` changes."""
+# --- stored test scores ------------------------------------------------------
+
+
+def _classes_json(task_classes: dict[int, tuple[int, ...]]) -> dict[str, list[int]]:
+    return {str(t): list(classes) for t, classes in task_classes.items()}
+
+
+def _file_stamp(path: Path) -> dict:
+    """The path, size and crc32 of a file, read as bytes."""
+    with data.reading(path):
+        blob = path.read_bytes()
+    return {"path": str(path), "size": len(blob), "crc32": zlib.crc32(blob)}
+
+
+def _dataset_fingerprint(rc: RunConfig) -> dict:
+    """What the run's test rows are made from: a synthetic dataset's block
+    and seed, or the stamp (``_file_stamp``) of a manifest and of each test
+    CSV it names, no row of which is parsed."""
+    d = rc.dataset
+    if d["kind"] == "synthetic":
+        return {"dataset": d, "seed": rc.seed}
+    files = [Path(d["path"]), *data.manifest_test_paths(d["path"])]
+    return {"files": [_file_stamp(path) for path in files]}
+
+
+def _scores_arrays(scores: evaluation.PooledScores,
+                   spot_x: np.ndarray) -> dict[str, np.ndarray]:
+    """The arrays of ``scores.bin``: the bundle's [n, T] scores, each task's
+    within-task probabilities ``wp.T``, the rows' labels, each task's row
+    count and each task's first test row (``spot_x``)."""
+    bundle = scores.bundle
+    arrays = {name: getattr(bundle, name) for name in _SCORE_ARRAYS}
+    arrays.update({f"wp.{t}": wp for t, wp in zip(bundle.task_ids, bundle.wp)})
+    arrays.update(labels=scores.labels, counts=np.diff(scores.bounds), spot_x=spot_x)
+    return arrays
+
+
+def _close(stored: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """Where two score arrays agree: bit-equal (nan with nan included), or
+    finite and within ``_SCORES_TOL`` relative to the larger magnitude and
+    at least 1."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.maximum(np.maximum(np.abs(stored), np.abs(fresh)), 1.0)
+        near = np.isfinite(scale) & (np.abs(stored - fresh) <= _SCORES_TOL * scale)
+    return near | (stored == fresh) | (np.isnan(stored) & np.isnan(fresh))
+
+
+def _check_dataset(path: Path, stored, rc: RunConfig) -> None:
+    """Raise a ParseError naming the first file of the run's dataset that
+    differs from the fingerprint ``stored`` in ``path``: ``config.json``
+    when its synthetic block or seed, or its manifest path, is not the
+    stored one, else the first stored file (the manifest, then the test
+    CSVs it names) whose size or crc32 changed.  No manifest is parsed: an
+    unchanged one names the stored test CSVs."""
+    d = rc.dataset
+    with data.reading(path):
+        if d["kind"] == "synthetic":
+            files, same = [], stored == _dataset_fingerprint(rc)
+        else:
+            files = stored.get("files", [])
+            same = bool(files) and files[0]["path"] == d["path"]
+        if not same:
+            raise ParseError(f"{path.with_name('config.json')}: the dataset or seed "
+                             f"differs from the one {path} was computed on")
+        for old in files:
+            new = _file_stamp(Path(old["path"]))
+            if new != old:
+                raise ParseError(f"{new['path']}: {new['size']} bytes with crc32 "
+                                 f"{new['crc32']:08x}, but {path} was computed on "
+                                 f"{old['size']} bytes with crc32 {old['crc32']:08x}")
+
+
+def _load_scores(run_dir: Path, run: RunArtifacts, rc: RunConfig,
+                 ctx: scoring.ScoringContext) -> evaluation.PooledScores:
+    """The scores ``train`` stored for the run's pooled test rows, checked
+    against the run (see the module docstring); ``ctx`` is the run's
+    context, which rescores each task's first test row.  A synthetic run
+    drawn without test rows has none (``EmptyTestSet``)."""
+    if rc.dataset["kind"] == "synthetic" and rc.dataset["test_per_class"] == 0:
+        raise EmptyTestSet("no test samples in any supplied dataset")
+    path = run_dir / "scores.bin"
+    task_ids = ctx.task_ids
+    with _retraining():
+        header, arrays = _read_container(path, _SCORES_MAGIC, finite=_SCORED_ROWS)
+        with data.reading(path):
+            if header["classes"] != _classes_json(run.task_classes):
+                raise ParseError(f"{path}: scored the tasks and classes {header['classes']}, "
+                                 f"which differ from the run's "
+                                 f"{_classes_json(run.task_classes)}")
+            n, n_tasks = len(arrays["labels"]), len(task_ids)
+            want = {name: (n, n_tasks) for name in _SCORE_ARRAYS}
+            want.update({f"wp.{t}": (n, len(run.task_classes[t])) for t in task_ids})
+            want.update(labels=(n,), counts=(n_tasks,), spot_x=(n_tasks, run.net.input_dim))
+            _check_shapes(arrays, want, "the run")
+            stored = header["dataset"]
+        labels, counts = arrays["labels"], arrays["counts"]
+        if not ((counts >= 1) & (counts == np.floor(counts))).all() or counts.sum() != n:
+            raise ParseError(f"{path}: counts {counts.tolist()} must be whole numbers of "
+                             f"at least 1 that sum to the {n} labels")
+        bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        ids = np.empty(n, dtype=np.int64)
+        for j, t in enumerate(task_ids):
+            classes = np.array(run.task_classes[t], dtype=np.int64)
+            hits = labels[bounds[j]:bounds[j + 1], None] == classes.astype(np.float64)
+            if not hits.any(axis=1).all():
+                i = bounds[j] + int(np.argmin(hits.any(axis=1)))
+                raise ParseError(f"{path}: row {i}: label {labels[i]:g} is not a class of "
+                                 f"task {t} (classes {classes.tolist()})")
+            ids[bounds[j]:bounds[j + 1]] = classes[np.argmax(hits, axis=1)]
+        _check_dataset(path, stored, rc)
+        fresh = scoring.compute_bundle(ctx, arrays["spot_x"])
+        firsts = bounds[:-1]
+        for name, got in [*((name, getattr(fresh, name)) for name in _SCORE_ARRAYS),
+                          *((f"wp.{t}", wp) for t, wp in zip(task_ids, fresh.wp))]:
+            kept = arrays[name][firsts]
+            close = _close(kept, got)
+            if not close.all():
+                j, col = np.unravel_index(np.argmin(close), close.shape)
+                raise ParseError(
+                    f"{path}: {name}[{firsts[j]}, {col}] is {float(kept[j, col])!r}, but "
+                    f"spot_x[{j}], task {task_ids[j]}'s first test row, scores "
+                    f"{float(got[j, col])!r}, so it was not computed by this run on these rows")
+    bundle = scoring.ScoreBundle(task_ids=list(task_ids),
+                                 wp=[arrays[f"wp.{t}"] for t in task_ids],
+                                 **{name: arrays[name] for name in _SCORE_ARRAYS})
+    return evaluation.PooledScores(bundle, ids, bounds)
+
+
+# --- saving and loading a run ------------------------------------------------
+
+
+def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict,
+             scores: dict[str, np.ndarray] | None = None) -> None:
+    """Write the run directory, with ``scores`` (``_scores_arrays``) as
+    ``scores.bin``; without them a ``scores.bin`` in ``out`` is deleted.
+    Stats files of tasks that are not tasks of this run (left by an earlier
+    run in ``out``) are deleted.  A stale or non-finite KNN index is refused
+    before anything in ``out`` changes."""
     index = _index_arrays(out / "index.bin", run)
+    scores_header = None if scores is None else {
+        "classes": _classes_json(run.task_classes), "dataset": _dataset_fingerprint(rc)}
     out.mkdir(parents=True, exist_ok=True)
     (out / "stats").mkdir(exist_ok=True)
     for path in (out / "stats").glob("task_*"):
@@ -629,6 +797,10 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> N
         _save_stats(out / "stats", run.stats[t], run.task_classes[t])
     _save_buffer(out / "buffer.bin", run.buffer)
     _write_container(out / "index.bin", _INDEX_MAGIC, {}, index)
+    if scores is None:
+        (out / "scores.bin").unlink(missing_ok=True)
+    else:
+        _write_container(out / "scores.bin", _SCORES_MAGIC, scores_header, scores)
     _write_buffer_csv(out / "buffer.csv", run.buffer)  # export only; never read back
     (out / "trajectory.json").write_text(_dump_json(trajectory), encoding="utf-8")
     records = [{"task_id": t, "sigma1": s1, "sigma2": s2}
@@ -709,10 +881,10 @@ def _read_run(run_dir: Path) -> tuple[RunArtifacts, RunConfig]:
 
 
 def _test_stream(run: RunArtifacts, rc: RunConfig, train: bool = False) -> data.TaskStream:
-    """The run's test rows, rebuilt from its config for the commands that
-    score them; its tasks and classes must be the ones the run stored.  The
-    training split is built only with ``train`` on (the joint reference of
-    ``eval --ncl`` trains on it): otherwise no train row is drawn and no
+    """The run's test rows, rebuilt from its config (``dump-features``
+    projects them); its tasks and classes must be the ones the run stored.
+    The training split is built only with ``train`` on (the joint reference
+    of ``eval --ncl`` trains on it): otherwise no train row is drawn and no
     train CSV is opened, and each test CSV must hold the run's input width."""
     stream = build_stream(rc, train, run.net.input_dim)
     classes = {d.task_id: d.classes for d in stream.tasks}
@@ -723,17 +895,19 @@ def _test_stream(run: RunArtifacts, rc: RunConfig, train: bool = False) -> data.
 
 
 def _load_trajectory(run_dir: Path, task_ids: list[int]
-                     ) -> tuple[list[float], dict[int, dict[int, float]]]:
-    """The (trajectory, per-task matrix) pair stored at train time, checked
-    against the run's ``task_ids``: both empty (a run trained without test
-    rows), or one accuracy per task and, for each task t, the accuracies of
-    exactly the tasks up to t."""
+                     ) -> tuple[list[float], dict[int, dict[int, float]], dict[int, float]]:
+    """The (trajectory, per-task matrix, TIL accuracies) stored at train
+    time, checked against the run's ``task_ids``: all empty (a run trained
+    without test rows), or one accuracy per task, for each task t the
+    accuracies of exactly the tasks up to t, and one TIL accuracy per
+    task."""
 
-    def decode(payload) -> tuple[list[float], dict[int, dict[int, float]]]:
+    def decode(payload):
         trajectory = [evaluation.check_accuracy("trajectory", v)
                       for v in payload["trajectory"]]
         per_task = evaluation.decode_task_matrix(payload["per_task"])
-        if trajectory or per_task:
+        til = evaluation.decode_task_accuracies(payload["til"], "til")
+        if trajectory or per_task or til:
             if len(trajectory) != len(task_ids):
                 raise ValueError(f"trajectory has {len(trajectory)} entries, "
                                  f"the run has {len(task_ids)} tasks")
@@ -741,7 +915,10 @@ def _load_trajectory(run_dir: Path, task_ids: list[int]
             got = {t: sorted(row) for t, row in per_task.items()}
             if got != want:
                 raise ValueError(f"per_task holds the tasks {got}, the run needs {want}")
-        return trajectory, per_task
+            if sorted(til) != sorted(task_ids):
+                raise ValueError(f"til holds the tasks {sorted(til)}, "
+                                 f"the run needs {sorted(task_ids)}")
+        return trajectory, per_task, til
 
     with _retraining():
         return data.read_json(run_dir / "trajectory.json", decode)
@@ -763,15 +940,21 @@ def cmd_train(args) -> int:
     has_tests = all(d.test_x.shape[0] > 0 for d in stream.tasks)
     payload: dict = {"score_kind": "tpl", "calibrated": rc.calibrate,
                      "trajectory": [], "per_task": {}, "til": {}}
+    scores = None
     if has_tests:
-        trajectory, per_task = evaluation.accuracy_trajectory(run, stream, "tpl")
+        # the finished run's scores of every kind: the last checkpoint of the
+        # trajectory reads them, and scores.bin keeps them for eval and ood-bench
+        pooled = evaluation.pooled_scores(scoring.context_from_run(run), stream)
+        scores = _scores_arrays(pooled, np.stack([d.test_x[0] for d in stream.tasks]))
+        trajectory, per_task = evaluation.accuracy_trajectory(run, stream, "tpl",
+                                                              bundle=pooled.bundle)
         payload["trajectory"] = trajectory
         payload["per_task"] = evaluation.encode_task_matrix(per_task)
         payload["til"] = {
             str(t): acc
             for t, acc in evaluation.til_accuracies(run.net, stream.tasks).items()
         }
-    save_run(run, rc, Path(out), payload)
+    save_run(run, rc, Path(out), payload, scores)
     if has_tests:
         for t, acc in zip(run.task_ids(), payload["trajectory"]):
             _say(args, f"A<={t} {acc:.6f}")
@@ -787,8 +970,10 @@ def cmd_train(args) -> int:
 _NCL_REFERENCE_VERSION = 2
 
 
-def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> evaluation.NclReference:
-    """Train the joint reference, or reuse a cached result for this config."""
+def _ncl_reference(ncl_dir: Path, run: RunArtifacts,
+                   rc: RunConfig) -> evaluation.NclReference:
+    """The joint reference cached for this config, or, on a miss, trained on
+    the run's full stream (its training split included) and cached."""
     fingerprint = hashlib.sha256(
         _dump_json({"reference": _NCL_REFERENCE_VERSION,
                     "dataset": rc.dataset, "seed": rc.seed,
@@ -798,7 +983,8 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> evaluation.NclRefere
     cache = ncl_dir / f"ncl-{fingerprint}.json"
     if cache.exists():
         return data.read_json(cache, evaluation.decode_ncl_reference)
-    ncl = evaluation.build_ncl_reference(stream, rc.training, rc.seed)
+    ncl = evaluation.build_ncl_reference(_test_stream(run, rc, train=True),
+                                         rc.training, rc.seed)
     cache.write_text(_dump_json(evaluation.encode_ncl_reference(ncl)), encoding="utf-8")
     return ncl
 
@@ -806,13 +992,14 @@ def _ncl_reference(ncl_dir: Path, stream, rc: RunConfig) -> evaluation.NclRefere
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
-    stored = _load_trajectory(run_dir, run.task_ids())
-    if not stored[0]:
+    trajectory, per_task, til = _load_trajectory(run_dir, run.task_ids())
+    if not trajectory:
         raise EmptyTestSet("run has no stored trajectory (trained without tests)")
+    ctx = scoring.context_from_run(run)
+    pooled = _load_scores(run_dir, run, rc, ctx)
     ncl_dir = getattr(args, "ncl", None)
-    stream = _test_stream(run, rc, train=ncl_dir is not None)
-    ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), stream, rc)
-    report = evaluation.compute_report(run, stream, ncl, trajectory=stored)
+    ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), run, rc)
+    report = evaluation.scored_report(ctx, pooled, (trajectory, per_task), til, ncl)
     out = Path(getattr(args, "out", None) or run_dir / "metrics.json")
     out.write_text(_dump_json(report.as_dict()), encoding="utf-8")
     _say(args, f"A_last {report.a_last:.6f}")
@@ -845,24 +1032,24 @@ def cmd_predict(args) -> int:
 def cmd_ood_bench(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
-    stream = _test_stream(run, rc)
     # Score kinds are compared uncalibrated on a shared model so each row
     # differs only in the task-id score.  The variants share one context's
     # KNN indexes, and the score bundle depends on neither the score kind nor
-    # the variant, so one bundle over the pooled test rows serves every row.
+    # the variant, so the one train stored for the pooled test rows serves
+    # every row.
     shared = scoring.context_from_run(run, calibrated=False)
-    bundle = scoring.compute_bundle(shared, data.pooled_test_rows(stream.tasks)[0])
-    single = len(stream) == 1
+    pooled = _load_scores(run_dir, run, rc, shared)
+    single = shared.n_tasks() == 1
     scores: dict[str, dict] = {}
     pairs: list[tuple[float, float]] = []
     for label, kind in _BENCH_ROWS:
         variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
         ctx = dataclasses.replace(shared, variant=variant)
-        acc = evaluation.cil_accuracy(ctx, stream.tasks, kind, bundle=bundle)
+        acc = evaluation.cil_accuracy(ctx, pooled, kind)
         if single:
             per_task, mean_auc = {}, None
         else:
-            aucs, mean_auc = evaluation.task_ood_aucs(ctx, stream, kind, bundle=bundle)
+            aucs, mean_auc = evaluation.task_ood_aucs(ctx, pooled, kind)
             per_task = {str(t): v for t, v in sorted(aucs.items())}
             pairs.append((mean_auc, acc))
         scores[label] = {

@@ -366,6 +366,13 @@ def _check_manifest(doc) -> dict:
     return doc
 
 
+def manifest_test_paths(manifest_path: str | Path) -> list[Path]:
+    """The test CSV of each task a manifest lists, in order, none opened."""
+    manifest_path = Path(manifest_path)
+    doc = read_json(manifest_path, _check_manifest)
+    return [manifest_path.parent / entry["test"] for entry in doc["tasks"]]
+
+
 def load_feature_stream(
     manifest_path: str | Path, train: bool = True, width: int | None = None
 ) -> TaskStream:

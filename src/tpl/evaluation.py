@@ -38,21 +38,40 @@ AIA_CONSISTENCY_TOL = 1e-12
 
 # --- plain accuracies -------------------------------------------------------
 
+@dataclass
+class PooledScores:
+    """The score bundle of tasks' test rows pooled in task order, with each
+    row's label: task j's rows are ``bounds[j]:bounds[j + 1]``."""
+
+    bundle: scoring.ScoreBundle
+    labels: np.ndarray
+    bounds: np.ndarray
+
+
+def pooled_scores(
+    ctx: scoring.ScoringContext,
+    rows: list[TaskDataset] | TaskStream | PooledScores,
+    kinds: tuple[str, ...] = scoring.SCORE_KINDS,
+) -> PooledScores:
+    """The test rows of ``rows`` (task datasets or a stream) pooled in order
+    and scored for ``kinds``; scores already pooled are returned as they are."""
+    if isinstance(rows, PooledScores):
+        return rows
+    x, y, bounds = pooled_test_rows(rows.tasks if isinstance(rows, TaskStream) else rows)
+    return PooledScores(scoring.compute_bundle(ctx, x, kinds), y, bounds)
+
+
 def cil_accuracy(
     ctx: scoring.ScoringContext,
-    datasets: list[TaskDataset],
+    datasets: list[TaskDataset] | PooledScores,
     score_kind: str = "tpl",
-    bundle: scoring.ScoreBundle | None = None,
 ) -> float:
     """Fraction of pooled test samples classified to the right global class,
-    with no task-id given.  ``bundle``, when given, must hold the scores of
-    the datasets' test rows pooled in order; it is computed otherwise, for
-    ``score_kind`` alone."""
-    x, y, _ = pooled_test_rows(datasets)
-    if bundle is None:
-        bundle = scoring.compute_bundle(ctx, x, (score_kind,))
-    pred = scoring.predict_from_bundle(ctx, bundle, score_kind)
-    return float(np.mean(pred.global_class == y))
+    with no task-id given.  ``datasets`` are the test rows, scored for
+    ``score_kind`` alone, or their ``PooledScores``."""
+    scores = pooled_scores(ctx, datasets, (score_kind,))
+    pred = scoring.predict_from_bundle(ctx, scores.bundle, score_kind)
+    return float(np.mean(pred.global_class == scores.labels))
 
 
 def til_accuracy(
@@ -83,7 +102,10 @@ def _head_hits(net: hat_mlp.HatMlp, head: int, classes, dataset: TaskDataset):
 # --- trajectory -------------------------------------------------------------
 
 def accuracy_trajectory(
-    run: RunArtifacts, stream: TaskStream, score_kind: str = "tpl"
+    run: RunArtifacts,
+    stream: TaskStream,
+    score_kind: str = "tpl",
+    bundle: scoring.ScoreBundle | None = None,
 ) -> tuple[list[float], dict[int, dict[int, float]]]:
     """Pooled accuracy after each task, plus the full per-task matrix.
 
@@ -94,7 +116,9 @@ def accuracy_trajectory(
     buffer; the last one is a copy of the finished run and reuses its
     ``replay_index``.  Output calibration is fitted once, after the last task, so only
     the final checkpoint applies ``run.calibration``; earlier ones use the
-    identity.
+    identity.  ``bundle``, when given, holds the finished run's scores of
+    the stream's test rows pooled in task order, and the last checkpoint
+    reads it instead of scoring the rows again.
     """
     task_ids = run.task_ids()
     trajectory: list[float] = []
@@ -109,7 +133,11 @@ def accuracy_trajectory(
         else:
             ctx = scoring.build_context(cp.net, cp.stats, cp.buffer, run.config, classes)
         x, y, bounds = pooled_test_rows(seen)
-        correct = scoring.predict(ctx, x, score_kind=score_kind).global_class == y
+        if bundle is not None and t == task_ids[-1]:
+            pred = scoring.predict_from_bundle(ctx, bundle, score_kind)
+        else:
+            pred = scoring.predict(ctx, x, score_kind=score_kind)
+        correct = pred.global_class == y
         trajectory.append(float(np.mean(correct)))
         per_task[t] = {
             d.task_id: float(np.mean(correct[bounds[j] : bounds[j + 1]]))
@@ -255,24 +283,22 @@ def ood_auc(ind_scores: np.ndarray, ood_scores: np.ndarray) -> float:
 
 def task_ood_aucs(
     ctx: scoring.ScoringContext,
-    stream: TaskStream,
+    stream: TaskStream | PooledScores,
     score_kind: str = "tpl",
-    bundle: scoring.ScoreBundle | None = None,
 ) -> tuple[dict[int, float], float]:
     """Per-task detection AUC: each task's own test samples are the
-    in-distribution side, every other task's the out side.  ``bundle``, when
-    given, must hold the scores of the stream's test rows pooled in task
-    order; it is computed otherwise, for ``score_kind`` alone."""
-    x, _, bounds = pooled_test_rows(stream.tasks)
-    if bundle is None:
-        bundle = scoring.compute_bundle(ctx, x, (score_kind,))
-    matrix = scoring.task_score_matrix(ctx, bundle, score_kind)
+    in-distribution side, every other task's the out side.  ``stream``
+    holds the test rows, scored for ``score_kind`` alone, or their
+    ``PooledScores``."""
+    scores = pooled_scores(ctx, stream, (score_kind,))
+    matrix = scoring.task_score_matrix(ctx, scores.bundle, score_kind)
+    bounds = scores.bounds
     aucs: dict[int, float] = {}
-    for j, d in enumerate(stream.tasks):
+    for j, t in enumerate(scores.bundle.task_ids):
         col = matrix[:, j]
         mask = np.zeros(matrix.shape[0], dtype=bool)
         mask[bounds[j] : bounds[j + 1]] = True
-        aucs[d.task_id] = ood_auc(col[mask], col[~mask])
+        aucs[t] = ood_auc(col[mask], col[~mask])
     return aucs, stable_mean(list(aucs.values()))
 
 
@@ -326,11 +352,16 @@ def encode_ncl_reference(ncl: NclReference) -> dict:
             "pooled": {str(t): v for t, v in sorted(ncl.pooled.items())}}
 
 
+def decode_task_accuracies(payload: dict, name: str) -> dict[int, float]:
+    """A ``{task: accuracy}`` map from its JSON form (string keys); every
+    value must be an accuracy, named ``name [task]`` in an error."""
+    return {_task_key(t): check_accuracy(f"{name} [{t}]", v) for t, v in payload.items()}
+
+
 def decode_ncl_reference(payload: dict) -> NclReference:
     """Inverse of ``encode_ncl_reference``; every value must be an accuracy."""
     return NclReference(decode_task_matrix(payload["per_task"]),
-                        {_task_key(t): check_accuracy(f"pooled [{t}]", v)
-                         for t, v in payload["pooled"].items()})
+                        decode_task_accuracies(payload["pooled"], "pooled"))
 
 
 def check_accuracy(name: str, v) -> float:
@@ -385,19 +416,32 @@ def compute_report(
     score_kind: str = "tpl",
     trajectory: tuple[list[float], dict[int, dict[int, float]]] | None = None,
 ) -> MetricsReport:
-    """All metrics for a finished run on ``stream``'s test rows (forgetting
-    only when a reference is supplied; detection AUC only when the run has
-    more than one task).
-
-    ``trajectory`` is ``accuracy_trajectory``'s result stored at train time;
-    without it the trajectory is recomputed from the run's checkpoints."""
+    """All metrics for a finished run on ``stream``'s test rows (see
+    ``scored_report``).  ``trajectory`` is ``accuracy_trajectory``'s result
+    stored at train time; without it the trajectory is recomputed from the
+    run's checkpoints."""
     if trajectory is None:
         trajectory = accuracy_trajectory(run, stream, score_kind)
+    return scored_report(scoring.context_from_run(run), stream, trajectory,
+                         til_accuracies(run.net, stream.tasks), ncl, score_kind)
+
+
+def scored_report(
+    ctx: scoring.ScoringContext,
+    scores: TaskStream | PooledScores,
+    trajectory: tuple[list[float], dict[int, dict[int, float]]],
+    til: dict[int, float],
+    ncl: NclReference | None = None,
+    score_kind: str = "tpl",
+) -> MetricsReport:
+    """All metrics for the finished run of ``ctx`` from its trajectory and
+    TIL accuracies and the test rows of ``scores`` (or their
+    ``PooledScores``): forgetting only when a reference is supplied,
+    detection AUC only when the run has more than one task."""
     accs, per_task = trajectory
-    til = til_accuracies(run.net, stream.tasks)
     ood, ood_mean = {}, None
-    if len(stream) > 1:
-        ood, ood_mean = task_ood_aucs(scoring.context_from_run(run), stream, score_kind)
+    if ctx.n_tasks() > 1:
+        ood, ood_mean = task_ood_aucs(ctx, scores, score_kind)
     f_last = f_aia = None
     if ncl is not None:
         f_last, f_aia = forgetting_rates(per_task, ncl)

@@ -10,6 +10,7 @@ import json
 import re
 import shutil
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from tpl import cli, data, evaluation, hat_mlp, scoring, theory_lab, trainer
 from tpl.errors import ConfigError, DegenerateVariance, ParseError
+from tpl.numerics import RngState
 from tpl.trainer import clone_config
 
 SEED = 3
@@ -288,10 +290,11 @@ def _input_reader(command: str, *flags: str):
 
 def _run_file_reader(name: str):
     """Reader case: a command reads the file ``name`` of a copy of the run
-    (``eval`` for ``trajectory.json``, ``predict`` for the rest)."""
+    (``eval`` for ``trajectory.json`` and ``scores.bin``, ``predict`` for the
+    rest)."""
     def case(tmp_path, run_dir, probe):
         run = Path(shutil.copytree(run_dir, tmp_path / "run"))
-        if name == "trajectory.json":
+        if name in ("trajectory.json", "scores.bin"):
             argv = ["eval", "--out", str(tmp_path / "out.json")]
         else:
             argv = ["predict", "--input", str(probe), "--output", str(tmp_path / "out.csv")]
@@ -325,6 +328,7 @@ READERS = {
     "stats/task_1.json": _run_file_reader("stats/task_1.json"),
     "calibration.json": _run_file_reader("calibration.json"),
     "trajectory.json": _run_file_reader("trajectory.json"),
+    "scores.bin": _run_file_reader("scores.bin"),
     "ncl cache": _ncl_cache_reader,
 }
 
@@ -673,6 +677,11 @@ class TestExitCodes:
         ("config.json", cut_to_ten_bytes),
         ("config.json", edit_json(lambda p: p.update(surprise=1))),
         ("ncl cache", edit_json(lambda p: p["pooled"].update({"01": 0.0}))),
+        ("trajectory.json", drop_json_key("til")),
+        ("trajectory.json", edit_json(lambda p: p["til"].update({"1": 1.5}))),
+        ("trajectory.json", edit_json(lambda p: p["til"].pop("2"))),
+        ("trajectory.json", edit_json(lambda p: p["til"].update({"3": 0.5}))),
+        ("trajectory.json", edit_json(lambda p: p["til"].update({"01": 0.5}))),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -697,7 +706,9 @@ class TestExitCodes:
             "trajectory-per_task-row-short", "trajectory-per_task-task-spelled-twice",
             "calibration-task-repeated", "calibration-nested-too-deeply",
             "model-header-nested-too-deeply", "config-cut", "config-unknown-key",
-            "ncl-cache-task-spelled-twice"])
+            "ncl-cache-task-spelled-twice", "trajectory-no-til", "trajectory-til-above-one",
+            "trajectory-til-task-missing", "trajectory-til-extra-task",
+            "trajectory-til-task-spelled-twice"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -799,7 +810,10 @@ class TestExitCodes:
         path, argv = READERS[reader](tmp_path, run_dir, probe_file[0])
         break_file, problem = READ_FAULTS[fault]
         break_file(path)
-        if problem is None:  # content that does not decode
+        if path.suffix == ".bin" and fault in ("not-utf-8", "undecodable"):
+            # a binary file is not decoded as text: its first bytes are its magic
+            problem = f": bad magic {path.read_bytes()[:4]!r}, expected {cli._SCORES_MAGIC!r}"
+        elif problem is None:  # content that does not decode
             problem = (":1:2: Expecting property name enclosed in double quotes"
                        if path.suffix == ".json"
                        else ":1: invalid literal for int() with base 10: 'x'")
@@ -868,7 +882,7 @@ class TestExitCodes:
 
 class TestTrain:
     def test_run_directory_layout(self, run_dir):
-        for name in RUN_FILES:
+        for name in (*RUN_FILES, "scores.bin"):
             assert (run_dir / name).is_file(), name
         stats = sorted(p.name for p in (run_dir / "stats").iterdir())
         assert stats == ["task_1.bin", "task_1.json", "task_2.bin", "task_2.json"]
@@ -882,8 +896,8 @@ class TestTrain:
         assert set(payload["per_task"]["2"]) == {"1", "2"}
         assert all(0.0 <= v <= 1.0 for v in payload["trajectory"])
 
-    def test_builds_one_context_per_task_plus_the_calibration_fit(self, tmp_path,
-                                                                  monkeypatch):
+    def test_builds_one_context_per_task_the_calibration_fit_and_the_stored_scores(
+            self, tmp_path, monkeypatch):
         calls = {"indexed_context": 0, "replay_index": 0}
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(scoring, name), **kwargs):
@@ -894,9 +908,9 @@ class TestTrain:
                            **{"dataset.n_tasks": 3, "training.epochs": 4})
         code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
         assert code == 0, err
-        assert calls["indexed_context"] == 3 + 1
-        # one replay forward per checkpoint: the calibration fit and the last
-        # checkpoint share the finished run's index
+        assert calls["indexed_context"] == 3 + 1 + 1
+        # one replay forward per checkpoint: the calibration fit, the stored
+        # scores and the last checkpoint share the finished run's index
         assert calls["replay_index"] == 3
 
     def test_retraining_fewer_tasks_deletes_only_the_old_task_files(self, tmp_path,
@@ -1411,16 +1425,26 @@ class TestEval:
         code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
         assert code == 0, err
         test_csv = tmp_path / "data" / "t2_test.csv"
+        original = test_csv.read_bytes()
         rows = test_csv.read_text().splitlines()
         test_csv.write_text("\n".join(row + ",0.5" for row in rows) + "\n")
-        for argv in (["eval"], ["ood-bench"], ["dump-features", "--task-id", "1"]):
-            code, out, err = run_cli(*argv, "--run", str(tmp_path / "run"),
+        argv = ["dump-features", "--task-id", "1", "--run", str(tmp_path / "run"),
+                "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(*argv)
+        assert code == 3 and out == ""
+        assert err == f"error: {test_csv}:1: expected 3 features, got 4\n"
+        # eval and ood-bench parse no test row: the CSV's crc32 has changed
+        for command in ("eval", "ood-bench"):
+            code, out, err = run_cli(command, "--run", str(tmp_path / "run"),
                                      "--out", str(tmp_path / "out"))
             assert code == 3 and out == ""
-            assert err == f"error: {test_csv}:1: expected 3 features, got 4\n"
+            assert err.startswith(f"error: {test_csv}: ")
+            assert err.endswith(f"{tmp_path / 'run' / 'scores.bin'} was computed on "
+                                f"{len(original)} bytes with crc32 "
+                                f"{zlib.crc32(original):08x}; retrain the run\n")
         doc = json.loads(manifest.read_text())
         manifest.write_text(json.dumps({**doc, "dim": 4}))
-        code, _, err = run_cli("eval", "--run", str(tmp_path / "run"))
+        code, _, err = run_cli(*argv)
         assert code == 3
         assert err == f"error: {manifest}: dim 4, expected 3\n"
 
@@ -1553,7 +1577,7 @@ class TestPredict:
         before = outputs()
         shutil.rmtree(tmp_path / "data")
         assert outputs() == before
-        # eval scores the test rows, so it still needs the dataset
+        # eval checks the dataset against its fingerprint, so it still needs it
         code, _, err = run_cli("eval", "--run", str(tmp_path / "run"), "--quiet")
         assert code == 3
         assert str(manifest) in err
@@ -1693,6 +1717,269 @@ class TestOodBench:
             assert entry["auc_per_task"] == {}
             assert 0.0 <= entry["cil_last_acc"] <= 1.0
         assert "not applicable" in out
+
+
+# --- scores.bin --------------------------------------------------------------
+
+def rewrite_scores_bin(change):
+    return rewrite_container(cli._SCORES_MAGIC, change)
+
+
+def _shift_first_spot_row(arrays) -> None:
+    arrays["spot_x"][0, 0] += 1.0
+
+
+def report_argv(command: str, run: Path, tmp_path: Path) -> list[str]:
+    """``command`` (``eval`` or ``ood-bench``) on ``run``, writing only
+    paths named ``out*`` under ``tmp_path``."""
+    extra = ["--scatter", str(tmp_path / "out.csv")] if command == "ood-bench" else []
+    return [command, "--run", str(run), "--out", str(tmp_path / "out.json"), *extra]
+
+
+def bench_report(shared: scoring.ScoringContext, pooled: evaluation.PooledScores) -> dict:
+    """The ood-bench report of one context's pooled scores, as the command
+    builds it: each row is a score kind (and, for TPL, a variant)."""
+    single = shared.n_tasks() == 1
+    scores, pairs = {}, []
+    for label, kind in cli._BENCH_ROWS:
+        variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
+        ctx = dataclasses.replace(shared, variant=variant)
+        acc = evaluation.cil_accuracy(ctx, pooled, kind)
+        per_task, mean_auc = {}, None
+        if not single:
+            aucs, mean_auc = evaluation.task_ood_aucs(ctx, pooled, kind)
+            per_task = {str(t): v for t, v in sorted(aucs.items())}
+            pairs.append((mean_auc, acc))
+        scores[label] = {"auc_per_task": per_task, "auc_mean": mean_auc,
+                         "cil_last_acc": acc}
+    r = slope = None
+    if not single:
+        with contextlib.suppress(DegenerateVariance):
+            r, slope = evaluation.auc_acc_correlation(pairs)
+    return {"calibration": "off", "auc_applicable": not single,
+            "scores": scores, "pearson_r": r, "slope": slope}
+
+
+#: Small configs of the benchmark's two shapes: few wide tasks with many test
+#: rows, and many tasks with a few test rows each.
+SHAPES = {
+    "desk": {"dataset.n_tasks": 3, "dataset.classes_per_task": 2, "dataset.dim": 8,
+             "dataset.train_per_class": 30, "dataset.test_per_class": 10,
+             "training.epochs": 4, "training.hidden_widths": [16, 16],
+             "training.buffer_capacity": 30},
+    "many-tasks": {"dataset.n_tasks": 6, "dataset.classes_per_task": 3, "dataset.dim": 10,
+                   "dataset.train_per_class": 20, "dataset.test_per_class": 2,
+                   "training.epochs": 2, "training.hidden_widths": [24, 24],
+                   "training.buffer_capacity": 90},
+}
+
+
+def assert_reports_equal_the_ones_from_the_test_rows(cfg: Path, run_dir: Path) -> None:
+    """Train ``cfg`` into ``run_dir``, run ``eval`` and ``ood-bench``, and
+    check that the scores they read from ``scores.bin`` and the reports they
+    write equal, bit for bit, those computed from the rebuilt test rows."""
+    for argv in (["train", "--config", str(cfg)], ["eval", "--run", str(run_dir)],
+                 ["ood-bench", "--run", str(run_dir)]):
+        code, _, err = run_cli(*argv, "--quiet")
+        assert code == 0, err
+    run, rc = cli.load_run(run_dir)
+    stream = cli.build_stream(rc)
+    x, labels, bounds = data.pooled_test_rows(stream.tasks)
+    shared = scoring.context_from_run(run, calibrated=False)
+    fresh = scoring.compute_bundle(shared, x)
+    stored = cli._load_scores(run_dir, run, rc, shared)
+    assert stored.labels.tobytes() == labels.tobytes()
+    assert stored.bounds.tolist() == bounds.tolist()
+    assert stored.bundle.task_ids == fresh.task_ids
+    for name in cli._SCORE_ARRAYS:
+        assert getattr(stored.bundle, name).tobytes() == getattr(fresh, name).tobytes(), name
+    for got, want in zip(stored.bundle.wp, fresh.wp, strict=True):
+        assert got.tobytes() == want.tobytes()
+    trajectory = cli._load_trajectory(run_dir, run.task_ids())[:2]
+    report = evaluation.compute_report(run, stream, trajectory=trajectory)
+    assert (run_dir / "metrics.json").read_text() == cli._dump_json(report.as_dict())
+    bench = bench_report(shared, evaluation.PooledScores(fresh, labels, bounds))
+    assert (run_dir / "ood_bench.json").read_text() == cli._dump_json(bench)
+
+
+class TestStoredScores:
+    @pytest.mark.parametrize("variant", ["canonical", "algorithm1"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_reports_from_stored_scores_equal_the_reports_from_the_test_rows(
+            self, tmp_path, shape, seed, variant):
+        run_dir = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", run_dir, seed=seed,
+                           **{**SHAPES[shape], "training.score_variant": variant})
+        assert_reports_equal_the_ones_from_the_test_rows(cfg, run_dir)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the row that overflows
+    def test_non_finite_scores_round_trip(self, tmp_path):
+        manifest = write_manifest_dataset(tmp_path / "data")
+        test_csv = tmp_path / "data" / "t2_test.csv"
+        rows = test_csv.read_text().splitlines()
+        rows[0] = "2," + ",".join(["-1.7e308"] * 3)  # task 2's first row: its spot row
+        test_csv.write_text("\n".join(rows) + "\n")
+        run_dir = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", run_dir,
+                           dataset={"kind": "manifest", "path": str(manifest)},
+                           **{"training.epochs": 4, "training.buffer_capacity": 40})
+        assert_reports_equal_the_ones_from_the_test_rows(cfg, run_dir)
+        _, arrays = cli._read_container(run_dir / "scores.bin", cli._SCORES_MAGIC,
+                                        finite=cli._SCORED_ROWS)
+        for name in cli._SCORE_ARRAYS:  # row 30 is that spot row
+            assert not np.isfinite(arrays[name][30]).any(), name
+        assert "NaN" in (run_dir / "metrics.json").read_text()
+
+    @pytest.mark.parametrize("command", ["eval", "ood-bench"])
+    @pytest.mark.parametrize("name,corrupt,problem", [
+        ("scores.bin", Path.unlink, "{path}: missing"),
+        ("scores.bin", cut_to_ten_bytes, "{path}: malformed (error: unpack_from"),
+        ("scores.bin", lambda path: path.write_bytes(cli._INDEX_MAGIC + path.read_bytes()[4:]),
+         "{path}: bad magic b'TPLI', expected b'TPLT'"),
+        ("scores.bin", rewrite_scores_bin(lambda a: a.update(mls=a["mls"][:, :1])),
+         "{path}: malformed (ValueError: mls has shape [80, 1], the run needs [80, 2])"),
+        ("scores.bin", rewrite_scores_bin(set_first("labels", 2.0)),
+         "{path}: row 0: label 2 is not a class of task 1 (classes [0, 1])"),
+        ("scores.bin", rewrite_scores_bin(set_first("counts", 39.0)),
+         "{path}: counts [39.0, 40.0] must be whole numbers of at least 1 "
+         "that sum to the 80 labels"),
+        ("scores.bin", rewrite_scores_bin(_shift_first_spot_row),
+         "but spot_x[0], task 1's first test row, scores"),
+        ("config.json", edit_json(lambda p: p["dataset"].update(separation=7.0)),
+         "{path}: the dataset or seed differs from the one {run}/scores.bin was computed on"),
+        ("config.json", edit_json(lambda p: p.update(seed=4)),
+         "{path}: the dataset or seed differs from the one {run}/scores.bin was computed on"),
+    ], ids=["missing", "truncated", "bad-magic", "shape", "label-of-another-task",
+            "counts", "spot-row-edited", "synthetic-block-changed", "seed-changed"])
+    def test_a_bad_scores_bin_or_changed_dataset_exits_3_naming_the_file(
+            self, run_dir, tmp_path, command, name, corrupt, problem):
+        bad_run = Path(shutil.copytree(run_dir, tmp_path / "run"))
+        corrupt(bad_run / name)
+        code, out, err = run_cli(*report_argv(command, bad_run, tmp_path))
+        assert code == 3, err
+        assert out == ""
+        assert err.startswith(f"error: {bad_run / name}: ")
+        assert problem.format(path=bad_run / name, run=bad_run) in err
+        assert err.endswith("; retrain the run\n") and err.count("\n") == 1
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", ["eval", "ood-bench"])
+    @pytest.mark.parametrize("name", ["t1_test.csv", "manifest.json"])
+    def test_an_edited_manifest_or_test_csv_exits_3_naming_it(self, tmp_path, command,
+                                                              name):
+        manifest = write_manifest_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           dataset={"kind": "manifest", "path": str(manifest)},
+                           **{"training.epochs": 4, "training.buffer_capacity": 40})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        path = tmp_path / "data" / name
+        original = path.read_bytes()
+        # the same bytes in another order: only the crc32 tells them apart
+        path.write_bytes(original[::-1] if name == "manifest.json"
+                         else b"".join(reversed(original.splitlines(keepends=True))))
+        code, out, err = run_cli(*report_argv(command, tmp_path / "run", tmp_path))
+        assert code == 3, err
+        assert out == ""
+        assert err == (f"error: {path}: {len(original)} bytes with crc32 "
+                       f"{zlib.crc32(path.read_bytes()):08x}, but "
+                       f"{tmp_path / 'run' / 'scores.bin'} was computed on "
+                       f"{len(original)} bytes with crc32 {zlib.crc32(original):08x}"
+                       "; retrain the run\n")
+
+    def test_a_run_trained_without_test_rows_stores_no_scores(self, run_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)  # a scores.bin the new run must not keep
+        cfg = write_config(tmp_path / "c.json", out,
+                           **{"dataset.test_per_class": 0, "training.epochs": 4})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        assert not (out / "scores.bin").exists()
+        for command, message in (
+                ("eval", "run has no stored trajectory (trained without tests)"),
+                ("ood-bench", "no test samples in any supplied dataset")):
+            code, stdout, err = run_cli(*report_argv(command, out, tmp_path))
+            assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+    def test_predict_and_dump_features_never_read_scores_bin(self, run_dir, probe_file,
+                                                             tmp_path):
+        run = Path(shutil.copytree(run_dir, tmp_path / "run"))
+        commands = {
+            "pred.csv": ["predict", "--input", str(probe_file[0]), "--output"],
+            "feat.csv": ["dump-features", "--task-id", "2", "--quiet", "--out"],
+            "feat-in.csv": ["dump-features", "--task-id", "1", "--input",
+                            str(probe_file[0]), "--quiet", "--out"],
+        }
+
+        def outputs() -> dict[str, tuple]:
+            got = {}
+            for name, argv in commands.items():
+                code, stdout, err = run_cli(*argv, str(tmp_path / name), "--run", str(run))
+                assert code == 0, err
+                got[name] = (stdout, err, (tmp_path / name).read_bytes())
+            return got
+
+        before = outputs()
+        (run / "scores.bin").unlink()
+        assert outputs() == before
+
+    def test_reports_build_no_stream_and_score_only_the_spot_rows(self, run_dir, tmp_path,
+                                                                  monkeypatch):
+        calls, rows = [], []
+        for module, name in ((cli, "build_stream"), (data, "generate_gaussian_stream")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        real_bundle = scoring.compute_bundle
+
+        def counting(ctx, x, *args):
+            rows.append(x.shape[0])
+            return real_bundle(ctx, x, *args)
+
+        monkeypatch.setattr(scoring, "compute_bundle", counting)
+        for command in ("eval", "ood-bench"):
+            code, _, err = run_cli(*report_argv(command, run_dir, tmp_path), "--quiet")
+            assert code == 0, err
+        assert calls == []
+        assert rows == [2, 2]  # each task's first test row, once per command
+
+    def test_a_cached_joint_reference_needs_no_training_split(self, tmp_path):
+        manifest = write_manifest_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           dataset={"kind": "manifest", "path": str(manifest)},
+                           **{"training.epochs": 4, "training.buffer_capacity": 40})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        argv = ["eval", "--run", str(tmp_path / "run"), "--ncl", str(tmp_path / "ncl"),
+                "--quiet"]
+        code, _, err = run_cli(*argv)  # a cold cache: the reference trains
+        assert code == 0, err
+        before = (tmp_path / "run" / "metrics.json").read_bytes()
+        for t in (1, 2):
+            (tmp_path / "data" / f"t{t}_train.csv").unlink()
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+        assert (tmp_path / "run" / "metrics.json").read_bytes() == before
+
+    def test_a_cached_joint_reference_draws_no_stream(self, run_dir, tmp_path,
+                                                      monkeypatch):
+        argv = ["eval", "--run", str(run_dir), "--ncl", str(tmp_path / "ncl"),
+                "--out", str(tmp_path / "m.json"), "--quiet"]
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+        names = []
+        real_stream = RngState.stream
+
+        def recording(self, name):
+            names.append(name)
+            return real_stream(self, name)
+
+        monkeypatch.setattr(RngState, "stream", recording)
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+        assert not [n for n in names if n.startswith(("train-noise-", "test-noise-"))]
 
 
 # --- theory-check ------------------------------------------------------------
