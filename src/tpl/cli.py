@@ -16,40 +16,34 @@ reproduce every downstream command without retraining.
                       task), an export that is never read back
     index.bin         each task's two KNN indexes in that container (knn.T
                       [n - n_T, d], own.T [n_T, d]), built once after training
-    trajectory.json   accuracy trajectory and TIL accuracies captured during
-                      training
+    trajectory.json   what train measured on the test rows: the accuracy
+                      trajectory, TIL accuracies and the seven ood-bench rows
+                      (``bench``), with the tasks' classes and the dataset
+                      fingerprint they were measured on
     calibration.json  per-task affine output calibration, always written (the
                       identity when ``calibrate`` is false); eval and predict
                       apply it, ood-bench compares scores without it
-    scores.bin        the finished run's scores of every kind for the pooled
-                      test rows, in that container (the bundle's [n, T]
-                      arrays, wp.T [n, C_T], labels [n], counts [T] and each
-                      task's first test row spot_x [T, d]); its header holds
-                      the tasks' classes and the dataset fingerprint.  Not
-                      written for a run trained without test rows
 
 ``load_run`` reads only the run directory, never the dataset, and not
-``scores.bin``: ``predict`` and ``dump-features --input`` need no data.  It
-checks the artifacts against the model (task sets, class ids, array shapes,
-exact container sizes), ``buffer.bin`` against the run (row count, each
-row's task and label), ``index.bin`` against the buffer and the model
+``trajectory.json``: ``predict`` and ``dump-features --input`` need no data.
+It checks the artifacts against the model (task sets, class ids, array
+shapes, exact container sizes), ``buffer.bin`` against the run (row count,
+each row's task and label), ``index.bin`` against the buffer and the model
 (per-task row counts, width, and the first row of each source task forwarded
 again within 1e-9), and checks their values (finite arrays, rates and
-calibration pairs; stored accuracies in [0, 1]).  No command forwards the
-replay buffer: the KNN indexes come from ``index.bin``.
+calibration pairs).  No command forwards the replay buffer: the KNN indexes
+come from ``index.bin``.
 
-Only ``eval`` and ``ood-bench`` read ``scores.bin`` (``_load_scores``), in
-place of the test rows, which they neither rebuild nor score.  It must hold
-the run's tasks and classes, shapes that fit them, at least one row per task
-and each label among its task's classes; the dataset must match the
-fingerprint (a synthetic ``dataset`` block and ``seed``, or the size and
-crc32 of a manifest and its test CSVs, hashed unparsed), and each task's
-first test row, scored again, must match its stored scores within 1e-9
-relative to the larger magnitude and at least 1.  Scores may be nan or inf,
-as computed.  ``_test_stream`` rebuilds the
-test rows for ``dump-features`` without ``--input``, and the full stream for
-the joint reference of ``eval --ncl`` on a cache miss (so only ``train`` and
-that miss read a manifest's train CSVs).
+Every number ``eval`` and ``ood-bench`` report is a train-time measurement
+read from ``trajectory.json`` (``_load_trajectory``): they build no scoring
+context and neither rebuild nor score the test rows.  Its accuracies must lie
+in [0, 1] and its AUCs too, or be nan; it must name the run's tasks and
+classes, and the dataset must match its fingerprint (a synthetic ``dataset``
+block and ``seed``, or the size and crc32 of a manifest and its test CSVs,
+hashed unparsed).  ``dump-features`` without ``--input`` checks that
+fingerprint too and then rebuilds the test rows (``_test_stream``); ``eval
+--ncl`` builds the full stream for the joint reference on a cache miss (so
+only ``train`` and that miss read a manifest's train CSVs).
 
 Every file a command reads is read inside ``data.reading``: a file that is
 missing, cannot be opened, is not UTF-8 or does not decode is one error line
@@ -98,28 +92,15 @@ _MODEL_MAGIC = b"TPLM"
 _STATS_MAGIC = b"TPLS"
 _BUFFER_MAGIC = b"TPLB"
 _INDEX_MAGIC = b"TPLI"
-_SCORES_MAGIC = b"TPLT"
 _CONTAINER_VERSION = 1
 #: Largest gap allowed between a stored index row and the same buffer row
 #: forwarded on load (one row and a whole batch round differently in BLAS).
 _INDEX_TOL = 1e-9
-#: Largest gap allowed between a stored score and the same test row scored
-#: on load, relative to the larger magnitude and at least 1.
-_SCORES_TOL = 1e-9
-#: The [n, T] score arrays of a ``ScoreBundle`` that ``scores.bin`` stores.
-_SCORE_ARRAYS = ("mls", "msp", "ebo", "md", "knn_dist", "knn_own")
-#: The ``scores.bin`` arrays that are not scores, so must be finite.
-_SCORED_ROWS = ("labels", "counts", "spot_x")
 
 _TOP_KEYS = {"schema_version", "seed", "out_dir", "calibrate", "dataset", "training"}
 _SYNTHETIC_KEYS = {"kind", "n_tasks", "classes_per_task", "dim", "separation",
                    "train_per_class", "test_per_class", "covariance_diag"}
 _MANIFEST_KEYS = {"kind", "path"}
-
-_BENCH_ROWS = (
-    ("MSP", "msp"), ("MLS", "mls"), ("EBO", "ebo"), ("MD", "md"),
-    ("KNN", "knn"), ("TPL-canonical", "tpl"), ("TPL-algorithm1", "tpl"),
-)
 
 _THEORY_CASES = ("sec41", "dominance", "density")
 _DENSITY_FIXTURE_SEED = 100  # data draw for the density case; probes use --seed
@@ -346,13 +327,11 @@ def _write_container(path: Path, magic: bytes, header: dict,
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _read_container(path: Path, magic: bytes, finite: tuple[str, ...] | None = None
-                    ) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """The (header, arrays) pair ``_write_container`` wrote, bit for bit; a
     file whose size differs from what its header declares, or an array
     holding a nan or inf, is malformed (the error names the first such
-    entry, e.g. ``x[3, 0]``).  With ``finite`` given, only the arrays it
-    names must be finite.
+    entry, e.g. ``x[3, 0]``).
 
     Each byte is read once: the arrays are writable views into one aligned
     buffer that the data section is read into, not copies."""
@@ -376,20 +355,17 @@ def _read_container(path: Path, magic: bytes, finite: tuple[str, ...] | None = N
             raise ParseError(f"{path}: {size} bytes, its header declares {declared}")
         values = np.empty(total, dtype="<f8")
         fh.readinto(memoryview(values).cast("B"))
-        all_finite = bool(np.isfinite(values).all())
+        finite = bool(np.isfinite(values).all())
         arrays: dict[str, np.ndarray] = {}
         for entry, shape in zip(entries, shapes):
             count = math.prod(shape)
             # a view: "<f8" is float64 on a little-endian host
             arrays[entry["name"]] = values[:count].reshape(shape).astype(np.float64, copy=False)
             values = values[count:]
-        if not all_finite:
-            bad = [(n, a) for n, a in arrays.items()
-                   if (finite is None or n in finite) and not np.isfinite(a).all()]
-            if bad:
-                name, a = bad[0]
-                index = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
-                raise ValueError(f"{name}{[int(i) for i in index]} holds a non-finite value")
+        if not finite:
+            name, a = next((n, a) for n, a in arrays.items() if not np.isfinite(a).all())
+            index = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
+            raise ValueError(f"{name}{[int(i) for i in index]} holds a non-finite value")
         return header, arrays
 
 
@@ -643,7 +619,7 @@ def _load_stats(stats_dir: Path, t: int,
     return stats, classes
 
 
-# --- stored test scores ------------------------------------------------------
+# --- dataset fingerprint -----------------------------------------------------
 
 
 def _classes_json(task_classes: dict[int, tuple[int, ...]]) -> dict[str, list[int]]:
@@ -666,28 +642,6 @@ def _dataset_fingerprint(rc: RunConfig) -> dict:
         return {"dataset": d, "seed": rc.seed}
     files = [Path(d["path"]), *data.manifest_test_paths(d["path"])]
     return {"files": [_file_stamp(path) for path in files]}
-
-
-def _scores_arrays(scores: evaluation.PooledScores,
-                   spot_x: np.ndarray) -> dict[str, np.ndarray]:
-    """The arrays of ``scores.bin``: the bundle's [n, T] scores, each task's
-    within-task probabilities ``wp.T``, the rows' labels, each task's row
-    count and each task's first test row (``spot_x``)."""
-    bundle = scores.bundle
-    arrays = {name: getattr(bundle, name) for name in _SCORE_ARRAYS}
-    arrays.update({f"wp.{t}": wp for t, wp in zip(bundle.task_ids, bundle.wp)})
-    arrays.update(labels=scores.labels, counts=np.diff(scores.bounds), spot_x=spot_x)
-    return arrays
-
-
-def _close(stored: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Where two score arrays agree: bit-equal (nan with nan included), or
-    finite and within ``_SCORES_TOL`` relative to the larger magnitude and
-    at least 1."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        scale = np.maximum(np.maximum(np.abs(stored), np.abs(fresh)), 1.0)
-        near = np.isfinite(scale) & (np.abs(stored - fresh) <= _SCORES_TOL * scale)
-    return near | (stored == fresh) | (np.isnan(stored) & np.isnan(fresh))
 
 
 def _check_dataset(path: Path, stored, rc: RunConfig) -> None:
@@ -715,75 +669,15 @@ def _check_dataset(path: Path, stored, rc: RunConfig) -> None:
                                  f"{old['size']} bytes with crc32 {old['crc32']:08x}")
 
 
-def _load_scores(run_dir: Path, run: RunArtifacts, rc: RunConfig,
-                 ctx: scoring.ScoringContext) -> evaluation.PooledScores:
-    """The scores ``train`` stored for the run's pooled test rows, checked
-    against the run (see the module docstring); ``ctx`` is the run's
-    context, which rescores each task's first test row.  A synthetic run
-    drawn without test rows has none (``EmptyTestSet``)."""
-    if rc.dataset["kind"] == "synthetic" and rc.dataset["test_per_class"] == 0:
-        raise EmptyTestSet("no test samples in any supplied dataset")
-    path = run_dir / "scores.bin"
-    task_ids = ctx.task_ids
-    with _retraining():
-        header, arrays = _read_container(path, _SCORES_MAGIC, finite=_SCORED_ROWS)
-        with data.reading(path):
-            if header["classes"] != _classes_json(run.task_classes):
-                raise ParseError(f"{path}: scored the tasks and classes {header['classes']}, "
-                                 f"which differ from the run's "
-                                 f"{_classes_json(run.task_classes)}")
-            n, n_tasks = len(arrays["labels"]), len(task_ids)
-            want = {name: (n, n_tasks) for name in _SCORE_ARRAYS}
-            want.update({f"wp.{t}": (n, len(run.task_classes[t])) for t in task_ids})
-            want.update(labels=(n,), counts=(n_tasks,), spot_x=(n_tasks, run.net.input_dim))
-            _check_shapes(arrays, want, "the run")
-            stored = header["dataset"]
-        labels, counts = arrays["labels"], arrays["counts"]
-        if not ((counts >= 1) & (counts == np.floor(counts))).all() or counts.sum() != n:
-            raise ParseError(f"{path}: counts {counts.tolist()} must be whole numbers of "
-                             f"at least 1 that sum to the {n} labels")
-        bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        ids = np.empty(n, dtype=np.int64)
-        for j, t in enumerate(task_ids):
-            classes = np.array(run.task_classes[t], dtype=np.int64)
-            hits = labels[bounds[j]:bounds[j + 1], None] == classes.astype(np.float64)
-            if not hits.any(axis=1).all():
-                i = bounds[j] + int(np.argmin(hits.any(axis=1)))
-                raise ParseError(f"{path}: row {i}: label {labels[i]:g} is not a class of "
-                                 f"task {t} (classes {classes.tolist()})")
-            ids[bounds[j]:bounds[j + 1]] = classes[np.argmax(hits, axis=1)]
-        _check_dataset(path, stored, rc)
-        fresh = scoring.compute_bundle(ctx, arrays["spot_x"])
-        firsts = bounds[:-1]
-        for name, got in [*((name, getattr(fresh, name)) for name in _SCORE_ARRAYS),
-                          *((f"wp.{t}", wp) for t, wp in zip(task_ids, fresh.wp))]:
-            kept = arrays[name][firsts]
-            close = _close(kept, got)
-            if not close.all():
-                j, col = np.unravel_index(np.argmin(close), close.shape)
-                raise ParseError(
-                    f"{path}: {name}[{firsts[j]}, {col}] is {float(kept[j, col])!r}, but "
-                    f"spot_x[{j}], task {task_ids[j]}'s first test row, scores "
-                    f"{float(got[j, col])!r}, so it was not computed by this run on these rows")
-    bundle = scoring.ScoreBundle(task_ids=list(task_ids),
-                                 wp=[arrays[f"wp.{t}"] for t in task_ids],
-                                 **{name: arrays[name] for name in _SCORE_ARRAYS})
-    return evaluation.PooledScores(bundle, ids, bounds)
-
-
 # --- saving and loading a run ------------------------------------------------
 
 
-def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict,
-             scores: dict[str, np.ndarray] | None = None) -> None:
-    """Write the run directory, with ``scores`` (``_scores_arrays``) as
-    ``scores.bin``; without them a ``scores.bin`` in ``out`` is deleted.
+def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> None:
+    """Write the run directory, with ``trajectory`` as ``trajectory.json``.
     Stats files of tasks that are not tasks of this run (left by an earlier
     run in ``out``) are deleted.  A stale or non-finite KNN index is refused
     before anything in ``out`` changes."""
     index = _index_arrays(out / "index.bin", run)
-    scores_header = None if scores is None else {
-        "classes": _classes_json(run.task_classes), "dataset": _dataset_fingerprint(rc)}
     out.mkdir(parents=True, exist_ok=True)
     (out / "stats").mkdir(exist_ok=True)
     for path in (out / "stats").glob("task_*"):
@@ -797,10 +691,6 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict,
         _save_stats(out / "stats", run.stats[t], run.task_classes[t])
     _save_buffer(out / "buffer.bin", run.buffer)
     _write_container(out / "index.bin", _INDEX_MAGIC, {}, index)
-    if scores is None:
-        (out / "scores.bin").unlink(missing_ok=True)
-    else:
-        _write_container(out / "scores.bin", _SCORES_MAGIC, scores_header, scores)
     _write_buffer_csv(out / "buffer.csv", run.buffer)  # export only; never read back
     (out / "trajectory.json").write_text(_dump_json(trajectory), encoding="utf-8")
     records = [{"task_id": t, "sigma1": s1, "sigma2": s2}
@@ -894,19 +784,24 @@ def _test_stream(run: RunArtifacts, rc: RunConfig, train: bool = False) -> data.
     return stream
 
 
-def _load_trajectory(run_dir: Path, task_ids: list[int]
-                     ) -> tuple[list[float], dict[int, dict[int, float]], dict[int, float]]:
-    """The (trajectory, per-task matrix, TIL accuracies) stored at train
-    time, checked against the run's ``task_ids``: all empty (a run trained
-    without test rows), or one accuracy per task, for each task t the
-    accuracies of exactly the tasks up to t, and one TIL accuracy per
-    task."""
+def _load_trajectory(run_dir: Path, run: RunArtifacts, rc: RunConfig
+                     ) -> tuple[list[float], dict[int, dict[int, float]], dict[int, float],
+                                dict[str, dict]]:
+    """The (trajectory, per-task matrix, TIL accuracies, ood-bench rows)
+    measured at train time: all empty (a run trained without test rows), or
+    one accuracy per task, for each task t the accuracies of exactly the
+    tasks up to t, one TIL accuracy per task and every ood-bench row.  They
+    must have been measured on the run's classes and, by the fingerprint
+    (``_check_dataset``), on the dataset its config names."""
+    task_ids = run.task_ids()
+    path = run_dir / "trajectory.json"
 
     def decode(payload):
         trajectory = [evaluation.check_accuracy("trajectory", v)
                       for v in payload["trajectory"]]
         per_task = evaluation.decode_task_matrix(payload["per_task"])
         til = evaluation.decode_task_accuracies(payload["til"], "til")
+        bench = evaluation.decode_bench(payload["bench"], task_ids, bool(trajectory))
         if trajectory or per_task or til:
             if len(trajectory) != len(task_ids):
                 raise ValueError(f"trajectory has {len(trajectory)} entries, "
@@ -918,13 +813,29 @@ def _load_trajectory(run_dir: Path, task_ids: list[int]
             if sorted(til) != sorted(task_ids):
                 raise ValueError(f"til holds the tasks {sorted(til)}, "
                                  f"the run needs {sorted(task_ids)}")
-        return trajectory, per_task, til
+        classes = _classes_json(run.task_classes)
+        if payload["classes"] != classes:
+            raise ValueError(f"measured the tasks and classes {payload['classes']}, "
+                             f"which differ from the run's {classes}")
+        return (trajectory, per_task, til, bench), payload["dataset"]
 
     with _retraining():
-        return data.read_json(run_dir / "trajectory.json", decode)
+        measured, dataset = data.read_json(path, decode)
+        _check_dataset(path, dataset, rc)
+    return measured
 
 
 # --- subcommands -------------------------------------------------------------
+
+
+def _check_out_dir(out: Path) -> None:
+    """Refuse, before any work, a run directory that cannot be made: one
+    that exists as another kind of file, or whose nearest existing ancestor
+    is not a directory."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        where = "it" if existing == out else str(existing)
+        raise ConfigError(f"{out}: cannot be a run directory ({where} is not a directory)")
 
 
 def cmd_train(args) -> int:
@@ -934,18 +845,21 @@ def cmd_train(args) -> int:
     if out is None:
         raise ConfigError("no output directory: set out_dir in the config or --out")
     rc.out_dir = str(out)
+    _check_out_dir(Path(out))
     stream = build_stream(rc)
     run = trainer.run_sequence(stream, rc.training, rc.seed, calibrate=rc.calibrate)
 
     has_tests = all(d.test_x.shape[0] > 0 for d in stream.tasks)
     payload: dict = {"score_kind": "tpl", "calibrated": rc.calibrate,
-                     "trajectory": [], "per_task": {}, "til": {}}
-    scores = None
+                     "trajectory": [], "per_task": {}, "til": {}, "bench": {},
+                     "classes": _classes_json(run.task_classes),
+                     "dataset": _dataset_fingerprint(rc)}
     if has_tests:
-        # the finished run's scores of every kind: the last checkpoint of the
-        # trajectory reads them, and scores.bin keeps them for eval and ood-bench
-        pooled = evaluation.pooled_scores(scoring.context_from_run(run), stream)
-        scores = _scores_arrays(pooled, np.stack([d.test_x[0] for d in stream.tasks]))
+        # the finished run's scores of every kind, which depend on no
+        # calibration: the last checkpoint of the trajectory and the
+        # ood-bench rows read them
+        shared = scoring.context_from_run(run, calibrated=False)
+        pooled = evaluation.pooled_scores(shared, stream)
         trajectory, per_task = evaluation.accuracy_trajectory(run, stream, "tpl",
                                                               bundle=pooled.bundle)
         payload["trajectory"] = trajectory
@@ -954,7 +868,8 @@ def cmd_train(args) -> int:
             str(t): acc
             for t, acc in evaluation.til_accuracies(run.net, stream.tasks).items()
         }
-    save_run(run, rc, Path(out), payload, scores)
+        payload["bench"] = evaluation.bench_rows(shared, pooled)
+    save_run(run, rc, Path(out), payload)
     if has_tests:
         for t, acc in zip(run.task_ids(), payload["trajectory"]):
             _say(args, f"A<={t} {acc:.6f}")
@@ -992,14 +907,15 @@ def _ncl_reference(ncl_dir: Path, run: RunArtifacts,
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
-    trajectory, per_task, til = _load_trajectory(run_dir, run.task_ids())
+    trajectory, per_task, til, bench = _load_trajectory(run_dir, run, rc)
     if not trajectory:
         raise EmptyTestSet("run has no stored trajectory (trained without tests)")
-    ctx = scoring.context_from_run(run)
-    pooled = _load_scores(run_dir, run, rc, ctx)
+    # calibration changes no detection score: the row of the run's variant holds its AUCs
+    row = bench[f"TPL-{rc.training.score_variant}"]
+    ood = ({int(t): v for t, v in row["auc_per_task"].items()}, row["auc_mean"])
     ncl_dir = getattr(args, "ncl", None)
     ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), run, rc)
-    report = evaluation.scored_report(ctx, pooled, (trajectory, per_task), til, ncl)
+    report = evaluation.metrics_report((trajectory, per_task), til, ood, ncl)
     out = Path(getattr(args, "out", None) or run_dir / "metrics.json")
     out.write_text(_dump_json(report.as_dict()), encoding="utf-8")
     _say(args, f"A_last {report.a_last:.6f}")
@@ -1032,37 +948,17 @@ def cmd_predict(args) -> int:
 def cmd_ood_bench(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
-    # Score kinds are compared uncalibrated on a shared model so each row
-    # differs only in the task-id score.  The variants share one context's
-    # KNN indexes, and the score bundle depends on neither the score kind nor
-    # the variant, so the one train stored for the pooled test rows serves
-    # every row.
-    shared = scoring.context_from_run(run, calibrated=False)
-    pooled = _load_scores(run_dir, run, rc, shared)
-    single = shared.n_tasks() == 1
-    scores: dict[str, dict] = {}
-    pairs: list[tuple[float, float]] = []
-    for label, kind in _BENCH_ROWS:
-        variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
-        ctx = dataclasses.replace(shared, variant=variant)
-        acc = evaluation.cil_accuracy(ctx, pooled, kind)
-        if single:
-            per_task, mean_auc = {}, None
-        else:
-            aucs, mean_auc = evaluation.task_ood_aucs(ctx, pooled, kind)
-            per_task = {str(t): v for t, v in sorted(aucs.items())}
-            pairs.append((mean_auc, acc))
-        scores[label] = {
-            "auc_per_task": per_task,
-            "auc_mean": mean_auc,
-            "cil_last_acc": acc,
-        }
+    scores = _load_trajectory(run_dir, run, rc)[3]
+    if not scores:
+        raise EmptyTestSet("no test samples in any supplied dataset")
+    single = len(run.task_ids()) == 1
     r = slope = None
     if not single:
-        try:
+        # in BENCH_ROWS order, which the fit's float sums depend on
+        pairs = [(scores[label]["auc_mean"], scores[label]["cil_last_acc"])
+                 for label, _ in evaluation.BENCH_ROWS]
+        with contextlib.suppress(DegenerateVariance):  # all rows tied on one axis
             r, slope = evaluation.auc_acc_correlation(pairs)
-        except DegenerateVariance:
-            pass  # all rows tied on one axis: leave the fit fields null
     report = {
         "calibration": "off",
         "auc_applicable": not single,
@@ -1074,7 +970,7 @@ def cmd_ood_bench(args) -> int:
     out.write_text(_dump_json(report), encoding="utf-8")
     scatter = Path(args.scatter or run_dir / "ood_scatter.csv")
     rows = ["score,auc_mean,cil_last_acc"]
-    for label, _ in _BENCH_ROWS:
+    for label, _ in evaluation.BENCH_ROWS:
         entry = scores[label]
         auc_cell = "" if entry["auc_mean"] is None else _fmt(entry["auc_mean"])
         rows.append(f"{label},{auc_cell},{_fmt(entry['cil_last_acc'])}")
@@ -1082,7 +978,7 @@ def cmd_ood_bench(args) -> int:
 
     header = f"{'score':<16s} {'auc_mean':>10s} {'cil_last_acc':>13s}"
     _say(args, header)
-    for label, _ in _BENCH_ROWS:
+    for label, _ in evaluation.BENCH_ROWS:
         entry = scores[label]
         auc_text = "n/a" if entry["auc_mean"] is None else f"{entry['auc_mean']:.4f}"
         _say(args, f"{label:<16s} {auc_text:>10s} {entry['cil_last_acc']:>13.4f}")
@@ -1179,6 +1075,7 @@ def cmd_dump_features(args) -> int:
     if getattr(args, "input", None):
         x, labels = data.read_feature_file(Path(args.input), run.net.input_dim)
     else:
+        _load_trajectory(run_dir, run, rc)  # the dataset must match its fingerprint
         dataset = _test_stream(run, rc).task(t)
         x, labels = dataset.test_x, dataset.test_y
         if x.shape[0] == 0:
@@ -1266,10 +1163,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The commands that read each global flag; ``--quiet`` is read by all.
+_FLAG_READERS = {
+    "--seed": ("train", "theory-check"),
+    "--out": ("train", "eval", "ood-bench", "theory-check", "dump-features"),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, readers in _FLAG_READERS.items():
+            if hasattr(args, flag[2:]) and args.command not in readers:
+                raise ConfigError(f"{flag} is not read by {args.command} "
+                                  f"(only by {', '.join(readers)})")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ literal forgetting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -302,6 +302,64 @@ def task_ood_aucs(
     return aucs, stable_mean(list(aucs.values()))
 
 
+#: The ``ood-bench`` rows: each label and the score kind that drives it
+#: (the two TPL rows differ in the composition variant their labels name).
+BENCH_ROWS = (
+    ("MSP", "msp"), ("MLS", "mls"), ("EBO", "ebo"), ("MD", "md"),
+    ("KNN", "knn"), ("TPL-canonical", "tpl"), ("TPL-algorithm1", "tpl"),
+)
+
+
+def bench_rows(shared: scoring.ScoringContext, pooled: PooledScores) -> dict[str, dict]:
+    """The ``ood-bench`` row of each label of ``BENCH_ROWS``, in JSON form:
+    per-task detection AUC keyed ``str(t)`` (none for a single task), its
+    mean, and the CIL accuracy when that score picks the task.  ``shared``
+    is the run's uncalibrated context and ``pooled`` its bundle of every
+    kind for the pooled test rows, so the rows differ only in the score."""
+    single = shared.n_tasks() == 1
+    rows: dict[str, dict] = {}
+    for label, kind in BENCH_ROWS:
+        variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
+        ctx = replace(shared, variant=variant)
+        aucs, mean_auc = ({}, None) if single else task_ood_aucs(ctx, pooled, kind)
+        rows[label] = {
+            "auc_per_task": {str(t): v for t, v in sorted(aucs.items())},
+            "auc_mean": mean_auc,
+            "cil_last_acc": cil_accuracy(ctx, pooled, kind),
+        }
+    return rows
+
+
+def decode_bench(payload: dict, task_ids: list[int], scored: bool) -> dict[str, dict]:
+    """Inverse of ``bench_rows`` for a run of ``task_ids``: every row of
+    ``BENCH_ROWS`` if the run was ``scored`` on test rows, else none.  A row
+    holds one AUC per task, in [0, 1] or nan, and their mean (``{}`` and
+    null for a single task), and an accuracy."""
+    labels = [label for label, _ in BENCH_ROWS] if scored else []
+    if sorted(payload) != sorted(labels):
+        raise ValueError(f"bench holds the rows {sorted(payload)}, expected {sorted(labels)}")
+    want = [] if len(task_ids) == 1 else sorted(task_ids)
+    need = f"the tasks {want} with their mean" if want else "none (a single task)"
+
+    def auc(name: str, v) -> float:  # nan when a side held a nan score
+        return v if isinstance(v, float) and math.isnan(v) else check_accuracy(name, v)
+
+    rows: dict[str, dict] = {}
+    for label in labels:
+        row, where = payload[label], f"bench [{label}]"
+        aucs = {_task_key(t): auc(f"{where} auc_per_task [{t}]", v)
+                for t, v in row["auc_per_task"].items()}
+        if sorted(aucs) != want or (row["auc_mean"] is None) == bool(want):
+            raise ValueError(f"{where} holds AUCs of the tasks {sorted(aucs)} with mean "
+                             f"{row['auc_mean']!r}, the run needs {need}")
+        rows[label] = {
+            "auc_per_task": {str(t): v for t, v in sorted(aucs.items())},
+            "auc_mean": auc(f"{where} auc_mean", row["auc_mean"]) if want else None,
+            "cil_last_acc": check_accuracy(f"{where} cil_last_acc", row["cil_last_acc"]),
+        }
+    return rows
+
+
 def auc_acc_correlation(pairs: list[tuple[float, float]]) -> tuple[float, float]:
     """Pearson r and least-squares slope of accuracy on detection AUC."""
     if len(pairs) < 3:
@@ -417,31 +475,28 @@ def compute_report(
     trajectory: tuple[list[float], dict[int, dict[int, float]]] | None = None,
 ) -> MetricsReport:
     """All metrics for a finished run on ``stream``'s test rows (see
-    ``scored_report``).  ``trajectory`` is ``accuracy_trajectory``'s result
+    ``metrics_report``).  ``trajectory`` is ``accuracy_trajectory``'s result
     stored at train time; without it the trajectory is recomputed from the
     run's checkpoints."""
     if trajectory is None:
         trajectory = accuracy_trajectory(run, stream, score_kind)
-    return scored_report(scoring.context_from_run(run), stream, trajectory,
-                         til_accuracies(run.net, stream.tasks), ncl, score_kind)
+    ood = ({}, None)
+    if len(stream) > 1:
+        ood = task_ood_aucs(scoring.context_from_run(run), stream, score_kind)
+    return metrics_report(trajectory, til_accuracies(run.net, stream.tasks), ood, ncl)
 
 
-def scored_report(
-    ctx: scoring.ScoringContext,
-    scores: TaskStream | PooledScores,
+def metrics_report(
     trajectory: tuple[list[float], dict[int, dict[int, float]]],
     til: dict[int, float],
+    ood: tuple[dict[int, float], float | None],
     ncl: NclReference | None = None,
-    score_kind: str = "tpl",
 ) -> MetricsReport:
-    """All metrics for the finished run of ``ctx`` from its trajectory and
-    TIL accuracies and the test rows of ``scores`` (or their
-    ``PooledScores``): forgetting only when a reference is supplied,
-    detection AUC only when the run has more than one task."""
+    """All metrics for a finished run from its trajectory, TIL accuracies and
+    per-task detection AUCs with their mean (``{}`` and ``None`` for a
+    single task); forgetting only when a reference is supplied."""
     accs, per_task = trajectory
-    ood, ood_mean = {}, None
-    if ctx.n_tasks() > 1:
-        ood, ood_mean = task_ood_aucs(ctx, scores, score_kind)
+    ood, ood_mean = ood
     f_last = f_aia = None
     if ncl is not None:
         f_last, f_aia = forgetting_rates(per_task, ncl)

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import struct
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tpl import cli, data, evaluation, hat_mlp, scoring, theory_lab, trainer
-from tpl.errors import ConfigError, DegenerateVariance, ParseError
+from tpl.errors import ConfigError, DegenerateVariance, DimensionMismatch, ParseError
 from tpl.numerics import RngState
 from tpl.trainer import clone_config
 
@@ -290,11 +291,10 @@ def _input_reader(command: str, *flags: str):
 
 def _run_file_reader(name: str):
     """Reader case: a command reads the file ``name`` of a copy of the run
-    (``eval`` for ``trajectory.json`` and ``scores.bin``, ``predict`` for the
-    rest)."""
+    (``eval`` for ``trajectory.json``, ``predict`` for the rest)."""
     def case(tmp_path, run_dir, probe):
         run = Path(shutil.copytree(run_dir, tmp_path / "run"))
-        if name in ("trajectory.json", "scores.bin"):
+        if name == "trajectory.json":
             argv = ["eval", "--out", str(tmp_path / "out.json")]
         else:
             argv = ["predict", "--input", str(probe), "--output", str(tmp_path / "out.csv")]
@@ -328,7 +328,6 @@ READERS = {
     "stats/task_1.json": _run_file_reader("stats/task_1.json"),
     "calibration.json": _run_file_reader("calibration.json"),
     "trajectory.json": _run_file_reader("trajectory.json"),
-    "scores.bin": _run_file_reader("scores.bin"),
     "ncl cache": _ncl_cache_reader,
 }
 
@@ -810,10 +809,7 @@ class TestExitCodes:
         path, argv = READERS[reader](tmp_path, run_dir, probe_file[0])
         break_file, problem = READ_FAULTS[fault]
         break_file(path)
-        if path.suffix == ".bin" and fault in ("not-utf-8", "undecodable"):
-            # a binary file is not decoded as text: its first bytes are its magic
-            problem = f": bad magic {path.read_bytes()[:4]!r}, expected {cli._SCORES_MAGIC!r}"
-        elif problem is None:  # content that does not decode
+        if problem is None:  # content that does not decode
             problem = (":1:2: Expecting property name enclosed in double quotes"
                        if path.suffix == ".json"
                        else ":1: invalid literal for int() with base 10: 'x'")
@@ -871,6 +867,42 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["eval"], "--seed"), (["ood-bench"], "--seed"),
+        (["dump-features", "--task-id", "1"], "--seed"),
+        (["predict", "--input", "in.csv", "--output", "out.csv"], "--seed"),
+        (["predict", "--input", "in.csv", "--output", "out.csv"], "--out"),
+    ])
+    @pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+    def test_a_global_flag_the_command_does_not_read_exits_2(
+            self, run_dir, tmp_path, monkeypatch, argv, flag, before):
+        monkeypatch.chdir(tmp_path)  # relative paths land in tmp_path
+        given = [flag, "99" if flag == "--seed" else "out.json"]
+        code, out, err = run_cli(*(given + argv if before else argv + given),
+                                 "--run", str(run_dir))
+        assert (code, out) == (2, ""), err
+        assert err == (f"error: {flag} is not read by {argv[0]} "
+                       f"(only by {', '.join(cli._FLAG_READERS[flag])})\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("target,problem", [
+        ("afile", "it is not a directory"),
+        ("afile/run", "{tmp}/afile is not a directory"),
+        ("afile/deeper/run", "{tmp}/afile is not a directory"),
+    ])
+    def test_train_refuses_an_output_directory_it_cannot_make_before_training(
+            self, tmp_path, monkeypatch, target, problem):
+        (tmp_path / "afile").write_text("a regular file")
+        calls = []
+        monkeypatch.setattr(trainer, "run_sequence", lambda *a, **k: calls.append(a))
+        out = tmp_path / target
+        cfg = write_config(tmp_path / "c.json", out)
+        code, stdout, err = run_cli("train", "--config", str(cfg))
+        assert (code, stdout, calls) == (2, "", [])
+        assert err == (f"error: {out}: cannot be a run directory "
+                       f"({problem.format(tmp=tmp_path)})\n")
+        assert (tmp_path / "afile").read_text() == "a regular file"
+
     def test_bad_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             with contextlib.redirect_stderr(io.StringIO()):
@@ -882,8 +914,9 @@ class TestExitCodes:
 
 class TestTrain:
     def test_run_directory_layout(self, run_dir):
-        for name in (*RUN_FILES, "scores.bin"):
+        for name in RUN_FILES:
             assert (run_dir / name).is_file(), name
+        assert not (run_dir / "scores.bin").exists()
         stats = sorted(p.name for p in (run_dir / "stats").iterdir())
         assert stats == ["task_1.bin", "task_1.json", "task_2.bin", "task_2.json"]
 
@@ -909,8 +942,8 @@ class TestTrain:
         code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
         assert code == 0, err
         assert calls["indexed_context"] == 3 + 1 + 1
-        # one replay forward per checkpoint: the calibration fit, the stored
-        # scores and the last checkpoint share the finished run's index
+        # one replay forward per checkpoint: the calibration fit, the
+        # ood-bench rows and the last checkpoint share the finished run's index
         assert calls["replay_index"] == 3
 
     def test_retraining_fewer_tasks_deletes_only_the_old_task_files(self, tmp_path,
@@ -1428,25 +1461,23 @@ class TestEval:
         original = test_csv.read_bytes()
         rows = test_csv.read_text().splitlines()
         test_csv.write_text("\n".join(row + ",0.5" for row in rows) + "\n")
-        argv = ["dump-features", "--task-id", "1", "--run", str(tmp_path / "run"),
-                "--out", str(tmp_path / "out")]
-        code, out, err = run_cli(*argv)
-        assert code == 3 and out == ""
-        assert err == f"error: {test_csv}:1: expected 3 features, got 4\n"
-        # eval and ood-bench parse no test row: the CSV's crc32 has changed
-        for command in ("eval", "ood-bench"):
-            code, out, err = run_cli(command, "--run", str(tmp_path / "run"),
-                                     "--out", str(tmp_path / "out"))
+        # every command that reads the dataset checks its fingerprint first
+        for command in ("eval", "ood-bench", "dump-features"):
+            code, out, err = run_cli(*report_argv(command, tmp_path / "run", tmp_path))
             assert code == 3 and out == ""
             assert err.startswith(f"error: {test_csv}: ")
-            assert err.endswith(f"{tmp_path / 'run' / 'scores.bin'} was computed on "
+            assert err.endswith(f"{tmp_path / 'run' / 'trajectory.json'} was computed on "
                                 f"{len(original)} bytes with crc32 "
                                 f"{zlib.crc32(original):08x}; retrain the run\n")
+        # the test rows are rebuilt at the run's input width
+        rc = cli.load_run_config(tmp_path / "run" / "config.json")
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"{test_csv}:1: expected 3 features, got 4")):
+            cli.build_stream(rc, False, 3)
         doc = json.loads(manifest.read_text())
         manifest.write_text(json.dumps({**doc, "dim": 4}))
-        code, _, err = run_cli(*argv)
-        assert code == 3
-        assert err == f"error: {manifest}: dim 4, expected 3\n"
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{manifest}: dim 4, expected 3")):
+            cli.build_stream(rc, False, 3)
 
 
 # --- predict -----------------------------------------------------------------
@@ -1618,7 +1649,7 @@ def per_row_bench_report(run_dir) -> dict:
     classes = {d.task_id: d.classes for d in stream.tasks}
     single = len(stream) == 1
     scores, pairs = {}, []
-    for label, kind in cli._BENCH_ROWS:
+    for label, kind in evaluation.BENCH_ROWS:
         variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
         ctx = scoring.build_context(
             run.net, run.stats, run.buffer,
@@ -1686,16 +1717,16 @@ class TestOodBench:
         assert (run_dir / "ood_bench.json").read_bytes() == before
 
     @pytest.mark.parametrize("which", ["run_dir", "single_task_run_dir"])
-    def test_one_bundle_matches_per_row_scoring(self, request, which, tmp_path,
-                                                monkeypatch):
+    def test_stored_rows_match_per_row_scoring(self, request, which, tmp_path,
+                                               monkeypatch):
         target = request.getfixturevalue(which)
         expected = per_row_bench_report(target)
         rows_scored = []
         real = scoring.compute_bundle
 
-        def spy(ctx, x):
+        def spy(ctx, x, *args):
             rows_scored.append(x.shape[0])
-            return real(ctx, x)
+            return real(ctx, x, *args)
 
         monkeypatch.setattr(scoring, "compute_bundle", spy)
         out = tmp_path / "bench.json"
@@ -1703,7 +1734,7 @@ class TestOodBench:
                                "--out", str(out),
                                "--scatter", str(tmp_path / "scatter.csv"))
         assert code == 0, err
-        assert len(rows_scored) == 1
+        assert rows_scored == []  # the rows are train's measurements
         assert json.loads(out.read_text()) == expected
 
     def test_single_task_run_marks_auc_not_applicable(self, single_task_run_dir):
@@ -1719,45 +1750,28 @@ class TestOodBench:
         assert "not applicable" in out
 
 
-# --- scores.bin --------------------------------------------------------------
-
-def rewrite_scores_bin(change):
-    return rewrite_container(cli._SCORES_MAGIC, change)
-
-
-def _shift_first_spot_row(arrays) -> None:
-    arrays["spot_x"][0, 0] += 1.0
-
+# --- measurements stored in trajectory.json ----------------------------------
 
 def report_argv(command: str, run: Path, tmp_path: Path) -> list[str]:
-    """``command`` (``eval`` or ``ood-bench``) on ``run``, writing only
-    paths named ``out*`` under ``tmp_path``."""
-    extra = ["--scatter", str(tmp_path / "out.csv")] if command == "ood-bench" else []
+    """``command`` (``eval``, ``ood-bench`` or ``dump-features`` of the test
+    rows) on ``run``, writing only paths named ``out*`` under ``tmp_path``."""
+    extra = {"ood-bench": ["--scatter", str(tmp_path / "out.csv")],
+             "dump-features": ["--task-id", "1"]}.get(command, [])
     return [command, "--run", str(run), "--out", str(tmp_path / "out.json"), *extra]
 
 
-def bench_report(shared: scoring.ScoringContext, pooled: evaluation.PooledScores) -> dict:
-    """The ood-bench report of one context's pooled scores, as the command
-    builds it: each row is a score kind (and, for TPL, a variant)."""
-    single = shared.n_tasks() == 1
-    scores, pairs = {}, []
-    for label, kind in cli._BENCH_ROWS:
-        variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
-        ctx = dataclasses.replace(shared, variant=variant)
-        acc = evaluation.cil_accuracy(ctx, pooled, kind)
-        per_task, mean_auc = {}, None
-        if not single:
-            aucs, mean_auc = evaluation.task_ood_aucs(ctx, pooled, kind)
-            per_task = {str(t): v for t, v in sorted(aucs.items())}
-            pairs.append((mean_auc, acc))
-        scores[label] = {"auc_per_task": per_task, "auc_mean": mean_auc,
-                         "cil_last_acc": acc}
+def bench_report(rows: dict) -> dict:
+    """The ood-bench report of the rows ``evaluation.bench_rows`` returns, as
+    the command builds it: the fit runs over the rows in ``BENCH_ROWS`` order."""
+    single = all(row["auc_mean"] is None for row in rows.values())
     r = slope = None
     if not single:
+        pairs = [(rows[label]["auc_mean"], rows[label]["cil_last_acc"])
+                 for label, _ in evaluation.BENCH_ROWS]
         with contextlib.suppress(DegenerateVariance):
             r, slope = evaluation.auc_acc_correlation(pairs)
     return {"calibration": "off", "auc_applicable": not single,
-            "scores": scores, "pearson_r": r, "slope": slope}
+            "scores": rows, "pearson_r": r, "slope": slope}
 
 
 #: Small configs of the benchmark's two shapes: few wide tasks with many test
@@ -1774,39 +1788,46 @@ SHAPES = {
 }
 
 
-def assert_reports_equal_the_ones_from_the_test_rows(cfg: Path, run_dir: Path) -> None:
+def assert_reports_equal_the_ones_from_the_test_rows(cfg: Path, run_dir: Path) -> dict:
     """Train ``cfg`` into ``run_dir``, run ``eval`` and ``ood-bench``, and
-    check that the scores they read from ``scores.bin`` and the reports they
-    write equal, bit for bit, those computed from the rebuilt test rows."""
+    check that the rows ``train`` stored and the reports written from them
+    equal, bit for bit, those computed from the rebuilt test rows; return
+    the stored ``trajectory.json``."""
     for argv in (["train", "--config", str(cfg)], ["eval", "--run", str(run_dir)],
                  ["ood-bench", "--run", str(run_dir)]):
         code, _, err = run_cli(*argv, "--quiet")
         assert code == 0, err
     run, rc = cli.load_run(run_dir)
     stream = cli.build_stream(rc)
-    x, labels, bounds = data.pooled_test_rows(stream.tasks)
     shared = scoring.context_from_run(run, calibrated=False)
-    fresh = scoring.compute_bundle(shared, x)
-    stored = cli._load_scores(run_dir, run, rc, shared)
-    assert stored.labels.tobytes() == labels.tobytes()
-    assert stored.bounds.tolist() == bounds.tolist()
-    assert stored.bundle.task_ids == fresh.task_ids
-    for name in cli._SCORE_ARRAYS:
-        assert getattr(stored.bundle, name).tobytes() == getattr(fresh, name).tobytes(), name
-    for got, want in zip(stored.bundle.wp, fresh.wp, strict=True):
-        assert got.tobytes() == want.tobytes()
-    trajectory = cli._load_trajectory(run_dir, run.task_ids())[:2]
+    rows = evaluation.bench_rows(shared, evaluation.pooled_scores(shared, stream))
+    stored = json.loads((run_dir / "trajectory.json").read_text())
+    assert cli._dump_json(stored["bench"]) == cli._dump_json(rows)
+    trajectory = cli._load_trajectory(run_dir, run, rc)[:2]
     report = evaluation.compute_report(run, stream, trajectory=trajectory)
     assert (run_dir / "metrics.json").read_text() == cli._dump_json(report.as_dict())
-    bench = bench_report(shared, evaluation.PooledScores(fresh, labels, bounds))
-    assert (run_dir / "ood_bench.json").read_text() == cli._dump_json(bench)
+    assert (run_dir / "ood_bench.json").read_text() == cli._dump_json(bench_report(rows))
+    return stored
 
 
-class TestStoredScores:
+def set_bench(label: str, key: str, value):
+    """``trajectory.json`` corrupter setting ``key`` of one ood-bench row."""
+    return edit_json(lambda p: p["bench"][label].update({key: value}))
+
+
+def set_bench_auc(label: str, task: str, value):
+    return edit_json(lambda p: p["bench"][label]["auc_per_task"].update({task: value}))
+
+
+#: The ood-bench labels in sorted order, as an error lists them.
+LABELS = sorted(label for label, _ in evaluation.BENCH_ROWS)
+
+
+class TestStoredMeasurements:
     @pytest.mark.parametrize("variant", ["canonical", "algorithm1"])
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_reports_from_stored_scores_equal_the_reports_from_the_test_rows(
+    def test_reports_from_stored_rows_equal_the_reports_from_the_test_rows(
             self, tmp_path, shape, seed, variant):
         run_dir = tmp_path / "run"
         cfg = write_config(tmp_path / "c.json", run_dir, seed=seed,
@@ -1814,57 +1835,85 @@ class TestStoredScores:
         assert_reports_equal_the_ones_from_the_test_rows(cfg, run_dir)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the row that overflows
-    def test_non_finite_scores_round_trip(self, tmp_path):
+    def test_nan_rows_round_trip(self, tmp_path):
         manifest = write_manifest_dataset(tmp_path / "data")
         test_csv = tmp_path / "data" / "t2_test.csv"
         rows = test_csv.read_text().splitlines()
-        rows[0] = "2," + ",".join(["-1.7e308"] * 3)  # task 2's first row: its spot row
+        rows[0] = "2," + ",".join(["-1.7e308"] * 3)  # every score of this row is nan
         test_csv.write_text("\n".join(rows) + "\n")
         run_dir = tmp_path / "run"
         cfg = write_config(tmp_path / "c.json", run_dir,
                            dataset={"kind": "manifest", "path": str(manifest)},
                            **{"training.epochs": 4, "training.buffer_capacity": 40})
-        assert_reports_equal_the_ones_from_the_test_rows(cfg, run_dir)
-        _, arrays = cli._read_container(run_dir / "scores.bin", cli._SCORES_MAGIC,
-                                        finite=cli._SCORED_ROWS)
-        for name in cli._SCORE_ARRAYS:  # row 30 is that spot row
-            assert not np.isfinite(arrays[name][30]).any(), name
-        assert "NaN" in (run_dir / "metrics.json").read_text()
+        stored = assert_reports_equal_the_ones_from_the_test_rows(cfg, run_dir)
+        for row in stored["bench"].values():
+            assert all(math.isnan(v) for v in row["auc_per_task"].values())
+            assert math.isnan(row["auc_mean"])
+        for name in ("trajectory.json", "metrics.json", "ood_bench.json"):
+            assert "NaN" in (run_dir / name).read_text(), name
 
-    @pytest.mark.parametrize("command", ["eval", "ood-bench"])
-    @pytest.mark.parametrize("name,corrupt,problem", [
-        ("scores.bin", Path.unlink, "{path}: missing"),
-        ("scores.bin", cut_to_ten_bytes, "{path}: malformed (error: unpack_from"),
-        ("scores.bin", lambda path: path.write_bytes(cli._INDEX_MAGIC + path.read_bytes()[4:]),
-         "{path}: bad magic b'TPLI', expected b'TPLT'"),
-        ("scores.bin", rewrite_scores_bin(lambda a: a.update(mls=a["mls"][:, :1])),
-         "{path}: malformed (ValueError: mls has shape [80, 1], the run needs [80, 2])"),
-        ("scores.bin", rewrite_scores_bin(set_first("labels", 2.0)),
-         "{path}: row 0: label 2 is not a class of task 1 (classes [0, 1])"),
-        ("scores.bin", rewrite_scores_bin(set_first("counts", 39.0)),
-         "{path}: counts [39.0, 40.0] must be whole numbers of at least 1 "
-         "that sum to the 80 labels"),
-        ("scores.bin", rewrite_scores_bin(_shift_first_spot_row),
-         "but spot_x[0], task 1's first test row, scores"),
-        ("config.json", edit_json(lambda p: p["dataset"].update(separation=7.0)),
-         "{path}: the dataset or seed differs from the one {run}/scores.bin was computed on"),
-        ("config.json", edit_json(lambda p: p.update(seed=4)),
-         "{path}: the dataset or seed differs from the one {run}/scores.bin was computed on"),
-    ], ids=["missing", "truncated", "bad-magic", "shape", "label-of-another-task",
-            "counts", "spot-row-edited", "synthetic-block-changed", "seed-changed"])
-    def test_a_bad_scores_bin_or_changed_dataset_exits_3_naming_the_file(
-            self, run_dir, tmp_path, command, name, corrupt, problem):
-        bad_run = Path(shutil.copytree(run_dir, tmp_path / "run"))
+    @pytest.mark.parametrize("command", ["eval", "ood-bench", "dump-features"])
+    @pytest.mark.parametrize("fixture,name,corrupt,problem", [
+        ("run_dir", "trajectory.json", Path.unlink, "{path}: missing"),
+        ("run_dir", "trajectory.json", drop_json_key("bench"),
+         "{path}: malformed (KeyError: 'bench')"),
+        ("run_dir", "trajectory.json", edit_json(lambda p: p["bench"].pop("KNN")),
+         "{path}: malformed (ValueError: bench holds the rows "
+         f"{[label for label in LABELS if label != 'KNN']}, expected {LABELS})"),
+        ("run_dir", "trajectory.json", edit_json(lambda p: p.update(bench={})),
+         "{path}: malformed (ValueError: bench holds the rows [], expected "
+         f"{LABELS})"),
+        ("run_dir", "trajectory.json", set_bench_auc("MD", "1", 1.5),
+         "{path}: malformed (ValueError: bench [MD] auc_per_task [1] must lie in "
+         "[0, 1], got 1.5)"),
+        ("run_dir", "trajectory.json",
+         edit_json(lambda p: p["bench"]["EBO"].update(auc_per_task={"1": 0.5}, auc_mean=0.5)),
+         "{path}: malformed (ValueError: bench [EBO] holds AUCs of the tasks [1] with "
+         "mean 0.5, the run needs the tasks [1, 2] with their mean)"),
+        ("run_dir", "trajectory.json", set_bench_auc("MSP", "01", 0.5),
+         "{path}: malformed (ValueError: task key '01' is not written as '1')"),
+        ("run_dir", "trajectory.json", set_bench("KNN", "auc_mean", None),
+         "{path}: malformed (ValueError: bench [KNN] holds AUCs of the tasks [1, 2] with "
+         "mean None, the run needs the tasks [1, 2] with their mean)"),
+        ("run_dir", "trajectory.json", set_bench("MLS", "cil_last_acc", float("nan")),
+         "{path}: malformed (ValueError: bench [MLS] cil_last_acc must be a finite "
+         "number, got nan)"),
+        ("run_dir", "trajectory.json", set_bench("TPL-canonical", "cil_last_acc", "0.5"),
+         "{path}: malformed (ValueError: bench [TPL-canonical] cil_last_acc must be a "
+         "finite number, got '0.5')"),
+        ("single_task_run_dir", "trajectory.json", set_bench("MD", "auc_mean", 0.5),
+         "{path}: malformed (ValueError: bench [MD] holds AUCs of the tasks [] with "
+         "mean 0.5, the run needs none (a single task))"),
+        ("single_task_run_dir", "trajectory.json", set_bench_auc("MD", "1", 0.5),
+         "{path}: malformed (ValueError: bench [MD] holds AUCs of the tasks [1] with "
+         "mean None, the run needs none (a single task))"),
+        ("run_dir", "trajectory.json", edit_json(lambda p: p["classes"].update({"2": [2, 4]})),
+         "{path}: malformed (ValueError: measured the tasks and classes "
+         "{{'1': [0, 1], '2': [2, 4]}}, which differ from the run's "
+         "{{'1': [0, 1], '2': [2, 3]}})"),
+        ("run_dir", "config.json", edit_json(lambda p: p["dataset"].update(separation=7.0)),
+         "{path}: the dataset or seed differs from the one {run}/trajectory.json was "
+         "computed on"),
+        ("run_dir", "config.json", edit_json(lambda p: p.update(seed=4)),
+         "{path}: the dataset or seed differs from the one {run}/trajectory.json was "
+         "computed on"),
+    ], ids=["missing", "old-layout", "row-missing", "no-rows", "auc-above-one",
+            "auc-task-missing", "auc-task-spelled-twice", "auc-mean-null",
+            "accuracy-nan", "accuracy-string", "single-task-auc-mean",
+            "single-task-auc", "classes-changed", "synthetic-block-changed",
+            "seed-changed"])
+    def test_a_bad_trajectory_json_or_changed_dataset_exits_3_naming_the_file(
+            self, request, tmp_path, command, fixture, name, corrupt, problem):
+        bad_run = Path(shutil.copytree(request.getfixturevalue(fixture), tmp_path / "run"))
         corrupt(bad_run / name)
         code, out, err = run_cli(*report_argv(command, bad_run, tmp_path))
         assert code == 3, err
         assert out == ""
-        assert err.startswith(f"error: {bad_run / name}: ")
-        assert problem.format(path=bad_run / name, run=bad_run) in err
-        assert err.endswith("; retrain the run\n") and err.count("\n") == 1
+        assert err == (f"error: {problem.format(path=bad_run / name, run=bad_run)}"
+                       "; retrain the run\n")
         assert not list(tmp_path.glob("out*"))
 
-    @pytest.mark.parametrize("command", ["eval", "ood-bench"])
+    @pytest.mark.parametrize("command", ["eval", "ood-bench", "dump-features"])
     @pytest.mark.parametrize("name", ["t1_test.csv", "manifest.json"])
     def test_an_edited_manifest_or_test_csv_exits_3_naming_it(self, tmp_path, command,
                                                               name):
@@ -1884,30 +1933,31 @@ class TestStoredScores:
         assert out == ""
         assert err == (f"error: {path}: {len(original)} bytes with crc32 "
                        f"{zlib.crc32(path.read_bytes()):08x}, but "
-                       f"{tmp_path / 'run' / 'scores.bin'} was computed on "
+                       f"{tmp_path / 'run' / 'trajectory.json'} was computed on "
                        f"{len(original)} bytes with crc32 {zlib.crc32(original):08x}"
                        "; retrain the run\n")
+        assert not list(tmp_path.glob("out*"))
 
-    def test_a_run_trained_without_test_rows_stores_no_scores(self, run_dir, tmp_path):
+    def test_a_run_trained_without_test_rows_stores_no_rows(self, tmp_path):
         out = tmp_path / "run"
-        shutil.copytree(run_dir, out)  # a scores.bin the new run must not keep
         cfg = write_config(tmp_path / "c.json", out,
                            **{"dataset.test_per_class": 0, "training.epochs": 4})
         code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
         assert code == 0, err
-        assert not (out / "scores.bin").exists()
+        stored = json.loads((out / "trajectory.json").read_text())
+        assert (stored["trajectory"], stored["til"], stored["bench"]) == ([], {}, {})
         for command, message in (
                 ("eval", "run has no stored trajectory (trained without tests)"),
-                ("ood-bench", "no test samples in any supplied dataset")):
+                ("ood-bench", "no test samples in any supplied dataset"),
+                ("dump-features", "task 1 has no test samples to dump")):
             code, stdout, err = run_cli(*report_argv(command, out, tmp_path))
             assert (code, stdout, err) == (3, "", f"error: {message}\n")
 
-    def test_predict_and_dump_features_never_read_scores_bin(self, run_dir, probe_file,
-                                                             tmp_path):
+    def test_predict_and_dump_features_input_never_read_trajectory_json(
+            self, run_dir, probe_file, tmp_path):
         run = Path(shutil.copytree(run_dir, tmp_path / "run"))
         commands = {
             "pred.csv": ["predict", "--input", str(probe_file[0]), "--output"],
-            "feat.csv": ["dump-features", "--task-id", "2", "--quiet", "--out"],
             "feat-in.csv": ["dump-features", "--task-id", "1", "--input",
                             str(probe_file[0]), "--quiet", "--out"],
         }
@@ -1921,29 +1971,22 @@ class TestStoredScores:
             return got
 
         before = outputs()
-        (run / "scores.bin").unlink()
+        (run / "trajectory.json").unlink()
         assert outputs() == before
 
-    def test_reports_build_no_stream_and_score_only_the_spot_rows(self, run_dir, tmp_path,
-                                                                  monkeypatch):
-        calls, rows = [], []
-        for module, name in ((cli, "build_stream"), (data, "generate_gaussian_stream")):
+    def test_reports_build_no_stream_and_score_nothing(self, run_dir, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        for module, name in ((cli, "build_stream"), (data, "generate_gaussian_stream"),
+                             (scoring, "compute_bundle"), (scoring, "indexed_context")):
             def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
-        real_bundle = scoring.compute_bundle
-
-        def counting(ctx, x, *args):
-            rows.append(x.shape[0])
-            return real_bundle(ctx, x, *args)
-
-        monkeypatch.setattr(scoring, "compute_bundle", counting)
         for command in ("eval", "ood-bench"):
             code, _, err = run_cli(*report_argv(command, run_dir, tmp_path), "--quiet")
             assert code == 0, err
         assert calls == []
-        assert rows == [2, 2]  # each task's first test row, once per command
 
     def test_a_cached_joint_reference_needs_no_training_split(self, tmp_path):
         manifest = write_manifest_dataset(tmp_path / "data")
