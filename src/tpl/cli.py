@@ -675,10 +675,12 @@ def _check_dataset(path: Path, stored, rc: RunConfig) -> None:
 def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> None:
     """Write the run directory, with ``trajectory`` as ``trajectory.json``.
     Stats files of tasks that are not tasks of this run (left by an earlier
-    run in ``out``) are deleted.  A stale or non-finite KNN index is refused
-    before anything in ``out`` changes."""
+    run in ``out``) are deleted, and so is the ``scores.bin`` that an earlier
+    layout of the run directory stored and nothing reads.  A stale or
+    non-finite KNN index is refused before anything in ``out`` changes."""
     index = _index_arrays(out / "index.bin", run)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "scores.bin").unlink(missing_ok=True)
     (out / "stats").mkdir(exist_ok=True)
     for path in (out / "stats").glob("task_*"):
         match = re.fullmatch(r"task_(-?[0-9]+)\.(json|bin)", path.name)

@@ -75,7 +75,7 @@ class TaskDataset:
                     f"task {self.task_id} {name} arrays disagree: "
                     f"x {x.shape}, y {y.shape}"
                 )
-            extra = set(np.unique(y).tolist()) - set(self.classes)
+            extra = set(y.tolist()) - set(self.classes)
             if extra:
                 raise OverlappingLabelSets(
                     f"task {self.task_id} {name} labels {sorted(extra)} "

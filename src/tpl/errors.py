@@ -67,6 +67,10 @@ class EmptyTrainingSet(TplError):
     """Training requested on a dataset with no samples."""
 
 
+class NonFiniteLoss(TplError):
+    """A training batch's loss is inf or nan; the message names task and epoch."""
+
+
 class DegenerateCovariance(TplError):
     """Covariance estimation failed (no samples, or irrecoverably singular)."""
 

@@ -264,21 +264,31 @@ def ood_auc(ind_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     U is counted, not ranked.  Against the sorted out side, an in score x
     beats ``searchsorted(ood, x, "left")`` out scores and ties with
     ``searchsorted(ood, x, "right")`` minus that many, so 2U is the sum of
-    both counts over the in side, an exact integer.  The rank-sum form
-    (R - n(n+1)/2) / (n·m) is the same real number, and both divide an
-    exactly held value (a half-integer below 2**53) by an exact integer, so
-    the two return the same float bit for bit.  The in side is sorted too
-    only because sorted keys make ``searchsorted`` several times faster.
+    both counts over the in side, an exact integer.  The ``"right"`` search
+    runs only when some in score equals an out score; without a tie both
+    counts are equal.  The rank-sum form (R - n(n+1)/2) / (n·m) is the same
+    real number, and both divide an exactly held value (a half-integer below
+    2**53) by an exact integer, so the two return the same float bit for
+    bit.  The in side is sorted too only because sorted keys make
+    ``searchsorted`` several times faster.
+
+    A float64 array is sorted in place, not copied: pass temporaries that
+    have no further use (the value depends on neither side's order).
     """
-    ind = np.sort(np.asarray(ind_scores, dtype=np.float64).ravel())
-    ood = np.sort(np.asarray(ood_scores, dtype=np.float64).ravel())
+    ind = np.asarray(ind_scores, dtype=np.float64).ravel()
+    ood = np.asarray(ood_scores, dtype=np.float64).ravel()
     if ind.size == 0 or ood.size == 0:
         raise EmptyClassList("need at least one score on each side")
-    if np.isnan(ind[-1]) or np.isnan(ood[-1]):  # np.sort puts nan last
+    ind.sort()
+    ood.sort()
+    if np.isnan(ind[-1]) or np.isnan(ood[-1]):  # sorting puts nan last
         return math.nan
-    two_u = (int(np.searchsorted(ood, ind, "left").sum())
-             + int(np.searchsorted(ood, ind, "right").sum()))
-    return two_u / (2 * ind.size * ood.size)
+    left = np.searchsorted(ood, ind, "left")
+    # ood[left] is the least out score >= x; where every out score is below
+    # x, left = m and the clipped ood[m - 1] < x reads as no tie
+    tied = (ood.take(left, mode="clip") == ind).any()
+    right = np.searchsorted(ood, ind, "right") if tied else left
+    return (int(left.sum()) + int(right.sum())) / (2 * ind.size * ood.size)
 
 
 def task_ood_aucs(

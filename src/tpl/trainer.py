@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calibration, hat_mlp, scoring
 from .data import TaskDataset, TaskStream, label_positions
-from .errors import DegenerateCovariance, EmptyTrainingSet, UnknownTask
+from .errors import DegenerateCovariance, EmptyTrainingSet, NonFiniteLoss, UnknownTask
 from .numerics import RngState, check_int, check_real, spd_inverse
 from .scoring import ReplayIndex, TaskStats, identity_calibration, md_score, mls_score
 
@@ -169,7 +169,9 @@ def train_task(
     Buffer samples (always from earlier tasks) are labeled with the task's
     everything-else index.  With an empty buffer that index is masked out of
     the softmax so the spare unit stays untouched.  Returns per-epoch mean
-    losses.  The caller consolidates the mask when the task is done.
+    losses; a batch loss that is not finite raises ``NonFiniteLoss`` at once,
+    naming the task and epoch.  The caller consolidates the mask when the
+    task is done.
     """
     net.require_task(dataset.task_id)
     if dataset.train_x.shape[0] == 0:
@@ -191,21 +193,28 @@ def train_task(
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     state = hat_mlp.init_momentum(net, dataset.task_id)
     history: list[float] = []
-    for epoch in range(1, cfg.epochs + 1):
-        perm = rng.stream(f"shuffle-epoch-{epoch}").permutation(n)
-        total = 0.0
-        for bi in range(batches_per_epoch):
-            idx = perm[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]
-            s = hat_mlp.anneal_s(bi + 1, batches_per_epoch, cfg.s_max)
-            loss, grads = hat_mlp.batch_loss_and_gradients(
-                net, x_all[idx], y_all[idx], dataset.task_id, s,
-                cfg.hat_reg_weight, mask_others=mask_others,
-            )
-            hat_mlp.masked_gradient_update(
-                net, grads, dataset.task_id, cfg.learning_rate, cfg.momentum, state
-            )
-            total += loss * idx.shape[0]
-        history.append(total / n)
+    # a diverging step overflows silently; its loss stops the task below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            perm = rng.stream(f"shuffle-epoch-{epoch}").permutation(n)
+            total = 0.0
+            for bi in range(batches_per_epoch):
+                idx = perm[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]
+                s = hat_mlp.anneal_s(bi + 1, batches_per_epoch, cfg.s_max)
+                loss, grads = hat_mlp.batch_loss_and_gradients(
+                    net, x_all[idx], y_all[idx], dataset.task_id, s,
+                    cfg.hat_reg_weight, mask_others=mask_others,
+                )
+                if not math.isfinite(loss):
+                    raise NonFiniteLoss(
+                        f"task {dataset.task_id}, epoch {epoch}: training loss is "
+                        f"{loss}; lower the learning_rate or rescale the features"
+                    )
+                hat_mlp.masked_gradient_update(
+                    net, grads, dataset.task_id, cfg.learning_rate, cfg.momentum, state
+                )
+                total += loss * idx.shape[0]
+            history.append(total / n)
     return history
 
 

@@ -903,6 +903,32 @@ class TestExitCodes:
                        f"({problem.format(tmp=tmp_path)})\n")
         assert (tmp_path / "afile").read_text() == "a regular file"
 
+    def test_a_non_finite_loss_stops_training_at_once(self, tmp_path, monkeypatch):
+        """A diverging step ends ``train`` in the batch whose loss is nan, with
+        one error line naming the task and epoch and no numpy warning (any
+        ``RuntimeWarning`` fails this suite)."""
+        calls = []
+        monkeypatch.setattr(trainer, "compute_task_stats", lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           **{"training.learning_rate": 1e300, "training.epochs": 4})
+        code, stdout, err = run_cli("train", "--config", str(cfg))
+        assert (code, stdout, calls) == (3, "", [])
+        assert err == ("error: task 1, epoch 2: training loss is nan; "
+                       "lower the learning_rate or rescale the features\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_an_overflowing_dataset_names_the_task_and_epoch_it_stops_at(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                           **{"dataset.separation": 1e300, "training.epochs": 4})
+        # drawing class means 1e300 apart overflows in data generation,
+        # which still warns; training itself adds no warning
+        with pytest.warns(RuntimeWarning) as record:
+            code, stdout, err = run_cli("train", "--config", str(cfg))
+        assert {Path(w.filename).name for w in record} == {"data.py"}
+        assert (code, stdout) == (3, "")
+        assert err == ("error: task 1, epoch 1: training loss is nan; "
+                       "lower the learning_rate or rescale the features\n")
+
     def test_bad_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             with contextlib.redirect_stderr(io.StringIO()):
@@ -961,6 +987,17 @@ class TestTrain:
         code, _, err = run_cli("predict", "--run", str(out), "--input", str(probe_file[0]),
                                "--output", str(tmp_path / "p.csv"))
         assert code == 0, err
+
+    def test_training_into_an_earlier_layout_deletes_its_scores_bin(self, tmp_path):
+        """An earlier layout of the run directory stored ``scores.bin``; no
+        reader is left for it, so a new run in that directory removes it."""
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "scores.bin").write_bytes(b"left by an earlier layout")
+        cfg = write_config(tmp_path / "c.json", out, **{"training.epochs": 4})
+        code, _, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert code == 0, err
+        assert sorted(p.name for p in out.iterdir()) == sorted([*RUN_FILES, "stats"])
 
     def test_stdout_reports_trajectory(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",

@@ -190,3 +190,35 @@ def test_theory_check_runs_with_scipy_blocked(tmp_path):
         assert cli.main(["theory-check", "--case", case, "--samples", str(samples),
                          "--out", str(report), "--quiet"]) == 0
         assert (blocked / f"{case}.json").read_bytes() == report.read_bytes(), case
+
+
+#: Trains a tiny synthetic run and runs ``theory-check --case density`` in the
+#: directory given as the first argument, then prints whether ``numpy.ma``
+#: was ever imported.
+MA_CHILD = """
+import json, sys
+from tpl import cli
+out = sys.argv[1]
+with open(f"{out}/c.json", "w") as f:
+    json.dump({"schema_version": 1, "seed": 1,
+               "dataset": {"kind": "synthetic", "n_tasks": 2, "classes_per_task": 2,
+                           "dim": 4, "separation": 6.0, "train_per_class": 20,
+                           "test_per_class": 5},
+               "training": {"epochs": 2, "hidden_widths": [8], "buffer_capacity": 8}}, f)
+assert cli.main(["train", "--config", f"{out}/c.json", "--out", f"{out}/run",
+                 "--quiet"]) == 0
+assert cli.main(["theory-check", "--case", "density", "--samples", sys.argv[2],
+                 "--out", f"{out}/density.json", "--quiet"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_train_and_theory_check_leave_numpy_ma_unloaded(tmp_path):
+    """``numpy.ma`` costs 10-15 ms to import, and no command needs it: the
+    label check of a ``TaskDataset`` reads a set, not ``np.unique``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", MA_CHILD, str(tmp_path),
+                          str(theory_lab.MIN_PROBES)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -255,6 +255,28 @@ def test_shared_draws_give_each_scorers_own_estimate():
             assert value == empirical_auc(pair, scorer)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("pair_name", sorted(FIXTURE_PAIRS))
+def test_empirical_aucs_equal_the_two_search_count_bit_for_bit(pair_name, seed):
+    """Each estimate is 2U / (2·n·m), with 2U the sum of both ``searchsorted``
+    counts of the in side against sorted copies of the out side: the one
+    search ``ood_auc`` makes when nothing ties gives the same float."""
+    pair = dataclasses.replace(FIXTURE_PAIRS[pair_name], n_samples=10_000, seed=seed)
+    root = RngState(seed)
+    xs = pair.sample_t(pair.n_samples, root.stream("in-task-draws"))
+    ys = pair.sample_c(pair.n_samples, root.stream("out-task-draws"))
+    got = empirical_aucs(pair)
+    for scorer in theory_lab.SCORER_NAMES:
+        ind = np.sort(score_samples(pair, scorer, xs))
+        ood = np.sort(score_samples(pair, scorer, ys))
+        two_u = (int(np.searchsorted(ood, ind, "left").sum())
+                 + int(np.searchsorted(ood, ind, "right").sum()))
+        assert got[scorer] == two_u / (2 * ind.size * ood.size), scorer
+    if pair_name == "narrow_impostor":  # equal means: every score is 0, all tied
+        assert not score_samples(pair, "mean_difference", np.concatenate([xs, ys])).any()
+        assert got["mean_difference"] == 0.5
+
+
 # --- threshold calibration ---------------------------------------------------
 
 def test_threshold_matches_closed_form_on_narrow_impostor():
