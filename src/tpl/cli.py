@@ -9,13 +9,15 @@ reproduce every downstream command without retraining.
     model.bin         network weights/embeddings/masks, versioned binary
     stats/task_T.json per-task class ids and score rates (task_id, classes,
                       beta_mls, beta_md)
-    stats/task_T.bin  per-task class means and shared precision, in the
-                      container model.bin uses (header + little-endian f8)
+    stats/task_T.bin  per-task class means, shared precision and the
+                      precision's lower Cholesky factor, in the container
+                      model.bin uses (header + little-endian f8)
     buffer.bin        replay samples (x, labels, source tasks) in that container
     buffer.csv        the same samples as text (label, features..., source
                       task), an export that is never read back
     index.bin         each task's two KNN indexes in that container (knn.T
-                      [n - n_T, d], own.T [n_T, d]), built once after training
+                      [n - n_T, d], own.T [n_T, d]), built once after training,
+                      rows stored as the distance kernel reads them
     trajectory.json   what train measured on the test rows: the accuracy
                       trajectory, TIL accuracies and the seven ood-bench rows
                       (``bench``), with the tasks' classes and the dataset
@@ -31,8 +33,11 @@ shapes, exact container sizes), ``buffer.bin`` against the run (row count,
 each row's task and label), ``index.bin`` against the buffer and the model
 (per-task row counts, width, and the first row of each source task forwarded
 again within 1e-9), and checks their values (finite arrays, rates and
-calibration pairs).  No command forwards the replay buffer: the KNN indexes
-come from ``index.bin``.
+calibration pairs, a lower-triangular factor with a positive diagonal).  No
+command forwards the replay buffer: the KNN indexes come from ``index.bin``,
+and no command factors a precision: ``md_score`` whitens with the stored
+factor.  A run directory written before the factor was stored exits 3 at its
+first ``stats/task_T.bin``, before ``index.bin`` is read.
 
 Every number ``eval`` and ``ood-bench`` report is a train-time measurement
 read from ``trajectory.json`` (``_load_trajectory``): they build no scoring
@@ -48,7 +53,10 @@ only ``train`` and that miss read a manifest's train CSVs).
 Every file a command reads is read inside ``data.reading``: a file that is
 missing, cannot be opened, is not UTF-8 or does not decode is one error line
 naming it, a ``ConfigError`` for ``--config`` and a ``ParseError`` for the
-rest.  A run-directory file (``config.json`` and ``trajectory.json``
+rest.  Every report, CSV and cache a command writes is written inside
+``data.writing``: a write that fails is one line, ``<path>: cannot write
+(<reason>)``, and exit 3; ``predict`` checks its ``--output`` before it
+loads the run.  A run-directory file (``config.json`` and ``trajectory.json``
 included) that is missing, malformed or does not match the run also ends
 with "retrain the run".  The config's ``score_variant`` is the published
 name (``canonical`` or ``algorithm1``) everywhere: config files, the package
@@ -181,6 +189,10 @@ def _validate_dataset(d, base_dir: Path) -> dict:
             sep = _require(d, "separation", "dataset")
             _check_positive("separation", sep)
             out["separation"] = float(sep)
+            if out["separation"] > data.MAX_SEPARATION:
+                raise ConfigError(f"dataset.separation: {sep!r} is above "
+                                  f"{data.MAX_SEPARATION:.6g}, where the squared "
+                                  "distances between class means overflow")
             cov = d.get("covariance_diag")
             if cov is not None:
                 if not isinstance(cov, list) or len(cov) != out["dim"]:
@@ -587,13 +599,27 @@ def _save_stats(stats_dir: Path, st: TaskStats, classes: tuple[int, ...]) -> Non
          "beta_mls": st.beta_mls, "beta_md": st.beta_md}
     ), encoding="utf-8")
     _write_container(stats_dir / f"task_{t}.bin", _STATS_MAGIC, {"task_id": t},
-                     {"class_means": st.class_means, "precision": st.precision})
+                     {"class_means": st.class_means, "precision": st.precision,
+                      "precision_factor": st.precision_factor})
+
+
+def _check_factor(factor: np.ndarray) -> None:
+    """Refuse a stored precision factor that is not lower triangular with a
+    positive diagonal (``_read_container`` has refused a non-finite one).
+    The common case reduces in place: no [d, d] temporary but the mask."""
+    above = np.tri(len(factor), k=-1, dtype=bool).T  # strictly above the diagonal
+    diagonal = factor.diagonal()
+    if np.any(factor, where=above) or not (diagonal > 0).all():
+        bad = (above & (factor != 0)) | np.diag(diagonal <= 0)
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"precision_factor[{i}, {j}] is {float(factor[i, j])!r}; a Cholesky "
+                         "factor is lower triangular with a positive diagonal")
 
 
 def _load_stats(stats_dir: Path, t: int,
                 net: hat_mlp.HatMlp) -> tuple[TaskStats, tuple[int, ...]]:
     """Task ``t``'s statistics and class ids, checked against the model's
-    head and width."""
+    head and width; the stored precision factor must be one (``_check_factor``)."""
     n_classes = net.heads[t].n_classes
 
     def decode(payload) -> tuple[float, float, tuple[int, ...]]:
@@ -612,10 +638,12 @@ def _load_stats(stats_dir: Path, t: int,
     with data.reading(path):
         _task_id(header["task_id"], t)
         d = net.feature_dim
-        _check_shapes(arrays, {"class_means": (n_classes, d), "precision": (d, d)},
-                      "the model")
+        _check_shapes(arrays, {"class_means": (n_classes, d), "precision": (d, d),
+                               "precision_factor": (d, d)}, "the model")
+        _check_factor(arrays["precision_factor"])
     stats = TaskStats(task_id=t, class_means=arrays["class_means"],
-                      precision=arrays["precision"], beta_mls=beta_mls, beta_md=beta_md)
+                      precision=arrays["precision"], beta_mls=beta_mls, beta_md=beta_md,
+                      precision_factor=arrays["precision_factor"])
     return stats, classes
 
 
@@ -830,6 +858,12 @@ def _load_trajectory(run_dir: Path, run: RunArtifacts, rc: RunConfig
 # --- subcommands -------------------------------------------------------------
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a report, CSV or cache file inside ``data.writing``."""
+    with data.writing(path):
+        path.write_text(text, encoding="utf-8")
+
+
 def _check_out_dir(out: Path) -> None:
     """Refuse, before any work, a run directory that cannot be made: one
     that exists as another kind of file, or whose nearest existing ancestor
@@ -896,13 +930,14 @@ def _ncl_reference(ncl_dir: Path, run: RunArtifacts,
                     "dataset": rc.dataset, "seed": rc.seed,
                     "training": run_config_payload(rc)["training"]}).encode("utf-8")
     ).hexdigest()[:16]
-    ncl_dir.mkdir(parents=True, exist_ok=True)
+    with data.writing(ncl_dir):
+        ncl_dir.mkdir(parents=True, exist_ok=True)
     cache = ncl_dir / f"ncl-{fingerprint}.json"
     if cache.exists():
         return data.read_json(cache, evaluation.decode_ncl_reference)
     ncl = evaluation.build_ncl_reference(_test_stream(run, rc, train=True),
                                          rc.training, rc.seed)
-    cache.write_text(_dump_json(evaluation.encode_ncl_reference(ncl)), encoding="utf-8")
+    _write_text(cache, _dump_json(evaluation.encode_ncl_reference(ncl)))
     return ncl
 
 
@@ -919,7 +954,7 @@ def cmd_eval(args) -> int:
     ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), run, rc)
     report = evaluation.metrics_report((trajectory, per_task), til, ood, ncl)
     out = Path(getattr(args, "out", None) or run_dir / "metrics.json")
-    out.write_text(_dump_json(report.as_dict()), encoding="utf-8")
+    _write_text(out, _dump_json(report.as_dict()))
     _say(args, f"A_last {report.a_last:.6f}")
     _say(args, f"AIA    {report.a_aia:.6f}")
     if report.ood_mean is not None:
@@ -932,6 +967,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    out = Path(args.output)
+    data.check_writable(out)
     run, rc = load_run(Path(args.run))
     x, _labels = data.read_feature_file(Path(args.input), run.net.input_dim)
     preds = scoring.predict(scoring.context_from_run(run), x, score_kind="tpl")
@@ -941,8 +978,7 @@ def cmd_predict(args) -> int:
             f"{i},{int(preds.global_class[i])},{int(preds.task_id[i])},"
             f"{_fmt(preds.p_task[i])},{rc.training.score_variant}"
         )
-    out = Path(args.output)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out, "\n".join(lines) + "\n")
     _say(args, f"{x.shape[0]} predictions written to {out}")
     return 0
 
@@ -969,14 +1005,14 @@ def cmd_ood_bench(args) -> int:
         "slope": slope,
     }
     out = Path(getattr(args, "out", None) or run_dir / "ood_bench.json")
-    out.write_text(_dump_json(report), encoding="utf-8")
+    _write_text(out, _dump_json(report))
     scatter = Path(args.scatter or run_dir / "ood_scatter.csv")
     rows = ["score,auc_mean,cil_last_acc"]
     for label, _ in evaluation.BENCH_ROWS:
         entry = scores[label]
         auc_cell = "" if entry["auc_mean"] is None else _fmt(entry["auc_mean"])
         rows.append(f"{label},{auc_cell},{_fmt(entry['cil_last_acc'])}")
-    scatter.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_text(scatter, "\n".join(rows) + "\n")
 
     header = f"{'score':<16s} {'auc_mean':>10s} {'cil_last_acc':>13s}"
     _say(args, header)
@@ -1064,7 +1100,7 @@ def cmd_theory_check(args) -> int:
             "n_used_md": check.n_used_md,
         }
     out = Path(getattr(args, "out", None) or "theory_report.json")
-    out.write_text(_dump_json(report), encoding="utf-8")
+    _write_text(out, _dump_json(report))
     _say(args, f"theory check {case}: report written to {out}")
     return 0
 
@@ -1093,7 +1129,7 @@ def cmd_dump_features(args) -> int:
                  + [_fmt(v) for v in normed[i]])
         lines.append(",".join(cells))
     out = Path(getattr(args, "out", None) or run_dir / f"features_task_{t}.csv")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out, "\n".join(lines) + "\n")
     _say(args, f"{feats.shape[0]} feature rows written to {out}")
     return 0
 

@@ -14,16 +14,20 @@ manifest.
 
 Every file the package reads is read inside ``reading``: one rule turns a
 failed read or decode into one error naming the file.  ``read_json`` is the
-one decode of a JSON text file.
+one decode of a JSON text file.  ``writing`` is its twin for the reports,
+CSVs and caches the commands write.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,10 +41,18 @@ from .errors import (
     ParseError,
     TplError,
     UnknownTask,
+    WriteError,
 )
 from .numerics import RngState, check_int, diag_gaussian_logpdf, log_sum_exp
 
 _MAX_RADIUS_ESCALATIONS = 40
+
+#: The largest ``separation`` whose squared mean distances stay finite at every
+#: radius ``_place_class_means`` may escalate to.  Two means on a sphere of
+#: radius r are at most 2r apart, the radius reaches max(separation, 1) times
+#: 1.5**(_MAX_RADIUS_ESCALATIONS - 1), and a further factor of 2 leaves room
+#: for rounding in the dot product.
+MAX_SEPARATION = math.sqrt(sys.float_info.max) / (4 * 1.5 ** (_MAX_RADIUS_ESCALATIONS - 1))
 
 
 @dataclass
@@ -295,6 +307,29 @@ def reading(path: Path, error: type[TplError] = ParseError):
         raise error(f"{path}: JSON nested too deeply") from None
     except (LookupError, TypeError, AttributeError, ValueError, struct.error, csv.Error) as exc:
         raise error(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
+
+
+@contextlib.contextmanager
+def writing(path: Path):
+    """Raise a failed write of ``path`` in the block (a missing parent, a
+    parent that is a file, a directory in its place, ...) as one
+    ``WriteError``: ``<path>: cannot write (<reason>)``."""
+    try:
+        yield
+    except OSError as exc:
+        raise WriteError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
+def check_writable(path: Path) -> None:
+    """Raise, before any work, the ``writing`` error that writing ``path``
+    would meet when its parent is missing or not a directory, or when
+    ``path`` is a directory.  Creates nothing."""
+    with writing(path):
+        if not path.parent.is_dir():
+            path.parent.stat()  # missing, or below a file: raises as open would
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def read_json(path: Path, decode=lambda doc: doc, error: type[TplError] = ParseError):

@@ -37,6 +37,10 @@ class ParseError(TplError):
     """Malformed feature file or manifest; message carries the location."""
 
 
+class WriteError(TplError):
+    """An output file could not be written; the message names it."""
+
+
 class DimensionMismatch(TplError):
     """Vector or matrix dimensions do not agree."""
 

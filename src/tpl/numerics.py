@@ -1,7 +1,8 @@
-"""Shared numeric kernels: SPD inversion, the whitened Mahalanobis distance,
-the diagonal-Gaussian log-density, the in-place k-th order statistic, average
-ranks and the rank correlation, stable reductions, seeded RNG streams, and the
-integer and real value checks every input parser uses.
+"""Shared numeric kernels: SPD inversion, a precision's Cholesky factor, the
+whitened Mahalanobis distance, the diagonal-Gaussian log-density, the
+in-place k-th order statistic, average ranks and the rank correlation, stable
+reductions, seeded RNG streams, and the integer and real value checks every
+input parser uses.
 
 Conventions used throughout the package:
 
@@ -101,30 +102,45 @@ def spd_inverse(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
+def precision_factor(precision: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor ``L`` of a precision, ``precision = L Lᵀ``,
+    the matrix ``whitened_sq`` whitens with.  Raises ``NotPositiveDefinite``
+    when the precision has none."""
+    try:
+        return np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("precision matrix is not positive definite") from None
+
+
 def mahalanobis_sq(x: np.ndarray, means: np.ndarray, precision: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of every row of ``x`` to every mean: [n, c].
 
-    The precision is factored once per call, ``precision = L Lᵀ``, and each
-    class's *differences* are whitened, ``sum(((x - μ) L)²)``: one matrix
+    The precision is factored on every call (``precision_factor``); a caller
+    that keeps the factor calls ``whitened_sq`` with it and gets the same bits.
+    Raises ``NotPositiveDefinite`` when the precision has no Cholesky factor.
+    """
+    return whitened_sq(x, means, precision_factor(precision))
+
+
+def whitened_sq(x: np.ndarray, means: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of every row of ``x`` to every mean, [n, c],
+    under the precision ``factor @ factor.T``.
+
+    Each class's *differences* are whitened, ``sum(((x - μ) L)²)``: one matrix
     product per class, into buffers allocated once per call.  The expanded
     form ``‖xL‖² − 2 xL·μL + ‖μL‖²`` must not be used instead; it cancels
     catastrophically for rows near a centroid, exactly where the inverse
-    distance ``1/d²`` is most sensitive.  Raises ``NotPositiveDefinite``
-    when the precision has no Cholesky factor.
+    distance ``1/d²`` is most sensitive.
     """
     x = np.atleast_2d(x)
-    try:
-        chol = np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("precision matrix is not positive definite") from None
     out = np.empty((x.shape[0], means.shape[0]))
     # ``diff`` takes x's memory layout, as ``x - mu`` would: the GEMM then
     # sees the same operands, and each bit matches the one-expression form.
     diff = np.empty_like(x, dtype=np.float64)
-    w = np.empty((x.shape[0], chol.shape[1]))
+    w = np.empty((x.shape[0], factor.shape[1]))
     for j, mu in enumerate(means):
         np.subtract(x, mu, out=diff)
-        np.matmul(diff, chol, out=w)
+        np.matmul(diff, factor, out=w)
         np.multiply(w, w, out=w)
         np.sum(w, axis=1, out=out[:, j])
     return out

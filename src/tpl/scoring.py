@@ -20,6 +20,12 @@ Both KNN indexes are the replay buffer through each task's extractor
 reads ``d_own``: a bundle built for other kinds (``predict`` builds one for
 its kind alone) searches one index per task, not two.
 
+A finished run is kept in the form the kernels read, so scoring a batch
+only scores: the index rows are stored as ``unit_knn_kth_distance`` reads
+them (it normalizes only the queries), and each ``TaskStats`` carries its
+precision's Cholesky factor, computed once when the statistics are fitted,
+which ``md_score`` whitens with.  Neither changes a bit of any score.
+
 The task posterior is a temperature softmax over the per-task scores; final
 class probabilities multiply within-task probability by task posterior, then
 pass through the per-task affine calibration.
@@ -38,7 +44,7 @@ import numpy as np
 
 from . import hat_mlp
 from .errors import DimensionMismatch, EmptyBufferView, UnknownTask
-from .numerics import kth_smallest, log_sum_exp, mahalanobis_sq, softmax
+from .numerics import kth_smallest, log_sum_exp, precision_factor, softmax, whitened_sq
 
 if TYPE_CHECKING:
     from .trainer import ReplayBuffer, RunArtifacts, TrainConfig
@@ -57,13 +63,23 @@ SCORE_KINDS = ("tpl", "lr", "mls", "msp", "ebo", "md", "knn")
 @dataclass
 class TaskStats:
     """Gaussian feature description of one task: per-class means, one shared
-    precision matrix, and the two score-normalization rates."""
+    precision matrix with its lower Cholesky factor, and the two
+    score-normalization rates.
+
+    Without a ``precision_factor`` the precision is factored here
+    (``numerics.precision_factor``, which raises ``NotPositiveDefinite``),
+    once per fit: ``dataclasses.replace`` and a loaded run pass it on."""
 
     task_id: int
     class_means: np.ndarray      # [n_classes, feat_dim]
     precision: np.ndarray        # [feat_dim, feat_dim]
     beta_mls: float
     beta_md: float
+    precision_factor: np.ndarray | None = None  # [feat_dim, feat_dim], lower triangular
+
+    def __post_init__(self):
+        if self.precision_factor is None:
+            self.precision_factor = precision_factor(self.precision)
 
 
 def identity_calibration(task_ids) -> dict[int, tuple[float, float]]:
@@ -85,16 +101,17 @@ def md_score(feats: np.ndarray, stats: TaskStats) -> np.ndarray:
     """Inverse squared Mahalanobis distance to the nearest class mean,
     floored at ``MD_FLOOR`` before inversion.
 
-    Distances come from ``numerics.mahalanobis_sq``, which whitens the
-    differences to each mean; the expanded quadratic form is never used, as it
-    cancels catastrophically for rows near a centroid.
+    Distances come from ``numerics.whitened_sq`` with the stored factor of
+    the precision, which whitens the differences to each mean; the expanded
+    quadratic form is never used, as it cancels catastrophically for rows
+    near a centroid.
     """
     feats = np.atleast_2d(feats)
     if feats.shape[1] != stats.class_means.shape[1]:
         raise DimensionMismatch(
             f"feature dim {feats.shape[1]} vs stats dim {stats.class_means.shape[1]}"
         )
-    quad = mahalanobis_sq(feats, stats.class_means, stats.precision)
+    quad = whitened_sq(feats, stats.class_means, stats.precision_factor)
     d2 = np.maximum(np.min(quad, axis=1), MD_FLOOR)
     return 1.0 / d2
 
@@ -109,7 +126,16 @@ def normalize_rows(feats: np.ndarray) -> np.ndarray:
 def knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
     """Euclidean distance from each (normalized) query row to its k-th
     nearest (normalized) index row; with fewer than k rows the farthest
-    available one is used.  Raises ``EmptyBufferView`` on an empty index."""
+    available one is used.  Raises ``EmptyBufferView`` on an empty index.
+    Both arguments may be raw rows; ``unit_knn_kth_distance`` is this search
+    over an index that is already normalized."""
+    return unit_knn_kth_distance(queries, normalize_rows(index), k)
+
+
+def unit_knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
+    """``knn_kth_distance`` over index rows passed as they are: only the
+    queries are normalized.  ``replay_index`` stores its rows in this form,
+    so ``compute_bundle`` searches them with no per-call pass over them."""
     if k < 1:
         raise ValueError("k must be >= 1")
     index = np.atleast_2d(index)
@@ -117,13 +143,12 @@ def knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarr
         raise EmptyBufferView("no reference samples for the KNN distance")
     neg_q = normalize_rows(queries)
     np.negative(neg_q, out=neg_q)
-    b = normalize_rows(index)
     # On the unit sphere ||q - b||^2 = 2 - 2 q.b = 2 + 2 (-q).b.  Rounding is
-    # symmetric, so neg_q @ b.T is -(q @ b.T) (a zero's sign aside, which
-    # 2 + 2t does not see), and t -> 2 + 2t stays monotone after rounding: the
-    # k-th nearest row holds each row's k-th smallest (-q).b, nan last as
-    # before, and only those n values are mapped.
-    return np.sqrt(np.maximum(2.0 + 2.0 * kth_smallest(neg_q @ b.T, k), 0.0))
+    # symmetric, so neg_q @ index.T is -(q @ index.T) (a zero's sign aside,
+    # which 2 + 2t does not see), and t -> 2 + 2t stays monotone after
+    # rounding: the k-th nearest row holds each row's k-th smallest (-q).b,
+    # nan last as before, and only those n values are mapped.
+    return np.sqrt(np.maximum(2.0 + 2.0 * kth_smallest(neg_q @ index.T, k), 0.0))
 
 
 def tpl_score(
@@ -189,20 +214,24 @@ class ScoringContext:
 
 #: Every task's two KNN indexes ``(knn, own)``: ``knn[t]`` holds the other
 #: tasks' replay rows and ``own[t]`` task t's own rows, each through task t's
-#: extractor, L2-normalized, in buffer order.
+#: extractor, L2-normalized twice (see ``replay_index``), in buffer order.
 ReplayIndex = tuple[dict[int, np.ndarray], dict[int, np.ndarray]]
 
 
 def replay_index(net: hat_mlp.HatMlp, buffer: ReplayBuffer, task_ids) -> ReplayIndex:
     """Both KNN indexes of every task in ``task_ids``.  The whole buffer goes
     through each task's extractor once; the two indexes are its rows split by
-    source task, in buffer order.  An empty buffer gives empty [0, d] views."""
+    source task, in buffer order, stored as ``unit_knn_kth_distance`` reads
+    them.  An empty buffer gives empty [0, d] views."""
     feat_dim = net.feature_dim
     knn = {t: np.empty((0, feat_dim)) for t in task_ids}
     own = {t: np.empty((0, feat_dim)) for t in task_ids}
     if len(buffer) > 0:
         for t in task_ids:
-            feats = normalize_rows(hat_mlp.features(net, buffer.x, t))
+            # Normalized twice: the second pass keeps every distance's bits equal
+            # to those of ``knn_kth_distance`` over the once-normalized rows.
+            # ROADMAP item 5(a) drops it, as an intended output change.
+            feats = normalize_rows(normalize_rows(hat_mlp.features(net, buffer.x, t)))
             knn[t] = feats[buffer.tasks != t]
             own[t] = feats[buffer.tasks == t]
     return knn, own
@@ -300,9 +329,9 @@ def compute_bundle(
         ebo[:, j] = ebo_score(logits, c)
         md[:, j] = md_score(feats, ctx.stats[t])
         if ctx.knn_index[t].shape[0] > 0:
-            knn[:, j] = knn_kth_distance(feats, ctx.knn_index[t], ctx.k)
+            knn[:, j] = unit_knn_kth_distance(feats, ctx.knn_index[t], ctx.k)
         if knn_own is not None and ctx.own_index[t].shape[0] > 0:
-            knn_own[:, j] = knn_kth_distance(feats, ctx.own_index[t], ctx.k)
+            knn_own[:, j] = unit_knn_kth_distance(feats, ctx.own_index[t], ctx.k)
     return ScoreBundle(
         task_ids=list(ctx.task_ids), mls=mls, msp=msp, ebo=ebo, md=md,
         knn_dist=knn, knn_own=knn_own, wp=wp,

@@ -26,7 +26,7 @@ from . import scoring, trainer
 from .data import TaskDataset, mixture_log_density, sample_mixture
 from .errors import IntegrationFailure, NoDensityAvailable, NoVariance
 from .evaluation import ood_auc
-from .numerics import RngState, check_real, kth_distance, mahalanobis_sq, spearman
+from .numerics import RngState, check_real, kth_distance, spearman, whitened_sq
 
 #: Recognized scoring statistics, each a quadratic in x:
 #: the log likelihood ratio, the two single-density baselines it dominates,
@@ -391,8 +391,9 @@ def density_estimator_check(
     under the *fitted* model: with one shared covariance both are monotone in
     the same minimal distance, so their rank correlation is exactly 1 (floor-
     saturated probes excluded).  Both read their distances from the shared
-    whitened-difference kernel ``numerics.mahalanobis_sq`` (never the
-    expanded quadratic form, which cancels near a centroid).  The negated
+    whitened-difference kernel ``numerics.whitened_sq`` with the fitted
+    precision's factor (never the expanded quadratic form, which cancels
+    near a centroid).  The negated
     ``DENSITY_KNN_K``-th-neighbor distance over the task's own training
     vectors is compared against the *true* mixture log-density
     (``data.mixture_log_density``); its agreement is limited by the
@@ -421,7 +422,7 @@ def density_estimator_check(
     if sign <= 0:
         raise NoVariance("fitted precision matrix is not positive definite")
     md = scoring.md_score(probes, stats)
-    d2_min = np.min(mahalanobis_sq(probes, stats.class_means, stats.precision), axis=1)
+    d2_min = np.min(whitened_sq(probes, stats.class_means, stats.precision_factor), axis=1)
     fitted_logpdf = -0.5 * (
         d2_min + dataset.dim * math.log(2.0 * math.pi) - logdet_precision
     )

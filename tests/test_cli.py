@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from tpl import cli, data, evaluation, hat_mlp, scoring, theory_lab, trainer
 from tpl.errors import ConfigError, DegenerateVariance, DimensionMismatch, ParseError
-from tpl.numerics import RngState
+from tpl.numerics import RngState, mahalanobis_sq
 from tpl.trainer import clone_config
 
 SEED = 3
@@ -161,6 +161,19 @@ def set_first(array_name: str, value: float):
     def change(arrays) -> None:
         arrays[array_name].flat[0] = value
     return change
+
+
+def set_entry(array_name: str, index: tuple[int, ...], value: float):
+    """Array edit setting one entry of ``array_name`` to ``value``."""
+    def change(arrays) -> None:
+        arrays[array_name][index] = value
+    return change
+
+
+def drop_precision_factor(arrays) -> None:
+    """Array edit leaving a ``stats/task_T.bin`` as it was written before the
+    precision factor was stored."""
+    del arrays["precision_factor"]
 
 
 def copy_sibling(name: str):
@@ -681,6 +694,8 @@ class TestExitCodes:
         ("trajectory.json", edit_json(lambda p: p["til"].pop("2"))),
         ("trajectory.json", edit_json(lambda p: p["til"].update({"3": 0.5}))),
         ("trajectory.json", edit_json(lambda p: p["til"].update({"01": 0.5}))),
+        ("stats/task_2.bin", rewrite_stats_bin(set_entry("precision_factor", (0, 1), 0.5))),
+        ("stats/task_2.bin", rewrite_stats_bin(set_entry("precision_factor", (3, 3), -1.0))),
     ], ids=["model-cut", "model-no-s_max", "calibration-no-sigma1",
             "stats-no-beta_md", "calibration-missing-task", "ncl-cache-empty",
             "model-trailing-byte", "stats-bin-cut", "stats-bin-trailing-byte",
@@ -707,7 +722,8 @@ class TestExitCodes:
             "model-header-nested-too-deeply", "config-cut", "config-unknown-key",
             "ncl-cache-task-spelled-twice", "trajectory-no-til", "trajectory-til-above-one",
             "trajectory-til-task-missing", "trajectory-til-extra-task",
-            "trajectory-til-task-spelled-twice"])
+            "trajectory-til-task-spelled-twice", "stats-bin-factor-above-diagonal",
+            "stats-bin-factor-diagonal-negative"])
     def test_malformed_artifact_exits_3_naming_the_file(self, run_dir, probe_file,
                                                         tmp_path, artifact, corrupt):
         bad_run = tmp_path / "run"
@@ -917,17 +933,32 @@ class TestExitCodes:
                        "lower the learning_rate or rescale the features\n")
         assert not (tmp_path / "run").exists()
 
-    def test_an_overflowing_dataset_names_the_task_and_epoch_it_stops_at(self, tmp_path):
+    def test_a_separation_whose_mean_distances_overflow_is_a_config_error(
+            self, tmp_path, monkeypatch):
+        """Class means 1e300 apart overflow their squared distances: the config
+        is refused before any draw, with no warning (any ``RuntimeWarning``
+        fails this suite)."""
+        calls = []
+        monkeypatch.setattr(data, "generate_gaussian_stream",
+                            lambda *a, **k: calls.append(a))
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",
                            **{"dataset.separation": 1e300, "training.epochs": 4})
-        # drawing class means 1e300 apart overflows in data generation,
-        # which still warns; training itself adds no warning
-        with pytest.warns(RuntimeWarning) as record:
-            code, stdout, err = run_cli("train", "--config", str(cfg))
-        assert {Path(w.filename).name for w in record} == {"data.py"}
-        assert (code, stdout) == (3, "")
-        assert err == ("error: task 1, epoch 1: training loss is nan; "
-                       "lower the learning_rate or rescale the features\n")
+        code, stdout, err = run_cli("train", "--config", str(cfg))
+        assert (code, stdout, calls) == (2, "", [])
+        assert err == (f"error: {cfg}: dataset.separation: 1e+300 is above "
+                       f"{data.MAX_SEPARATION:.6g}, where the squared distances "
+                       "between class means overflow\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_the_largest_separation_draws_no_overflow_at_the_largest_radius(self):
+        radius = max(data.MAX_SEPARATION, 1.0) * 1.5 ** (data._MAX_RADIUS_ESCALATIONS - 1)
+        for dim in (2, 6, 64):
+            v = np.ones(dim)
+            a = v * (radius / np.linalg.norm(v))
+            g = a - (-a)  # two antipodal means, as far apart as the sphere allows
+            with np.errstate(over="raise"):
+                assert math.isfinite(g.dot(g))
+        data.generate_gaussian_stream(2, 2, 6, data.MAX_SEPARATION, 1, 1, RngState(0))
 
     def test_bad_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -1106,7 +1137,7 @@ class TestPersistence:
             assert tuple(payload["classes"]) == trained.task_classes[t]
             assert loaded.task_classes[t] == trained.task_classes[t]
             got, want = loaded.stats[t], trained.stats[t]
-            for name in ("class_means", "precision"):
+            for name in ("class_means", "precision", "precision_factor"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert (got.beta_mls, got.beta_md) == (want.beta_mls, want.beta_md)
@@ -1260,6 +1291,186 @@ class TestPersistence:
             if name == "config.json":
                 continue  # out_dir field differs by design
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+#: The benchmark's two shapes at their full widths, with fewer rows and
+#: epochs: ``desk`` (5 tasks x 2 classes, 16 features, widths 64-64, buffer
+#: 200) and ``many-tasks`` (8 x 5, 32 features, widths 96-96, buffer 800).
+WIDE_SHAPES = {
+    "desk": {"dataset.n_tasks": 5, "dataset.classes_per_task": 2, "dataset.dim": 16,
+             "dataset.train_per_class": 30, "training.hidden_widths": [64, 64],
+             "training.buffer_capacity": 200},
+    "many-tasks": {"dataset.n_tasks": 8, "dataset.classes_per_task": 5, "dataset.dim": 32,
+                   "dataset.train_per_class": 25, "training.hidden_widths": [96, 96],
+                   "training.buffer_capacity": 800},
+}
+SHAPED_RUNS = [(shape, seed, variant) for shape in WIDE_SHAPES for seed in (1, 7)
+               for variant in ("canonical", "algorithm1")]
+
+
+@pytest.fixture(scope="module")
+def shaped_run(tmp_path_factory):
+    """``get(shape, seed, variant)``: the (trained, saved and loaded, test
+    rows) of a small run of that shape, trained on first use."""
+    cache = {}
+
+    def get(shape, seed, variant):
+        if (shape, seed, variant) not in cache:
+            root = tmp_path_factory.mktemp(f"{shape}-{seed}-{variant}")
+            cfg = write_config(root / "c.json", root / "run", seed=seed, **WIDE_SHAPES[shape],
+                               **{"dataset.test_per_class": 5, "training.epochs": 2,
+                                  "training.calibration_epochs": 5,
+                                  "training.score_variant": variant})
+            rc = cli.load_run_config(cfg)
+            stream = cli.build_stream(rc)
+            run = trainer.run_sequence(stream, rc.training, rc.seed, calibrate=True)
+            cli.save_run(run, rc, root / "run", {})
+            x = np.concatenate([d.test_x for d in stream.tasks])
+            cache[shape, seed, variant] = run, cli.load_run(root / "run")[0], x
+        return cache[shape, seed, variant]
+    return get
+
+
+class TestKernelReadyRunState:
+    """A run keeps its scoring state as the kernels read it: index rows
+    normalized twice and each precision's Cholesky factor.  Every score keeps
+    the bits the per-call normalization and factorization gave."""
+
+    @pytest.mark.parametrize("shape,seed,variant", SHAPED_RUNS)
+    def test_index_rows_and_factors_are_stored_as_the_kernels_read_them(
+            self, shaped_run, shape, seed, variant):
+        run, loaded, _ = shaped_run(shape, seed, variant)
+        source = run.buffer.tasks
+        for t in run.task_ids():
+            feats = hat_mlp.features(run.net, run.buffer.x, t)
+            twice = scoring.normalize_rows(scoring.normalize_rows(feats))
+            factor = np.linalg.cholesky(run.stats[t].precision)
+            for held in (run, loaded):
+                knn, own = held.replay_index
+                assert knn[t].tobytes() == twice[source != t].tobytes()
+                assert own[t].tobytes() == twice[source == t].tobytes()
+                assert held.stats[t].precision_factor.tobytes() == factor.tobytes()
+
+    @pytest.mark.parametrize("shape,seed,variant", SHAPED_RUNS)
+    def test_bundle_columns_equal_the_public_kernels_on_the_raw_state(
+            self, shaped_run, shape, seed, variant):
+        run, loaded, x = shaped_run(shape, seed, variant)
+        for held in (run, loaded):
+            ctx = scoring.context_from_run(held)
+            bundle = scoring.compute_bundle(ctx, x)
+            for j, t in enumerate(ctx.task_ids):
+                feats, _ = hat_mlp.forward(held.net, x, t)
+                once = scoring.normalize_rows(hat_mlp.features(held.net, held.buffer.x, t))
+                mine = held.buffer.tasks == t
+                for column, rows in ((bundle.knn_dist, ~mine), (bundle.knn_own, mine)):
+                    want = (scoring.knn_kth_distance(feats, once[rows], ctx.k)
+                            if rows.any() else np.zeros(x.shape[0]))
+                    assert column[:, j].tobytes() == want.tobytes(), (t, rows.sum())
+                st = held.stats[t]
+                d2 = np.min(mahalanobis_sq(feats, st.class_means, st.precision), axis=1)
+                want = 1.0 / np.maximum(d2, scoring.MD_FLOOR)
+                assert bundle.md[:, j].tobytes() == want.tobytes(), t
+
+    @pytest.mark.parametrize("shape,seed,variant", SHAPED_RUNS)
+    def test_predict_on_the_loaded_run_equals_predict_on_the_trained_one(
+            self, shaped_run, shape, seed, variant):
+        run, loaded, x = shaped_run(shape, seed, variant)
+        for kind in scoring.SCORE_KINDS:
+            got = scoring.predict(scoring.context_from_run(loaded), x, kind)
+            want = scoring.predict(scoring.context_from_run(run), x, kind)
+            for field in dataclasses.fields(scoring.Predictions):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.tobytes() == b.tobytes(), (kind, field.name)
+
+    def test_predict_factors_no_precision_and_normalizes_no_index_row(
+            self, run_dir, probe_file, tmp_path, monkeypatch):
+        factored, normalized, loads = [], [], []
+        cholesky, normalize, load_run = np.linalg.cholesky, scoring.normalize_rows, cli.load_run
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(m) or cholesky(m))
+        monkeypatch.setattr(scoring, "normalize_rows",
+                            lambda f: normalized.append(f) or normalize(f))
+        monkeypatch.setattr(cli, "load_run", lambda d: loads.append(load_run(d)) or loads[-1])
+        code, _, err = run_cli("predict", "--run", str(run_dir), "--input",
+                               str(probe_file[0]), "--output", str(tmp_path / "p.csv"))
+        assert code == 0, err
+        ((run, _),) = loads
+        index = [a for views in run.replay_index for a in views.values()]
+        assert factored == []
+        assert normalized  # the queries, and the spot rows load_run forwards
+        assert not any(np.may_share_memory(f, a) for f in normalized for a in index)
+
+    def test_a_run_written_before_the_factor_was_stored_exits_3_before_its_index(
+            self, run_dir, probe_file, tmp_path, monkeypatch):
+        old = tmp_path / "run"
+        shutil.copytree(run_dir, old)
+        for t in (1, 2):
+            rewrite_stats_bin(drop_precision_factor)(old / "stats" / f"task_{t}.bin")
+        monkeypatch.setattr(cli, "_load_index", lambda *a: pytest.fail("index.bin was read"))
+        code, out, err = run_cli("predict", "--run", str(old), "--input", str(probe_file[0]),
+                                 "--output", str(tmp_path / "p.csv"))
+        assert (code, out) == (3, "")
+        assert err == (f"error: {old / 'stats' / 'task_1.bin'}: malformed (ValueError: "
+                       "holds arrays ['class_means', 'precision'], the model needs "
+                       "['class_means', 'precision', 'precision_factor']); "
+                       "retrain the run\n")
+        assert not (tmp_path / "p.csv").exists()
+
+
+#: Each command that writes a report, CSV or cache, with the output flag
+#: under test set to ``target`` and every other output in ``tmp``.
+WRITERS = {
+    "predict --output": lambda run, probe, tmp, target: [
+        "predict", "--run", run, "--input", probe, "--output", target],
+    "eval --out": lambda run, probe, tmp, target: ["eval", "--run", run, "--out", target],
+    "ood-bench --out": lambda run, probe, tmp, target: [
+        "ood-bench", "--run", run, "--out", target, "--scatter", tmp / "s.csv"],
+    "ood-bench --scatter": lambda run, probe, tmp, target: [
+        "ood-bench", "--run", run, "--out", tmp / "b.json", "--scatter", target],
+    "theory-check --out": lambda run, probe, tmp, target: [
+        "theory-check", "--case", "density", "--samples", "50", "--out", target],
+    "dump-features --out": lambda run, probe, tmp, target: [
+        "dump-features", "--run", run, "--task-id", "1", "--input", probe, "--out", target],
+}
+
+#: Each way a write can fail: the output path under ``tmp`` it is made at,
+#: and the reason the error line gives.
+WRITE_FAULTS = {
+    "missing parent": (lambda tmp: tmp / "nodir" / "out", "No such file or directory"),
+    "parent is a file": (lambda tmp: tmp / "afile" / "out", "Not a directory"),
+    "target is a directory": (lambda tmp: tmp / "adir", "Is a directory"),
+}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("writer,fault", [
+        (writer, fault) for writer in WRITERS for fault in WRITE_FAULTS])
+    def test_every_writer_and_write_fault_exits_3_with_one_line_naming_the_file(
+            self, run_dir, probe_file, tmp_path, monkeypatch, writer, fault):
+        (tmp_path / "afile").write_text("a regular file")
+        (tmp_path / "adir").mkdir()
+        loads = []
+        load_run = cli.load_run
+        monkeypatch.setattr(cli, "load_run", lambda d: loads.append(d) or load_run(d))
+        make_target, reason = WRITE_FAULTS[fault]
+        target = make_target(tmp_path)
+        argv = WRITERS[writer](run_dir, probe_file[0], tmp_path, target)
+        code, out, err = run_cli(*map(str, argv))
+        assert (code, out) == (3, "")
+        assert err == f"error: {target}: cannot write ({reason})\n"
+        if writer == "predict --output":  # checked before the run is loaded
+            assert loads == []
+
+    @pytest.mark.parametrize("cache_dir,reason", [
+        ("afile", "File exists"), ("afile/ncl", "Not a directory"),
+    ], ids=["a-file", "below-a-file"])
+    def test_an_ncl_cache_directory_that_cannot_be_made_exits_3_naming_it(
+            self, run_dir, tmp_path, cache_dir, reason):
+        (tmp_path / "afile").write_text("a regular file")
+        target = tmp_path / cache_dir
+        code, out, err = run_cli("eval", "--run", str(run_dir), "--ncl", str(target),
+                                 "--out", str(tmp_path / "m.json"))
+        assert (code, out) == (3, "")
+        assert err == f"error: {target}: cannot write ({reason})\n"
 
 
 def v1_model_bytes(net) -> bytes:

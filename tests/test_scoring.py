@@ -165,6 +165,26 @@ def test_mahalanobis_sq_rejects_indefinite_precision():
         mahalanobis_sq(np.zeros((2, 2)), np.zeros((1, 2)), np.diag([1.0, -1.0]))
 
 
+def test_task_stats_factor_their_precision_once(monkeypatch):
+    rng = RngState(6).stream("factor")
+    root = rng.standard_normal((5, 5))
+    precision = root @ root.T + np.eye(5)
+    stats = trainer.TaskStats(1, rng.standard_normal((3, 5)), precision, 1.0, 1.0)
+    assert stats.precision_factor.tobytes() == np.linalg.cholesky(precision).tobytes()
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
+    x = rng.standard_normal((7, 5))
+    got = scoring.md_score(x, dataclasses.replace(stats, beta_md=2.0))
+    assert calls == []  # the MD score and ``replace`` reuse the factor
+    d2 = np.maximum(np.min(mahalanobis_sq(x, stats.class_means, precision), axis=1),
+                    scoring.MD_FLOOR)
+    assert got.tobytes() == (1.0 / d2).tobytes()
+    assert len(calls) == 1  # the public kernel factors on every call
+    with pytest.raises(NotPositiveDefinite):  # refused where the factor is computed
+        trainer.TaskStats(1, np.zeros((1, 2)), np.diag([1.0, -1.0]), 1.0, 1.0)
+
+
 # --- KNN distance -----------------------------------------------------------
 
 def test_knn_distance_hand_geometry():
@@ -580,18 +600,26 @@ def test_bundle_without_the_knn_kind_refuses_it(three_task_run, three_task_strea
         assert getattr(bundle, name).tobytes() == getattr(full, name).tobytes()
 
 
+def test_the_public_knn_kernel_is_the_core_over_a_normalized_index():
+    rng = RngState(8).stream("unit-knn")
+    queries, index = rng.standard_normal((9, 4)) * 3, rng.standard_normal((12, 4)) * 5
+    for k in (1, 3, 20):
+        core = scoring.unit_knn_kth_distance(queries, scoring.normalize_rows(index), k)
+        assert core.tobytes() == scoring.knn_kth_distance(queries, index, k).tobytes()
+
+
 def test_predict_searches_one_knn_index_per_task(three_task_run, three_task_stream,
                                                  monkeypatch):
     ctx = scoring.context_from_run(three_task_run)
     x = three_task_stream.tasks[0].test_x
     calls = []
-    kth = scoring.knn_kth_distance
+    kth = scoring.unit_knn_kth_distance
 
     def counting(queries, index, k):
         calls.append(index.shape[0])
         return kth(queries, index, k)
 
-    monkeypatch.setattr(scoring, "knn_kth_distance", counting)
+    monkeypatch.setattr(scoring, "unit_knn_kth_distance", counting)
     scoring.predict(ctx, x)
     assert calls == [ctx.knn_index[t].shape[0] for t in ctx.task_ids]
     calls.clear()
