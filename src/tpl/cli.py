@@ -481,8 +481,9 @@ def load_model(path: Path) -> hat_mlp.HatMlp:
 
 
 def _write_buffer_csv(path: Path, buffer: ReplayBuffer) -> None:
-    lines = [",".join([str(int(c))] + [_fmt(v) for v in row] + [str(int(t))])
-             for row, c, t in zip(buffer.x, buffer.labels, buffer.tasks)]
+    lines = [",".join([str(c), *map(repr, row), str(t)])
+             for row, c, t in zip(buffer.x.tolist(), buffer.labels.tolist(),
+                                  buffer.tasks.tolist())]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -923,15 +924,14 @@ _NCL_REFERENCE_VERSION = 2
 
 def _ncl_reference(ncl_dir: Path, run: RunArtifacts,
                    rc: RunConfig) -> evaluation.NclReference:
-    """The joint reference cached for this config, or, on a miss, trained on
-    the run's full stream (its training split included) and cached."""
+    """The joint reference cached for this config in the directory
+    ``ncl_dir``, or, on a miss, trained on the run's full stream (its
+    training split included) and cached there."""
     fingerprint = hashlib.sha256(
         _dump_json({"reference": _NCL_REFERENCE_VERSION,
                     "dataset": rc.dataset, "seed": rc.seed,
                     "training": run_config_payload(rc)["training"]}).encode("utf-8")
     ).hexdigest()[:16]
-    with data.writing(ncl_dir):
-        ncl_dir.mkdir(parents=True, exist_ok=True)
     cache = ncl_dir / f"ncl-{fingerprint}.json"
     if cache.exists():
         return data.read_json(cache, evaluation.decode_ncl_reference)
@@ -944,16 +944,20 @@ def _ncl_reference(ncl_dir: Path, run: RunArtifacts,
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
+    ncl_dir = None if getattr(args, "ncl", None) is None else Path(args.ncl)
+    if ncl_dir is not None:
+        with data.writing(ncl_dir):
+            ncl_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(getattr(args, "out", None) or run_dir / "metrics.json")
+    data.check_writable(out)  # after the cache directory, which may hold it
     trajectory, per_task, til, bench = _load_trajectory(run_dir, run, rc)
     if not trajectory:
         raise EmptyTestSet("run has no stored trajectory (trained without tests)")
     # calibration changes no detection score: the row of the run's variant holds its AUCs
     row = bench[f"TPL-{rc.training.score_variant}"]
     ood = ({int(t): v for t, v in row["auc_per_task"].items()}, row["auc_mean"])
-    ncl_dir = getattr(args, "ncl", None)
-    ncl = None if ncl_dir is None else _ncl_reference(Path(ncl_dir), run, rc)
+    ncl = None if ncl_dir is None else _ncl_reference(ncl_dir, run, rc)
     report = evaluation.metrics_report((trajectory, per_task), til, ood, ncl)
-    out = Path(getattr(args, "out", None) or run_dir / "metrics.json")
     _write_text(out, _dump_json(report.as_dict()))
     _say(args, f"A_last {report.a_last:.6f}")
     _say(args, f"AIA    {report.a_aia:.6f}")
@@ -972,12 +976,10 @@ def cmd_predict(args) -> int:
     run, rc = load_run(Path(args.run))
     x, _labels = data.read_feature_file(Path(args.input), run.net.input_dim)
     preds = scoring.predict(scoring.context_from_run(run), x, score_kind="tpl")
+    variant = rc.training.score_variant
+    rows = zip(preds.global_class.tolist(), preds.task_id.tolist(), preds.p_task.tolist())
     lines = ["row,predicted_class,predicted_task,p_task,score_variant"]
-    for i in range(x.shape[0]):
-        lines.append(
-            f"{i},{int(preds.global_class[i])},{int(preds.task_id[i])},"
-            f"{_fmt(preds.p_task[i])},{rc.training.score_variant}"
-        )
+    lines += [f"{i},{c},{t},{p!r},{variant}" for i, (c, t, p) in enumerate(rows)]
     _write_text(out, "\n".join(lines) + "\n")
     _say(args, f"{x.shape[0]} predictions written to {out}")
     return 0
@@ -986,6 +988,10 @@ def cmd_predict(args) -> int:
 def cmd_ood_bench(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
+    out = Path(getattr(args, "out", None) or run_dir / "ood_bench.json")
+    scatter = Path(args.scatter or run_dir / "ood_scatter.csv")
+    for path in (out, scatter):
+        data.check_writable(path)
     scores = _load_trajectory(run_dir, run, rc)[3]
     if not scores:
         raise EmptyTestSet("no test samples in any supplied dataset")
@@ -1004,9 +1010,7 @@ def cmd_ood_bench(args) -> int:
         "pearson_r": r,
         "slope": slope,
     }
-    out = Path(getattr(args, "out", None) or run_dir / "ood_bench.json")
     _write_text(out, _dump_json(report))
-    scatter = Path(args.scatter or run_dir / "ood_scatter.csv")
     rows = ["score,auc_mean,cil_last_acc"]
     for label, _ in evaluation.BENCH_ROWS:
         entry = scores[label]
@@ -1029,6 +1033,8 @@ def cmd_ood_bench(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
+    out = Path(getattr(args, "out", None) or "theory_report.json")
+    data.check_writable(out)
     seed = _int_flag(args, "--seed", 0, 0)
     case = args.case
     if case == "sec41":
@@ -1099,7 +1105,6 @@ def cmd_theory_check(args) -> int:
             "knn_spearman": check.knn_spearman,
             "n_used_md": check.n_used_md,
         }
-    out = Path(getattr(args, "out", None) or "theory_report.json")
     _write_text(out, _dump_json(report))
     _say(args, f"theory check {case}: report written to {out}")
     return 0
@@ -1109,6 +1114,8 @@ def cmd_dump_features(args) -> int:
     run_dir = Path(args.run)
     run, rc = load_run(run_dir)
     t = args.task_id
+    out = Path(getattr(args, "out", None) or run_dir / f"features_task_{t}.csv")
+    data.check_writable(out)
     run.net.require_task(t)
     if getattr(args, "input", None):
         x, labels = data.read_feature_file(Path(args.input), run.net.input_dim)
@@ -1123,12 +1130,8 @@ def cmd_dump_features(args) -> int:
     d = feats.shape[1]
     header = (["label"] + [f"f{j}" for j in range(d)] + [f"n{j}" for j in range(d)])
     lines = [",".join(header)]
-    for i in range(feats.shape[0]):
-        cells = ([str(int(labels[i]))]
-                 + [_fmt(v) for v in feats[i]]
-                 + [_fmt(v) for v in normed[i]])
-        lines.append(",".join(cells))
-    out = Path(getattr(args, "out", None) or run_dir / f"features_task_{t}.csv")
+    lines += [",".join([str(c), *map(repr, f), *map(repr, u)])
+              for c, f, u in zip(labels.tolist(), feats.tolist(), normed.tolist())]
     _write_text(out, "\n".join(lines) + "\n")
     _say(args, f"{feats.shape[0]} feature rows written to {out}")
     return 0

@@ -28,6 +28,7 @@ import math
 import os
 import struct
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -342,7 +343,50 @@ def read_feature_file(path: Path, width: int | None) -> tuple[np.ndarray, np.nda
     """Parse a non-empty ``label,f0,f1,...`` feature CSV into (features,
     labels); blank lines are skipped.  Malformed or non-finite rows raise
     ``ParseError`` naming their 1-based line; a row with other than ``width``
-    features (default: the first row's count) raises ``DimensionMismatch``."""
+    features (default: the first row's count) raises ``DimensionMismatch``.
+
+    The file is parsed in one C pass (``_read_columns``); whenever that pass
+    refuses it, ``_read_feature_lines`` reads it again.  The line reader
+    defines the format and builds every error, so both give the same
+    arrays, bit for bit, or the same error."""
+    with reading(path), open(path, newline="", encoding="utf-8") as fh:
+        parsed = _read_columns(fh, width)
+    return _read_feature_lines(path, width) if parsed is None else parsed
+
+
+def _read_columns(fh, width: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (features, labels) of the open feature file ``fh`` from one
+    ``np.loadtxt`` pass, or None wherever it could differ from
+    ``_read_feature_lines``: any value or decode error or warning (an empty
+    file warns), no rows, a non-finite value, or a line longer than the
+    ``csv`` field limit, which ``np.loadtxt`` would parse and ``csv``
+    refuses.  ``np.loadtxt`` is given the open file, not its path, so the
+    call imports nothing."""
+    try:
+        if max(map(len, fh), default=0) > csv.field_size_limit():
+            return None
+        fh.seek(0)
+        if width is None:
+            first = next((line for line in fh if line.strip()), None)
+            if first is None:
+                return None
+            width = first.count(",")
+            fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, dtype=[("y", "<i8"), ("x", "<f8", (width,))],
+                              delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    x = np.ascontiguousarray(rows["x"])
+    if rows.shape[0] == 0 or not np.isfinite(x).all():
+        return None
+    return x, np.ascontiguousarray(rows["y"])
+
+
+def _read_feature_lines(path: Path, width: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """``read_feature_file`` one ``csv`` row at a time: the reference
+    reader, and the only one that builds an error."""
     xs: list[list[float]] = []
     ys: list[int] = []
     linenos: list[int] = []

@@ -17,8 +17,10 @@ the out-of-task KNN distance):
 Both KNN indexes are the replay buffer through each task's extractor
 (``replay_index``), fixed once training ends; a finished run keeps them, so
 ``context_from_run`` forwards nothing.  Only the standalone ``knn`` kind
-reads ``d_own``: a bundle built for other kinds (``predict`` builds one for
-its kind alone) searches one index per task, not two.
+reads ``d_own``, and each other score is read by some kinds only
+(``SCORE_FIELDS``): a bundle computes just what the kinds it is built for
+read (``predict`` builds one for its kind alone), so ``tpl`` skips the MSP
+and energy scores and searches one index per task, not two.
 
 A finished run is kept in the form the kernels read, so scoring a batch
 only scores: the index rows are stored as ``unit_knn_kth_distance`` reads
@@ -135,14 +137,26 @@ def knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarr
 def unit_knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
     """``knn_kth_distance`` over index rows passed as they are: only the
     queries are normalized.  ``replay_index`` stores its rows in this form,
-    so ``compute_bundle`` searches them with no per-call pass over them."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    and ``compute_bundle`` runs this search (``_unit_search``) with each
+    task's queries normalized once for both of its indexes."""
     index = np.atleast_2d(index)
     if index.shape[0] == 0:
         raise EmptyBufferView("no reference samples for the KNN distance")
+    return _unit_search(_negated_unit_rows(queries), index, k)
+
+
+def _negated_unit_rows(queries: np.ndarray) -> np.ndarray:
+    """The L2-normalized, negated query rows ``_unit_search`` reads."""
     neg_q = normalize_rows(queries)
     np.negative(neg_q, out=neg_q)
+    return neg_q
+
+
+def _unit_search(neg_q: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
+    """The k-th nearest distance of each query, given as ``_negated_unit_rows``,
+    among the rows of the normalized, non-empty ``index``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     # On the unit sphere ||q - b||^2 = 2 - 2 q.b = 2 + 2 (-q).b.  Rounding is
     # symmetric, so neg_q @ index.T is -(q @ index.T) (a zero's sign aside,
     # which 2 + 2t does not see), and t -> 2 + 2t stays monotone after
@@ -181,16 +195,24 @@ def task_posterior(scores: np.ndarray, temperature: float) -> np.ndarray:
 class ScoreBundle:
     """Per-task raw scores for a batch; every downstream composition reads
     from here instead of recomputing features.  All arrays are [n, T] in
-    task order; ``wp`` holds within-task probability rows per task."""
+    task order; ``wp`` holds within-task probability rows per task.  A
+    score no kind the bundle was built for reads (``SCORE_FIELDS``) is None."""
 
     task_ids: list[int]
-    mls: np.ndarray
-    msp: np.ndarray
-    ebo: np.ndarray
-    md: np.ndarray
-    knn_dist: np.ndarray
-    knn_own: np.ndarray | None   # None when built without the ``knn`` kind
+    mls: np.ndarray | None
+    msp: np.ndarray | None
+    ebo: np.ndarray | None
+    md: np.ndarray | None
+    knn_dist: np.ndarray | None
+    knn_own: np.ndarray | None
     wp: list[np.ndarray]
+
+
+#: The ``ScoreBundle`` scores each score kind reads.
+SCORE_FIELDS = {
+    "tpl": ("mls", "md", "knn_dist"), "lr": ("md", "knn_dist"), "mls": ("mls",),
+    "msp": ("msp",), "ebo": ("ebo",), "md": ("md",), "knn": ("knn_own",),
+}
 
 
 @dataclass
@@ -307,34 +329,39 @@ def compute_bundle(
     ctx: ScoringContext, x: np.ndarray, kinds: tuple[str, ...] = SCORE_KINDS
 ) -> ScoreBundle:
     """Raw per-task scores and within-task probabilities for a batch, for the
-    score ``kinds`` it will serve.  Only the standalone ``knn`` kind reads the
-    distance to each task's own replay rows, so without it that second KNN
-    search per task is skipped and ``knn_own`` is None."""
+    score ``kinds`` it will serve: a score none of them reads
+    (``SCORE_FIELDS``) is not computed and is None.  So only a bundle for the
+    standalone ``knn`` kind searches each task's own replay rows; a task's
+    queries are normalized once for all the indexes they search."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     T = ctx.n_tasks()
-    mls = np.zeros((n, T))
-    msp = np.zeros((n, T))
-    ebo = np.zeros((n, T))
-    md = np.zeros((n, T))
-    knn = np.zeros((n, T))
-    knn_own = np.zeros((n, T)) if "knn" in kinds else None
+    scores = {name: np.zeros((n, T))
+              for kind in kinds for name in SCORE_FIELDS.get(kind, ())}
     wp: list[np.ndarray] = []
     for j, t in enumerate(ctx.task_ids):
         feats, logits = hat_mlp.forward(ctx.net, x, t)
         c = len(ctx.task_classes[t])
         wp.append(softmax(logits[:, :c]))
-        mls[:, j] = mls_score(logits, c)
-        msp[:, j] = np.max(wp[-1], axis=-1)
-        ebo[:, j] = ebo_score(logits, c)
-        md[:, j] = md_score(feats, ctx.stats[t])
-        if ctx.knn_index[t].shape[0] > 0:
-            knn[:, j] = unit_knn_kth_distance(feats, ctx.knn_index[t], ctx.k)
-        if knn_own is not None and ctx.own_index[t].shape[0] > 0:
-            knn_own[:, j] = unit_knn_kth_distance(feats, ctx.own_index[t], ctx.k)
+        if "mls" in scores:
+            scores["mls"][:, j] = mls_score(logits, c)
+        if "msp" in scores:
+            scores["msp"][:, j] = np.max(wp[-1], axis=-1)
+        if "ebo" in scores:
+            scores["ebo"][:, j] = ebo_score(logits, c)
+        if "md" in scores:
+            scores["md"][:, j] = md_score(feats, ctx.stats[t])
+        searches = [(name, index) for name, index in (("knn_dist", ctx.knn_index[t]),
+                                                      ("knn_own", ctx.own_index[t]))
+                    if name in scores and index.shape[0] > 0]
+        if searches:
+            neg_q = _negated_unit_rows(feats)
+            for name, index in searches:
+                scores[name][:, j] = _unit_search(neg_q, index, ctx.k)
     return ScoreBundle(
-        task_ids=list(ctx.task_ids), mls=mls, msp=msp, ebo=ebo, md=md,
-        knn_dist=knn, knn_own=knn_own, wp=wp,
+        task_ids=list(ctx.task_ids), mls=scores.get("mls"), msp=scores.get("msp"),
+        ebo=scores.get("ebo"), md=scores.get("md"), knn_dist=scores.get("knn_dist"),
+        knn_own=scores.get("knn_own"), wp=wp,
     )
 
 
@@ -342,21 +369,16 @@ def task_score_matrix(
     ctx: ScoringContext, bundle: ScoreBundle, kind: str = "tpl"
 ) -> np.ndarray:
     """[n, T] task-affinity scores of the requested kind (larger = more
-    in-task).  Composed kinds use each task's fitted rates."""
+    in-task).  Composed kinds use each task's fitted rates.  A bundle built
+    without ``kind`` raises ``ValueError``."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"score kind must be one of {SCORE_KINDS}")
-    if kind == "mls":
-        return bundle.mls.copy()
-    if kind == "msp":
-        return bundle.msp.copy()
-    if kind == "ebo":
-        return bundle.ebo.copy()
-    if kind == "md":
-        return bundle.md.copy()
+    if any(getattr(bundle, name) is None for name in SCORE_FIELDS[kind]):
+        raise ValueError(f"score bundle was built without the {kind!r} kind")
+    if kind in ("mls", "msp", "ebo", "md"):
+        return getattr(bundle, kind).copy()
     if kind == "knn":
         # standalone detector: negated distance to the task's OWN samples
-        if bundle.knn_own is None:
-            raise ValueError("score bundle was built without the 'knn' kind")
         return -bundle.knn_own
     beta_mls = np.array([ctx.stats[t].beta_mls for t in bundle.task_ids])
     beta_md = np.array([ctx.stats[t].beta_md for t in bundle.task_ids])

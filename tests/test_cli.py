@@ -1422,6 +1422,8 @@ WRITERS = {
     "predict --output": lambda run, probe, tmp, target: [
         "predict", "--run", run, "--input", probe, "--output", target],
     "eval --out": lambda run, probe, tmp, target: ["eval", "--run", run, "--out", target],
+    "eval --ncl --out": lambda run, probe, tmp, target: [
+        "eval", "--run", run, "--ncl", tmp / "ncl", "--out", target],
     "ood-bench --out": lambda run, probe, tmp, target: [
         "ood-bench", "--run", run, "--out", target, "--scatter", tmp / "s.csv"],
     "ood-bench --scatter": lambda run, probe, tmp, target: [
@@ -1430,6 +1432,18 @@ WRITERS = {
         "theory-check", "--case", "density", "--samples", "50", "--out", target],
     "dump-features --out": lambda run, probe, tmp, target: [
         "dump-features", "--run", run, "--task-id", "1", "--input", probe, "--out", target],
+}
+
+#: The first step of each writer's work after its output paths are checked:
+#: none of them may run when a path cannot be written.
+WRITER_WORK = {
+    "predict --output": (cli, "load_run"),
+    "eval --out": (cli, "_load_trajectory"),
+    "eval --ncl --out": (evaluation, "build_ncl_reference"),
+    "ood-bench --out": (cli, "_load_trajectory"),
+    "ood-bench --scatter": (cli, "_load_trajectory"),
+    "theory-check --out": (theory_lab, "density_estimator_check"),
+    "dump-features --out": (data, "read_feature_file"),
 }
 
 #: Each way a write can fail: the output path under ``tmp`` it is made at,
@@ -1459,6 +1473,30 @@ class TestWriters:
         assert err == f"error: {target}: cannot write ({reason})\n"
         if writer == "predict --output":  # checked before the run is loaded
             assert loads == []
+
+    @pytest.mark.parametrize("writer,fault", [
+        (writer, fault) for writer in WRITERS for fault in WRITE_FAULTS])
+    def test_an_unwritable_output_stops_the_command_before_any_work_or_file(
+            self, run_dir, probe_file, tmp_path, monkeypatch, writer, fault):
+        (tmp_path / "afile").write_text("a regular file")
+        (tmp_path / "adir").mkdir()
+
+        def files():
+            return {p: p.read_bytes() for root in (tmp_path, run_dir)
+                    for p in root.rglob("*") if p.is_file()}
+
+        before = files()
+        module, name = WRITER_WORK[writer]
+        work, calls = getattr(module, name), []
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: calls.append(name) or work(*a, **k))
+        make_target, reason = WRITE_FAULTS[fault]
+        target = make_target(tmp_path)
+        argv = WRITERS[writer](run_dir, probe_file[0], tmp_path, target)
+        code, out, err = run_cli(*map(str, argv))
+        assert (code, out, err) == (3, "", f"error: {target}: cannot write ({reason})\n")
+        assert calls == []
+        assert files() == before
 
     @pytest.mark.parametrize("cache_dir,reason", [
         ("afile", "File exists"), ("afile/ncl", "Not a directory"),

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,6 +451,188 @@ def test_manifest_loader_returns_or_raises_tpl_error(tmp_path, doc):
         data.load_feature_stream(man)
     except TplError:
         pass
+
+
+# --- the feature-file reader: one C pass, the line reader on refusal --------
+
+def read_outcome(read, path, width):
+    """What a feature-file reader gives: its arrays' dtypes, shapes and bytes,
+    or its error's type and message."""
+    try:
+        x, y = read(path, width)
+    except TplError as exc:
+        return type(exc), str(exc)
+    return x.dtype, x.shape, x.tobytes(), y.dtype, y.shape, y.tobytes()
+
+
+def assert_reads_as_the_line_reader(path, width):
+    want = read_outcome(data._read_feature_lines, path, width)
+    assert read_outcome(data.read_feature_file, path, width) == want
+    return want
+
+
+#: Field spellings beyond ``repr``: the forms either parser might read
+#: differently, and the ones only one of them accepts.
+ODD_FIELDS = [
+    "", " ", "  1.5  ", "\t2", "+1.5", "-0", "-0.0", "+0", "007", ".5", "5.", "1e5",
+    "1E-5", "-2.5e+3", "1e400", "-1e400", "4.9e-324", "1e-400", "nan", "-nan",
+    "NaN", "inf", "-inf", "Infinity", "+iNF", "1_0", "1__0", "٣", "١.٥", "0x10", "1e",
+    "e1", '"1.5"', '"1', "1#", "#", "\ufeff1", "1\x00", "\x00", "1\x0c", "\xa01",
+    "1 2", "1.5 ", "9223372036854775807", "-9223372036854775808",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+    "12345678901234567890123456789.5",
+]
+
+
+@st.composite
+def feature_files(draw):
+    """CSV text of ``label,f0,...`` rows, with occasional blank lines, odd
+    fields, trailing commas and rows of another width, under any line ending."""
+    width = draw(st.integers(0, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    feature = st.one_of(finite.map(repr), st.one_of(
+        st.floats().map(repr),
+        finite.map(lambda v: f"{v:.17e}"), finite.map(lambda v: f"{v:g}"),
+        finite.map(lambda v: f"{v:.3f}"),
+        st.sampled_from(ODD_FIELDS),
+        st.tuples(st.sampled_from(["", " ", "\t"]), finite.map(repr),
+                  st.sampled_from(["", " ", "  "])).map("".join),
+    ))
+    label = st.one_of(st.integers(-2**63, 2**63 - 1).map(str), st.one_of(
+        st.integers(-2**65, 2**65).map(str),
+        st.integers(0, 9).map(lambda v: f"+{v}"),
+        st.sampled_from(ODD_FIELDS)))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 9 + ["blank", "odd width", "trailing comma"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  \t"])))
+            continue
+        n = width if kind != "odd width" else draw(st.integers(0, 5))
+        cells = [draw(label)] + [draw(feature) for _ in range(n)]
+        lines.append(",".join(cells) + ("," if kind == "trailing comma" else ""))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text, width
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=feature_files())
+def test_reading_any_text_gives_the_line_readers_arrays_or_error(tmp_path, case):
+    text, width = case
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for w in (None, width):
+        assert_reads_as_the_line_reader(path, w)
+
+
+#: One file for each case the property draws, written as bytes.
+READER_CASES = {
+    "repr floats": b"1,0.1,-2.5e-300\n2,1.7976931348623157e+308,5e-324\n",
+    "other decimal forms": b"1,1.00000000000000000001,2.50E+01\n2,.5,5.\n",
+    "signs exponents and spaces": b" +1 , -2.5e+3 ,\t7\n-2,+0,-0\n",
+    "blank and whitespace-only lines": b"\n1,2,3\n\n  \n\t\n4,5,6\n\n",
+    "cr line endings": b"1,2,3\r4,5,6\r",
+    "crlf line endings": b"1,2,3\r\n4,5,6\r\n",
+    "quotes": b'1,"2",3\n',
+    "hash": b"1,2,3 # a comment\n",
+    "bom": "\ufeff1,2,3\n".encode("utf-8"),
+    "nul byte": b"1,2\x00,3\n",
+    "underscore in a number": b"1,1_000,3\n",
+    "non-ascii digits": "1,٣,3\n".encode("utf-8"),
+    "non-ascii label digits": "٣,2,3\n".encode("utf-8"),
+    "trailing comma": b"1,2,3,\n",
+    "wrong width": b"1,2,3\n4,5\n",
+    "label above int64": b"1,2,3\n9223372036854775808,5,6\n",
+    "label below int64": b"-9223372036854775809,5,6\n",
+    "int64 extremes": b"9223372036854775807,5,6\n-9223372036854775808,5,6\n",
+    "float label": b"1.0,2,3\n",
+    "nan": b"1,2,3\n4,nan,6\n",
+    "inf": b"1,2,3\n4,5,-inf\n",
+    "overflow to inf": b"1,1e400,3\n",
+    "finite field above the csv limit": b"1,0." + b"0" * 200_000 + b"1,3\n",
+    "empty file": b"",
+    "only blank lines": b"\n \r\n\t\n",
+    "not utf-8": b"1,2,3\n4,\xff,6\n",
+    "labels only": b"1\n2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_each_reader_case_reads_as_the_line_reader(tmp_path, name):
+    path = tmp_path / "f.csv"
+    path.write_bytes(READER_CASES[name])
+    for width in (None, 2):
+        assert_reads_as_the_line_reader(path, width)
+
+
+def test_the_reader_refuses_what_csv_refuses(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(READER_CASES["finite field above the csv limit"])
+    assert float("0." + "0" * 200_000 + "1") == 0.0  # finite: only the limit refuses it
+    with pytest.raises(ParseError, match=r"f\.csv: malformed \(Error: field larger than"):
+        data.read_feature_file(path, 2)
+    path.write_bytes(b"")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match=r"f\.csv: no samples"):
+            data.read_feature_file(path, 2)
+    assert caught == []  # np.loadtxt's "input contained no data" stays inside
+    path.write_bytes(READER_CASES["nan"])
+    with pytest.raises(ParseError, match=r"f\.csv:2: non-finite feature value"):
+        data.read_feature_file(path, 2)
+
+
+@pytest.mark.parametrize("rows,width", [(4096, 16), (1024, 32), (1, 1)])
+def test_a_valid_file_never_reaches_the_line_reader(tmp_path, monkeypatch, rows, width):
+    rng = RngState(rows).stream("bulk")
+    x = rng.standard_normal((rows, width)) * np.logspace(-300, 300, width)
+    y = rng.integers(-2**63, 2**63 - 1, rows)
+    path = tmp_path / "bulk.csv"
+    path.write_text("".join(",".join([str(c), *map(repr, row)]) + "\n"
+                            for c, row in zip(y.tolist(), x.tolist())))
+
+    def refuse(*args):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(data, "_read_feature_lines", refuse)
+    for w in (None, width):
+        got_x, got_y = data.read_feature_file(path, w)
+        assert got_x.dtype == np.float64 and got_x.flags.c_contiguous
+        assert got_x.shape == x.shape and got_x.tobytes() == x.tobytes()
+        assert got_y.dtype == np.int64 and got_y.tobytes() == y.tobytes()
+
+
+def test_a_request_loads_no_module_beyond_the_command_line(tmp_path):
+    # ``np.loadtxt`` given a path imports gzip; given the open file, nothing.
+    # The first parse of a command line imports locale (argparse's gettext),
+    # so the modules are counted from after it.
+    from tpl import cli
+
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "seed": 1,
+        "dataset": {"kind": "synthetic", "n_tasks": 2, "classes_per_task": 2, "dim": 4,
+                    "separation": 6.0, "train_per_class": 20, "test_per_class": 5},
+        "training": {"epochs": 1, "hidden_widths": [8], "buffer_capacity": 8}}))
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
+                     "--quiet"]) == 0
+    rows = RngState(0).stream("request").standard_normal((32, 4))
+    (tmp_path / "request.csv").write_text(
+        "".join("0," + ",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    argv = ["predict", "--run", str(tmp_path / "run"), "--input",
+            str(tmp_path / "request.csv"), "--output", str(tmp_path / "p.csv"), "--quiet"]
+    child = ("import json, sys\nfrom tpl import cli\n"
+             f"argv = {argv!r}\ncli.build_parser().parse_args(argv)\n"
+             "before = set(sys.modules)\nassert cli.main(argv) == 0\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(data.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, check=True)
+    assert json.loads(done.stdout) == []
+    assert (tmp_path / "p.csv").read_text().count("\n") == 33
 
 
 # --- exact density ----------------------------------------------------------

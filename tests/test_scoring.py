@@ -596,8 +596,61 @@ def test_bundle_without_the_knn_kind_refuses_it(three_task_run, three_task_strea
     with pytest.raises(ValueError, match="without the 'knn' kind"):
         scoring.task_score_matrix(ctx, bundle, "knn")
     full = scoring.compute_bundle(ctx, x)
-    for name in ("mls", "msp", "ebo", "md", "knn_dist"):
+    for name in ("mls", "md", "knn_dist"):
         assert getattr(bundle, name).tobytes() == getattr(full, name).tobytes()
+
+
+def reference_bundle(ctx, x):
+    """Every score of every task, one public kernel per score and task, as
+    ``compute_bundle`` computed them before it skipped unread scores."""
+    columns = {name: [] for name in ("mls", "msp", "ebo", "md", "knn_dist", "knn_own")}
+    for t in ctx.task_ids:
+        feats, logits = hat_mlp.forward(ctx.net, x, t)
+        c = len(ctx.task_classes[t])
+        columns["mls"].append(scoring.mls_score(logits, c))
+        columns["msp"].append(np.max(softmax(logits[:, :c]), axis=-1))
+        columns["ebo"].append(scoring.ebo_score(logits, c))
+        columns["md"].append(scoring.md_score(feats, ctx.stats[t]))
+        columns["knn_dist"].append(scoring.unit_knn_kth_distance(feats, ctx.knn_index[t], ctx.k))
+        columns["knn_own"].append(scoring.unit_knn_kth_distance(feats, ctx.own_index[t], ctx.k))
+    return {name: np.stack(cols, axis=1) for name, cols in columns.items()}
+
+
+@pytest.mark.parametrize("variant", ["canonical", "algorithm1"])
+def test_the_all_kinds_bundle_equals_the_per_task_kernels(variant, three_task_run,
+                                                          three_task_stream):
+    ctx = dataclasses.replace(scoring.context_from_run(three_task_run), variant=variant)
+    x, _, _ = data.pooled_test_rows(three_task_stream.tasks)
+    bundle = scoring.compute_bundle(ctx, x)
+    for name, want in reference_bundle(ctx, x).items():
+        assert getattr(bundle, name).tobytes() == want.tobytes(), name
+    predict_bundle = scoring.compute_bundle(ctx, x, ("tpl",))
+    assert predict_bundle.msp is None and predict_bundle.ebo is None
+    assert (scoring.predict(ctx, x).calibrated.tobytes()
+            == scoring.predict_from_bundle(ctx, bundle).calibrated.tobytes())
+
+
+@pytest.mark.parametrize("kind", scoring.SCORE_KINDS)
+def test_a_bundle_holds_only_the_scores_its_kind_reads(kind, three_task_run,
+                                                       three_task_stream):
+    ctx = scoring.context_from_run(three_task_run)
+    x = three_task_stream.tasks[2].test_x
+    full = scoring.compute_bundle(ctx, x)
+    bundle = scoring.compute_bundle(ctx, x, (kind,))
+    for name in ("mls", "msp", "ebo", "md", "knn_dist", "knn_own"):
+        got = getattr(bundle, name)
+        if name in scoring.SCORE_FIELDS[kind]:
+            assert got.tobytes() == getattr(full, name).tobytes(), name
+        else:
+            assert got is None, name
+    for j, probs in enumerate(bundle.wp):
+        assert probs.tobytes() == full.wp[j].tobytes()
+    assert (scoring.task_score_matrix(ctx, bundle, kind).tobytes()
+            == scoring.task_score_matrix(ctx, full, kind).tobytes())
+    for other in scoring.SCORE_KINDS:
+        if not set(scoring.SCORE_FIELDS[other]) <= set(scoring.SCORE_FIELDS[kind]):
+            with pytest.raises(ValueError, match=f"without the '{other}' kind"):
+                scoring.task_score_matrix(ctx, bundle, other)
 
 
 def test_the_public_knn_kernel_is_the_core_over_a_normalized_index():
@@ -613,15 +666,38 @@ def test_predict_searches_one_knn_index_per_task(three_task_run, three_task_stre
     ctx = scoring.context_from_run(three_task_run)
     x = three_task_stream.tasks[0].test_x
     calls = []
-    kth = scoring.unit_knn_kth_distance
+    search = scoring._unit_search
 
-    def counting(queries, index, k):
+    def counting(neg_q, index, k):
         calls.append(index.shape[0])
-        return kth(queries, index, k)
+        return search(neg_q, index, k)
 
-    monkeypatch.setattr(scoring, "unit_knn_kth_distance", counting)
+    monkeypatch.setattr(scoring, "_unit_search", counting)
     scoring.predict(ctx, x)
     assert calls == [ctx.knn_index[t].shape[0] for t in ctx.task_ids]
     calls.clear()
     scoring.predict(ctx, x, "knn")
+    assert calls == [ctx.own_index[t].shape[0] for t in ctx.task_ids]
+    calls.clear()
+    scoring.compute_bundle(ctx, x)
     assert len(calls) == 2 * ctx.n_tasks()
+
+
+def test_a_bundle_normalizes_each_tasks_queries_once(three_task_run, three_task_stream,
+                                                      monkeypatch):
+    ctx = scoring.context_from_run(three_task_run)
+    x = three_task_stream.tasks[1].test_x
+    want = scoring.compute_bundle(ctx, x)
+    normalized = []
+    normalize = scoring.normalize_rows
+    monkeypatch.setattr(scoring, "normalize_rows",
+                        lambda feats: normalized.append(feats.shape) or normalize(feats))
+    got = scoring.compute_bundle(ctx, x)
+    assert normalized == [(x.shape[0], three_task_run.net.feature_dim)] * ctx.n_tasks()
+    for j, t in enumerate(ctx.task_ids):
+        feats = hat_mlp.features(ctx.net, x, t)
+        for name, index in (("knn_dist", ctx.knn_index[t]), ("knn_own", ctx.own_index[t])):
+            column = getattr(got, name)[:, j]
+            assert column.tobytes() == getattr(want, name)[:, j].tobytes()
+            assert (column.tobytes()
+                    == scoring.unit_knn_kth_distance(feats, index, ctx.k).tobytes()), (t, name)
