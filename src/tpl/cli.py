@@ -566,7 +566,9 @@ def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
     arrays must have the shapes ``_index_shapes`` gives for the buffer and
     the model's feature width, and the first buffer row of each source task,
     forwarded through every task's extractor, must match its stored row
-    within ``_INDEX_TOL``."""
+    within ``_INDEX_TOL``.  That tolerance also covers the entries
+    ``replay_index`` flushed from subnormal to 0; a run written with them
+    unflushed loads and scores the same bits."""
     _, arrays = _read_container(path, _INDEX_MAGIC)
     x, source = buffer.x, buffer.tasks
     with data.reading(path):

@@ -102,12 +102,36 @@ def spd_inverse(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
+def flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Set every nonzero subnormal entry of the float64 array ``a``
+    (0 < |x| < ``np.finfo(float).tiny``) to +0.0, in place, and return ``a``.
+    Every other bit is kept: ±0, normal values, ±inf and nan payloads.
+
+    The scoring operands a run stores (each precision's factor, the class
+    means and the KNN index rows) are flushed once, when they are built: the
+    CPU multiplies subnormals slowly, and removing them changes no result of
+    ``whitened_sq`` or of the KNN search when features, class means and
+    factor entries are at most 1e6 in magnitude and index rows are unit
+    rows.  Under that bound each product a flushed entry enters is below
+    2.3e-302 (2.3e-308 in a KNN inner product), under half an ulp of any
+    partial sum above about 1e-285, so rounding absorbs it.  A smaller
+    partial sum moves a larger one only at an exact rounding tie; short of
+    one it stays below 1e-285, where a whitened coordinate squares to 0 and
+    a KNN inner product vanishes in ``2 + 2t``."""
+    sub = np.abs(a) < np.finfo(np.float64).tiny
+    np.logical_and(sub, a != 0.0, out=sub)
+    a[sub] = 0.0
+    return a
+
+
 def precision_factor(precision: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor ``L`` of a precision, ``precision = L Lᵀ``,
-    the matrix ``whitened_sq`` whitens with.  Raises ``NotPositiveDefinite``
-    when the precision has none."""
+    the matrix ``whitened_sq`` whitens with, with its subnormal entries
+    flushed to 0 (``flush_subnormals``: no distance changes, and the
+    whitening GEMM no longer slows down on them).  Raises
+    ``NotPositiveDefinite`` when the precision has none."""
     try:
-        return np.linalg.cholesky(precision)
+        return flush_subnormals(np.linalg.cholesky(precision))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("precision matrix is not positive definite") from None
 
@@ -131,6 +155,10 @@ def whitened_sq(x: np.ndarray, means: np.ndarray, factor: np.ndarray) -> np.ndar
     form ``‖xL‖² − 2 xL·μL + ‖μL‖²`` must not be used instead; it cancels
     catastrophically for rows near a centroid, exactly where the inverse
     distance ``1/d²`` is most sensitive.
+
+    The stored factors and means hold no subnormal entry, which the GEMM
+    multiplies slowly; flushing them (``flush_subnormals``) leaves every
+    distance's bits as they were.
     """
     x = np.atleast_2d(x)
     out = np.empty((x.shape[0], means.shape[0]))

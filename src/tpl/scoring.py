@@ -26,7 +26,9 @@ A finished run is kept in the form the kernels read, so scoring a batch
 only scores: the index rows are stored as ``unit_knn_kth_distance`` reads
 them (it normalizes only the queries), and each ``TaskStats`` carries its
 precision's Cholesky factor, computed once when the statistics are fitted,
-which ``md_score`` whitens with.  Neither changes a bit of any score.
+which ``md_score`` whitens with.  The index rows, the factor and the class
+means hold no subnormal entry (``numerics.flush_subnormals``), which the CPU
+multiplies slowly.  None of this changes a bit of any score.
 
 The task posterior is a temperature softmax over the per-task scores; final
 class probabilities multiply within-task probability by task posterior, then
@@ -46,7 +48,8 @@ import numpy as np
 
 from . import hat_mlp
 from .errors import DimensionMismatch, EmptyBufferView, UnknownTask
-from .numerics import kth_smallest, log_sum_exp, precision_factor, softmax, whitened_sq
+from .numerics import (flush_subnormals, kth_smallest, log_sum_exp, precision_factor, softmax,
+                       whitened_sq)
 
 if TYPE_CHECKING:
     from .trainer import ReplayBuffer, RunArtifacts, TrainConfig
@@ -244,7 +247,9 @@ def replay_index(net: hat_mlp.HatMlp, buffer: ReplayBuffer, task_ids) -> ReplayI
     """Both KNN indexes of every task in ``task_ids``.  The whole buffer goes
     through each task's extractor once; the two indexes are its rows split by
     source task, in buffer order, stored as ``unit_knn_kth_distance`` reads
-    them.  An empty buffer gives empty [0, d] views."""
+    them, with subnormal entries flushed to 0 (``numerics.flush_subnormals``:
+    no distance changes, and the search GEMM no longer slows down on them).
+    An empty buffer gives empty [0, d] views."""
     feat_dim = net.feature_dim
     knn = {t: np.empty((0, feat_dim)) for t in task_ids}
     own = {t: np.empty((0, feat_dim)) for t in task_ids}
@@ -253,7 +258,8 @@ def replay_index(net: hat_mlp.HatMlp, buffer: ReplayBuffer, task_ids) -> ReplayI
             # Normalized twice: the second pass keeps every distance's bits equal
             # to those of ``knn_kth_distance`` over the once-normalized rows.
             # ROADMAP item 5(a) drops it, as an intended output change.
-            feats = normalize_rows(normalize_rows(hat_mlp.features(net, buffer.x, t)))
+            feats = flush_subnormals(
+                normalize_rows(normalize_rows(hat_mlp.features(net, buffer.x, t))))
             knn[t] = feats[buffer.tasks != t]
             own[t] = feats[buffer.tasks == t]
     return knn, own

@@ -255,13 +255,18 @@ def oracle_auc(pair: GaussianPair, scorer: str) -> float:
     if a == 0.0 and b == 0.0:
         return 0.5
     mt, vt, mc, vc = pair.mean_t, pair.var_t, pair.mean_c, pair.var_c
-    sd_c = math.sqrt(vc)
+    sd_t, sd_c = math.sqrt(vt), math.sqrt(vc)
     norm_c = 1.0 / (sd_c * math.sqrt(2.0 * math.pi))
 
     def integrand(y: float) -> float:
-        level = (a * y + b) * y + c
         pdf = norm_c * math.exp(-0.5 * ((y - mc) / sd_c) ** 2)
-        return pdf * _superlevel_mass(a, b, c, level, mt, vt)
+        if a == 0.0:
+            # a line exceeds its value at y exactly beyond y, on b's side;
+            # solving s(X) = s(y) for X instead would snap y to a lattice
+            # when b is tiny
+            below = ndtr((y - mt) / sd_t)
+            return pdf * (1.0 - below if b > 0 else below)
+        return pdf * _superlevel_mass(a, b, c, (a * y + b) * y + c, mt, vt)
 
     lo = mc - _TAIL_SIGMAS * sd_c
     hi = mc + _TAIL_SIGMAS * sd_c

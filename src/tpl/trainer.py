@@ -22,7 +22,7 @@ import numpy as np
 from . import calibration, hat_mlp, scoring
 from .data import TaskDataset, TaskStream, label_positions
 from .errors import DegenerateCovariance, EmptyTrainingSet, NonFiniteLoss, UnknownTask
-from .numerics import RngState, check_int, check_real, spd_inverse
+from .numerics import RngState, check_int, check_real, flush_subnormals, spd_inverse
 from .scoring import ReplayIndex, TaskStats, identity_calibration, md_score, mls_score
 
 logger = logging.getLogger(__name__)
@@ -271,7 +271,9 @@ def fit_gaussian_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class means and the inverse of the shared within-class scatter.
 
-    Scatter is normalized by the total sample count.  Raises
+    Scatter is normalized by the total sample count.  The means are stored
+    as ``md_score`` subtracts them, with subnormal entries flushed to 0
+    (``numerics.flush_subnormals``: no distance changes).  Raises
     ``DegenerateCovariance`` when a class has no samples.
     """
     n, d = feats.shape
@@ -289,7 +291,7 @@ def fit_gaussian_stats(
         scatter += centered.T @ centered
     scatter /= n
     precision = spd_inverse(scatter, ridge)
-    return means, precision
+    return flush_subnormals(means), precision
 
 
 @dataclass

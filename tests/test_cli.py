@@ -20,9 +20,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tpl import cli, data, evaluation, hat_mlp, scoring, theory_lab, trainer
+from tpl import cli, data, evaluation, hat_mlp, numerics, scoring, theory_lab, trainer
 from tpl.errors import ConfigError, DegenerateVariance, DimensionMismatch, ParseError
-from tpl.numerics import RngState, mahalanobis_sq
+from tpl.numerics import RngState, flush_subnormals, mahalanobis_sq
 from tpl.trainer import clone_config
 
 SEED = 3
@@ -1333,8 +1333,9 @@ def shaped_run(tmp_path_factory):
 
 class TestKernelReadyRunState:
     """A run keeps its scoring state as the kernels read it: index rows
-    normalized twice and each precision's Cholesky factor.  Every score keeps
-    the bits the per-call normalization and factorization gave."""
+    normalized twice and each precision's Cholesky factor, with subnormal
+    entries flushed to 0.  Every score keeps the bits the per-call
+    normalization and factorization gave."""
 
     @pytest.mark.parametrize("shape,seed,variant", SHAPED_RUNS)
     def test_index_rows_and_factors_are_stored_as_the_kernels_read_them(
@@ -1343,8 +1344,8 @@ class TestKernelReadyRunState:
         source = run.buffer.tasks
         for t in run.task_ids():
             feats = hat_mlp.features(run.net, run.buffer.x, t)
-            twice = scoring.normalize_rows(scoring.normalize_rows(feats))
-            factor = np.linalg.cholesky(run.stats[t].precision)
+            twice = flush_subnormals(scoring.normalize_rows(scoring.normalize_rows(feats)))
+            factor = flush_subnormals(np.linalg.cholesky(run.stats[t].precision))
             for held in (run, loaded):
                 knn, own = held.replay_index
                 assert knn[t].tobytes() == twice[source != t].tobytes()
@@ -1381,6 +1382,61 @@ class TestKernelReadyRunState:
             for field in dataclasses.fields(scoring.Predictions):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 assert a.tobytes() == b.tobytes(), (kind, field.name)
+
+    def test_flushing_the_stored_subnormals_changes_no_output_byte(self, tmp_path,
+                                                                  monkeypatch):
+        def arrays(run):
+            """Every array of the run's two binary files, by (file, name)."""
+            files = {"stats/task_1.bin": cli._STATS_MAGIC, "stats/task_2.bin": cli._STATS_MAGIC,
+                     "index.bin": cli._INDEX_MAGIC}
+            return {(name, k): a for name, magic in files.items()
+                    for k, a in cli._read_container(run / name, magic)[1].items()}
+
+        def subnormal(a):
+            return (a != 0) & (np.abs(a) < np.finfo(float).tiny)
+
+        cfg = write_config(tmp_path / "c.json", tmp_path / "unused", seed=1)
+        runs = {"raw": tmp_path / "raw", "flushed": tmp_path / "flushed"}
+        with monkeypatch.context() as m:
+            for module in (numerics, trainer, scoring):
+                m.setattr(module, "flush_subnormals", lambda a: a)
+            assert run_cli("train", "--config", str(cfg), "--out", str(runs["raw"]))[0] == 0
+        assert run_cli("train", "--config", str(cfg), "--out", str(runs["flushed"]))[0] == 0
+        raw, flushed = arrays(runs["raw"]), arrays(runs["flushed"])
+        # seed 1 of the base config stores subnormal means, factor entries and
+        # rows of both indexes when nothing flushes them
+        for operand in ("class_means", "precision_factor", "knn.", "own."):
+            assert any(subnormal(a).any() for (_, k), a in raw.items()
+                       if k.startswith(operand)), operand
+        assert raw.keys() == flushed.keys()
+        for key, a in raw.items():  # the precision is stored as fitted
+            want = a if key[1] == "precision" else flush_subnormals(a.copy())
+            assert flushed[key].tobytes() == want.tobytes(), key
+            assert key[1] == "precision" or not subnormal(flushed[key]).any(), key
+
+        probe = tmp_path / "probe.csv"
+        ds = cli.build_stream(cli.load_run_config(cfg)).tasks[0]
+        probe.write_text("".join(",".join([str(int(y)), *map(repr, row)]) + "\n"
+                                 for y, row in zip(ds.test_y.tolist(), ds.test_x.tolist())))
+        stdout = {}
+        for name, run in runs.items():
+            out = tmp_path / f"{name}-out"
+            out.mkdir()
+            stdout[name] = [run_cli(*argv)[:2] for argv in (
+                ["eval", "--run", str(run), "--out", str(out / "metrics.json")],
+                ["ood-bench", "--run", str(run), "--out", str(out / "ood_bench.json"),
+                 "--scatter", str(out / "ood_scatter.csv")],
+                ["predict", "--run", str(run), "--input", str(probe),
+                 "--output", str(out / "predictions.csv")])]
+            assert [code for code, _ in stdout[name]] == [0, 0, 0]
+        assert ([o.replace(str(runs["raw"]), "<run>") for _, o in stdout["raw"]]
+                == [o.replace(str(runs["flushed"]), "<run>") for _, o in stdout["flushed"]])
+        for name in ("metrics.json", "ood_bench.json", "ood_scatter.csv", "predictions.csv"):
+            assert ((tmp_path / "raw-out" / name).read_bytes()
+                    == (tmp_path / "flushed-out" / name).read_bytes()), name
+        for name in ("trajectory.json", "calibration.json", "model.bin", "buffer.bin",
+                     "buffer.csv", "stats/task_1.json", "stats/task_2.json"):
+            assert (runs["raw"] / name).read_bytes() == (runs["flushed"] / name).read_bytes()
 
     def test_predict_factors_no_precision_and_normalizes_no_index_row(
             self, run_dir, probe_file, tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata, spearmanr
 
@@ -53,6 +53,34 @@ def test_spd_inverse_ridge_escalation_recovers_singular(caplog):
         inv = numerics.spd_inverse(m, ridge=0.0)
     assert np.all(np.isfinite(inv))
     assert any("escalated" in r.message for r in caplog.records)
+
+
+# --- flush_subnormals ----------------------------------------------------------
+
+_MANTISSA = (1 << 52) - 1
+#: float64 bit patterns, the subnormal exponent 0 and the edge exponents often
+FLOAT_BITS = st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1),
+    st.sampled_from([0, 0, 1, 2046, 2047]) | st.integers(0, 2047),
+    st.sampled_from([0, 1, _MANTISSA, 1 << 51]) | st.integers(0, _MANTISSA))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(bits=st.lists(FLOAT_BITS, max_size=40))
+@example(bits=[0, 1 << 63,                      # +0 and -0
+               1, _MANTISSA, 1 << 63 | 1,       # subnormals, both signs
+               1 << 52, 1 << 63 | 1 << 52,      # the smallest normals
+               2047 << 52, 1 << 63 | 2047 << 52,  # +inf and -inf
+               2047 << 52 | 1, 1 << 63 | 2047 << 52 | 1 << 51 | 5])  # nan payloads
+def test_flush_subnormals_zeroes_exactly_the_nonzero_subnormals(bits):
+    before = np.array(bits, dtype=np.uint64)
+    a = before.copy().view(np.float64)
+    assert numerics.flush_subnormals(a) is a
+    exponent, mantissa = before >> np.uint64(52) & np.uint64(2047), before & np.uint64(_MANTISSA)
+    subnormal = (exponent == 0) & (mantissa != 0)
+    want = np.where(subnormal, np.uint64(0), before)  # +0.0
+    assert a.view(np.uint64).tolist() == want.tolist()
 
 
 # --- log_sum_exp ------------------------------------------------------------

@@ -11,7 +11,8 @@ from scipy.stats import spearmanr
 
 from tpl import data, hat_mlp, scoring, trainer
 from tpl.errors import EmptyBufferView, NotPositiveDefinite
-from tpl.numerics import RngState, kth_distance, mahalanobis_sq, softmax
+from tpl.numerics import (RngState, flush_subnormals, kth_distance, mahalanobis_sq, softmax,
+                          whitened_sq)
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +336,75 @@ def test_mahalanobis_sq_matches_the_one_expression_form_bitwise(draws):
         x = wide[:, ::2]
     expected = reference_mahalanobis_sq(x, means, precision)
     assert mahalanobis_sq(x, means, precision).tobytes() == expected.tobytes()
+
+
+#: The magnitude bound under which ``numerics.flush_subnormals`` keeps every
+#: distance's bits: features, class means and factor entries.
+FLUSH_BOUND = 1e6
+
+
+def wide_values(rng, shape, share):
+    """Standard normal entries, about ``share`` of them replaced by a random
+    sign times 10^u, u uniform on [-320, log10(FLUSH_BOUND)]: tiny normal
+    and subnormal values are common."""
+    spread = (np.where(rng.uniform(0.0, 1.0, shape) < 0.5, -1.0, 1.0)
+              * 10.0 ** rng.uniform(-320.0, math.log10(FLUSH_BOUND), shape))
+    return np.where(rng.uniform(0.0, 1.0, shape) < share, spread, rng.standard_normal(shape))
+
+
+def random_subnormals(rng, shape):
+    bits = (rng.integers(1, 1 << 52, shape).astype(np.uint64)
+            | rng.integers(0, 2, shape).astype(np.uint64) << np.uint64(63))
+    return bits.view(np.float64)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(draws=st.data())
+def test_flushing_subnormal_operands_keeps_every_distance_bit(draws):
+    d, n, c, m, k = (draws.draw(st.integers(lo, hi))
+                     for lo, hi in ((2, 48), (1, 40), (1, 4), (1, 60), (1, 6)))
+    wide = draws.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    share = draws.draw(st.sampled_from([0.02, 0.2, 0.5]))
+    rng = RngState(draws.draw(st.integers(0, 2**32 - 1)))
+
+    def sprinkle(a, allowed):
+        """Subnormals at about ``share`` of ``a``'s ``allowed`` entries, one at least."""
+        hit = allowed & (rng.uniform(0.0, 1.0, a.shape) < share)
+        cells = np.flatnonzero(allowed)
+        hit.flat[cells[rng.integers(0, cells.size)]] = True
+        a[hit] = random_subnormals(rng, a.shape)[hit]
+
+    means = wide_values(rng, (c, d), wide)
+    sprinkle(means, np.ones(means.shape, bool))
+    factor = np.tril(wide_values(rng, (d, d), wide))
+    np.fill_diagonal(factor, np.abs(factor.diagonal()))
+    sprinkle(factor, np.tri(d, dtype=bool))
+    # unit index rows whose sprinkled entries were 0 before the normalization
+    index = wide_values(rng, (m, d), wide)
+    holes = rng.uniform(0.0, 1.0, (m, d)) < share
+    kept = rng.integers(0, d, m)  # a normal entry in every row
+    holes[np.arange(m), kept] = False
+    holes[0, (kept[0] + 1) % d] = True
+    index[holes] = 0.0
+    index = scoring.normalize_rows(index)
+    index[holes] = random_subnormals(rng, (m, d))[holes]
+    x = wide_values(rng, (n, d), wide)
+    for row, cls in draws.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                  st.integers(0, c - 1)), max_size=3)):
+        x[row] = means[cls]  # a row exactly on a centroid, subnormals included
+
+    flushed = [flush_subnormals(a.copy()) for a in (means, factor, index)]
+    for a, b in zip((means, factor, index), flushed):
+        assert a.tobytes() != b.tobytes()  # never vacuous
+    f_means, f_factor, f_index = flushed
+    assert (whitened_sq(x, means, factor).tobytes()
+            == whitened_sq(x, f_means, f_factor).tobytes())
+    stats = [trainer.TaskStats(1, mu, factor @ factor.T, 1.0, 1.0, precision_factor=lf)
+             for mu, lf in ((means, factor), (f_means, f_factor))]
+    assert (scoring.md_score(x, stats[0]).tobytes()
+            == scoring.md_score(x, stats[1]).tobytes())
+    assert (scoring.unit_knn_kth_distance(x, index, k).tobytes()
+            == scoring.unit_knn_kth_distance(x, f_index, k).tobytes())
 
 
 # --- composed score ---------------------------------------------------------
