@@ -30,7 +30,7 @@ from .errors import (
     MissingNclPrefix,
 )
 from .numerics import RngState, check_real, stable_mean
-from .trainer import RunArtifacts, TrainConfig
+from .trainer import RunArtifacts, TrainConfig, check_loss
 
 #: Tolerance for the AIA-equals-trajectory-mean consistency invariant.
 AIA_CONSISTENCY_TOL = 1e-12
@@ -178,7 +178,8 @@ def train_ncl_reference(
     Same trunk widths and optimizer as the continual run, but no gates (an
     ungated task: every unit passes its ReLU output as is, at any ``s_max``),
     one head over all pooled classes, no gate regularizer, and no replay
-    relabeling.
+    relabeling.  A batch loss that is not finite raises ``NonFiniteLoss`` at
+    once, naming the prefix and epoch.
     """
     tasks = [d for d in stream.tasks if d.task_id <= prefix]
     if not tasks:
@@ -196,17 +197,17 @@ def train_ncl_reference(
 
     state = hat_mlp.init_momentum(net, _POOLED_HEAD_KEY)
     n = x.shape[0]
-    for epoch in range(cfg.epochs):
-        perm = root.stream(f"shuffle-epoch-{epoch}").permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            _, grads = hat_mlp.batch_loss_and_gradients(
-                net, x[idx], y[idx], _POOLED_HEAD_KEY, cfg.s_max,
-                reg_weight=0.0, mask_others=True,
-            )
-            hat_mlp.masked_gradient_update(
-                net, grads, _POOLED_HEAD_KEY, cfg.learning_rate, cfg.momentum, state
-            )
+    # a diverging step overflows silently; its loss stops the reference below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = root.stream(f"shuffle-epoch-{epoch}").permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                loss = hat_mlp.train_step(
+                    net, x[idx], y[idx], _POOLED_HEAD_KEY, cfg.s_max, 0.0,
+                    cfg.learning_rate, cfg.momentum, state, mask_others=True,
+                )
+                check_loss(loss, f"joint reference for prefix {prefix}, epoch {epoch + 1}")
 
     hits = [_head_hits(net, _POOLED_HEAD_KEY, pooled_classes, d) for d in tasks]
     accs = {d.task_id: float(np.mean(h)) for d, h in zip(tasks, hits)}

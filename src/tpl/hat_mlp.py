@@ -5,18 +5,20 @@ applied multiplicatively after the ReLU.  Units claimed by earlier tasks are
 recorded in a cumulative binary mask; gradients into their incoming weights
 and biases are scaled to zero so finished tasks cannot be disturbed.  The gate
 scale ``s`` anneals from ``1/s_max`` to ``s_max`` within every epoch of
-training (``batch_loss_and_gradients``).  Inference (``features`` and
+training (``train_step``).  Inference (``features`` and
 ``forward``) has no ``s``: it always runs at ``s_max``, where surviving gates
 are effectively binary, and takes ``[B, input_dim]`` batches only.  A task
 registered with ``gated=False`` has no gates at all: its trunk is a plain
 ReLU MLP (the jointly trained reference is one).
 
 Layout conventions: weights are ``[out, in]``; batches are ``[B, dim]`` rows.
-All arrays are float64.
+All arrays are float64.  While a task trains, the trunk's arrays are views of
+one flat buffer and the task's of another (``init_momentum``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,21 +99,33 @@ class Gradients:
 
 @dataclass
 class MomentumState:
-    """Momentum buffers and mask gradient scales, valid for one task: built
-    by ``init_momentum`` once that task's masks are fixed, and refused by
-    ``masked_gradient_update`` for another task or once ``net.past_masks``
-    are not the arrays it was built from (``consolidate_mask`` replaces them)."""
+    """Training state of one task, built by ``init_momentum`` once that
+    task's masks are fixed.  ``train_step`` and ``masked_gradient_update``
+    refuse it (``ShapeMismatch``) for another task, once ``net.past_masks``
+    are not the arrays it was built from (``consolidate_mask`` replaces
+    them), or once a trained array of the network was rebound.
+
+    It owns two flat buffers that the trained arrays are views of: ``trunk``
+    holds ``net.weights`` then ``net.biases``, and ``task`` holds the task's
+    embeddings (its first ``n_gates`` entries), head weight and head bias.
+    The momentum, the mask gradient scales and a gradient workspace share
+    those layouts, so a step updates each buffer with a few ufunc calls."""
 
     task_id: int
     past_masks: list[np.ndarray]      # the very arrays the scales came from
-    # None where past_l claims no unit, so the scale is 1 everywhere
-    weight_scales: list[np.ndarray | None]   # 1 - min.outer(past_l, past_{l-1})
-    bias_scales: list[np.ndarray | None]     # 1 - past_l
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    embeddings: list[np.ndarray]
-    head_weight: np.ndarray
-    head_bias: np.ndarray
+    params: list[np.ndarray]          # the views of trunk and task, in that order
+    trunk: np.ndarray
+    task: np.ndarray
+    n_gates: int
+    trunk_velocity: np.ndarray
+    task_velocity: np.ndarray
+    # 1 - min.outer(past_l, past_{l-1}) at each layer's weights and 1 - past_l
+    # at its biases, in the trunk layout; None when no unit is claimed
+    scale: np.ndarray | None
+    trunk_grad: np.ndarray
+    task_grad: np.ndarray
+    grads: Gradients                  # views of trunk_grad and task_grad
+    capacity: tuple[np.ndarray, float]   # ``_free_capacity`` of the task's masks
 
 
 def new_hat_mlp(
@@ -214,21 +228,6 @@ def forward(net: HatMlp, x: np.ndarray, task_id: int) -> tuple[np.ndarray, np.nd
     return h, h @ head.weight.T + head.bias
 
 
-def _gate_reg_terms(
-    gates: list[np.ndarray], past_masks: list[np.ndarray]
-) -> tuple[float, float]:
-    """Numerator and floored denominator of the gate regularizer, the
-    sparsity pressure on gates over still-free capacity
-    ``sum_l a_l . (1 - past_l) / max(sum_l sum(1 - past_l), floor)``."""
-    num = 0.0
-    den = 0.0
-    for a, past in zip(gates, past_masks):
-        free = 1.0 - past
-        num += float((a * free).sum())
-        den += float(free.sum())
-    return num, max(den, _REG_DENOM_FLOOR)
-
-
 def anneal_s(batch_index: int, batches_per_epoch: int, s_max: float) -> float:
     """Linear within-epoch schedule from ``1/s_max`` (batch 1) to ``s_max``
     (last batch); a single-batch epoch runs at ``s_max``."""
@@ -241,6 +240,171 @@ def anneal_s(batch_index: int, batches_per_epoch: int, s_max: float) -> float:
     lo = 1.0 / s_max
     frac = (batch_index - 1) / (batches_per_epoch - 1)
     return lo + (s_max - lo) * frac
+
+
+def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of ``flat`` shaped ``shapes``, laid end to end."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
+def _trained(net: HatMlp, task_id: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The arrays a step of ``task_id`` trains, in the two flat layouts:
+    the trunk's weights then biases, and the task's embeddings then head."""
+    head = net.heads[task_id]
+    return ([*net.weights, *net.biases],
+            [*net.embeddings[task_id], head.weight, head.bias])
+
+
+def _workspace(net: HatMlp, task_id: int) -> tuple[np.ndarray, np.ndarray, Gradients]:
+    """Zeroed flat gradient buffers in the trunk and task layouts, and a
+    ``Gradients`` of views of them."""
+    trunk, task = _trained(net, task_id)
+    trunk_grad = np.zeros(sum(a.size for a in trunk))
+    task_grad = np.zeros(sum(a.size for a in task))
+    tv = _split(trunk_grad, [a.shape for a in trunk])
+    kv = _split(task_grad, [a.shape for a in task])
+    n = net.n_layers
+    return trunk_grad, task_grad, Gradients(
+        weights=tv[:n], biases=tv[n:], embeddings=kv[:-2],
+        head_weight=kv[-2], head_bias=kv[-1], s=0.0,
+    )
+
+
+def _free_capacity(past_masks: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """``1 - past_l`` of every layer in one flat array, and the gate
+    regularizer's denominator ``max(sum_l sum(1 - past_l), floor)``, its
+    per-layer sums added in layer order."""
+    free = 1.0 - np.concatenate(past_masks)
+    den = 0.0
+    for f in _split(free, [p.shape for p in past_masks]):
+        den += float(f.sum())
+    return free, max(den, _REG_DENOM_FLOOR)
+
+
+def _check_batch(
+    net: HatMlp, x, y, task_id: int, s: float, reg_weight: float, mask_others: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch as float64 rows and int64 labels, once it, the gate scale
+    and the regularizer weight suit the task."""
+    net.require_task(task_id)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise ShapeMismatch(f"bad batch shapes x {x.shape}, y {y.shape}")
+    head = net.heads[task_id]
+    n_out = head.n_classes + 1
+    y_max = y.max()
+    if y.min() < 0 or y_max >= n_out:
+        raise ShapeMismatch(f"labels outside 0..{n_out - 1}")
+    if mask_others and y_max == head.n_classes:
+        raise ShapeMismatch("everything-else label present while masked out")
+    if net.embeddings[task_id]:
+        if s <= 0:
+            raise ValueError("gate scale s must be positive")
+    elif reg_weight != 0.0:
+        raise UngatedTask(f"task {task_id} has no gates to regularize")
+    return x, y
+
+
+def _loss_and_gradients(
+    net: HatMlp,
+    x: np.ndarray,
+    y: np.ndarray,
+    task_id: int,
+    s: float,
+    reg_weight: float,
+    mask_others: bool,
+    e: np.ndarray,
+    capacity: tuple[np.ndarray, float],
+    out: Gradients,
+    g_gates: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """The batch loss, with the gradients written into ``out``.
+
+    ``e`` holds the task's embeddings flat and ``g_gates`` is the flat
+    buffer that ``out.embeddings`` are views of (both empty for an ungated
+    task); ``capacity`` is ``_free_capacity`` of the network's masks.
+    Returns the loss and ``s * e``."""
+    head = net.heads[task_id]
+    batch = x.shape[0]
+    rows = np.arange(batch)
+    se = e
+    if e.size:
+        se = s * e
+        a = _sigmoid(se)
+        gates = _split(a, [w.shape for w in out.embeddings])
+    else:
+        gates = [None] * net.n_layers
+
+    # forward, keeping what backward needs
+    inputs: list[np.ndarray] = []     # h_{l-1} feeding layer l
+    relus: list[np.ndarray] = []      # relu(W h + b), pre-gate
+    h = x
+    for w, b, g in zip(net.weights, net.biases, gates):
+        inputs.append(h)
+        r = h @ w.T
+        r += b
+        relus.append(np.maximum(r, 0.0, out=r))
+        h = r if g is None else r * g
+    logits = h @ head.weight.T
+    logits += head.bias
+
+    active = head.n_classes if mask_others else head.n_classes + 1
+    # The probabilities and the loss share one pass of exponentials and one
+    # row sum: taking them from ``numerics.softmax`` and
+    # ``numerics.log_sum_exp`` would exponentiate twice.
+    sub = logits[:, :active]
+    shifted = sub - sub.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    total = expv.sum(axis=1)
+    nll = -(shifted[rows, y] - np.log(total))
+    ce = float(nll.sum()) / batch
+
+    if mask_others:
+        dlogits = np.zeros_like(logits)
+        np.divide(expv, total[:, None], out=dlogits[:, :active])
+    else:
+        dlogits = np.divide(expv, total[:, None], out=expv)
+    dlogits[rows, y] -= 1.0
+    dlogits /= batch
+
+    np.matmul(dlogits.T, h, out=out.head_weight)
+    np.add.reduce(dlogits, axis=0, out=out.head_bias)
+    dh = dlogits @ head.weight
+    for l in range(net.n_layers - 1, -1, -1):
+        g, r = gates[l], relus[l]
+        if g is not None:   # through the gate; scaled by s a (1 - a) below
+            np.add.reduce(dh * r, axis=0, out=out.embeddings[l])
+        du = dh if g is None else dh * g   # dh is not read again: scaling it in place is safe
+        du *= r > 0.0
+        np.matmul(du.T, inputs[l], out=out.weights[l])
+        np.add.reduce(du, axis=0, out=out.biases[l])
+        if l > 0:
+            dh = du @ net.weights[l]
+
+    reg_loss = 0.0
+    if e.size:
+        one_minus_a = 1.0 - a
+        g_gates *= s
+        g_gates *= a
+        g_gates *= one_minus_a
+        if reg_weight != 0.0:
+            free, den = capacity
+            num = 0.0
+            for part in _split(a * free, [w.shape for w in gates]):
+                num += float(part.sum())
+            reg_loss = num / den
+            pull = reg_weight * free / den * s
+            pull *= a
+            pull *= one_minus_a
+            g_gates += pull
+    out.s = float(s)
+    return ce + reg_weight * reg_loss, se
 
 
 def batch_loss_and_gradients(
@@ -260,109 +424,109 @@ def batch_loss_and_gradients(
     from the softmax entirely (used on the first task, where no replay data
     exists and that unit must stay untouched).  An ungated task has no
     embedding gradients and takes no regularizer (``UngatedTask`` otherwise).
+    The regularizer is ``reg_weight * sum_l a_l . (1 - past_l) / max(sum_l
+    sum(1 - past_l), floor)``, the sparsity pressure on gates over still-free
+    capacity.  ``train_step`` runs the same computation on a training state.
     """
-    net.require_task(task_id)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ShapeMismatch(f"bad batch shapes x {x.shape}, y {y.shape}")
-    head = net.heads[task_id]
-    n_out = head.n_classes + 1
-    y_max = y.max()
-    if y.min() < 0 or y_max >= n_out:
-        raise ShapeMismatch(f"labels outside 0..{n_out - 1}")
-    if mask_others and y_max == head.n_classes:
-        raise ShapeMismatch("everything-else label present while masked out")
-
-    gates = _layer_gates(net, task_id, s)
-    if reg_weight != 0.0 and gates[0] is None:
-        raise UngatedTask(f"task {task_id} has no gates to regularize")
-
-    batch = x.shape[0]
-    rows = np.arange(batch)
-
-    # forward, keeping what backward needs
-    inputs: list[np.ndarray] = []     # h_{l-1} feeding layer l
-    relus: list[np.ndarray] = []      # relu(W h + b), pre-gate
-    h = x
-    for w, b, a in zip(net.weights, net.biases, gates):
-        inputs.append(h)
-        r = h @ w.T
-        r += b
-        relus.append(np.maximum(r, 0.0, out=r))
-        h = r if a is None else r * a
-    logits = h @ head.weight.T
-    logits += head.bias
-
-    active = head.n_classes if mask_others else n_out
-    # The probabilities and the loss share one pass of exponentials and one
-    # row sum: taking them from ``numerics.softmax`` and
-    # ``numerics.log_sum_exp`` would exponentiate twice.
-    sub = logits[:, :active]
-    shifted = sub - sub.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    total = expv.sum(axis=1)
-    nll = -(shifted[rows, y] - np.log(total))
-    ce = float(nll.mean())
-
-    dlogits = np.zeros_like(logits)
-    np.divide(expv, total[:, None], out=dlogits[:, :active])
-    dlogits[rows, y] -= 1.0
-    dlogits /= batch
-
-    g_head_w = dlogits.T @ h
-    g_head_b = dlogits.sum(axis=0)
-    dh = dlogits @ head.weight
-
-    reg = 0.0
-    if reg_weight != 0.0:
-        num, den = _gate_reg_terms(gates, net.past_masks)
-        reg = num / den
-    g_weights, g_biases, g_embeds = [], [], []
-    for l in range(net.n_layers - 1, -1, -1):
-        a, r = gates[l], relus[l]
-        if a is not None:
-            one_minus_a = 1.0 - a
-            ge = (dh * r).sum(axis=0) * s * a * one_minus_a   # through the gate
-            if reg_weight != 0.0:
-                ge += reg_weight * (1.0 - net.past_masks[l]) / den * s * a * one_minus_a
-            g_embeds.append(ge)
-        du = dh if a is None else dh * a   # dh is not read again: scaling it in place is safe
-        du *= r > 0.0
-        g_weights.append(du.T @ inputs[l])
-        g_biases.append(du.sum(axis=0))
-        if l > 0:
-            dh = du @ net.weights[l]
-
-    loss = ce + reg_weight * reg
-    return loss, Gradients(
-        weights=g_weights[::-1],
-        biases=g_biases[::-1],
-        embeddings=g_embeds[::-1],
-        head_weight=g_head_w,
-        head_bias=g_head_b,
-        s=float(s),
-    )
+    x, y = _check_batch(net, x, y, task_id, s, reg_weight, mask_others)
+    embeddings = net.embeddings[task_id]
+    e = np.concatenate(embeddings) if embeddings else np.empty(0)
+    _, task_grad, grads = _workspace(net, task_id)
+    loss, _ = _loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others, e,
+                                  _free_capacity(net.past_masks), grads, task_grad[:e.size])
+    return loss, grads
 
 
 def init_momentum(net: HatMlp, task_id: int) -> MomentumState:
-    """Zero momentum and the mask scales for training ``task_id``; call it
-    after the task's masks are fixed and use it until its ``consolidate_mask``."""
+    """The training state of ``task_id``: call it after the task's masks are
+    fixed and use it until its ``consolidate_mask``.
+
+    It copies the trained arrays into the state's two flat buffers, value for
+    value, and rebinds the network's arrays to views of them; the momentum
+    starts at zero."""
     net.require_task(task_id)
     head = net.heads[task_id]
+    n = net.n_layers
+    trunk_arrays, task_arrays = _trained(net, task_id)
+    trunk = np.concatenate([a.ravel() for a in trunk_arrays])
+    task = np.concatenate([a.ravel() for a in task_arrays])
+    trunk_shapes = [a.shape for a in trunk_arrays]
+    task_shapes = [a.shape for a in task_arrays]
+    params = _split(trunk, trunk_shapes) + _split(task, task_shapes)
+    net.weights[:] = params[:n]
+    net.biases[:] = params[n:2 * n]
+    net.embeddings[task_id][:] = params[2 * n:-2]
+    head.weight, head.bias = params[-2:]
+
+    scale = None
     prev = [np.ones(net.input_dim), *net.past_masks[:-1]]
+    if any(p.any() for p in net.past_masks):
+        scale = np.ones(trunk.size)
+        views = _split(scale, trunk_shapes)
+        for l, (p, q) in enumerate(zip(net.past_masks, prev)):
+            views[l][...] = 1.0 - np.minimum.outer(p, q)
+            views[n + l][...] = 1.0 - p
+
+    trunk_grad, task_grad, grads = _workspace(net, task_id)
     return MomentumState(
         task_id=task_id,
         past_masks=list(net.past_masks),
-        weight_scales=[1.0 - np.minimum.outer(p, q) if p.any() else None
-                       for p, q in zip(net.past_masks, prev)],
-        bias_scales=[1.0 - p if p.any() else None for p in net.past_masks],
-        weights=[np.zeros_like(w) for w in net.weights],
-        biases=[np.zeros_like(b) for b in net.biases],
-        embeddings=[np.zeros_like(e) for e in net.embeddings[task_id]],
-        head_weight=np.zeros_like(head.weight),
-        head_bias=np.zeros_like(head.bias),
+        params=params,
+        trunk=trunk,
+        task=task,
+        n_gates=task.size - head.weight.size - head.bias.size,
+        trunk_velocity=np.zeros(trunk.size),
+        task_velocity=np.zeros(task.size),
+        scale=scale,
+        trunk_grad=trunk_grad,
+        task_grad=task_grad,
+        grads=grads,
+        capacity=_free_capacity(net.past_masks),
     )
+
+
+def _check_state(net: HatMlp, task_id: int, state: MomentumState) -> None:
+    """Refuse a training state that does not fit the network any more."""
+    if state.task_id != task_id or [*map(id, state.past_masks)] != [*map(id, net.past_masks)]:
+        raise ShapeMismatch("momentum state is for another task or replaced masks; "
+                            "call init_momentum again")
+    trunk, task = _trained(net, task_id)
+    if [*map(id, trunk), *map(id, task)] != [*map(id, state.params)]:
+        raise ShapeMismatch("a trained array was rebound after init_momentum; "
+                            "call init_momentum again")
+
+
+def _apply_update(
+    net: HatMlp, state: MomentumState, s: float, se: np.ndarray, lr: float, momentum: float
+) -> None:
+    """``v *= momentum; v += g * scale; p -= lr * v`` over each flat buffer of
+    ``state``, from the gradients in its workspace (overwritten).  ``se`` is
+    ``s * e`` over the task's embeddings (overwritten too)."""
+    gated = state.n_gates > 0
+    e, g_gates = state.task[:state.n_gates], state.task_grad[:state.n_gates]
+    if gated:
+        # annealing compensation (s_max/s) * (cosh(s e) + 1) / (cosh(e) + 1)
+        np.maximum(se, -_COSH_CLIP, out=se)
+        comp = np.minimum(se, _COSH_CLIP, out=se)
+        np.cosh(comp, out=comp)
+        comp += 1.0
+        np.multiply(net.s_max / s, comp, out=comp)
+        ee = np.maximum(e, -_COSH_CLIP)
+        np.minimum(ee, _COSH_CLIP, out=ee)
+        np.cosh(ee, out=ee)
+        ee += 1.0
+        comp /= ee
+        g_gates *= comp
+    if state.scale is not None:
+        state.trunk_grad *= state.scale
+    for p, v, g in ((state.trunk, state.trunk_velocity, state.trunk_grad),
+                    (state.task, state.task_velocity, state.task_grad)):
+        v *= momentum
+        v += g
+        p -= lr * v
+    if gated:
+        np.maximum(e, -EMBEDDING_CLAMP, out=e)
+        np.minimum(e, EMBEDDING_CLAMP, out=e)
 
 
 def masked_gradient_update(
@@ -377,11 +541,12 @@ def masked_gradient_update(
 
     Trunk weight gradients are scaled by ``1 - min(past_out, past_in)`` per
     entry (the input layer's "previous" mask is all-ones), biases by
-    ``1 - past_out`` (both held by ``state``, ``None`` where they are 1).  The
+    ``1 - past_out`` (both held by ``state``, which holds none when no unit
+    is claimed).  The
     head and the task's own embeddings are unscaled; embedding gradients get
     the annealing compensation ``(s_max/s) * (cosh(s e)+1)/(cosh(e)+1)`` and
     embeddings are clamped to ``[-6, 6]`` afterwards.  An ungated task has no
-    embeddings to update.
+    embeddings to update.  ``train_step`` applies the same update.
     """
     net.require_task(task_id)
     head = net.heads[task_id]
@@ -394,31 +559,40 @@ def masked_gradient_update(
     ):
         if [np.shape(g) for g in got] != [w.shape for w in want]:
             raise ShapeMismatch(f"gradient {name} does not match the network")
-    if state.task_id != task_id or [*map(id, state.past_masks)] != [*map(id, net.past_masks)]:
-        raise ShapeMismatch("momentum state is for another task or replaced masks; "
-                            "call init_momentum again")
-
-    for v, g, scale, param in zip(
-        [*state.weights, *state.biases, state.head_weight, state.head_bias],
-        [*grads.weights, *grads.biases, grads.head_weight, grads.head_bias],
-        [*state.weight_scales, *state.bias_scales, None, None],
-        [*net.weights, *net.biases, head.weight, head.bias],
-    ):
-        v *= momentum
-        v += g if scale is None else g * scale   # g * 1.0 would be g bit for bit
-        param -= lr * v
-
+    _check_state(net, task_id, state)
+    np.concatenate([np.ravel(g) for g in (*grads.weights, *grads.biases)],
+                   out=state.trunk_grad)
+    np.concatenate([np.ravel(g) for g in (*grads.embeddings, grads.head_weight,
+                                          grads.head_bias)], out=state.task_grad)
     s = grads.s
-    for e, v, g in zip(net.embeddings[task_id], state.embeddings, grads.embeddings):
-        se = np.minimum(np.maximum(s * e, -_COSH_CLIP), _COSH_CLIP)
-        ee = np.minimum(np.maximum(e, -_COSH_CLIP), _COSH_CLIP)
-        comp = (net.s_max / s) * (np.cosh(se) + 1.0) / (np.cosh(ee) + 1.0)
-        v *= momentum
-        v += g * comp
-        e -= lr * v
-        np.maximum(e, -EMBEDDING_CLAMP, out=e)
-        np.minimum(e, EMBEDDING_CLAMP, out=e)
+    _apply_update(net, state, s, s * state.task[:state.n_gates], lr, momentum)
     return net
+
+
+def train_step(
+    net: HatMlp,
+    x: np.ndarray,
+    y: np.ndarray,
+    task_id: int,
+    s: float,
+    reg_weight: float,
+    lr: float,
+    momentum: float,
+    state: MomentumState,
+    mask_others: bool = False,
+) -> float:
+    """One training step of ``task_id`` on a batch: ``batch_loss_and_gradients``
+    then ``masked_gradient_update``, bit for bit, over the flat buffers of
+    ``state`` (``init_momentum``).  Returns the batch loss; the update is
+    applied whatever it is, so a caller stops on a loss that is not finite."""
+    x, y = _check_batch(net, x, y, task_id, s, reg_weight, mask_others)
+    _check_state(net, task_id, state)
+    n = state.n_gates
+    loss, se = _loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others,
+                                   state.task[:n], state.capacity, state.grads,
+                                   state.task_grad[:n])
+    _apply_update(net, state, s, se, lr, momentum)
+    return loss
 
 
 def consolidate_mask(net: HatMlp, task_id: int) -> None:

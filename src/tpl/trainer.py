@@ -201,21 +201,22 @@ def train_task(
             for bi in range(batches_per_epoch):
                 idx = perm[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]
                 s = hat_mlp.anneal_s(bi + 1, batches_per_epoch, cfg.s_max)
-                loss, grads = hat_mlp.batch_loss_and_gradients(
-                    net, x_all[idx], y_all[idx], dataset.task_id, s,
-                    cfg.hat_reg_weight, mask_others=mask_others,
+                loss = hat_mlp.train_step(
+                    net, x_all[idx], y_all[idx], dataset.task_id, s, cfg.hat_reg_weight,
+                    cfg.learning_rate, cfg.momentum, state, mask_others=mask_others,
                 )
-                if not math.isfinite(loss):
-                    raise NonFiniteLoss(
-                        f"task {dataset.task_id}, epoch {epoch}: training loss is "
-                        f"{loss}; lower the learning_rate or rescale the features"
-                    )
-                hat_mlp.masked_gradient_update(
-                    net, grads, dataset.task_id, cfg.learning_rate, cfg.momentum, state
-                )
+                check_loss(loss, f"task {dataset.task_id}, epoch {epoch}")
                 total += loss * idx.shape[0]
             history.append(total / n)
     return history
+
+
+def check_loss(loss: float, where: str) -> None:
+    """Raise ``NonFiniteLoss`` for a batch loss that is inf or nan; ``where``
+    names the training it came from."""
+    if not math.isfinite(loss):
+        raise NonFiniteLoss(f"{where}: training loss is {loss}; "
+                            "lower the learning_rate or rescale the features")
 
 
 def _rate_from_mean(mean: float, label: str, task_id: int) -> float:

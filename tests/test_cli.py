@@ -1700,6 +1700,19 @@ class TestEval:
         assert (run_dir / "metrics.json").read_bytes() == before
         assert list(ncl_dir.glob("ncl-*.json")) == caches
 
+    def test_a_non_finite_reference_loss_exits_3_and_caches_nothing(
+            self, run_dir, tmp_path, monkeypatch):
+        """A joint-reference step whose loss is nan ends ``eval --ncl`` with one
+        error line naming the prefix and epoch; no cache or report is written."""
+        monkeypatch.setattr(hat_mlp, "train_step", lambda *a, **k: math.nan)
+        ncl_dir, out = tmp_path / "ncl", tmp_path / "m.json"
+        code, stdout, err = run_cli("eval", "--run", str(run_dir), "--ncl", str(ncl_dir),
+                                    "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == ("error: joint reference for prefix 1, epoch 1: training loss is "
+                       "nan; lower the learning_rate or rescale the features\n")
+        assert list(ncl_dir.iterdir()) == [] and not out.exists()
+
     def test_ncl_cache_of_an_older_reference_is_not_read(self, run_dir, tmp_path):
         # the key the cache had before it named the reference's version; a
         # cache under it may hold a reference trained with leaky gates

@@ -16,6 +16,7 @@ from tpl.errors import (
     EmptyClassList,
     EmptyTestSet,
     MissingNclPrefix,
+    NonFiniteLoss,
 )
 from tpl.numerics import RngState
 
@@ -372,6 +373,24 @@ def test_desk_reference_matches_the_pinned_gates_bit_for_bit(seed):
     assert [d.task_id for d in stream.tasks] == sorted(ncl.per_task) == [1, 2, 3, 4, 5]
     for t, net in zip(sorted(ncl.per_task), nets):
         _assert_matches_pinned(stream, t, cfg, seed, net, ncl.per_task[t], ncl.pooled[t])
+
+
+def test_a_diverging_reference_stops_at_its_first_non_finite_loss():
+    # the README demo stream; any RuntimeWarning fails this suite
+    stream = data.generate_gaussian_stream(5, 2, 16, 6.0, 200, 100, RngState(1))
+    cfg = trainer.clone_config(trainer.TrainConfig(), learning_rate=1e300, epochs=2)
+    with pytest.raises(NonFiniteLoss, match=r"^joint reference for prefix 2, epoch 1: "
+                                            r"training loss is nan; lower the learning_rate"):
+        evaluation.train_ncl_reference(stream, 2, cfg, 1)
+
+
+def test_the_reference_names_the_epoch_of_the_non_finite_loss(run, stream, monkeypatch):
+    # 160 pooled rows in batches of 32: the sixth step is epoch 2's first
+    losses = iter([1.0] * 5 + [math.inf])
+    monkeypatch.setattr(hat_mlp, "train_step", lambda *a, **k: next(losses))
+    with pytest.raises(NonFiniteLoss, match=r"^joint reference for prefix 2, epoch 2: "
+                                            r"training loss is inf;"):
+        evaluation.train_ncl_reference(stream, 2, run.config, 11)
 
 
 def test_reference_is_ungated_at_every_s_max(run, stream):

@@ -1,3 +1,4 @@
+import copy
 import math
 import types
 import warnings
@@ -436,11 +437,13 @@ def test_ungated_task_reads_the_whole_trunk_or_raises(entry, tmp_path):
 
 def test_mask_scales_are_skipped_only_where_nothing_is_claimed():
     net = tiny_net(widths=(3, 2), input_dim=2)
+    assert hat_mlp.init_momentum(net, 1).scale is None
     net.past_masks = [np.array([0.0, 1.0, 0.0]), np.zeros(2)]
     state = hat_mlp.init_momentum(net, 1)
-    assert state.weight_scales[1] is None and state.bias_scales[1] is None
-    assert state.weight_scales[0].tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
-    assert state.bias_scales[0].tolist() == [1.0, 0.0, 1.0]
+    w0, w1, b0, b1 = hat_mlp._split(state.scale, [(3, 2), (2, 3), (3,), (2,)])
+    assert w0.tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+    assert b0.tolist() == [1.0, 0.0, 1.0]
+    assert np.all(w1 == 1.0) and np.all(b1 == 1.0)
 
 
 # --- zero interference ------------------------------------------------------
@@ -635,8 +638,11 @@ def _net_bits(net, task_id):
 
 
 def _state_bits(state):
-    return _bits(state.weights, state.biases, state.embeddings,
-                 [state.head_weight, state.head_bias])
+    if isinstance(state, hat_mlp.MomentumState):
+        return _bits([state.trunk_velocity, state.task_velocity])
+    return _bits([np.concatenate([a.ravel() for a in (*state.weights, *state.biases)]),
+                  np.concatenate([a.ravel() for a in (*state.embeddings, state.head_weight,
+                                                      state.head_bias)])])
 
 
 def _grad_bits(loss, g):
@@ -711,3 +717,230 @@ def test_sigmoid_matches_reference_on_special_values():
     assert got.tobytes() == expect.tobytes()
     wide = np.random.default_rng(3).standard_normal(10_000) * 400.0
     assert hat_mlp._sigmoid(wide).tobytes() == _ref_sigmoid(wide).tobytes()
+
+
+# --- the per-array step: train_step's reference ------------------------------
+# ``batch_loss_and_gradients`` and ``masked_gradient_update`` as they were
+# before a step ran over flat per-task buffers, one array at a time.
+
+def _per_array_batch_loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others):
+    head = net.heads[task_id]
+    n_out = head.n_classes + 1
+    embeddings = net.embeddings[task_id]
+    gates = ([hat_mlp._sigmoid(s * e) for e in embeddings] if embeddings
+             else [None] * net.n_layers)
+    batch = x.shape[0]
+    rows = np.arange(batch)
+
+    inputs, relus = [], []
+    h = x
+    for w, b, a in zip(net.weights, net.biases, gates):
+        inputs.append(h)
+        r = h @ w.T
+        r += b
+        relus.append(np.maximum(r, 0.0, out=r))
+        h = r if a is None else r * a
+    logits = h @ head.weight.T
+    logits += head.bias
+
+    active = head.n_classes if mask_others else n_out
+    sub = logits[:, :active]
+    shifted = sub - sub.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    total = expv.sum(axis=1)
+    nll = -(shifted[rows, y] - np.log(total))
+    ce = float(nll.mean())
+
+    dlogits = np.zeros_like(logits)
+    np.divide(expv, total[:, None], out=dlogits[:, :active])
+    dlogits[rows, y] -= 1.0
+    dlogits /= batch
+
+    g_head_w = dlogits.T @ h
+    g_head_b = dlogits.sum(axis=0)
+    dh = dlogits @ head.weight
+
+    reg = 0.0
+    if reg_weight != 0.0:
+        num = den = 0.0
+        for a, past in zip(gates, net.past_masks):
+            free = 1.0 - past
+            num += float((a * free).sum())
+            den += float(free.sum())
+        den = max(den, hat_mlp._REG_DENOM_FLOOR)
+        reg = num / den
+    g_weights, g_biases, g_embeds = [], [], []
+    for l in range(net.n_layers - 1, -1, -1):
+        a, r = gates[l], relus[l]
+        if a is not None:
+            one_minus_a = 1.0 - a
+            ge = (dh * r).sum(axis=0) * s * a * one_minus_a
+            if reg_weight != 0.0:
+                ge += reg_weight * (1.0 - net.past_masks[l]) / den * s * a * one_minus_a
+            g_embeds.append(ge)
+        du = dh if a is None else dh * a
+        du *= r > 0.0
+        g_weights.append(du.T @ inputs[l])
+        g_biases.append(du.sum(axis=0))
+        if l > 0:
+            dh = du @ net.weights[l]
+
+    return ce + reg_weight * reg, hat_mlp.Gradients(
+        weights=g_weights[::-1], biases=g_biases[::-1], embeddings=g_embeds[::-1],
+        head_weight=g_head_w, head_bias=g_head_b, s=float(s),
+    )
+
+
+def _per_array_init_momentum(net, task_id):
+    head = net.heads[task_id]
+    prev = [np.ones(net.input_dim), *net.past_masks[:-1]]
+    return types.SimpleNamespace(
+        weight_scales=[1.0 - np.minimum.outer(p, q) if p.any() else None
+                       for p, q in zip(net.past_masks, prev)],
+        bias_scales=[1.0 - p if p.any() else None for p in net.past_masks],
+        weights=[np.zeros_like(w) for w in net.weights],
+        biases=[np.zeros_like(b) for b in net.biases],
+        embeddings=[np.zeros_like(e) for e in net.embeddings[task_id]],
+        head_weight=np.zeros_like(head.weight),
+        head_bias=np.zeros_like(head.bias),
+    )
+
+
+def _per_array_masked_gradient_update(net, grads, task_id, lr, momentum, state):
+    head = net.heads[task_id]
+    for v, g, scale, param in zip(
+        [*state.weights, *state.biases, state.head_weight, state.head_bias],
+        [*grads.weights, *grads.biases, grads.head_weight, grads.head_bias],
+        [*state.weight_scales, *state.bias_scales, None, None],
+        [*net.weights, *net.biases, head.weight, head.bias],
+    ):
+        v *= momentum
+        v += g if scale is None else g * scale
+        param -= lr * v
+
+    s = grads.s
+    for e, v, g in zip(net.embeddings[task_id], state.embeddings, grads.embeddings):
+        se = np.minimum(np.maximum(s * e, -hat_mlp._COSH_CLIP), hat_mlp._COSH_CLIP)
+        ee = np.minimum(np.maximum(e, -hat_mlp._COSH_CLIP), hat_mlp._COSH_CLIP)
+        comp = (net.s_max / s) * (np.cosh(se) + 1.0) / (np.cosh(ee) + 1.0)
+        v *= momentum
+        v += g * comp
+        e -= lr * v
+        np.maximum(e, -hat_mlp.EMBEDDING_CLAMP, out=e)
+        np.minimum(e, hat_mlp.EMBEDDING_CLAMP, out=e)
+
+
+def _all_bits(net):
+    """Every array of the network, every task's head and embeddings included."""
+    heads = [a for t in net.task_ids() for a in (net.heads[t].weight, net.heads[t].bias)]
+    embeddings = [e for t in net.task_ids() for e in net.embeddings[t]]
+    return _bits(net.weights, net.biases, heads, embeddings, net.past_masks)
+
+
+def _two_task_net(input_dim, widths, n_classes, gated, protect, seed):
+    """Task 2 of a net whose task 1 (gates drawn over [-6, 6]) was consolidated
+    when ``protect`` is set."""
+    net = hat_mlp.new_hat_mlp(input_dim, tuple(widths), S_MAX, RngState(seed))
+    if protect:
+        hat_mlp.add_task(net, 1, n_classes, RngState(seed).stream("task1"))
+        rng = RngState(seed).stream("gates1")
+        net.embeddings[1] = [rng.uniform(-6.0, 6.0, w) for w in widths]
+        hat_mlp.consolidate_mask(net, 1)
+    hat_mlp.add_task(net, 2, n_classes, RngState(seed).stream("task2"), gated=gated)
+    return net
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    input_dim=st.integers(1, 6),
+    widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    n_classes=st.integers(1, 4),
+    gated=st.booleans(),
+    protect=st.booleans(),
+    reg_weight=st.sampled_from([0.0, 0.75]),
+    mask_others=st.booleans(),
+    batch=st.integers(1, 40),
+    steps=st.integers(1, 5),
+    anneal=st.booleans(),
+    lr=st.sampled_from([0.005, 0.5, 1e300]),
+    momentum=st.sampled_from([0.0, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_step_matches_the_per_array_step_bit_for_bit(
+        input_dim, widths, n_classes, gated, protect, reg_weight, mask_others, batch,
+        steps, anneal, lr, momentum, seed):
+    # lr 1e300 diverges: nan and inf must come out with the same bits too
+    reg_weight = reg_weight if gated else 0.0
+    net = _two_task_net(input_dim, widths, n_classes, gated, protect, seed)
+    ref, pair = copy.deepcopy(net), copy.deepcopy(net)
+    assert _all_bits(net) == _all_bits(ref)
+    state = hat_mlp.init_momentum(net, 2)
+    pair_state = hat_mlp.init_momentum(pair, 2)
+    ref_state = _per_array_init_momentum(ref, 2)
+    assert _all_bits(net) == _all_bits(ref)
+    rng = RngState(seed).stream("batches")
+    n_labels = n_classes if mask_others else n_classes + 1
+    for i in range(1, steps + 1):
+        s = hat_mlp.anneal_s(i, steps, S_MAX) if anneal else S_MAX
+        x = rng.standard_normal((batch, input_dim)) * 3.0
+        y = rng.integers(0, n_labels, batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = hat_mlp.train_step(net, x, y, 2, s, reg_weight, lr, momentum, state,
+                                      mask_others=mask_others)
+            ref_loss, ref_grads = _per_array_batch_loss_and_gradients(
+                ref, x, y, 2, s, reg_weight, mask_others)
+            _per_array_masked_gradient_update(ref, ref_grads, 2, lr, momentum, ref_state)
+            pair_loss, grads = hat_mlp.batch_loss_and_gradients(
+                pair, x, y, 2, s, reg_weight, mask_others=mask_others)
+            hat_mlp.masked_gradient_update(pair, grads, 2, lr, momentum, pair_state)
+        assert _bits([loss]) == _bits([ref_loss]) == _bits([pair_loss])
+        assert _all_bits(net) == _all_bits(ref) == _all_bits(pair)
+
+
+# --- the training state -------------------------------------------------------
+
+def test_init_momentum_keeps_every_value_and_makes_views_of_two_buffers():
+    net = _two_task_net(5, (4, 3), 2, True, True, seed=70)
+    before = _all_bits(net)
+    state = hat_mlp.init_momentum(net, 2)
+    assert _all_bits(net) == before
+    head = net.heads[2]
+    for a in (*net.weights, *net.biases):
+        assert a.base is state.trunk
+    for a in (*net.embeddings[2], head.weight, head.bias):
+        assert a.base is state.task
+    assert state.n_gates == 4 + 3
+    assert state.trunk.size == sum(a.size for a in (*net.weights, *net.biases))
+    # task 1's arrays are not the state's
+    assert all(not np.shares_memory(e, state.task) for e in net.embeddings[1])
+
+
+def _rebind(net, what):
+    if what == "embeddings":
+        net.embeddings[2][0] = net.embeddings[2][0].copy()
+    elif what == "head":
+        net.heads[2].bias = net.heads[2].bias.copy()
+    else:
+        getattr(net, what)[-1] = getattr(net, what)[-1].copy()
+
+
+@pytest.mark.parametrize("what", ["weights", "biases", "embeddings", "head"])
+@pytest.mark.parametrize("step", ["train_step", "masked_gradient_update"])
+def test_a_rebound_array_stales_the_training_state(what, step):
+    net = _two_task_net(3, (4, 3), 2, True, True, seed=71)
+    state = hat_mlp.init_momentum(net, 2)
+    x = RngState(72).stream("x").standard_normal((6, 3))
+    y = np.array([0, 1, 2, 0, 1, 2])
+    hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, state)
+    _rebind(net, what)
+    before = _all_bits(net)
+    velocity = _bits([state.trunk_velocity, state.task_velocity])
+    with pytest.raises(ShapeMismatch, match="rebound after init_momentum"):
+        if step == "train_step":
+            hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, state)
+        else:
+            hat_mlp.masked_gradient_update(net, make_grads(net, 2), 2, 0.1, 0.9, state)
+    assert _all_bits(net) == before
+    assert _bits([state.trunk_velocity, state.task_velocity]) == velocity
+    fresh = hat_mlp.init_momentum(net, 2)
+    hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, fresh)

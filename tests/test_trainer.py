@@ -247,6 +247,38 @@ def test_checkpoint_buffer_keeps_its_bytes_after_later_tasks():
             assert a.tobytes() == b.tobytes(), (n, name)
 
 
+def test_checkpoints_never_release_claimed_capacity():
+    """Across a 3-task run, the cumulative masks only grow, and what a
+    finished task owns stays bit-equal at every later checkpoint: its head,
+    its embeddings, and each protected unit's bias and its weights from
+    protected inputs (the input layer's inputs all count as protected)."""
+    stream = data.generate_gaussian_stream(
+        n_tasks=3, classes_per_task=2, dim=6, separation=6.0,
+        samples_per_class_train=40, samples_per_class_test=0, rng=RngState(8),
+    )
+    run = trainer.run_sequence(stream, quick_cfg(epochs=4), seed=8, calibrate=False)
+    nets = [cp.net for cp in run.checkpoints]
+    frozen = 0
+    for i, then in enumerate(nets):
+        for now in nets[i + 1:]:
+            for past, later in zip(then.past_masks, now.past_masks):
+                assert np.all(later >= past)
+            for t in then.task_ids():
+                assert now.heads[t].weight.tobytes() == then.heads[t].weight.tobytes()
+                assert now.heads[t].bias.tobytes() == then.heads[t].bias.tobytes()
+                assert [e.tobytes() for e in now.embeddings[t]] == [
+                    e.tobytes() for e in then.embeddings[t]]
+            prev = np.ones(then.input_dim, dtype=bool)
+            for l, past in enumerate(then.past_masks):
+                units = past == 1.0
+                block = np.ix_(units, prev)
+                assert now.biases[l][units].tobytes() == then.biases[l][units].tobytes()
+                assert now.weights[l][block].tobytes() == then.weights[l][block].tobytes()
+                frozen += now.weights[l][block].size
+                prev = units
+    assert frozen > 0  # the run protected some capacity
+
+
 def test_run_sequence_deterministic():
     stream = two_task_stream()
     cfg = quick_cfg(epochs=3)
