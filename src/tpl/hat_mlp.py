@@ -86,24 +86,22 @@ class HatMlp:
 @dataclass
 class Gradients:
     """Gradients of one batch loss, for the shared trunk plus one task's head
-    and embeddings.  ``s`` records the gate scale the batch ran at (needed by
-    the update step to undo the annealed gate slope)."""
+    and embeddings: per-layer views of a training state's flat workspace."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     embeddings: list[np.ndarray]
     head_weight: np.ndarray
     head_bias: np.ndarray
-    s: float
 
 
 @dataclass
 class MomentumState:
     """Training state of one task, built by ``init_momentum`` once that
-    task's masks are fixed.  ``train_step`` and ``masked_gradient_update``
-    refuse it (``ShapeMismatch``) for another task, once ``net.past_masks``
-    are not the arrays it was built from (``consolidate_mask`` replaces
-    them), or once a trained array of the network was rebound.
+    task's masks are fixed.  ``train_step`` refuses it (``ShapeMismatch``)
+    for another task, once ``net.past_masks`` are not the arrays it was
+    built from (``consolidate_mask`` replaces them), or once a trained array
+    of the network was rebound.
 
     It owns two flat buffers that the trained arrays are views of: ``trunk``
     holds ``net.weights`` then ``net.biases``, and ``task`` holds the task's
@@ -260,21 +258,6 @@ def _trained(net: HatMlp, task_id: int) -> tuple[list[np.ndarray], list[np.ndarr
             [*net.embeddings[task_id], head.weight, head.bias])
 
 
-def _workspace(net: HatMlp, task_id: int) -> tuple[np.ndarray, np.ndarray, Gradients]:
-    """Zeroed flat gradient buffers in the trunk and task layouts, and a
-    ``Gradients`` of views of them."""
-    trunk, task = _trained(net, task_id)
-    trunk_grad = np.zeros(sum(a.size for a in trunk))
-    task_grad = np.zeros(sum(a.size for a in task))
-    tv = _split(trunk_grad, [a.shape for a in trunk])
-    kv = _split(task_grad, [a.shape for a in task])
-    n = net.n_layers
-    return trunk_grad, task_grad, Gradients(
-        weights=tv[:n], biases=tv[n:], embeddings=kv[:-2],
-        head_weight=kv[-2], head_bias=kv[-1], s=0.0,
-    )
-
-
 def _free_capacity(past_masks: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """``1 - past_l`` of every layer in one flat array, and the gate
     regularizer's denominator ``max(sum_l sum(1 - past_l), floor)``, its
@@ -296,6 +279,8 @@ def _check_batch(
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ShapeMismatch(f"bad batch shapes x {x.shape}, y {y.shape}")
+    if x.shape[1] != net.input_dim:
+        raise DimensionMismatch(f"batch has {x.shape[1]} features, expected {net.input_dim}")
     head = net.heads[task_id]
     n_out = head.n_classes + 1
     y_max = y.max()
@@ -319,18 +304,14 @@ def _loss_and_gradients(
     s: float,
     reg_weight: float,
     mask_others: bool,
-    e: np.ndarray,
-    capacity: tuple[np.ndarray, float],
-    out: Gradients,
-    g_gates: np.ndarray,
+    state: MomentumState,
 ) -> tuple[float, np.ndarray]:
-    """The batch loss, with the gradients written into ``out``.
-
-    ``e`` holds the task's embeddings flat and ``g_gates`` is the flat
-    buffer that ``out.embeddings`` are views of (both empty for an ungated
-    task); ``capacity`` is ``_free_capacity`` of the network's masks.
-    Returns the loss and ``s * e``."""
+    """``train_step``'s batch loss, with its gradients written into the
+    workspace of ``state`` (``state.grads``).  Returns the loss and ``s * e``
+    over the task's flat embeddings ``e`` (empty for an ungated task)."""
     head = net.heads[task_id]
+    out = state.grads
+    e, g_gates = state.task[:state.n_gates], state.task_grad[:state.n_gates]
     batch = x.shape[0]
     rows = np.arange(batch)
     se = e
@@ -394,7 +375,7 @@ def _loss_and_gradients(
         g_gates *= a
         g_gates *= one_minus_a
         if reg_weight != 0.0:
-            free, den = capacity
+            free, den = state.capacity
             num = 0.0
             for part in _split(a * free, [w.shape for w in gates]):
                 num += float(part.sum())
@@ -403,38 +384,7 @@ def _loss_and_gradients(
             pull *= a
             pull *= one_minus_a
             g_gates += pull
-    out.s = float(s)
     return ce + reg_weight * reg_loss, se
-
-
-def batch_loss_and_gradients(
-    net: HatMlp,
-    x: np.ndarray,
-    y: np.ndarray,
-    task_id: int,
-    s: float,
-    reg_weight: float,
-    mask_others: bool = False,
-) -> tuple[float, Gradients]:
-    """Mean cross-entropy (+ gate regularizer) over a batch, with analytic
-    gradients for the trunk, this task's head, and this task's embeddings.
-
-    ``y`` holds within-task class indices; index ``n_classes`` is the
-    everything-else unit.  With ``mask_others`` the last logit is excluded
-    from the softmax entirely (used on the first task, where no replay data
-    exists and that unit must stay untouched).  An ungated task has no
-    embedding gradients and takes no regularizer (``UngatedTask`` otherwise).
-    The regularizer is ``reg_weight * sum_l a_l . (1 - past_l) / max(sum_l
-    sum(1 - past_l), floor)``, the sparsity pressure on gates over still-free
-    capacity.  ``train_step`` runs the same computation on a training state.
-    """
-    x, y = _check_batch(net, x, y, task_id, s, reg_weight, mask_others)
-    embeddings = net.embeddings[task_id]
-    e = np.concatenate(embeddings) if embeddings else np.empty(0)
-    _, task_grad, grads = _workspace(net, task_id)
-    loss, _ = _loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others, e,
-                                  _free_capacity(net.past_masks), grads, task_grad[:e.size])
-    return loss, grads
 
 
 def init_momentum(net: HatMlp, task_id: int) -> MomentumState:
@@ -467,7 +417,8 @@ def init_momentum(net: HatMlp, task_id: int) -> MomentumState:
             views[l][...] = 1.0 - np.minimum.outer(p, q)
             views[n + l][...] = 1.0 - p
 
-    trunk_grad, task_grad, grads = _workspace(net, task_id)
+    trunk_grad, task_grad = np.zeros(trunk.size), np.zeros(task.size)
+    grad_views = _split(trunk_grad, trunk_shapes) + _split(task_grad, task_shapes)
     return MomentumState(
         task_id=task_id,
         past_masks=list(net.past_masks),
@@ -480,7 +431,11 @@ def init_momentum(net: HatMlp, task_id: int) -> MomentumState:
         scale=scale,
         trunk_grad=trunk_grad,
         task_grad=task_grad,
-        grads=grads,
+        grads=Gradients(
+            weights=grad_views[:n], biases=grad_views[n:2 * n],
+            embeddings=grad_views[2 * n:-2], head_weight=grad_views[-2],
+            head_bias=grad_views[-1],
+        ),
         capacity=_free_capacity(net.past_masks),
     )
 
@@ -529,46 +484,6 @@ def _apply_update(
         np.minimum(e, EMBEDDING_CLAMP, out=e)
 
 
-def masked_gradient_update(
-    net: HatMlp,
-    grads: Gradients,
-    task_id: int,
-    lr: float,
-    momentum: float,
-    state: MomentumState,
-) -> HatMlp:
-    """One SGD-with-momentum step that cannot move protected capacity.
-
-    Trunk weight gradients are scaled by ``1 - min(past_out, past_in)`` per
-    entry (the input layer's "previous" mask is all-ones), biases by
-    ``1 - past_out`` (both held by ``state``, which holds none when no unit
-    is claimed).  The
-    head and the task's own embeddings are unscaled; embedding gradients get
-    the annealing compensation ``(s_max/s) * (cosh(s e)+1)/(cosh(e)+1)`` and
-    embeddings are clamped to ``[-6, 6]`` afterwards.  An ungated task has no
-    embeddings to update.  ``train_step`` applies the same update.
-    """
-    net.require_task(task_id)
-    head = net.heads[task_id]
-    for name, got, want in (
-        ("weights", grads.weights, net.weights),
-        ("biases", grads.biases, net.biases),
-        ("embeddings", grads.embeddings, net.embeddings[task_id]),
-        ("head_weight", [grads.head_weight], [head.weight]),
-        ("head_bias", [grads.head_bias], [head.bias]),
-    ):
-        if [np.shape(g) for g in got] != [w.shape for w in want]:
-            raise ShapeMismatch(f"gradient {name} does not match the network")
-    _check_state(net, task_id, state)
-    np.concatenate([np.ravel(g) for g in (*grads.weights, *grads.biases)],
-                   out=state.trunk_grad)
-    np.concatenate([np.ravel(g) for g in (*grads.embeddings, grads.head_weight,
-                                          grads.head_bias)], out=state.task_grad)
-    s = grads.s
-    _apply_update(net, state, s, s * state.task[:state.n_gates], lr, momentum)
-    return net
-
-
 def train_step(
     net: HatMlp,
     x: np.ndarray,
@@ -581,16 +496,32 @@ def train_step(
     state: MomentumState,
     mask_others: bool = False,
 ) -> float:
-    """One training step of ``task_id`` on a batch: ``batch_loss_and_gradients``
-    then ``masked_gradient_update``, bit for bit, over the flat buffers of
-    ``state`` (``init_momentum``).  Returns the batch loss; the update is
-    applied whatever it is, so a caller stops on a loss that is not finite."""
+    """One SGD-with-momentum step of ``task_id`` on a batch, over the flat
+    buffers of ``state`` (``init_momentum``).  Returns the batch loss; the
+    update is applied whatever it is, so a caller stops on a loss that is
+    not finite.
+
+    The loss is the mean cross-entropy of the batch at gate scale ``s``, plus
+    the gate regularizer ``reg_weight * sum_l a_l . (1 - past_l) / max(sum_l
+    sum(1 - past_l), floor)``, the sparsity pressure on gates over still-free
+    capacity.  ``y`` holds within-task class indices; index ``n_classes`` is
+    the everything-else unit.  With ``mask_others`` the last logit is excluded
+    from the softmax entirely (the first task, where no replay data exists
+    and that unit must stay untouched).  An ungated task has no embeddings to
+    train and takes no regularizer (``UngatedTask`` otherwise).
+
+    Trunk weight gradients are scaled by ``1 - min(past_out, past_in)`` per
+    entry (the input layer's "previous" mask is all-ones) and bias gradients
+    by ``1 - past_out``, so protected capacity cannot move.  The head and the
+    task's own embeddings are unscaled; embedding gradients get the annealing
+    compensation ``(s_max/s) * (cosh(s e)+1)/(cosh(e)+1)``, and embeddings are
+    clamped to ``[-EMBEDDING_CLAMP, EMBEDDING_CLAMP]`` after the step.  A
+    refused task (``UnknownTask``), batch (``ShapeMismatch``,
+    ``DimensionMismatch``, ``ValueError``, ``UngatedTask``) or state
+    (``ShapeMismatch``) raises before anything is written."""
     x, y = _check_batch(net, x, y, task_id, s, reg_weight, mask_others)
     _check_state(net, task_id, state)
-    n = state.n_gates
-    loss, se = _loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others,
-                                   state.task[:n], state.capacity, state.grads,
-                                   state.task_grad[:n])
+    loss, se = _loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others, state)
     _apply_update(net, state, s, se, lr, momentum)
     return loss
 

@@ -136,16 +136,6 @@ def precision_factor(precision: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("precision matrix is not positive definite") from None
 
 
-def mahalanobis_sq(x: np.ndarray, means: np.ndarray, precision: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance of every row of ``x`` to every mean: [n, c].
-
-    The precision is factored on every call (``precision_factor``); a caller
-    that keeps the factor calls ``whitened_sq`` with it and gets the same bits.
-    Raises ``NotPositiveDefinite`` when the precision has no Cholesky factor.
-    """
-    return whitened_sq(x, means, precision_factor(precision))
-
-
 def whitened_sq(x: np.ndarray, means: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of every row of ``x`` to every mean, [n, c],
     under the precision ``factor @ factor.T``.

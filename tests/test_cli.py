@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from tpl import cli, data, evaluation, hat_mlp, numerics, scoring, theory_lab, trainer
 from tpl.errors import ConfigError, DegenerateVariance, DimensionMismatch, ParseError
-from tpl.numerics import RngState, flush_subnormals, mahalanobis_sq
+from tpl.numerics import RngState, flush_subnormals, precision_factor, whitened_sq
 from tpl.trainer import clone_config
 
 SEED = 3
@@ -1368,7 +1368,8 @@ class TestKernelReadyRunState:
                             if rows.any() else np.zeros(x.shape[0]))
                     assert column[:, j].tobytes() == want.tobytes(), (t, rows.sum())
                 st = held.stats[t]
-                d2 = np.min(mahalanobis_sq(feats, st.class_means, st.precision), axis=1)
+                d2 = np.min(whitened_sq(feats, st.class_means, precision_factor(st.precision)),
+                            axis=1)
                 want = 1.0 / np.maximum(d2, scoring.MD_FLOOR)
                 assert bundle.md[:, j].tobytes() == want.tobytes(), t
 

@@ -297,12 +297,9 @@ def _pinned_train_ncl_reference(stream, prefix, cfg, seed):
         perm = root.stream(f"shuffle-epoch-{epoch}").permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            _, grads = hat_mlp.batch_loss_and_gradients(
-                net, x[idx], y[idx], _KEY, cfg.s_max,
-                reg_weight=0.0, mask_others=True,
-            )
-            hat_mlp.masked_gradient_update(
-                net, grads, _KEY, cfg.learning_rate, cfg.momentum, state
+            hat_mlp.train_step(
+                net, x[idx], y[idx], _KEY, cfg.s_max, 0.0, cfg.learning_rate,
+                cfg.momentum, state, mask_others=True,
             )
 
     hits = [evaluation._head_hits(net, _KEY, pooled_classes, d) for d in tasks]

@@ -105,14 +105,22 @@ def test_anneal_rejects_out_of_range():
         hat_mlp.anneal_s(6, 5, 400.0)
 
 
-# --- regularizer ------------------------------------------------------------
+# --- the step's core: loss and gradients --------------------------------------
+
+def _core_loss(net, x, y, task_id, s, reg_weight, state, mask_others=False):
+    """``train_step``'s batch loss, without its update; the gradients are left
+    in ``state.grads``."""
+    loss, _ = hat_mlp._loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others,
+                                          state)
+    return loss
+
 
 def _reg_loss(net, task_id, s):
     """The gate regularizer: the loss it adds to a batch at weight 1."""
+    state = hat_mlp.init_momentum(net, task_id)
     x, y = np.zeros((1, net.input_dim)), np.array([0])
-    with_reg, _ = hat_mlp.batch_loss_and_gradients(net, x, y, task_id, s, 1.0)
-    without, _ = hat_mlp.batch_loss_and_gradients(net, x, y, task_id, s, 0.0)
-    return with_reg - without
+    return (_core_loss(net, x, y, task_id, s, 1.0, state)
+            - _core_loss(net, x, y, task_id, s, 0.0, state))
 
 
 def test_reg_loss_fresh_net_is_mean_gate():
@@ -158,24 +166,21 @@ def _randomize_biases(net, task_id, seed):
 
 
 def _check_gradients(net, x, y, task_id, s, mu, mask_others):
-    loss, grads = hat_mlp.batch_loss_and_gradients(
-        net, x, y, task_id, s, mu, mask_others=mask_others
-    )
+    state = hat_mlp.init_momentum(net, task_id)
+    loss = _core_loss(net, x, y, task_id, s, mu, state, mask_others)
     assert np.isfinite(loss)
-    for arr, grad in _param_grad_pairs(net, task_id, grads):
-        flat = arr.ravel()
+    # the workspace is overwritten by every loss below: keep the analytic copy
+    pairs = [(arr, grad.copy()) for arr, grad in _param_grad_pairs(net, task_id, state.grads)]
+    for arr, grad in pairs:
+        flat = arr.ravel()      # a view: the net's arrays are views of the state's buffers
         gflat = grad.ravel()
         for i in range(flat.size):
             h = 1e-6 * max(1.0, abs(flat[i]))
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = hat_mlp.batch_loss_and_gradients(
-                net, x, y, task_id, s, mu, mask_others=mask_others
-            )
+            up = _core_loss(net, x, y, task_id, s, mu, state, mask_others)
             flat[i] = orig - h
-            dn, _ = hat_mlp.batch_loss_and_gradients(
-                net, x, y, task_id, s, mu, mask_others=mask_others
-            )
+            dn = _core_loss(net, x, y, task_id, s, mu, state, mask_others)
             flat[i] = orig
             numeric = (up - dn) / (2 * h)
             assert abs(gflat[i] - numeric) <= 1e-4 * max(1e-3, abs(gflat[i]), abs(numeric)), (
@@ -225,142 +230,98 @@ def test_gradcheck_ungated_task():
     _check_gradients(net, x, y, 1, s=4.0, mu=0.0, mask_others=True)
 
 
+# --- the update --------------------------------------------------------------
+
+def _stepped(net, task_id, steps=1, s=5.0, reg_weight=0.75, lr=0.1, momentum=0.9,
+             mask_others=False, seed=0):
+    """Take ``steps`` train steps of ``task_id`` on seeded random batches of 8
+    rows; returns the training state."""
+    state = hat_mlp.init_momentum(net, task_id)
+    rng = RngState(seed).stream("batches")
+    n_labels = net.heads[task_id].n_classes + (0 if mask_others else 1)
+    for _ in range(steps):
+        x = rng.standard_normal((8, net.input_dim))
+        y = rng.integers(0, n_labels, 8)
+        hat_mlp.train_step(net, x, y, task_id, s, reg_weight, lr, momentum, state,
+                           mask_others=mask_others)
+    return state
+
+
 def test_first_task_leaves_others_unit_untouched():
     net = tiny_net(seed=5)
-    rng = RngState(6).stream("d")
-    x = rng.standard_normal((8, 2))
-    y = np.array([0, 1] * 4)
-    _, grads = hat_mlp.batch_loss_and_gradients(net, x, y, 1, 5.0, 0.75, mask_others=True)
-    assert np.all(grads.head_weight[2] == 0.0)
-    assert grads.head_bias[2] == 0.0
-    with pytest.raises(ShapeMismatch):
-        hat_mlp.batch_loss_and_gradients(
-            net, x, np.array([0, 1, 2, 0, 0, 0, 0, 0]), 1, 5.0, 0.75, mask_others=True
-        )
+    head = net.heads[1]
+    before = _bits([head.weight[2], head.bias[2:]])
+    state = _stepped(net, 1, steps=5, mask_others=True, seed=6)
+    assert np.all(state.grads.head_weight[2] == 0.0) and state.grads.head_bias[2] == 0.0
+    assert _bits([head.weight[2], head.bias[2:]]) == before
+    assert not np.array_equal(head.weight[:2], tiny_net(seed=5).heads[1].weight[:2])
 
 
-# --- masked updates ---------------------------------------------------------
-
-def make_grads(net, task_id, fill=1.0):
-    head = net.heads[task_id]
-    return hat_mlp.Gradients(
-        weights=[np.full_like(w, fill) for w in net.weights],
-        biases=[np.full_like(b, fill) for b in net.biases],
-        embeddings=[np.zeros_like(e) for e in net.embeddings[task_id]],
-        head_weight=np.zeros_like(head.weight),
-        head_bias=np.zeros_like(head.bias),
-        s=net.s_max,
-    )
-
-
-def test_masked_update_freezes_protected_rows():
+def test_train_step_freezes_protected_rows():
     net = tiny_net(widths=(3, 2), input_dim=2, seed=9)
     net.past_masks = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0])]
+    for b in net.biases:
+        b[:] = 1.0  # every unit active: every free entry has a gradient
     w0_before = net.weights[0].copy()
     b0_before = net.biases[0].copy()
-    state = hat_mlp.init_momentum(net, 1)
-    hat_mlp.masked_gradient_update(net, make_grads(net, 1), 1, 0.1, 0.9, state)
+    _stepped(net, 1, steps=3, seed=10)
     # protected unit 0 of layer 1: incoming weights and bias frozen
-    assert np.array_equal(net.weights[0][0], w0_before[0])
-    assert net.biases[0][0] == b0_before[0]
+    assert net.weights[0][0].tobytes() == w0_before[0].tobytes()
+    assert net.biases[0][:1].tobytes() == b0_before[:1].tobytes()
     # free units moved
-    assert not np.array_equal(net.weights[0][1], w0_before[1])
-    assert net.biases[0][1] != b0_before[1]
+    assert np.all(net.weights[0][1:] != w0_before[1:])
+    assert np.all(net.biases[0][1:] != b0_before[1:])
 
 
-def test_masked_update_interlayer_min_rule():
+def test_train_step_interlayer_min_rule():
     net = tiny_net(widths=(3, 2), input_dim=2, seed=9)
     net.past_masks = [np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0])]
+    for b in net.biases:
+        b[:] = 1.0
     w1_before = net.weights[1].copy()
-    state = hat_mlp.init_momentum(net, 1)
-    hat_mlp.masked_gradient_update(net, make_grads(net, 1), 1, 0.1, 0.0, state)
+    _stepped(net, 1, steps=3, momentum=0.0, seed=11)
     # row 0 (protected out-unit): entry from protected in-unit 0 frozen,
     # entries from free in-units 1,2 move (min rule)
-    assert net.weights[1][0, 0] == w1_before[0, 0]
-    assert net.weights[1][0, 1] != w1_before[0, 1]
+    assert net.weights[1][0, 0].tobytes() == w1_before[0, 0].tobytes()
+    assert np.all(net.weights[1][0, 1:] != w1_before[0, 1:])
     # row 1 (free out-unit): everything moves
     assert np.all(net.weights[1][1] != w1_before[1])
 
 
-def test_masked_update_momentum_accumulates():
+def test_train_step_momentum_accumulates():
     net = tiny_net(seed=2)
     state = hat_mlp.init_momentum(net, 1)
-    g = make_grads(net, 1)
-    w_before = net.weights[0].copy()
-    hat_mlp.masked_gradient_update(net, g, 1, 0.1, 0.9, state)
-    step1 = w_before - net.weights[0]
-    w_mid = net.weights[0].copy()
-    hat_mlp.masked_gradient_update(net, g, 1, 0.1, 0.9, state)
-    step2 = w_mid - net.weights[0]
-    # velocity: g then 0.9 g + g = 1.9 g
-    assert np.allclose(step2, 1.9 * step1, atol=1e-12)
+    x, y = RngState(13).stream("x").standard_normal((8, 2)), np.array([0, 1, 2, 0] * 2)
+    # at lr 0 nothing moves, so both steps take the same gradient g
+    hat_mlp.train_step(net, x, y, 1, 5.0, 0.75, 0.0, 0.9, state)
+    g = [state.trunk_velocity.copy(), state.task_velocity.copy()]
+    assert all(v.any() for v in g)
+    hat_mlp.train_step(net, x, y, 1, 5.0, 0.75, 0.0, 0.9, state)
+    assert _velocity_bits(state) == _bits([v * 0.9 + v for v in g])
 
 
-def test_masked_update_clamps_embeddings():
+def test_train_step_clamps_embeddings():
     net = tiny_net(seed=4)
-    g = make_grads(net, 1)
-    g.embeddings = [np.full(3, -100.0)]
-    g.s = 1.0
-    state = hat_mlp.init_momentum(net, 1)
-    hat_mlp.masked_gradient_update(net, g, 1, 10.0, 0.0, state)
-    assert np.all(net.embeddings[1][0] <= 6.0)
-    assert np.all(net.embeddings[1][0] >= -6.0)
-
-
-def test_masked_update_rejects_bad_structure():
-    net = tiny_net()
-    g = make_grads(net, 1)
-    g.weights = [np.zeros((1, 1))]
-    with pytest.raises(ShapeMismatch):
-        hat_mlp.masked_gradient_update(net, g, 1, 0.1, 0.9, hat_mlp.init_momentum(net, 1))
-
-
-def _trained_arrays(net, task_id):
-    head = net.heads[task_id]
-    return [*net.weights, *net.biases, *net.embeddings[task_id], head.weight, head.bias]
-
-
-def _short(arrays):
-    return arrays[:-1]
-
-
-def _one_entry(arrays):
-    return [np.ones(1) for _ in arrays]
-
-
-@pytest.mark.parametrize("field, damage", [
-    ("weights", _short),
-    ("weights", lambda ws: [w.T for w in ws]),
-    ("biases", _short),
-    ("biases", _one_entry),        # (1,) would broadcast and move every bias alike
-    ("embeddings", _short),
-    ("embeddings", _one_entry),
-    ("head_weight", lambda w: w[:-1]),
-    ("head_bias", lambda b: b[:1]),
-])
-def test_masked_update_checks_every_gradient_field(field, damage):
-    net = tiny_net(widths=(3, 2), input_dim=2, seed=9)
-    g = make_grads(net, 1)
-    setattr(g, field, damage(getattr(g, field)))
-    before = [a.copy() for a in _trained_arrays(net, 1)]
-    with pytest.raises(ShapeMismatch, match=field):
-        hat_mlp.masked_gradient_update(net, g, 1, 0.1, 0.9, hat_mlp.init_momentum(net, 1))
-    assert all(np.array_equal(a, b) for a, b in zip(before, _trained_arrays(net, 1)))
+    _stepped(net, 1, s=1.0, lr=1e6, momentum=0.0, seed=12)
+    e = net.embeddings[1][0]
+    assert np.all(np.abs(e) <= hat_mlp.EMBEDDING_CLAMP)
+    assert np.any(np.abs(e) == hat_mlp.EMBEDDING_CLAMP)
 
 
 def test_momentum_state_refused_after_consolidation_or_for_another_task():
     net = tiny_net(widths=(3, 2), input_dim=2, seed=9)
     hat_mlp.add_task(net, 2, 2, RngState(10))
+    x, y = RngState(11).stream("x").standard_normal((4, 2)), np.array([0, 1, 2, 0])
     state = hat_mlp.init_momentum(net, 1)
-    hat_mlp.masked_gradient_update(net, make_grads(net, 1), 1, 0.1, 0.9, state)
+    hat_mlp.train_step(net, x, y, 1, 5.0, 0.75, 0.1, 0.9, state)
     with pytest.raises(ShapeMismatch, match="another task"):
-        hat_mlp.masked_gradient_update(net, make_grads(net, 2), 2, 0.1, 0.9, state)
+        hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, state)
     hat_mlp.consolidate_mask(net, 1)
     with pytest.raises(ShapeMismatch, match="init_momentum"):
-        hat_mlp.masked_gradient_update(net, make_grads(net, 1), 1, 0.1, 0.9, state)
+        hat_mlp.train_step(net, x, y, 1, 5.0, 0.75, 0.1, 0.9, state)
     fresh = hat_mlp.init_momentum(net, 2)
     assert all(p is q for p, q in zip(fresh.past_masks, net.past_masks))
-    hat_mlp.masked_gradient_update(net, make_grads(net, 2), 2, 0.1, 0.9, fresh)
+    hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, fresh)
 
 
 # --- consolidation ----------------------------------------------------------
@@ -390,17 +351,22 @@ def _relu_trunk(net, x):
     return h
 
 
+def _ungated_step(net, x, y, reg_weight, mask_others):
+    """A ``train_step`` at lr 0: it computes the loss and moves nothing."""
+    state = hat_mlp.init_momentum(net, 1)
+    return hat_mlp.train_step(net, x, y, 1, net.s_max, reg_weight, 0.0, 0.9, state,
+                              mask_others=mask_others)
+
+
 UNGATED_ENTRIES = {
     # readers of the trunk: every layer, no gate
     "features": lambda net, x, y, path: hat_mlp.features(net, x, 1),
     "forward": lambda net, x, y, path: hat_mlp.forward(net, x, 1)[0],
-    "batch_loss_and_gradients": lambda net, x, y, path: hat_mlp.batch_loss_and_gradients(
-        net, x, y, 1, net.s_max, 0.0, mask_others=True),
+    "train_step": lambda net, x, y, path: _ungated_step(net, x, y, 0.0, True),
     # readers of the gates: there are none to read
     "attention": lambda net, x, y, path: hat_mlp.attention(net, 1, net.s_max),
     "consolidate_mask": lambda net, x, y, path: hat_mlp.consolidate_mask(net, 1),
-    "regularized batch_loss_and_gradients":
-        lambda net, x, y, path: hat_mlp.batch_loss_and_gradients(net, x, y, 1, 5.0, 0.75),
+    "regularized train_step": lambda net, x, y, path: _ungated_step(net, x, y, 0.75, False),
     "save_model": lambda net, x, y, path: cli.save_model(path, net),
 }
 
@@ -420,14 +386,11 @@ def test_ungated_task_reads_the_whole_trunk_or_raises(entry, tmp_path):
     before = _bits(net.weights, net.biases, net.past_masks)
     if entry in ("features", "forward"):
         assert UNGATED_ENTRIES[entry](net, x, y, path).tobytes() == trunk.tobytes()
-    elif entry == "batch_loss_and_gradients":
-        loss, g = UNGATED_ENTRIES[entry](net, x, y, path)
+    elif entry == "train_step":
+        loss = UNGATED_ENTRIES[entry](net, x, y, path)
         logits = (trunk @ net.heads[1].weight.T + net.heads[1].bias)[:, :3]
         ce = np.mean(np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(7), y])
         assert math.isclose(loss, ce, rel_tol=1e-12)
-        assert [a.shape for a in g.weights] == [w.shape for w in net.weights]
-        assert [a.shape for a in g.biases] == [b.shape for b in net.biases]
-        assert g.embeddings == []
     else:
         with pytest.raises(UngatedTask):
             UNGATED_ENTRIES[entry](net, x, y, path)
@@ -468,8 +431,7 @@ def test_zero_interference_after_consolidation():
         x = data_rng.standard_normal((8, 4))
         y = data_rng.integers(0, 3, 8)
         s = hat_mlp.anneal_s((step % 10) + 1, 10, net.s_max)
-        _, grads = hat_mlp.batch_loss_and_gradients(net, x, y, 2, s, 0.75)
-        hat_mlp.masked_gradient_update(net, grads, 2, 0.05, 0.9, state)
+        hat_mlp.train_step(net, x, y, 2, s, 0.75, 0.05, 0.9, state)
 
     _, logits_after = hat_mlp.forward(net, probe, 1)
     drift = float(np.max(np.abs(logits_after - logits_before)))
@@ -485,14 +447,13 @@ def test_training_still_moves_free_capacity():
     x = rng.standard_normal((32, 4))
     y = (x[:, 0] > 0).astype(np.int64)
     state = hat_mlp.init_momentum(net, 1)
-    first_loss, _ = hat_mlp.batch_loss_and_gradients(net, x, y, 1, 10.0, 0.0, mask_others=True)
-    for _ in range(60):
-        loss, grads = hat_mlp.batch_loss_and_gradients(net, x, y, 1, 10.0, 0.0, mask_others=True)
-        hat_mlp.masked_gradient_update(net, grads, 1, 0.1, 0.9, state)
-    assert loss < first_loss
+    # each returned loss is the one before that step's update
+    losses = [hat_mlp.train_step(net, x, y, 1, 10.0, 0.0, 0.1, 0.9, state, mask_others=True)
+              for _ in range(61)]
+    assert losses[-1] < losses[0]
 
 
-# --- reference step: the formulas the step functions were first written with --
+# --- the reference step: the same formulas, one array at a time --------------
 
 def _ref_sigmoid(x):
     out = np.empty_like(x, dtype=np.float64)
@@ -501,204 +462,6 @@ def _ref_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def _ref_gate_reg_terms(gates, past_masks):
-    num = 0.0
-    den = 0.0
-    for a, past in zip(gates, past_masks):
-        free = 1.0 - past
-        num += float(np.sum(a * free))
-        den += float(np.sum(free))
-    return num, max(den, hat_mlp._REG_DENOM_FLOOR)
-
-
-def _ref_batch_loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others=False):
-    net.require_task(task_id)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ShapeMismatch(f"bad batch shapes x {x.shape}, y {y.shape}")
-    head = net.heads[task_id]
-    n_out = head.n_classes + 1
-    if np.any(y < 0) or np.any(y >= n_out):
-        raise ShapeMismatch(f"labels outside 0..{n_out - 1}")
-    if mask_others and np.any(y == head.n_classes):
-        raise ShapeMismatch("everything-else label present while masked out")
-
-    batch = x.shape[0]
-    gates = [_ref_sigmoid(s * e) for e in net.embeddings[task_id]]
-    embeds = net.embeddings[task_id]
-
-    pre_acts, inputs, relus = [], [], []
-    h = x
-    for w, b, a in zip(net.weights, net.biases, gates):
-        inputs.append(h)
-        u = h @ w.T + b
-        r = np.maximum(u, 0.0)
-        pre_acts.append(u)
-        relus.append(r)
-        h = r * a
-    logits = h @ head.weight.T + head.bias
-
-    active = head.n_classes if mask_others else n_out
-    sub = logits[:, :active]
-    shifted = sub - np.max(sub, axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    probs = expv / np.sum(expv, axis=1, keepdims=True)
-    nll = -(shifted[np.arange(batch), y] - np.log(np.sum(expv, axis=1)))
-    ce = float(np.mean(nll))
-
-    dlogits = np.zeros_like(logits)
-    dlogits[:, :active] = probs
-    dlogits[np.arange(batch), y] -= 1.0
-    dlogits /= batch
-
-    g_head_w = dlogits.T @ h
-    g_head_b = dlogits.sum(axis=0)
-    dh = dlogits @ head.weight
-
-    g_weights = [np.zeros_like(w) for w in net.weights]
-    g_biases = [np.zeros_like(b) for b in net.biases]
-    g_embeds = [np.zeros_like(e) for e in embeds]
-    for l in range(net.n_layers - 1, -1, -1):
-        a = gates[l]
-        da = np.sum(dh * relus[l], axis=0)
-        du = dh * a * (pre_acts[l] > 0.0)
-        g_weights[l] = du.T @ inputs[l]
-        g_biases[l] = du.sum(axis=0)
-        g_embeds[l] = da * s * a * (1.0 - a)
-        if l > 0:
-            dh = du @ net.weights[l]
-
-    reg = 0.0
-    if reg_weight != 0.0:
-        num, den = _ref_gate_reg_terms(gates, net.past_masks)
-        reg = num / den
-        for l, (a, past) in enumerate(zip(gates, net.past_masks)):
-            g_embeds[l] += reg_weight * (1.0 - past) / den * s * a * (1.0 - a)
-
-    loss = ce + reg_weight * reg
-    return loss, hat_mlp.Gradients(
-        weights=g_weights, biases=g_biases, embeddings=g_embeds,
-        head_weight=g_head_w, head_bias=g_head_b, s=float(s),
-    )
-
-
-def _ref_init_momentum(net, task_id):
-    head = net.heads[task_id]
-    return types.SimpleNamespace(
-        weights=[np.zeros_like(w) for w in net.weights],
-        biases=[np.zeros_like(b) for b in net.biases],
-        embeddings=[np.zeros_like(e) for e in net.embeddings[task_id]],
-        head_weight=np.zeros_like(head.weight),
-        head_bias=np.zeros_like(head.bias),
-    )
-
-
-def _ref_masked_gradient_update(net, grads, task_id, lr, momentum, state):
-    head = net.heads[task_id]
-    embeds = net.embeddings[task_id]
-    prev_mask = np.ones(net.input_dim)
-    for l in range(net.n_layers):
-        past = net.past_masks[l]
-        w_scale = 1.0 - np.minimum.outer(past, prev_mask)
-        gw = grads.weights[l] * w_scale
-        gb = grads.biases[l] * (1.0 - past)
-        state.weights[l] = momentum * state.weights[l] + gw
-        state.biases[l] = momentum * state.biases[l] + gb
-        net.weights[l] -= lr * state.weights[l]
-        net.biases[l] -= lr * state.biases[l]
-        prev_mask = past
-
-    s = grads.s
-    for l, e in enumerate(embeds):
-        se = np.clip(s * e, -hat_mlp._COSH_CLIP, hat_mlp._COSH_CLIP)
-        ee = np.clip(e, -hat_mlp._COSH_CLIP, hat_mlp._COSH_CLIP)
-        comp = (net.s_max / s) * (np.cosh(se) + 1.0) / (np.cosh(ee) + 1.0)
-        ge = grads.embeddings[l] * comp
-        state.embeddings[l] = momentum * state.embeddings[l] + ge
-        e -= lr * state.embeddings[l]
-        np.clip(e, -hat_mlp.EMBEDDING_CLAMP, hat_mlp.EMBEDDING_CLAMP, out=e)
-
-    state.head_weight = momentum * state.head_weight + grads.head_weight
-    state.head_bias = momentum * state.head_bias + grads.head_bias
-    head.weight -= lr * state.head_weight
-    head.bias -= lr * state.head_bias
-
-
-def _bits(*groups):
-    return [np.asarray(a, dtype=np.float64).tobytes() for g in groups for a in g]
-
-
-def _net_bits(net, task_id):
-    head = net.heads[task_id]
-    return _bits(net.weights, net.biases, net.embeddings[task_id],
-                 [head.weight, head.bias], net.past_masks)
-
-
-def _state_bits(state):
-    if isinstance(state, hat_mlp.MomentumState):
-        return _bits([state.trunk_velocity, state.task_velocity])
-    return _bits([np.concatenate([a.ravel() for a in (*state.weights, *state.biases)]),
-                  np.concatenate([a.ravel() for a in (*state.embeddings, state.head_weight,
-                                                      state.head_bias)])])
-
-
-def _grad_bits(loss, g):
-    return _bits([loss], g.weights, g.biases, g.embeddings, [g.head_weight, g.head_bias, g.s])
-
-
-S_MAX = 400.0
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    input_dim=st.integers(1, 6),
-    widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
-    n_classes=st.integers(1, 12),
-    batch=st.integers(1, 40),
-    scales=st.lists(st.floats(1.0 / S_MAX, S_MAX), min_size=1, max_size=4),
-    mask_others=st.booleans(),
-    reg_weight=st.sampled_from([0.0, 0.75]) | st.floats(1e-3, 5.0),
-    lr=st.floats(1e-4, 1.0),
-    momentum=st.floats(0.0, 0.99),
-    protect=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_step_matches_reference_bit_for_bit(input_dim, widths, n_classes, batch, scales,
-                                            mask_others, reg_weight, lr, momentum,
-                                            protect, seed):
-    rng = np.random.default_rng(seed)
-    net = hat_mlp.new_hat_mlp(input_dim, tuple(widths), S_MAX, RngState(seed))
-    hat_mlp.add_task(net, 1, n_classes, RngState(seed).stream("head"))
-    net.past_masks = [(rng.random(w) < protect).astype(np.float64) for w in widths]
-    net.embeddings[1] = [rng.uniform(-8.0, 8.0, w) for w in widths]
-    for b in net.biases:
-        b += 0.1 * rng.standard_normal(b.shape)
-    ref = hat_mlp.HatMlp(
-        input_dim=net.input_dim, hidden_widths=net.hidden_widths, s_max=net.s_max,
-        weights=[w.copy() for w in net.weights], biases=[b.copy() for b in net.biases],
-        embeddings={1: [e.copy() for e in net.embeddings[1]]},
-        heads={1: hat_mlp.TaskHead(n_classes, net.heads[1].weight.copy(),
-                                   net.heads[1].bias.copy())},
-        past_masks=[m.copy() for m in net.past_masks],
-    )
-    state = hat_mlp.init_momentum(net, 1)
-    ref_state = _ref_init_momentum(ref, 1)
-    n_labels = n_classes if mask_others else n_classes + 1
-    for s in scales:
-        x = rng.standard_normal((batch, input_dim)) * 3.0
-        y = rng.integers(0, n_labels, batch)
-        loss, grads = hat_mlp.batch_loss_and_gradients(net, x, y, 1, s, reg_weight,
-                                                       mask_others=mask_others)
-        ref_loss, ref_grads = _ref_batch_loss_and_gradients(ref, x, y, 1, s, reg_weight,
-                                                            mask_others=mask_others)
-        assert _grad_bits(loss, grads) == _grad_bits(ref_loss, ref_grads)
-        hat_mlp.masked_gradient_update(net, grads, 1, lr, momentum, state)
-        _ref_masked_gradient_update(ref, ref_grads, 1, lr, momentum, ref_state)
-        assert _net_bits(net, 1) == _net_bits(ref, 1)
-        assert _state_bits(state) == _state_bits(ref_state)
 
 
 def test_sigmoid_matches_reference_on_special_values():
@@ -719,15 +482,11 @@ def test_sigmoid_matches_reference_on_special_values():
     assert hat_mlp._sigmoid(wide).tobytes() == _ref_sigmoid(wide).tobytes()
 
 
-# --- the per-array step: train_step's reference ------------------------------
-# ``batch_loss_and_gradients`` and ``masked_gradient_update`` as they were
-# before a step ran over flat per-task buffers, one array at a time.
-
-def _per_array_batch_loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others):
+def _ref_loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_others):
     head = net.heads[task_id]
     n_out = head.n_classes + 1
     embeddings = net.embeddings[task_id]
-    gates = ([hat_mlp._sigmoid(s * e) for e in embeddings] if embeddings
+    gates = ([_ref_sigmoid(s * e) for e in embeddings] if embeddings
              else [None] * net.n_layers)
     batch = x.shape[0]
     rows = np.arange(batch)
@@ -785,13 +544,13 @@ def _per_array_batch_loss_and_gradients(net, x, y, task_id, s, reg_weight, mask_
         if l > 0:
             dh = du @ net.weights[l]
 
-    return ce + reg_weight * reg, hat_mlp.Gradients(
+    return ce + reg_weight * reg, types.SimpleNamespace(
         weights=g_weights[::-1], biases=g_biases[::-1], embeddings=g_embeds[::-1],
-        head_weight=g_head_w, head_bias=g_head_b, s=float(s),
+        head_weight=g_head_w, head_bias=g_head_b,
     )
 
 
-def _per_array_init_momentum(net, task_id):
+def _ref_init_momentum(net, task_id):
     head = net.heads[task_id]
     prev = [np.ones(net.input_dim), *net.past_masks[:-1]]
     return types.SimpleNamespace(
@@ -806,7 +565,7 @@ def _per_array_init_momentum(net, task_id):
     )
 
 
-def _per_array_masked_gradient_update(net, grads, task_id, lr, momentum, state):
+def _ref_update(net, grads, task_id, s, lr, momentum, state):
     head = net.heads[task_id]
     for v, g, scale, param in zip(
         [*state.weights, *state.biases, state.head_weight, state.head_bias],
@@ -818,7 +577,6 @@ def _per_array_masked_gradient_update(net, grads, task_id, lr, momentum, state):
         v += g if scale is None else g * scale
         param -= lr * v
 
-    s = grads.s
     for e, v, g in zip(net.embeddings[task_id], state.embeddings, grads.embeddings):
         se = np.minimum(np.maximum(s * e, -hat_mlp._COSH_CLIP), hat_mlp._COSH_CLIP)
         ee = np.minimum(np.maximum(e, -hat_mlp._COSH_CLIP), hat_mlp._COSH_CLIP)
@@ -830,11 +588,26 @@ def _per_array_masked_gradient_update(net, grads, task_id, lr, momentum, state):
         np.minimum(e, hat_mlp.EMBEDDING_CLAMP, out=e)
 
 
+def _bits(*groups):
+    return [np.asarray(a, dtype=np.float64).tobytes() for g in groups for a in g]
+
+
 def _all_bits(net):
     """Every array of the network, every task's head and embeddings included."""
     heads = [a for t in net.task_ids() for a in (net.heads[t].weight, net.heads[t].bias)]
     embeddings = [e for t in net.task_ids() for e in net.embeddings[t]]
     return _bits(net.weights, net.biases, heads, embeddings, net.past_masks)
+
+
+def _velocity_bits(state):
+    if isinstance(state, hat_mlp.MomentumState):
+        return _bits([state.trunk_velocity, state.task_velocity])
+    return _bits([np.concatenate([a.ravel() for a in (*state.weights, *state.biases)]),
+                  np.concatenate([a.ravel() for a in (*state.embeddings, state.head_weight,
+                                                      state.head_bias)])])
+
+
+S_MAX = 400.0
 
 
 def _two_task_net(input_dim, widths, n_classes, gated, protect, seed):
@@ -850,51 +623,57 @@ def _two_task_net(input_dim, widths, n_classes, gated, protect, seed):
     return net
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+def _annealed(steps):
+    return [hat_mlp.anneal_s(i, steps, S_MAX) for i in range(1, steps + 1)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(
     input_dim=st.integers(1, 6),
     widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
-    n_classes=st.integers(1, 4),
+    n_classes=st.integers(1, 12),
     gated=st.booleans(),
-    protect=st.booleans(),
-    reg_weight=st.sampled_from([0.0, 0.75]),
+    consolidated=st.booleans(),
+    protect=st.floats(0.0, 1.0),
+    reg_weight=st.sampled_from([0.0, 0.75]) | st.floats(1e-3, 5.0),
     mask_others=st.booleans(),
     batch=st.integers(1, 40),
-    steps=st.integers(1, 5),
-    anneal=st.booleans(),
-    lr=st.sampled_from([0.005, 0.5, 1e300]),
-    momentum=st.sampled_from([0.0, 0.9]),
+    scales=(st.integers(1, 5).map(_annealed)
+            | st.lists(st.floats(1.0 / S_MAX, S_MAX), min_size=1, max_size=4)),
+    lr=st.sampled_from([0.005, 0.5, 1e300]) | st.floats(1e-4, 1.0),
+    momentum=st.sampled_from([0.0, 0.9]) | st.floats(0.0, 0.99),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_train_step_matches_the_per_array_step_bit_for_bit(
-        input_dim, widths, n_classes, gated, protect, reg_weight, mask_others, batch,
-        steps, anneal, lr, momentum, seed):
+def test_train_step_matches_the_reference_bit_for_bit(
+        input_dim, widths, n_classes, gated, consolidated, protect, reg_weight, mask_others,
+        batch, scales, lr, momentum, seed):
     # lr 1e300 diverges: nan and inf must come out with the same bits too
     reg_weight = reg_weight if gated else 0.0
-    net = _two_task_net(input_dim, widths, n_classes, gated, protect, seed)
-    ref, pair = copy.deepcopy(net), copy.deepcopy(net)
-    assert _all_bits(net) == _all_bits(ref)
+    rng = RngState(seed).stream("draws")
+    net = _two_task_net(input_dim, widths, n_classes, gated, consolidated, seed)
+    net.past_masks = [np.maximum(p, rng.uniform(0.0, 1.0, w) < protect)
+                      for p, w in zip(net.past_masks, widths)]
+    if gated:  # drawn beyond the clamp
+        net.embeddings[2] = [rng.uniform(-8.0, 8.0, w) for w in widths]
+    for b in net.biases:
+        b += 0.1 * rng.standard_normal(b.shape)
+    ref = copy.deepcopy(net)
     state = hat_mlp.init_momentum(net, 2)
-    pair_state = hat_mlp.init_momentum(pair, 2)
-    ref_state = _per_array_init_momentum(ref, 2)
+    ref_state = _ref_init_momentum(ref, 2)
     assert _all_bits(net) == _all_bits(ref)
-    rng = RngState(seed).stream("batches")
     n_labels = n_classes if mask_others else n_classes + 1
-    for i in range(1, steps + 1):
-        s = hat_mlp.anneal_s(i, steps, S_MAX) if anneal else S_MAX
+    for s in scales:
         x = rng.standard_normal((batch, input_dim)) * 3.0
         y = rng.integers(0, n_labels, batch)
         with np.errstate(over="ignore", invalid="ignore"):
             loss = hat_mlp.train_step(net, x, y, 2, s, reg_weight, lr, momentum, state,
                                       mask_others=mask_others)
-            ref_loss, ref_grads = _per_array_batch_loss_and_gradients(
-                ref, x, y, 2, s, reg_weight, mask_others)
-            _per_array_masked_gradient_update(ref, ref_grads, 2, lr, momentum, ref_state)
-            pair_loss, grads = hat_mlp.batch_loss_and_gradients(
-                pair, x, y, 2, s, reg_weight, mask_others=mask_others)
-            hat_mlp.masked_gradient_update(pair, grads, 2, lr, momentum, pair_state)
-        assert _bits([loss]) == _bits([ref_loss]) == _bits([pair_loss])
-        assert _all_bits(net) == _all_bits(ref) == _all_bits(pair)
+            ref_loss, ref_grads = _ref_loss_and_gradients(ref, x, y, 2, s, reg_weight,
+                                                          mask_others)
+            _ref_update(ref, ref_grads, 2, s, lr, momentum, ref_state)
+        assert _bits([loss]) == _bits([ref_loss])
+        assert _all_bits(net) == _all_bits(ref)
+        assert _velocity_bits(state) == _velocity_bits(ref_state)
 
 
 # --- the training state -------------------------------------------------------
@@ -920,27 +699,101 @@ def _rebind(net, what):
         net.embeddings[2][0] = net.embeddings[2][0].copy()
     elif what == "head":
         net.heads[2].bias = net.heads[2].bias.copy()
+    elif what == "head_weight":
+        net.heads[2].weight = net.heads[2].weight.copy()
     else:
         getattr(net, what)[-1] = getattr(net, what)[-1].copy()
 
 
-@pytest.mark.parametrize("what", ["weights", "biases", "embeddings", "head"])
-@pytest.mark.parametrize("step", ["train_step", "masked_gradient_update"])
-def test_a_rebound_array_stales_the_training_state(what, step):
-    net = _two_task_net(3, (4, 3), 2, True, True, seed=71)
+def _stepped_two_task_net(gated):
+    """Task 2 of a two-task net after one step (nonzero velocities), the
+    state, and the step's batch."""
+    net = _two_task_net(3, (4, 3), 2, gated, True, seed=71)
     state = hat_mlp.init_momentum(net, 2)
     x = RngState(72).stream("x").standard_normal((6, 3))
     y = np.array([0, 1, 2, 0, 1, 2])
-    hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, state)
+    hat_mlp.train_step(net, x, y, 2, 5.0, 0.75 if gated else 0.0, 0.1, 0.9, state)
+    return net, state, x, y
+
+
+@pytest.mark.parametrize("what", ["weights", "biases", "embeddings", "head", "head_weight"])
+def test_a_rebound_array_stales_the_training_state(what):
+    net, state, x, y = _stepped_two_task_net(gated=True)
     _rebind(net, what)
     before = _all_bits(net)
-    velocity = _bits([state.trunk_velocity, state.task_velocity])
+    velocity = _velocity_bits(state)
     with pytest.raises(ShapeMismatch, match="rebound after init_momentum"):
-        if step == "train_step":
-            hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, state)
-        else:
-            hat_mlp.masked_gradient_update(net, make_grads(net, 2), 2, 0.1, 0.9, state)
+        hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, state)
     assert _all_bits(net) == before
-    assert _bits([state.trunk_velocity, state.task_velocity]) == velocity
+    assert _velocity_bits(state) == velocity
     fresh = hat_mlp.init_momentum(net, 2)
     hat_mlp.train_step(net, x, y, 2, 5.0, 0.75, 0.1, 0.9, fresh)
+
+
+# (gated, labels, s, reg_weight, mask_others, error, message)
+REFUSED_BATCHES = {
+    "label above the everything-else unit": (True, [0, 1, 3], 5.0, 0.75, False,
+                                             ShapeMismatch, "labels outside"),
+    "negative label": (True, [0, -1, 2], 5.0, 0.75, False, ShapeMismatch, "labels outside"),
+    "everything-else label under mask_others": (True, [0, 1, 2], 5.0, 0.75, True,
+                                                ShapeMismatch, "everything-else"),
+    "zero gate scale": (True, [0, 1, 2], 0.0, 0.75, False, ValueError, "positive"),
+    "negative gate scale": (True, [0, 1, 2], -5.0, 0.75, False, ValueError, "positive"),
+    "regularized ungated task": (False, [0, 1, 2], 5.0, 0.75, False, UngatedTask,
+                                 "no gates"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_BATCHES))
+def test_a_refused_batch_writes_nothing(case):
+    gated, labels, s, reg_weight, mask_others, error, message = REFUSED_BATCHES[case]
+    net, state, x, _ = _stepped_two_task_net(gated)
+    before = _all_bits(net)
+    velocity = _velocity_bits(state)
+    assert any(v.any() for v in (state.trunk_velocity, state.task_velocity))
+    with pytest.raises(error, match=message):
+        hat_mlp.train_step(net, x[:3], np.array(labels), 2, s, reg_weight, 0.1, 0.9, state,
+                           mask_others=mask_others)
+    assert _all_bits(net) == before
+    assert _velocity_bits(state) == velocity
+
+
+# (rows of the stepped batch, labels, task, error, message)
+MALFORMED_BATCHES = {
+    "rows not a matrix": (lambda x: x[0], [0], 2, ShapeMismatch, "bad batch shapes"),
+    "more labels than rows": (lambda x: x[:3], [0, 1, 2, 0], 2, ShapeMismatch,
+                              "bad batch shapes"),
+    "empty batch": (lambda x: x[:0], [], 2, ShapeMismatch, "bad batch shapes"),
+    "wrong feature width": (lambda x: x[:3, :2], [0, 1, 2], 2, DimensionMismatch,
+                            "2 features, expected 3"),
+    "unknown task": (lambda x: x[:3], [0, 1, 2], 3, UnknownTask, "not registered"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BATCHES))
+def test_a_malformed_batch_writes_nothing(case):
+    rows, labels, task_id, error, message = MALFORMED_BATCHES[case]
+    net, state, x, _ = _stepped_two_task_net(gated=True)
+    before = _all_bits(net)
+    velocity = _velocity_bits(state)
+    with pytest.raises(error, match=message):
+        hat_mlp.train_step(net, rows(x), np.array(labels, dtype=np.int64), task_id, 5.0, 0.75,
+                           0.1, 0.9, state)
+    assert _all_bits(net) == before
+    assert _velocity_bits(state) == velocity
+
+
+@pytest.mark.parametrize("case", ["state of another task", "state from before a consolidation"])
+def test_a_refused_state_writes_nothing(case):
+    net, state, x, y = _stepped_two_task_net(gated=True)
+    task_id = 2
+    if case == "state of another task":
+        task_id = 1
+    else:
+        hat_mlp.consolidate_mask(net, 2)
+    before = _all_bits(net)
+    velocity = _velocity_bits(state)
+    with pytest.raises(ShapeMismatch, match="call init_momentum again"):
+        hat_mlp.train_step(net, x, np.minimum(y, 1), task_id, 5.0, 0.75, 0.1, 0.9, state)
+    assert _all_bits(net) == before
+    assert _velocity_bits(state) == velocity

@@ -109,7 +109,7 @@ def test_trainer_fits_rates_through_the_scoring_kernels():
     tree = parse("trainer")
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert not {"MD_FLOOR", "mahalanobis_sq"} & (names | attrs)
+    assert not {"MD_FLOOR", "whitened_sq"} & (names | attrs)
     assert "max" not in attrs  # np.max over logits is scoring.mls_score
     assert {"mls_score", "md_score"} <= names
 

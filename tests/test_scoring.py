@@ -11,7 +11,7 @@ from scipy.stats import spearmanr
 
 from tpl import data, hat_mlp, scoring, trainer
 from tpl.errors import EmptyBufferView, NotPositiveDefinite
-from tpl.numerics import (RngState, flush_subnormals, kth_distance, mahalanobis_sq, softmax,
+from tpl.numerics import (RngState, flush_subnormals, kth_distance, precision_factor, softmax,
                           whitened_sq)
 
 
@@ -134,7 +134,7 @@ def test_md_rank_matches_max_class_log_density():
     assert rho == 1.0
 
 
-def test_mahalanobis_sq_accurate_next_to_centroids():
+def test_whitened_sq_accurate_next_to_centroids():
     # Probes 1e-7 from a class mean under a precision with condition number
     # 1e8 (d=96): whitening the differences keeps the error at rounding level
     # relative to ||P|| ||x - mu||^2, where the expanded form
@@ -150,7 +150,7 @@ def test_mahalanobis_sq_accurate_next_to_centroids():
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     x = means[np.arange(n_probes) % n_classes] + 1e-7 * u
 
-    got = mahalanobis_sq(x, means, prec)
+    got = whitened_sq(x, means, precision_factor(prec))
 
     diffs = x.astype(np.longdouble)[:, None, :] - means.astype(np.longdouble)[None]
     oracle = np.einsum("ncd,de,nce->nc", diffs, prec.astype(np.longdouble), diffs)
@@ -161,9 +161,9 @@ def test_mahalanobis_sq_accurate_next_to_centroids():
     assert np.all(err <= 1e-12 * norm_p * dist2)
 
 
-def test_mahalanobis_sq_rejects_indefinite_precision():
+def test_precision_factor_rejects_indefinite_precision():
     with pytest.raises(NotPositiveDefinite):
-        mahalanobis_sq(np.zeros((2, 2)), np.zeros((1, 2)), np.diag([1.0, -1.0]))
+        precision_factor(np.diag([1.0, -1.0]))
 
 
 def test_task_stats_factor_their_precision_once(monkeypatch):
@@ -178,10 +178,8 @@ def test_task_stats_factor_their_precision_once(monkeypatch):
     x = rng.standard_normal((7, 5))
     got = scoring.md_score(x, dataclasses.replace(stats, beta_md=2.0))
     assert calls == []  # the MD score and ``replace`` reuse the factor
-    d2 = np.maximum(np.min(mahalanobis_sq(x, stats.class_means, precision), axis=1),
-                    scoring.MD_FLOOR)
-    assert got.tobytes() == (1.0 / d2).tobytes()
-    assert len(calls) == 1  # the public kernel factors on every call
+    d2 = np.min(whitened_sq(x, stats.class_means, precision_factor(precision)), axis=1)
+    assert got.tobytes() == (1.0 / np.maximum(d2, scoring.MD_FLOOR)).tobytes()
     with pytest.raises(NotPositiveDefinite):  # refused where the factor is computed
         trainer.TaskStats(1, np.zeros((1, 2)), np.diag([1.0, -1.0]), 1.0, 1.0)
 
@@ -313,7 +311,7 @@ def reference_mahalanobis_sq(x, means, precision):
 
 @settings(max_examples=80, deadline=None)
 @given(draws=st.data())
-def test_mahalanobis_sq_matches_the_one_expression_form_bitwise(draws):
+def test_whitened_sq_matches_the_one_expression_form_bitwise(draws):
     # Shapes reach the GEMM's blocked kernels, where a difference buffer in
     # another memory layout than ``x - mu`` can move the last bit.
     d = draws.draw(st.integers(1, 64))
@@ -335,7 +333,7 @@ def test_mahalanobis_sq_matches_the_one_expression_form_bitwise(draws):
         wide[:, ::2] = x
         x = wide[:, ::2]
     expected = reference_mahalanobis_sq(x, means, precision)
-    assert mahalanobis_sq(x, means, precision).tobytes() == expected.tobytes()
+    assert whitened_sq(x, means, precision_factor(precision)).tobytes() == expected.tobytes()
 
 
 #: The magnitude bound under which ``numerics.flush_subnormals`` keeps every
