@@ -26,6 +26,10 @@ reproduce every downstream command without retraining.
                       identity when ``calibrate`` is false); eval and predict
                       apply it, ood-bench compares scores without it
 
+A container (the ``.bin`` files) is written to a temporary file and renamed
+into place, and read as a copy-on-write mapping of the file
+(``_write_container``, ``_read_container``).
+
 ``load_run`` reads only the run directory, never the dataset, and not
 ``trajectory.json``: ``predict`` and ``dump-features --input`` need no data.
 It checks the artifacts against the model (task sets, class ids, array
@@ -72,6 +76,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import os
 import re
 import struct
@@ -101,6 +106,8 @@ _STATS_MAGIC = b"TPLS"
 _BUFFER_MAGIC = b"TPLB"
 _INDEX_MAGIC = b"TPLI"
 _CONTAINER_VERSION = 1
+#: A container's data section starts at a multiple of this many bytes.
+_DATA_ALIGN = 64
 #: Largest gap allowed between a stored index row and the same buffer row
 #: forwarded on load (one row and a whole batch round differently in BLAS).
 _INDEX_TOL = 1e-9
@@ -324,19 +331,36 @@ def _task_id(value, expected: int) -> int:
 def _write_container(path: Path, magic: bytes, header: dict,
                      arrays: dict[str, np.ndarray]) -> None:
     """Write ``magic``, the format version, a sorted-key JSON header listing
-    every array's name and shape, then each array as little-endian f8."""
+    every array's name and shape, then each array as little-endian f8.  The
+    header is padded with spaces so the data section starts at a multiple of
+    ``_DATA_ALIGN`` bytes, where ``_read_container`` maps it without a copy.
+
+    The bytes go to a temporary file beside ``path``, which replaces ``path``
+    only once it is complete: a reader never sees a part-written container,
+    and arrays mapped from the file it replaces keep their values.  A write
+    that fails leaves ``path`` as it was, removes the temporary file and
+    raises a ``WriteError`` naming ``path``."""
     blob = json.dumps(
         {**header, "arrays": [{"name": name, "shape": list(a.shape)}
                               for name, a in arrays.items()]},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", _CONTAINER_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for a in arrays.values():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    blob += b" " * (-(16 + len(blob)) % _DATA_ALIGN)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with data.writing(path):
+        try:
+            with open(temporary, "wb") as fh:
+                fh.write(magic)
+                fh.write(struct.pack("<I", _CONTAINER_VERSION))
+                fh.write(struct.pack("<Q", len(blob)))
+                fh.write(blob)
+                for a in arrays.values():
+                    fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            os.replace(temporary, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+            raise
 
 
 def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
@@ -345,8 +369,12 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
     holding a nan or inf, is malformed (the error names the first such
     entry, e.g. ``x[3, 0]``).
 
-    Each byte is read once: the arrays are writable views into one aligned
-    buffer that the data section is read into, not copies."""
+    The arrays are writable views of one private copy-on-write mapping of
+    the file: no byte is copied, and a write to an array stays in this
+    process.  A data section that does not start at a multiple of 8 bytes
+    (a container written before the header was padded) is copied once, with
+    the same bits.  A container must not be rewritten in place while its
+    arrays are in use; ``_write_container`` replaces the file instead."""
     with data.reading(path), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
@@ -362,12 +390,16 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarra
         if not all(isinstance(n, int) and n >= 0 for shape in shapes for n in shape):
             raise ValueError(f"array shapes must be non-negative integers: {shapes}")
         total = sum(math.prod(shape) for shape in shapes)
-        declared = 16 + header_len + 8 * total
+        offset = 16 + header_len
+        declared = offset + 8 * total
         if size != declared:
             raise ParseError(f"{path}: {size} bytes, its header declares {declared}")
-        values = np.empty(total, dtype="<f8")
-        fh.readinto(memoryview(values).cast("B"))
-        finite = bool(np.isfinite(values).all())
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        values = np.frombuffer(mapped, dtype="<f8", count=total, offset=offset)
+        if offset % 8:
+            values = values.copy()
+        # min and max propagate a nan; neither makes an [n] temporary
+        finite = total == 0 or (math.isfinite(values.min()) and math.isfinite(values.max()))
         arrays: dict[str, np.ndarray] = {}
         for entry, shape in zip(entries, shapes):
             count = math.prod(shape)

@@ -29,6 +29,12 @@ logger = logging.getLogger(__name__)
 
 _BETA_MEAN_FLOOR = 1e-6
 
+#: Largest ``s_max`` whose annealing compensation stays finite: at an epoch's
+#: first batch (``s = 1/s_max``) ``hat_mlp``'s ``(s_max/s)·(cosh(s e)+1)`` is
+#: about ``2·s_max²``, which overflows to inf above this bound (about 9.4808e153,
+#: the square root of half the largest float).
+MAX_S_MAX = math.sqrt(math.nextafter(math.inf, 0.0) / 2)
+
 SCORE_VARIANTS = ("canonical", "algorithm1")
 
 #: Integer fields of ``TrainConfig`` and the least value each accepts.
@@ -77,6 +83,10 @@ class TrainConfig:
             raise ValueError("learning_rate and calibration_lr must be positive")
         if self.s_max <= 1:
             raise ValueError("s_max must be > 1")
+        if self.s_max > MAX_S_MAX:
+            raise ValueError(f"s_max must be at most sqrt(sys.float_info.max / 2) = "
+                             f"{MAX_S_MAX:.5g} (the embedding gradient's annealing "
+                             f"compensation grows as 2·s_max²), got {self.s_max!r}")
         if self.posterior_temperature <= 0:
             raise ValueError("posterior temperature must be positive")
         if self.ridge < 0 or self.hat_reg_weight < 0:

@@ -4,10 +4,13 @@ in-process through ``main``."""
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
+import mmap
+import os
 import re
 import shutil
 import struct
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tpl import cli, data, evaluation, hat_mlp, numerics, scoring, theory_lab, trainer
-from tpl.errors import ConfigError, DegenerateVariance, DimensionMismatch, ParseError
+from tpl.errors import (ConfigError, DegenerateVariance, DimensionMismatch, ParseError,
+                        WriteError)
 from tpl.numerics import RngState, flush_subnormals, precision_factor, whitened_sq
 from tpl.trainer import clone_config
 
@@ -502,6 +506,25 @@ class TestExitCodes:
         code, _, err = run_cli("train", "--config", str(cfg))
         assert code == 2
         assert "unknown keys" in err
+
+    @pytest.mark.parametrize("s_max,want", [(9.47e153, 0), (9.49e153, 2)])
+    def test_s_max_above_the_annealing_bound_exits_2_naming_it(self, tmp_path, s_max, want):
+        # on this config 9.49e153 used to train to a nan loss that blamed the
+        # learning rate (exit 3); 9.47e153 trains
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "seed": SEED,
+            "dataset": {"kind": "synthetic", "n_tasks": 2, "classes_per_task": 2, "dim": 4,
+                        "separation": 6.0, "train_per_class": 50, "test_per_class": 5},
+            "training": {"s_max": s_max}}))
+        code, _, err = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                               "--quiet")
+        assert code == want, err
+        if want:
+            assert err == (f"error: {cfg}: training: s_max must be at most "
+                           "sqrt(sys.float_info.max / 2) = 9.4808e+153 (the embedding "
+                           "gradient's annealing compensation grows as 2·s_max²), got "
+                           "9.49e+153\n")
 
     def test_missing_run_dir_exits_2(self):
         code, _, _ = run_cli("eval", "--run", "/nonexistent/run")
@@ -1144,8 +1167,14 @@ class TestPersistence:
 
     def test_model_bin_keeps_the_v1_framing(self, run_dir, tmp_path):
         net = cli.load_model(run_dir / "model.bin")
-        cli.save_model(tmp_path / "model.bin", net)
-        assert (tmp_path / "model.bin").read_bytes() == v1_model_bytes(net)
+        # a model.bin written before the header was padded loads the same net,
+        # which the writer frames alike, the header space-padded to 64 bytes
+        (tmp_path / "old.bin").write_bytes(v1_model_bytes(net))
+        cli.save_model(tmp_path / "model.bin", cli.load_model(tmp_path / "old.bin"))
+        raw = (tmp_path / "model.bin").read_bytes()
+        assert raw == v1_model_bytes(net, align=64)
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        assert (16 + header_len) % 64 == 0
 
     def test_empty_buffer_round_trips(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run",
@@ -1568,9 +1597,23 @@ class TestWriters:
         assert err == f"error: {target}: cannot write ({reason})\n"
 
 
-def v1_model_bytes(net) -> bytes:
+def v1_container_bytes(magic: bytes, header: dict, arrays: list, align: int = 1) -> bytes:
+    """A container in the v1 framing: magic, version, header length, the
+    sorted-key JSON header listing the ``(name, array)`` pairs ``arrays``,
+    space-padded so the data section starts at a multiple of ``align``
+    bytes, then the arrays as little-endian f8.  ``align=1`` is the framing
+    written before the header was padded."""
+    blob = json.dumps({**header, "arrays": [{"name": name, "shape": list(a.shape)}
+                                            for name, a in arrays]},
+                      sort_keys=True).encode("utf-8")
+    blob += b" " * (-(16 + len(blob)) % align)
+    return (magic + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob
+            + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays))
+
+
+def v1_model_bytes(net, align: int = 1) -> bytes:
     """``model.bin`` as the v1 writer framed it before the container was
-    shared: magic, version, header length, sorted-key header, arrays."""
+    shared (``v1_container_bytes``)."""
     arrays = ([(f"weights.{l}", w) for l, w in enumerate(net.weights)]
               + [(f"biases.{l}", b) for l, b in enumerate(net.biases)]
               + [(f"past_masks.{l}", m) for l, m in enumerate(net.past_masks)])
@@ -1584,11 +1627,37 @@ def v1_model_bytes(net) -> bytes:
         "s_max": net.s_max,
         "n_past_masks": len(net.past_masks),
         "tasks": {str(t): net.heads[t].n_classes for t in net.task_ids()},
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    return (b"TPLM" + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob
-            + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays))
+    return v1_container_bytes(b"TPLM", header, arrays, align)
+
+
+def loaded_run_arrays(run) -> list[np.ndarray]:
+    """Every float array of a loaded run that holds a container's values as
+    stored (the buffer's labels and tasks are converted to integers)."""
+    net = run.net
+    arrays = [*net.weights, *net.biases, *net.past_masks, run.buffer.x]
+    for t in net.task_ids():
+        stats = run.stats[t]
+        arrays += [*net.embeddings[t], net.heads[t].weight, net.heads[t].bias,
+                   stats.class_means, stats.precision, stats.precision_factor]
+    return arrays + [index[t] for index in run.replay_index for t in index]
+
+
+def maps_a_file(a: np.ndarray) -> bool:
+    """Whether ``a`` is a view of a file mapping."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+
+
+def unpad_container(path: Path) -> bool:
+    """Rewrite a container with its header unpadded, as written before the
+    padding; whether its data section then starts off an 8-byte boundary."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 8)
+    blob = raw[16:16 + n].rstrip(b" ")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+    return (16 + len(blob)) % 8 != 0
 
 
 def float_bits(*bits: int) -> np.ndarray:
@@ -1654,6 +1723,84 @@ class TestContainer:
     def test_wrong_magic_is_rejected(self, run_dir):
         with pytest.raises(ParseError, match="magic"):
             cli._read_container(run_dir / "model.bin", cli._STATS_MAGIC)
+
+    @pytest.mark.parametrize("fault,raised", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), WriteError),
+        (MemoryError(), MemoryError),
+    ], ids=["disk-full", "out-of-memory"])
+    def test_a_write_that_fails_partway_leaves_the_old_file_and_no_temporary(
+            self, tmp_path, monkeypatch, fault, raised):
+        path = tmp_path / "c.bin"
+        cli._write_container(path, cli._STATS_MAGIC, {"task_id": 1}, {"a": np.arange(3.0)})
+        old = path.read_bytes()
+        convert, calls = np.ascontiguousarray, []
+
+        def fail_on_the_second_array(a, dtype=None):
+            calls.append(a)
+            if len(calls) == 2:
+                raise fault
+            return convert(a, dtype=dtype)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_the_second_array)
+        with pytest.raises(raised) as info:
+            cli._write_container(path, cli._STATS_MAGIC, {"task_id": 2},
+                                 {"a": np.ones(4), "b": np.ones(5)})
+        assert len(calls) == 2  # the header and the first array were written
+        if raised is WriteError:
+            assert str(info.value) == f"{path}: cannot write (No space left on device)"
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+    @pytest.mark.parametrize("note", range(8))
+    def test_an_unaligned_container_loads_bit_for_bit(self, tmp_path, note):
+        # a header of each length modulo 8 puts the data section at every
+        # offset a container written before the padding can have
+        arrays = [("specials", float_bits(0x8000000000000000, 0x0000000000000001,
+                                          0xFFEFFFFFFFFFFFFF)),
+                  ("m", np.arange(12.0).reshape(3, 4) / 7), ("none", np.zeros((0, 2)))]
+        path = tmp_path / "c.bin"
+        path.write_bytes(v1_container_bytes(cli._STATS_MAGIC, {"note": "x" * note},
+                                            arrays))
+        header, loaded = cli._read_container(path, cli._STATS_MAGIC)
+        assert header == {"note": "x" * note}
+        assert list(loaded) == [name for name, _ in arrays]
+        for name, a in arrays:
+            assert loaded[name].shape == a.shape
+            assert loaded[name].tobytes() == a.tobytes(), name
+            assert loaded[name].flags.aligned and loaded[name].flags.writeable, name
+
+    def test_loaded_arrays_keep_their_values_when_train_rewrites_the_run(
+            self, run_dir, tmp_path):
+        run_copy = tmp_path / "run"
+        shutil.copytree(run_dir, run_copy)
+        run, _ = cli.load_run(run_copy)
+        arrays = loaded_run_arrays(run)
+        assert all(maps_a_file(a) for a in arrays)
+        before = [a.tobytes() for a in arrays]
+        model = (run_copy / "model.bin").read_bytes()
+        code, _, err = run_cli("train", "--config", str(run_copy / "config.json"),
+                               "--out", str(run_copy), "--seed", str(SEED + 1), "--quiet")
+        assert code == 0, err
+        assert (run_copy / "model.bin").read_bytes() != model
+        assert [a.tobytes() for a in arrays] == before
+        assert not list(run_copy.rglob("*.tmp"))
+
+    def test_a_run_written_before_the_header_padding_predicts_the_same_bytes(
+            self, run_dir, probe_file, tmp_path):
+        old = tmp_path / "old"
+        shutil.copytree(run_dir, old)
+        containers = [old / "model.bin", old / "buffer.bin", old / "index.bin",
+                      *sorted((old / "stats").glob("*.bin"))]
+        unaligned = [unpad_container(path) for path in containers]
+        assert any(unaligned)  # so loading copies at least one data section
+        outputs = []
+        for run in (run_dir, old):
+            out = tmp_path / f"{run.name}.csv"
+            code, _, err = run_cli("predict", "--run", str(run), "--input",
+                                   str(probe_file[0]), "--output", str(out))
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 # --- eval --------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         trainer.TrainConfig(posterior_temperature=0.0).validate()
     trainer.TrainConfig().validate()
+
+
+def test_s_max_is_bounded_where_the_annealing_compensation_overflows():
+    # 2·s_max² is the largest finite float at the bound and inf one ulp above it
+    assert trainer.MAX_S_MAX == pytest.approx(9.4808e153, rel=1e-5)
+    assert math.isfinite(2 * trainer.MAX_S_MAX * trainer.MAX_S_MAX)
+    above = math.nextafter(trainer.MAX_S_MAX, math.inf)
+    assert 2 * above * above == math.inf
+    trainer.TrainConfig(s_max=trainer.MAX_S_MAX).validate()
+    with pytest.raises(ValueError, match=r"s_max must be at most .*9\.4808e\+153"):
+        trainer.TrainConfig(s_max=above).validate()
