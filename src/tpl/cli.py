@@ -516,7 +516,7 @@ def _write_buffer_csv(path: Path, buffer: ReplayBuffer) -> None:
     lines = [",".join([str(c), *map(repr, row), str(t)])
              for row, c, t in zip(buffer.x.tolist(), buffer.labels.tolist(),
                                   buffer.tasks.tolist())]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _save_buffer(path: Path, buffer: ReplayBuffer) -> None:
@@ -629,10 +629,9 @@ def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
 
 def _save_stats(stats_dir: Path, st: TaskStats, classes: tuple[int, ...]) -> None:
     t = st.task_id
-    (stats_dir / f"task_{t}.json").write_text(_dump_json(
+    _write_text(stats_dir / f"task_{t}.json", _dump_json(
         {"task_id": t, "classes": list(classes),
-         "beta_mls": st.beta_mls, "beta_md": st.beta_md}
-    ), encoding="utf-8")
+         "beta_mls": st.beta_mls, "beta_md": st.beta_md}))
     _write_container(stats_dir / f"task_{t}.bin", _STATS_MAGIC, {"task_id": t},
                      {"class_means": st.class_means, "precision": st.precision,
                       "precision_factor": st.precision_factor})
@@ -749,18 +748,17 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> N
         match = re.fullmatch(r"task_(-?[0-9]+)\.(json|bin)", path.name)
         if match and int(match[1]) not in run.stats:
             path.unlink()
-    (out / "config.json").write_text(_dump_json(run_config_payload(rc)),
-                                     encoding="utf-8")
+    _write_text(out / "config.json", _dump_json(run_config_payload(rc)))
     save_model(out / "model.bin", run.net)
     for t in sorted(run.stats):
         _save_stats(out / "stats", run.stats[t], run.task_classes[t])
     _save_buffer(out / "buffer.bin", run.buffer)
     _write_container(out / "index.bin", _INDEX_MAGIC, {}, index)
     _write_buffer_csv(out / "buffer.csv", run.buffer)  # export only; never read back
-    (out / "trajectory.json").write_text(_dump_json(trajectory), encoding="utf-8")
+    _write_text(out / "trajectory.json", _dump_json(trajectory))
     records = [{"task_id": t, "sigma1": s1, "sigma2": s2}
                for t, (s1, s2) in sorted(run.calibration.items())]
-    (out / "calibration.json").write_text(_dump_json(records), encoding="utf-8")
+    _write_text(out / "calibration.json", _dump_json(records))
 
 
 def load_run(run_dir) -> tuple[RunArtifacts, RunConfig]:
@@ -894,7 +892,8 @@ def _load_trajectory(run_dir: Path, run: RunArtifacts, rc: RunConfig
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write a report, CSV or cache file inside ``data.writing``."""
+    """Write a report, CSV, cache or run-directory text file inside
+    ``data.writing``, so a failed write is one ``WriteError`` naming it."""
     with data.writing(path):
         path.write_text(text, encoding="utf-8")
 

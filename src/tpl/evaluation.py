@@ -118,32 +118,48 @@ def accuracy_trajectory(
     the final checkpoint applies ``run.calibration``; earlier ones use the
     identity.  ``bundle``, when given, holds the finished run's scores of
     the stream's test rows pooled in task order, and the last checkpoint
-    reads it instead of scoring the rows again.
+    reads it instead of scoring the rows again.  Each checkpoint is scored
+    by ``_checkpoint_accuracy``, so its context, and the KNN index built for
+    it, is freed before the next one is built.
     """
     task_ids = run.task_ids()
     trajectory: list[float] = []
     per_task: dict[int, dict[int, float]] = {}
     for t in task_ids:
-        cp = run.checkpoint_for(t)
-        seen = [d for d in stream.tasks if d.task_id <= t]
-        classes = {d.task_id: d.classes for d in seen}
-        if t == task_ids[-1]:
-            ctx = scoring.indexed_context(cp.net, cp.stats, run.replay_index,
-                                          run.config, classes, run.calibration)
-        else:
-            ctx = scoring.build_context(cp.net, cp.stats, cp.buffer, run.config, classes)
-        x, y, bounds = pooled_test_rows(seen)
-        if bundle is not None and t == task_ids[-1]:
-            pred = scoring.predict_from_bundle(ctx, bundle, score_kind)
-        else:
-            pred = scoring.predict(ctx, x, score_kind=score_kind)
-        correct = pred.global_class == y
-        trajectory.append(float(np.mean(correct)))
-        per_task[t] = {
-            d.task_id: float(np.mean(correct[bounds[j] : bounds[j + 1]]))
-            for j, d in enumerate(seen)
-        }
+        pooled, per_task[t] = _checkpoint_accuracy(run, stream, t, score_kind, bundle)
+        trajectory.append(pooled)
     return trajectory, per_task
+
+
+def _checkpoint_accuracy(
+    run: RunArtifacts,
+    stream: TaskStream,
+    t: int,
+    score_kind: str,
+    bundle: scoring.ScoreBundle | None,
+) -> tuple[float, dict[int, float]]:
+    """Checkpoint ``t``'s pooled and per-task accuracy over the test rows of
+    tasks 1..t (see ``accuracy_trajectory``); the last checkpoint reads the
+    finished run's index and calibration, and ``bundle`` when given."""
+    final = t == run.task_ids()[-1]
+    cp = run.checkpoint_for(t)
+    seen = [d for d in stream.tasks if d.task_id <= t]
+    classes = {d.task_id: d.classes for d in seen}
+    if final:
+        ctx = scoring.indexed_context(cp.net, cp.stats, run.replay_index,
+                                      run.config, classes, run.calibration)
+    else:
+        ctx = scoring.build_context(cp.net, cp.stats, cp.buffer, run.config, classes)
+    x, y, bounds = pooled_test_rows(seen)
+    if bundle is not None and final:
+        pred = scoring.predict_from_bundle(ctx, bundle, score_kind)
+    else:
+        pred = scoring.predict(ctx, x, score_kind=score_kind)
+    correct = pred.global_class == y
+    return float(np.mean(correct)), {
+        d.task_id: float(np.mean(correct[bounds[j] : bounds[j + 1]]))
+        for j, d in enumerate(seen)
+    }
 
 
 # --- reference model --------------------------------------------------------

@@ -203,10 +203,13 @@ def _layer_gates(net: HatMlp, task_id: int, s: float) -> list[np.ndarray | None]
 def features(net: HatMlp, x: np.ndarray, task_id: int) -> np.ndarray:
     """Masked trunk features [B, feature_dim] of a [B, input_dim] batch, the
     part of ``forward`` before the task head.  The gates are taken at
-    ``s_max``, the inference setting."""
+    ``s_max``, the inference setting.  Each layer's bias, ReLU and gate are
+    applied in place to its product, so a layer holds one [B, width] array."""
     h = x
     for w, b, a in zip(net.weights, net.biases, _layer_gates(net, task_id, net.s_max)):
-        h = np.maximum(h @ w.T + b, 0.0)
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
         if a is not None:
             h *= a
     return h

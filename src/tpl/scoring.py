@@ -338,37 +338,50 @@ def compute_bundle(
     score ``kinds`` it will serve: a score none of them reads
     (``SCORE_FIELDS``) is not computed and is None.  So only a bundle for the
     standalone ``knn`` kind searches each task's own replay rows; a task's
-    queries are normalized once for all the indexes they search."""
+    queries are normalized once for all the indexes they search.  Each task
+    is scored by ``_score_task``, so one task's temporaries are held at a
+    time."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     T = ctx.n_tasks()
     scores = {name: np.zeros((n, T))
               for kind in kinds for name in SCORE_FIELDS.get(kind, ())}
-    wp: list[np.ndarray] = []
-    for j, t in enumerate(ctx.task_ids):
-        feats, logits = hat_mlp.forward(ctx.net, x, t)
-        c = len(ctx.task_classes[t])
-        wp.append(softmax(logits[:, :c]))
-        if "mls" in scores:
-            scores["mls"][:, j] = mls_score(logits, c)
-        if "msp" in scores:
-            scores["msp"][:, j] = np.max(wp[-1], axis=-1)
-        if "ebo" in scores:
-            scores["ebo"][:, j] = ebo_score(logits, c)
-        if "md" in scores:
-            scores["md"][:, j] = md_score(feats, ctx.stats[t])
-        searches = [(name, index) for name, index in (("knn_dist", ctx.knn_index[t]),
-                                                      ("knn_own", ctx.own_index[t]))
-                    if name in scores and index.shape[0] > 0]
-        if searches:
-            neg_q = _negated_unit_rows(feats)
-            for name, index in searches:
-                scores[name][:, j] = _unit_search(neg_q, index, ctx.k)
+    wp = [_score_task(ctx, x, t, {name: s[:, j] for name, s in scores.items()})
+          for j, t in enumerate(ctx.task_ids)]
     return ScoreBundle(
         task_ids=list(ctx.task_ids), mls=scores.get("mls"), msp=scores.get("msp"),
         ebo=scores.get("ebo"), md=scores.get("md"), knn_dist=scores.get("knn_dist"),
         knn_own=scores.get("knn_own"), wp=wp,
     )
+
+
+def _score_task(ctx: ScoringContext, x: np.ndarray, t: int,
+                out: dict[str, np.ndarray]) -> np.ndarray:
+    """Write task ``t``'s scores of the rows ``x`` into ``out``, a column
+    per score that ``compute_bundle`` computes, and return their within-task
+    probabilities.  The features are dropped once the negated queries exist,
+    and every temporary (features, logits, queries, KNN Gram) is freed on
+    return, before the next task forwards."""
+    feats, logits = hat_mlp.forward(ctx.net, x, t)
+    c = len(ctx.task_classes[t])
+    wp = softmax(logits[:, :c])
+    if "mls" in out:
+        out["mls"][:] = mls_score(logits, c)
+    if "msp" in out:
+        out["msp"][:] = np.max(wp, axis=-1)
+    if "ebo" in out:
+        out["ebo"][:] = ebo_score(logits, c)
+    if "md" in out:
+        out["md"][:] = md_score(feats, ctx.stats[t])
+    searches = [(name, index) for name, index in (("knn_dist", ctx.knn_index[t]),
+                                                  ("knn_own", ctx.own_index[t]))
+                if name in out and index.shape[0] > 0]
+    if searches:
+        neg_q = _negated_unit_rows(feats)
+        del feats
+        for name, index in searches:
+            out[name][:] = _unit_search(neg_q, index, ctx.k)
+    return wp
 
 
 def task_score_matrix(

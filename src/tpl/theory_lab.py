@@ -436,11 +436,11 @@ def density_estimator_check(
         raise NoVariance("all probes saturated the distance floor")
     md_rho = spearman(md[keep], fitted_logpdf[keep])
 
-    gram = (
-        np.sum(probes**2, axis=1)[:, None]
-        - 2.0 * probes @ dataset.train_x.T
-        + np.sum(dataset.train_x**2, axis=1)[None, :]
-    )
+    # |p|^2 - 2 p.x + |x|^2, the same operations in the same order as the
+    # expression written out, built in one [probes, train] array
+    gram = 2.0 * probes @ dataset.train_x.T
+    np.subtract(np.sum(probes**2, axis=1)[:, None], gram, out=gram)
+    gram += np.sum(dataset.train_x**2, axis=1)
     knn_dist = kth_distance(gram, DENSITY_KNN_K)
     knn_rho = spearman(-knn_dist, mixture_log_density(dataset, probes))
     if not (np.isfinite(md_rho) and np.isfinite(knn_rho)):

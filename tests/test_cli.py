@@ -1540,6 +1540,11 @@ WRITE_FAULTS = {
     "target is a directory": (lambda tmp: tmp / "adir", "Is a directory"),
 }
 
+#: The text files ``train`` writes into the run directory, each a target of
+#: the writer tests: a directory in its place fails the write.
+RUN_TEXT_FILES = ("config.json", "stats/task_1.json", "buffer.csv", "trajectory.json",
+                  "calibration.json")
+
 
 class TestWriters:
     @pytest.mark.parametrize("writer,fault", [
@@ -1583,6 +1588,15 @@ class TestWriters:
         assert (code, out, err) == (3, "", f"error: {target}: cannot write ({reason})\n")
         assert calls == []
         assert files() == before
+
+    @pytest.mark.parametrize("name", RUN_TEXT_FILES)
+    def test_a_run_text_file_that_cannot_be_written_exits_3_with_one_line_naming_it(
+            self, tmp_path, name):
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run", **{"training.epochs": 2})
+        target = tmp_path / "run" / name
+        target.mkdir(parents=True)
+        code, out, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert (code, out, err) == (3, "", f"error: {target}: cannot write (Is a directory)\n")
 
     @pytest.mark.parametrize("cache_dir,reason", [
         ("afile", "File exists"), ("afile/ncl", "Not a directory"),

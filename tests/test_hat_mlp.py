@@ -66,6 +66,22 @@ def test_forward_repeatable_and_batch_consistent():
     assert np.allclose(l_row[0], l1[2], atol=1e-15)
 
 
+def test_features_in_place_match_the_one_expression_form_bitwise():
+    # each layer's bias, ReLU and gate are applied in place to its product:
+    # the bits are those of ``maximum(h @ w.T + b, 0) * a``, and x is kept
+    net = tiny_net(widths=(7, 5, 6), input_dim=4, seed=5)
+    for l, e in enumerate(net.embeddings[1]):
+        e[:] = RngState(8).stream(f"e{l}").standard_normal(e.shape)
+    _randomize_biases(net, 1, 10)
+    x = RngState(9).stream("x").standard_normal((11, 4))
+    kept = x.copy()
+    h = x
+    for w, b, a in zip(net.weights, net.biases, hat_mlp.attention(net, 1, net.s_max)):
+        h = np.maximum(h @ w.T + b, 0.0) * a
+    assert hat_mlp.features(net, x, 1).tobytes() == h.tobytes()
+    assert x.tobytes() == kept.tobytes()
+
+
 def test_forward_fully_gated_off_leaves_only_bias():
     net = tiny_net(widths=(3,), input_dim=2)
     net.embeddings[1] = [np.full(3, -6.0)]

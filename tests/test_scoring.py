@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -769,3 +770,46 @@ def test_a_bundle_normalizes_each_tasks_queries_once(three_task_run, three_task_
             assert column.tobytes() == getattr(want, name)[:, j].tobytes()
             assert (column.tobytes()
                     == scoring.unit_knn_kth_distance(feats, index, ctx.k).tobytes()), (t, name)
+
+
+# --- working set ---------------------------------------------------------------
+
+def desk_shaped_context():
+    """A context of the README demo's shape: 5 tasks of 2 classes, 16 → 64 → 64,
+    160 cross-task and 40 own replay rows per task."""
+    rng = RngState(2).stream("desk")
+    net = hat_mlp.new_hat_mlp(16, (64, 64), 400.0, RngState(3))
+    stats, knn, own = {}, {}, {}
+    for t in range(1, 6):
+        hat_mlp.add_task(net, t, 2, RngState(3 + t))
+        hat_mlp.consolidate_mask(net, t)
+        root = rng.standard_normal((64, 64))
+        stats[t] = scoring.TaskStats(t, rng.standard_normal((2, 64)),
+                                     root @ root.T / 64 + np.eye(64), 1.0, 1.0)
+        knn[t] = scoring.normalize_rows(rng.standard_normal((160, 64)))
+        own[t] = scoring.normalize_rows(rng.standard_normal((40, 64)))
+    classes = {t: (2 * t - 2, 2 * t - 1) for t in stats}
+    return scoring.indexed_context(net, stats, (knn, own),
+                                   trainer.TrainConfig(hidden_widths=(64, 64)), classes)
+
+
+@pytest.mark.parametrize("kinds", [("tpl",), scoring.SCORE_KINDS], ids=["tpl", "all-kinds"])
+def test_a_bundle_holds_one_tasks_temporaries_at_a_time(kinds):
+    # numpy reports its allocations to tracemalloc.  The peak is one task's
+    # negated queries and largest KNN Gram, beside the input rows and the
+    # bundle's outputs: a task's features, logits and queries are freed
+    # before the next task forwards
+    ctx = desk_shaped_context()
+    x = RngState(4).stream("x").standard_normal((4096, 16))
+    tracemalloc.start()
+    try:
+        bundle = scoring.compute_bundle(ctx, x, kinds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (bundle.mls, bundle.msp, bundle.ebo, bundle.md,
+                                      bundle.knn_dist, bundle.knn_own, *bundle.wp)
+                  if a is not None)
+    queries = x.shape[0] * ctx.net.feature_dim * 8
+    gram = x.shape[0] * max(ctx.knn_index[t].shape[0] for t in ctx.task_ids) * 8
+    assert peak < 1.1 * (queries + gram + x.nbytes + outputs)

@@ -1,6 +1,7 @@
 """Gaussian-pair test-bed: exact ratio values, quadrature oracle, dominance."""
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from statistics import NormalDist
 
@@ -478,6 +479,19 @@ def test_density_check_is_deterministic(gaussian_task):
     first = density_estimator_check(dataset, stats, 200, seed=7)
     second = density_estimator_check(dataset, stats, 200, seed=7)
     assert first == second
+
+
+def test_density_check_holds_one_distance_matrix(gaussian_task):
+    # numpy reports its allocations to tracemalloc: the squared distances of
+    # the probes to the training rows are built in one [probes, train] array
+    dataset, stats = gaussian_task
+    tracemalloc.start()
+    try:
+        density_estimator_check(dataset, stats, 500, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 500 * dataset.train_x.shape[0] * 8
 
 
 def test_density_check_needs_a_generative_description(gaussian_task):
