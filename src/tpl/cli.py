@@ -597,17 +597,17 @@ def _load_index(path: Path, net: hat_mlp.HatMlp, buffer: ReplayBuffer,
     """The KNN replay index stored in ``path``, checked against the run: its
     arrays must have the shapes ``_index_shapes`` gives for the buffer and
     the model's feature width, and the first buffer row of each source task,
-    forwarded through every task's extractor, must match its stored row
-    within ``_INDEX_TOL``.  That tolerance also covers the entries
-    ``replay_index`` flushed from subnormal to 0; a run written with them
-    unflushed loads and scores the same bits."""
+    forwarded through every task's extractor into ``scoring.index_rows``,
+    must match its stored row within ``_INDEX_TOL``.  That tolerance also
+    covers a run written with its subnormal entries unflushed, which loads
+    and scores the same bits."""
     _, arrays = _read_container(path, _INDEX_MAGIC)
     x, source = buffer.x, buffer.tasks
     with data.reading(path):
         _check_shapes(arrays, _index_shapes(source, task_ids, net.feature_dim), "the run")
     firsts = np.unique(source, return_index=True)[1]  # each source task's first row
     for t in task_ids if len(buffer) else ():
-        feats = scoring.normalize_rows(hat_mlp.features(net, x[firsts], t))
+        feats = scoring.index_rows(hat_mlp.features(net, x[firsts], t))
         mine = source[firsts] == t
         # own.t holds task t's rows and knn.t the others, in buffer order: task t's
         # first row is own.t[0] and row i of another task is knn.t[i - (task t
@@ -930,8 +930,7 @@ def cmd_train(args) -> int:
         # ood-bench rows read them
         shared = scoring.context_from_run(run, calibrated=False)
         pooled = evaluation.pooled_scores(shared, stream)
-        trajectory, per_task = evaluation.accuracy_trajectory(run, stream, "tpl",
-                                                              bundle=pooled.bundle)
+        trajectory, per_task = evaluation.accuracy_trajectory(run, stream, pooled.bundle)
         payload["trajectory"] = trajectory
         payload["per_task"] = evaluation.encode_task_matrix(per_task)
         payload["til"] = {

@@ -74,13 +74,6 @@ def cil_accuracy(
     return float(np.mean(pred.global_class == scores.labels))
 
 
-def til_accuracy(
-    ctx: scoring.ScoringContext, task_id: int, dataset: TaskDataset
-) -> float:
-    """Accuracy with the task-id given, through the context's network."""
-    return til_accuracies(ctx.net, [dataset])[task_id]
-
-
 def til_accuracies(net: hat_mlp.HatMlp, datasets: list[TaskDataset]) -> dict[int, float]:
     """Accuracy with the task-id given, per dataset's task: argmax over the
     task's own classes only (its spare unit excluded).  It needs only the
@@ -104,10 +97,9 @@ def _head_hits(net: hat_mlp.HatMlp, head: int, classes, dataset: TaskDataset):
 def accuracy_trajectory(
     run: RunArtifacts,
     stream: TaskStream,
-    score_kind: str = "tpl",
     bundle: scoring.ScoreBundle | None = None,
 ) -> tuple[list[float], dict[int, dict[int, float]]]:
-    """Pooled accuracy after each task, plus the full per-task matrix.
+    """Pooled ``tpl`` accuracy after each task, plus the full per-task matrix.
 
     Returns ``(trajectory, per_task)``: ``trajectory[k]`` is the pooled
     accuracy over tasks 1..t_k evaluated at checkpoint t_k on ``stream``'s
@@ -126,7 +118,7 @@ def accuracy_trajectory(
     trajectory: list[float] = []
     per_task: dict[int, dict[int, float]] = {}
     for t in task_ids:
-        pooled, per_task[t] = _checkpoint_accuracy(run, stream, t, score_kind, bundle)
+        pooled, per_task[t] = _checkpoint_accuracy(run, stream, t, bundle)
         trajectory.append(pooled)
     return trajectory, per_task
 
@@ -135,7 +127,6 @@ def _checkpoint_accuracy(
     run: RunArtifacts,
     stream: TaskStream,
     t: int,
-    score_kind: str,
     bundle: scoring.ScoreBundle | None,
 ) -> tuple[float, dict[int, float]]:
     """Checkpoint ``t``'s pooled and per-task accuracy over the test rows of
@@ -152,9 +143,9 @@ def _checkpoint_accuracy(
         ctx = scoring.build_context(cp.net, cp.stats, cp.buffer, run.config, classes)
     x, y, bounds = pooled_test_rows(seen)
     if bundle is not None and final:
-        pred = scoring.predict_from_bundle(ctx, bundle, score_kind)
+        pred = scoring.predict_from_bundle(ctx, bundle)
     else:
-        pred = scoring.predict(ctx, x, score_kind=score_kind)
+        pred = scoring.predict(ctx, x)
     correct = pred.global_class == y
     return float(np.mean(correct)), {
         d.task_id: float(np.mean(correct[bounds[j] : bounds[j + 1]]))
@@ -498,19 +489,16 @@ def compute_report(
     run: RunArtifacts,
     stream: TaskStream,
     ncl: NclReference | None = None,
-    score_kind: str = "tpl",
-    trajectory: tuple[list[float], dict[int, dict[int, float]]] | None = None,
 ) -> MetricsReport:
     """All metrics for a finished run on ``stream``'s test rows (see
-    ``metrics_report``).  ``trajectory`` is ``accuracy_trajectory``'s result
-    stored at train time; without it the trajectory is recomputed from the
-    run's checkpoints."""
-    if trajectory is None:
-        trajectory = accuracy_trajectory(run, stream, score_kind)
+    ``metrics_report``), the trajectory recomputed from the run's
+    checkpoints: the reference that the report ``tpl eval`` assembles from
+    stored measurements is compared against."""
     ood = ({}, None)
     if len(stream) > 1:
-        ood = task_ood_aucs(scoring.context_from_run(run), stream, score_kind)
-    return metrics_report(trajectory, til_accuracies(run.net, stream.tasks), ood, ncl)
+        ood = task_ood_aucs(scoring.context_from_run(run), stream)
+    return metrics_report(accuracy_trajectory(run, stream),
+                          til_accuracies(run.net, stream.tasks), ood, ncl)
 
 
 def metrics_report(

@@ -23,10 +23,10 @@ read (``predict`` builds one for its kind alone), so ``tpl`` skips the MSP
 and energy scores and searches one index per task, not two.
 
 A finished run is kept in the form the kernels read, so scoring a batch
-only scores: the index rows are stored as ``unit_knn_kth_distance`` reads
-them (it normalizes only the queries), and each ``TaskStats`` carries its
-precision's Cholesky factor, computed once when the statistics are fitted,
-which ``md_score`` whitens with.  The index rows, the factor and the class
+only scores: the index rows are stored as ``knn_kth_distance`` reads them
+(``index_rows``), and each ``TaskStats`` carries its precision's Cholesky
+factor, computed once when the statistics are fitted, which ``md_score``
+whitens with.  The index rows, the factor and the class
 means hold no subnormal entry (``numerics.flush_subnormals``), which the CPU
 multiplies slowly.  None of this changes a bit of any score.
 
@@ -128,44 +128,31 @@ def normalize_rows(feats: np.ndarray) -> np.ndarray:
     return feats / norms
 
 
-def knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
-    """Euclidean distance from each (normalized) query row to its k-th
-    nearest (normalized) index row; with fewer than k rows the farthest
-    available one is used.  Raises ``EmptyBufferView`` on an empty index.
-    Both arguments may be raw rows; ``unit_knn_kth_distance`` is this search
-    over an index that is already normalized."""
-    return unit_knn_kth_distance(queries, normalize_rows(index), k)
-
-
-def unit_knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
-    """``knn_kth_distance`` over index rows passed as they are: only the
-    queries are normalized.  ``replay_index`` stores its rows in this form,
-    and ``compute_bundle`` runs this search (``_unit_search``) with each
-    task's queries normalized once for both of its indexes."""
-    index = np.atleast_2d(index)
-    if index.shape[0] == 0:
-        raise EmptyBufferView("no reference samples for the KNN distance")
-    return _unit_search(_negated_unit_rows(queries), index, k)
-
-
-def _negated_unit_rows(queries: np.ndarray) -> np.ndarray:
-    """The L2-normalized, negated query rows ``_unit_search`` reads."""
-    neg_q = normalize_rows(queries)
+def knn_queries(feats: np.ndarray) -> np.ndarray:
+    """The L2-normalized, negated rows of ``feats``: the query form
+    ``knn_kth_distance`` reads, built once per task for all of its indexes."""
+    neg_q = normalize_rows(feats)
     np.negative(neg_q, out=neg_q)
     return neg_q
 
 
-def _unit_search(neg_q: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
-    """The k-th nearest distance of each query, given as ``_negated_unit_rows``,
-    among the rows of the normalized, non-empty ``index``."""
+def knn_kth_distance(queries: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
+    """Euclidean distance from each normalized query row to its k-th nearest
+    row of ``index``; with fewer than k rows the farthest one is used.  The
+    queries are given as ``knn_queries`` builds them, and the index rows as
+    ``index_rows`` stores them.  Raises ``ValueError`` for ``k < 1`` and
+    ``EmptyBufferView`` on an empty index."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    # On the unit sphere ||q - b||^2 = 2 - 2 q.b = 2 + 2 (-q).b.  Rounding is
-    # symmetric, so neg_q @ index.T is -(q @ index.T) (a zero's sign aside,
-    # which 2 + 2t does not see), and t -> 2 + 2t stays monotone after
-    # rounding: the k-th nearest row holds each row's k-th smallest (-q).b,
-    # nan last as before, and only those n values are mapped.
-    return np.sqrt(np.maximum(2.0 + 2.0 * kth_smallest(neg_q @ index.T, k), 0.0))
+    if index.shape[0] == 0:
+        raise EmptyBufferView("no reference samples for the KNN distance")
+    # On the unit sphere ||q - b||^2 = 2 - 2 q.b = 2 + 2 (-q).b, and the rows
+    # of ``queries`` are -q.  Rounding is symmetric, so queries @ index.T is
+    # -(q @ index.T) (a zero's sign aside, which 2 + 2t does not see), and
+    # t -> 2 + 2t stays monotone after rounding: the k-th nearest row holds
+    # each row's k-th smallest (-q).b, nan last as before, and only those n
+    # values are mapped.
+    return np.sqrt(np.maximum(2.0 + 2.0 * kth_smallest(queries @ index.T, k), 0.0))
 
 
 def tpl_score(
@@ -239,27 +226,33 @@ class ScoringContext:
 
 #: Every task's two KNN indexes ``(knn, own)``: ``knn[t]`` holds the other
 #: tasks' replay rows and ``own[t]`` task t's own rows, each through task t's
-#: extractor, L2-normalized twice (see ``replay_index``), in buffer order.
+#: extractor as ``index_rows`` stores them, in buffer order.
 ReplayIndex = tuple[dict[int, np.ndarray], dict[int, np.ndarray]]
+
+
+def index_rows(feats: np.ndarray) -> np.ndarray:
+    """Replay features as a KNN index stores them: L2-normalized twice, with
+    subnormal entries flushed to 0 (``numerics.flush_subnormals``: no
+    distance changes, and the search GEMM no longer slows down on them).
+    The second normalization keeps every distance's bits equal to those of
+    the once-normalized rows; ROADMAP item 5(a) drops it, as an intended
+    output change.  It also maps a row whose norm is below the floor of
+    ``normalize_rows`` to a unit row, so a check of stored rows must go
+    through this same function."""
+    return flush_subnormals(normalize_rows(normalize_rows(feats)))
 
 
 def replay_index(net: hat_mlp.HatMlp, buffer: ReplayBuffer, task_ids) -> ReplayIndex:
     """Both KNN indexes of every task in ``task_ids``.  The whole buffer goes
-    through each task's extractor once; the two indexes are its rows split by
-    source task, in buffer order, stored as ``unit_knn_kth_distance`` reads
-    them, with subnormal entries flushed to 0 (``numerics.flush_subnormals``:
-    no distance changes, and the search GEMM no longer slows down on them).
-    An empty buffer gives empty [0, d] views."""
+    through each task's extractor once; the two indexes are its rows
+    (``index_rows``) split by source task, in buffer order.  An empty buffer
+    gives empty [0, d] views."""
     feat_dim = net.feature_dim
     knn = {t: np.empty((0, feat_dim)) for t in task_ids}
     own = {t: np.empty((0, feat_dim)) for t in task_ids}
     if len(buffer) > 0:
         for t in task_ids:
-            # Normalized twice: the second pass keeps every distance's bits equal
-            # to those of ``knn_kth_distance`` over the once-normalized rows.
-            # ROADMAP item 5(a) drops it, as an intended output change.
-            feats = flush_subnormals(
-                normalize_rows(normalize_rows(hat_mlp.features(net, buffer.x, t))))
+            feats = index_rows(hat_mlp.features(net, buffer.x, t))
             knn[t] = feats[buffer.tasks != t]
             own[t] = feats[buffer.tasks == t]
     return knn, own
@@ -377,10 +370,10 @@ def _score_task(ctx: ScoringContext, x: np.ndarray, t: int,
                                                   ("knn_own", ctx.own_index[t]))
                 if name in out and index.shape[0] > 0]
     if searches:
-        neg_q = _negated_unit_rows(feats)
+        queries = knn_queries(feats)
         del feats
         for name, index in searches:
-            out[name][:] = _unit_search(neg_q, index, ctx.k)
+            out[name][:] = knn_kth_distance(queries, index, ctx.k)
     return wp
 
 

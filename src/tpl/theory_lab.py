@@ -284,22 +284,16 @@ def oracle_auc(pair: GaussianPair, scorer: str) -> float:
     return min(max(float(value), 0.0), 1.0)
 
 
-def empirical_auc(pair: GaussianPair, scorer: str) -> float:
-    """Monte-Carlo ranking probability: ``pair.n_samples`` draws per side,
-    positive side P_t, seeded by ``pair.seed``.
-
-    Requires n >= 1000 so the +-5/sqrt(n) convergence band is meaningful.
-    """
-    return empirical_aucs(pair, (scorer,))[scorer]
-
-
 def empirical_aucs(
     pair: GaussianPair, scorers: tuple[str, ...] = SCORER_NAMES
 ) -> dict[str, float]:
-    """`empirical_auc` of each of ``scorers``, all scored on one set of draws.
+    """Monte-Carlo ranking probability of each of ``scorers``:
+    ``pair.n_samples`` draws per side, positive side P_t, seeded by
+    ``pair.seed``.  The draws depend only on the pair, so every scorer is
+    scored on one set of them and its value does not depend on which other
+    scorers are asked for.
 
-    The draws depend only on the pair, so each value is the one
-    `empirical_auc` returns for that scorer, bit for bit.
+    Requires n >= 1000 so the +-5/sqrt(n) convergence band is meaningful.
     """
     n = pair.n_samples
     if n < MIN_EMPIRICAL_N:

@@ -394,9 +394,3 @@ def run_sequence(
             cfg.calibration_lr, root.stream("calibration"),
         )
     return run
-
-
-def clone_config(cfg: TrainConfig, **overrides) -> TrainConfig:
-    out = replace(cfg, **overrides)
-    out.validate()
-    return out

@@ -10,6 +10,7 @@ Benchmark geometry: 5 tasks x 2 classes, dim 16, separation 6, 200 train
 and 100 test samples per class.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -20,7 +21,7 @@ import pytest
 import conftest
 from tpl import cli, data, evaluation, hat_mlp, scoring, theory_lab, trainer
 from tpl.numerics import RngState, log_sum_exp, softmax, spd_inverse, stable_mean
-from tpl.trainer import TrainConfig, clone_config
+from tpl.trainer import TrainConfig
 
 SEEDS = (1, 2, 3, 4, 5)
 BENCH_SEED = 1
@@ -87,7 +88,7 @@ def seed_runs(bench_cfg, bench_run):
 
 @pytest.fixture(scope="session")
 def half_buffer_runs(bench_cfg):
-    cfg = clone_config(bench_cfg, buffer_capacity=bench_cfg.buffer_capacity // 2)
+    cfg = dataclasses.replace(bench_cfg, buffer_capacity=bench_cfg.buffer_capacity // 2)
     start = time.perf_counter()
     runs = {
         seed: trainer.run_sequence(bench_stream(seed), cfg, seed, calibrate=False)
@@ -132,8 +133,9 @@ def test_criterion_02_ratio_score_dominance():
             worst_margin_err = max(
                 worst_margin_err, abs(margin - FROZEN_MARGINS[(name, alt)])
             )
+        empirical = theory_lab.empirical_aucs(pair)
         for scorer, value in oracle.items():
-            emp = theory_lab.empirical_auc(pair, scorer)
+            emp = empirical[scorer]
             worst_emp_gap = max(worst_emp_gap, abs(emp - value))
     elapsed = time.perf_counter() - start
     ok = (min_margin >= -1e-9 and worst_margin_err <= 1e-8
@@ -169,8 +171,8 @@ def test_criterion_04_interference_freedom(bench_run, bench_cfg):
         classes_then = {u: stream.task(u).classes for u in sorted(cp.stats)}
         ctx_then = scoring.build_context(cp.net, cp.stats, cp.buffer, bench_cfg,
                                          classes_then, calibration=None)
-        til_then = evaluation.til_accuracy(ctx_then, t, ds)
-        til_final = evaluation.til_accuracy(ctx_final, t, ds)
+        til_then = evaluation.til_accuracies(ctx_then.net, [ds])[t]
+        til_final = evaluation.til_accuracies(ctx_final.net, [ds])[t]
         max_til_drift = max(max_til_drift, abs(til_final - til_then))
         _, logits_then = hat_mlp.forward(cp.net, ds.test_x, t)
         _, logits_final = hat_mlp.forward(bench_run.net, ds.test_x, t)
@@ -207,7 +209,7 @@ def test_criterion_05_ablation_ordering(seed_runs):
 
 
 def test_criterion_06_forgetting_identity(bench_run, ncl_ref):
-    trajectory, per_task = evaluation.accuracy_trajectory(bench_run, bench_stream(BENCH_SEED), "tpl")
+    trajectory, per_task = evaluation.accuracy_trajectory(bench_run, bench_stream(BENCH_SEED))
     f_last, _ = evaluation.forgetting_rates(per_task, ncl_ref)
     final = bench_run.task_ids()[-1]
     gap = abs(f_last - (ncl_ref.pooled[final] - trajectory[-1]))
@@ -262,7 +264,8 @@ def test_criterion_08_oracle_equivalence():
         index = rng.normal(size=(n_index, d))
         qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
         bn = index / np.linalg.norm(index, axis=1, keepdims=True)
-        got = scoring.knn_kth_distance(queries, index, k)
+        got = scoring.knn_kth_distance(scoring.knn_queries(queries),
+                                       scoring.index_rows(index), k)
         for i in range(qn.shape[0]):
             dists = np.sort(np.sqrt(np.sum((qn[i] - bn) ** 2, axis=1)))
             oracle = dists[min(k, n_index) - 1]

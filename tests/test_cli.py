@@ -27,7 +27,6 @@ from tpl import cli, data, evaluation, hat_mlp, numerics, scoring, theory_lab, t
 from tpl.errors import (ConfigError, DegenerateVariance, DimensionMismatch, ParseError,
                         WriteError)
 from tpl.numerics import RngState, flush_subnormals, precision_factor, whitened_sq
-from tpl.trainer import clone_config
 
 SEED = 3
 
@@ -1191,6 +1190,33 @@ class TestPersistence:
                                str(probe), "--output", str(tmp_path / "p.csv"))
         assert code == 0, err
 
+    def test_a_buffer_row_below_the_norm_floor_loads_and_serves(self, tmp_path):
+        """Seed 1 of this config gives buffer row 0 a task-1 feature norm below
+        the floor of ``scoring.normalize_rows``, which the second of the index's
+        two normalizations turns into a unit row.  ``load_run``'s spot check
+        rebuilds its rows through the same ``scoring.index_rows``, so the run
+        ``train`` wrote is the run every reader accepts."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "seed": 1,
+            "dataset": {"kind": "synthetic", "n_tasks": 2, "classes_per_task": 1, "dim": 4,
+                        "separation": 6.0, "train_per_class": 20, "test_per_class": 5},
+            "training": {"epochs": 2, "hidden_widths": [8], "buffer_capacity": 10}}))
+        rd = tmp_path / "run"
+        code, _, err = run_cli("train", "--config", str(cfg), "--out", str(rd), "--quiet")
+        assert code == 0, err
+        run, _ = cli.load_run(rd)
+        feats = hat_mlp.features(run.net, run.buffer.x[:1], 1)
+        assert np.linalg.norm(feats) < scoring._NORM_FLOOR
+        probe = tmp_path / "probe.csv"
+        probe.write_text("0," + ",".join(map(repr, run.buffer.x[0].tolist())) + "\n")
+        for argv in (["eval", "--run", str(rd), "--out", str(tmp_path / "m.json")],
+                     ["ood-bench", "--run", str(rd), "--out", str(tmp_path / "o.json")],
+                     ["predict", "--run", str(rd), "--input", str(probe),
+                      "--output", str(tmp_path / "p.csv")]):
+            code, _, err = run_cli(*argv, "--quiet")
+            assert code == 0, (argv[0], err)
+
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(x=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(6)),
@@ -1393,7 +1419,8 @@ class TestKernelReadyRunState:
                 once = scoring.normalize_rows(hat_mlp.features(held.net, held.buffer.x, t))
                 mine = held.buffer.tasks == t
                 for column, rows in ((bundle.knn_dist, ~mine), (bundle.knn_own, mine)):
-                    want = (scoring.knn_kth_distance(feats, once[rows], ctx.k)
+                    want = (scoring.knn_kth_distance(scoring.knn_queries(feats),
+                                                     scoring.normalize_rows(once[rows]), ctx.k)
                             if rows.any() else np.zeros(x.shape[0]))
                     assert column[:, j].tobytes() == want.tobytes(), (t, rows.sum())
                 st = held.stats[t]
@@ -2170,7 +2197,7 @@ def per_row_bench_report(run_dir) -> dict:
         variant = "algorithm1" if label == "TPL-algorithm1" else "canonical"
         ctx = scoring.build_context(
             run.net, run.stats, run.buffer,
-            clone_config(rc.training, score_variant=variant), classes,
+            dataclasses.replace(rc.training, score_variant=variant), classes,
         )
         acc = evaluation.cil_accuracy(ctx, stream.tasks, kind)
         per_task, mean_auc = {}, None
@@ -2321,7 +2348,10 @@ def assert_reports_equal_the_ones_from_the_test_rows(cfg: Path, run_dir: Path) -
     stored = json.loads((run_dir / "trajectory.json").read_text())
     assert cli._dump_json(stored["bench"]) == cli._dump_json(rows)
     trajectory = cli._load_trajectory(run_dir, run, rc)[:2]
-    report = evaluation.compute_report(run, stream, trajectory=trajectory)
+    ood = (evaluation.task_ood_aucs(scoring.context_from_run(run), stream)
+           if len(stream) > 1 else ({}, None))
+    report = evaluation.metrics_report(
+        trajectory, evaluation.til_accuracies(run.net, stream.tasks), ood)
     assert (run_dir / "metrics.json").read_text() == cli._dump_json(report.as_dict())
     assert (run_dir / "ood_bench.json").read_text() == cli._dump_json(bench_report(rows))
     return stored

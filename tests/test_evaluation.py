@@ -206,8 +206,7 @@ def test_cil_and_til_accuracy_high_on_separable_run(run, stream):
     ctx = scoring.context_from_run(run)
     acc = evaluation.cil_accuracy(ctx, list(stream.tasks))
     assert acc >= 0.9
-    for d in stream.tasks:
-        assert evaluation.til_accuracy(ctx, d.task_id, d) >= 0.95
+    assert min(evaluation.til_accuracies(ctx.net, stream.tasks).values()) >= 0.95
 
 
 def test_cil_accuracy_empty_inputs(run, stream):
@@ -219,7 +218,7 @@ def test_cil_accuracy_empty_inputs(run, stream):
         d, test_x=np.empty((0, d.dim)), test_y=np.empty(0, dtype=np.int64)
     )
     with pytest.raises(EmptyTestSet):
-        evaluation.til_accuracy(ctx, d.task_id, empty)
+        evaluation.til_accuracies(ctx.net, [empty])
 
 
 def test_random_relabeling_drops_to_chance(run, stream):
@@ -375,7 +374,7 @@ def test_desk_reference_matches_the_pinned_gates_bit_for_bit(seed):
 def test_a_diverging_reference_stops_at_its_first_non_finite_loss():
     # the README demo stream; any RuntimeWarning fails this suite
     stream = data.generate_gaussian_stream(5, 2, 16, 6.0, 200, 100, RngState(1))
-    cfg = trainer.clone_config(trainer.TrainConfig(), learning_rate=1e300, epochs=2)
+    cfg = dataclasses.replace(trainer.TrainConfig(), learning_rate=1e300, epochs=2)
     with pytest.raises(NonFiniteLoss, match=r"^joint reference for prefix 2, epoch 1: "
                                             r"training loss is nan; lower the learning_rate"):
         evaluation.train_ncl_reference(stream, 2, cfg, 1)
@@ -427,17 +426,6 @@ def test_compute_report_single_task_skips_detection_auc():
     assert report.ood == {}
     assert report.ood_mean is None
     assert len(report.trajectory) == 1
-
-
-def test_compute_report_uses_a_stored_trajectory(run, stream):
-    stored = evaluation.accuracy_trajectory(run, stream)
-    fresh = evaluation.compute_report(run, stream)
-    assert evaluation.compute_report(run, stream, trajectory=stored) == fresh
-    fake = ([0.5, 0.25], {1: {1: 0.5}, 2: {1: 0.0, 2: 0.5}})
-    report = evaluation.compute_report(run, stream, trajectory=fake)
-    assert report.trajectory == [0.5, 0.25]
-    assert report.per_task == fake[1]
-    assert report.til == fresh.til
 
 
 def test_forgetting_identity_with_equal_test_sizes(run, stream, ncl):

@@ -7,7 +7,9 @@ for annotations only and are skipped.  The task-score definitions live in
 module imports any part of scipy, at module level or inside a function:
 ranking is ``numerics.average_ranks``, the theory oracles run on ``math`` and
 numpy, and importing scipy would add about a third of a second to every CLI
-call."""
+call.  Every public name of the package is read by package code outside its
+own definition, so the public surface is what the commands run;
+``UNREAD_PUBLIC_NAMES`` lists the exceptions, each with its reason."""
 
 import ast
 import os
@@ -75,6 +77,35 @@ def top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def module_references(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """``(module, name)`` of every top-level name that ``tree``, the source of
+    ``tpl.<module>``, reads: a bare name of its own or one imported by
+    ``from .m import name``, or ``m.name`` after ``from . import m``.  A
+    top-level statement's reads of the names it defines are not counted (a
+    recursive call or a class naming itself is not a caller), and an import
+    or a docstring reads nothing."""
+    modules: dict[str, str] = {}
+    imported: dict[str, tuple[str, str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    found: set[tuple[str, str]] = set()
+    for stmt in tree.body:
+        reads = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                reads.add(imported.get(node.id, (module, node.id)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                reads.add((modules[node.value.id], node.attr))
+        found |= reads - {(module, name) for name in top_level_names(ast.Module([stmt], []))}
+    return found
+
+
 def test_every_module_has_a_layer():
     modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
     assert modules == set(LAYERS)
@@ -112,6 +143,39 @@ def test_trainer_fits_rates_through_the_scoring_kernels():
     assert not {"MD_FLOOR", "whitened_sq"} & (names | attrs)
     assert "max" not in attrs  # np.max over logits is scoring.mls_score
     assert {"mls_score", "md_score"} <= names
+
+
+#: Public names that no ``src/tpl`` code reads, each with the reason it stays.
+UNREAD_PUBLIC_NAMES = {
+    "evaluation.compute_report": "recomputes every metric from the run's checkpoints: "
+    "the reference that `tpl eval`'s report from stored measurements is compared "
+    "against, and the report acceptance criterion 7 checks",
+}
+
+
+def test_every_public_name_is_read_by_the_package():
+    """Each top-level public function, class and constant is read by package
+    code outside its own definition (``module_references``), so the public
+    surface is what the commands run; the allowlist names the exceptions."""
+    read = set().union(*(module_references(m, parse(m)) for m in LAYERS))
+    unread = {f"{m}.{name}" for m in LAYERS for name in top_level_names(parse(m))
+              if not name.startswith("_") and (m, name) not in read}
+    assert unread == set(UNREAD_PUBLIC_NAMES)
+
+
+def test_module_references_counts_only_reads_outside_the_definition():
+    sources = {
+        "a": ('"""f is documented here."""\n'
+              "def f():\n    return f()\n"
+              "def g():\n    return h\n"
+              "h = 1\n"
+              "class C:\n    def m(self):\n        return C()\n"),
+        "b": ("from . import a\nfrom .a import C as K, h\n"
+              "def k():\n    return a.g(), K\n"),
+    }
+    read = set().union(*(module_references(m, ast.parse(s)) for m, s in sources.items()))
+    assert {("a", "g"), ("a", "h"), ("a", "C")} <= read
+    assert not {("a", "f"), ("b", "k")} & read
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

@@ -187,25 +187,35 @@ def test_task_stats_factor_their_precision_once(monkeypatch):
 
 # --- KNN distance -----------------------------------------------------------
 
+def raw_kth_distance(queries, index, k):
+    """The KNN kernel over raw rows: the queries as ``knn_queries`` builds
+    them and the index rows normalized once."""
+    return scoring.knn_kth_distance(scoring.knn_queries(queries),
+                                    scoring.normalize_rows(index), k)
+
+
 def test_knn_distance_hand_geometry():
     # index on two orthogonal unit axes; query on the first
     index = np.array([[1.0, 0.0], [0.0, 1.0]])
     q = np.array([[2.0, 0.0]])  # normalizes onto the first axis
-    d1 = scoring.knn_kth_distance(q, index, 1)
+    d1 = raw_kth_distance(q, index, 1)
     assert math.isclose(d1[0], 0.0, abs_tol=1e-12)
-    d2 = scoring.knn_kth_distance(q, index, 2)
+    d2 = raw_kth_distance(q, index, 2)
     assert math.isclose(d2[0], math.sqrt(2.0), rel_tol=1e-12)
 
 
 def test_knn_distance_fewer_than_k_uses_farthest():
     index = np.array([[1.0, 0.0], [0.0, 1.0]])
-    d9 = scoring.knn_kth_distance(np.array([[1.0, 0.0]]), index, 9)
+    d9 = raw_kth_distance(np.array([[1.0, 0.0]]), index, 9)
     assert math.isclose(d9[0], math.sqrt(2.0), rel_tol=1e-12)
 
 
-def test_knn_distance_empty_index():
+def test_knn_distance_refuses_k_below_one_and_an_empty_index():
+    queries = scoring.knn_queries(np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        scoring.knn_kth_distance(queries, np.array([[0.0, 1.0]]), 0)
     with pytest.raises(EmptyBufferView):
-        scoring.knn_kth_distance(np.array([[1.0, 0.0]]), np.empty((0, 2)), 5)
+        scoring.knn_kth_distance(queries, np.empty((0, 2)), 5)
 
 
 def test_knn_distance_bounded_on_sphere():
@@ -213,7 +223,7 @@ def test_knn_distance_bounded_on_sphere():
     q = rng.standard_normal((40, 5))
     b = rng.standard_normal((30, 5))
     for k in (1, 5, 30):
-        d = scoring.knn_kth_distance(q, b, k)
+        d = raw_kth_distance(q, b, k)
         assert np.all(d >= 0)
         assert np.all(d <= 2.0 + 1e-12)
 
@@ -226,7 +236,7 @@ def test_knn_distance_matches_bruteforce():
         k = int(rng.integers(1, 8))
         q = rng.standard_normal((5, d))
         b = rng.standard_normal((m, d))
-        got = scoring.knn_kth_distance(q, b, k)
+        got = raw_kth_distance(q, b, k)
         qn = q / np.linalg.norm(q, axis=1, keepdims=True)
         bn = b / np.linalg.norm(b, axis=1, keepdims=True)
         for i in range(5):
@@ -271,7 +281,7 @@ def test_knn_partition_matches_full_sort_bitwise(k_vs_n, draws):
     index = draws.draw(grid_rows(n, d))
     d2 = unit_sphere_d2(queries, index)
     expected = sorted_kth_distance(d2, k)
-    assert np.array_equal(scoring.knn_kth_distance(queries, index, k), expected)
+    assert np.array_equal(raw_kth_distance(queries, index, k), expected)
     assert np.array_equal(kth_distance(d2, k), expected)
 
 
@@ -300,7 +310,7 @@ def test_knn_selection_on_real_rows_matches_full_sort_bitwise(k_vs_n, draws):
     index = draws.draw(real_rows(m, d))
     kept = queries.tobytes(), index.tobytes()
     expected = sorted_kth_distance(unit_sphere_d2(queries, index), k)
-    assert scoring.knn_kth_distance(queries, index, k).tobytes() == expected.tobytes()
+    assert raw_kth_distance(queries, index, k).tobytes() == expected.tobytes()
     assert (queries.tobytes(), index.tobytes()) == kept
 
 
@@ -402,8 +412,9 @@ def test_flushing_subnormal_operands_keeps_every_distance_bit(draws):
              for mu, lf in ((means, factor), (f_means, f_factor))]
     assert (scoring.md_score(x, stats[0]).tobytes()
             == scoring.md_score(x, stats[1]).tobytes())
-    assert (scoring.unit_knn_kth_distance(x, index, k).tobytes()
-            == scoring.unit_knn_kth_distance(x, f_index, k).tobytes())
+    queries = scoring.knn_queries(x)
+    assert (scoring.knn_kth_distance(queries, index, k).tobytes()
+            == scoring.knn_kth_distance(queries, f_index, k).tobytes())
 
 
 # --- composed score ---------------------------------------------------------
@@ -680,8 +691,9 @@ def reference_bundle(ctx, x):
         columns["msp"].append(np.max(softmax(logits[:, :c]), axis=-1))
         columns["ebo"].append(scoring.ebo_score(logits, c))
         columns["md"].append(scoring.md_score(feats, ctx.stats[t]))
-        columns["knn_dist"].append(scoring.unit_knn_kth_distance(feats, ctx.knn_index[t], ctx.k))
-        columns["knn_own"].append(scoring.unit_knn_kth_distance(feats, ctx.own_index[t], ctx.k))
+        queries = scoring.knn_queries(feats)
+        columns["knn_dist"].append(scoring.knn_kth_distance(queries, ctx.knn_index[t], ctx.k))
+        columns["knn_own"].append(scoring.knn_kth_distance(queries, ctx.own_index[t], ctx.k))
     return {name: np.stack(cols, axis=1) for name, cols in columns.items()}
 
 
@@ -722,26 +734,18 @@ def test_a_bundle_holds_only_the_scores_its_kind_reads(kind, three_task_run,
                 scoring.task_score_matrix(ctx, bundle, other)
 
 
-def test_the_public_knn_kernel_is_the_core_over_a_normalized_index():
-    rng = RngState(8).stream("unit-knn")
-    queries, index = rng.standard_normal((9, 4)) * 3, rng.standard_normal((12, 4)) * 5
-    for k in (1, 3, 20):
-        core = scoring.unit_knn_kth_distance(queries, scoring.normalize_rows(index), k)
-        assert core.tobytes() == scoring.knn_kth_distance(queries, index, k).tobytes()
-
-
 def test_predict_searches_one_knn_index_per_task(three_task_run, three_task_stream,
                                                  monkeypatch):
     ctx = scoring.context_from_run(three_task_run)
     x = three_task_stream.tasks[0].test_x
     calls = []
-    search = scoring._unit_search
+    search = scoring.knn_kth_distance
 
-    def counting(neg_q, index, k):
+    def counting(queries, index, k):
         calls.append(index.shape[0])
-        return search(neg_q, index, k)
+        return search(queries, index, k)
 
-    monkeypatch.setattr(scoring, "_unit_search", counting)
+    monkeypatch.setattr(scoring, "knn_kth_distance", counting)
     scoring.predict(ctx, x)
     assert calls == [ctx.knn_index[t].shape[0] for t in ctx.task_ids]
     calls.clear()
@@ -764,12 +768,12 @@ def test_a_bundle_normalizes_each_tasks_queries_once(three_task_run, three_task_
     got = scoring.compute_bundle(ctx, x)
     assert normalized == [(x.shape[0], three_task_run.net.feature_dim)] * ctx.n_tasks()
     for j, t in enumerate(ctx.task_ids):
-        feats = hat_mlp.features(ctx.net, x, t)
+        queries = scoring.knn_queries(hat_mlp.features(ctx.net, x, t))
         for name, index in (("knn_dist", ctx.knn_index[t]), ("knn_own", ctx.own_index[t])):
             column = getattr(got, name)[:, j]
             assert column.tobytes() == getattr(want, name)[:, j].tobytes()
             assert (column.tobytes()
-                    == scoring.unit_knn_kth_distance(feats, index, ctx.k).tobytes()), (t, name)
+                    == scoring.knn_kth_distance(queries, index, ctx.k).tobytes()), (t, name)
 
 
 # --- working set ---------------------------------------------------------------

@@ -19,7 +19,6 @@ from tpl.theory_lab import (
     FIXTURE_PAIRS,
     GaussianPair,
     density_estimator_check,
-    empirical_auc,
     empirical_aucs,
     empirical_type1_rate,
     fit_raw_feature_stats,
@@ -222,29 +221,29 @@ def test_empirical_tracks_oracle():
     for pair_name, scorer in cases:
         for seed in (0, 1):
             pair = dataclasses.replace(FIXTURE_PAIRS[pair_name], n_samples=n, seed=seed)
-            est = empirical_auc(pair, scorer)
+            est = empirical_aucs(pair, (scorer,))[scorer]
             assert abs(est - GOLD_AUC[(pair_name, scorer)]) <= 5.0 / math.sqrt(n)
 
 
 def test_empirical_identical_densities():
     pair = GaussianPair(0.0, 1.0, 0.0, 1.0, n_samples=2000, seed=5)
     # Constant ratio: every comparison ties, midranks give exactly one half.
-    assert empirical_auc(pair, "lr") == 0.5
-    est = empirical_auc(dataclasses.replace(pair, n_samples=4000), "p_t_only")
+    assert empirical_aucs(pair, ("lr",)) == {"lr": 0.5}
+    est = empirical_aucs(dataclasses.replace(pair, n_samples=4000), ("p_t_only",))["p_t_only"]
     assert abs(est - 0.5) <= 3.0 / math.sqrt(4000)
 
 
 def test_empirical_needs_enough_draws():
     with pytest.raises(ValueError):
-        empirical_auc(dataclasses.replace(FIXTURE_PAIRS["mean_shift"], n_samples=999), "lr")
+        empirical_aucs(dataclasses.replace(FIXTURE_PAIRS["mean_shift"], n_samples=999))
 
 
 def test_empirical_defaults_come_from_the_pair():
     pair = GaussianPair(2.0, 1.0, 0.0, 1.0, n_samples=1500, seed=9)
-    assert empirical_auc(pair, "lr") == empirical_auc(pair, "lr")
-    assert empirical_auc(pair, "lr") != empirical_auc(dataclasses.replace(pair, seed=10), "lr")
-    assert empirical_auc(pair, "lr") != empirical_auc(
-        dataclasses.replace(pair, n_samples=1501), "lr")
+    lr = empirical_aucs(pair, ("lr",))
+    assert lr == empirical_aucs(pair, ("lr",))
+    assert lr != empirical_aucs(dataclasses.replace(pair, seed=10), ("lr",))
+    assert lr != empirical_aucs(dataclasses.replace(pair, n_samples=1501), ("lr",))
 
 
 def test_shared_draws_give_each_scorers_own_estimate():
@@ -253,7 +252,7 @@ def test_shared_draws_give_each_scorers_own_estimate():
         shared = empirical_aucs(pair)
         assert list(shared) == list(theory_lab.SCORER_NAMES)
         for scorer, value in shared.items():
-            assert value == empirical_auc(pair, scorer)
+            assert empirical_aucs(pair, (scorer,)) == {scorer: value}
 
 
 @pytest.mark.parametrize("seed", [0, 7])
