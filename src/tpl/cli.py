@@ -26,9 +26,9 @@ reproduce every downstream command without retraining.
                       identity when ``calibrate`` is false); eval and predict
                       apply it, ood-bench compares scores without it
 
-A container (the ``.bin`` files) is written to a temporary file and renamed
-into place, and read as a copy-on-write mapping of the file
-(``_write_container``, ``_read_container``).
+Every file is written by ``data.write_file``, to a temporary file renamed
+into place; a container (the ``.bin`` files) is read as a copy-on-write
+mapping of the file (``_read_container``).
 
 ``load_run`` reads only the run directory, never the dataset, and not
 ``trajectory.json``: ``predict`` and ``dump-features --input`` need no data.
@@ -57,16 +57,17 @@ only ``train`` and that miss read a manifest's train CSVs).
 Every file a command reads is read inside ``data.reading``: a file that is
 missing, cannot be opened, is not UTF-8 or does not decode is one error line
 naming it, a ``ConfigError`` for ``--config`` and a ``ParseError`` for the
-rest.  Every report, CSV and cache a command writes is written inside
-``data.writing``: a write that fails is one line, ``<path>: cannot write
-(<reason>)``, and exit 3; ``predict`` checks its ``--output`` before it
-loads the run.  A run-directory file (``config.json`` and ``trajectory.json``
-included) that is missing, malformed or does not match the run also ends
-with "retrain the run".  The config's ``score_variant`` is the published
-name (``canonical`` or ``algorithm1``) everywhere: config files, the package
-and the reports.  Exit codes: 0 success, 2 configuration error (a run
-directory that does not exist among them), 3 runtime failure (an unusable
-run-directory artifact included; so is running out of memory).
+rest.  Every file a command writes, and every directory ``train`` prepares,
+is written inside ``data.writing``: a failure is one line, ``<path>: cannot
+write (<reason>)``, and exit 3, and leaves the earlier file as it was;
+``predict`` checks its ``--output`` before it loads the run.  A run-directory
+file (``config.json`` and ``trajectory.json`` included) that is missing,
+malformed or does not match the run also ends with "retrain the run".  The
+config's ``score_variant`` is the published name (``canonical`` or
+``algorithm1``) everywhere: config files, the package and the reports.  Exit
+codes: 0 success, 2 configuration error (a run directory that does not
+exist among them), 3 runtime failure (an unusable run-directory artifact
+included; so is running out of memory).
 """
 from __future__ import annotations
 
@@ -74,6 +75,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import mmap
@@ -331,36 +333,19 @@ def _task_id(value, expected: int) -> int:
 def _write_container(path: Path, magic: bytes, header: dict,
                      arrays: dict[str, np.ndarray]) -> None:
     """Write ``magic``, the format version, a sorted-key JSON header listing
-    every array's name and shape, then each array as little-endian f8.  The
-    header is padded with spaces so the data section starts at a multiple of
-    ``_DATA_ALIGN`` bytes, where ``_read_container`` maps it without a copy.
-
-    The bytes go to a temporary file beside ``path``, which replaces ``path``
-    only once it is complete: a reader never sees a part-written container,
-    and arrays mapped from the file it replaces keep their values.  A write
-    that fails leaves ``path`` as it was, removes the temporary file and
-    raises a ``WriteError`` naming ``path``."""
+    every array's name and shape, then each array as little-endian f8, by
+    ``data.write_file``.  The header is padded with spaces so the data
+    section starts at a multiple of ``_DATA_ALIGN`` bytes, where
+    ``_read_container`` maps it without a copy.  Arrays convert one at a time."""
     blob = json.dumps(
         {**header, "arrays": [{"name": name, "shape": list(a.shape)}
                               for name, a in arrays.items()]},
         sort_keys=True,
     ).encode("utf-8")
     blob += b" " * (-(16 + len(blob)) % _DATA_ALIGN)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with data.writing(path):
-        try:
-            with open(temporary, "wb") as fh:
-                fh.write(magic)
-                fh.write(struct.pack("<I", _CONTAINER_VERSION))
-                fh.write(struct.pack("<Q", len(blob)))
-                fh.write(blob)
-                for a in arrays.values():
-                    fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-            os.replace(temporary, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                temporary.unlink()
-            raise
+    data.write_file(path, itertools.chain(
+        (magic, struct.pack("<IQ", _CONTAINER_VERSION, len(blob)), blob),
+        (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())))
 
 
 def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
@@ -741,13 +726,17 @@ def save_run(run: RunArtifacts, rc: RunConfig, out: Path, trajectory: dict) -> N
     layout of the run directory stored and nothing reads.  A stale or
     non-finite KNN index is refused before anything in ``out`` changes."""
     index = _index_arrays(out / "index.bin", run)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "scores.bin").unlink(missing_ok=True)
-    (out / "stats").mkdir(exist_ok=True)
+    with data.writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    with data.writing(out / "scores.bin"):
+        (out / "scores.bin").unlink(missing_ok=True)
+    with data.writing(out / "stats"):
+        (out / "stats").mkdir(exist_ok=True)
     for path in (out / "stats").glob("task_*"):
         match = re.fullmatch(r"task_(-?[0-9]+)\.(json|bin)", path.name)
         if match and int(match[1]) not in run.stats:
-            path.unlink()
+            with data.writing(path):
+                path.unlink()
     _write_text(out / "config.json", _dump_json(run_config_payload(rc)))
     save_model(out / "model.bin", run.net)
     for t in sorted(run.stats):
@@ -892,10 +881,9 @@ def _load_trajectory(run_dir: Path, run: RunArtifacts, rc: RunConfig
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write a report, CSV, cache or run-directory text file inside
-    ``data.writing``, so a failed write is one ``WriteError`` naming it."""
-    with data.writing(path):
-        path.write_text(text, encoding="utf-8")
+    """Write a report, CSV, cache or run-directory text file as UTF-8 by
+    ``data.write_file``."""
+    data.write_file(path, (text.encode("utf-8"),))
 
 
 def _check_out_dir(out: Path) -> None:

@@ -14,8 +14,10 @@ manifest.
 
 Every file the package reads is read inside ``reading``: one rule turns a
 failed read or decode into one error naming the file.  ``read_json`` is the
-one decode of a JSON text file.  ``writing`` is its twin for the reports,
-CSVs and caches the commands write.
+one decode of a JSON text file.  ``writing`` is its twin for writes, and
+``write_file`` is the one writer: every file a command writes (run-directory
+files, reports, CSVs and caches) goes to a temporary file beside it, which
+is then renamed into place.
 """
 
 from __future__ import annotations
@@ -324,13 +326,40 @@ def writing(path: Path):
 def check_writable(path: Path) -> None:
     """Raise, before any work, the ``writing`` error that writing ``path``
     would meet when its parent is missing or not a directory, or when
-    ``path`` is a directory.  Creates nothing."""
+    ``path`` is a directory.  A special file (a device, a pipe) in its place
+    is refused too: ``write_file`` would replace it.  Creates nothing."""
     with writing(path):
         if not path.parent.is_dir():
             path.parent.stat()  # missing, or below a file: raises as open would
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    if path.exists() and not path.is_file():
+        raise WriteError(f"{path}: cannot write (not a regular file)")
+
+
+def write_file(path: Path, chunks) -> None:
+    """Write the bytes ``chunks`` yields, one at a time, to ``path``: the
+    one way the package writes a file.
+
+    The chunks go to ``.<name>.<pid>.tmp`` beside ``path`` (the name cut to
+    200 characters, so a name that fits the file system's limit still fits
+    with the suffix), which replaces ``path`` only once it is complete, so a
+    reader never sees a part-written file and arrays mapped from the file it
+    replaces keep their values.  A write that fails, for any reason, leaves
+    ``path`` as it was and removes the temporary file; an ``OSError`` is
+    raised as ``writing``'s error."""
+    temporary = path.with_name(f".{path.name[:200]}.{os.getpid()}.tmp")
+    with writing(path):
+        try:
+            with open(temporary, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(temporary, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+            raise
 
 
 def read_json(path: Path, decode=lambda doc: doc, error: type[TplError] = ParseError):

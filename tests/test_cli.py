@@ -13,6 +13,7 @@ import mmap
 import os
 import re
 import shutil
+import stat
 import struct
 import zlib
 from pathlib import Path
@@ -1637,6 +1638,93 @@ class TestWriters:
         assert (code, out) == (3, "")
         assert err == f"error: {target}: cannot write ({reason})\n"
 
+    @pytest.mark.parametrize("name,make,reason", [
+        ("stats", lambda path: path.write_text("a regular file"), "File exists"),
+        ("scores.bin", Path.mkdir, "Is a directory"),
+        ("stats/task_7.json", Path.mkdir, "Is a directory"),
+    ], ids=["stats-is-a-file", "scores-bin-is-a-directory", "stale-stats-file-is-a-directory"])
+    def test_a_run_directory_that_cannot_be_prepared_exits_3_with_one_line_naming_it(
+            self, tmp_path, name, make, reason):
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run", **{"training.epochs": 2})
+        target = tmp_path / "run" / name
+        target.parent.mkdir(parents=True)
+        make(target)
+        code, out, err = run_cli("train", "--config", str(cfg), "--quiet")
+        assert (code, out, err) == (3, "", f"error: {target}: cannot write ({reason})\n")
+
+    @pytest.mark.parametrize("fault,message", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+         "{out}: cannot write (No space left on device)"),
+        (MemoryError(), "out of memory: an allocation failed"),
+    ], ids=["disk-full", "out-of-memory"])
+    def test_a_text_write_that_fails_partway_leaves_the_old_file_and_no_temporary(
+            self, run_dir, probe_file, tmp_path, monkeypatch, fault, message):
+        out = tmp_path / "p.csv"
+        argv = ["predict", "--run", str(run_dir), "--input", str(probe_file[0]),
+                "--output", str(out)]
+        assert run_cli(*argv)[0] == 0
+        old = out.read_bytes()
+        opened, real_open = [], open
+
+        class FailingPartway:
+            """A file whose first write stores half its bytes, then raises."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.fh.write(chunk[:len(chunk) // 2])
+                self.fh.flush()
+                opened.append(Path(self.fh.name).read_bytes())
+                raise fault
+
+        def open_failing_partway(file, mode="r", **kwargs):
+            fh = real_open(file, mode, **kwargs)
+            return FailingPartway(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(data, "open", open_failing_partway, raising=False)
+        code, stdout, err = run_cli(*argv)
+        assert (code, stdout, err) == (3, "", f"error: {message.format(out=out)}\n")
+        assert len(opened) == 1 and 0 < len(opened[0]) < len(old)
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+    def test_an_output_symlink_is_replaced_and_its_target_kept(
+            self, run_dir, probe_file, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("kept\n")
+        out = tmp_path / "p.csv"
+        out.symlink_to(kept)
+        code, _, err = run_cli("predict", "--run", str(run_dir), "--input",
+                               str(probe_file[0]), "--output", str(out))
+        assert code == 0, err
+        assert not out.is_symlink() and out.read_text().startswith("row,")
+        assert kept.read_text() == "kept\n"
+
+    def test_an_output_name_near_the_file_system_limit_is_written(
+            self, run_dir, probe_file, tmp_path):
+        out = tmp_path / ("p" * 246 + ".csv")  # 250 bytes, under the usual 255
+        code, _, err = run_cli("predict", "--run", str(run_dir), "--input",
+                               str(probe_file[0]), "--output", str(out))
+        assert code == 0, err
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    def test_a_special_file_is_refused_as_an_output_before_any_work(
+            self, run_dir, probe_file, tmp_path, monkeypatch):
+        target = tmp_path / "fifo"
+        os.mkfifo(target)
+        monkeypatch.setattr(cli, "load_run", lambda d: pytest.fail("the run was loaded"))
+        code, out, err = run_cli("predict", "--run", str(run_dir), "--input",
+                                 str(probe_file[0]), "--output", str(target))
+        assert (code, out, err) == (3, "", f"error: {target}: cannot write (not a regular file)\n")
+        assert stat.S_ISFIFO(target.stat().st_mode)
+
 
 def v1_container_bytes(magic: bytes, header: dict, arrays: list, align: int = 1) -> bytes:
     """A container in the v1 framing: magic, version, header length, the
@@ -1811,7 +1899,7 @@ class TestContainer:
             assert loaded[name].flags.aligned and loaded[name].flags.writeable, name
 
     def test_loaded_arrays_keep_their_values_when_train_rewrites_the_run(
-            self, run_dir, tmp_path):
+            self, run_dir, probe_file, tmp_path):
         run_copy = tmp_path / "run"
         shutil.copytree(run_dir, run_copy)
         run, _ = cli.load_run(run_copy)
@@ -1824,6 +1912,14 @@ class TestContainer:
         assert code == 0, err
         assert (run_copy / "model.bin").read_bytes() != model
         assert [a.tobytes() for a in arrays] == before
+        for _ in range(2):  # the second pass rewrites both files
+            code, _, err = run_cli("eval", "--run", str(run_copy), "--quiet")
+            assert code == 0, err
+            code, _, err = run_cli("predict", "--run", str(run_copy), "--input",
+                                   str(probe_file[0]), "--output", str(run_copy / "p.csv"),
+                                   "--quiet")
+            assert code == 0, err
+        assert {"metrics.json", "p.csv"} <= {p.name for p in run_copy.iterdir()}
         assert not list(run_copy.rglob("*.tmp"))
 
     def test_a_run_written_before_the_header_padding_predicts_the_same_bytes(

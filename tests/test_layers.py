@@ -9,7 +9,9 @@ ranking is ``numerics.average_ranks``, the theory oracles run on ``math`` and
 numpy, and importing scipy would add about a third of a second to every CLI
 call.  Every public name of the package is read by package code outside its
 own definition, so the public surface is what the commands run;
-``UNREAD_PUBLIC_NAMES`` lists the exceptions, each with its reason."""
+``UNREAD_PUBLIC_NAMES`` lists the exceptions, each with its reason.  Only
+``data.write_file`` writes a file: no other function opens one for writing,
+writes a ``Path`` or renames a file."""
 
 import ast
 import os
@@ -176,6 +178,72 @@ def test_module_references_counts_only_reads_outside_the_definition():
     read = set().union(*(module_references(m, ast.parse(s)) for m, s in sources.items()))
     assert {("a", "g"), ("a", "h"), ("a", "C")} <= read
     assert not {("a", "f"), ("b", "k")} & read
+
+
+def file_writes(tree: ast.Module) -> list[tuple[str, ast.Call]]:
+    """``(top-level definition, call)`` for each call in ``tree`` that writes
+    a file: ``open`` (or an ``.open`` method) in a mode holding ``w``, ``a``,
+    ``x`` or ``+``, or in a mode that is not a literal; ``.write_text`` or
+    ``.write_bytes``; ``os.replace`` or ``os.rename``, however imported."""
+    renames = {"os.replace", "os.rename"} | {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for alias in node.names if alias.name in ("replace", "rename")}
+    found = []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            method = func.rpartition(".")[2]
+            if method == "open":
+                # open(file, mode) and its io/os forms; Path.open(mode)
+                at = 1 if func in ("open", "io.open", "os.open") else 0
+                modes = [k.value for k in node.keywords if k.arg in ("mode", "flags")]
+                mode = modes[0] if modes else (
+                    node.args[at] if len(node.args) > at else ast.Constant("r"))
+                writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                              and not set("wax+") & set(mode.value))
+            else:
+                writes = func in renames or method in ("write_text", "write_bytes")
+            if writes:
+                found.append((getattr(stmt, "name", "<module>"), node))
+    return found
+
+
+def test_only_data_writes_files():
+    """``data.write_file`` is the one function of the package that writes a
+    file (``file_writes``): every other module writes through it, so every
+    file is written by rename and no write can leave a part-written file."""
+    writers: dict[str, list[str]] = {}
+    for module in LAYERS:
+        for name, call in file_writes(parse(module)):
+            writers.setdefault(f"{module}.{name}", []).append(ast.unparse(call))
+    assert set(writers) == {"data.write_file"}, writers
+
+
+def test_file_writes_sees_every_form_of_a_write():
+    tree = ast.parse(
+        "import io, os\nfrom os import rename as mv\n"
+        "def reads(p, q):\n"
+        "    open(p); open(p, 'rb'); open(p, newline=''); p.open(); p.open(encoding='u8')\n"
+        "    p.read_text(); p.read_bytes(); 'ab'.replace('a', 'b'); os.path.join(p, q)\n"
+        "def w1(p):\n    open(p, 'w')\n"
+        "def w2(p):\n    open(p, 'ab')\n"
+        "def w3(p):\n    open(p, mode='x')\n"
+        "def w4(p):\n    open(p, 'r+')\n"
+        "def w5(p, m):\n    open(p, m)\n"
+        "def w6(p):\n    p.open('wb')\n"
+        "def w7(p):\n    io.open(p, 'w')\n"
+        "def w8(p):\n    os.open(p, os.O_WRONLY)\n"
+        "def w9(p):\n    p.write_text('t')\n"
+        "def w10(p):\n    p.write_bytes(b'')\n"
+        "def w11(p, q):\n    os.replace(p, q)\n"
+        "def w12(p, q):\n    os.rename(p, q)\n"
+        "def w13(p, q):\n    mv(p, q)\n"
+        "class C:\n    def w14(self, p):\n        open(p, 'w')\n"
+    )
+    assert [name for name, _ in file_writes(tree)] == [f"w{i}" for i in range(1, 14)] + ["C"]
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
